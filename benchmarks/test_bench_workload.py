@@ -267,7 +267,6 @@ def test_bench_workload(scale: str, show) -> None:
             if pool is not None:
                 pool_record = {
                     "workers": pool.stats.workers,
-                    "world_transport": pool.stats.world_transport,
                     "world_bytes": pool.stats.world_bytes,
                     "world_dump_s": round(pool.stats.world_dump_s, 4),
                     "setup_s": round(pool.stats.setup_s, 4),

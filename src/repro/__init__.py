@@ -45,9 +45,7 @@ __all__ = ["WorldSpec", "__version__"]
 
 def __getattr__(name: str) -> object:
     # Canonical re-export, resolved lazily so importing ``repro`` stays
-    # cheap: ``repro.WorldSpec`` is the declarative scenarios world spec
-    # (the sharded worker recipe formerly sharing the name is now
-    # ``repro.workload.ShardWorldTransportSpec``).
+    # cheap: ``repro.WorldSpec`` is the declarative scenarios world spec.
     if name == "WorldSpec":
         from repro.scenarios.spec import WorldSpec
 

@@ -35,7 +35,6 @@ from repro.dataplane.transmit import (
     simulate_ping,
     simulate_probe_round,
     simulate_stream,
-    simulate_stream_batch,
 )
 
 __all__ = [
@@ -62,6 +61,5 @@ __all__ = [
     "StreamResult",
     "simulate_ping",
     "simulate_stream",
-    "simulate_stream_batch",
     "simulate_probe_round",
 ]

@@ -1,20 +1,20 @@
 """Campaign-level columnar stream simulation (struct-of-arrays kernel).
 
-:func:`~repro.dataplane.transmit.simulate_stream_batch` vectorises *one*
-path signature at a time, but a realistic campaign has ~1 call per
-signature (``largest_batch: 3`` in ``BENCH_workload.json``), so the
-engine still made one Python round-trip per group and the simulate phase
-ate 96% of the campaign.  This module simulates **every stream of every
-group in one shot**: calls are gathered into per-``n_slots`` buckets and
-pushed through a handful of wide numpy passes over ``(streams, slots)``
-arrays — per-segment-kind rate sampling, survival-product combination,
-binomial slot losses, and gamma jitter with its p95 reduction.
+A realistic campaign has ~1 call per path signature (``largest_batch:
+3`` in ``BENCH_workload.json``), so batching streams one signature at a
+time leaves one Python round-trip per group.  This module simulates
+**every stream of every group in one shot**: calls are gathered into
+per-``n_slots`` buckets and pushed through a handful of wide numpy
+passes over ``(streams, slots)`` arrays — per-segment-kind rate
+sampling, survival-product combination, binomial slot losses, and gamma
+jitter with its p95 reduction.  It is the campaign engine's only
+simulation kernel.
 
 Two properties make this safe to drop into the campaign engine:
 
-**Determinism is counter-based, not sequential.**  The scalar and
-grouped paths draw from a stateful per-group generator, so their results
-depend on draw *order*.  Here every uniform is a pure function of
+**Determinism is counter-based, not sequential.**  The scalar oracle
+draws from a stateful generator, so its results depend on draw *order*.
+Here every uniform is a pure function of
 ``(group digest, transport salt, stream index, purpose, slot)``, hashed
 through a splitmix64-style finalizer.  Results are therefore bit-identical
 no matter how specs are ordered, how rows are chunked across passes, or
@@ -35,9 +35,8 @@ through dense interpolation tables over the body of the distribution
 (exact scipy evaluations for the outer 1/256 tails), with grid error
 orders of magnitude below what any campaign statistic can resolve.
 
-Requires scipy (already a repo dependency via the measurement stack);
-:func:`available` lets callers gate on it and fall back to the grouped
-path.
+Requires scipy (a declared dependency): the import below fails loudly
+when it is missing — a campaign never runs on a substitute kernel.
 """
 
 from __future__ import annotations
@@ -46,15 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly on import
-    from scipy import special as _special
-    from scipy import stats as _scipy_stats
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - CI image ships scipy
-    _special = None
-    _scipy_stats = None
-    HAVE_SCIPY = False
+from scipy import special as _special
+from scipy import stats as _scipy_stats
 
 from repro.dataplane import calibration as cal
 from repro.dataplane.link import SegmentKind, SegmentLossParams
@@ -65,14 +57,7 @@ from repro.dataplane.transmit import (
     _stream_shape,
 )
 
-__all__ = ["StreamColumnSpec", "simulate_stream_columns", "available"]
-
-
-def available() -> bool:
-    """Whether the columnar kernel can run (scipy importable)."""
-    return HAVE_SCIPY
-
-
+__all__ = ["StreamColumnSpec", "simulate_stream_columns"]
 
 
 # --------------------------------------------------------------------- #
@@ -125,9 +110,9 @@ def _to_unit(z: np.ndarray) -> np.ndarray:
 def _stream_keys(digest: tuple[int, int], salt: int, start: int, stop: int) -> np.ndarray:
     """One pseudo-random 64-bit key per stream of a spec slice.
 
-    ``digest`` is the group's blake2b-128 split into two words — the same
-    bytes :func:`repro.workload.engine.group_rng` seeds from — so the
-    keyspace inherits the campaign's ``(seed, group signature)`` keying.
+    ``digest`` is the group's blake2b-128 split into two words
+    (:func:`repro.workload.engine.group_digest`), so the keyspace
+    inherits the campaign's ``(seed, group signature)`` keying.
     ``salt`` separates transports sharing a group (vns / internet /
     detour): the baseline transports' draws are independent of whether a
     detour batch exists at all.
@@ -342,17 +327,10 @@ def simulate_stream_columns(
 
     Raises
     ------
-    RuntimeError
-        If scipy is unavailable (see :func:`available`).
     ValueError
         For non-positive stream counts, durations, packet rates or slot
         lengths, and for sub-packet-rate streams.
     """
-    if not HAVE_SCIPY:  # pragma: no cover - CI image ships scipy
-        raise RuntimeError(
-            "the columnar kernel needs scipy for inverse-CDF sampling; "
-            "use simulate_stream_batch (kernel='grouped') instead"
-        )
     if packets_per_second <= 0 or slot_s <= 0:
         raise ValueError("packet rate and slot length must be positive")
     if max_rows_per_pass < 1:

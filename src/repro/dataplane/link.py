@@ -279,45 +279,6 @@ class PathSegment:
             return self._vns_rates(n_slots, rng)
         return np.zeros(n_slots)  # PEERING hand-offs are loss-free
 
-    def sample_slot_rates_batch(
-        self,
-        n_streams: int,
-        n_slots: int,
-        hour_cet: float,
-        rng: np.random.Generator,
-        duration_s: float | None = None,
-    ) -> np.ndarray:
-        """Per-slot loss rates for ``n_streams`` concurrent streams at once.
-
-        Returns a ``(n_streams, n_slots)`` matrix; row ``i`` is distributed
-        exactly as one :meth:`sample_slot_rates` call (streams are
-        independent — per-stream events like spread/burst occurrence are
-        drawn per row).  This is the campaign engine's vectorised path:
-        one numpy pass per segment instead of a Python call per call.
-
-        Raises
-        ------
-        ValueError
-            For a non-positive stream count, slot count or duration.
-        """
-        if n_streams <= 0:
-            raise ValueError(f"n_streams must be positive, got {n_streams!r}")
-        if n_slots <= 0:
-            raise ValueError(f"n_slots must be positive, got {n_slots!r}")
-        if duration_s is None:
-            duration_s = 5.0 * n_slots
-        if duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {duration_s!r}")
-        if self.kind is SegmentKind.ACCESS:
-            return self._access_rates_batch(n_streams, n_slots, hour_cet, rng)
-        if self.kind is SegmentKind.TRANSIT:
-            return self._transit_rates_batch(
-                n_streams, n_slots, hour_cet, rng, duration_s
-            )
-        if self.kind is SegmentKind.VNS_L2:
-            return self._vns_rates_batch(n_streams, n_slots, rng)
-        return np.zeros((n_streams, n_slots))  # PEERING hand-offs are loss-free
-
     @lru_cache(maxsize=None)
     def loss_params(self, hour_cet: float) -> SegmentLossParams:
         """The loss-distribution parameters this segment samples from.
@@ -404,17 +365,6 @@ class PathSegment:
         draws = rng.lognormal(-0.5 * sigma * sigma, sigma, size=n_slots)
         return np.where(episodes, np.clip(mean_rate * draws, 0.0, 0.5), 0.0)
 
-    def _access_rates_batch(
-        self, n_streams: int, n_slots: int, hour_cet: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Episodic access loss for a stream batch — one draw per cell."""
-        occurrence, mean_rate = self._access_params(hour_cet)
-        shape = (n_streams, n_slots)
-        episodes = rng.random(shape) < occurrence
-        sigma = cal.ACCESS_EPISODE_SIGMA
-        draws = rng.lognormal(-0.5 * sigma * sigma, sigma, size=shape)
-        return np.where(episodes, np.clip(mean_rate * draws, 0.0, 0.5), 0.0)
-
     def _congestion(self, hour_cet: float) -> float:
         """Mean regional congestion across the segment's endpoints.
 
@@ -489,51 +439,6 @@ class PathSegment:
             rates += float(rng.uniform(lo, hi))
         return np.clip(rates, 0.0, 0.95)
 
-    def _transit_rates_batch(
-        self,
-        n_streams: int,
-        n_slots: int,
-        hour_cet: float,
-        rng: np.random.Generator,
-        duration_s: float,
-    ) -> np.ndarray:
-        """Transit loss for a stream batch.
-
-        Spread and long-burst occurrence vectorise per stream (one mask
-        draw each); short bursts touch only the rare masked rows, so the
-        per-row slot placement loop stays negligible.
-        """
-        rates = np.full((n_streams, n_slots), cal.TRANSIT_FLOOR_RATE)
-        congestion = self._congestion(hour_cet)
-        if self.is_long_haul:
-            spread = rng.random(n_streams) < self._spread_probability(hour_cet)
-            n_spread = int(spread.sum())
-            if n_spread:
-                draws = rng.lognormal(
-                    cal.TRANSIT_SPREAD_LOG_MEAN,
-                    cal.TRANSIT_SPREAD_LOG_SIGMA,
-                    size=n_spread,
-                )
-                rates[spread] += np.minimum(draws * self._rate_multiplier(), 0.05)[
-                    :, None
-                ]
-        exposure = duration_s / 120.0
-        burst_scale = congestion if self.is_long_haul else 0.3 * congestion
-        burst_scale *= exposure
-        short = rng.random(n_streams) < cal.TRANSIT_SHORT_BURST_PROB * burst_scale
-        lo_s, hi_s = cal.TRANSIT_SHORT_BURST_RATE
-        for row in np.nonzero(short)[0]:
-            burst_rate = float(rng.uniform(lo_s, hi_s))
-            n_burst = int(rng.integers(1, 3))
-            slots = rng.choice(n_slots, size=min(n_burst, n_slots), replace=False)
-            rates[row, slots] += burst_rate
-        long = rng.random(n_streams) < cal.TRANSIT_LONG_BURST_PROB * burst_scale
-        n_long = int(long.sum())
-        if n_long:
-            lo_l, hi_l = cal.TRANSIT_LONG_BURST_RATE
-            rates[long] += rng.uniform(lo_l, hi_l, size=n_long)[:, None]
-        return np.clip(rates, 0.0, 0.95)
-
     def _vns_rates(self, n_slots: int, rng: np.random.Generator) -> np.ndarray:
         rates = np.zeros(n_slots)
         if self.is_long_haul:
@@ -544,22 +449,6 @@ class PathSegment:
             lo, hi = cal.VNS_L2_INTRA_RATE
         if rng.random() < spread_prob:
             rates += float(rng.uniform(lo, hi))
-        return rates
-
-    def _vns_rates_batch(
-        self, n_streams: int, n_slots: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        rates = np.zeros((n_streams, n_slots))
-        if self.is_long_haul:
-            spread_prob = cal.VNS_L2_LONG_SPREAD_PROB
-            lo, hi = cal.VNS_L2_LONG_RATE
-        else:
-            spread_prob = cal.VNS_L2_INTRA_SPREAD_PROB
-            lo, hi = cal.VNS_L2_INTRA_RATE
-        spread = rng.random(n_streams) < spread_prob
-        n_spread = int(spread.sum())
-        if n_spread:
-            rates[spread] += rng.uniform(lo, hi, size=n_spread)[:, None]
         return rates
 
     def __str__(self) -> str:
@@ -603,19 +492,6 @@ class DegradedSegment(PathSegment):
         duration_s: float | None = None,
     ) -> np.ndarray:
         base = PathSegment.sample_slot_rates(self, n_slots, hour_cet, rng, duration_s)
-        return np.clip(base + self.extra_loss, 0.0, 0.95)
-
-    def sample_slot_rates_batch(
-        self,
-        n_streams: int,
-        n_slots: int,
-        hour_cet: float,
-        rng: np.random.Generator,
-        duration_s: float | None = None,
-    ) -> np.ndarray:
-        base = PathSegment.sample_slot_rates_batch(
-            self, n_streams, n_slots, hour_cet, rng, duration_s
-        )
         return np.clip(base + self.extra_loss, 0.0, 0.95)
 
 

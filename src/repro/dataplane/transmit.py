@@ -205,68 +205,6 @@ def simulate_stream(
     )
 
 
-def simulate_stream_batch(
-    path: DataPath,
-    n_streams: int,
-    *,
-    duration_s: float = 120.0,
-    packets_per_second: float = 420.0,
-    slot_s: float = 5.0,
-    hour_cet: float = 12.0,
-    rng: np.random.Generator,
-) -> list[StreamResult]:
-    """Simulate ``n_streams`` independent media streams over one path.
-
-    The campaign engine's batched hot path: per segment one vectorised
-    rate draw of shape ``(n_streams, n_slots)``, then one binomial and one
-    jitter draw for the whole batch.  Each returned :class:`StreamResult`
-    is distributed exactly as a :func:`simulate_stream` call with the same
-    parameters — the batch changes the arithmetic, not the model.
-
-    Raises
-    ------
-    ValueError
-        For a non-positive stream count, duration, packet rate or slot
-        length.
-    """
-    if n_streams <= 0:
-        raise ValueError(f"n_streams must be positive, got {n_streams!r}")
-    if duration_s <= 0 or packets_per_second <= 0 or slot_s <= 0:
-        raise ValueError("duration, packet rate and slot length must be positive")
-    n_slots, packets_per_slot, final_packets = _stream_shape(
-        duration_s, packets_per_second, slot_s
-    )
-    per_segment = [
-        segment.sample_slot_rates_batch(n_streams, n_slots, hour_cet, rng)
-        for segment in path.segments
-    ]
-    if per_segment:
-        rates = combine_rates(per_segment)
-    else:
-        rates = np.zeros((n_streams, n_slots))
-    slot_packets = np.full(n_slots, packets_per_slot)
-    slot_packets[-1] = final_packets
-    slot_losses = rng.binomial(slot_packets[None, :], rates)
-    jitter_samples = rng.gamma(
-        cal.JITTER_GAMMA_SHAPE,
-        _jitter_scale(path, hour_cet, packets_per_second),
-        size=(n_streams, n_slots),
-    )
-    jitter_samples = jitter_samples * (1.0 + 40.0 * rates)
-    jitter_p95 = np.percentile(jitter_samples, 95, axis=1)
-    rtt = path.rtt_ms()
-    packets_sent = packets_per_slot * (n_slots - 1) + final_packets
-    return [
-        StreamResult(
-            packets_sent=packets_sent,
-            slot_losses=slot_losses[i],
-            jitter_p95_ms=float(jitter_p95[i]),
-            rtt_ms=rtt,
-        )
-        for i in range(n_streams)
-    ]
-
-
 @dataclass(slots=True)
 class PingResult:
     """Outcome of an ICMP probe burst."""

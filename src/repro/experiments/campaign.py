@@ -2,8 +2,8 @@
 
 The Sec. 5 results aggregate a two-week production campaign; this driver
 is the synthetic analogue: sample a geo-weighted user population, draw a
-day (or more) of diurnally modulated call arrivals, run them through the
-batched :class:`~repro.workload.engine.CampaignEngine`, and render the
+day (or more) of diurnally modulated call arrivals, run them through
+:class:`~repro.workload.sharded.ShardedCampaignRunner`, and render the
 per-corridor QoE table — delay/loss percentiles, lossy-slot fractions
 (Fig. 9's threshold accounting) and VNS-vs-Internet win rates
 (Figs. 6/7's dominance view).
@@ -11,10 +11,9 @@ per-corridor QoE table — delay/loss percentiles, lossy-slot fractions
 Part of the uniform experiment API: ``run`` is reachable through
 :func:`repro.experiments.common.run` as ``RunConfig.of("campaign", ...)``
 and the returned :class:`~repro.workload.engine.CampaignRun` implements
-:class:`~repro.experiments.common.ExperimentResult`.  With ``workers >
-1`` the campaign executes through
-:class:`~repro.workload.sharded.ShardedCampaignRunner`; the report is
-byte-identical either way.
+:class:`~repro.experiments.common.ExperimentResult`.  ``workers`` only
+picks where the runner's shards execute (this process, or the world's
+persistent pool); the report is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.experiments.common import World
 from repro.workload import (
     CallArrivalProcess,
     CampaignConfig,
-    CampaignEngine,
     CampaignRun,
     ShardedCampaignRunner,
     ShardPlan,
@@ -46,11 +44,12 @@ def run(
 
     The population, arrival and engine seeds are derived from ``seed``
     with fixed offsets, so one integer reproduces the whole campaign.
-    ``workers > 1`` (or an explicit ``shard_plan``) runs the same calls
-    through the sharded multi-process runner on ``world``'s persistent
-    :meth:`~repro.experiments.common.World.campaign_pool` — same seed
-    derivation, byte-identical report, and repeated invocations over one
-    world reuse the already-spawned, already-warm workers.
+    With one worker the runner executes in this process (one shard
+    unless ``shard_plan`` cuts more); ``workers > 1`` (or a
+    ``shard_plan`` sized for more) runs the same calls on ``world``'s
+    persistent :meth:`~repro.experiments.common.World.campaign_pool` —
+    byte-identical report, and repeated invocations over one world
+    reuse the already-spawned, already-warm workers.
     """
     population = UserPopulation.sample(world.topology, n_users, seed=seed)
     arrivals = CallArrivalProcess(
@@ -61,16 +60,14 @@ def run(
     )
     calls = arrivals.generate(days=days)
     config = CampaignConfig(seed=seed + 2)
-    if shard_plan is None and workers > 1:
+    if shard_plan is None:
         shard_plan = ShardPlan(n_workers=workers)
-    if shard_plan is not None:
-        pool = None
-        if not shard_plan.force_inprocess and shard_plan.effective_workers > 1:
-            pool = world.campaign_pool(workers=shard_plan.effective_workers)
-        return ShardedCampaignRunner(
-            world.service, config, shard_plan, pool=pool
-        ).run(calls)
-    return CampaignEngine(world.service, config).run(calls)
+    pool = None
+    if shard_plan.effective_workers > 1:
+        pool = world.campaign_pool(workers=shard_plan.effective_workers)
+    return ShardedCampaignRunner(world.service, config, shard_plan, pool=pool).run(
+        calls
+    )
 
 
 def render(campaign: CampaignRun) -> str:

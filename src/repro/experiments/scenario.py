@@ -91,10 +91,8 @@ def run(
             # Nothing mutated the world: safe to reuse (and keep warm)
             # the world's persistent pool across scenario runs.
             campaign = loaded.run(pool=world.campaign_pool(workers=workers))
-        elif workers > 1:
-            campaign = loaded.run(workers=workers)
         else:
-            campaign = loaded.run()
+            campaign = loaded.run(workers=workers)
     finally:
         loaded.restore()
     return ScenarioRun(spec=spec, campaign=campaign, sharded=workers > 1)

@@ -11,8 +11,8 @@ QoE-delta columns differ only by policy.
 
 Part of the uniform experiment API: reachable through
 :func:`repro.experiments.common.run` as ``RunConfig.of("steering", ...)``.
-With ``workers > 1`` each campaign executes through the sharded runner;
-reports stay byte-identical to sequential execution.
+With ``workers > 1`` every policy's campaign runs on the world's one
+persistent worker pool; reports stay byte-identical to ``workers=1``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.workload import (
     CallArrivalProcess,
     CallSpec,
     CampaignConfig,
-    CampaignEngine,
     CampaignRun,
     ShardedCampaignRunner,
     ShardPlan,
@@ -186,8 +185,11 @@ def run(
     comparison = SteeringComparison(
         seed=seed, health=health, budget_bytes=budget_bytes
     )
-    if shard_plan is None and workers > 1:
+    if shard_plan is None:
         shard_plan = ShardPlan(n_workers=workers)
+    pool = None
+    if shard_plan.effective_workers > 1:
+        pool = world.campaign_pool(workers=shard_plan.effective_workers)
     for name in policies:
         if name == "threshold_offload":
             policy = make_policy(
@@ -199,15 +201,9 @@ def run(
         else:
             policy = make_policy(name)
         engine = SteeringEngine(health=health, policy=policy, seed=config.seed)
-        if shard_plan is not None:
-            runner = ShardedCampaignRunner(
-                world.service, config, shard_plan, steering=engine
-            )
-            comparison.runs[name] = runner.run(calls)
-        else:
-            comparison.runs[name] = CampaignEngine(
-                world.service, config, steering=engine
-            ).run(calls)
+        comparison.runs[name] = ShardedCampaignRunner(
+            world.service, config, shard_plan, steering=engine, pool=pool
+        ).run(calls)
     return comparison
 
 

@@ -21,7 +21,6 @@ from repro.scenarios.golden import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     REGEN_ENV,
-    GoldenDiff,
     GoldenStore,
     diff_reports,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "STEERING_POLICIES",
     "WORLD_SCALES",
     "AppliedFaults",
-    "GoldenDiff",
     "GoldenStore",
     "LoadedScenario",
     "MatrixCell",

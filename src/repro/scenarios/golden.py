@@ -20,9 +20,6 @@ from repro.tolerance import (
     diff_reports,
 )
 
-#: Back-compat name: golden checks predate the shared differ.
-GoldenDiff = ToleranceDiff
-
 #: Environment knob: regenerate committed goldens instead of comparing.
 REGEN_ENV = "GOLDEN_REGEN"
 
@@ -30,7 +27,6 @@ __all__ = [
     "DEFAULT_ATOL",
     "DEFAULT_RTOL",
     "REGEN_ENV",
-    "GoldenDiff",
     "GoldenStore",
     "diff_reports",
 ]
@@ -73,7 +69,7 @@ class GoldenStore:
         update: bool = False,
         rtol: float = DEFAULT_RTOL,
         atol: float = DEFAULT_ATOL,
-    ) -> GoldenDiff:
+    ) -> ToleranceDiff:
         """Compare ``report`` against the committed golden for ``key``.
 
         ``update=True`` (or ``GOLDEN_REGEN=1`` in the environment)
@@ -82,8 +78,8 @@ class GoldenStore:
         """
         if update or os.environ.get(REGEN_ENV, "") not in ("", "0"):
             self.save(key, report)
-            return GoldenDiff(key=key)
+            return ToleranceDiff(key=key)
         golden = self.load(key)
         if golden is None:
-            return GoldenDiff(key=key, missing=True)
+            return ToleranceDiff(key=key, missing=True)
         return diff_reports(golden, report, key=key, rtol=rtol, atol=atol)

@@ -47,7 +47,7 @@ from repro.faults.events import (
 from repro.faults.injector import FaultInjector
 from repro.scenarios.spec import CAPACITY_WILDCARD, ScenarioSpec, WorldSpec
 from repro.workload.arrivals import CallArrivalProcess, CallSpec, flash_crowd_calls
-from repro.workload.engine import CampaignConfig, CampaignEngine, CampaignRun
+from repro.workload.engine import CampaignConfig, CampaignRun
 from repro.workload.population import UserPopulation
 from repro.workload.sharded import (
     CampaignWorkerPool,
@@ -396,8 +396,8 @@ def scenario_steering(
 class LoadedScenario:
     """A composed scenario: world faulted, calls drawn, model built.
 
-    Call :meth:`run` (sequential, or sharded with ``workers``/``pool``)
-    and :meth:`restore` when done — or use
+    Call :meth:`run` (in this process, or on a pool with
+    ``workers``/``pool``) and :meth:`restore` when done — or use
     :func:`run_scenario` which does both.
     """
 
@@ -416,27 +416,21 @@ class LoadedScenario:
         pool: CampaignWorkerPool | None = None,
         shard_plan: ShardPlan | None = None,
     ) -> CampaignRun:
-        """Run the campaign; byte-identical sequential vs sharded.
+        """Run the campaign; byte-identical in-process vs pooled.
 
-        With ``pool`` (or ``workers > 1``, which builds a private pool
-        for the call and shuts it down after) the campaign runs sharded
-        over spawned workers.  A pool must have been created *after*
-        this scenario's faults were applied — worker snapshots freeze
-        the world at pool start.
+        With ``pool`` (or ``workers > 1`` / a ``shard_plan`` sized for
+        more than one worker, which builds a private pool for the call
+        and shuts it down after) the shards run on spawned workers;
+        otherwise in this process.  A pool must have been created
+        *after* this scenario's faults were applied — worker snapshots
+        freeze the world at pool start.
         """
-        if pool is None and shard_plan is None and workers <= 1:
-            return CampaignEngine(
-                self.world.service,
-                self.config,
-                steering=self.steering,
-                path_model=self.path_model,
-            ).run(self.calls)
         if shard_plan is None:
             shard_plan = ShardPlan(
                 n_workers=pool.workers if pool is not None else workers
             )
         own_pool = None
-        if pool is None and not shard_plan.force_inprocess:
+        if pool is None and shard_plan.effective_workers > 1:
             own_pool = CampaignWorkerPool(
                 self.world.service, workers=shard_plan.effective_workers
             )

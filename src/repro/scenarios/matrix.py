@@ -30,14 +30,15 @@ from pathlib import Path
 
 from repro.experiments.common import World, build_world
 from repro.faults.events import event_to_dict
-from repro.scenarios.golden import DEFAULT_ATOL, DEFAULT_RTOL, GoldenDiff, GoldenStore
+from repro.scenarios.golden import DEFAULT_ATOL, DEFAULT_RTOL, GoldenStore
 from repro.scenarios.loader import (
     apply_scenario_faults,
     compose_scenario,
 )
 from repro.scenarios.registry import canned_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.workload.sharded import CampaignWorkerPool, ShardPlan
+from repro.tolerance import ToleranceDiff
+from repro.workload.sharded import CampaignWorkerPool
 
 
 @dataclass(slots=True)
@@ -54,7 +55,7 @@ class MatrixCell:
     sharded: bool
     elapsed_s: float
     #: Golden comparison, or ``None`` when no store was given.
-    golden: GoldenDiff | None = None
+    golden: ToleranceDiff | None = None
 
     @property
     def key(self) -> str:
@@ -251,7 +252,6 @@ def run_matrix(
 
     cells: list[MatrixCell | None] = [None] * len(grid)
     use_pool = sharded and workers > 1
-    plan = ShardPlan(n_workers=workers) if use_pool else None
     for members in groups.values():
         world = _world_for(members[0][1])
         applied = apply_scenario_faults(world.service, members[0][1])
@@ -264,10 +264,7 @@ def run_matrix(
             for index, spec in members:
                 cell_started = time.perf_counter()
                 loaded = compose_scenario(spec, world, applied.degradations)
-                if use_pool:
-                    run = loaded.run(pool=pool, shard_plan=plan)
-                else:
-                    run = loaded.run()
+                run = loaded.run(pool=pool)
                 report = run.report.to_dict()
                 cell = MatrixCell(
                     scenario=spec.name,

@@ -21,7 +21,7 @@ A decision is a pure function of the call's identity, the corridor's
 :class:`~repro.steering.health.PathHealthTable` state and the candidate
 paths' RTTs — never of the order calls were processed in.  Randomised
 splits hash ``(seed, src, dst, call_id)`` through blake2b (the same
-process-stable keying as :func:`repro.workload.engine.group_rng`).
+process-stable keying as :func:`repro.workload.engine.group_digest`).
 """
 
 from __future__ import annotations

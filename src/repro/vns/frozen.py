@@ -19,8 +19,8 @@ because they only read the tables the freeze captured.  What does *not*
 work is mutation: fault injection, reconvergence and management actions
 raise :class:`FrozenWorldError`.
 
-This is the ``world_transport="frozen"`` payload of
-:mod:`repro.workload.sharded`: orders of magnitude fewer objects than
+This is the world payload :mod:`repro.workload.sharded` ships to its
+pool workers: orders of magnitude fewer objects than
 the live control plane, so worker initialisation is dominated by the
 interpreter import, not the world.
 """

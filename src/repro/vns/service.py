@@ -114,9 +114,9 @@ class VideoNetworkService:
         The snapshot keeps only the converged forwarding outcome (best
         routes, PoP external routes, the IGP path closure) and drops the
         live BGP control plane, so it is cheap to pickle and unpickle —
-        this is what campaign shard workers receive under
-        ``world_transport="frozen"``.  Path builders are bit-identical;
-        mutation raises :class:`~repro.vns.frozen.FrozenWorldError`.
+        this is what campaign shard workers receive.  Path builders are
+        bit-identical; mutation raises
+        :class:`~repro.vns.frozen.FrozenWorldError`.
         """
         from repro.vns.frozen import freeze_service
 

@@ -9,8 +9,9 @@ subpackage is that campaign's synthetic counterpart:
 * :mod:`~repro.workload.arrivals` — diurnally modulated Poisson call
   arrivals with Zipf callee popularity;
 * :mod:`~repro.workload.engine` — the cached/batched campaign runner;
-* :mod:`~repro.workload.sharded` — shard-and-reduce multi-process
-  execution, byte-identical in report output to the sequential engine;
+* :mod:`~repro.workload.sharded` — the one campaign execution path:
+  shard-and-reduce over a persistent worker pool, or the same slices
+  in-process (one shard by default) — byte-identical either way;
 * :mod:`~repro.workload.report` — per-region-pair QoE aggregation with a
   byte-stable JSON report.
 """
@@ -32,7 +33,6 @@ from repro.workload.engine import (
     CampaignStats,
     PathModel,
     group_key,
-    group_rng,
 )
 from repro.workload.population import (
     DEFAULT_REGION_WEIGHTS,
@@ -56,7 +56,6 @@ from repro.workload.sharded import (
     ShardOutcome,
     ShardPlan,
     ShardTask,
-    ShardWorldTransportSpec,
     campaign_fingerprint,
     default_workers,
     partition_calls,
@@ -90,7 +89,6 @@ __all__ = [
     "ShardOutcome",
     "ShardPlan",
     "ShardTask",
-    "ShardWorldTransportSpec",
     "ShardedCampaignRun",
     "ShardedCampaignRunner",
     "User",
@@ -100,19 +98,9 @@ __all__ = [
     "default_workers",
     "flash_crowd_calls",
     "group_key",
-    "group_rng",
     "partition_calls",
     "predicted_shard_cost",
     "shard_seed",
     "warmup_manifest",
 ]
 
-
-def __getattr__(name: str) -> object:
-    # Deprecated alias, kept for one release after the rename to
-    # ShardWorldTransportSpec; the sharded module emits the warning.
-    if name == "WorldSpec":
-        from repro.workload import sharded
-
-        return sharded.WorldSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,31 +13,26 @@ redundancy a real campaign has:
   ``BENCH_workload.json``.
 * **Streams over one path are exchangeable.**  Calls sharing a path
   signature (prefix pair, hour bin, duration) are exchangeable and can
-  be simulated together.  The default ``"columnar"`` kernel goes
-  further: *all* groups are gathered into campaign-wide
+  be simulated together — and since real campaigns have ~1 call per
+  exact signature, *all* groups are gathered into campaign-wide
   struct-of-arrays columns and simulated in a handful of wide numpy
-  passes (:mod:`repro.dataplane.columnar`) — real campaigns have ~1
-  call per exact signature, so per-group batching alone barely helps.
-  The legacy ``"grouped"`` kernel (one
-  :func:`~repro.dataplane.transmit.simulate_stream_batch` call per
-  group) remains as the scipy-free fallback.
+  passes (:mod:`repro.dataplane.columnar`, the one simulation kernel;
+  :func:`~repro.dataplane.transmit.simulate_stream` is its scalar
+  distribution oracle).
 
 **Determinism contract.**  Every simulation draw is keyed by
 ``(campaign seed, group signature)`` via a stable blake2b hash
-(:func:`group_digest`) — never by the order groups were encountered.
-The grouped kernel seeds a per-group generator from it
-(:func:`group_rng`); the columnar kernel goes one level finer and keys
-each *individual* draw by ``(digest, transport, stream index, purpose,
-slot)`` counters, so its results are additionally independent of how
-streams were chunked into array passes.  A campaign's measurements
-therefore depend only on the seed and on *which* calls ran, not on how
-the call list was chunked, shuffled, or sharded across worker
-processes.  This is what lets
-:class:`~repro.workload.sharded.ShardedCampaignRunner` fan a campaign
-out over a process pool and still reproduce the sequential report
-byte for byte.  (The two kernels are distribution-identical but not
-bit-identical to each other: pick one per campaign, which
-:class:`CampaignConfig` pins.)
+(:func:`group_digest`) — never by the order groups were encountered —
+and, one level finer, each *individual* draw by ``(digest, transport
+salt, stream index, purpose, slot)`` counters, so results are also
+independent of how streams were chunked into array passes.  A
+campaign's measurements therefore depend only on the seed and on
+*which* calls ran, not on how the call list was chunked, shuffled, or
+sharded across worker processes.  This is what lets
+:class:`~repro.workload.sharded.ShardedCampaignRunner` — which runs one
+``CampaignEngine`` per slice of the call list, in this process or in
+pool workers — reduce to the same report byte for byte however the
+list was cut.
 
 The three phases are instrumented with :mod:`repro.perf` timers
 (``workload.resolve`` / ``workload.simulate`` / ``workload.aggregate``)
@@ -54,14 +49,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Protocol
 
-import numpy as np
-
 from repro import perf
-from repro.dataplane import columnar
 from repro.dataplane.columnar import StreamColumnSpec, simulate_stream_columns
 from repro.dataplane.path import DataPath, internet_path
 from repro.dataplane.link import SegmentKind
-from repro.dataplane.transmit import StreamResult, simulate_stream_batch
+from repro.dataplane.transmit import StreamResult
 from repro.media.turn import TurnService
 from repro.net.addressing import Prefix
 from repro.vns.network import EgressDecision
@@ -118,28 +110,15 @@ class CampaignConfig:
     packets_per_second / slot_s:
         Stream shape, as for
         :func:`~repro.dataplane.transmit.simulate_stream`.
-    kernel:
-        Phase-2 simulation kernel: ``"columnar"`` (default — the
-        campaign-wide struct-of-arrays kernel of
-        :mod:`repro.dataplane.columnar`) or ``"grouped"`` (the legacy
-        per-group :func:`~repro.dataplane.transmit.simulate_stream_batch`
-        loop, also the automatic fallback when scipy is unavailable).
-        The kernels are distribution-identical, not bit-identical:
-        reports are reproducible within a kernel, not across them.
     """
 
     seed: int = 0
     packets_per_second: float = 420.0
     slot_s: float = 5.0
-    kernel: str = "columnar"
 
     def __post_init__(self) -> None:
         if self.packets_per_second <= 0 or self.slot_s <= 0:
             raise ValueError("packets_per_second and slot_s must be positive")
-        if self.kernel not in ("columnar", "grouped"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; use 'columnar' or 'grouped'"
-            )
 
 
 #: A simulation-group signature: calls sharing one are exchangeable and
@@ -168,10 +147,9 @@ def group_digest(seed: int, key: GroupKey) -> tuple[int, int]:
     deliberately **not** Python's ``hash()``, whose string salting
     differs between (worker) processes.  Identical inputs yield
     identical words in any process, which is the foundation of the
-    sequential-vs-sharded equivalence guarantee.  Both kernels key off
-    these bytes: the grouped kernel seeds a generator from them
-    (:func:`group_rng`), the columnar kernel feeds them into per-draw
-    counters (:class:`~repro.dataplane.columnar.StreamColumnSpec`).
+    sequential-vs-sharded equivalence guarantee.  The columnar kernel
+    feeds these words into its per-draw counters
+    (:class:`~repro.dataplane.columnar.StreamColumnSpec`).
     """
     src, dst, hour_bin, duration_s = key
     text = f"{seed}|{_prefix_text(src)}|{_prefix_text(dst)}|{hour_bin}|{duration_s:.6f}"
@@ -188,15 +166,9 @@ def _prefix_text(prefix: Prefix) -> str:
     return str(prefix)
 
 
-def group_rng(seed: int, key: GroupKey) -> np.random.Generator:
-    """The grouped kernel's dedicated generator for one simulation group."""
-    return np.random.default_rng(list(group_digest(seed, key)))
-
-
-#: Transport salts separating a group's stream columns under the
-#: columnar kernel.  Baseline draws never depend on whether a detour
-#: column exists, so the baseline report columns stay bit-equal with
-#: and without steering.
+#: Transport salts separating a group's stream columns.  Baseline draws
+#: never depend on whether a detour column exists, so the baseline
+#: report columns stay bit-equal with and without steering.
 _SALT_VNS = 0
 _SALT_INTERNET = 1
 _SALT_DETOUR = 2
@@ -698,7 +670,7 @@ class CampaignEngine:
         return candidates
 
     # ------------------------------------------------------------------ #
-    # phase 2: the simulation kernels
+    # phase 2: the simulation kernel
     # ------------------------------------------------------------------ #
 
     def _modeled_path(
@@ -850,67 +822,6 @@ class CampaignEngine:
                 detour_streams,
             )
 
-    def _simulate_grouped(
-        self,
-        groups: dict[GroupKey, list[int]],
-        resolved: list[tuple[CallSpec, _ResolvedPair]],
-        decisions: list["SteeringDecision"],
-        results: list["CallResult | None"],
-        stats: CampaignStats,
-    ) -> None:
-        """Legacy kernel: one batched draw per (signature, transport)."""
-        for key, indices in groups.items():
-            _, _, hour_bin, duration_s = key
-            _, pair = resolved[indices[0]]
-            hour = hour_bin + 0.5
-            rng = group_rng(self.config.seed, key)
-            vns_streams = simulate_stream_batch(
-                self._modeled_path(pair.via_vns, "vns", pair.entry_pop),
-                len(indices),
-                duration_s=duration_s,
-                packets_per_second=self.config.packets_per_second,
-                slot_s=self.config.slot_s,
-                hour_cet=hour,
-                rng=rng,
-            )
-            inet_streams = simulate_stream_batch(
-                self._modeled_path(pair.via_internet, "internet", pair.entry_pop),
-                len(indices),
-                duration_s=duration_s,
-                packets_per_second=self.config.packets_per_second,
-                slot_s=self.config.slot_s,
-                hour_cet=hour,
-                rng=rng,
-            )
-            # Detoured streams need a third draw over the detour path.
-            # Drawn strictly AFTER the two baseline batches on the same
-            # group generator, so the vns/internet draws — and hence the
-            # baseline report columns — are bit-equal with and without
-            # steering.
-            detour_streams = None
-            detour_path = self._group_detour_path(key, indices, decisions)
-            if detour_path is not None:
-                detour_streams = simulate_stream_batch(
-                    self._modeled_path(detour_path, "detour", pair.entry_pop),
-                    len(indices),
-                    duration_s=duration_s,
-                    packets_per_second=self.config.packets_per_second,
-                    slot_s=self.config.slot_s,
-                    hour_cet=hour,
-                    rng=rng,
-                )
-            self._emit_group(
-                indices,
-                resolved,
-                decisions,
-                results,
-                vns_streams,
-                inet_streams,
-                detour_streams,
-            )
-            stats.batches += 1
-            stats.largest_batch = max(stats.largest_batch, len(indices))
-
     # ------------------------------------------------------------------ #
     # the campaign
     # ------------------------------------------------------------------ #
@@ -923,8 +834,8 @@ class CampaignEngine:
         campaign likewise only reports completed calls).  Deterministic:
         the same seed and call *set* produce an identical
         :meth:`CampaignReport.to_json`, regardless of call order or of
-        how the list was sharded (per-group generators, see
-        :func:`group_rng`).
+        how the list was sharded (per-group draw keys, see
+        :func:`group_digest`).
         """
         stats = CampaignStats(calls_total=len(calls))
         started = time.perf_counter()
@@ -974,15 +885,11 @@ class CampaignEngine:
                 groups.setdefault(group_key(spec), []).append(index)
         perf.incr("workload.calls", len(calls))
 
-        # Phase 2: simulate every group's streams.  The columnar kernel
-        # gathers all groups into campaign-wide array passes; the grouped
-        # kernel makes one batched draw per (signature, transport).
+        # Phase 2: simulate every group's streams, gathered into
+        # campaign-wide array passes.
         results: list[CallResult | None] = [None] * len(resolved)
         with perf.timer("workload.simulate"):
-            if self.config.kernel == "columnar" and columnar.available():
-                self._simulate_columnar(groups, resolved, decisions, results, stats)
-            else:
-                self._simulate_grouped(groups, resolved, decisions, results, stats)
+            self._simulate_columnar(groups, resolved, decisions, results, stats)
         perf.incr("workload.batches", stats.batches)
 
         # Phase 3: fold into the per-region-pair report.

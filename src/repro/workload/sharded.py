@@ -1,8 +1,9 @@
-"""Sharded multi-process campaign execution.
+"""The one campaign execution path: partition, execute, reduce.
 
 The paper's evaluation aggregates two weeks of production traffic across
 11 PoPs; replaying that at population scale needs more than one core.
-This module fans a campaign out with the shard-and-reduce shape of a
+Every campaign — one core or many — runs through
+:class:`ShardedCampaignRunner` with the shard-and-reduce shape of a
 data-parallel training loop:
 
 1. **Partition** the call list into cost-balanced per-shard slices
@@ -12,14 +13,18 @@ data-parallel training loop:
    Slices are balanced by *predicted work* — one cache-miss resolve per
    unique pair plus per-call and per-slot simulate cost — not by call
    duration alone.
-2. **Execute** shards through a persistent :class:`CampaignWorkerPool`:
-   spawn-safe workers that each receive the world exactly **once** (by
-   default as a compact :mod:`frozen <repro.vns.frozen>` snapshot),
-   pre-warm their path caches from the campaign's
-   :func:`warmup_manifest`, and keep both world and caches alive across
-   shards *and across campaigns*.  Shards **stream**: the planner emits
-   more slices than workers and the runner collects them as they finish,
-   so the resolve and simulate phases of different shards overlap.
+2. **Execute** each slice with a plain
+   :class:`~repro.workload.engine.CampaignEngine` (:func:`_execute_shard`).
+   *Where* is decided by one thing only — the ``pool=`` the runner was
+   given.  With a :class:`CampaignWorkerPool`: spawn-safe workers that
+   each receive the world exactly **once** (a compact
+   :mod:`frozen <repro.vns.frozen>` snapshot), pre-warm their path
+   caches from the campaign's :func:`warmup_manifest`, and keep both
+   world and caches alive across shards *and across campaigns*; shards
+   **stream** (more slices than workers, collected as they finish), so
+   the resolve and simulate phases of different shards overlap.
+   Without a pool: the same slices run in this process, one shard by
+   default — the sequential campaign *is* the one-shard run.
 3. **Reduce** by merging the shards'
    :class:`~repro.workload.report.CampaignAggregator`\\ s,
    :class:`~repro.workload.engine.CampaignStats` and
@@ -27,18 +32,19 @@ data-parallel training loop:
    :class:`ShardedCampaignRun`.
 
 **Determinism contract.**  Simulation draws are keyed by ``(campaign
-seed, group signature)`` (:func:`~repro.workload.engine.group_rng`) and
-every float in a report summary is permutation-invariant, so a sharded
-run is *byte-identical* in :meth:`CampaignReport.to_json` to the
-sequential run under the same seed — for any worker count, shard count,
-scheduling order, retry history, cache warmth, or resume.  The per-shard
-seeds carried by :class:`ShardTask` are derived deterministically from
-the campaign seed for shard-local needs (retry backoff jitter today);
-they deliberately do not feed the simulation draws.
+seed, group signature)`` (:func:`~repro.workload.engine.group_digest`)
+and every float in a report summary is permutation-invariant, so a run
+is *byte-identical* in :meth:`CampaignReport.to_json` to a bare
+``CampaignEngine`` over the whole list under the same seed — for any
+pool, worker count, shard count, scheduling order, retry history, cache
+warmth, or resume.  The per-shard seeds carried by :class:`ShardTask`
+are derived deterministically from the campaign seed for shard-local
+needs (retry backoff jitter today); they deliberately do not feed the
+simulation draws.
 
 **Robustness.**  Progress timeouts, failed-shard retry with a re-derived
 shard seed, and graceful fallback to in-process execution when the pool
-cannot be created (or a shard exhausts its retries and
+cannot start (or a shard exhausts its retries and
 ``allow_inprocess_fallback`` is set).  Shard faults can be injected via
 ``ShardPlan.fail_injections`` for chaos-style testing, in the spirit of
 :mod:`repro.faults`.  Long campaigns can checkpoint completed shards
@@ -47,10 +53,10 @@ reproducing the identical merged report.
 
 **Overhead attribution.**  Each :class:`ShardOutcome` carries, next to
 the engine phases, the fan-out's own costs as separate columns:
-``warmup_s`` (cache pre-warming), ``world_ship_s`` (world
-pickle/unpickle into the worker) and ``queue_wait_s`` (time the shard
-sat in the work queue).  ``BENCH_workload.json`` reports these instead
-of letting them hide inside the simulate phase.
+``warmup_s`` (cache pre-warming), ``world_ship_s`` (world unpickle in
+the worker) and ``queue_wait_s`` (time the shard sat in the work
+queue).  ``BENCH_workload.json`` reports these instead of letting them
+hide inside the simulate phase.
 """
 
 from __future__ import annotations
@@ -58,7 +64,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -95,9 +100,6 @@ PHASES = ("resolve", "simulate", "aggregate")
 #: :attr:`ShardOutcome.phase_s` (wall-clock only; their ``cpu_s`` is 0).
 OVERHEAD_COLUMNS = ("warmup_s", "world_ship_s", "queue_wait_s")
 
-#: Accepted ``ShardPlan.world_transport`` values.
-WORLD_TRANSPORTS = ("frozen", "pickle", "rebuild")
-
 # Predicted-work model for shard balancing, in slot-equivalents (one
 # unit = simulating one 5 s slot).  Calibrated from BENCH_workload.json
 # on the medium world: a cold resolve_pair miss costs ~0.44 ms, a
@@ -127,29 +129,6 @@ class ShardExecutionError(RuntimeError):
         super().__init__(f"shard {shard_index} failed permanently: {attempts}")
 
 
-@dataclass(frozen=True, slots=True)
-class ShardWorldTransportSpec:
-    """A recipe for rebuilding a world inside a worker process.
-
-    The ``rebuild`` transport ships this tiny value instead of a pickled
-    service — slower to start (each worker rebuilds) but immune to any
-    unpicklable state a future world might carry.
-    """
-
-    scale: str = "small"
-    seed: int = 42
-    geoip_errors: bool = False
-
-    def build_service(self) -> VideoNetworkService:
-        # Imported here: experiments.common imports perf and is not needed
-        # in workers that receive a pickled world.
-        from repro.experiments.common import build_world
-
-        return build_world(
-            self.scale, seed=self.seed, geoip_errors=self.geoip_errors
-        ).service
-
-
 def default_workers() -> int:
     """The default pool size: ``min(4, os.cpu_count())``."""
     return min(4, os.cpu_count() or 1)
@@ -162,26 +141,19 @@ class ShardPlan:
     Parameters
     ----------
     n_workers:
-        Pool size.  ``None`` (the default) resolves to
-        :func:`default_workers` — ``min(4, os.cpu_count())``.  ``1`` (or
-        ``force_inprocess``) runs the shards sequentially in this
-        process — same partition, same reduce, no pool.
+        The worker count shard-count defaults are sized for (and the
+        pool size callers such as :mod:`repro.experiments.campaign`
+        request).  ``None`` (the default) resolves to
+        :func:`default_workers` — ``min(4, os.cpu_count())``.  It never
+        decides *where* shards run: that is the runner's ``pool=``.
     n_shards:
-        Number of slices.  ``None`` defaults to ``2 × workers`` when a
-        pool runs (so shards stream through the queue and phases of
-        different shards overlap) and to the worker count in-process;
-        the runner clamps the auto value back to one slice per worker
+        Number of slices.  ``None`` defaults, on a pool, to ``2 ×
+        workers`` (so shards stream through the queue and phases of
+        different shards overlap), clamped back to one slice per worker
         for campaigns whose predicted cost is under
         :data:`STREAM_MIN_COST` (oversplitting tiny campaigns costs
-        more than streaming recovers).
-    world_transport:
-        ``"frozen"`` (default) ships a compact read-only snapshot of the
-        converged world (:func:`repro.vns.frozen.freeze_service`) — a
-        fraction of the full pickle's bytes and unpickle time;
-        ``"pickle"`` ships the full live service (the fallback when a
-        worker must mutate its world); ``"rebuild"`` ships a
-        :class:`ShardWorldTransportSpec` and each worker builds its own
-        copy.
+        more than streaming recovers); with no pool it defaults to one
+        in-process shard.
     shard_timeout_s:
         Upper bound on each wait for *progress*; ``None`` waits forever.
         When no shard completes within the window, every pending shard
@@ -189,10 +161,8 @@ class ShardPlan:
         so prefer generous bounds).
     max_retries:
         Failed-attempt budget per shard *beyond* the first try.
-    force_inprocess:
-        Skip the pool entirely (useful under debuggers and in tests).
     allow_inprocess_fallback:
-        Run shards in this process when the pool cannot be created or a
+        Run shards in this process when the pool cannot start or a
         shard exhausts its retries; when ``False`` those conditions
         raise :class:`ShardExecutionError`.
     keep_results:
@@ -215,10 +185,8 @@ class ShardPlan:
 
     n_workers: int | None = None
     n_shards: int | None = None
-    world_transport: str = "frozen"
     shard_timeout_s: float | None = None
     max_retries: int = 1
-    force_inprocess: bool = False
     allow_inprocess_fallback: bool = True
     keep_results: bool = True
     warm_caches: bool = True
@@ -230,11 +198,6 @@ class ShardPlan:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers!r}")
         if self.n_shards is not None and self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards!r}")
-        if self.world_transport not in WORLD_TRANSPORTS:
-            raise ValueError(
-                f"world_transport must be one of {WORLD_TRANSPORTS}, "
-                f"got {self.world_transport!r}"
-            )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
 
@@ -244,11 +207,12 @@ class ShardPlan:
 
     @property
     def effective_shards(self) -> int:
+        """The slice count on a pool (before the small-campaign clamp)."""
         if self.n_shards is not None:
             return self.n_shards
         workers = self.effective_workers
-        if self.force_inprocess or workers <= 1:
-            return max(workers, 1)
+        if workers <= 1:
+            return 1
         # Streaming default: twice as many slices as workers, so a
         # finished worker always has another shard to pull and phases of
         # different shards overlap.
@@ -322,7 +286,6 @@ class PoolStats:
     """Parent-side accounting for one :class:`CampaignWorkerPool`."""
 
     workers: int
-    world_transport: str
     #: Bytes of the world payload shipped to each worker.
     world_bytes: int = 0
     #: Parent-side seconds spent pickling the world payload.
@@ -372,8 +335,10 @@ class ShardedCampaignRun(CampaignRun):
         )
 
     def to_row(self) -> dict:
-        """The sequential row plus the fan-out's deterministic shape."""
-        row = super().to_row()
+        """The campaign row plus the fan-out's deterministic shape."""
+        # Explicit parent call: ``slots=True`` dataclasses are re-created
+        # by the decorator, which breaks zero-argument ``super()``.
+        row = CampaignRun.to_row(self)
         row["shards"] = len(self.shards)
         row["shard_retries"] = sum(
             outcome.attempts for outcome in self.shards
@@ -505,22 +470,19 @@ def _warm_into_caches(
     return engine.warm_pairs(pairs)
 
 
-def _init_worker(payload: tuple[str, object, object]) -> None:
+def _init_worker(
+    blob: bytes, manifest: list[tuple[Prefix, Prefix]] | None
+) -> None:
     """Install the world (and optionally warm caches) once per worker."""
     global _WORKER_SERVICE, _WORKER_CACHES, _WORKER_INIT
-    kind, data, manifest = payload
     started = time.perf_counter()
-    if kind in ("pickle", "frozen"):
-        service = pickle.loads(data)  # type: ignore[arg-type]
-    else:
-        assert isinstance(data, ShardWorldTransportSpec)
-        service = data.build_service()
+    service = pickle.loads(blob)
     ship_s = time.perf_counter() - started
     caches = _fresh_caches()
     warm_s = 0.0
     if manifest:
         started = time.perf_counter()
-        _warm_into_caches(service, caches, manifest)  # type: ignore[arg-type]
+        _warm_into_caches(service, caches, manifest)
         warm_s = time.perf_counter() - started
     _WORKER_SERVICE = service
     _WORKER_CACHES = caches
@@ -621,49 +583,27 @@ class CampaignWorkerPool:
     Parameters
     ----------
     service:
-        The live world; required for the ``"frozen"`` and ``"pickle"``
-        transports.  ``"frozen"`` (default) ships
+        The live world.  Workers receive
         :meth:`service.freeze() <repro.vns.service.VideoNetworkService.freeze>`
-        — a read-only snapshot a fraction of the full pickle's size.
+        — a read-only snapshot a fraction of the full pickle's size —
+        taken when the pool starts.
     workers:
         Pool size; ``None`` resolves to :func:`default_workers`.
-    world_transport:
-        One of :data:`WORLD_TRANSPORTS`.
-    world_spec:
-        Recipe for the ``"rebuild"`` transport.
     """
 
     def __init__(
-        self,
-        service: VideoNetworkService | None = None,
-        *,
-        workers: int | None = None,
-        world_transport: str = "frozen",
-        world_spec: ShardWorldTransportSpec | None = None,
+        self, service: VideoNetworkService, *, workers: int | None = None
     ) -> None:
-        if world_transport not in WORLD_TRANSPORTS:
-            raise ValueError(
-                f"world_transport must be one of {WORLD_TRANSPORTS}, "
-                f"got {world_transport!r}"
-            )
-        if world_transport in ("frozen", "pickle") and service is None:
-            raise ValueError(
-                f"world_transport={world_transport!r} needs a built service"
-            )
-        if world_transport == "rebuild" and world_spec is None:
-            raise ValueError("world_transport='rebuild' needs a world_spec")
         self._service = service
-        self._world_spec = world_spec
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
         #: Digests of warmup manifests already delivered to the workers;
         #: a repeat campaign over the same pairs skips the broadcast.
         self._warm_digests: set[str] = set()
-        self.world_transport = world_transport
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
-        self.stats = PoolStats(workers=self.workers, world_transport=world_transport)
+        self.stats = PoolStats(workers=self.workers)
 
     # ------------------------------------------------------------------ #
 
@@ -680,24 +620,13 @@ class CampaignWorkerPool:
         """Whether the underlying executor can no longer run tasks."""
         return bool(getattr(self._executor, "_broken", False))
 
-    def _payload(
-        self, warm_pairs: list[tuple[Prefix, Prefix]] | None
-    ) -> tuple[str, object, object]:
-        """The per-worker init payload, with dump cost booked to stats."""
-        manifest = list(warm_pairs) if warm_pairs else None
-        if self.world_transport == "rebuild":
-            return ("rebuild", self._world_spec, manifest)
-        assert self._service is not None
+    def _frozen_world(self) -> bytes:
+        """The pickled frozen snapshot, with dump cost booked to stats."""
         started = time.perf_counter()
-        world = (
-            self._service.freeze()
-            if self.world_transport == "frozen"
-            else self._service
-        )
-        blob = pickle.dumps(world, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(self._service.freeze(), protocol=pickle.HIGHEST_PROTOCOL)
         self.stats.world_dump_s += time.perf_counter() - started
         self.stats.world_bytes = len(blob)
-        return (self.world_transport, blob, manifest)
+        return blob
 
     def start(
         self, warm_pairs: list[tuple[Prefix, Prefix]] | None = None
@@ -716,7 +645,10 @@ class CampaignWorkerPool:
             max_workers=self.workers,
             mp_context=get_context("spawn"),
             initializer=_init_worker,
-            initargs=(self._payload(warm_pairs),),
+            initargs=(
+                self._frozen_world(),
+                list(warm_pairs) if warm_pairs else None,
+            ),
         )
         self.stats.setup_s += time.perf_counter() - started
         if warm_pairs:
@@ -794,13 +726,13 @@ def campaign_fingerprint(
     """A digest identifying one exact campaign partition.
 
     Checkpoint files are keyed by it, so resuming with a different seed,
-    kernel, call set, shard count, steering policy or path model never
-    picks up stale shards.
+    call set, shard count, steering policy or path model never picks up
+    stale shards.
     """
     digest = blake2b(digest_size=8)
     digest.update(
         f"{config.seed}|{config.packets_per_second}|{config.slot_s}|"
-        f"{config.kernel}|{steering_policy or '-'}|{int(keep_results)}|"
+        f"{steering_policy or '-'}|{int(keep_results)}|"
         f"{path_model_fingerprint or '-'}|"
         f"{len(slices)}".encode("ascii")
     )
@@ -852,61 +784,47 @@ class ShardCheckpointStore:
 
 
 class ShardedCampaignRunner:
-    """Executes campaigns across a worker pool and reduces the shards.
+    """Runs a campaign — partition, execute, reduce — on a pool or here.
 
     Parameters
     ----------
     service:
-        The live world.  Required for the ``"frozen"`` and ``"pickle"``
-        transports and used directly by in-process execution.
+        The live world; in-process shards (and salvage) run on it
+        directly.
     config:
         The campaign's :class:`CampaignConfig` (defaults to seed 0).
     plan:
-        The :class:`ShardPlan`; the default ships a frozen world to
-        :func:`default_workers` workers and streams ``2 ×`` that many
-        shards.
-    world_spec:
-        Recipe for the ``"rebuild"`` transport (and for in-process
-        execution when no ``service`` was given).
+        The :class:`ShardPlan` (how to cut; retry/checkpoint policy).
     steering:
         Optional :class:`~repro.steering.engine.SteeringEngine`, shipped
         to every shard; the reduced report carries the same steering
-        columns, byte-identical to the sequential engine's.
+        columns, byte-identical to a bare engine's.
     path_model:
         Optional :class:`~repro.workload.engine.PathModel`, shipped to
         every shard and applied at simulate time only.  Must be pure and
-        picklable; the reduced report stays byte-identical to a
-        sequential engine run with the same model.
+        picklable; the reduced report stays byte-identical to a bare
+        engine run with the same model.
     pool:
-        A :class:`CampaignWorkerPool` to run on.  Passing one amortises
+        The :class:`CampaignWorkerPool` to run on; sharing one amortises
         worker spawn, world shipping and cache warmup across every
-        campaign that shares it.  Without one the runner builds an
-        ephemeral pool per run — the old behaviour, now deprecated.
+        campaign.  Without one the shards run in this process — one
+        shard unless ``plan.n_shards`` says otherwise, which is the
+        sequential campaign.  Nothing else decides where shards run.
     """
 
     def __init__(
         self,
-        service: VideoNetworkService | None = None,
+        service: VideoNetworkService,
         config: CampaignConfig | None = None,
         plan: ShardPlan | None = None,
         *,
-        world_spec: ShardWorldTransportSpec | None = None,
         steering: "SteeringEngine | None" = None,
         path_model: "PathModel | None" = None,
         pool: CampaignWorkerPool | None = None,
     ) -> None:
         self.config = config if config is not None else CampaignConfig()
         self.plan = plan if plan is not None else ShardPlan()
-        if service is None and world_spec is None:
-            raise ValueError("need a service, a world_spec, or both")
-        if self.plan.world_transport in ("frozen", "pickle") and service is None:
-            raise ValueError(
-                f"world_transport={self.plan.world_transport!r} needs a built service"
-            )
-        if self.plan.world_transport == "rebuild" and world_spec is None:
-            raise ValueError("world_transport='rebuild' needs a world_spec")
         self._service = service
-        self._world_spec = world_spec
         self._fail_map = dict(self.plan.fail_injections)
         self.steering = steering
         self.path_model = path_model
@@ -916,22 +834,28 @@ class ShardedCampaignRunner:
         self._inproc_caches = _fresh_caches()
         self._checkpoints: ShardCheckpointStore | None = None
         self._run_overhead: dict[str, float] = {}
+        self._pool_stats: PoolStats | None = None
 
     # ------------------------------------------------------------------ #
 
     def run(self, calls: list[CallSpec]) -> ShardedCampaignRun:
-        """Run ``calls`` sharded; the report is byte-identical to
+        """Run ``calls``; the report is byte-identical to
         ``CampaignEngine(service, config).run(calls).report``."""
         started = time.perf_counter()
         self._run_overhead = {}
-        self._pool_stats: PoolStats | None = None
-        n_shards = self.plan.effective_shards
-        if n_shards > self.plan.effective_workers and self.plan.n_shards is None:
-            # Auto-streaming clamp: oversplit only campaigns big enough
-            # to amortise the per-shard fixed costs.
-            total_cost = predicted_shard_cost(calls, slot_s=self.config.slot_s)
-            if total_cost < STREAM_MIN_COST:
-                n_shards = self.plan.effective_workers
+        self._pool_stats = None
+        if self.plan.n_shards is not None:
+            n_shards = self.plan.n_shards
+        elif self.pool is None:
+            n_shards = 1
+        else:
+            n_shards = self.plan.effective_shards
+            if n_shards > self.plan.effective_workers:
+                # Auto-streaming clamp: oversplit only campaigns big
+                # enough to amortise the per-shard fixed costs.
+                total_cost = predicted_shard_cost(calls, slot_s=self.config.slot_s)
+                if total_cost < STREAM_MIN_COST:
+                    n_shards = self.plan.effective_workers
         slices = partition_calls(calls, n_shards, slot_s=self.config.slot_s)
         tasks = [
             ShardTask(
@@ -969,13 +893,8 @@ class ShardedCampaignRunner:
                 else:
                     fresh.append(task)
             tasks = fresh
-        use_pool = not (
-            self.plan.force_inprocess
-            or (self.pool is None and self.plan.effective_workers <= 1)
-            or len(tasks) <= 1
-        )
-        if use_pool:
-            executed.extend(self._run_pool(tasks))
+        if self.pool is not None and tasks:
+            executed.extend(self._run_pool(self.pool, tasks))
         else:
             for task in tasks:
                 executed.append(self._checkpointed(self._run_task_inprocess(task)))
@@ -984,12 +903,6 @@ class ShardedCampaignRunner:
     # ------------------------------------------------------------------ #
     # execution paths
     # ------------------------------------------------------------------ #
-
-    def _local_service(self) -> VideoNetworkService:
-        if self._service is None:
-            assert self._world_spec is not None
-            self._service = self._world_spec.build_service()
-        return self._service
 
     def _checkpointed(
         self, pair: tuple[_ShardResult, ShardOutcome]
@@ -1007,7 +920,7 @@ class ShardedCampaignRunner:
         while True:
             try:
                 result = _execute_shard(
-                    self._local_service(), task, caches=self._inproc_caches
+                    self._service, task, caches=self._inproc_caches
                 )
                 break
             except Exception as exc:  # noqa: BLE001 - retry budget decides
@@ -1027,54 +940,29 @@ class ShardedCampaignRunner:
         return result, outcome
 
     def _run_pool(
-        self, tasks: list[ShardTask]
+        self, pool: CampaignWorkerPool, tasks: list[ShardTask]
     ) -> list[tuple[_ShardResult, ShardOutcome]]:
-        pool = self.pool
-        ephemeral = pool is None
-        if pool is None:
-            warnings.warn(
-                "spawning a worker pool per run is deprecated; build a "
-                "CampaignWorkerPool once and pass it to "
-                "ShardedCampaignRunner(pool=...) (or use "
-                "World.campaign_pool()) so spawn, world shipping and "
-                "cache warmup amortise across campaigns",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            try:
-                pool = CampaignWorkerPool(
-                    self._service,
-                    workers=min(self.plan.effective_workers, len(tasks)),
-                    world_transport=self.plan.world_transport,
-                    world_spec=self._world_spec,
-                )
-            except Exception as exc:  # noqa: BLE001 - pool genuinely unavailable
-                return self._pool_unavailable(tasks, exc)
+        manifest = (
+            warmup_manifest([spec for task in tasks for spec in task.calls])
+            if self.plan.warm_caches
+            else None
+        )
+        freshly_started = not pool.started
         try:
-            manifest = (
-                warmup_manifest([spec for task in tasks for spec in task.calls])
-                if self.plan.warm_caches
-                else None
-            )
-            freshly_started = not pool.started
-            try:
-                if manifest:
-                    warm_wall = pool.warm(manifest)
-                    if warm_wall > 0.0:
-                        self._run_overhead["workload.pool.rewarm"] = warm_wall
-                else:
-                    pool.start()
-            except Exception as exc:  # noqa: BLE001 - pool genuinely unavailable
-                return self._pool_unavailable(tasks, exc)
-            pool.stats.runs += 1
-            if freshly_started:
-                self._run_overhead["workload.pool.setup"] = pool.stats.setup_s
-                self._run_overhead["workload.pool.world_dump"] = pool.stats.world_dump_s
-            self._pool_stats = pool.stats
-            return self._stream(pool, tasks)
-        finally:
-            if ephemeral:
-                pool.shutdown(wait=True)
+            if manifest:
+                warm_wall = pool.warm(manifest)
+                if warm_wall > 0.0:
+                    self._run_overhead["workload.pool.rewarm"] = warm_wall
+            else:
+                pool.start()
+        except Exception as exc:  # noqa: BLE001 - pool genuinely unavailable
+            return self._pool_unavailable(tasks, exc)
+        pool.stats.runs += 1
+        if freshly_started:
+            self._run_overhead["workload.pool.setup"] = pool.stats.setup_s
+            self._run_overhead["workload.pool.world_dump"] = pool.stats.world_dump_s
+        self._pool_stats = pool.stats
+        return self._stream(pool, tasks)
 
     def _pool_unavailable(
         self, tasks: list[ShardTask], exc: Exception
@@ -1278,25 +1166,5 @@ class ShardedCampaignRunner:
             aggregator=aggregator,
             shards=outcomes,
             perf_snapshot=merged_perf,
-            pool_stats=getattr(self, "_pool_stats", None),
+            pool_stats=self._pool_stats,
         )
-
-
-def __getattr__(name: str) -> object:
-    # Deprecated alias, kept for one release: the canonical
-    # ``repro.WorldSpec`` is now the scenarios value object
-    # (``repro.scenarios.spec.WorldSpec``); this module's recipe class is
-    # ``ShardWorldTransportSpec``.
-    if name == "WorldSpec":
-        import warnings
-
-        warnings.warn(
-            "repro.workload.sharded.WorldSpec was renamed to"
-            " ShardWorldTransportSpec (repro.WorldSpec is now the"
-            " scenarios world spec); the alias will be removed next"
-            " release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ShardWorldTransportSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,6 @@ order, chunking and co-resident specs — which are asserted bitwise.
 import numpy as np
 import pytest
 
-from repro.dataplane import columnar
 from repro.dataplane.columnar import (
     StreamColumnSpec,
     _binom_quantile,
@@ -23,10 +22,6 @@ from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import simulate_stream
 from repro.geo.cities import city_by_name
 from repro.net.asn import ASType
-
-pytestmark = pytest.mark.skipif(
-    not columnar.available(), reason="columnar kernel needs scipy"
-)
 
 AMS = city_by_name("Amsterdam").location
 SIN = city_by_name("Singapore").location

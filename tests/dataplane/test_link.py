@@ -133,48 +133,3 @@ class TestSampling:
         )
         # Only the floor and rare bursts; typical slot is clean.
         assert np.median(rates) < 1e-5
-
-
-class TestBatchSampling:
-    def test_shape_and_bounds_per_kind(self, rng):
-        segments = [
-            seg(),
-            seg(kind=SegmentKind.ACCESS, start=SIN, end=SIN, as_type=ASType.CAHP),
-            seg(kind=SegmentKind.VNS_L2),
-            seg(kind=SegmentKind.PEERING, start=AMS, end=FRA),
-        ]
-        for segment in segments:
-            rates = segment.sample_slot_rates_batch(7, 24, 12.0, rng)
-            assert rates.shape == (7, 24)
-            assert (rates >= 0.0).all() and (rates <= 1.0).all()
-
-    def test_peering_lossless(self, rng):
-        s = seg(kind=SegmentKind.PEERING, start=AMS, end=FRA)
-        assert s.sample_slot_rates_batch(5, 10, 12.0, rng).sum() == 0.0
-
-    def test_invalid_args(self, rng):
-        with pytest.raises(ValueError):
-            seg().sample_slot_rates_batch(0, 10, 12.0, rng)
-        with pytest.raises(ValueError):
-            seg().sample_slot_rates_batch(5, 0, 12.0, rng)
-        with pytest.raises(ValueError):
-            seg().sample_slot_rates_batch(5, 10, 12.0, rng, duration_s=-1.0)
-
-    def test_batch_rows_match_scalar_distribution(self, rng):
-        """A batch of K rows must carry the same mean rate as K scalar
-        draws — the batch vectorises the arithmetic, not the model."""
-        for segment in (
-            seg(),  # long-haul AP transit: spread + bursts
-            seg(kind=SegmentKind.ACCESS, start=SIN, end=SIN, as_type=ASType.CAHP),
-            seg(kind=SegmentKind.VNS_L2),
-        ):
-            n, slots = 400, 24
-            batch = segment.sample_slot_rates_batch(n, slots, 20.0, rng)
-            scalar = np.stack(
-                [segment.sample_slot_rates(slots, 20.0, rng) for _ in range(n)]
-            )
-            b, s = batch.mean(), scalar.mean()
-            spread = np.sqrt(
-                batch.mean(axis=1).var() / n + scalar.mean(axis=1).var() / n
-            )
-            assert abs(b - s) < 5 * max(spread, 1e-6), segment.kind

@@ -152,57 +152,6 @@ class TestSimulateProbeRound:
             simulate_probe_round(lossless_path(), packets=0, rng=rng)
 
 
-class TestSimulateStreamBatch:
-    def test_shapes_and_accounting(self, rng):
-        from repro.dataplane.transmit import simulate_stream_batch
-
-        results = simulate_stream_batch(transit_path(), 6, rng=rng)
-        assert len(results) == 6
-        for result in results:
-            assert result.n_slots == 24
-            assert result.packets_sent == 24 * 2100
-            assert 0 <= result.packets_lost <= result.packets_sent
-            assert result.rtt_ms == results[0].rtt_ms
-
-    def test_partial_final_slot(self, rng):
-        from repro.dataplane.transmit import simulate_stream_batch
-
-        results = simulate_stream_batch(transit_path(), 3, duration_s=12.0, rng=rng)
-        for result in results:
-            assert result.n_slots == 3
-            # 2 full slots of 5 s plus a 2 s tail at 420 pps.
-            assert result.packets_sent == 2 * 2100 + 840
-
-    def test_lossless_path_stays_lossless(self, rng):
-        from repro.dataplane.transmit import simulate_stream_batch
-
-        for result in simulate_stream_batch(lossless_path(), 4, rng=rng):
-            assert result.packets_lost == 0
-
-    def test_invalid_args(self, rng):
-        from repro.dataplane.transmit import simulate_stream_batch
-
-        with pytest.raises(ValueError):
-            simulate_stream_batch(transit_path(), 0, rng=rng)
-        with pytest.raises(ValueError):
-            simulate_stream_batch(transit_path(), 3, duration_s=0, rng=rng)
-
-    def test_batch_matches_scalar_distribution(self, rng):
-        """Batched streams are distributed as scalar streams: compare the
-        mean loss and jitter of 300 of each."""
-        from repro.dataplane.transmit import simulate_stream_batch
-
-        n = 300
-        path = transit_path()
-        batch = simulate_stream_batch(path, n, hour_cet=20.0, rng=rng)
-        scalar = [simulate_stream(path, hour_cet=20.0, rng=rng) for _ in range(n)]
-        for metric in ("loss_percent", "jitter_p95_ms"):
-            b = np.array([getattr(r, metric) for r in batch])
-            s = np.array([getattr(r, metric) for r in scalar])
-            stderr = np.sqrt(b.var() / n + s.var() / n)
-            assert abs(b.mean() - s.mean()) < 4 * max(stderr, 1e-9), metric
-
-
 class TestStreamShapeGuards:
     def test_shape_accounting(self):
         from repro.dataplane.transmit import _stream_shape
@@ -222,14 +171,15 @@ class TestStreamShapeGuards:
         assert result.packets_sent == 2 * 2100 + 1
 
     def test_sub_packet_rate_rejected_everywhere(self, rng):
-        from repro.dataplane.transmit import simulate_stream_batch
+        from repro.dataplane import StreamColumnSpec, simulate_stream_columns
 
         # 0.05 pps over 5 s slots rounds to zero packets per slot.
         with pytest.raises(ValueError, match="sub-packet-rate"):
             simulate_stream(transit_path(), packets_per_second=0.05, rng=rng)
         with pytest.raises(ValueError, match="sub-packet-rate"):
-            simulate_stream_batch(
-                transit_path(), 3, packets_per_second=0.05, rng=rng
+            simulate_stream_columns(
+                [StreamColumnSpec(transit_path(), 3, 120.0, 12.0, (1, 2), 0)],
+                packets_per_second=0.05,
             )
 
 

@@ -53,7 +53,7 @@ class TestSteeringExperiment:
             small_world,
             **KWARGS,
             policies=("threshold_offload",),
-            shard_plan=ShardPlan(n_workers=2, n_shards=3, force_inprocess=True),
+            shard_plan=ShardPlan(n_workers=1, n_shards=3),
         )
         assert (
             sharded.runs["threshold_offload"].report.to_json()
@@ -85,3 +85,25 @@ class TestSteeringExperiment:
         )
         assert result.report("always_vns")["offload_rate"] == 0.0
         assert "Steering policies" in result.render()
+
+
+@pytest.mark.slow
+class TestSteeringPoolReuse:
+    """``workers > 1`` runs every policy on the world's one persistent pool."""
+
+    def test_three_policies_share_one_pool(self, small_world, comparison, recwarn):
+        small_world.close_pool()
+        pooled = run(small_world, RunConfig.of("steering", workers=2, **KWARGS))
+        pool = small_world.campaign_pool()
+        try:
+            assert pool.workers == 2 and pool.started
+            assert pool.stats.runs == len(steering.DEFAULT_POLICIES) == 3
+            assert not [w for w in recwarn if w.category is DeprecationWarning]
+            for name in steering.DEFAULT_POLICIES:
+                assert (
+                    pooled.runs[name].report.to_json()
+                    == comparison.runs[name].report.to_json()
+                ), name
+        finally:
+            small_world.close_pool()
+        assert pool.closed

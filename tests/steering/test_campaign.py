@@ -151,7 +151,7 @@ class TestSteeredCampaign:
         sharded = ShardedCampaignRunner(
             small_world.service,
             config,
-            ShardPlan(n_workers=2, n_shards=3, force_inprocess=True),
+            ShardPlan(n_shards=3),
             steering=_threshold_engine(health_table, config),
         ).run(campaign_calls)
         assert sharded.report.to_json() == sequential.report.to_json()

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.workload import CampaignConfig, CampaignEngine, group_rng
-from repro.workload.engine import group_key
+from repro.workload import CampaignConfig, CampaignEngine
+from repro.workload.engine import group_digest, group_key
 
 
 class TestCampaignConfig:
@@ -28,20 +28,28 @@ class TestCampaignConfig:
         with pytest.raises(TypeError):
             CampaignEngine(small_world.service, CampaignConfig(), seed=5)
 
+    def test_kernel_option_is_gone(self):
+        # One kernel, no selector: the field was deleted with the
+        # grouped kernel (no shim), so it is an unknown keyword.
+        with pytest.raises(TypeError):
+            CampaignConfig(kernel="columnar")
+        with pytest.raises(TypeError):
+            CampaignConfig(kernel="grouped")
+
     def test_no_kwargs_no_warning(self, small_world, recwarn):
         engine = CampaignEngine(small_world.service)
         assert engine.config == CampaignConfig()
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
 
-class TestGroupRng:
-    def test_same_key_same_stream(self, small_world, rng):
+class TestGroupDigest:
+    def test_same_key_same_digest(self, small_world):
         from repro.workload import CallArrivalProcess, UserPopulation
 
         population = UserPopulation.sample(small_world.topology, 20, seed=3)
         spec = CallArrivalProcess(population, seed=3).generate(days=1)[0]
         key = group_key(spec)
-        first = group_rng(7, key).random(4)
-        second = group_rng(7, key).random(4)
-        assert (first == second).all()
-        assert not (group_rng(8, key).random(4) == first).all()
+        first = group_digest(7, key)
+        assert first == group_digest(7, key)
+        assert first != group_digest(8, key)
+        assert all(0 <= word < 2**64 for word in first)

@@ -224,64 +224,3 @@ class TestResolveAccounting:
         assert counters["workload.cache.internet_miss"] == run.stats.internet_misses
         assert counters["workload.cache.onward_hit"] == run.stats.onward_hits
         assert counters["workload.cache.onward_miss"] == run.stats.onward_misses
-
-
-class TestKernels:
-    def test_default_kernel_is_columnar(self):
-        assert CampaignConfig().kernel == "columnar"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            CampaignConfig(kernel="scalar")
-
-    def test_grouped_kernel_deterministic(self, small_world, campaign_inputs):
-        _, calls = campaign_inputs
-        config = CampaignConfig(seed=8, kernel="grouped")
-        run_a = CampaignEngine(small_world.service, config).run(calls)
-        run_b = CampaignEngine(small_world.service, config).run(calls)
-        assert run_a.report.to_json() == run_b.report.to_json()
-
-    def test_kernels_agree_on_everything_but_draws(self, small_world, campaign_inputs):
-        """Same resolution, grouping and packet accounting either way."""
-        _, calls = campaign_inputs
-        col = CampaignEngine(
-            small_world.service, CampaignConfig(seed=8, kernel="columnar")
-        ).run(calls)
-        grp = CampaignEngine(
-            small_world.service, CampaignConfig(seed=8, kernel="grouped")
-        ).run(calls)
-        assert col.stats.calls_resolved == grp.stats.calls_resolved
-        assert col.stats.batches == grp.stats.batches
-        assert col.stats.largest_batch == grp.stats.largest_batch
-        for a, b in zip(col.results, grp.results):
-            assert a.spec.call_id == b.spec.call_id
-            assert a.entry_pop == b.entry_pop
-            assert a.egress_pop == b.egress_pop
-            assert a.via_vns.rtt_ms == b.via_vns.rtt_ms
-            assert a.via_internet.rtt_ms == b.via_internet.rtt_ms
-            assert a.via_vns.packets_sent == b.via_vns.packets_sent
-            assert a.via_vns.n_slots == b.via_vns.n_slots
-
-    def test_kernels_agree_in_distribution(self, small_world, campaign_inputs):
-        """Columnar and grouped draws are distribution-identical."""
-        population, _ = campaign_inputs
-        caller, callee = population.users[0], population.users[1]
-        n = 256
-        calls = [
-            CallSpec(i, caller, callee, 0, 12.25, 120.0, False) for i in range(n)
-        ]
-        runs = {
-            kernel: CampaignEngine(
-                small_world.service, CampaignConfig(seed=8, kernel=kernel)
-            ).run(calls)
-            for kernel in ("columnar", "grouped")
-        }
-        for metric in (
-            lambda r: r.via_vns.loss_percent,
-            lambda r: r.via_internet.loss_percent,
-            lambda r: r.via_vns.jitter_p95_ms,
-        ):
-            col = np.array([metric(r) for r in runs["columnar"].results])
-            grp = np.array([metric(r) for r in runs["grouped"].results])
-            stderr = np.sqrt(col.var() / col.size + grp.var() / grp.size)
-            assert abs(col.mean() - grp.mean()) < 4 * max(stderr, 1e-9)

@@ -1,9 +1,12 @@
-"""Tests for sharded multi-process campaign execution.
+"""Tests for the one campaign execution path (partition/execute/reduce).
 
-The load-bearing property is the determinism contract: a sharded run —
-in-process or across a real spawn pool, with or without retries — is
-byte-identical in ``CampaignReport.to_json()`` to the sequential engine
-under the same seed.
+The determinism contract: a runner's report — in-process or across a
+real spawn pool, however many shards, with or without retries — is
+byte-identical in ``CampaignReport.to_json()`` to a bare
+``CampaignEngine`` over the whole call list under the same seed.  That
+is structural (every shard *is* a ``CampaignEngine`` over a slice; the
+sequential campaign is the one-shard run), so one parametrised
+invariant pins it.
 """
 
 import pickle
@@ -91,20 +94,27 @@ class TestPlanValidation:
             ShardPlan(n_workers=0)
         with pytest.raises(ValueError, match="n_shards"):
             ShardPlan(n_shards=0)
-        with pytest.raises(ValueError, match="world_transport"):
-            ShardPlan(world_transport="carrier-pigeon")
         with pytest.raises(ValueError, match="max_retries"):
             ShardPlan(max_retries=-1)
 
-    def test_runner_requires_world_source(self, small_world):
-        with pytest.raises(ValueError, match="service"):
-            ShardedCampaignRunner(None, CampaignConfig())
-        with pytest.raises(ValueError, match="world_spec"):
+    def test_removed_variants_are_gone(self, small_world):
+        # World transports, the rebuild recipe and force_inprocess were
+        # deleted outright (no shim): plain TypeError, like any unknown
+        # keyword.
+        from repro.workload import CampaignWorkerPool
+
+        with pytest.raises(TypeError):
+            ShardPlan(world_transport="pickle")
+        with pytest.raises(TypeError):
+            ShardPlan(force_inprocess=True)
+        with pytest.raises(TypeError):
             ShardedCampaignRunner(
-                small_world.service,
-                CampaignConfig(),
-                ShardPlan(world_transport="rebuild"),
+                small_world.service, CampaignConfig(), world_spec=object()
             )
+        with pytest.raises(TypeError):
+            CampaignWorkerPool(small_world.service, world_transport="frozen")
+        with pytest.raises(TypeError):
+            CampaignWorkerPool(small_world.service, world_spec=object())
 
 
 class TestInProcessEquivalence:
@@ -116,7 +126,7 @@ class TestInProcessEquivalence:
             run = ShardedCampaignRunner(
                 small_world.service,
                 CampaignConfig(seed=7),
-                ShardPlan(force_inprocess=True, n_shards=n_shards),
+                ShardPlan(n_shards=n_shards),
             ).run(calls)
             assert run.report.to_json() == sequential_json
             assert all(outcome.in_process for outcome in run.shards)
@@ -126,7 +136,7 @@ class TestInProcessEquivalence:
         run = ShardedCampaignRunner(
             small_world.service,
             CampaignConfig(seed=7),
-            ShardPlan(force_inprocess=True, n_shards=3),
+            ShardPlan(n_shards=3),
         ).run(calls)
         ids = [result.spec.call_id for result in run.results]
         assert ids == sorted(ids)
@@ -139,7 +149,7 @@ class TestInProcessEquivalence:
         run = ShardedCampaignRunner(
             small_world.service,
             CampaignConfig(seed=7),
-            ShardPlan(force_inprocess=True, n_shards=2, keep_results=False),
+            ShardPlan(n_shards=2, keep_results=False),
         ).run(calls)
         assert run.results == []
         assert run.report.to_json() == sequential_json
@@ -151,7 +161,7 @@ class TestInProcessEquivalence:
         run = ShardedCampaignRunner(
             small_world.service,
             CampaignConfig(seed=7),
-            ShardPlan(force_inprocess=True, n_shards=2),
+            ShardPlan(n_shards=2),
         ).run(calls)
         assert not perf.is_enabled()
         assert perf.snapshot().timers == {}
@@ -169,7 +179,6 @@ class TestRetryAndFallback:
             small_world.service,
             CampaignConfig(seed=7),
             ShardPlan(
-                force_inprocess=True,
                 n_shards=2,
                 fail_injections=((0, 1),),
                 max_retries=2,
@@ -187,7 +196,6 @@ class TestRetryAndFallback:
                 small_world.service,
                 CampaignConfig(seed=7),
                 ShardPlan(
-                    force_inprocess=True,
                     n_shards=2,
                     fail_injections=((0, 99),),
                     max_retries=1,
@@ -211,25 +219,24 @@ class TestPickledWorldRoundTrip:
 class TestSpawnPool:
     """One real 2-worker spawn pool run (the CI smoke's tier-1 twin).
 
-    Exercises the deprecated per-run pool path: no explicit
-    :class:`CampaignWorkerPool`, so the runner builds (and warns about)
-    an ephemeral one.  Shards stream — the default plan cuts
-    ``2 × workers`` slices.
+    Shards stream: the plan cuts more slices than the pool has workers.
     """
 
     def test_pool_run_byte_identical(
         self, small_world, campaign_inputs, sequential_json
     ):
+        from repro.workload import CampaignWorkerPool
+
         _, calls = campaign_inputs
         # n_shards pinned to 4: the auto 2x-workers streaming default
         # clamps back to one slice per worker for a campaign this small.
-        runner = ShardedCampaignRunner(
-            small_world.service,
-            CampaignConfig(seed=7),
-            ShardPlan(n_workers=2, n_shards=4),
-        )
-        with pytest.warns(DeprecationWarning, match="per run is deprecated"):
-            run = runner.run(calls)
+        with CampaignWorkerPool(small_world.service, workers=2) as pool:
+            run = ShardedCampaignRunner(
+                small_world.service,
+                CampaignConfig(seed=7),
+                ShardPlan(n_workers=2, n_shards=4),
+                pool=pool,
+            ).run(calls)
         assert len(run.shards) == 4  # streaming: more shards than workers
         assert all(not outcome.in_process for outcome in run.shards)
         assert run.report.to_json() == sequential_json
@@ -244,7 +251,6 @@ class TestSpawnPool:
         assert run.overhead_s("world_ship_s") > 0.0
         assert "workload.pool.queue_wait" in run.perf_snapshot.timers
         assert run.pool_stats is not None
-        assert run.pool_stats.world_transport == "frozen"
         assert run.pool_stats.world_bytes > 0
 
 
@@ -314,9 +320,7 @@ class TestCheckpointResume:
         self, small_world, campaign_inputs, sequential_json, tmp_path
     ):
         _, calls = campaign_inputs
-        plan = ShardPlan(
-            force_inprocess=True, n_shards=3, checkpoint_dir=str(tmp_path)
-        )
+        plan = ShardPlan(n_shards=3, checkpoint_dir=str(tmp_path))
 
         def run_once():
             return ShardedCampaignRunner(
@@ -342,9 +346,7 @@ class TestCheckpointResume:
         self, small_world, campaign_inputs, tmp_path
     ):
         _, calls = campaign_inputs
-        plan = ShardPlan(
-            force_inprocess=True, n_shards=2, checkpoint_dir=str(tmp_path)
-        )
+        plan = ShardPlan(n_shards=2, checkpoint_dir=str(tmp_path))
         ShardedCampaignRunner(
             small_world.service, CampaignConfig(seed=7), plan
         ).run(calls)
@@ -383,27 +385,76 @@ class TestWarmupManifest:
         assert engine.run(calls).report.to_json() == sequential_json
 
 
-class TestKernelByteIdentity:
-    """Sequential-vs-sharded byte identity holds under either kernel.
+class TestOneExecutionPath:
+    """Any shard count reduces to the bare engine's report, byte for byte.
 
-    The fixtures above already exercise the default (columnar) kernel;
-    this pins the contract for both explicitly — the columnar kernel's
-    counter-based draws and the grouped kernel's per-group generators
-    each make results independent of the sharding.
+    Each shard is a plain ``CampaignEngine`` over a group-preserving
+    slice and draws are keyed per group, so the identity holds for any
+    cut, with or without steering and a path model; the sequential
+    campaign is simply ``k = 1``.
     """
 
-    @pytest.mark.parametrize("kernel", ["columnar", "grouped"])
-    def test_byte_identical_report_per_kernel(
-        self, small_world, campaign_inputs, kernel
+    @pytest.fixture(scope="class")
+    def cells(self, small_world, campaign_inputs):
+        """``(steered, modelled) -> (steering, path_model, bare-engine JSON)``."""
+        from repro.scenarios import ScenarioPathModel
+        from repro.steering import SteeringEngine, SteeringTelemetry, make_policy
+
+        _, calls = campaign_inputs
+        health = SteeringTelemetry(
+            small_world.service, seed=11, packets_per_round=20
+        ).collect(days=1, minutes_between_rounds=480.0, hosts_per_type_per_region=1)
+        engine = SteeringEngine(
+            health=health, policy=make_policy("threshold_offload"), seed=7
+        )
+        model = ScenarioPathModel(
+            last_mile="geo_satellite",
+            satellite_delay_ms=270.0,
+            satellite_loss=0.012,
+            pop_overload=(("LON", 2.0),),
+        )
+        cells = {}
+        for steered in (False, True):
+            for modelled in (False, True):
+                steering = engine if steered else None
+                path_model = model if modelled else None
+                bare = CampaignEngine(
+                    small_world.service,
+                    CampaignConfig(seed=7),
+                    steering=steering,
+                    path_model=path_model,
+                ).run(calls)
+                cells[steered, modelled] = (steering, path_model, bare.report.to_json())
+        return cells
+
+    @pytest.mark.parametrize("modelled", [False, True], ids=["plain", "model"])
+    @pytest.mark.parametrize("steered", [False, True], ids=["unsteered", "threshold"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_k_shards_equal_engine(
+        self, small_world, campaign_inputs, cells, k, steered, modelled
     ):
         _, calls = campaign_inputs
-        config = CampaignConfig(seed=7, kernel=kernel)
-        sequential = (
-            CampaignEngine(small_world.service, config).run(calls).report.to_json()
-        )
-        sharded = ShardedCampaignRunner(
+        steering, path_model, bare_json = cells[steered, modelled]
+        run = ShardedCampaignRunner(
             small_world.service,
-            config,
-            ShardPlan(force_inprocess=True, n_shards=3),
+            CampaignConfig(seed=7),
+            ShardPlan(n_shards=k),
+            steering=steering,
+            path_model=path_model,
         ).run(calls)
-        assert sharded.report.to_json() == sequential
+        assert run.report.to_json() == bare_json
+        assert len(run.shards) == k
+        assert all(o.in_process and o.attempts == 1 for o in run.shards)
+
+    def test_default_plan_is_one_inprocess_shard(
+        self, small_world, campaign_inputs, sequential_json
+    ):
+        _, calls = campaign_inputs
+        run = ShardedCampaignRunner(small_world.service, CampaignConfig(seed=7)).run(
+            calls
+        )
+        assert run.report.to_json() == sequential_json
+        [outcome] = run.shards
+        assert outcome.in_process and outcome.attempts == 1
+        assert outcome.n_calls == len(calls)
+        assert run.pool_stats is None

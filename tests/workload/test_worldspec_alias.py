@@ -1,39 +1,12 @@
-"""The WorldSpec rename: new name canonical, old name warns one release."""
+"""``repro.WorldSpec`` is the scenarios world spec (lazy re-export)."""
 
 from __future__ import annotations
 
-import pytest
-
 import repro
 from repro.scenarios.spec import WorldSpec as ScenarioWorldSpec
-from repro.workload import ShardWorldTransportSpec
-from repro.workload import sharded
-
-
-class TestShardWorldTransportSpec:
-    def test_new_name_is_exported(self):
-        assert "ShardWorldTransportSpec" in repro.workload.__all__
-        assert sharded.ShardWorldTransportSpec is ShardWorldTransportSpec
-
-    def test_old_module_attribute_warns_and_aliases(self):
-        with pytest.warns(DeprecationWarning, match="ShardWorldTransportSpec"):
-            legacy = sharded.WorldSpec
-        assert legacy is ShardWorldTransportSpec
-
-    def test_old_package_attribute_warns_and_aliases(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.workload.WorldSpec
-        assert legacy is ShardWorldTransportSpec
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            sharded.no_such_name
 
 
 class TestCanonicalWorldSpec:
     def test_repro_worldspec_is_the_scenario_spec(self):
         assert repro.WorldSpec is ScenarioWorldSpec
         assert "WorldSpec" in repro.__all__
-
-    def test_the_two_specs_are_distinct_types(self):
-        assert repro.WorldSpec is not ShardWorldTransportSpec
