@@ -1,7 +1,7 @@
 """Scale benchmark: the repo's first performance baseline.
 
 Times the three system-level hot paths at SMALL / MEDIUM / LARGE world
-scale and writes ``BENCH_scale.json`` next to the repo root so later
+scale and records one ``scale`` row in the results store so later
 scaling PRs are judged against recorded numbers:
 
 * world build — synthetic Internet generation + VNS convergence,
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -39,7 +38,6 @@ from repro.vns.geo_rr import GeoRouteReflector
 
 BENCH_SEED = 7
 ALL_SCALES = ("small", "medium", "large")
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
 #: Each (egress, prefix) pair is assigned this many times in the
 #: microbenchmark — convergence re-imports the same pair many times
@@ -47,8 +45,8 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 #: representative workload, not a flattering one.
 MICROBENCH_REPEATS = 5
 
-#: Results accumulated across the parametrized scale tests, then emitted
-#: as BENCH_scale.json by the final test in this module.
+#: Results accumulated across the parametrized scale tests, then recorded
+#: as one ``scale`` store row by the final test in this module.
 _results: dict[str, dict] = {}
 
 
@@ -191,7 +189,7 @@ def test_emit_bench_scale_json(show) -> None:
         "microbench_repeats": MICROBENCH_REPEATS,
         "scales": _results,
     }
-    recorded = record("scale", payload, json_path=JSON_PATH, seed=BENCH_SEED)
-    show(f"wrote {JSON_PATH} (store run {recorded.run_id})")
+    recorded = record("scale", payload, seed=BENCH_SEED)
+    show(f"recorded scale run {recorded.run_id} in {recorded.store_path}")
     for scale, row in _results.items():
         assert row["geo_lp"]["speedup"] >= 2.0, scale

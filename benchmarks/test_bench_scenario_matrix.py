@@ -11,8 +11,8 @@ holds the results to two bars:
 * **Determinism** — a sequential in-process re-run of the same grid
   must reproduce every sharded cell byte for byte.
 
-The run summary (per-cell calls/golden verdicts/timing) is written to
-``BENCH_scenario_matrix.json`` at the repo root — the CI artifact.
+The run summary (per-cell calls/golden verdicts/timing) is recorded as
+one ``scenario_matrix`` row in the results store — the CI artifact.
 
 The grid can be restricted for smoke runs with
 ``BENCH_SCENARIO_GRID=NxM`` (N scenarios, M seeds), e.g. ``2x2`` in CI.
@@ -28,7 +28,6 @@ from pathlib import Path
 from repro.results import record
 from repro.scenarios import GoldenStore, canned_scenario, run_matrix
 
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenario_matrix.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens" / "scenario_matrix"
 
 #: Scenario-major grid order (regional_outage is exercised in tier-1
@@ -82,12 +81,10 @@ def test_bench_scenario_matrix(show):
             reference.report, sort_keys=True
         ), f"{cell.key}: sharded report differs from sequential"
 
-    recorded = record(
-        "scenario_matrix", json.loads(sharded.to_json()), json_path=JSON_PATH
-    )
-    show(f"wrote {JSON_PATH} (store run {recorded.run_id})")
+    recorded = record("scenario_matrix", json.loads(sharded.to_json()))
+    show(f"recorded scenario_matrix run {recorded.run_id} in {recorded.store_path}")
 
-    # Golden gate last, so the summary artifact exists even on failure.
+    # Golden gate last, so the summary row exists even on failure.
     regressions = sharded.regressions()
     assert not regressions, "golden regressions:\n" + "\n".join(
         cell.golden.render() for cell in regressions

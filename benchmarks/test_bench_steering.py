@@ -2,7 +2,7 @@
 
 Runs the :mod:`repro.experiments.steering` comparison (one seeded
 campaign per policy over a shared telemetry table) at SMALL and MEDIUM
-world scale and writes ``BENCH_steering.json`` next to the repo root, so
+world scale and records one ``steering`` row in the results store, so
 later steering-path PRs are judged against recorded numbers:
 
 * decision throughput — steering decisions per second across the
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -37,7 +36,6 @@ from repro.results import record
 
 BENCH_SEED = 7
 ALL_SCALES = ("small", "medium")
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_steering.json"
 
 #: Comparison sizing per scale.  Each scale runs the full three-policy
 #: line-up over the same campaign, so the decision counter sees
@@ -53,8 +51,8 @@ RTT_DELTA_MS = 15.0
 LOSS_DELTA_PCT = 0.25
 BUDGET_FRACTION = 0.5
 
-#: Results accumulated across the parametrized scale tests, then emitted
-#: as BENCH_steering.json by the final test in this module.
+#: Results accumulated across the parametrized scale tests, then recorded
+#: as one ``steering`` store row by the final test in this module.
 _results: dict[str, dict] = {}
 
 
@@ -161,7 +159,7 @@ def test_emit_bench_steering_json(show) -> None:
         "campaigns": {scale: CAMPAIGNS[scale] for scale in _results},
         "scales": _results,
     }
-    recorded = record("steering", payload, json_path=JSON_PATH, seed=BENCH_SEED)
-    show(f"wrote {JSON_PATH} (store run {recorded.run_id})")
+    recorded = record("steering", payload, seed=BENCH_SEED)
+    show(f"recorded steering run {recorded.run_id} in {recorded.store_path}")
     for scale, row in _results.items():
         assert row["decisions"]["total"] > 0, scale

@@ -1,9 +1,9 @@
 """Workload benchmark: population-scale campaign throughput baseline.
 
 Runs a seeded call campaign at SMALL and MEDIUM world scale through the
-batched :class:`~repro.workload.engine.CampaignEngine` and writes
-``BENCH_workload.json`` next to the repo root, so later campaign-path
-PRs are judged against recorded numbers:
+batched :class:`~repro.workload.engine.CampaignEngine` and records one
+``workload`` row in the results store, so later campaign-path PRs are
+judged against recorded numbers:
 
 * campaign throughput — resolved calls per second end to end (resolve +
   simulate + aggregate), plus the per-phase split off the perf timers;
@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -61,7 +60,6 @@ from repro.workload.sharded import (
 
 BENCH_SEED = 7
 ALL_SCALES = ("small", "medium")
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_workload.json"
 
 #: Campaign sizing per scale.  MEDIUM is the headline: ~1200 users at 9
 #: calls/user/day is a >=10k-call day, big enough for the caches and the
@@ -112,23 +110,16 @@ WALLCLOCK_ABS_SLACK_S = 0.6
 MAX_SHARD_CPU_RATIO = 1.3
 
 #: Sequential-throughput floors (cold process, one run).  MEDIUM pins
-#: the columnar-kernel win: >=10x the recorded grouped-kernel baseline
-#: of 254 calls/s (see ``trajectory`` in the emitted JSON).  SMALL is
-#: the CI smoke floor — above the old full-scale baseline even on a
-#: loaded runner.
+#: the columnar-kernel win: >=10x the 254 calls/s the deleted grouped
+#: kernel managed.  SMALL is the CI smoke floor — above the old
+#: full-scale baseline even on a loaded runner.
 MIN_CALLS_PER_S = {"small": 400.0, "medium": 2540.0}
 
-#: MEDIUM sequential calls/s before the campaign-wide columnar kernel
-#: (grouped kernel: one simulate_stream_batch round-trip per signature,
-#: simulate phase = 96% of the run).  Kept as a literal so the emitted
-#: JSON carries the before/after trajectory next to the current number.
-GROUPED_BASELINE_CALLS_PER_S = 254.0
-
-#: Results accumulated across the parametrized scale tests, then emitted
-#: as BENCH_workload.json by the final test in this module.
+#: Results accumulated across the parametrized scale tests, then recorded
+#: as one ``workload`` store row by the final test in this module.
 _results: dict[str, dict] = {}
 
-#: Per-scale campaign reports (for the store's pair_metrics rows) and
+#: Per-scale campaign reports (for the row's per-pair QoE view) and
 #: perf snapshots, captured by the scale tests for the final record.
 _reports: dict[str, dict] = {}
 _perf: dict[str, dict] = {}
@@ -399,22 +390,6 @@ def test_emit_bench_workload_json(show) -> None:
         },
         "scales": _results,
     }
-    medium = _results.get("medium")
-    if medium is not None:
-        after = medium["engine"]["calls_per_s"]
-        payload["trajectory"] = {
-            "medium_sequential_calls_per_s": {
-                "grouped_kernel": GROUPED_BASELINE_CALLS_PER_S,
-                "columnar_kernel": after,
-                "speedup": round(after / GROUPED_BASELINE_CALLS_PER_S, 2),
-            },
-            "note": (
-                "cold-process sequential throughput at MEDIUM scale before "
-                "and after replacing the per-group simulate_stream_batch "
-                "loop with the campaign-wide columnar kernel "
-                "(repro.dataplane.columnar)"
-            ),
-        }
     merged_perf = {
         "counters": {
             f"{scale}.{name}": value
@@ -428,13 +403,8 @@ def test_emit_bench_workload_json(show) -> None:
         },
     }
     recorded = record(
-        "workload",
-        payload,
-        json_path=JSON_PATH,
-        seed=BENCH_SEED,
-        reports=_reports,
-        perf=merged_perf,
+        "workload", payload, seed=BENCH_SEED, reports=_reports, perf=merged_perf
     )
-    show(f"wrote {JSON_PATH} (store run {recorded.run_id})")
+    show(f"recorded workload run {recorded.run_id} in {recorded.store_path}")
     for scale, row in _results.items():
         assert row["engine"]["calls_per_s"] > MIN_CALLS_PER_S[scale], scale

@@ -1,13 +1,13 @@
 """Campaign-level columnar stream simulation (struct-of-arrays kernel).
 
 A realistic campaign has ~1 call per path signature (``largest_batch:
-3`` in ``BENCH_workload.json``), so batching streams one signature at a
-time leaves one Python round-trip per group.  This module simulates
-**every stream of every group in one shot**: calls are gathered into
-per-``n_slots`` buckets and pushed through a handful of wide numpy
-passes over ``(streams, slots)`` arrays — per-segment-kind rate
-sampling, survival-product combination, binomial slot losses, and gamma
-jitter with its p95 reduction.  It is the campaign engine's only
+3`` in the recorded ``workload`` bench row), so batching streams one
+signature at a time leaves one Python round-trip per group.  This
+module simulates **every stream of every group in one shot**: calls are
+gathered into per-``n_slots`` buckets and pushed through a handful of
+wide numpy passes over ``(streams, slots)`` arrays — per-segment-kind
+rate sampling, survival-product combination, binomial slot losses, and
+gamma jitter with its p95 reduction.  It is the campaign engine's only
 simulation kernel.
 
 Two properties make this safe to drop into the campaign engine:

@@ -1,23 +1,22 @@
 """Persistent results store with longitudinal perf/QoE analytics.
 
-Every campaign, steering comparison and bench run used to emit a
-one-off JSON blob; this package lands them all in one sqlite store so
-numbers compare across commits, seeds, scales and scenarios:
+Every campaign, steering comparison and bench run lands in one sqlite
+store so numbers compare across commits, seeds, scales and scenarios:
 
-* :func:`record` — the single write path.  One call writes the legacy
-  ``BENCH_*.json`` snapshot (byte-stable) *and* a normalized store row
+* :func:`record` — the single write path: one call, one store row
   keyed by ``(git_rev, bench, scenario, scale, seed, policy,
-  recorded_at)``;
-* :class:`ResultsStore` — the store itself: ``runs`` / ``metrics`` /
-  ``pair_metrics`` / ``perf`` tables, :meth:`~ResultsStore.latest`,
-  :meth:`~ResultsStore.trajectory` and :meth:`~ResultsStore.regression`
-  (through the shared tolerance differ, :mod:`repro.tolerance`), plus a
-  committable JSONL text form (:meth:`~ResultsStore.export_jsonl`);
+  recorded_at)``, holding the payload plus any per-pair ``reports`` and
+  ``perf`` snapshot as canonical JSON;
+* :class:`ResultsStore` — the store itself: :meth:`~ResultsStore.metrics`,
+  :meth:`~ResultsStore.pair_metrics` and :meth:`~ResultsStore.perf_rows`
+  are views computed from the row on read,
+  :meth:`~ResultsStore.regression` gates through the shared tolerance
+  differ (:mod:`repro.tolerance`), and the committable JSONL text form
+  (:meth:`~ResultsStore.export_jsonl` /
+  :meth:`~ResultsStore.import_jsonl`) is lossless;
 * :func:`heatmap_from_report` / :func:`heatmap_from_store` — per
   region-pair QoE heatmaps (text grid and CSV) for any corridor metric;
 * :func:`perf_trajectory` — the cross-commit metric table;
-* :func:`migrate_bench_json` — lifts legacy ``BENCH_*.json`` snapshots
-  into trajectory rows;
 * ``python -m repro.results`` — the CLI CI drives (``check`` gates on
   :data:`~repro.results.api.CI_GATES`, ``import``/``export`` move the
   committed history, ``trajectory``/``heatmap`` render reports).
@@ -41,20 +40,15 @@ from repro.results.heatmap import (
     heatmap_from_report,
     heatmap_from_store,
 )
-from repro.results.migrate import (
-    find_legacy_snapshots,
-    legacy_bench_name,
-    migrate_bench_json,
-    migrate_repo,
-)
 from repro.results.store import (
     REGRESSION_RTOL,
     Gate,
+    HistoryFormatError,
     RegressionReport,
     ResultsStore,
     RunKey,
     RunRow,
-    TrajectoryPoint,
+    StoreSchemaError,
     flatten_metrics,
 )
 from repro.results.trajectory import perf_trajectory, trajectory_metrics
@@ -66,22 +60,19 @@ __all__ = [
     "STORE_ENV",
     "Gate",
     "HeatmapGrid",
+    "HistoryFormatError",
     "RecordedRun",
     "RegressionReport",
     "ResultsStore",
     "RunKey",
     "RunRow",
-    "TrajectoryPoint",
+    "StoreSchemaError",
     "default_store_path",
-    "find_legacy_snapshots",
     "flatten_metrics",
     "git_rev",
     "heatmap_from_pairs",
     "heatmap_from_report",
     "heatmap_from_store",
-    "legacy_bench_name",
-    "migrate_bench_json",
-    "migrate_repo",
     "open_store",
     "perf_trajectory",
     "record",

@@ -14,9 +14,9 @@ Subcommands
 ``heatmap``
     Region-pair QoE heatmap for a stored run (text or ``--csv``).
 ``import`` / ``export``
-    Move runs between the sqlite store and its committable JSONL form.
-``migrate``
-    Lift legacy ``BENCH_*.json`` snapshots into store rows.
+    Move runs between the sqlite store and its committable JSONL form
+    (lossless both ways).  ``export --bench NAME`` instead renders the
+    latest ``NAME`` run's payload as an indented JSON snapshot.
 
 Examples
 --------
@@ -34,10 +34,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.results.api import CI_GATES, default_store_path, git_rev, open_store
+from repro.results.api import CI_GATES, default_store_path, open_store
 from repro.results.heatmap import heatmap_from_store
-from repro.results.migrate import migrate_bench_json, migrate_repo
-from repro.results.store import Gate, ResultsStore
+from repro.results.store import Gate, ResultsStore, canonical_json
 from repro.results.trajectory import perf_trajectory
 
 #: ``check`` exit code on a detected regression.
@@ -111,12 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("export", help="dump the store as JSONL")
     _add_store_arg(exp)
     exp.add_argument("--out", default=None, help="write here instead of stdout")
-
-    mig = sub.add_parser("migrate", help="ingest legacy BENCH_*.json snapshots")
-    _add_store_arg(mig)
-    mig.add_argument("paths", nargs="*", help="snapshot files (default: repo root)")
-    mig.add_argument("--rev", default=None, help="git rev to key rows by")
-    mig.add_argument("--recorded-at", default=None, help="ISO timestamp for rows")
+    exp.add_argument(
+        "--bench",
+        default=None,
+        help="render the latest run of this bench as an indented JSON"
+        " snapshot of its payload, instead of the whole store as JSONL",
+    )
     return parser
 
 
@@ -216,34 +215,19 @@ def cmd_import(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     with _open(args) as store:
-        text = store.export_jsonl(args.out)
+        if args.bench is None:
+            text = store.export_jsonl()
+        else:
+            latest = store.latest(args.bench)
+            if latest is None:
+                print(f"no runs recorded for bench {args.bench!r}")
+                return 1
+            text = canonical_json(latest.payload, indent=2) + "\n"
     if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def cmd_migrate(args: argparse.Namespace) -> int:
-    rev = args.rev if args.rev else git_rev()
-    with _open(args) as store:
-        if args.paths:
-            migrated = {
-                path: migrate_bench_json(
-                    store, path, rev=rev, recorded_at=args.recorded_at
-                )
-                for path in args.paths
-            }
-        else:
-            from repro.results.api import REPO_ROOT
-
-            migrated = migrate_repo(
-                store, REPO_ROOT, rev=rev, recorded_at=args.recorded_at
-            )
-    for name, run_id in migrated.items():
-        print(f"migrated {name} -> run {run_id}")
-    if not migrated:
-        print("no legacy BENCH_*.json snapshots found")
     return 0
 
 
@@ -254,7 +238,6 @@ COMMANDS = {
     "heatmap": cmd_heatmap,
     "import": cmd_import,
     "export": cmd_export,
-    "migrate": cmd_migrate,
 }
 
 

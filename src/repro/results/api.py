@@ -1,16 +1,15 @@
 """``repro.results.record`` — the one write path for results.
 
-Every bench module and experiment driver that used to hand-roll a
-``json.dumps(...)`` snapshot now records through here: one call writes
-the legacy ``BENCH_*.json`` snapshot (byte-stable — exactly the bytes
-the old writers produced) *and* a normalized row in the persistent
-sqlite store, keyed by ``(git_rev, bench, scenario, scale, seed,
-policy, recorded_at)``.
+Every bench module and experiment driver records through here: one
+call writes one row in the persistent sqlite store, keyed by
+``(git_rev, bench, scenario, scale, seed, policy, recorded_at)``.  The
+row is the only form a result is written in; the committed baseline is
+the store's JSONL export (``benchmarks/results/history.jsonl``).
 
 The default store lives at the repo root (``BENCH_results.sqlite``,
 gitignored; CI uploads it as an artifact) and can be redirected with
 the ``REPRO_RESULTS_STORE`` environment variable — set it to ``off``
-to skip store writes entirely (the legacy snapshot still lands).
+to skip recording entirely.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from repro.results.store import Gate, ResultsStore, RunKey, canonical_json
+from repro.results.store import Gate, ResultsStore, RunKey
 
 #: Environment override for the store location (``off`` disables).
 STORE_ENV = "REPRO_RESULTS_STORE"
@@ -35,7 +34,7 @@ GIT_REV_ENV = "REPRO_GIT_REV"
 #: The repo root this source tree lives in (``src/repro/results`` → up 3).
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: Default store file, next to the ``BENCH_*.json`` baselines.
+#: Default store file, at the repo root.
 DEFAULT_STORE_NAME = "BENCH_results.sqlite"
 
 #: The curated cross-commit gates CI enforces per bench (see
@@ -131,15 +130,13 @@ class RecordedRun:
     #: Store row id, or ``None`` when store writes were disabled.
     run_id: int | None
     store_path: Path | None
-    json_path: Path | None
 
 
 def record(
     bench: str,
     payload: dict,
     *,
-    json_path: str | os.PathLike | None = None,
-    store: ResultsStore | str | os.PathLike | None = None,
+    store: str | os.PathLike | None = None,
     scenario: str = "",
     scale: str = "",
     seed: int = 0,
@@ -148,18 +145,15 @@ def record(
     recorded_at: str | None = None,
     reports: Mapping[str, Mapping] | None = None,
     perf: Mapping | None = None,
-    indent: int | None = 2,
 ) -> RecordedRun:
-    """Record one result: legacy JSON snapshot + persistent store row.
+    """Record one result as one store row.
 
-    ``payload`` must be JSON-ready (the shape the old writers dumped).
-    ``json_path`` writes the legacy snapshot byte-for-byte as before:
-    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.  ``store``
-    accepts an open :class:`ResultsStore`, a path, or ``None`` for the
-    default store (skipped entirely when ``REPRO_RESULTS_STORE=off``).
-    ``reports`` maps labels to CampaignReport-shaped dicts for the
-    per-region-pair QoE tables; ``perf`` is a ``PerfSnapshot`` (or its
-    ``to_dict()``) for the counter/timer tables.
+    ``payload`` must be JSON-ready.  ``store`` is a store path, or
+    ``None`` for the default store (skipped entirely when
+    ``REPRO_RESULTS_STORE=off``).  ``reports`` maps labels to
+    CampaignReport-shaped dicts for the per-region-pair QoE view;
+    ``perf`` is a ``PerfSnapshot`` (or its ``to_dict()``) for the
+    counter/timer view.
     """
     key = RunKey(
         bench=bench,
@@ -170,27 +164,12 @@ def record(
         git_rev=rev if rev is not None else git_rev(),
         recorded_at=recorded_at if recorded_at is not None else utc_now_iso(),
     )
-    snapshot_path: Path | None = None
-    if json_path is not None:
-        snapshot_path = Path(json_path)
-        snapshot_path.write_text(
-            canonical_json(payload, indent=indent) + "\n", encoding="utf-8"
-        )
-
+    path = Path(store) if store is not None else default_store_path()
     run_id: int | None = None
-    store_path: Path | None = None
-    if isinstance(store, ResultsStore):
-        run_id = store.record_run(key, payload, reports=reports, perf=perf)
-        store_path = Path(store.path) if store.path != ":memory:" else None
-    else:
-        path = Path(store) if store is not None else default_store_path()
-        if path is not None:
-            with ResultsStore(path) as opened:
-                run_id = opened.record_run(key, payload, reports=reports, perf=perf)
-            store_path = path
-    return RecordedRun(
-        key=key, run_id=run_id, store_path=store_path, json_path=snapshot_path
-    )
+    if path is not None:
+        with ResultsStore(path) as opened:
+            run_id = opened.record_run(key, payload, reports=reports, perf=perf)
+    return RecordedRun(key=key, run_id=run_id, store_path=path)
 
 
 def record_experiment(

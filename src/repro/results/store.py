@@ -2,40 +2,46 @@
 
 One store file accumulates every bench, campaign and experiment row the
 repo produces, keyed by ``(git_rev, bench, scenario, scale, seed,
-policy, recorded_at)`` — the longitudinal counterpart to the one-off
-``BENCH_*.json`` snapshots.  Stdlib-only (``sqlite3`` + ``json``).
+policy, recorded_at)``.  Stdlib-only (``sqlite3`` + ``json``).
 
-Normalised tables
------------------
-``runs``
-    One row per recorded run: the full key plus the canonical JSON
-    payload (sorted keys — re-export is byte-stable).
-``metrics``
-    Every numeric leaf of the payload, flattened to a dotted path
-    (``scales.small.engine.calls_per_s``).  Integers keep their
-    int-ness so the tolerance differ can compare counts exactly.
-``pair_metrics``
-    Per directed region pair QoE columns ingested from
-    :class:`~repro.workload.report.CampaignReport`-shaped dicts:
-    ``(report, src, dst, transport, metric) -> value`` — the table the
-    corridor heatmap export reads.
+The row is the record
+---------------------
+A run is one ``runs`` row (the only table besides ``meta``): the key
+columns plus three canonical-JSON columns —
+
+``payload``
+    The bench's result document.
+``reports``
+    ``label -> {"pairs": ...}``: the per-pair block of each
+    CampaignReport-shaped dict recorded under a label (a scale, a
+    policy name, ...).
 ``perf``
-    Perf counters and timers from a
-    :class:`~repro.perf.counters.PerfSnapshot`.
+    A :class:`~repro.perf.counters.PerfSnapshot` ``to_dict()``.
 
-Query helpers
--------------
-:meth:`ResultsStore.latest`, :meth:`ResultsStore.trajectory` (one
-metric across recorded git revs) and :meth:`ResultsStore.regression`
-(latest vs baseline through the shared tolerance differ,
-:mod:`repro.tolerance` — no second float-comparison implementation).
+Everything else is a view computed on read by a pure function of the
+row, so a store seeded by :meth:`ResultsStore.import_jsonl` answers
+every query exactly like the store that recorded the run:
+
+:meth:`ResultsStore.metrics`
+    Every numeric leaf of the payload as a dotted path
+    (``scales.small.engine.calls_per_s``); ints stay ints so the
+    tolerance differ compares counts exactly.
+:meth:`ResultsStore.pair_metrics`
+    ``(report, src, dst, transport, metric, value)`` per directed
+    region pair — what the corridor heatmap reads.
+:meth:`ResultsStore.perf_rows`
+    ``(kind, name, count, total_s, cpu_s)`` per counter and timer.
+
+:meth:`ResultsStore.regression` (latest vs baseline through the shared
+tolerance differ, :mod:`repro.tolerance`), the trajectory table and the
+heatmaps read the same views.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -46,52 +52,35 @@ from repro.tolerance import DEFAULT_ATOL, ToleranceDiff, diff_reports
 #: runner load, where throughput legitimately moves tens of percent.
 REGRESSION_RTOL = 0.25
 
-_SCHEMA = """
+#: Bumped with every table-layout change; a store file carrying another
+#: version refuses to open (:class:`StoreSchemaError`).
+SCHEMA_VERSION = "2"
+
+#: One transaction, so a concurrent opener sees no tables or all of it.
+_SCHEMA = f"""
+BEGIN IMMEDIATE;
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS runs (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,
-    git_rev     TEXT NOT NULL,
     bench       TEXT NOT NULL,
     scenario    TEXT NOT NULL DEFAULT '',
     scale       TEXT NOT NULL DEFAULT '',
     seed        INTEGER NOT NULL DEFAULT 0,
     policy      TEXT NOT NULL DEFAULT '',
+    git_rev     TEXT NOT NULL,
     recorded_at TEXT NOT NULL,
-    payload     TEXT NOT NULL
+    payload     TEXT NOT NULL,
+    reports     TEXT NOT NULL DEFAULT '{{}}',
+    perf        TEXT NOT NULL DEFAULT '{{}}'
 );
 CREATE INDEX IF NOT EXISTS idx_runs_bench ON runs (bench, recorded_at, id);
-CREATE TABLE IF NOT EXISTS metrics (
-    run_id INTEGER NOT NULL REFERENCES runs (id) ON DELETE CASCADE,
-    name   TEXT NOT NULL,
-    value  REAL NOT NULL,
-    is_int INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (run_id, name)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS pair_metrics (
-    run_id    INTEGER NOT NULL REFERENCES runs (id) ON DELETE CASCADE,
-    report    TEXT NOT NULL DEFAULT '',
-    src       TEXT NOT NULL,
-    dst       TEXT NOT NULL,
-    transport TEXT NOT NULL DEFAULT '',
-    metric    TEXT NOT NULL,
-    value     REAL NOT NULL,
-    PRIMARY KEY (run_id, report, src, dst, transport, metric)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS perf (
-    run_id  INTEGER NOT NULL REFERENCES runs (id) ON DELETE CASCADE,
-    kind    TEXT NOT NULL,
-    name    TEXT NOT NULL,
-    count   REAL NOT NULL DEFAULT 0,
-    total_s REAL NOT NULL DEFAULT 0.0,
-    cpu_s   REAL NOT NULL DEFAULT 0.0,
-    PRIMARY KEY (run_id, kind, name)
-) WITHOUT ROWID;
+INSERT OR IGNORE INTO meta (key, value)
+    VALUES ('schema_version', '{SCHEMA_VERSION}');
+COMMIT;
 """
-
-SCHEMA_VERSION = "1"
 
 #: Pair-summary sub-blocks stored under their own transport label; every
 #: other pair column lands under the empty transport.
@@ -115,13 +104,23 @@ class RunKey:
             raise ValueError("RunKey.bench must be a non-empty name")
 
 
+#: ``runs`` columns after ``id``: the :class:`RunKey` fields in order,
+#: then the three JSON documents.
+_RUN_COLUMNS = ", ".join(
+    [*(field.name for field in fields(RunKey)), "payload", "reports", "perf"]
+)
+_INSERT_RUN = f"INSERT INTO runs ({_RUN_COLUMNS}) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+
+
 @dataclass(frozen=True, slots=True)
 class RunRow:
-    """One stored run: key fields plus the parsed payload."""
+    """One stored run: key fields plus the parsed JSON columns."""
 
     id: int
     key: RunKey
     payload: dict
+    reports: dict
+    perf: dict
 
     @property
     def bench(self) -> str:
@@ -134,16 +133,6 @@ class RunRow:
     @property
     def recorded_at(self) -> str:
         return self.key.recorded_at
-
-
-@dataclass(frozen=True, slots=True)
-class TrajectoryPoint:
-    """One metric sample along a bench's recorded history."""
-
-    run_id: int
-    git_rev: str
-    recorded_at: str
-    value: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,9 +214,11 @@ def _flatten_into(value: object, path: str, flat: dict[str, int | float]) -> Non
             _flatten_into(item, f"{path}[{index}]", flat)
 
 
-def canonical_json(payload: dict, *, indent: int | None = 2) -> str:
+def canonical_json(payload: dict, *, indent: int | None = None) -> str:
     """The store's one serialisation: sorted keys, fixed separators."""
-    return json.dumps(payload, indent=indent, sort_keys=True)
+    return json.dumps(
+        payload, indent=indent, sort_keys=True, separators=(",", ": ")
+    )
 
 
 def _pair_rows(
@@ -250,6 +241,14 @@ def _pair_rows(
             yield report_name, src, dst, transport, metric, float(value)
 
 
+class StoreSchemaError(RuntimeError):
+    """The store file was written by a different schema version."""
+
+
+class HistoryFormatError(ValueError):
+    """A JSONL history file has a line that is not a run entry."""
+
+
 class ResultsStore:
     """A sqlite results store (see module docstring for the schema).
 
@@ -263,13 +262,29 @@ class ResultsStore:
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self._db = sqlite3.connect(self.path)
-        self._db.execute("PRAGMA foreign_keys = ON")
-        with self._db:
+        found = self._stored_schema_version()
+        if found is None:  # a fresh file
             self._db.executescript(_SCHEMA)
-            self._db.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema_version', ?)",
-                (SCHEMA_VERSION,),
+        elif found != SCHEMA_VERSION:
+            self._db.close()
+            raise StoreSchemaError(
+                f"{self.path}: store schema version {found!r}, this code reads"
+                f" {SCHEMA_VERSION!r} — the sqlite file is a rebuildable"
+                " artifact: delete the file and `python -m repro.results"
+                " import benchmarks/results/history.jsonl`"
             )
+
+    def _stored_schema_version(self) -> str | None:
+        """``meta.schema_version``, or ``None`` when the file has no tables."""
+        if not self._db.execute("SELECT 1 FROM sqlite_master").fetchone():
+            return None
+        try:
+            row = self._db.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+        except sqlite3.OperationalError:  # some other sqlite file
+            row = None
+        return row[0] if row else ""
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -296,62 +311,17 @@ class ResultsStore:
         reports: Mapping[str, Mapping] | None = None,
         perf: Mapping | None = None,
     ) -> int:
-        """Ingest one run; returns its ``run_id``.
+        """Store one run as one row; returns its ``run_id``.
 
-        ``payload`` is stored canonically and flattened into the
-        ``metrics`` table.  ``reports`` maps a label (a scale, a policy
-        name, ...) to a CampaignReport-shaped dict whose per-pair QoE
-        columns land in ``pair_metrics``.  ``perf`` is a
-        :class:`~repro.perf.counters.PerfSnapshot` or its ``to_dict()``.
+        ``reports`` maps a label (a scale, a policy name, ...) to a
+        CampaignReport-shaped dict; its ``pairs`` block is what the row
+        keeps (the per-pair QoE columns :meth:`pair_metrics` reads).
+        ``perf`` is a :class:`~repro.perf.counters.PerfSnapshot` or its
+        ``to_dict()``.
         """
-        if not key.recorded_at:
-            raise ValueError("RunKey.recorded_at must be set before recording")
-        perf_dict = perf.to_dict() if hasattr(perf, "to_dict") else perf
+        values = _row_values(key, payload, reports, perf)
         with self._db:
-            cursor = self._db.execute(
-                "INSERT INTO runs (git_rev, bench, scenario, scale, seed,"
-                " policy, recorded_at, payload) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    key.git_rev,
-                    key.bench,
-                    key.scenario,
-                    key.scale,
-                    key.seed,
-                    key.policy,
-                    key.recorded_at,
-                    canonical_json(payload),
-                ),
-            )
-            run_id = int(cursor.lastrowid)
-            self._db.executemany(
-                "INSERT INTO metrics (run_id, name, value, is_int)"
-                " VALUES (?, ?, ?, ?)",
-                (
-                    (run_id, name, float(value), int(isinstance(value, int)))
-                    for name, value in flatten_metrics(payload).items()
-                ),
-            )
-            if reports:
-                self._db.executemany(
-                    "INSERT INTO pair_metrics (run_id, report, src, dst,"
-                    " transport, metric, value) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        (run_id, *row)
-                        for name, report in reports.items()
-                        for row in _pair_rows(name, report)
-                    ),
-                )
-            if perf_dict:
-                self._db.executemany(
-                    "INSERT INTO perf (run_id, kind, name, count, total_s, cpu_s)"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
-                    _perf_rows(run_id, perf_dict),
-                )
-        return run_id
-
-    def delete_run(self, run_id: int) -> None:
-        with self._db:
-            self._db.execute("DELETE FROM runs WHERE id = ?", (run_id,))
+            return int(self._db.execute(_INSERT_RUN, values).lastrowid)
 
     # ------------------------------------------------------------------ #
     # reads
@@ -385,8 +355,7 @@ class ResultsStore:
                 clauses.append(f"{column} = ?")
                 params.append(value)
         rows = self._db.execute(
-            "SELECT id, git_rev, bench, scenario, scale, seed, policy,"
-            f" recorded_at, payload FROM runs WHERE {' AND '.join(clauses)}"
+            f"SELECT id, {_RUN_COLUMNS} FROM runs WHERE {' AND '.join(clauses)}"
             " ORDER BY recorded_at, id",
             params,
         )
@@ -399,24 +368,15 @@ class ResultsStore:
 
     def run(self, run_id: int) -> RunRow:
         row = self._db.execute(
-            "SELECT id, git_rev, bench, scenario, scale, seed, policy,"
-            " recorded_at, payload FROM runs WHERE id = ?",
-            (run_id,),
+            f"SELECT id, {_RUN_COLUMNS} FROM runs WHERE id = ?", (run_id,)
         ).fetchone()
         if row is None:
             raise KeyError(f"no run {run_id}")
         return _run_row(row)
 
     def metrics(self, run_id: int) -> dict[str, int | float]:
-        """One run's flattened metrics (ints restored to int)."""
-        rows = self._db.execute(
-            "SELECT name, value, is_int FROM metrics WHERE run_id = ?"
-            " ORDER BY name",
-            (run_id,),
-        )
-        return {
-            name: int(value) if is_int else value for name, value, is_int in rows
-        }
+        """One run's flattened payload metrics, sorted by name."""
+        return dict(sorted(flatten_metrics(self.run(run_id).payload).items()))
 
     def pair_metrics(
         self,
@@ -426,60 +386,18 @@ class ResultsStore:
         transport: str | None = None,
         metric: str | None = None,
     ) -> list[tuple[str, str, str, str, str, float]]:
-        """``(report, src, dst, transport, metric, value)`` rows."""
-        clauses: list[str] = ["run_id = ?"]
-        params: list[object] = [run_id]
-        for column, value in (
-            ("report", report),
-            ("transport", transport),
-            ("metric", metric),
-        ):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        rows = self._db.execute(
-            "SELECT report, src, dst, transport, metric, value FROM pair_metrics"
-            f" WHERE {' AND '.join(clauses)}"
-            " ORDER BY report, src, dst, transport, metric",
-            params,
+        """``(report, src, dst, transport, metric, value)`` rows, sorted."""
+        wanted = (report, None, None, transport, metric)
+        return sorted(
+            row
+            for name, body in self.run(run_id).reports.items()
+            for row in _pair_rows(name, body)
+            if all(want is None or want == got for want, got in zip(wanted, row))
         )
-        return list(rows)
 
     def perf_rows(self, run_id: int) -> list[tuple[str, str, float, float, float]]:
         """``(kind, name, count, total_s, cpu_s)`` rows for one run."""
-        rows = self._db.execute(
-            "SELECT kind, name, count, total_s, cpu_s FROM perf"
-            " WHERE run_id = ? ORDER BY kind, name",
-            (run_id,),
-        )
-        return list(rows)
-
-    def trajectory(
-        self, bench: str, metric: str, **filters: object
-    ) -> list[TrajectoryPoint]:
-        """One metric's recorded history, oldest first.
-
-        Runs that never recorded the metric are skipped — a trajectory
-        crosses payload-shape changes without faking zeros.
-        """
-        points = []
-        for row in self.runs(bench, **filters):  # type: ignore[arg-type]
-            value = self._db.execute(
-                "SELECT value, is_int FROM metrics WHERE run_id = ? AND name = ?",
-                (row.id, metric),
-            ).fetchone()
-            if value is None:
-                continue
-            raw, is_int = value
-            points.append(
-                TrajectoryPoint(
-                    run_id=row.id,
-                    git_rev=row.git_rev,
-                    recorded_at=row.recorded_at,
-                    value=int(raw) if is_int else raw,
-                )
-            )
-        return points
+        return list(_perf_rows(self.run(run_id).perf))
 
     # ------------------------------------------------------------------ #
     # regression
@@ -521,21 +439,15 @@ class ResultsStore:
             return RegressionReport(
                 bench, latest, None, ToleranceDiff(key=bench, missing=True)
             )
-        base_metrics = self.metrics(baseline.id)
-        new_metrics = self.metrics(latest.id)
+        base_metrics = flatten_metrics(baseline.payload)
+        new_metrics = flatten_metrics(latest.payload)
         key = (
             f"{bench}: {baseline.git_rev} ({baseline.recorded_at})"
             f" -> {latest.git_rev} ({latest.recorded_at})"
         )
         diff = ToleranceDiff(key=key)
         if metrics is None:
-            shared = sorted(base_metrics.keys() & new_metrics.keys())
-            golden = {name: base_metrics[name] for name in shared}
-            actual = {name: new_metrics[name] for name in shared}
-            diff.mismatches.extend(
-                diff_reports(golden, actual, key=key, rtol=rtol, atol=atol).mismatches
-            )
-            return RegressionReport(bench, latest, baseline, diff)
+            metrics = sorted(base_metrics.keys() & new_metrics.keys())
         for gate in metrics:
             if isinstance(gate, str):
                 gate = Gate(gate, rtol=rtol, atol=atol)
@@ -560,60 +472,55 @@ class ResultsStore:
     # portable history (the committable text form)
     # ------------------------------------------------------------------ #
 
-    def export_jsonl(self, path: str | Path | None = None) -> str:
+    def export_jsonl(self) -> str:
         """Every run as one canonical JSON object per line, oldest first.
 
-        The committable text form of the store: exporting, importing
-        into a fresh store and exporting again is byte-identical.
+        The committable text form of the store, and lossless: importing
+        it into a fresh store answers every query identically, and
+        exporting that store again is byte-identical.  ``reports`` and
+        ``perf`` appear on a line only when the run recorded them.
         """
         lines = []
         for row in self.runs():
-            key = row.key
-            lines.append(
-                json.dumps(
-                    {
-                        "bench": key.bench,
-                        "git_rev": key.git_rev,
-                        "payload": row.payload,
-                        "policy": key.policy,
-                        "recorded_at": key.recorded_at,
-                        "scale": key.scale,
-                        "scenario": key.scenario,
-                        "seed": key.seed,
-                    },
-                    sort_keys=True,
-                    separators=(",", ": "),
-                )
-            )
-        text = "".join(line + "\n" for line in lines)
-        if path is not None:
-            Path(path).write_text(text, encoding="utf-8")
-        return text
+            entry = {**asdict(row.key), "payload": row.payload}
+            if row.reports:
+                entry["reports"] = row.reports
+            if row.perf:
+                entry["perf"] = row.perf
+            lines.append(canonical_json(entry) + "\n")
+        return "".join(lines)
 
     def import_jsonl(self, source: str | Path) -> list[int]:
         """Append runs from a :meth:`export_jsonl` file; returns run ids.
 
-        Pair/perf tables are not round-tripped (they are derived views;
-        metrics are re-flattened from each payload).
+        All or nothing: every line is parsed before the first insert and
+        the inserts share one transaction.  A line that is not a run
+        entry raises :class:`HistoryFormatError` naming file and line.
         """
+        rows = []
         text = Path(source).read_text(encoding="utf-8")
-        run_ids = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
                 continue
-            entry = json.loads(line)
-            key = RunKey(
-                bench=entry["bench"],
-                scenario=entry.get("scenario", ""),
-                scale=entry.get("scale", ""),
-                seed=int(entry.get("seed", 0)),
-                policy=entry.get("policy", ""),
-                git_rev=entry.get("git_rev", "unknown"),
-                recorded_at=entry["recorded_at"],
-            )
-            run_ids.append(self.record_run(key, entry["payload"]))
-        return run_ids
+            try:
+                entry = json.loads(line)
+                key = RunKey(
+                    **{f.name: entry[f.name] for f in fields(RunKey) if f.name in entry}
+                )
+                rows.append(
+                    _row_values(
+                        key, entry["payload"], entry.get("reports"), entry.get("perf")
+                    )
+                )
+            except (ValueError, KeyError, TypeError, AttributeError) as error:
+                raise HistoryFormatError(
+                    f"{source}:{number}: not a run entry ({error!r})"
+                ) from error
+        with self._db:
+            return [
+                int(self._db.execute(_INSERT_RUN, values).lastrowid)
+                for values in rows
+            ]
 
 
 def _pick_baseline(rows: list[RunRow], baseline_rev: str | None) -> RunRow | None:
@@ -640,31 +547,42 @@ def _clamp_improvement(
     return latest
 
 
-def _run_row(row: tuple) -> RunRow:
-    run_id, git_rev, bench, scenario, scale, seed, policy, recorded_at, payload = row
-    return RunRow(
-        id=int(run_id),
-        key=RunKey(
-            bench=bench,
-            scenario=scenario,
-            scale=scale,
-            seed=int(seed),
-            policy=policy,
-            git_rev=git_rev,
-            recorded_at=recorded_at,
-        ),
-        payload=json.loads(payload),
+def _row_values(
+    key: RunKey,
+    payload: dict,
+    reports: Mapping[str, Mapping] | None,
+    perf: Mapping | None,
+) -> tuple:
+    """The ``_INSERT_RUN`` parameters for one run (validates, no I/O)."""
+    if not key.recorded_at:
+        raise ValueError("RunKey.recorded_at must be set before recording")
+    pairs = {
+        name: {"pairs": report["pairs"]}
+        for name, report in (reports or {}).items()
+        if isinstance(report.get("pairs"), Mapping)
+    }
+    perf_dict = perf.to_dict() if hasattr(perf, "to_dict") else perf
+    return (
+        *astuple(key),
+        canonical_json(payload),
+        canonical_json(pairs),
+        canonical_json(dict(perf_dict or {})),
     )
 
 
-def _perf_rows(
-    run_id: int, perf_dict: Mapping
-) -> Iterator[tuple[int, str, str, float, float, float]]:
+def _run_row(row: tuple) -> RunRow:
+    """One ``SELECT id, <_RUN_COLUMNS>`` tuple as a :class:`RunRow`."""
+    payload, reports, perf = (json.loads(column) for column in row[-3:])
+    return RunRow(
+        id=row[0], key=RunKey(*row[1:-3]), payload=payload, reports=reports, perf=perf
+    )
+
+
+def _perf_rows(perf_dict: Mapping) -> Iterator[tuple[str, str, float, float, float]]:
     for name, count in sorted(perf_dict.get("counters", {}).items()):
-        yield run_id, "counter", name, float(count), 0.0, 0.0
+        yield "counter", name, float(count), 0.0, 0.0
     for name, entry in sorted(perf_dict.get("timers", {}).items()):
         yield (
-            run_id,
             "timer",
             name,
             float(entry.get("calls", 0)),

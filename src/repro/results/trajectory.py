@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.results.store import Gate, ResultsStore
+from repro.results.store import Gate, ResultsStore, flatten_metrics
 
 
 def trajectory_metrics(
@@ -34,7 +34,7 @@ def trajectory_metrics(
         return ()
     shared: set[str] | None = None
     for row in rows:
-        names = set(store.metrics(row.id))
+        names = set(flatten_metrics(row.payload))
         shared = names if shared is None else shared & names
     return tuple(sorted(shared or ()))
 
@@ -51,7 +51,7 @@ def perf_trajectory(
     if not rows:
         return f"perf trajectory — bench '{bench}': no runs recorded"
     names = trajectory_metrics(store, bench, metrics)
-    by_run = {row.id: store.metrics(row.id) for row in rows}
+    by_run = {row.id: flatten_metrics(row.payload) for row in rows}
     lines = [
         f"perf trajectory — bench '{bench}', {len(rows)} run(s):"
         f" {rows[0].recorded_at} ({rows[0].git_rev})"

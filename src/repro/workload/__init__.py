@@ -60,7 +60,6 @@ from repro.workload.sharded import (
     default_workers,
     partition_calls,
     predicted_shard_cost,
-    shard_seed,
     warmup_manifest,
 )
 
@@ -100,7 +99,6 @@ __all__ = [
     "group_key",
     "partition_calls",
     "predicted_shard_cost",
-    "shard_seed",
     "warmup_manifest",
 ]
 

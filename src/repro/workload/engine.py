@@ -10,7 +10,7 @@ redundancy a real campaign has:
   leg only on the prefix pair.  Each is memoised, so a campaign touching
   P prefixes resolves O(P²) paths once for O(calls) uses — the
   ``(entry_pop, dst_prefix)`` cache hit rate is the headline number in
-  ``BENCH_workload.json``.
+  the recorded ``workload`` bench row.
 * **Streams over one path are exchangeable.**  Calls sharing a path
   signature (prefix pair, hour bin, duration) are exchangeable and can
   be simulated together — and since real campaigns have ~1 call per
@@ -291,7 +291,7 @@ class CampaignRun:
             f" {report.turn_allocations} TURN-relayed multiparty legs"
         )
         # No wall-clock figures here: render output is deterministic under
-        # the seed (throughput lives in BENCH_workload.json).
+        # the seed (throughput lives in the ``workload`` bench row).
         lines.append(
             f"  engine: {stats.batches} batches (largest {stats.largest_batch}),"
             f" onward path-cache hit rate {stats.onward_hit_rate:.1%}"

@@ -37,15 +37,11 @@ and every float in a report summary is permutation-invariant, so a run
 is *byte-identical* in :meth:`CampaignReport.to_json` to a bare
 ``CampaignEngine`` over the whole list under the same seed — for any
 pool, worker count, shard count, scheduling order, retry history, cache
-warmth, or resume.  The per-shard seeds carried by :class:`ShardTask`
-are derived deterministically from the campaign seed for shard-local
-needs (retry backoff jitter today); they deliberately do not feed the
-simulation draws.
+warmth, or resume.  Nothing shard-local feeds the simulation draws.
 
-**Robustness.**  Progress timeouts, failed-shard retry with a re-derived
-shard seed, and graceful fallback to in-process execution when the pool
-cannot start (or a shard exhausts its retries and
-``allow_inprocess_fallback`` is set).  Shard faults can be injected via
+**Robustness.**  Progress timeouts, failed-shard retry, and graceful
+fallback to in-process execution when the pool cannot start or a shard
+exhausts its retries there.  Shard faults can be injected via
 ``ShardPlan.fail_injections`` for chaos-style testing, in the spirit of
 :mod:`repro.faults`.  Long campaigns can checkpoint completed shards
 (``ShardPlan.checkpoint_dir``) and resume, skipping finished work while
@@ -55,8 +51,8 @@ reproducing the identical merged report.
 the engine phases, the fan-out's own costs as separate columns:
 ``warmup_s`` (cache pre-warming), ``world_ship_s`` (world unpickle in
 the worker) and ``queue_wait_s`` (time the shard sat in the work
-queue).  ``BENCH_workload.json`` reports these instead of letting them
-hide inside the simulate phase.
+queue).  The ``workload`` bench row reports these instead of letting
+them hide inside the simulate phase.
 """
 
 from __future__ import annotations
@@ -101,8 +97,8 @@ PHASES = ("resolve", "simulate", "aggregate")
 OVERHEAD_COLUMNS = ("warmup_s", "world_ship_s", "queue_wait_s")
 
 # Predicted-work model for shard balancing, in slot-equivalents (one
-# unit = simulating one 5 s slot).  Calibrated from BENCH_workload.json
-# on the medium world: a cold resolve_pair miss costs ~0.44 ms, a
+# unit = simulating one 5 s slot).  Calibrated from the ``workload`` bench
+# row on the medium world: a cold resolve_pair miss costs ~0.44 ms, a
 # simulated slot ~6.7 us, and per-call fixed work ~0.03 ms.
 COST_RESOLVE_MISS = 65.0
 COST_PER_CALL = 4.5
@@ -160,20 +156,15 @@ class ShardPlan:
         counts a failed attempt (the stuck workers cannot be reclaimed,
         so prefer generous bounds).
     max_retries:
-        Failed-attempt budget per shard *beyond* the first try.
-    allow_inprocess_fallback:
-        Run shards in this process when the pool cannot start or a
-        shard exhausts its retries; when ``False`` those conditions
-        raise :class:`ShardExecutionError`.
+        Failed-attempt budget per shard *beyond* the first try.  A
+        shard that exhausts it on the pool (or a pool that cannot start)
+        falls back to this process, with a fresh budget;
+        :class:`ShardExecutionError` is raised only when that fails too.
     keep_results:
         Return per-call :class:`~repro.workload.engine.CallResult`\\ s.
         Switching this off saves the dominant share of worker→parent
         transfer at population scale; the report and stats are complete
         either way.
-    warm_caches:
-        Pre-warm worker path caches from the campaign's
-        :func:`warmup_manifest` before shards land.  Warmth never
-        changes a report — only when resolution work happens.
     checkpoint_dir:
         When set, completed shards are persisted here (atomically, keyed
         by a campaign fingerprint) and skipped on rerun; the resumed
@@ -187,9 +178,7 @@ class ShardPlan:
     n_shards: int | None = None
     shard_timeout_s: float | None = None
     max_retries: int = 1
-    allow_inprocess_fallback: bool = True
     keep_results: bool = True
-    warm_caches: bool = True
     checkpoint_dir: str | None = None
     fail_injections: tuple[tuple[int, int], ...] = ()
 
@@ -233,7 +222,6 @@ class ShardTask:
     index: int
     calls: list[CallSpec]
     config: CampaignConfig
-    shard_seed: int
     attempt: int = 0
     fail_attempts: int = 0  #: injected fault: raise on the first N attempts
     keep_results: bool = True
@@ -253,7 +241,6 @@ class ShardOutcome:
     n_calls: int
     attempts: int
     in_process: bool
-    shard_seed: int
     elapsed_s: float
     #: ``phase -> {"total_s": wall, "cpu_s": cpu}`` from the worker's
     #: perf timers (CPU seconds are what speedup is judged on: they are
@@ -318,8 +305,8 @@ class ShardedCampaignRun(CampaignRun):
         """The slowest shard's simulate-phase seconds.
 
         The fan-out's lower bound on simulate wall time given enough
-        cores; ``BENCH_workload.json`` reports sequential simulate time
-        divided by this as the speedup per worker count.
+        cores; the ``workload`` bench row reports sequential simulate
+        time divided by this as the speedup per worker count.
         """
         kind = "cpu_s" if cpu else "total_s"
         return max(
@@ -434,12 +421,6 @@ def warmup_manifest(calls: list[CallSpec]) -> list[tuple[Prefix, Prefix]]:
         if key not in seen:
             seen[key] = (spec.caller.prefix, spec.callee.prefix)
     return [seen[key] for key in sorted(seen)]
-
-
-def shard_seed(campaign_seed: int, index: int, attempt: int = 0) -> int:
-    """The deterministic per-shard (and per-attempt) seed."""
-    text = f"{campaign_seed}|shard|{index}|attempt|{attempt}"
-    return int.from_bytes(blake2b(text.encode("ascii"), digest_size=8).digest(), "little")
 
 
 # --------------------------------------------------------------------- #
@@ -862,7 +843,6 @@ class ShardedCampaignRunner:
                 index=index,
                 calls=slice_,
                 config=self.config,
-                shard_seed=shard_seed(self.config.seed, index),
                 fail_attempts=self._fail_map.get(index, 0),
                 keep_results=self.plan.keep_results,
                 steering=self.steering,
@@ -928,11 +908,7 @@ class ShardedCampaignRunner:
                 if attempt - first_attempt >= self.plan.max_retries:
                     raise ShardExecutionError(task.index, failures) from exc
                 attempt += 1
-                task = replace(
-                    task,
-                    attempt=attempt,
-                    shard_seed=shard_seed(self.config.seed, task.index, attempt),
-                )
+                task = replace(task, attempt=attempt)
         outcome = self._outcome(
             result, task, attempts=attempt - first_attempt + 1, in_process=True
         )
@@ -942,36 +918,25 @@ class ShardedCampaignRunner:
     def _run_pool(
         self, pool: CampaignWorkerPool, tasks: list[ShardTask]
     ) -> list[tuple[_ShardResult, ShardOutcome]]:
-        manifest = (
-            warmup_manifest([spec for task in tasks for spec in task.calls])
-            if self.plan.warm_caches
-            else None
-        )
+        # Slices are never empty, so neither is the manifest: ``warm``
+        # starts a fresh pool with it.  Warmth never changes a report —
+        # only when resolution work happens.
+        manifest = warmup_manifest([spec for task in tasks for spec in task.calls])
         freshly_started = not pool.started
         try:
-            if manifest:
-                warm_wall = pool.warm(manifest)
-                if warm_wall > 0.0:
-                    self._run_overhead["workload.pool.rewarm"] = warm_wall
-            else:
-                pool.start()
-        except Exception as exc:  # noqa: BLE001 - pool genuinely unavailable
-            return self._pool_unavailable(tasks, exc)
+            warm_wall = pool.warm(manifest)
+            if warm_wall > 0.0:
+                self._run_overhead["workload.pool.rewarm"] = warm_wall
+        except Exception:  # noqa: BLE001 - pool genuinely unavailable
+            return [
+                self._checkpointed(self._run_task_inprocess(task)) for task in tasks
+            ]
         pool.stats.runs += 1
         if freshly_started:
             self._run_overhead["workload.pool.setup"] = pool.stats.setup_s
             self._run_overhead["workload.pool.world_dump"] = pool.stats.world_dump_s
         self._pool_stats = pool.stats
         return self._stream(pool, tasks)
-
-    def _pool_unavailable(
-        self, tasks: list[ShardTask], exc: Exception
-    ) -> list[tuple[_ShardResult, ShardOutcome]]:
-        if not self.plan.allow_inprocess_fallback:
-            raise ShardExecutionError(-1, [f"pool unavailable: {exc}"]) from exc
-        return [
-            self._checkpointed(self._run_task_inprocess(task)) for task in tasks
-        ]
 
     def _stream(
         self, pool: CampaignWorkerPool, tasks: list[ShardTask]
@@ -988,27 +953,31 @@ class ShardedCampaignRunner:
         state: dict[Future, tuple[ShardTask, int, list[str]]] = {}
         pool_broken = False
 
-        def submit(task: ShardTask, attempts: int, failures: list[str]) -> bool:
+        def dispatch(task: ShardTask, attempts: int, failures: list[str]) -> None:
+            """Queue one attempt; a pool that refuses it is broken — salvage."""
+            nonlocal pool_broken
             task.submitted_at = time.time()
             try:
                 future = pool.submit_task(task)
             except (BrokenExecutor, RuntimeError) as exc:
                 failures.append(f"attempt {task.attempt}: submit failed: {exc}")
-                return False
-            state[future] = (task, attempts, failures)
-            return True
+                pool_broken = True
+                executed.append(self._salvage_task(task, attempts, failures))
+            else:
+                state[future] = (task, attempts, failures)
 
-        def retry_of(task: ShardTask) -> ShardTask:
-            return replace(
-                task,
-                attempt=task.attempt + 1,
-                shard_seed=shard_seed(self.config.seed, task.index, task.attempt + 1),
-            )
+        def retry_or_salvage(
+            task: ShardTask, attempts: int, failures: list[str]
+        ) -> None:
+            """After a failed attempt: resubmit within budget, else salvage."""
+            if attempts > self.plan.max_retries:
+                executed.append(self._salvage_task(task, attempts, failures))
+            else:
+                retry = replace(task, attempt=task.attempt + 1)
+                dispatch(retry, attempts + 1, failures)
 
         for task in tasks:
-            if not submit(task, 1, failures := []):
-                pool_broken = True
-                executed.append(self._salvage_task(task, 1, failures))
+            dispatch(task, 1, [])
         while state and not pool_broken:
             done, _ = wait(
                 set(state), timeout=self.plan.shard_timeout_s,
@@ -1024,15 +993,7 @@ class ShardedCampaignRunner:
                         f"{self.plan.shard_timeout_s}s"
                     )
                     future.cancel()
-                    if attempts > self.plan.max_retries:
-                        executed.append(self._salvage_task(task, attempts, failures))
-                    else:
-                        retry = retry_of(task)
-                        if not submit(retry, attempts + 1, failures):
-                            pool_broken = True
-                            executed.append(
-                                self._salvage_task(retry, attempts + 1, failures)
-                            )
+                    retry_or_salvage(task, attempts, failures)
                 continue
             for future in done:
                 task, attempts, failures = state.pop(future)
@@ -1044,26 +1005,16 @@ class ShardedCampaignRunner:
                     executed.append(self._salvage_task(task, attempts, failures))
                 except Exception as exc:  # noqa: BLE001 - retry budget decides
                     failures.append(f"attempt {task.attempt}: {exc}")
-                    if attempts > self.plan.max_retries:
-                        executed.append(self._salvage_task(task, attempts, failures))
-                    else:
-                        retry = retry_of(task)
-                        if not submit(retry, attempts + 1, failures):
-                            pool_broken = True
-                            executed.append(
-                                self._salvage_task(retry, attempts + 1, failures)
-                            )
+                    retry_or_salvage(task, attempts, failures)
                 else:
                     executed.append(
                         self._checkpointed(
                             self._finish_pool_task(result, task, attempts, failures)
                         )
                     )
-        if pool_broken and state:
-            # Salvage everything still in flight on this side of the pool.
-            for future in list(state):
-                task, attempts, failures = state.pop(future)
-                executed.append(self._salvage_task(task, attempts, failures))
+        # Salvage everything still in flight on this side of a broken pool.
+        for task, attempts, failures in state.values():
+            executed.append(self._salvage_task(task, attempts, failures))
         return executed
 
     def _finish_pool_task(
@@ -1077,16 +1028,11 @@ class ShardedCampaignRunner:
         self, task: ShardTask, attempts: int, failures: list[str]
     ) -> tuple[_ShardResult, ShardOutcome]:
         """Last resort for a shard the pool could not finish."""
-        if not self.plan.allow_inprocess_fallback:
-            raise ShardExecutionError(task.index, failures)
         # The injected-fault budget is attempt-indexed; continue counting
         # so a fault spanning all pool attempts still clears in-process.
-        salvage = replace(
-            task,
-            attempt=task.attempt + 1,
-            shard_seed=shard_seed(self.config.seed, task.index, task.attempt + 1),
+        result, outcome = self._run_task_inprocess(
+            replace(task, attempt=task.attempt + 1), failures
         )
-        result, outcome = self._run_task_inprocess(salvage, failures)
         outcome.attempts += attempts
         return self._checkpointed((result, outcome))
 
@@ -1114,7 +1060,6 @@ class ShardedCampaignRunner:
             n_calls=len(task.calls),
             attempts=attempts,
             in_process=in_process,
-            shard_seed=task.shard_seed,
             elapsed_s=result.elapsed_s,
             phase_s=phase_s,
             stats=result.run.stats,

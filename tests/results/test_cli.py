@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.results import ResultsStore, RunKey, record
 from repro.results.__main__ import main
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def record_rate(path, value, rev, stamp, extra=None):
@@ -109,16 +106,30 @@ class TestHistoryCommands:
         with ResultsStore(dst) as store:
             assert len(store.runs("workload")) == 2
 
-    def test_migrate_committed_snapshots(self, tmp_path, capsys):
+    def test_export_bench_renders_the_latest_payload(self, tmp_path, capsys):
         path = tmp_path / "s.sqlite"
-        assert main(
-            ["migrate", "--store", str(path), "--rev", "seed",
-             str(REPO_ROOT / "BENCH_workload.json")]
-        ) == 0
-        with ResultsStore(path) as store:
-            row = store.latest("workload")
-            assert row is not None and row.git_rev == "seed"
-            committed = json.loads(
-                (REPO_ROOT / "BENCH_workload.json").read_text(encoding="utf-8")
-            )
-            assert row.payload == committed
+        record_rate(path, 100, "rev0", "2026-01-01T00:00:00Z")
+        record_rate(path, 120, "rev1", "2026-01-02T00:00:00Z", extra={"a": 1})
+        assert main(["export", "--store", str(path), "--bench", "workload"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == {
+            "a": 1, "scales": {"small": {"campaign": {"calls": 120}}}
+        }
+        assert out.startswith('{\n  "a": 1,\n') and out.endswith("}\n")
+        assert main(["export", "--store", str(path), "--bench", "nope"]) == 1
+
+    def test_imported_run_renders_the_recorded_heatmap(self, tmp_path, capsys):
+        """The CI store (seeded by import) answers like the recording one."""
+        src, dst = tmp_path / "src.sqlite", tmp_path / "dst.sqlite"
+        pairs = {"EU->NA": {"vns": {"delay_ms": {"p50": 80.0}}}}
+        record("workload", {"seed": 7}, store=src, rev="rev0",
+               recorded_at="2026-01-01T00:00:00Z", reports={"": {"pairs": pairs}})
+        history = tmp_path / "history.jsonl"
+        assert main(["export", "--store", str(src), "--out", str(history)]) == 0
+        assert main(["import", "--store", str(dst), str(history)]) == 0
+        capsys.readouterr()
+        rendered = []
+        for path in (src, dst):
+            assert main(["heatmap", "--store", str(path), "--bench", "workload"]) == 0
+            rendered.append(capsys.readouterr().out)
+        assert rendered[0] == rendered[1] and "80.00" in rendered[0]

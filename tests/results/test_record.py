@@ -1,9 +1,8 @@
-"""The unified ``record()`` write path: legacy bytes + store rows."""
+"""The unified ``record()`` write path: one call, one store row."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.results import (
     GIT_REV_ENV,
@@ -13,34 +12,6 @@ from repro.results import (
     record,
     record_experiment,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-class TestLegacySnapshotBytes:
-    def test_committed_snapshot_is_byte_stable(self, tmp_path):
-        """record() re-emits BENCH_workload.json exactly as committed."""
-        committed = REPO_ROOT / "BENCH_workload.json"
-        original = committed.read_text(encoding="utf-8")
-        out = tmp_path / "BENCH_workload.json"
-        record(
-            "workload",
-            json.loads(original),
-            json_path=out,
-            store=tmp_path / "store.sqlite",
-            seed=7,
-        )
-        assert out.read_text(encoding="utf-8") == original
-
-    def test_snapshot_shape(self, tmp_path):
-        out = tmp_path / "BENCH_demo.json"
-        record("demo", {"b": 2, "a": 1}, json_path=out,
-               store=tmp_path / "s.sqlite",
-               rev="abc", recorded_at="2026-01-01T00:00:00Z")
-        assert out.read_text(encoding="utf-8") == (
-            '{\n  "a": 1,\n  "b": 2\n}\n'
-        )
-
 
 class TestStoreRouting:
     def test_explicit_store_path(self, tmp_path):
@@ -63,25 +34,14 @@ class TestStoreRouting:
             assert row.key.seed == 7
             assert store.metrics(row.id)["calls"] == 3
 
-    def test_open_store_instance(self, store):
-        recorded = record(
-            "demo", {"calls": 1}, store=store,
-            rev="abc", recorded_at="2026-01-01T00:00:00Z",
-        )
-        assert recorded.run_id is not None
-        assert recorded.store_path is None  # :memory: has no file
-        assert store.latest("demo").id == recorded.run_id
-
     def test_env_disable_skips_store(self, monkeypatch, tmp_path):
         monkeypatch.setenv(STORE_ENV, "off")
         assert default_store_path() is None
         recorded = record(
-            "demo", {"calls": 1}, json_path=tmp_path / "BENCH_demo.json",
-            rev="abc", recorded_at="2026-01-01T00:00:00Z",
+            "demo", {"calls": 1}, rev="abc", recorded_at="2026-01-01T00:00:00Z"
         )
         assert recorded.run_id is None
         assert recorded.store_path is None
-        assert recorded.json_path is not None and recorded.json_path.exists()
 
     def test_env_redirect(self, monkeypatch, tmp_path):
         target = tmp_path / "redirected.sqlite"
@@ -119,14 +79,23 @@ class _StubResult:
 
 
 class TestRecordExperiment:
-    def test_payload_merges_row_and_ingests_pairs(self, store):
+    def test_payload_merges_row_and_ingests_pairs(self, tmp_path):
         recorded = record_experiment(
-            "demo", _StubResult(), store=store,
+            "demo", _StubResult(), store=tmp_path / "s.sqlite",
             rev="abc", recorded_at="2026-01-01T00:00:00Z",
         )
-        row = store.run(recorded.run_id)
-        assert row.payload["row"] == {"calls": 5, "rate": 0.5}
-        metrics = store.metrics(recorded.run_id)
-        assert metrics["row.calls"] == 5
-        pairs = store.pair_metrics(recorded.run_id, metric="calls")
-        assert [(src, dst) for (_, src, dst, _, _, _) in pairs] == [("EU", "NA")]
+        with ResultsStore(recorded.store_path) as store:
+            row = store.run(recorded.run_id)
+            assert row.payload["row"] == {"calls": 5, "rate": 0.5}
+            metrics = store.metrics(recorded.run_id)
+            assert metrics["row.calls"] == 5
+            pairs = store.pair_metrics(recorded.run_id, metric="calls")
+            assert [(src, dst) for (_, src, dst, _, _, _) in pairs] == [("EU", "NA")]
+
+    def test_consecutive_run_ids_across_opens(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        first, second = (
+            record_experiment("demo", _StubResult(), store=path, rev="abc")
+            for _ in range(2)
+        )
+        assert second.run_id == first.run_id + 1

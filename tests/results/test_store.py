@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import json
+import sqlite3
+from pathlib import Path
 
 import pytest
 
-from repro.results import ResultsStore, RunKey, flatten_metrics
+from repro.results import (
+    CI_GATES,
+    HistoryFormatError,
+    ResultsStore,
+    RunKey,
+    StoreSchemaError,
+    flatten_metrics,
+    perf_trajectory,
+)
 
 from .conftest import record_simple
+
+HISTORY = Path(__file__).resolve().parents[2] / "benchmarks/results/history.jsonl"
 
 PAYLOAD = {
     "seed": 7,
@@ -144,9 +156,9 @@ class TestTrajectory:
                 rev=rev,
                 recorded_at=f"2026-01-0{index + 1}T00:00:00Z",
             )
-        points = store.trajectory("demo", "speed")
-        assert [point.git_rev for point in points] == ["aaa", "bbb", "ccc"]
-        assert [point.value for point in points] == [100, 101, 102]
+        header, row = perf_trajectory(store, "demo", metrics=["speed"]).splitlines()[1:]
+        assert header.split() == ["metric", "aaa", "bbb", "ccc"]
+        assert row.split() == ["speed", "100", "101", "+1.0%", "102", "+1.0%"]
 
     def test_runs_missing_the_metric_are_skipped(self, store):
         record_simple(
@@ -155,7 +167,8 @@ class TestTrajectory:
         record_simple(
             store, "demo", {"speed": 9}, rev="bbb", recorded_at="2026-01-02T00:00:00Z"
         )
-        assert [p.value for p in store.trajectory("demo", "speed")] == [9]
+        table = perf_trajectory(store, "demo", metrics=["speed"])
+        assert table.splitlines()[-1].split() == ["speed", "-", "9"]
 
 
 class TestJsonlHistory:
@@ -177,8 +190,8 @@ class TestJsonlHistory:
             seed=8,
         )
         history = tmp_path / "history.jsonl"
-        text = store.export_jsonl(history)
-        assert history.read_text(encoding="utf-8") == text
+        text = store.export_jsonl()
+        history.write_text(text, encoding="utf-8")
         assert len(text.splitlines()) == 2
 
         with ResultsStore(":memory:") as fresh:
@@ -197,3 +210,96 @@ class TestJsonlHistory:
         entry = json.loads(line)
         assert list(entry) == sorted(entry)
         assert entry["payload"] == {"a": 1, "b": 2}
+
+    def test_recorded_reports_and_perf_survive_the_round_trip(self, store, tmp_path):
+        """A store seeded by import answers like the one that recorded."""
+        run_id = store.record_run(
+            RunKey(bench="demo", git_rev="a", recorded_at="2026-01-01T00:00:00Z"),
+            PAYLOAD,
+            reports={"small": TestPairAndPerfTables.REPORT},
+            perf={
+                "counters": {"bgp.engine.delivered": 42},
+                "timers": {
+                    "bgp.engine.run": {"calls": 3, "total_s": 1.5, "cpu_s": 1.2}
+                },
+            },
+        )
+        history = tmp_path / "history.jsonl"
+        text = store.export_jsonl()
+        history.write_text(text, encoding="utf-8")
+        with ResultsStore(":memory:") as fresh:
+            (copy_id,) = fresh.import_jsonl(history)
+            assert fresh.export_jsonl() == text
+            assert fresh.metrics(copy_id) == store.metrics(run_id)
+            assert fresh.pair_metrics(copy_id) == store.pair_metrics(run_id)
+            assert fresh.pair_metrics(copy_id)  # the parent's import had none
+            assert fresh.perf_rows(copy_id) == store.perf_rows(run_id)
+            assert fresh.perf_rows(copy_id)
+
+    def test_committed_history_round_trips_byte_identical(self, store):
+        """history.jsonl is the committed baseline: import -> export is it."""
+        run_ids = store.import_jsonl(HISTORY)
+        assert store.benches() == ("scale", "scenario_matrix", "steering", "workload")
+        assert len(run_ids) == 4
+        assert store.export_jsonl() == HISTORY.read_text(encoding="utf-8")
+
+    def test_every_ci_gate_resolves_against_the_committed_history(self, store):
+        store.import_jsonl(HISTORY)
+        for bench, gates in CI_GATES.items():
+            metrics = store.metrics(store.latest(bench).id)
+            for gate in gates:
+                assert gate.name in metrics, f"{bench}: {gate.name}"
+
+
+class TestDrills:
+    """ROADMAP drills: each ends in a typed error, the store unchanged."""
+
+    def test_truncated_history_imports_nothing(self, tmp_path):
+        lines = HISTORY.read_text(encoding="utf-8").splitlines(keepends=True)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+        with ResultsStore(tmp_path / "s.sqlite") as store:
+            with pytest.raises(HistoryFormatError, match=r"torn\.jsonl:3:"):
+                store.import_jsonl(torn)
+            assert store.runs() == []
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"bench": "demo", "payload": {}}',  # no recorded_at
+            '{"recorded_at": "2026-01-01T00:00:00Z", "payload": {}}',  # no bench
+            '{"bench": "demo", "recorded_at": "2026-01-01T00:00:00Z"}',  # no payload
+            "[1, 2]",
+        ],
+    )
+    def test_line_that_is_not_a_run_entry_is_typed(self, store, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        with pytest.raises(HistoryFormatError, match=r"bad\.jsonl:1:"):
+            store.import_jsonl(bad)
+        assert store.runs() == []
+
+    def test_newer_schema_refuses_to_open(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        with ResultsStore(path) as store:
+            record_simple(
+                store, "demo", {"a": 1}, rev="a", recorded_at="2026-01-01T00:00:00Z"
+            )
+        db = sqlite3.connect(path)
+        with db:
+            db.execute("UPDATE meta SET value = '99' WHERE key = 'schema_version'")
+        db.close()
+        before = path.read_bytes()
+        with pytest.raises(StoreSchemaError, match="delete the file and .*import"):
+            ResultsStore(path)
+        assert path.read_bytes() == before
+
+    def test_version_1_store_refuses_to_open(self, tmp_path):
+        path = tmp_path / "v1.sqlite"
+        db = sqlite3.connect(path)
+        with db:
+            db.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            db.execute("INSERT INTO meta VALUES ('schema_version', '1')")
+        db.close()
+        with pytest.raises(StoreSchemaError, match="'1'"):
+            ResultsStore(path)

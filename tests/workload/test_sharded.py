@@ -24,7 +24,6 @@ from repro.workload import (
     UserPopulation,
     group_key,
     partition_calls,
-    shard_seed,
 )
 
 
@@ -80,12 +79,6 @@ class TestPartition:
         assert partition_calls(calls, 1) == [list(calls)]
         only = [calls[0]]
         assert partition_calls(only, 8) == [only]
-
-    def test_shard_seed_is_stable_and_attempt_sensitive(self):
-        assert shard_seed(7, 0) == shard_seed(7, 0)
-        assert shard_seed(7, 0) != shard_seed(7, 1)
-        assert shard_seed(7, 0, attempt=0) != shard_seed(7, 0, attempt=1)
-        assert shard_seed(8, 0) != shard_seed(7, 0)
 
 
 class TestPlanValidation:
