@@ -132,6 +132,10 @@ def test_bench_scale(scale: str, show) -> None:
         "world_build_s": round(build_s, 4),
         "engine": {
             "messages_delivered": int(delivered),
+            # Deterministic decision work: `_decide` runs, and how many of
+            # them left the advertised outcome unchanged (diff skipped).
+            "decisions": int(snap["counters"]["bgp.decide.calls"]),
+            "decisions_unchanged": int(snap["counters"]["bgp.decide.unchanged"]),
             "run_s": round(engine_run_s, 4),
             "messages_per_s": round(engine_msgs_per_s, 1),
         },

@@ -92,8 +92,13 @@ class Route:
         return self.as_path.first_hop
 
     def with_communities(self, *extra: str) -> "Route":
-        """A copy with additional communities."""
-        return replace(self, communities=self.communities | set(extra))
+        """A copy with additional communities — or ``self`` when all are present."""
+        if self.communities.issuperset(extra):
+            return self
+        return replace(self, communities=self.communities.union(extra))
+
+    # The copies below run once per message during convergence, so they
+    # construct positionally: half the cost of ``dataclasses.replace``.
 
     def with_local_pref(self, local_pref: int) -> "Route":
         """A copy with LOCAL_PREF replaced — or ``self`` when unchanged.
@@ -104,18 +109,35 @@ class Route:
         """
         if local_pref == self.local_pref:
             return self
-        return replace(self, local_pref=local_pref)
+        return Route(
+            self.prefix, self.as_path, self.next_hop, self.origin, self.med,
+            local_pref, self.communities, self.originator_id,
+            self.cluster_list, self.learned_from, self.ebgp,
+        )
 
     def received(self, learned_from: str, ebgp: bool) -> "Route":
         """A copy stamped with reception metadata."""
-        return replace(self, learned_from=learned_from, ebgp=ebgp)
+        return Route(
+            self.prefix, self.as_path, self.next_hop, self.origin, self.med,
+            self.local_pref, self.communities, self.originator_id,
+            self.cluster_list, learned_from, ebgp,
+        )
+
+    def sent(self, next_hop: str | None = None, as_path: AsPath | None = None) -> "Route":
+        """The wire form a speaker sends: reception metadata dropped, next
+        hop and AS path rewritten when given."""
+        return Route(
+            self.prefix, self.as_path if as_path is None else as_path,
+            self.next_hop if next_hop is None else next_hop, self.origin, self.med,
+            self.local_pref, self.communities, self.originator_id, self.cluster_list,
+        )
 
     def reflected(self, originator: str, cluster_id: str) -> "Route":
         """A copy with RFC 4456 reflection attributes updated."""
-        return replace(
-            self,
-            originator_id=self.originator_id or originator,
-            cluster_list=(cluster_id,) + self.cluster_list,
+        return Route(
+            self.prefix, self.as_path, self.next_hop, self.origin, self.med,
+            self.local_pref, self.communities, self.originator_id or originator,
+            (cluster_id,) + self.cluster_list, self.learned_from, self.ebgp,
         )
 
     def __str__(self) -> str:

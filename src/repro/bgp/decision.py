@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 from repro.bgp.attributes import Route
 
+_UNREACHABLE = float("inf")
+
 
 def _no_igp_metric(next_hop: str) -> float:
     """Default IGP metric when the speaker has no IGP view (flat cost)."""
@@ -83,7 +85,7 @@ def decision_order(routes: Sequence[Route], ctx: DecisionContext) -> list[Route]
     #    (an out-of-band reflector at a failed PoP) keeps its table rather
     #    than withdrawing the world, and a prefix whose every egress is
     #    stranded stays visibly routed-but-blackholed instead of vanishing.
-    reachable = [r for r in survivors if ctx.igp_metric(r.next_hop) != float("inf")]
+    reachable = [r for r in survivors if ctx.igp_metric(r.next_hop) != _UNREACHABLE]
     if reachable:
         survivors = reachable
 
@@ -118,11 +120,43 @@ def decision_order(routes: Sequence[Route], ctx: DecisionContext) -> list[Route]
 
 
 def best_route(routes: Sequence[Route], ctx: DecisionContext | None = None) -> Route | None:
-    """The single best route among ``routes`` (``None`` if empty)."""
+    """The single best route among ``routes`` (``None`` if empty).
+
+    One pass: the minimum of one lexicographic key per candidate, which
+    *is* the staged process of :func:`decision_order` whenever MED cannot
+    discriminate per neighbour AS (all MEDs equal, or
+    ``always_compare_med``).  Otherwise the per-neighbour-AS MED stage is
+    not a total order and the staged process — the reference, and that
+    stage's only implementation — decides.
+    """
+    if not routes:
+        return None
     if ctx is None:
         ctx = DecisionContext()
-    ordered = decision_order(routes, ctx)
-    return ordered[0] if ordered else None
+    igp_metric, compare_any_med = ctx.igp_metric, ctx.always_compare_med
+    med = routes[0].med
+    best = best_key = None
+    for r in routes:
+        if r.med != med and not compare_any_med:
+            return decision_order(routes, ctx)[0]
+        metric = igp_metric(r.next_hop)
+        key = (
+            metric == _UNREACHABLE,  # ranked only when nothing is reachable
+            -r.local_pref,
+            len(r.as_path.asns),
+            r.origin,
+            r.med,
+            not r.ebgp,
+            metric,
+            len(r.cluster_list),
+            r.originator_id or r.learned_from or "",
+            r.learned_from or "",
+            r.next_hop,
+            r.as_path.asns,
+        )
+        if best_key is None or key < best_key:
+            best, best_key = r, key
+    return best
 
 
 def best_external(routes: Sequence[Route], ctx: DecisionContext | None = None) -> Route | None:

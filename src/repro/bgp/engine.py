@@ -94,13 +94,21 @@ class BgpEngine:
         return self.routers[router_id]
 
     def inject(self, messages: Iterable[Message] | Message) -> None:
-        """Queue messages for delivery (e.g. eBGP updates from outside)."""
-        if isinstance(messages, (list, tuple)):
+        """Queue messages for delivery (e.g. eBGP updates from outside).
+
+        Raises
+        ------
+        TypeError
+            For anything that is neither a message nor an iterable of them.
+        """
+        if isinstance(messages, Message):
+            self.queue.append(messages)
+        elif isinstance(messages, Iterable) and not isinstance(messages, str):
             self.queue.extend(messages)
-        elif hasattr(messages, "__iter__"):
-            self.queue.extend(messages)  # type: ignore[arg-type]
         else:
-            self.queue.append(messages)  # type: ignore[arg-type]
+            raise TypeError(
+                f"inject() takes a Message or an iterable of them, got {messages!r}"
+            )
 
     @property
     def converged(self) -> bool:

@@ -102,7 +102,7 @@ class RelationshipImportPolicy(ImportPolicy):
         if relationship is None:
             return None  # no business relationship, reject
         tagged = route.with_communities(RELATIONSHIP_COMMUNITY[relationship])
-        return replace(tagged, local_pref=self._local_pref[relationship])
+        return tagged.with_local_pref(self._local_pref[relationship])
 
 
 class RelationshipExportPolicy(ExportPolicy):
@@ -165,8 +165,15 @@ def strip_ibgp_only_attributes(route: Route) -> Route:
     """Reset attributes that must not cross an AS boundary.
 
     LOCAL_PREF is iBGP-scoped; ORIGINATOR_ID / CLUSTER_LIST are reflection
-    artefacts.  Called by the router when exporting over eBGP.
+    artefacts.  Called by the router when exporting over eBGP; a route
+    that carries none of them (a locally originated one) is returned as is.
     """
+    if (
+        route.local_pref == DEFAULT_LOCAL_PREF
+        and route.originator_id is None
+        and not route.cluster_list
+    ):
+        return route
     return replace(
         route,
         local_pref=DEFAULT_LOCAL_PREF,

@@ -12,10 +12,7 @@ when local preferences tie.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.bgp.attributes import Route
-from repro.bgp.decision import DecisionContext
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session
 from repro.net.addressing import Prefix
@@ -43,12 +40,10 @@ class RouteReflector(BgpRouter):
             return False  # cluster loop
         return True
 
-    def _ibgp_payload(
-        self,
-        best: Route | None,
-        candidates: list[Route],
-        ctx: DecisionContext,
-    ) -> tuple[Route | None, str | None, bool]:
+    def _ibgp_source(self, best: Route, candidates: list[Route]) -> Route | None:
+        return best  # a reflector re-advertises iBGP-learned routes too
+
+    def _ibgp_payload(self, best: Route | None) -> tuple[Route | None, str | None, bool]:
         """RFC 4456: reflect the best route, preserving its next hop.
 
         Unlike an ordinary speaker, a reflector re-advertises iBGP-learned
@@ -60,14 +55,12 @@ class RouteReflector(BgpRouter):
         if best.ebgp or best.learned_from is None:
             # eBGP-learned or locally originated: plain iBGP advertisement,
             # but a reflector does not rewrite the next hop.
-            payload = replace(best, learned_from=None, ebgp=False)
-            return payload, best.learned_from, True
+            return best.sent(), best.learned_from, True
         learned_session = self.sessions.get(best.learned_from)
         from_client = learned_session is not None and learned_session.rr_client
         originator = best.originator_id or best.learned_from or self.router_id
         reflected = best.reflected(originator=originator, cluster_id=self.cluster_id)
-        payload = replace(reflected, learned_from=None, ebgp=False)
-        return payload, best.learned_from, from_client
+        return reflected.sent(), best.learned_from, from_client
 
     def _ibgp_desired(
         self,

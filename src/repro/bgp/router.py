@@ -15,10 +15,9 @@ The speaker implements the mechanics the paper's setup relies on:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import replace
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, AsPath, Origin, Route
-from repro.bgp.decision import DecisionContext, best_external, best_route
+from repro.bgp.decision import DecisionContext, _no_igp_metric, best_external, best_route
 from repro.bgp.messages import IgpNotification, Message, Update, Withdraw
 from repro.bgp.policy import (
     AcceptAll,
@@ -31,6 +30,7 @@ from repro.bgp.rib import AdjRib, LocRib
 from repro.bgp.session import Session, SessionType
 from repro.geo.coords import GeoPoint
 from repro.net.addressing import Prefix
+from repro.perf import counters as perf
 
 
 class BgpRouter:
@@ -81,7 +81,13 @@ class BgpRouter:
         self.adj_rib_out = AdjRib()
         self.loc_rib = LocRib()
         self.originated: dict[Prefix, Route] = {}
-        self._igp_metric = igp_metric or (lambda next_hop: 0.0)
+        self._ctx = DecisionContext(
+            igp_metric=igp_metric or _no_igp_metric, router_id=router_id
+        )
+        #: Per prefix, the ``(best, iBGP source route)`` outcome Adj-RIB-Out
+        #: was last synchronised to; lets :meth:`_decide` skip the
+        #: advertisement diff when a message did not change the outcome.
+        self._advertised: dict[Prefix, tuple[Route | None, Route | None]] = {}
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -100,6 +106,7 @@ class BgpRouter:
                 f"{self.router_id} already has a session to {session.peer_id}"
             )
         self.sessions[session.peer_id] = session
+        self._advertised.clear()
 
     def session_to(self, peer_id: str) -> Session:
         """The configured session to ``peer_id``.
@@ -113,7 +120,7 @@ class BgpRouter:
 
     def set_igp_metric_fn(self, fn: Callable[[str], float]) -> None:
         """Install the IGP metric callback (e.g. after SPF is computed)."""
-        self._igp_metric = fn
+        self._ctx.igp_metric = fn
 
     def fail_session(
         self, peer_id: str
@@ -136,6 +143,7 @@ class BgpRouter:
         self.down_sessions.add(peer_id)
         snapshot = self.adj_rib_in.drop_peer(peer_id)
         self.adj_rib_out.drop_peer(peer_id)
+        self._advertised.clear()
         messages: list[Message] = []
         for prefix in sorted(snapshot):
             messages.extend(self._decide(prefix))
@@ -178,12 +186,14 @@ class BgpRouter:
             communities=communities,
         )
         self.originated[prefix] = route
+        self._advertised.pop(prefix, None)
         return self._decide(prefix)
 
     def withdraw_origination(self, prefix: Prefix) -> list[Message]:
         """Stop originating ``prefix``; return the resulting updates."""
         if prefix in self.originated:
             del self.originated[prefix]
+        self._advertised.pop(prefix, None)
         return self._decide(prefix)
 
     def bulk_receive(self, messages: list[Message]) -> None:
@@ -259,7 +269,7 @@ class BgpRouter:
         """Apply import policy and stamp reception metadata."""
         if session.is_ebgp:
             # LOCAL_PREF is not carried over eBGP.
-            route = replace(route, local_pref=DEFAULT_LOCAL_PREF)
+            route = route.with_local_pref(DEFAULT_LOCAL_PREF)
         imported = self.import_policy.apply(route, session)
         if imported is None:
             return None
@@ -286,21 +296,34 @@ class BgpRouter:
         """The currently selected best route for ``prefix``."""
         return self.loc_rib.best(prefix)
 
-    def _decision_context(self) -> DecisionContext:
-        return DecisionContext(igp_metric=self._igp_metric, router_id=self.router_id)
-
     def _decide(self, prefix: Prefix) -> list[Message]:
-        """Re-run selection for ``prefix`` and diff the advertisements."""
+        """Re-run selection for ``prefix`` and diff the advertisements.
+
+        Every advertisement is a function of ``(best, iBGP source)`` and
+        the session/policy configuration, so when that pair equals the one
+        Adj-RIB-Out was last synchronised to there is nothing to send and
+        the diff is skipped.  Entry points that re-synchronise Adj-RIB-Out
+        (origination, session failure/restore, :meth:`refresh_advertisements`)
+        drop the remembered pair first and so always take the full path.
+        """
         candidates = self._candidates(prefix)
-        ctx = self._decision_context()
-        best = best_route(candidates, ctx)
+        best = best_route(candidates, self._ctx)
+        if perf.enabled:
+            perf.incr("bgp.decide.calls")
         if best is None:
             self.loc_rib.clear(prefix)
+            source = None
         else:
             self.loc_rib.set_best(best)
+            source = self._ibgp_source(best, candidates)
+        if self._advertised.get(prefix) == (best, source):
+            if perf.enabled:
+                perf.incr("bgp.decide.unchanged")
+            return []
+        self._advertised[prefix] = (best, source)
         # The iBGP payload is identical for every iBGP session (modulo
         # split horizon / reflection gating), so prepare it once.
-        payload, source_peer, from_client = self._ibgp_payload(best, candidates, ctx)
+        payload, source_peer, from_client = self._ibgp_payload(source)
         messages: list[Message] = []
         for peer_id, session in self.sessions.items():
             if session.is_ebgp:
@@ -313,6 +336,7 @@ class BgpRouter:
     def refresh_advertisements(self) -> list[Message]:
         """Recompute every advertisement (e.g. after a policy change)."""
         messages: list[Message] = []
+        self._advertised.clear()
         prefixes = set(self.adj_rib_in.prefixes()) | set(self.originated)
         prefixes |= set(self.loc_rib.prefixes())
         for prefix in sorted(prefixes):
@@ -350,47 +374,29 @@ class BgpRouter:
         if exported is None:
             return None
         cleaned = strip_ibgp_only_attributes(exported)
-        return replace(
-            cleaned,
-            as_path=cleaned.as_path.prepend(self.asn),
-            next_hop=self.router_id,
-            learned_from=None,
-            ebgp=False,
-        )
+        return cleaned.sent(self.router_id, cleaned.as_path.prepend(self.asn))
 
-    def _ibgp_payload(
-        self,
-        best: Route | None,
-        candidates: list[Route],
-        ctx: DecisionContext,
-    ) -> tuple[Route | None, str | None, bool]:
-        """The route this speaker currently offers into iBGP.
+    def _ibgp_source(self, best: Route, candidates: list[Route]) -> Route | None:
+        """Which of its routes this speaker offers into iBGP, if any."""
+        if best.ebgp or best.learned_from is None:
+            return best
+        if self.enable_best_external:
+            return best_external(candidates, self._ctx)
+        # Standard rule: iBGP-learned routes are not re-advertised into
+        # iBGP by an ordinary speaker.  This is the hidden-routes hazard.
+        return None
+
+    def _ibgp_payload(self, source: Route | None) -> tuple[Route | None, str | None, bool]:
+        """The wire form of :meth:`_ibgp_source`'s route.
 
         Returns ``(payload, source_peer, from_client)``; ``source_peer``
         drives split horizon and ``from_client`` reflection gating (always
         True for ordinary speakers, which advertise to every iBGP peer).
         """
-        if best is None:
-            return None, None, True
-        candidate: Route | None
-        if best.ebgp or best.learned_from is None:
-            candidate = best
-        elif self.enable_best_external:
-            candidate = best_external(candidates, ctx)
-        else:
-            # Standard rule: iBGP-learned routes are not re-advertised into
-            # iBGP by an ordinary speaker.  This is the hidden-routes hazard.
-            candidate = None
-        if candidate is None:
+        if source is None:
             return None, None, True
         # Border routers apply next-hop-self toward iBGP.
-        payload = replace(
-            candidate,
-            next_hop=self.router_id,
-            learned_from=None,
-            ebgp=False,
-        )
-        return payload, candidate.learned_from, True
+        return source.sent(self.router_id), source.learned_from, True
 
     def _ibgp_desired(
         self,

@@ -48,6 +48,7 @@ CI_GATES: dict[str, tuple[Gate, ...]] = {
         Gate("+scales.small.geo_lp.speedup", rtol=0.5),
         # Seed-deterministic convergence work: exact int compare.
         Gate("scales.small.engine.messages_delivered"),
+        Gate("scales.small.engine.decisions"),
     ),
     "workload": (
         Gate("scales.small.engine.onward_cache_hit_rate", rtol=0.10),

@@ -1,5 +1,7 @@
 """Unit tests for BGP path attributes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bgp.attributes import NO_EXPORT, AsPath, Origin, Route
@@ -63,6 +65,44 @@ class TestRoute:
         route = self.make().with_communities(NO_EXPORT, "rel:peer")
         assert NO_EXPORT in route.communities
         assert "rel:peer" in route.communities
+
+    def test_with_communities_already_present_is_no_copy(self):
+        # The eBGP re-import case: the relationship tag is already there.
+        tagged = self.make().with_communities("rel:peer")
+        assert tagged.with_communities("rel:peer") is tagged
+        assert tagged.with_communities() is tagged
+        assert tagged.with_communities("rel:peer", NO_EXPORT) is not tagged
+
+    def test_positional_copies_equal_dataclasses_replace(self):
+        # Every field set to a non-default, pairwise distinct value, so a
+        # transposed positional argument cannot go unnoticed.
+        route = Route(
+            prefix=Prefix.parse("198.51.100.0/24"),
+            as_path=AsPath((7, 8)),
+            next_hop="nh",
+            origin=Origin.EGP,
+            med=5,
+            local_pref=250,
+            communities=frozenset({"c"}),
+            originator_id="orig",
+            cluster_list=("k1",),
+            learned_from="peer",
+            ebgp=True,
+        )
+        assert route.with_local_pref(9) == replace(route, local_pref=9)
+        assert route.with_communities("d") == replace(
+            route, communities=frozenset({"c", "d"})
+        )
+        assert route.received("p2", False) == replace(
+            route, learned_from="p2", ebgp=False
+        )
+        assert route.reflected("other", "k2") == replace(
+            route, cluster_list=("k2", "k1")
+        )
+        assert route.sent() == replace(route, learned_from=None, ebgp=False)
+        assert route.sent("me", AsPath((1, 7, 8))) == replace(
+            route, next_hop="me", as_path=AsPath((1, 7, 8)), learned_from=None, ebgp=False
+        )
 
     def test_received_stamps_metadata(self):
         route = self.make().received(learned_from="peerX", ebgp=True)

@@ -111,6 +111,20 @@ class TestEngine:
         assert engine.delivered >= 1
 
 
+    def test_inject_accepts_any_iterable_of_messages(self):
+        engine, a, b = build_pair()
+        engine.inject(ext_update() for _ in range(2))
+        engine.inject((ext_update(),))
+        assert len(engine.queue) == 3
+
+    @pytest.mark.parametrize("bad", ["not a message", 42, None])
+    def test_inject_rejects_non_messages(self, bad):
+        engine, a, b = build_pair()
+        with pytest.raises(TypeError):
+            engine.inject(bad)
+        assert not engine.queue  # a str is not char-split into the queue
+
+
 class TestDiagnostics:
     def test_budget_error_carries_queue_snapshot(self):
         engine, a, b = build_pair()

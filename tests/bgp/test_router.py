@@ -1,5 +1,7 @@
 """Unit tests for the BGP speaker."""
 
+import pickle
+
 import pytest
 
 from repro.bgp.attributes import NO_EXPORT, AsPath, Route
@@ -181,9 +183,11 @@ class TestAdvertise:
 
 
 class TestBestExternal:
-    def _setup(self, enable: bool) -> tuple[BgpRouter, list]:
+    def _setup(self, enable: bool, second_upstream=False) -> tuple[BgpRouter, list]:
         router = make_router(enable_best_external=enable)
         wire(router, "ext1", SessionType.EBGP)
+        if second_upstream:
+            wire(router, "ext2", SessionType.EBGP, peer_asn=300)
         wire(router, "rr", SessionType.IBGP, peer_asn=LOCAL_ASN)
         router.process(ext_update("r1"))
         # A reflected route with much higher preference displaces the
@@ -218,6 +222,15 @@ class TestBestExternal:
         assert sent.as_path.asns == (100, 9)
 
 
+    def test_better_external_is_advertised_while_best_stays_put(self):
+        # Best unchanged (the reflected route), iBGP source changed: the
+        # unchanged-outcome skip must compare both.
+        router, _ = self._setup(enable=True, second_upstream=True)
+        out = router.process(ext_update("r1", sender="ext2", asns=(300,)))
+        assert not router.best(PFX).ebgp
+        assert [m.route.as_path.asns for m in out if m.receiver == "rr"] == [(300,)]
+
+
 class TestOrigination:
     def test_originate_and_withdraw(self):
         router = make_router()
@@ -228,3 +241,47 @@ class TestOrigination:
         out = router.withdraw_origination(PFX)
         assert any(isinstance(m, Withdraw) for m in out)
         assert router.best(PFX) is None
+
+
+class TestUnchangedOutcomeSkip:
+    """A message that leaves (best, iBGP source) unchanged sends nothing,
+    and the entry points that re-synchronise Adj-RIB-Out still do."""
+
+    def _router(self) -> BgpRouter:
+        router = make_router()
+        wire(router, "ext1", SessionType.EBGP, peer_asn=100)
+        wire(router, "ext2", SessionType.EBGP, peer_asn=200)
+        wire(router, "rr", SessionType.IBGP, peer_asn=LOCAL_ASN)
+        assert router.process(ext_update("r1", sender="ext1", asns=(100, 9)))
+        return router
+
+    def test_losing_route_triggers_no_messages(self):
+        router = self._router()
+        before = router.adj_rib_out.routes_from("rr")
+        assert router.process(ext_update("r1", sender="ext2", asns=(200, 7, 9))) == []
+        assert router.best(PFX).learned_from == "ext1"
+        assert router.adj_rib_out.routes_from("rr") == before
+
+    def test_new_session_is_served_by_the_next_decision(self):
+        router = self._router()
+        wire(router, "rr2", SessionType.IBGP, peer_asn=LOCAL_ASN)
+        out = router.process(ext_update("r1", sender="ext2", asns=(200, 7, 9)))
+        assert [m.receiver for m in out] == ["rr2"]
+
+    def test_refresh_resynchronises_after_adj_rib_out_loss(self):
+        router = self._router()
+        router.adj_rib_out.drop_peer("rr")
+        assert [m.receiver for m in router.refresh_advertisements()] == ["rr"]
+        assert router.refresh_advertisements() == []
+
+
+class TestPickle:
+    def test_default_router_round_trips(self):
+        router = make_router()
+        wire(router, "ext1", SessionType.EBGP, peer_asn=100)
+        router.process(ext_update("r1"))
+        clone = pickle.loads(pickle.dumps(router))
+        assert clone.best(PFX) == router.best(PFX)
+        assert clone.process(ext_update("r1", asns=(100, 8, 9))) == router.process(
+            ext_update("r1", asns=(100, 8, 9))
+        )

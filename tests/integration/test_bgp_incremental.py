@@ -1,0 +1,111 @@
+"""The incremental control plane ≡ full recomputation, message for message.
+
+``BgpRouter._decide`` skips the advertisement diff when a message leaves
+``(best, iBGP source)`` unchanged, and ``best_route`` selects by one
+lexicographic key.  Neither may change a single message: the tests below
+hold the resulting state against a full recomputation
+(``refresh_advertisements``) and against the staged reference run with
+the skip disabled.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.bgp import decision
+from repro.bgp import router as router_module
+from repro.bgp.engine import BgpEngine
+from repro.bgp.router import BgpRouter
+from repro.experiments.common import build_world
+from repro.faults import (
+    FaultInjector,
+    LinkDown,
+    LinkUp,
+    PopDown,
+    PopUp,
+    SessionDown,
+    SessionUp,
+)
+
+SEED = 7
+
+
+def adj_rib_out(router: BgpRouter) -> dict:
+    return {peer: router.adj_rib_out.routes_from(peer) for peer in router.sessions}
+
+
+def control_plane_state(engine: BgpEngine) -> dict:
+    """Every router's Loc-RIB, Adj-RIB-In and Adj-RIB-Out."""
+    return {
+        router_id: (
+            dict(router.loc_rib.items()),
+            {peer: router.adj_rib_in.routes_from(peer) for peer in router.sessions},
+            adj_rib_out(router),
+        )
+        for router_id, router in engine.routers.items()
+    }
+
+
+def assert_refresh_is_a_no_op(engine: BgpEngine, when: str) -> None:
+    assert engine.converged
+    for router in engine.routers.values():
+        before = adj_rib_out(router)
+        assert router.refresh_advertisements() == [], (when, router)
+        assert adj_rib_out(router) == before, (when, router)
+
+
+def test_skip_is_sound_across_a_fault_timeline():
+    """Incremental state ≡ full recomputation, at rest and after every event."""
+    world = build_world("small", seed=SEED)
+    service = world.service
+    engine = service.network.engine
+    assert_refresh_is_a_no_op(engine, "converged")
+
+    upstream = service.deployment.upstreams[0]
+    timeline = (
+        LinkDown(time_s=10.0, a="LON", b="ASH"),
+        LinkUp(time_s=20.0, a="LON", b="ASH"),
+        PopDown(time_s=30.0, pop="SIN"),  # the cut-vertex: strands next hops
+        PopUp(time_s=40.0, pop="SIN"),
+        PopDown(time_s=50.0, pop="LON"),
+        PopUp(time_s=60.0, pop="LON"),
+        SessionDown(time_s=70.0, asn=upstream),
+        SessionUp(time_s=80.0, asn=upstream),
+    )
+    pristine = control_plane_state(engine)
+    injector = FaultInjector(service)
+    for event in timeline:
+        injector.apply(event)
+        assert_refresh_is_a_no_op(engine, event.describe())
+    assert control_plane_state(engine) == pristine
+
+
+def build_with_reference_decisions(scale: str, monkeypatch: pytest.MonkeyPatch):
+    """A world converged by the staged process with the skip disabled."""
+
+    def staged_best_route(routes, ctx=None):
+        ordered = decision.decision_order(routes, ctx or decision.DecisionContext())
+        return ordered[0] if ordered else None
+
+    full_decide = BgpRouter._decide
+
+    def decide_without_skip(self, prefix):
+        self._advertised.pop(prefix, None)
+        return full_decide(self, prefix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decision, "best_route", staged_best_route)
+        patch.setattr(router_module, "best_route", staged_best_route)
+        patch.setattr(BgpRouter, "_decide", decide_without_skip)
+        return build_world(scale, seed=SEED)
+
+
+@pytest.mark.parametrize(
+    "scale", ["small", pytest.param("medium", marks=pytest.mark.slow)]
+)
+def test_convergence_is_message_identical_to_the_staged_reference(scale, monkeypatch):
+    reference = build_with_reference_decisions(scale, monkeypatch).service.network.engine
+    engine = build_world(scale, seed=SEED).service.network.engine
+    assert engine.delivered == reference.delivered
+    assert engine.external_outbox == reference.external_outbox
+    assert control_plane_state(engine) == control_plane_state(reference)

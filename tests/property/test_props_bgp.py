@@ -1,10 +1,13 @@
 """Property-based tests for the BGP decision process."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bgp import decision
 from repro.bgp.attributes import AsPath, Origin, Route
-from repro.bgp.decision import DecisionContext, best_route, decision_order
+from repro.bgp.decision import DecisionContext, best_external, best_route, decision_order
 from repro.net.addressing import Prefix
 
 PFX = Prefix.parse("203.0.113.0/24")
@@ -68,3 +71,92 @@ class TestDecisionProperties:
                 continue
             remaining = candidates[:i] + candidates[i + 1 :]
             assert best_route(remaining, CTX) == best
+
+
+# --------------------------------------------------------------------- #
+# differential oracle: keyed one-pass selection ≡ the staged process
+# --------------------------------------------------------------------- #
+
+INF = float("inf")
+
+#: IGP views with no / some / all next hops unreachable, and with ties.
+IGP_VIEWS = (
+    {"n1": 1.0, "n2": 5.0, "n3": 9.0},
+    {"n1": 2.0, "n2": 2.0, "n3": INF},
+    {"n1": INF, "n2": 3.0, "n3": INF},
+    {"n1": INF, "n2": INF, "n3": INF},
+)
+
+
+@st.composite
+def tie_prone_routes(draw, meds):
+    """Routes over small attribute domains, so every stage gets to break ties.
+
+    Covers what :func:`routes` never produces: reflection attributes,
+    locally originated routes (``learned_from=None``) and — through the
+    IGP views above — unreachable next hops.
+    """
+    as_path = AsPath(tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))))
+    return Route(
+        prefix=PFX,
+        as_path=as_path,
+        next_hop=draw(st.sampled_from(["n1", "n2", "n3"])),
+        origin=draw(st.sampled_from(list(Origin))),
+        med=draw(meds),
+        local_pref=draw(st.sampled_from([100, 200])),
+        originator_id=draw(st.sampled_from([None, "o1", "o2"])),
+        cluster_list=draw(st.sampled_from([(), ("c1",), ("c2", "c1")])),
+        learned_from=draw(st.sampled_from([None, "p1", "p2", "p3"])),
+        ebgp=draw(st.booleans()),
+    )
+
+
+#: Equal MEDs (one drawn value for the whole list) or mixed ones, within
+#: and across neighbour ASes (the AS-path heads above collide often).
+candidate_lists = st.one_of(
+    st.integers(0, 2).flatmap(
+        lambda med: st.lists(tie_prone_routes(st.just(med)), min_size=1, max_size=7)
+    ),
+    st.lists(tie_prone_routes(st.sampled_from([0, 10])), min_size=1, max_size=7),
+)
+
+contexts = st.builds(
+    lambda view, always: DecisionContext(
+        igp_metric=view.__getitem__, always_compare_med=always
+    ),
+    st.sampled_from(IGP_VIEWS),
+    st.booleans(),
+)
+
+
+def test_keyed_selection_is_the_head_of_the_staged_order(monkeypatch):
+    """``best_route`` / ``best_external`` pick exactly the staged winner.
+
+    ``decision_order`` is the reference; ``best_route`` may only call it
+    for the non-transitive per-neighbour-AS MED stage.  Both ways through
+    ``best_route`` must be exercised, which the counter checks.
+    """
+    reference = decision_order
+    staged_calls = []
+
+    def counting(routes, ctx):
+        staged_calls.append(len(routes))
+        return reference(routes, ctx)
+
+    monkeypatch.setattr(decision, "decision_order", counting)
+    taken = Counter()
+
+    @given(candidate_lists, contexts)
+    @settings(max_examples=600, deadline=None)
+    def check(candidates, ctx):
+        before = len(staged_calls)
+        assert best_route(candidates, ctx) is reference(candidates, ctx)[0]
+        taken["staged" if len(staged_calls) > before else "keyed"] += 1
+        externals = [r for r in candidates if r.ebgp]
+        expected = reference(externals, ctx)[0] if externals else None
+        assert best_external(candidates, ctx) is expected
+        if ctx.always_compare_med:
+            assert len(staged_calls) == before  # MED is a global minimum
+
+    check()
+    assert taken["staged"] > 20 and taken["keyed"] > 20, taken
