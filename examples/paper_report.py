@@ -3,9 +3,8 @@
 
 The full reproduction harness, end to end: builds the world(s), runs all
 ten figure experiments (Figs. 3-7, 9-12, Table 1) plus the sharded
-population campaign and the failover suite, and prints each one's rows.
-Experiments ported to the uniform API are driven through
-``repro.experiments.run(world, RunConfig.of(...)).render()``.  This is
+population campaign and the failover suite, and prints each one's rows
+(every module: ``run(world, ...)`` then ``render``).  This is
 the same code the benchmarks time — here it runs at a smaller scale by
 default so the whole report takes a few minutes.
 
@@ -19,11 +18,13 @@ import sys
 import time
 
 from repro.experiments import (
-    RunConfig,
     build_world,
+    campaign,
+    failover,
     fig3_precision,
     fig4_egress,
     fig5_neighbors,
+    fig6_delay,
     fig7_incoming,
     fig9_video_loss,
     fig10_loss_nature,
@@ -31,7 +32,6 @@ from repro.experiments import (
     fig12_diurnal,
     table1_astype,
 )
-from repro.experiments import run as run_experiment
 from repro.experiments.lastmile import run_lastmile_campaign
 
 
@@ -68,10 +68,8 @@ def main() -> None:
     banner("Section 4.2.2 — Fig 5: transit vs peer routes")
     print(fig5_neighbors.render(fig5_neighbors.run(world)))
 
-    # Experiments ported to the uniform API run through one entry point:
-    # run_experiment(world, RunConfig.of(name, ...)).render().
     banner("Section 4.3 — Fig 6: delay difference VNS vs upstreams")
-    print(run_experiment(world, RunConfig.of("fig6")).render())
+    print(fig6_delay.run(world).render())
 
     banner("Section 4.4 — Fig 7: incoming anycast traffic")
     print(fig7_incoming.render(fig7_incoming.run(world, requests=2000)))
@@ -98,14 +96,10 @@ def main() -> None:
     print(fig12_diurnal.render(fig12_diurnal.run(world, data=data)))
 
     banner("Section 5 at scale — population campaign (sharded, 2 workers)")
-    print(
-        run_experiment(
-            world, RunConfig.of("campaign", n_users=120, seed=7, workers=2)
-        ).render()
-    )
+    print(campaign.run(world, n_users=120, seed=7, workers=2).render())
 
     banner("Beyond the paper — failover under injected faults")
-    print(run_experiment(world, RunConfig.of("failover")).render())
+    print(failover.run(world).render())
 
     print()
     print(f"Full report regenerated in {time.time() - t0:.0f}s.")

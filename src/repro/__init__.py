@@ -22,8 +22,9 @@ Subpackages
 ``repro.igp``
     Intra-AS link-state shortest-path routing (feeds BGP hot-potato).
 ``repro.dataplane``
-    Delay, loss (Bernoulli / Gilbert-Elliott / congestion-coupled), diurnal
-    utilisation profiles, and packet- and slot-level transmission simulators.
+    Delay from geography, the calibrated per-segment loss regimes (spread /
+    short-burst / long-burst / episodic access), diurnal utilisation
+    profiles, and the scalar and columnar transmission simulators.
 ``repro.media``
     HD video codec model, RTP streams, SIP clients and echo servers, TURN
     relays, and the instrumented measurement client from Sec. 5.1.

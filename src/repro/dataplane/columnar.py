@@ -530,7 +530,7 @@ def _access_rates(
     run_params: list[SegmentLossParams],
     run_lens: np.ndarray,
 ) -> np.ndarray:
-    """Episodic access loss — mirrors ``PathSegment._access_rates``."""
+    """Episodic access loss — mirrors ``link._access_rates``."""
     occurrence = _repeat([p.occurrence for p in run_params], run_lens)[:, None]
     mean_rate = _repeat([p.mean_rate for p in run_params], run_lens)[:, None]
     episodes = _draw_slots(keys, layer, _P_ACCESS_EPISODE, n_slots) < occurrence
@@ -552,7 +552,7 @@ def _transit_rates(
     run_params: list[SegmentLossParams],
     run_lens: np.ndarray,
 ) -> np.ndarray:
-    """Floor + spread + bursts — mirrors ``PathSegment._transit_rates``.
+    """Floor + spread + bursts — mirrors ``link._transit_rates``.
 
     Burst exposure matches the scalar default observation window of
     ``5.0 * n_slots`` seconds (the samplers' calibration window, not the
@@ -614,7 +614,7 @@ def _vns_rates(
     run_params: list[SegmentLossParams],
     run_lens: np.ndarray,
 ) -> np.ndarray:
-    """Dedicated-L2 spread loss — mirrors ``PathSegment._vns_rates``."""
+    """Dedicated-L2 spread loss — mirrors ``link._vns_rates``."""
     rates = np.zeros((keys.size, n_slots))
     spread_prob = _repeat([p.spread_prob for p in run_params], run_lens)
     hit = _draw(keys, layer, _P_VNS_OCC) < spread_prob

@@ -13,7 +13,7 @@ weights from :mod:`repro.dataplane.calibration`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -124,6 +124,60 @@ class SegmentLossParams(NamedTuple):
     uniform_hi: float = 0.0
 
 
+def _access_rates(
+    params: SegmentLossParams, n_slots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Episodic access loss.
+
+    Each slot/round is in a congestion episode with a (diurnal)
+    probability; in-episode rates are scaled so the long-run mean
+    matches the calibrated base.  Outside episodes the link is clean
+    — which is what keeps the Fig. 12 lossy-round counts swinging
+    with local hours instead of saturating.
+    """
+    episodes = rng.random(n_slots) < params.occurrence
+    sigma = cal.ACCESS_EPISODE_SIGMA
+    draws = rng.lognormal(-0.5 * sigma * sigma, sigma, size=n_slots)
+    return np.where(episodes, np.clip(params.mean_rate * draws, 0.0, 0.5), 0.0)
+
+
+def _transit_rates(
+    params: SegmentLossParams,
+    n_slots: int,
+    rng: np.random.Generator,
+    duration_s: float,
+) -> np.ndarray:
+    """Floor + long-haul spread + short/long bursts on a transit trunk."""
+    rates = np.full(n_slots, cal.TRANSIT_FLOOR_RATE)
+    if params.long_haul and rng.random() < params.spread_prob:
+        rate = float(
+            rng.lognormal(cal.TRANSIT_SPREAD_LOG_MEAN, cal.TRANSIT_SPREAD_LOG_SIGMA)
+        )
+        rates += min(rate * params.rate_mult, 0.05)
+    # Burst events arrive in time: calibrated per 120 s of exposure.
+    burst_scale = params.burst_scale_120s * (duration_s / 120.0)
+    if rng.random() < cal.TRANSIT_SHORT_BURST_PROB * burst_scale:
+        lo, hi = cal.TRANSIT_SHORT_BURST_RATE
+        burst_rate = float(rng.uniform(lo, hi))
+        n_burst = int(rng.integers(1, 3))
+        slots = rng.choice(n_slots, size=min(n_burst, n_slots), replace=False)
+        rates[slots] += burst_rate
+    if rng.random() < cal.TRANSIT_LONG_BURST_PROB * burst_scale:
+        lo, hi = cal.TRANSIT_LONG_BURST_RATE
+        rates += float(rng.uniform(lo, hi))
+    return np.clip(rates, 0.0, 0.95)
+
+
+def _vns_rates(
+    params: SegmentLossParams, n_slots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Dedicated-L2 loss: an occasional flat spread component."""
+    rates = np.zeros(n_slots)
+    if rng.random() < params.spread_prob:
+        rates += float(rng.uniform(params.uniform_lo, params.uniform_hi))
+    return rates
+
+
 class _SegmentStatic(NamedTuple):
     """Hour-independent loss-model constants of one segment.
 
@@ -203,11 +257,12 @@ class PathSegment:
     #: plus three enum members, all Python-level) dominated those lookups.
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
-    # Unannotated on purpose: a plain class attribute, not a field.  A
+    # Unannotated on purpose: plain class attributes, not fields.  A
     # healthy segment has no impairment; :class:`DegradedSegment`'s
-    # ``extra_loss`` field shadows this, so ``self.extra_loss`` reads
-    # without the exception-driven ``getattr(..., 0.0)`` dance.
+    # fields shadow these, so ``self.extra_loss`` reads without the
+    # exception-driven ``getattr(..., 0.0)`` dance.
     extra_loss = 0.0
+    extra_delay_ms = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -271,25 +326,26 @@ class PathSegment:
             duration_s = 5.0 * n_slots
         if duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {duration_s!r}")
+        # The un-memoised derivation: probe experiments present ~10⁶
+        # distinct (segment, hour) pairs, which must not grow the memo.
+        params = self._derive_loss_params(hour_cet)
         if self.kind is SegmentKind.ACCESS:
-            return self._access_rates(n_slots, hour_cet, rng)
+            return _access_rates(params, n_slots, rng)
         if self.kind is SegmentKind.TRANSIT:
-            return self._transit_rates(n_slots, hour_cet, rng, duration_s)
+            return _transit_rates(params, n_slots, rng, duration_s)
         if self.kind is SegmentKind.VNS_L2:
-            return self._vns_rates(n_slots, rng)
+            return _vns_rates(params, n_slots, rng)
         return np.zeros(n_slots)  # PEERING hand-offs are loss-free
 
-    @lru_cache(maxsize=None)
-    def loss_params(self, hour_cet: float) -> SegmentLossParams:
+    def _derive_loss_params(self, hour_cet: float) -> SegmentLossParams:
         """The loss-distribution parameters this segment samples from.
 
-        One call per (segment, hour) replaces the per-draw geography /
-        diurnal lookups; the returned struct is what the columnar kernel
-        (:mod:`repro.dataplane.columnar`) vectorises over.  Kept in
-        lock-step with :meth:`sample_slot_rates` by sharing the memoised
-        statics and diurnal factors — the distribution-identity tests pin
-        the equivalence.  Memoised by value: paths do not share segment
-        objects, but thousands of paths cross value-equal segments.
+        The one parameterisation of the loss model: the scalar samplers
+        (:meth:`sample_slot_rates`, the distribution oracle) call this
+        directly, the columnar kernel (:mod:`repro.dataplane.columnar`)
+        through the memoised :meth:`loss_params`.  Geography and AS-class
+        constants come from the memoised :func:`_segment_static`, so one
+        call is a couple of diurnal-factor lookups and scalar arithmetic.
         """
         extra = self.extra_loss
         static = _segment_static(self)
@@ -337,43 +393,10 @@ class PathSegment:
             )
         return SegmentLossParams(kind=self.kind, long_haul=long_haul, extra_loss=extra)
 
-    def _access_params(self, hour_cet: float) -> tuple[float, float]:
-        """(episode occurrence probability, in-episode mean rate)."""
-        static = _segment_static(self)
-        as_type = self.as_type or ASType.EC
-        weight = cal.ACCESS_DIURNAL_WEIGHT[as_type]
-        diurnal = _access_diurnal(static.end_region, as_type, hour_cet)
-        factor = (1.0 - weight) + weight * diurnal
-        occurrence = min(0.9, cal.ACCESS_OCCURRENCE[as_type] * factor)
-        mean_rate = static.access_base * factor / max(occurrence, 1e-9)
-        return occurrence, mean_rate
-
-    def _access_rates(
-        self, n_slots: int, hour_cet: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Episodic access loss.
-
-        Each slot/round is in a congestion episode with a (diurnal)
-        probability; in-episode rates are scaled so the long-run mean
-        matches the calibrated base.  Outside episodes the link is clean
-        — which is what keeps the Fig. 12 lossy-round counts swinging
-        with local hours instead of saturating.
-        """
-        occurrence, mean_rate = self._access_params(hour_cet)
-        episodes = rng.random(n_slots) < occurrence
-        sigma = cal.ACCESS_EPISODE_SIGMA
-        draws = rng.lognormal(-0.5 * sigma * sigma, sigma, size=n_slots)
-        return np.where(episodes, np.clip(mean_rate * draws, 0.0, 0.5), 0.0)
-
-    def _congestion(self, hour_cet: float) -> float:
-        """Mean regional congestion across the segment's endpoints.
-
-        The static mean and the diurnal anchor (the more congested end)
-        come from :func:`_segment_static`; only the diurnal factor varies
-        with the hour.
-        """
-        static = _segment_static(self)
-        return static.congestion_static * _transit_diurnal(static.anchor, hour_cet)
+    #: :meth:`_derive_loss_params` memoised by value — paths do not share
+    #: segment objects, but thousands of campaign paths cross value-equal
+    #: segments at a handful of whole-hour bins.
+    loss_params = lru_cache(maxsize=None)(_derive_loss_params)
 
     def _corridor(self) -> tuple[float, float]:
         """(spread probability, rate multiplier) of this segment's corridor.
@@ -399,57 +422,6 @@ class PathSegment:
             if na_point.lon < cal.WEST_COAST_LON_THRESHOLD:
                 prob *= cal.WEST_COAST_DISCOUNT
         return prob, rate_mult
-
-    def _spread_probability(self, hour_cet: float) -> float:
-        """Per-stream probability of an always-on random-loss component."""
-        static = _segment_static(self)
-        diurnal = _transit_diurnal(static.anchor, hour_cet)
-        return min(0.95, static.corridor_prob * diurnal)
-
-    def _rate_multiplier(self) -> float:
-        """Distance, corridor, and trunk-owner scaling of spread rates."""
-        return _segment_static(self).rate_mult
-
-    def _transit_rates(
-        self,
-        n_slots: int,
-        hour_cet: float,
-        rng: np.random.Generator,
-        duration_s: float,
-    ) -> np.ndarray:
-        rates = np.full(n_slots, cal.TRANSIT_FLOOR_RATE)
-        congestion = self._congestion(hour_cet)
-        if self.is_long_haul and rng.random() < self._spread_probability(hour_cet):
-            rate = float(
-                rng.lognormal(cal.TRANSIT_SPREAD_LOG_MEAN, cal.TRANSIT_SPREAD_LOG_SIGMA)
-            )
-            rates += min(rate * self._rate_multiplier(), 0.05)
-        # Burst events arrive in time: calibrated per 120 s of exposure.
-        exposure = duration_s / 120.0
-        burst_scale = congestion if self.is_long_haul else 0.3 * congestion
-        burst_scale *= exposure
-        if rng.random() < cal.TRANSIT_SHORT_BURST_PROB * burst_scale:
-            lo, hi = cal.TRANSIT_SHORT_BURST_RATE
-            burst_rate = float(rng.uniform(lo, hi))
-            n_burst = int(rng.integers(1, 3))
-            slots = rng.choice(n_slots, size=min(n_burst, n_slots), replace=False)
-            rates[slots] += burst_rate
-        if rng.random() < cal.TRANSIT_LONG_BURST_PROB * burst_scale:
-            lo, hi = cal.TRANSIT_LONG_BURST_RATE
-            rates += float(rng.uniform(lo, hi))
-        return np.clip(rates, 0.0, 0.95)
-
-    def _vns_rates(self, n_slots: int, rng: np.random.Generator) -> np.ndarray:
-        rates = np.zeros(n_slots)
-        if self.is_long_haul:
-            spread_prob = cal.VNS_L2_LONG_SPREAD_PROB
-            lo, hi = cal.VNS_L2_LONG_RATE
-        else:
-            spread_prob = cal.VNS_L2_INTRA_SPREAD_PROB
-            lo, hi = cal.VNS_L2_INTRA_RATE
-        if rng.random() < spread_prob:
-            rates += float(rng.uniform(lo, hi))
-        return rates
 
     def __str__(self) -> str:
         suffix = f" [{self.label}]" if self.label else ""
@@ -498,7 +470,11 @@ class DegradedSegment(PathSegment):
 def degrade_segment(
     segment: PathSegment, *, extra_loss: float = 0.0, extra_delay_ms: float = 0.0
 ) -> DegradedSegment:
-    """A copy of ``segment`` with an impairment stacked on top."""
+    """A copy of ``segment`` with an impairment stacked on top.
+
+    The one stacking rule: impairments already on ``segment`` are kept —
+    delays add, losses add up to the simulator's 0.95 ceiling.
+    """
     return DegradedSegment(
         kind=segment.kind,
         start=segment.start,
@@ -506,8 +482,8 @@ def degrade_segment(
         as_type=segment.as_type,
         owner_type=segment.owner_type,
         label=segment.label,
-        extra_loss=extra_loss,
-        extra_delay_ms=extra_delay_ms,
+        extra_loss=min(segment.extra_loss + extra_loss, 0.95),
+        extra_delay_ms=segment.extra_delay_ms + extra_delay_ms,
     )
 
 
@@ -532,16 +508,11 @@ def satellite_segment(
     The terrestrial access segment keeps its endpoints and stochastic
     loss model (the gateway still reaches the PoP over ground
     infrastructure) and gains the satellite hop's constant one-way delay
-    plus the traffic shaper's constant loss.  Stacks on an already
-    degraded segment by summing the impairments.
+    plus the traffic shaper's constant loss, stacked per
+    :func:`degrade_segment`.
     """
-    return DegradedSegment(
-        kind=segment.kind,
-        start=segment.start,
-        end=segment.end,
-        as_type=segment.as_type,
-        owner_type=segment.owner_type,
-        label=f"{segment.label}+geo-sat" if segment.label else "geo-sat",
-        extra_loss=min(segment.extra_loss + shaping_loss, 0.95),
-        extra_delay_ms=getattr(segment, "extra_delay_ms", 0.0) + one_way_delay_ms,
+    degraded = degrade_segment(
+        segment, extra_loss=shaping_loss, extra_delay_ms=one_way_delay_ms
     )
+    label = f"{segment.label}+geo-sat" if segment.label else "geo-sat"
+    return replace(degraded, label=label)

@@ -310,24 +310,3 @@ def simulate_probe_round(
     received = packets - lost
     rtts = (base_rtt + rng.exponential(0.6, size=received)).tolist() if received else []
     return PingResult(sent=packets, lost=lost, rtts_ms=rtts)
-
-
-def simulate_stream_columns(specs, **kwargs):
-    """Campaign-level columnar stream simulation.
-
-    Takes a list of :class:`~repro.dataplane.columnar.StreamColumnSpec`
-    (one per ``(group, transport)``) and simulates *every* stream of
-    *every* spec in a handful of wide numpy passes, returning one
-    ``list[StreamResult]`` per spec.  Each stream is distributed exactly
-    as a :func:`simulate_stream` call over the same path — the oracle
-    the columnar distribution-identity tests compare against — and every
-    draw is counter-keyed by ``(spec digest, salt, stream, purpose,
-    slot)``, so results are independent of chunking and spec order.
-
-    Thin facade over :func:`repro.dataplane.columnar.simulate_stream_columns`
-    (imported lazily — the kernel pulls in scipy-backed inverse-CDF
-    samplers that plain stream simulation does not need).
-    """
-    from repro.dataplane import columnar
-
-    return columnar.simulate_stream_columns(specs, **kwargs)

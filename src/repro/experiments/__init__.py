@@ -6,11 +6,11 @@ holding exactly the series the corresponding figure plots, plus a
 builds the shared simulation world at ``small`` (tests), ``medium``
 (benchmarks) or ``large`` scale.
 
-Ported modules also participate in the uniform experiment API: build a
-:class:`~repro.experiments.common.RunConfig`, call
-:func:`~repro.experiments.common.run`, and ``render()`` the returned
-:class:`~repro.experiments.common.ExperimentResult` — one shape for every
-driver.
+Call a module's ``run(world, ...)`` directly.  The campaign-style results
+(campaign, steering, scenario, failover, fig6) also implement
+:class:`~repro.experiments.common.ExperimentResult` — ``render()`` /
+``to_row()`` / ``to_json()``, the shape
+:func:`repro.results.record_experiment` ingests.
 
 Experiment index (see DESIGN.md for the full mapping):
 
@@ -32,21 +32,15 @@ steering  Hybrid VNS/Internet steering policies (beyond the paper)
 """
 
 from repro.experiments.common import (
-    EXPERIMENT_MODULES,
     ExperimentResult,
-    RunConfig,
     World,
     WorldScale,
     build_world,
-    run,
 )
 
 __all__ = [
-    "EXPERIMENT_MODULES",
     "ExperimentResult",
-    "RunConfig",
     "World",
     "WorldScale",
     "build_world",
-    "run",
 ]

@@ -8,9 +8,7 @@ per-corridor QoE table — delay/loss percentiles, lossy-slot fractions
 (Fig. 9's threshold accounting) and VNS-vs-Internet win rates
 (Figs. 6/7's dominance view).
 
-Part of the uniform experiment API: ``run`` is reachable through
-:func:`repro.experiments.common.run` as ``RunConfig.of("campaign", ...)``
-and the returned :class:`~repro.workload.engine.CampaignRun` implements
+The returned :class:`~repro.workload.engine.CampaignRun` implements
 :class:`~repro.experiments.common.ExperimentResult`.  ``workers`` only
 picks where the runner's shards execute (this process, or the world's
 persistent pool); the report is byte-identical either way.
@@ -21,12 +19,37 @@ from __future__ import annotations
 from repro.experiments.common import World
 from repro.workload import (
     CallArrivalProcess,
+    CallSpec,
     CampaignConfig,
     CampaignRun,
     ShardedCampaignRunner,
     ShardPlan,
     UserPopulation,
 )
+
+
+def seeded_calls(
+    world: World,
+    n_users: int,
+    calls_per_user_day: float,
+    days: int,
+    multiparty_fraction: float,
+    seed: int,
+) -> tuple[list[CallSpec], CampaignConfig]:
+    """One integer → the whole campaign: its call list and engine config.
+
+    The population is sampled with ``seed``, the arrivals drawn with
+    ``seed + 1`` and the engine's simulation draws keyed by ``seed + 2``
+    — the derivation every seeded campaign experiment shares.
+    """
+    population = UserPopulation.sample(world.topology, n_users, seed=seed)
+    arrivals = CallArrivalProcess(
+        population,
+        calls_per_user_day=calls_per_user_day,
+        multiparty_fraction=multiparty_fraction,
+        seed=seed + 1,
+    )
+    return arrivals.generate(days=days), CampaignConfig(seed=seed + 2)
 
 
 def run(
@@ -43,7 +66,7 @@ def run(
     """Run one seeded campaign over ``world``.
 
     The population, arrival and engine seeds are derived from ``seed``
-    with fixed offsets, so one integer reproduces the whole campaign.
+    (:func:`seeded_calls`), so one integer reproduces the whole campaign.
     With one worker the runner executes in this process (one shard
     unless ``shard_plan`` cuts more); ``workers > 1`` (or a
     ``shard_plan`` sized for more) runs the same calls on ``world``'s
@@ -51,15 +74,9 @@ def run(
     byte-identical report, and repeated invocations over one world
     reuse the already-spawned, already-warm workers.
     """
-    population = UserPopulation.sample(world.topology, n_users, seed=seed)
-    arrivals = CallArrivalProcess(
-        population,
-        calls_per_user_day=calls_per_user_day,
-        multiparty_fraction=multiparty_fraction,
-        seed=seed + 1,
+    calls, config = seeded_calls(
+        world, n_users, calls_per_user_day, days, multiparty_fraction, seed
     )
-    calls = arrivals.generate(days=days)
-    config = CampaignConfig(seed=seed + 2)
     if shard_plan is None:
         shard_plan = ShardPlan(n_workers=workers)
     pool = None

@@ -10,7 +10,6 @@ scale and reports the same shapes.
 from __future__ import annotations
 
 import enum
-import importlib
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -108,8 +107,8 @@ class World:
         The pool ships a frozen snapshot of ``service`` to each worker
         once and keeps workers (and their warm path caches) alive across
         every sharded campaign run over this world — the reuse that
-        makes repeated ``run(world, RunConfig.of("campaign", ...))``
-        invocations pay spawn and world-shipping cost only once.
+        makes repeated ``campaign.run(world, workers=N)`` invocations
+        pay spawn and world-shipping cost only once.
         Requesting a different worker count replaces the cached pool.
         """
         from repro.workload.sharded import CampaignWorkerPool
@@ -175,7 +174,7 @@ def experiment_rng(world: World, salt: int) -> np.random.Generator:
 
 
 # --------------------------------------------------------------------- #
-# the uniform experiment API
+# the shape every experiment result shares
 # --------------------------------------------------------------------- #
 
 
@@ -208,62 +207,3 @@ class ExperimentResult(Protocol):
     def to_json(self, indent: int | None = 2) -> str:
         """Canonical JSON (sorted keys): the archivable payload."""
         ...
-
-
-#: Experiment names accepted by :func:`run` — short name → module.
-EXPERIMENT_MODULES: dict[str, str] = {
-    "campaign": "repro.experiments.campaign",
-    "failover": "repro.experiments.failover",
-    "fig6": "repro.experiments.fig6_delay",
-    "fig6_delay": "repro.experiments.fig6_delay",
-    "scenario": "repro.experiments.scenario",
-    "steering": "repro.experiments.steering",
-}
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """A uniform, hashable experiment invocation.
-
-    ``experiment`` picks the module (a key of :data:`EXPERIMENT_MODULES`);
-    ``options`` carries that experiment's keyword arguments as a sorted
-    tuple of pairs so configs stay frozen and comparable.  Build one with
-    :meth:`of` rather than spelling the tuple out.
-    """
-
-    experiment: str
-    options: tuple[tuple[str, object], ...] = ()
-
-    @classmethod
-    def of(cls, experiment: str, **options: object) -> "RunConfig":
-        return cls(experiment=experiment, options=tuple(sorted(options.items())))
-
-    def kwargs(self) -> dict[str, object]:
-        return dict(self.options)
-
-    def replace(self, **options: object) -> "RunConfig":
-        """A copy with ``options`` overriding/extending the current ones."""
-        merged = self.kwargs() | options
-        return RunConfig.of(self.experiment, **merged)
-
-
-def run(world: World, config: RunConfig) -> ExperimentResult:
-    """Run the experiment ``config`` names over ``world``.
-
-    The single entry point drivers use: ``run(world, RunConfig.of(
-    "campaign", n_users=120)).render()``.  Experiments not yet ported to
-    the uniform API are simply absent from :data:`EXPERIMENT_MODULES`
-    (call their module's ``run`` directly).
-    """
-    module_name = EXPERIMENT_MODULES.get(config.experiment)
-    if module_name is None:
-        known = ", ".join(sorted(set(EXPERIMENT_MODULES)))
-        raise KeyError(f"unknown experiment {config.experiment!r} (known: {known})")
-    module = importlib.import_module(module_name)
-    result = module.run(world, **config.kwargs())
-    if not isinstance(result, ExperimentResult):  # pragma: no cover - port bug
-        raise TypeError(
-            f"{module_name}.run returned {type(result).__name__}, "
-            "which does not implement ExperimentResult.render()"
-        )
-    return result

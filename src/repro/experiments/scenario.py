@@ -1,10 +1,10 @@
 """Scenario experiment: run one declarative scenario over a world.
 
-The uniform-API bridge into :mod:`repro.scenarios`: pick a canned
+The experiment-shaped bridge into :mod:`repro.scenarios`: pick a canned
 scenario by registry name or hand in a spec's JSON, and run it on an
 already-built world —
 
-    run(world, RunConfig.of("scenario", name="geo_satellite")).render()
+    scenario.run(world, name="geo_satellite").render()
 
 The spec's world *recipe* (seed, GeoIP errors) is ignored in favour of
 the world actually passed in; its world *restrictions* (PoPs down,

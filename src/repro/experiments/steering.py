@@ -9,8 +9,6 @@ stream draws (the steered stream reuses the baseline batches, see
 :mod:`repro.workload.engine`) — so the offload-rate, backbone-byte and
 QoE-delta columns differ only by policy.
 
-Part of the uniform experiment API: reachable through
-:func:`repro.experiments.common.run` as ``RunConfig.of("steering", ...)``.
 With ``workers > 1`` every policy's campaign runs on the world's one
 persistent worker pool; reports stay byte-identical to ``workers=1``.
 """
@@ -20,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.experiments.campaign import seeded_calls
 from repro.experiments.common import World
 from repro.steering import (
     PathHealthTable,
@@ -30,13 +29,11 @@ from repro.steering import (
 )
 from repro.workload import (
     REGION_CODE,
-    CallArrivalProcess,
     CallSpec,
     CampaignConfig,
     CampaignRun,
     ShardedCampaignRunner,
     ShardPlan,
-    UserPopulation,
 )
 
 #: The comparison's default policy line-up.
@@ -148,9 +145,9 @@ def run(
 ) -> SteeringComparison:
     """Compare steering policies over one seeded campaign.
 
-    Seed derivation follows :mod:`repro.experiments.campaign` (population
-    ``seed``, arrivals ``seed + 1``, engine ``seed + 2``) with the probe
-    telemetry on ``seed + 3``, so one integer reproduces everything.
+    Seeds derive as in :func:`repro.experiments.campaign.seeded_calls`
+    (population ``seed``, arrivals ``seed + 1``, engine ``seed + 2``) with
+    the probe telemetry on ``seed + 3``, so one integer reproduces everything.
     ``budget_fraction`` sets the ``cost_budgeted`` backbone budget as a
     fraction of the campaign's projected backbone bytes.
 
@@ -163,15 +160,9 @@ def run(
         raise ValueError(
             f"budget_fraction must be in [0, 1], got {budget_fraction!r}"
         )
-    population = UserPopulation.sample(world.topology, n_users, seed=seed)
-    arrivals = CallArrivalProcess(
-        population,
-        calls_per_user_day=calls_per_user_day,
-        multiparty_fraction=multiparty_fraction,
-        seed=seed + 1,
+    calls, config = seeded_calls(
+        world, n_users, calls_per_user_day, days, multiparty_fraction, seed
     )
-    calls = arrivals.generate(days=days)
-    config = CampaignConfig(seed=seed + 2)
 
     health = SteeringTelemetry(world.service, seed=seed + 3).collect(
         days=telemetry_days,

@@ -16,10 +16,11 @@ runs on one world deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.bgp.attributes import Route
 from repro.bgp.messages import IgpNotification
-from repro.dataplane.link import SegmentKind, degrade_segment
+from repro.dataplane.link import PathSegment, SegmentKind, degrade_segment
 from repro.dataplane.path import DataPath
 from repro.faults.events import (
     FaultEvent,
@@ -46,6 +47,54 @@ class _PopSnapshot:
     originated: dict[str, dict[Prefix, Route]] = field(default_factory=dict)
 
 
+def impaired_segment(
+    segment: PathSegment, degradations: Iterable[TransitDegrade]
+) -> PathSegment:
+    """``segment`` under every degradation whose corridor it crosses.
+
+    The one corridor-impairment rule, for the injector's live state and
+    for :class:`~repro.scenarios.loader.ScenarioPathModel` alike: a
+    TRANSIT segment whose endpoint regions equal a degradation's
+    ``regions`` *as a set* takes its extra loss/delay, stacked on
+    whatever impairment the segment already carries.  Everything else —
+    VNS's own circuits included — is returned as is (same object).
+    """
+    if segment.kind is not SegmentKind.TRANSIT:
+        return segment
+    corridor = {segment.start_region.value, segment.end_region.value}
+    extra_loss = 0.0
+    extra_delay = 0.0
+    for degradation in degradations:
+        if corridor == set(degradation.regions):
+            extra_loss += degradation.extra_loss
+            extra_delay += degradation.extra_delay_ms
+    if not (extra_loss or extra_delay):
+        return segment
+    return degrade_segment(segment, extra_loss=extra_loss, extra_delay_ms=extra_delay)
+
+
+def _target(event: FaultEvent) -> object:
+    """What a control-plane event acts on.
+
+    A fault and its repair share a target; no two event kinds share a
+    target type, so equal targets mean "the repair of that fault".
+    """
+    if isinstance(event, (LinkDown, LinkUp)):
+        return frozenset((event.a, event.b))  # circuits are unordered
+    if isinstance(event, (PopDown, PopUp)):
+        return event.pop
+    return (event.asn, event.router_id)
+
+
+def _repair(fault: FaultEvent, time_s: float) -> FaultEvent:
+    """The event that exactly undoes control-plane ``fault``."""
+    if isinstance(fault, LinkDown):
+        return LinkUp(time_s=time_s, a=fault.a, b=fault.b)
+    if isinstance(fault, PopDown):
+        return PopUp(time_s=time_s, pop=fault.pop)
+    return SessionUp(time_s=time_s, asn=fault.asn, router_id=fault.router_id)
+
+
 class FaultInjector:
     """Applies :mod:`repro.faults.events` to a :class:`VideoNetworkService`.
 
@@ -61,6 +110,9 @@ class FaultInjector:
         self.service = service
         self.clock = SimulatedClock()
         self.event_log: list[str] = []
+        #: Control-plane faults still in effect, in application order.
+        self.active: list[FaultEvent] = []
+        #: Transit degradations still in effect (data plane only).
         self.degradations: list[TransitDegrade] = []
         self._session_snapshots: dict[tuple[str, str], dict[Prefix, Route]] = {}
         self._pop_snapshots: dict[str, _PopSnapshot] = {}
@@ -100,11 +152,21 @@ class FaultInjector:
         elif isinstance(event, TransitDegrade):
             self.degradations.append(event)
         elif isinstance(event, TransitRestore):
+            corridor = set(event.regions)
             self.degradations = [
-                d for d in self.degradations if d.regions != event.regions
+                d for d in self.degradations if set(d.regions) != corridor
             ]
         else:
             raise TypeError(f"unknown fault event {event!r}")
+        if isinstance(event, (LinkDown, PopDown, SessionDown)):
+            self.active.append(event)
+        elif isinstance(event, (LinkUp, PopUp, SessionUp)):
+            # A repair ends the most recent fault on the same target.
+            target = _target(event)
+            for index in reversed(range(len(self.active))):
+                if _target(self.active[index]) == target:
+                    del self.active[index]
+                    break
 
     def converge(self, max_messages: int = 10_000_000) -> int:
         """Run BGP to convergence; return messages delivered.
@@ -122,6 +184,20 @@ class FaultInjector:
         self.perturb(event)
         return self.converge()
 
+    def restore(self) -> int:
+        """Undo everything still in effect; return messages delivered.
+
+        Replays the exact repair of each active control-plane fault,
+        newest first, on this injector (PoP restarts need its snapshots)
+        and clears the transit degradations — the service is left in its
+        pre-fault routing state.
+        """
+        delivered = 0
+        while self.active:
+            delivered += self.apply(_repair(self.active[-1], self.clock.now_s))
+        self.degradations = []
+        return delivered
+
     # ----------------------------------------------------------------- #
     # data-plane impairments
     # ----------------------------------------------------------------- #
@@ -129,33 +205,17 @@ class FaultInjector:
     def impaired_path(self, path: DataPath) -> DataPath:
         """``path`` with all active transit degradations stacked on.
 
-        Transit segments whose endpoint-region pair matches an active
-        degradation get the extra loss/delay; other segments (and VNS's
-        own circuits) pass through untouched.
+        See :func:`impaired_segment`; an unimpaired path comes back as is.
         """
         if not self.degradations:
             return path
-        segments = []
-        for segment in path.segments:
-            extra_loss = 0.0
-            extra_delay = 0.0
-            if segment.kind is SegmentKind.TRANSIT:
-                corridor = {segment.start_region.value, segment.end_region.value}
-                for d in self.degradations:
-                    if corridor == set(d.regions):
-                        extra_loss += d.extra_loss
-                        extra_delay += d.extra_delay_ms
-            if extra_loss or extra_delay:
-                segments.append(
-                    degrade_segment(
-                        segment,
-                        extra_loss=min(extra_loss, 0.95),
-                        extra_delay_ms=extra_delay,
-                    )
-                )
-            else:
-                segments.append(segment)
-        return DataPath(segments=segments, description=path.description)
+        return DataPath(
+            segments=[
+                impaired_segment(segment, self.degradations)
+                for segment in path.segments
+            ],
+            description=path.description,
+        )
 
     # ----------------------------------------------------------------- #
     # internals

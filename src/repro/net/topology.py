@@ -11,7 +11,7 @@ derived from ground truth).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,49 @@ from repro.net.radix import RadixTree
 from repro.net.relationships import ASGraph
 
 
+#: (min, max) prefixes originated per AS, by type.
+PREFIXES_PER_AS: dict[ASType, tuple[int, int]] = {
+    ASType.LTP: (6, 14),
+    ASType.STP: (3, 8),
+    ASType.CAHP: (2, 6),
+    ASType.EC: (1, 2),
+}
+
+#: (min, max) providers per AS, by type (LTPs form a clique instead).
+PROVIDERS_PER_AS: dict[ASType, tuple[int, int]] = {
+    ASType.STP: (2, 4),
+    ASType.CAHP: (2, 3),
+    ASType.EC: (1, 3),
+}
+
+#: (min, max) presence points per AS, by type.
+PRESENCE_PER_AS: dict[ASType, tuple[int, int]] = {
+    ASType.LTP: (8, 14),
+    ASType.STP: (2, 5),
+    ASType.CAHP: (1, 3),
+    ASType.EC: (1, 1),
+}
+
+#: Probability that two same-region transit/CAHP ASes present at a common
+#: IXP establish peering.
+REGIONAL_PEERING_PROB = 0.12
+
+#: Fraction of STPs with one extra remote (trans-regional) presence point,
+#: modelling e.g. Asian providers hauling their own traffic to US west
+#: coast exchanges (Sec. 4.1 & 5.2.2).
+STP_REMOTE_PRESENCE_PROB = 0.25
+
+#: Mean jitter applied to prefix locations around their anchor city (km).
+PREFIX_JITTER_MEAN_KM = 40.0
+
+#: First /16 block index used by the address allocator (1 => 0.1.0.0/16
+#: is skipped; we start at 16 to stay clear of special-use space).
+FIRST_BLOCK = 16 * 256  # 16.0.0.0
+
+
 @dataclass(slots=True)
 class TopologyConfig:
-    """Knobs for :func:`generate_topology`.
+    """How many ASes of each type :func:`generate_topology` creates.
 
     The defaults produce a "medium" Internet (a few hundred ASes) suitable
     for benchmarks; tests shrink the counts.
@@ -38,44 +78,6 @@ class TopologyConfig:
     n_stp: int = 60
     n_cahp: int = 120
     n_ec: int = 160
-    #: (min, max) prefixes originated per AS, by type.
-    prefixes_per_as: dict[ASType, tuple[int, int]] = field(
-        default_factory=lambda: {
-            ASType.LTP: (6, 14),
-            ASType.STP: (3, 8),
-            ASType.CAHP: (2, 6),
-            ASType.EC: (1, 2),
-        }
-    )
-    #: (min, max) providers per AS, by type (LTPs form a clique instead).
-    providers_per_as: dict[ASType, tuple[int, int]] = field(
-        default_factory=lambda: {
-            ASType.STP: (2, 4),
-            ASType.CAHP: (2, 3),
-            ASType.EC: (1, 3),
-        }
-    )
-    #: Presence-point counts per type.
-    presence_per_as: dict[ASType, tuple[int, int]] = field(
-        default_factory=lambda: {
-            ASType.LTP: (8, 14),
-            ASType.STP: (2, 5),
-            ASType.CAHP: (1, 3),
-            ASType.EC: (1, 1),
-        }
-    )
-    #: Probability that two same-region transit/CAHP ASes present at a common
-    #: IXP establish peering.
-    regional_peering_prob: float = 0.12
-    #: Fraction of STPs with one extra remote (trans-regional) presence point,
-    #: modelling e.g. Asian providers hauling their own traffic to US west
-    #: coast exchanges (Sec. 4.1 & 5.2.2).
-    stp_remote_presence_prob: float = 0.25
-    #: Mean jitter applied to prefix locations around their anchor city (km).
-    prefix_jitter_mean_km: float = 40.0
-    #: First /16 block index used by the address allocator (1 => 0.1.0.0/16
-    #: is skipped; we start at 16 to stay clear of special-use space).
-    first_block: int = 16 * 256  # 16.0.0.0
 
     def total_ases(self) -> int:
         """Total number of ASes the config will generate."""
@@ -85,9 +87,9 @@ class TopologyConfig:
 class PrefixAllocator:
     """Sequentially carves /20 prefixes out of the unicast space."""
 
-    def __init__(self, first_block: int = 16 * 256) -> None:
+    def __init__(self) -> None:
         # Each block is a /20: 4096 of them per /8.
-        self._next = first_block << 4
+        self._next = FIRST_BLOCK << 4
 
     def allocate(self, length: int = 20) -> Prefix:
         """Allocate the next free prefix of the given length (>= /20)."""
@@ -248,7 +250,7 @@ def generate_topology(
 
     graph = ASGraph()
     ases: dict[int, AutonomousSystem] = {}
-    allocator = PrefixAllocator(config.first_block)
+    allocator = PrefixAllocator()
     origin_of: dict[Prefix, int] = {}
     prefix_location: dict[Prefix, GeoPoint] = {}
     prefix_country: dict[Prefix, str] = {}
@@ -259,7 +261,7 @@ def generate_topology(
         nonlocal next_asn
         asn = next_asn
         next_asn += 1
-        count = _sample_count(config.presence_per_as[as_type], rng)
+        count = _sample_count(PRESENCE_PER_AS[as_type], rng)
         presence = _presence_points(home, count, rng, presence_pool)
         system = AutonomousSystem(
             asn=asn,
@@ -270,11 +272,11 @@ def generate_topology(
         )
         ases[asn] = system
         graph.add_as(asn)
-        n_prefixes = _sample_count(config.prefixes_per_as[as_type], rng)
+        n_prefixes = _sample_count(PREFIXES_PER_AS[as_type], rng)
         for _ in range(n_prefixes):
             prefix = allocator.allocate()
             anchor_point = presence[int(rng.integers(0, len(presence)))]
-            distance = float(rng.exponential(config.prefix_jitter_mean_km))
+            distance = float(rng.exponential(PREFIX_JITTER_MEAN_KM))
             bearing = float(rng.uniform(0.0, 360.0))
             location = destination_point(anchor_point.location, bearing, distance)
             system.prefixes.append(prefix)
@@ -307,12 +309,12 @@ def generate_topology(
     for index in range(config.n_stp):
         home = home_for(index)
         pool = list(by_region[home.region])
-        if rng.random() < config.stp_remote_presence_prob:
+        if rng.random() < STP_REMOTE_PRESENCE_PROB:
             remote_pool = [c for c in all_cities if c.region is not home.region]
             pool = pool + _weighted_city_choice(remote_pool, rng, size=1)
         system = make_as(ASType.STP, home, pool)
         stps.append(system)
-        n_providers = _sample_count(config.providers_per_as[ASType.STP], rng)
+        n_providers = _sample_count(PROVIDERS_PER_AS[ASType.STP], rng)
         for provider in rng.choice(len(ltps), size=min(n_providers, len(ltps)), replace=False):
             graph.add_provider_customer(ltps[int(provider)].asn, system.asn)
 
@@ -324,7 +326,7 @@ def generate_topology(
         cahps.append(system)
         candidates = [s for s in stps if s.home.city.region is home.region] or stps
         providers: list[int] = []
-        n_providers = _sample_count(config.providers_per_as[ASType.CAHP], rng)
+        n_providers = _sample_count(PROVIDERS_PER_AS[ASType.CAHP], rng)
         # First provider preferentially a regional STP; the rest regional
         # STPs or global Tier-1s (edge networks do not buy transit from
         # small providers on other continents).
@@ -343,7 +345,7 @@ def generate_topology(
         home = home_for(index)
         system = make_as(ASType.EC, home, [home])
         candidates = [s for s in stps if s.home.city.region is home.region] or stps
-        n_providers = _sample_count(config.providers_per_as[ASType.EC], rng)
+        n_providers = _sample_count(PROVIDERS_PER_AS[ASType.EC], rng)
         providers = set()
         for _attempt in range(8 * n_providers):
             if len(providers) >= n_providers:
@@ -382,7 +384,7 @@ def generate_topology(
                 continue
             if b.asn in graph.neighbors(a.asn):
                 continue
-            if rng.random() < config.regional_peering_prob:
+            if rng.random() < REGIONAL_PEERING_PROB:
                 graph.add_peering(a.asn, b.asn)
 
     # ---- FIB and validation ----------------------------------------------

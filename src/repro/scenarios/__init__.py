@@ -27,7 +27,6 @@ from repro.scenarios.golden import (
 from repro.scenarios.loader import (
     OVERLOAD_DELAY_MS_PER_UNIT,
     OVERLOAD_LOSS_PER_UNIT,
-    AppliedFaults,
     LoadedScenario,
     ScenarioPathModel,
     apply_scenario_faults,
@@ -64,7 +63,6 @@ __all__ = [
     "SCENARIOS",
     "STEERING_POLICIES",
     "WORLD_SCALES",
-    "AppliedFaults",
     "GoldenStore",
     "LoadedScenario",
     "MatrixCell",

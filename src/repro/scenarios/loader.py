@@ -10,11 +10,12 @@ and distils the scenario's data-plane conditions into a
 simulate time.
 
 **World hygiene.**  Control-plane faults mutate the shared service, so
-:class:`LoadedScenario` records the exact inverse sequence and
-``restore()`` replays it (PoP restarts reuse the injector's snapshots),
-leaving the world byte-for-byte as found.  Loading never leaks a
-half-faulted world: if anything after fault application fails, the
-faults are rolled back before the exception propagates.
+:class:`LoadedScenario` keeps the :class:`FaultInjector` that applied
+them and ``restore()`` has it replay the exact repairs (PoP restarts
+reuse its snapshots), leaving the world byte-for-byte as found.
+Loading never leaks a half-faulted world: if anything after fault
+application fails, the faults are rolled back before the exception
+propagates.
 
 **Cache purity.**  All scenario impairments (GEO-satellite last mile,
 active transit degradations, PoP congestion) live in the path model and
@@ -26,25 +27,15 @@ function of the path value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.dataplane.link import SegmentKind, degrade_segment, satellite_segment
 from repro.dataplane.path import DataPath
 from repro.experiments.common import World, build_world
-from repro.faults.events import (
-    FaultEvent,
-    LinkDown,
-    LinkUp,
-    PopDown,
-    PopUp,
-    SessionDown,
-    SessionUp,
-    TransitDegrade,
-    TransitRestore,
-)
-from repro.faults.injector import FaultInjector
+from repro.faults.events import FaultEvent, PopDown, TransitDegrade
+from repro.faults.injector import FaultInjector, impaired_segment
 from repro.scenarios.spec import CAPACITY_WILDCARD, ScenarioSpec, WorldSpec
 from repro.workload.arrivals import CallArrivalProcess, CallSpec, flash_crowd_calls
 from repro.workload.engine import CampaignConfig, CampaignRun
@@ -98,9 +89,9 @@ class ScenarioPathModel:
         * GEO-satellite last mile: the first ACCESS segment — the
           caller's access leg on every transport — is re-homed onto the
           satellite service.
-        * Transit degradations: TRANSIT segments whose endpoint-region
-          pair matches an active degradation corridor take its extra
-          loss/delay (same matching as ``FaultInjector.impaired_path``).
+        * Transit degradations: every segment goes through
+          :func:`~repro.faults.injector.impaired_segment`, the rule
+          ``FaultInjector.impaired_path`` applies.
         * PoP congestion: transports entering an overloaded PoP
           (``"vns"`` and ``"detour"``; ``"internet"`` bypasses VNS) get
           queueing delay and shaper loss on their first segment.
@@ -119,35 +110,18 @@ class ScenarioPathModel:
                     break
         if self.degradations:
             for index, segment in enumerate(segments):
-                if segment.kind is not SegmentKind.TRANSIT:
-                    continue
-                corridor = {segment.start_region.value, segment.end_region.value}
-                extra_loss = 0.0
-                extra_delay = 0.0
-                for degradation in self.degradations:
-                    if corridor == set(degradation.regions):
-                        extra_loss += degradation.extra_loss
-                        extra_delay += degradation.extra_delay_ms
-                if extra_loss or extra_delay:
-                    segments[index] = degrade_segment(
-                        segment,
-                        extra_loss=min(segment.extra_loss + extra_loss, 0.95),
-                        extra_delay_ms=getattr(segment, "extra_delay_ms", 0.0)
-                        + extra_delay,
-                    )
+                impaired = impaired_segment(segment, self.degradations)
+                if impaired is not segment:
+                    segments[index] = impaired
                     changed = True
         if transport in ("vns", "detour") and self.pop_overload:
             overload = dict(self.pop_overload).get(entry_pop)
             if overload:
                 units = min(overload, OVERLOAD_UNIT_CLAMP)
-                segment = segments[0]
                 segments[0] = degrade_segment(
-                    segment,
-                    extra_loss=min(
-                        segment.extra_loss + units * OVERLOAD_LOSS_PER_UNIT, 0.95
-                    ),
-                    extra_delay_ms=getattr(segment, "extra_delay_ms", 0.0)
-                    + units * OVERLOAD_DELAY_MS_PER_UNIT,
+                    segments[0],
+                    extra_loss=units * OVERLOAD_LOSS_PER_UNIT,
+                    extra_delay_ms=units * OVERLOAD_DELAY_MS_PER_UNIT,
                 )
                 changed = True
         if not changed:
@@ -174,94 +148,31 @@ class ScenarioPathModel:
 # --------------------------------------------------------------------- #
 
 
-def _inverse(event: FaultEvent, time_s: float) -> FaultEvent:
-    if isinstance(event, LinkDown):
-        return LinkUp(time_s=time_s, a=event.a, b=event.b)
-    if isinstance(event, PopDown):
-        return PopUp(time_s=time_s, pop=event.pop)
-    if isinstance(event, SessionDown):
-        return SessionUp(time_s=time_s, asn=event.asn, router_id=event.router_id)
-    raise TypeError(f"no inverse for {event!r}")  # pragma: no cover - guarded
-
-
-def _matches(down: FaultEvent, up: FaultEvent) -> bool:
-    if isinstance(down, LinkDown) and isinstance(up, LinkUp):
-        return frozenset((down.a, down.b)) == frozenset((up.a, up.b))
-    if isinstance(down, PopDown) and isinstance(up, PopUp):
-        return down.pop == up.pop
-    if isinstance(down, SessionDown) and isinstance(up, SessionUp):
-        return (down.asn, down.router_id) == (up.asn, up.router_id)
-    return False
-
-
-@dataclass(slots=True)
-class AppliedFaults:
-    """What a scenario did to the world, and how to undo it.
-
-    ``restore()`` replays exact inverses of the still-active control-
-    plane events in reverse application order on the *same* injector
-    (PoP restarts need its snapshots), leaving the service as found.
-    """
-
-    injector: FaultInjector
-    #: Control-plane down events still active when loading finished.
-    active: list[FaultEvent] = field(default_factory=list)
-    #: Transit degradations still active (for the path model).
-    degradations: tuple[TransitDegrade, ...] = ()
-    _restored: bool = False
-
-    def restore(self) -> None:
-        if self._restored:
-            return
-        self._restored = True
-        now = self.injector.clock.now_s
-        for event in reversed(self.active):
-            self.injector.apply(_inverse(event, now))
-
-
-def apply_scenario_faults(service, spec: ScenarioSpec) -> AppliedFaults:
+def apply_scenario_faults(service, spec: ScenarioSpec) -> FaultInjector:
     """Replay ``spec``'s world restrictions and fault timeline.
 
     ``WorldSpec.pops_down`` become :class:`PopDown` events at t=0 (real
     anycast re-catchment), then the spec's timeline runs in time order
-    through :class:`FaultInjector.apply`.  Control-plane events leave
-    whatever state the timeline ends in (a ``PopDown`` without a
-    matching ``PopUp`` stays down for the campaign); data-plane
-    ``TransitDegrade`` events are *not* given to the BGP machinery —
-    the still-active set is returned for the path model.
+    through :meth:`FaultInjector.apply`.  The world is left in whatever
+    state the timeline ends in (a ``PopDown`` without a matching
+    ``PopUp`` stays down for the campaign) and the injector that got it
+    there is returned: its ``active`` / ``degradations`` say what is
+    still in effect (the degradations feed the path model) and its
+    ``restore()`` leaves the service as found.  A timeline that fails
+    part-way is rolled back before the exception propagates.
     """
     injector = FaultInjector(service)
-    applied = AppliedFaults(injector=injector)
     events: list[FaultEvent] = [
         PopDown(time_s=0.0, pop=pop) for pop in spec.world.pops_down
     ]
     events.extend(sorted(spec.faults, key=lambda event: event.time_s))
-    degradations: list[TransitDegrade] = []
     try:
         for event in events:
-            if isinstance(event, TransitDegrade):
-                injector.clock.advance_to(event.time_s)
-                degradations.append(event)
-                continue
-            if isinstance(event, TransitRestore):
-                injector.clock.advance_to(event.time_s)
-                degradations = [
-                    d for d in degradations if d.regions != event.regions
-                ]
-                continue
             injector.apply(event)
-            if isinstance(event, (LinkDown, PopDown, SessionDown)):
-                applied.active.append(event)
-            elif isinstance(event, (LinkUp, PopUp, SessionUp)):
-                for index in range(len(applied.active) - 1, -1, -1):
-                    if _matches(applied.active[index], event):
-                        del applied.active[index]
-                        break
     except BaseException:
-        applied.restore()
+        injector.restore()
         raise
-    applied.degradations = tuple(degradations)
-    return applied
+    return injector
 
 
 # --------------------------------------------------------------------- #
@@ -407,7 +318,7 @@ class LoadedScenario:
     config: CampaignConfig
     steering: "SteeringEngine | None"
     path_model: ScenarioPathModel | None
-    applied: AppliedFaults | None
+    applied: FaultInjector | None
 
     def run(
         self,
@@ -495,7 +406,7 @@ def load_scenario(
 def compose_scenario(
     spec: ScenarioSpec,
     world: World,
-    degradations: tuple[TransitDegrade, ...] = (),
+    degradations: Sequence[TransitDegrade] = (),
 ) -> LoadedScenario:
     """The post-fault composition: calls, config, path model, steering.
 
@@ -513,7 +424,7 @@ def compose_scenario(
         calls=calls,
         config=config,
         steering=scenario_steering(spec, world, calls, config),
-        path_model=scenario_path_model(spec, world, calls, degradations),
+        path_model=scenario_path_model(spec, world, calls, tuple(degradations)),
         applied=None,
     )
 

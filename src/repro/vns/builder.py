@@ -19,6 +19,7 @@ from repro.bgp.attributes import AsPath, Origin, Route
 from repro.bgp.messages import Update
 from repro.bgp.propagation import AsLevelRouting
 from repro.geo.geoip import GeoIPDatabase
+from repro.geo.regions import PopRegion
 from repro.net.addressing import Prefix
 from repro.net.asn import ASType, AutonomousSystem, PresencePoint
 from repro.net.relationships import Relationship
@@ -29,25 +30,30 @@ from repro.vns.network import VNS_ASN, VnsNetwork, external_peer_id
 from repro.vns.pop import POPS, PoP
 
 
+#: Transit providers purchased (the paper's network has 7).
+N_UPSTREAMS = 7
+
+#: Of those, the *wholesale national/regional* providers ("multiple Tier-1
+#: or wholesale national providers", Sec. 3.1; also the Sec. 4.4 strategy
+#: of "buying geographically limited transit"): one per PoP region listed,
+#: neediest first (global Tier-1 eyeball coverage is weakest in OC and AP).
+REGIONAL_UPSTREAM_REGIONS = (PopRegion.OC, PopRegion.AP, PopRegion.EU)
+
+#: Every PoP gets transit from at least this many upstreams; providers
+#: without a local footprint deliver the circuit to the PoP (a PNI),
+#: which adds a presence point for them at the PoP city.
+MIN_UPSTREAMS_PER_POP = 2
+
+#: The anycast service prefix users' TURN traffic targets.
+ANYCAST_PREFIX = Prefix.parse("198.51.100.0/24")
+
+
 @dataclass(slots=True)
 class VnsConfig:
     """Deployment knobs."""
 
-    #: Number of transit providers purchased (the paper's network has 7).
-    n_upstreams: int = 7
-    #: Of those, how many are *wholesale national/regional* providers
-    #: ("multiple Tier-1 or wholesale national providers", Sec. 3.1; also
-    #: the Sec. 4.4 strategy of "buying geographically limited transit").
-    #: One is bought per region in ``regional_upstream_regions`` order.
-    n_regional_upstreams: int = 3
-    #: Which PoP regions get a regional wholesale upstream, neediest first
-    #: (global Tier-1 eyeball coverage is weakest in OC and AP).
-    regional_upstream_regions: tuple[str, ...] = ("OC", "AP", "EU")
     #: Cap on settlement-free peers (paper: 13+ appear in Fig. 5's top-20).
     max_peers: int = 40
-    #: Reproduce the London wart: the *main* upstream at LON is the Tier-1
-    #: with the weakest European footprint (Sec. 5.2.2's anomaly).
-    london_us_upstream: bool = True
     #: Build geo reflectors ("after"); False gives the hot-potato "before"
     #: network, which also switches iBGP to the classic full mesh unless
     #: ``ibgp_mode`` says otherwise.
@@ -55,20 +61,10 @@ class VnsConfig:
     #: ``"route-reflector"``, ``"full-mesh"``, or ``None`` to derive from
     #: ``geo_routing``.
     ibgp_mode: str | None = None
-    #: Every PoP gets transit from at least this many upstreams; providers
-    #: without a local footprint deliver the circuit to the PoP (a PNI),
-    #: which adds a presence point for them at the PoP city.
-    min_upstreams_per_pop: int = 2
     #: The hidden-routes fix on border routers.
     enable_best_external: bool = True
     #: ``f(d)`` for the geo reflectors.
     lp_function: LocalPrefFunction = linear_lp
-    #: The anycast service prefix users' TURN traffic targets.
-    anycast_prefix: Prefix = field(default_factory=lambda: Prefix.parse("198.51.100.0/24"))
-
-    def __post_init__(self) -> None:
-        if self.n_upstreams < 1:
-            raise ValueError("VNS needs at least one upstream")
 
 
 @dataclass(slots=True)
@@ -117,7 +113,7 @@ def _presence_city_names(system: AutonomousSystem) -> set[str]:
     return {point.city.name for point in system.presence}
 
 
-def _choose_upstreams(topology: InternetTopology, config: VnsConfig) -> list[int]:
+def _choose_upstreams(topology: InternetTopology) -> list[int]:
     """Global Tier-1s plus regional wholesale providers.
 
     The global slots go to the largest LTPs by customer cone; each
@@ -125,24 +121,14 @@ def _choose_upstreams(topology: InternetTopology, config: VnsConfig) -> list[int
     pulls that region's eyeballs into the local PoP (anycast catchment
     engineering, Sec. 4.4).
     """
-    n_regional = min(
-        config.n_regional_upstreams,
-        len(config.regional_upstream_regions),
-        max(0, config.n_upstreams - 1),
-    )
-    n_global = config.n_upstreams - n_regional
+    n_global = N_UPSTREAMS - len(REGIONAL_UPSTREAM_REGIONS)
     ltps = topology.ases_of_type(ASType.LTP)
     ranked = sorted(
         ltps,
         key=lambda system: (-len(topology.graph.customer_cone(system.asn)), system.asn),
     )
     chosen = [system.asn for system in ranked[:n_global]]
-    from repro.geo.regions import PopRegion
-
-    for region_code in config.regional_upstream_regions[:n_regional]:
-        region = PopRegion(
-            {"EU": "EU", "US": "US", "NA": "US", "AP": "AP", "OC": "OC"}[region_code]
-        )
+    for region in REGIONAL_UPSTREAM_REGIONS:
         candidates = [
             system
             for system in topology.ases_of_type(ASType.STP)
@@ -188,30 +174,30 @@ def _choose_peers(
 
 
 def _upstream_sessions(
-    topology: InternetTopology, upstreams: list[int], config: VnsConfig
+    topology: InternetTopology, upstreams: list[int]
 ) -> tuple[list[tuple[int, PoP]], dict[str, int]]:
     """Transit sessions plus each PoP's designated *main* upstream.
 
     Each upstream connects wherever it is co-located with a PoP; every PoP
     is guaranteed at least one upstream.  A PoP's main upstream — the one
     its locally forced-out traffic defaults to — is the highest-ranked
-    co-located provider, except at LON where ``london_us_upstream``
-    designates the Tier-1 with the weakest EU footprint (the paper's
-    "large Tier-1 ISP that is mainly based in the US").
+    co-located provider, except at LON: there it is the Tier-1 with the
+    weakest EU footprint (the paper's "large Tier-1 ISP that is mainly
+    based in the US", the wart behind Sec. 5.2.2's anomaly).
     """
     sessions: list[tuple[int, PoP]] = []
     main_upstream_at: dict[str, int] = {}
     systems = {asn: topology.autonomous_system(asn) for asn in upstreams}
-    us_based = None
-    if config.london_us_upstream:
-        def eu_presence(asn: int) -> int:
-            return sum(
-                1 for point in systems[asn].presence if point.city.region.value == "Europe"
-            )
-        global_upstreams = [
-            asn for asn in upstreams if systems[asn].as_type is ASType.LTP
-        ] or upstreams
-        us_based = min(global_upstreams, key=lambda asn: (eu_presence(asn), asn))
+
+    def eu_presence(asn: int) -> int:
+        return sum(
+            1 for point in systems[asn].presence if point.city.region.value == "Europe"
+        )
+
+    global_upstreams = [
+        asn for asn in upstreams if systems[asn].as_type is ASType.LTP
+    ] or upstreams
+    us_based = min(global_upstreams, key=lambda asn: (eu_presence(asn), asn))
 
     def deliver_locally(asn: int, pop: PoP) -> None:
         """Transit delivered to the PoP: the provider builds a PNI there."""
@@ -238,15 +224,14 @@ def _upstream_sessions(
             if asn not in at_pop:
                 deliver_locally(asn, pop)
                 at_pop.append(asn)
-        if config.london_us_upstream and pop.code == "LON":
-            assert us_based is not None
+        if pop.code == "LON":
             # The main upstream at LON is the US-based Tier-1; it hauls
             # traffic on its own (US-centric) infrastructure, which is the
             # Sec. 5.2.2 anomaly — deliberately no local PNI injected.
             if us_based not in at_pop:
                 at_pop.insert(0, us_based)
             main_upstream_at[pop.code] = us_based
-        while len(at_pop) < config.min_upstreams_per_pop and len(at_pop) < len(upstreams):
+        while len(at_pop) < MIN_UPSTREAMS_PER_POP and len(at_pop) < len(upstreams):
             nearest = min(
                 (asn for asn in upstreams if asn not in at_pop),
                 key=lambda asn: systems[asn]
@@ -343,7 +328,7 @@ def build_vns(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    upstreams = _choose_upstreams(topology, config)
+    upstreams = _choose_upstreams(topology)
     peers = _choose_peers(topology, upstreams, config)
     relationships: dict[int, Relationship] = {
         asn: Relationship.PROVIDER for asn in upstreams
@@ -374,7 +359,7 @@ def build_vns(
     session_map: dict[int, list[str]] = {}
     next_router_index: dict[str, int] = {}
     placed: set[tuple[int, str]] = set()
-    upstream_sessions, main_upstream_at = _upstream_sessions(topology, upstreams, config)
+    upstream_sessions, main_upstream_at = _upstream_sessions(topology, upstreams)
     for asn, pop in upstream_sessions + _peer_sessions(topology, peers):
         if (asn, pop.code) in placed:
             continue
@@ -389,7 +374,7 @@ def build_vns(
     # Originate the anycast service prefix at every PoP.
     for pop in POPS:
         router = network.border_routers[pop.router_ids()[0]]
-        network.engine.inject(router.originate(config.anycast_prefix))
+        network.engine.inject(router.originate(ANYCAST_PREFIX))
 
     _inject_external_routes(topology, routing, network, session_map, rng)
 
@@ -401,6 +386,6 @@ def build_vns(
         peers=peers,
         sessions=session_map,
         main_upstream_at=main_upstream_at,
-        anycast_prefix=config.anycast_prefix,
+        anycast_prefix=ANYCAST_PREFIX,
         messages_delivered=delivered,
     )

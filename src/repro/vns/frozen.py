@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.bgp.attributes import Route
 from repro.net.addressing import Prefix
 from repro.net.relationships import Relationship
-from repro.vns.network import EgressDecision, VnsNetwork, parse_external_peer_id
+from repro.vns.network import EgressDecision, VnsNetwork, resolve_egress
 from repro.vns.pop import POPS
 from repro.vns.service import VideoNetworkService
 
@@ -68,7 +68,7 @@ class FrozenNetwork:
     down_links: frozenset[frozenset[str]] = frozenset()
 
     # ------------------------------------------------------------------ #
-    # read side (mirrors VnsNetwork semantics exactly)
+    # read side (the VnsNetwork surface, answered from the tables)
     # ------------------------------------------------------------------ #
 
     def routers_at_pop(self, pop_code: str) -> list[str]:
@@ -88,41 +88,16 @@ class FrozenNetwork:
             raise ValueError(f"no internal path {src_pop} -> {dst_pop}")
         return list(path)
 
+    def best_route(self, router_id: str, prefix: Prefix) -> Route | None:
+        """``router_id``'s frozen best route (``KeyError``: no such border)."""
+        return self.best_by_router[router_id].get(prefix)
+
     def egress_decision(self, entry_pop: str, prefix: Prefix) -> EgressDecision | None:
-        """Replicates :meth:`VnsNetwork.egress_decision` on frozen tables."""
+        """Where traffic entering at ``entry_pop`` exits for ``prefix``."""
         router_ids = self.routers_at.get(entry_pop)
         if not router_ids:
             raise IndexError(f"no border routers at {entry_pop!r}")
-        entry_router = router_ids[0]
-        best = self.best_by_router[entry_router].get(prefix)
-        if best is None:
-            return None
-        if best.ebgp:
-            egress_router_id = entry_router
-            neighbor_peer = best.learned_from
-        else:
-            egress_router_id = best.next_hop
-            bests = self.best_by_router.get(egress_router_id)
-            if bests is None:
-                return None
-            egress_best = bests.get(prefix)
-            if egress_best is None or not egress_best.ebgp:
-                neighbor_peer = None
-            else:
-                neighbor_peer = egress_best.learned_from
-        if neighbor_peer is not None:
-            neighbor_asn, _ = parse_external_peer_id(neighbor_peer)
-        else:
-            neighbor_asn = best.as_path.first_hop or 0
-        return EgressDecision(
-            prefix=prefix,
-            entry_pop=entry_pop,
-            egress_pop=self.pop_of_router[egress_router_id],
-            egress_router=egress_router_id,
-            neighbor_asn=neighbor_asn,
-            as_path=best.as_path.asns,
-            local_pref=best.local_pref,
-        )
+        return resolve_egress(self, router_ids[0], entry_pop, prefix)
 
     def local_external_route(self, pop_code: str, prefix: Prefix) -> Route | None:
         """The best eBGP-learned route at a PoP (precomputed winner)."""

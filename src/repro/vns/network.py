@@ -101,6 +101,53 @@ def parse_external_peer_id(peer_id: str) -> tuple[int, str]:
     return int(asn_text), router_id
 
 
+def resolve_egress(
+    network: "VnsNetwork | FrozenNetwork",
+    entry_router: str,
+    entry_pop: str,
+    prefix: Prefix,
+) -> EgressDecision | None:
+    """Where traffic entering at ``entry_router`` exits for ``prefix``.
+
+    The one egress rule, over any network that answers ``best_route`` and
+    ``pop_of_router`` — the live control plane and its frozen snapshot
+    alike.  Resolves the entry router's best route: an eBGP-learned best
+    exits locally; an iBGP-learned best names the egress border router as
+    next hop.  Returns ``None`` if no route exists.
+    """
+    best = network.best_route(entry_router, prefix)
+    if best is None:
+        return None
+    if best.ebgp:
+        egress_router = entry_router
+        neighbor_peer = best.learned_from
+    else:
+        egress_router = best.next_hop
+        try:
+            egress_best = network.best_route(egress_router, prefix)
+        except KeyError:
+            return None  # the next hop is not a border router of ours
+        if egress_best is None or not egress_best.ebgp:
+            # The egress no longer prefers an external route; fall back
+            # to whichever external session the reflected route names.
+            neighbor_peer = None
+        else:
+            neighbor_peer = egress_best.learned_from
+    if neighbor_peer is not None:
+        neighbor_asn, _ = parse_external_peer_id(neighbor_peer)
+    else:
+        neighbor_asn = best.as_path.first_hop or 0
+    return EgressDecision(
+        prefix=prefix,
+        entry_pop=entry_pop,
+        egress_pop=network.pop_of_router[egress_router],
+        egress_router=egress_router,
+        neighbor_asn=neighbor_asn,
+        as_path=best.as_path.asns,
+        local_pref=best.local_pref,
+    )
+
+
 class VnsNetwork:
     """The assembled VNS AS.
 
@@ -386,45 +433,20 @@ class VnsNetwork:
             raise ValueError(f"no internal path {src_pop} -> {dst_pop}")
         return path
 
-    def egress_decision(self, entry_pop: str, prefix: Prefix) -> EgressDecision | None:
-        """Where traffic entering at ``entry_pop`` exits for ``prefix``.
+    def best_route(self, router_id: str, prefix: Prefix) -> Route | None:
+        """Border router ``router_id``'s selected route for ``prefix``.
 
-        Resolves the entry router's best route: an eBGP-learned best exits
-        locally; an iBGP-learned best names the egress border router as
-        next hop.  Returns ``None`` if no route exists.
+        Raises
+        ------
+        KeyError
+            If ``router_id`` is not one of this network's border routers.
         """
-        entry_router = self.routers_at_pop(entry_pop)[0]
-        best = entry_router.best(prefix)
-        if best is None:
-            return None
-        if best.ebgp:
-            egress_router_id = entry_router.router_id
-            neighbor_peer = best.learned_from
-        else:
-            egress_router_id = best.next_hop
-            egress_router = self.border_routers.get(egress_router_id)
-            if egress_router is None:
-                return None
-            egress_best = egress_router.best(prefix)
-            if egress_best is None or not egress_best.ebgp:
-                # The egress no longer prefers an external route; fall back
-                # to whichever external session the reflected route names.
-                neighbor_peer = None
-            else:
-                neighbor_peer = egress_best.learned_from
-        if neighbor_peer is not None:
-            neighbor_asn, _ = parse_external_peer_id(neighbor_peer)
-        else:
-            neighbor_asn = best.as_path.first_hop or 0
-        return EgressDecision(
-            prefix=prefix,
-            entry_pop=entry_pop,
-            egress_pop=self.pop_of_router[egress_router_id],
-            egress_router=egress_router_id,
-            neighbor_asn=neighbor_asn,
-            as_path=best.as_path.asns,
-            local_pref=best.local_pref,
-        )
+        return self.border_routers[router_id].best(prefix)
+
+    def egress_decision(self, entry_pop: str, prefix: Prefix) -> EgressDecision | None:
+        """Where traffic entering at ``entry_pop`` exits for ``prefix``."""
+        entry_router = self.routers_at_pop(entry_pop)[0].router_id
+        return resolve_egress(self, entry_router, entry_pop, prefix)
 
     def local_external_route(self, pop_code: str, prefix: Prefix) -> Route | None:
         """The best eBGP-learned route for ``prefix`` at this PoP, if any.

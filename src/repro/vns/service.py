@@ -60,6 +60,38 @@ class CallPaths:
         return self.via_internet
 
 
+def detour_candidates(
+    src_prefix: Prefix,
+    dst_prefix: Prefix,
+    entry_pop: str,
+    inbound: DataPath,
+    exit_leg: DataPath | None,
+    via_vns: DataPath,
+    via_internet: DataPath,
+) -> "tuple[DataPath | None, PathCandidates]":
+    """A call's one-hop PoP detour and the RTTs a steering policy weighs.
+
+    The detour is the caller's last mile (``inbound``) to the anycast
+    entry PoP followed by the forced local exit there (``exit_leg``, from
+    :meth:`VideoNetworkService.path_local_exit`; Sec. 4.1) — zero
+    backbone circuits; ``None`` when the PoP has no external route.  The
+    one composition behind :meth:`VideoNetworkService.call_paths` and
+    the campaign resolver, which pass their own (cached) legs.
+    """
+    from repro.steering.policies import PathCandidates
+
+    via_detour = None
+    if exit_leg is not None:
+        via_detour = inbound.concat(exit_leg)
+        via_detour.description = f"call-detour:{src_prefix}->{dst_prefix}"
+    return via_detour, PathCandidates(
+        vns_rtt_ms=via_vns.rtt_ms(),
+        internet_rtt_ms=via_internet.rtt_ms(),
+        detour_rtt_ms=None if via_detour is None else via_detour.rtt_ms(),
+        detour_pop=None if via_detour is None else entry_pop,
+    )
+
+
 class VideoNetworkService:
     """The assembled service; see :meth:`build` for one-call construction."""
 
@@ -266,8 +298,6 @@ class VideoNetworkService:
         quarters of them) and route them via the upstream's primary
         North-American hub.
         """
-        if not self.deployment.config.london_us_upstream:
-            return None
         if asn != self.deployment.main_upstream_at.get("LON"):
             return None
         if (prefix.network >> 12) % 4 == 0:
@@ -394,6 +424,34 @@ class VideoNetworkService:
         )
         return path
 
+    def path_via_internet(
+        self,
+        src_prefix: Prefix,
+        src_location: GeoPoint,
+        dst_prefix: Prefix,
+        dst_location: GeoPoint,
+    ) -> DataPath | None:
+        """User → native AS path → user, VNS not involved.
+
+        The Internet transport of a call between the two users'
+        networks; ``None`` when no AS path connects them.
+        """
+        dst_origin = self.topology.origin_as(dst_prefix)
+        native = self.routing.path(
+            self.topology.origin_of[src_prefix], dst_origin.asn
+        )
+        if native is None:
+            return None
+        return internet_path(
+            self.topology,
+            native[1:] if len(native) > 1 else native,
+            src_location,
+            dst_location,
+            destination_as_type=dst_origin.as_type,
+            first_segment_kind=SegmentKind.ACCESS,
+            description=f"call-inet:{src_prefix}->{dst_prefix}",
+        )
+
     # ----------------------------------------------------------------- #
     # end-to-end calls
     # ----------------------------------------------------------------- #
@@ -437,40 +495,28 @@ class VideoNetworkService:
         via_vns = inbound.concat(onward)
         via_vns.description = f"call-vns:{src_prefix}->{dst_prefix}"
 
-        dst_origin = self.topology.origin_as(dst_prefix)
-        native_path = self.routing.path(src_origin.asn, dst_origin.asn)
-        if native_path is None:
-            return None
-        via_internet = internet_path(
-            self.topology,
-            native_path[1:] if len(native_path) > 1 else native_path,
-            src_location,
-            dst_location,
-            destination_as_type=dst_origin.as_type,
-            first_segment_kind=SegmentKind.ACCESS,
-            description=f"call-inet:{src_prefix}->{dst_prefix}",
+        via_internet = self.path_via_internet(
+            src_prefix, src_location, dst_prefix, dst_location
         )
+        if via_internet is None:
+            return None
         via_detour = None
         verdict = None
         if steering is not None:
-            from repro.steering.policies import PathCandidates
-
-            exit_leg = self.path_local_exit(
-                entry.code, dst_prefix, destination=dst_location
+            via_detour, candidates = detour_candidates(
+                src_prefix,
+                dst_prefix,
+                entry.code,
+                inbound,
+                self.path_local_exit(entry.code, dst_prefix, destination=dst_location),
+                via_vns,
+                via_internet,
             )
-            if exit_leg is not None:
-                via_detour = inbound.concat(exit_leg)
-                via_detour.description = f"call-detour:{src_prefix}->{dst_prefix}"
             verdict = steering.decide(
                 src_prefix,
                 dst_prefix,
                 t_hours,
-                candidates=PathCandidates(
-                    vns_rtt_ms=via_vns.rtt_ms(),
-                    internet_rtt_ms=via_internet.rtt_ms(),
-                    detour_rtt_ms=None if via_detour is None else via_detour.rtt_ms(),
-                    detour_pop=None if via_detour is None else entry.code,
-                ),
+                candidates=candidates,
                 call_id=call_id,
             )
         return CallPaths(

@@ -32,6 +32,7 @@ from repro.workload.engine import (
     CampaignRun,
     CampaignStats,
     PathModel,
+    PathResolver,
     group_key,
 )
 from repro.workload.population import (
@@ -82,6 +83,7 @@ __all__ = [
     "CampaignWorkerPool",
     "PairAccumulator",
     "PathModel",
+    "PathResolver",
     "PoolStats",
     "ShardCheckpointStore",
     "ShardExecutionError",

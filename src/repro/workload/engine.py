@@ -51,13 +51,12 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro import perf
 from repro.dataplane.columnar import StreamColumnSpec, simulate_stream_columns
-from repro.dataplane.path import DataPath, internet_path
-from repro.dataplane.link import SegmentKind
+from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import StreamResult
 from repro.media.turn import TurnService
 from repro.net.addressing import Prefix
 from repro.vns.network import EgressDecision
-from repro.vns.service import VideoNetworkService
+from repro.vns.service import VideoNetworkService, detour_candidates
 from repro.workload.arrivals import CallSpec
 from repro.workload.report import REGION_CODE, CampaignAggregator, CampaignReport
 
@@ -364,6 +363,196 @@ class _ResolvedPair:
     via_internet: DataPath
 
 
+class PathResolver:
+    """Resolves prefix pairs to call paths over one service, memoised.
+
+    Owns the layered path caches, each keyed at the coarsest granularity
+    that is still exact (see the module docstring).  Cache contents
+    depend only on the service's converged state — never on a campaign's
+    config, seed or steering policy — so one resolver serves every
+    engine run over the *same* service: the engine, each pool worker and
+    the in-process shard runner each hold one, and warm caches change
+    *when* resolution work happens, never what is resolved.
+    """
+
+    def __init__(self, service: VideoNetworkService) -> None:
+        self.service = service
+        self._entry: dict[Prefix, str | None] = {}
+        self._lastmile: dict[tuple[Prefix, str], DataPath] = {}
+        self._onward: dict[tuple[str, Prefix], tuple[DataPath, EgressDecision] | None] = {}
+        self._internet: dict[tuple[Prefix, Prefix], DataPath | None] = {}
+        # Pair cache values carry which per-leg caches the original miss
+        # actually consulted, so cache hits only re-count those legs (an
+        # entry-PoP failure short-circuits before either leg).
+        self._pairs: dict[
+            tuple[Prefix, Prefix], tuple[_ResolvedPair | None, bool, bool]
+        ] = {}
+        # Steering-only caches: the forced local exit at a PoP, the full
+        # per-pair detour path and the per-pair candidate RTTs.
+        self._local_exit: dict[tuple[str, Prefix], DataPath | None] = {}
+        self._detour_paths: dict[tuple[Prefix, Prefix], DataPath | None] = {}
+        self._candidates: dict[tuple[Prefix, Prefix], "PathCandidates"] = {}
+
+    def warm_pairs(self, pairs: "Iterable[tuple[Prefix, Prefix]]") -> int:
+        """Pre-resolve prefix pairs into the path caches.
+
+        The shard warmup hook: workers run this once over a campaign's
+        unique pair manifest before the first shard lands, so the
+        per-shard resolve phase is all cache hits.  Counts nothing into
+        any campaign's :class:`CampaignStats` (a scratch instance absorbs
+        the miss accounting) and therefore cannot perturb reports.
+        Returns the number of pairs that resolved to usable paths.
+        """
+        scratch = CampaignStats()
+        resolved = 0
+        with perf.timer("workload.warmup"):
+            for src_prefix, dst_prefix in pairs:
+                if self.resolve_pair(src_prefix, dst_prefix, scratch) is not None:
+                    resolved += 1
+        return resolved
+
+    def _entry_pop(self, prefix: Prefix) -> str | None:
+        entry = self._entry.get(prefix, _MISS)
+        if entry is not _MISS:
+            return entry
+        asn = self.service.topology.origin_of[prefix]
+        location = self.service.topology.prefix_location[prefix]
+        pop = self.service.anycast.entry_pop(asn, location)
+        code = None if pop is None else pop.code
+        self._entry[prefix] = code
+        return code
+
+    def _onward_leg(
+        self, entry_pop: str, dst_prefix: Prefix, stats: CampaignStats
+    ) -> tuple[DataPath, EgressDecision] | None:
+        key = (entry_pop, dst_prefix)
+        cached = self._onward.get(key, _MISS)
+        if cached is not _MISS:
+            stats.onward_hits += 1
+            return cached
+        stats.onward_misses += 1
+        decision = self.service.egress_decision(entry_pop, dst_prefix)
+        if decision is None:
+            self._onward[key] = None
+            return None
+        path = self.service.path_via_vns(entry_pop, dst_prefix, decision=decision)
+        assert path is not None  # decision already resolved
+        resolved = (path, decision)
+        self._onward[key] = resolved
+        return resolved
+
+    def _lastmile_leg(self, src_prefix: Prefix, entry_pop: str) -> DataPath:
+        key = (src_prefix, entry_pop)
+        path = self._lastmile.get(key)
+        if path is None:
+            location = self.service.topology.prefix_location[src_prefix]
+            path = self.service.last_mile_path(src_prefix, location, entry_pop)
+            self._lastmile[key] = path
+        return path
+
+    def _internet_leg(
+        self, src_prefix: Prefix, dst_prefix: Prefix, stats: CampaignStats
+    ) -> DataPath | None:
+        key = (src_prefix, dst_prefix)
+        cached = self._internet.get(key, _MISS)
+        if cached is not _MISS:
+            stats.internet_hits += 1
+            return cached
+        stats.internet_misses += 1
+        location = self.service.topology.prefix_location
+        path = self.service.path_via_internet(
+            src_prefix, location[src_prefix], dst_prefix, location[dst_prefix]
+        )
+        self._internet[key] = path
+        return path
+
+    def resolve_pair(
+        self, src_prefix: Prefix, dst_prefix: Prefix, stats: CampaignStats | None = None
+    ) -> _ResolvedPair | None:
+        """Both transports for a prefix pair, through every cache layer.
+
+        What :meth:`VideoNetworkService.call_paths` returns for users at
+        the prefixes' true locations, built from the same service-level
+        legs; ``None`` when routing fails either way, as there.
+        """
+        if stats is None:
+            stats = CampaignStats()
+        key = (src_prefix, dst_prefix)
+        cached = self._pairs.get(key, _MISS)
+        if cached is not _MISS:
+            # The pair cache short-circuits the per-leg caches; re-count
+            # exactly the lookups the original miss performed, so hit
+            # rates reflect reuse without inflating legs a failed
+            # resolution never consulted.
+            pair, counted_onward, counted_internet = cached
+            if counted_onward:
+                stats.onward_hits += 1
+            if counted_internet:
+                stats.internet_hits += 1
+            return pair
+        entry = self._entry_pop(src_prefix)
+        if entry is None:
+            self._pairs[key] = (None, False, False)
+            return None
+        onward = self._onward_leg(entry, dst_prefix, stats)
+        if onward is None:
+            self._pairs[key] = (None, True, False)
+            return None
+        onward_path, decision = onward
+        via_internet = self._internet_leg(src_prefix, dst_prefix, stats)
+        if via_internet is None:
+            self._pairs[key] = (None, True, True)
+            return None
+        via_vns = self._lastmile_leg(src_prefix, entry).concat(onward_path)
+        via_vns.description = f"call-vns:{src_prefix}->{dst_prefix}"
+        pair = _ResolvedPair(
+            entry_pop=entry,
+            egress_pop=decision.egress_pop,
+            via_vns=via_vns,
+            via_internet=via_internet,
+        )
+        self._pairs[key] = (pair, True, True)
+        return pair
+
+    def _detour_exit(self, entry_pop: str, dst_prefix: Prefix) -> DataPath | None:
+        key = (entry_pop, dst_prefix)
+        cached = self._local_exit.get(key, _MISS)
+        if cached is not _MISS:
+            return cached
+        path = self.service.path_local_exit(entry_pop, dst_prefix)
+        self._local_exit[key] = path
+        return path
+
+    def candidates_for(
+        self, src_prefix: Prefix, dst_prefix: Prefix, pair: _ResolvedPair
+    ) -> "PathCandidates":
+        """The pair's candidate-transport RTTs (path delay is exact).
+
+        :func:`repro.vns.service.detour_candidates` over the cached last
+        mile and the cached forced local exit at the pair's entry PoP.
+        The one-hop detour it composes is cached too: the simulate phase
+        reads it back through :meth:`detour_path` for detoured streams.
+        """
+        key = (src_prefix, dst_prefix)
+        candidates = self._candidates.get(key)
+        if candidates is None:
+            self._detour_paths[key], candidates = detour_candidates(
+                src_prefix,
+                dst_prefix,
+                pair.entry_pop,
+                self._lastmile_leg(src_prefix, pair.entry_pop),
+                self._detour_exit(pair.entry_pop, dst_prefix),
+                pair.via_vns,
+                pair.via_internet,
+            )
+            self._candidates[key] = candidates
+        return candidates
+
+    def detour_path(self, src_prefix: Prefix, dst_prefix: Prefix) -> DataPath | None:
+        """The detour :meth:`candidates_for` composed for the pair, if any."""
+        return self._detour_paths.get((src_prefix, dst_prefix))
+
+
 class CampaignEngine:
     """Runs call campaigns against a :class:`VideoNetworkService`.
 
@@ -405,269 +594,27 @@ class CampaignEngine:
         self.path_model = path_model
         self.turn = TurnService(service)
         # Transformed-path memo for ``path_model``; keyed by the cached
-        # path object (pinned by the path caches for this engine's
+        # path object (pinned by the resolver's caches for this engine's
         # lifetime), so each distinct path is transformed once per run.
         self._modeled: dict[tuple[str, int], DataPath] = {}
-        # Path caches, each keyed at the coarsest granularity that is
-        # still exact (see module docstring).
-        self._entry: dict[Prefix, str | None] = {}
-        self._lastmile: dict[tuple[Prefix, str], DataPath] = {}
-        self._onward: dict[tuple[str, Prefix], tuple[DataPath, EgressDecision] | None] = {}
-        self._internet: dict[tuple[Prefix, Prefix], DataPath | None] = {}
-        # Pair cache values carry which per-leg caches the original miss
-        # actually consulted, so cache hits only re-count those legs (an
-        # entry-PoP failure short-circuits before either leg).
-        self._pairs: dict[
-            tuple[Prefix, Prefix], tuple[_ResolvedPair | None, bool, bool]
-        ] = {}
-        # Steering-only caches: the forced local exit at a PoP, the full
-        # per-pair detour path and the per-pair candidate RTTs.
-        self._local_exit: dict[tuple[str, Prefix], DataPath | None] = {}
-        self._detour_paths: dict[tuple[Prefix, Prefix], DataPath | None] = {}
-        self._candidates: dict[tuple[Prefix, Prefix], "PathCandidates"] = {}
+        #: Resolves prefix pairs to paths and owns the path caches.  A
+        #: shard runner replaces it with its long-lived resolver over the
+        #: same service, so caches stay warm across shards and campaigns.
+        self.resolver = PathResolver(service)
 
     # ------------------------------------------------------------------ #
-    # path-cache export / import / warmup
+    # resolution (delegated to the resolver, which owns the caches)
     # ------------------------------------------------------------------ #
-
-    #: The engine's path-cache layers, by export name (see
-    #: :meth:`export_path_caches`).
-    PATH_CACHE_NAMES = (
-        "entry",
-        "lastmile",
-        "onward",
-        "internet",
-        "pairs",
-        "local_exit",
-        "detour_paths",
-        "candidates",
-    )
-
-    def export_path_caches(self) -> dict[str, dict]:
-        """The live path-cache dicts, by name (references, not copies).
-
-        Cache contents depend only on the service's converged state —
-        never on the campaign config, seed, or steering policy — so a
-        cache set exported from one engine can be adopted by any other
-        engine over the *same* service.  This is how persistent shard
-        workers keep their caches warm across campaigns: each new
-        engine adopts the worker's long-lived cache set by reference.
-        """
-        return {
-            "entry": self._entry,
-            "lastmile": self._lastmile,
-            "onward": self._onward,
-            "internet": self._internet,
-            "pairs": self._pairs,
-            "local_exit": self._local_exit,
-            "detour_paths": self._detour_paths,
-            "candidates": self._candidates,
-        }
-
-    def adopt_path_caches(self, caches: dict[str, dict]) -> None:
-        """Share ``caches`` (from :meth:`export_path_caches`) by reference.
-
-        Entries this engine resolves are visible to every other adopter;
-        report output is unaffected (warm caches change *when* work
-        happens, never what is resolved — see the determinism contract).
-        Missing names keep this engine's own (empty) dict, so cache sets
-        from older exports stay adoptable.
-        """
-        self._entry = caches.get("entry", self._entry)
-        self._lastmile = caches.get("lastmile", self._lastmile)
-        self._onward = caches.get("onward", self._onward)
-        self._internet = caches.get("internet", self._internet)
-        self._pairs = caches.get("pairs", self._pairs)
-        self._local_exit = caches.get("local_exit", self._local_exit)
-        self._detour_paths = caches.get("detour_paths", self._detour_paths)
-        self._candidates = caches.get("candidates", self._candidates)
 
     def warm_pairs(self, pairs: "Iterable[tuple[Prefix, Prefix]]") -> int:
-        """Pre-resolve prefix pairs into the path caches.
-
-        The shard warmup hook: workers run this once over a campaign's
-        unique pair manifest before the first shard lands, so the
-        per-shard resolve phase is all cache hits.  Counts nothing into
-        any campaign's :class:`CampaignStats` (a scratch instance absorbs
-        the miss accounting) and therefore cannot perturb reports.
-        Returns the number of pairs that resolved to usable paths.
-        """
-        scratch = CampaignStats()
-        resolved = 0
-        with perf.timer("workload.warmup"):
-            for src_prefix, dst_prefix in pairs:
-                if self.resolve_pair(src_prefix, dst_prefix, scratch) is not None:
-                    resolved += 1
-        return resolved
-
-    # ------------------------------------------------------------------ #
-    # resolution (cached)
-    # ------------------------------------------------------------------ #
-
-    def _entry_pop(self, prefix: Prefix) -> str | None:
-        entry = self._entry.get(prefix, _MISS)
-        if entry is not _MISS:
-            return entry
-        asn = self.service.topology.origin_of[prefix]
-        location = self.service.topology.prefix_location[prefix]
-        pop = self.service.anycast.entry_pop(asn, location)
-        code = None if pop is None else pop.code
-        self._entry[prefix] = code
-        return code
-
-    def _onward_leg(
-        self, entry_pop: str, dst_prefix: Prefix, stats: CampaignStats
-    ) -> tuple[DataPath, EgressDecision] | None:
-        key = (entry_pop, dst_prefix)
-        cached = self._onward.get(key, _MISS)
-        if cached is not _MISS:
-            stats.onward_hits += 1
-            perf.incr("workload.cache.onward_hit")
-            return cached
-        stats.onward_misses += 1
-        perf.incr("workload.cache.onward_miss")
-        decision = self.service.egress_decision(entry_pop, dst_prefix)
-        if decision is None:
-            self._onward[key] = None
-            return None
-        path = self.service.path_via_vns(entry_pop, dst_prefix, decision=decision)
-        assert path is not None  # decision already resolved
-        resolved = (path, decision)
-        self._onward[key] = resolved
-        return resolved
-
-    def _lastmile_leg(self, src_prefix: Prefix, entry_pop: str) -> DataPath:
-        key = (src_prefix, entry_pop)
-        path = self._lastmile.get(key)
-        if path is None:
-            location = self.service.topology.prefix_location[src_prefix]
-            path = self.service.last_mile_path(src_prefix, location, entry_pop)
-            self._lastmile[key] = path
-        return path
-
-    def _internet_leg(
-        self, src_prefix: Prefix, dst_prefix: Prefix, stats: CampaignStats
-    ) -> DataPath | None:
-        key = (src_prefix, dst_prefix)
-        cached = self._internet.get(key, _MISS)
-        if cached is not _MISS:
-            stats.internet_hits += 1
-            perf.incr("workload.cache.internet_hit")
-            return cached
-        stats.internet_misses += 1
-        perf.incr("workload.cache.internet_miss")
-        topology = self.service.topology
-        src_origin = topology.origin_as(src_prefix)
-        dst_origin = topology.origin_as(dst_prefix)
-        native = self.service.routing.path(src_origin.asn, dst_origin.asn)
-        if native is None:
-            self._internet[key] = None
-            return None
-        path = internet_path(
-            topology,
-            native[1:] if len(native) > 1 else native,
-            topology.prefix_location[src_prefix],
-            topology.prefix_location[dst_prefix],
-            destination_as_type=dst_origin.as_type,
-            first_segment_kind=SegmentKind.ACCESS,
-            description=f"call-inet:{src_prefix}->{dst_prefix}",
-        )
-        self._internet[key] = path
-        return path
+        """:meth:`PathResolver.warm_pairs` on this engine's resolver."""
+        return self.resolver.warm_pairs(pairs)
 
     def resolve_pair(
         self, src_prefix: Prefix, dst_prefix: Prefix, stats: CampaignStats | None = None
     ) -> _ResolvedPair | None:
-        """Both transports for a prefix pair, through every cache layer.
-
-        Matches :meth:`VideoNetworkService.call_paths` for users at the
-        prefixes' true locations; returns ``None`` when routing fails
-        either way, as ``call_paths`` does.
-        """
-        if stats is None:
-            stats = CampaignStats()
-        key = (src_prefix, dst_prefix)
-        cached = self._pairs.get(key, _MISS)
-        if cached is not _MISS:
-            # The pair cache short-circuits the per-leg caches; re-count
-            # exactly the lookups the original miss performed, so hit
-            # rates reflect reuse without inflating legs a failed
-            # resolution never consulted.
-            pair, counted_onward, counted_internet = cached
-            if counted_onward:
-                stats.onward_hits += 1
-                perf.incr("workload.cache.onward_hit")
-            if counted_internet:
-                stats.internet_hits += 1
-                perf.incr("workload.cache.internet_hit")
-            return pair
-        entry = self._entry_pop(src_prefix)
-        if entry is None:
-            self._pairs[key] = (None, False, False)
-            return None
-        onward = self._onward_leg(entry, dst_prefix, stats)
-        if onward is None:
-            self._pairs[key] = (None, True, False)
-            return None
-        onward_path, decision = onward
-        via_internet = self._internet_leg(src_prefix, dst_prefix, stats)
-        if via_internet is None:
-            self._pairs[key] = (None, True, True)
-            return None
-        via_vns = self._lastmile_leg(src_prefix, entry).concat(onward_path)
-        via_vns.description = f"call-vns:{src_prefix}->{dst_prefix}"
-        pair = _ResolvedPair(
-            entry_pop=entry,
-            egress_pop=decision.egress_pop,
-            via_vns=via_vns,
-            via_internet=via_internet,
-        )
-        self._pairs[key] = (pair, True, True)
-        return pair
-
-    # ------------------------------------------------------------------ #
-    # steering support (cached like the transport legs)
-    # ------------------------------------------------------------------ #
-
-    def _detour_exit(self, entry_pop: str, dst_prefix: Prefix) -> DataPath | None:
-        key = (entry_pop, dst_prefix)
-        cached = self._local_exit.get(key, _MISS)
-        if cached is not _MISS:
-            return cached
-        path = self.service.path_local_exit(entry_pop, dst_prefix)
-        self._local_exit[key] = path
-        return path
-
-    def candidates_for(
-        self, src_prefix: Prefix, dst_prefix: Prefix, pair: _ResolvedPair
-    ) -> "PathCandidates":
-        """The call's candidate-transport RTTs (path delay is exact).
-
-        The one-hop detour — last mile to the anycast entry PoP, then
-        forced out of VNS onto the Internet there (Sec. 4.1's "local
-        exit"), zero backbone circuits — is resolved and cached here; the
-        simulate phase reuses the same path for detoured streams.
-        """
-        key = (src_prefix, dst_prefix)
-        cached = self._candidates.get(key)
-        if cached is not None:
-            return cached
-        from repro.steering.policies import PathCandidates
-
-        exit_leg = self._detour_exit(pair.entry_pop, dst_prefix)
-        detour = None
-        if exit_leg is not None:
-            detour = self._lastmile_leg(src_prefix, pair.entry_pop).concat(exit_leg)
-            detour.description = f"call-detour:{src_prefix}->{dst_prefix}"
-        self._detour_paths[key] = detour
-        candidates = PathCandidates(
-            vns_rtt_ms=pair.via_vns.rtt_ms(),
-            internet_rtt_ms=pair.via_internet.rtt_ms(),
-            detour_rtt_ms=None if detour is None else detour.rtt_ms(),
-            detour_pop=None if detour is None else pair.entry_pop,
-        )
-        self._candidates[key] = candidates
-        return candidates
+        """:meth:`PathResolver.resolve_pair` on this engine's resolver."""
+        return self.resolver.resolve_pair(src_prefix, dst_prefix, stats)
 
     # ------------------------------------------------------------------ #
     # phase 2: the simulation kernel
@@ -704,7 +651,7 @@ class CampaignEngine:
             return None
         from repro.steering.policies import PathChoice
 
-        detour_path = self._detour_paths.get((key[0], key[1]))
+        detour_path = self.resolver.detour_path(key[0], key[1])
         if detour_path is not None and any(
             decisions[i].choice is PathChoice.POP_DETOUR for i in indices
         ):
@@ -840,6 +787,7 @@ class CampaignEngine:
         stats = CampaignStats(calls_total=len(calls))
         started = time.perf_counter()
         steering = self.steering
+        resolver = self.resolver
         if steering is not None:
             from repro.steering.policies import stream_payload_bytes
 
@@ -850,7 +798,9 @@ class CampaignEngine:
         groups: dict[GroupKey, list[int]] = {}
         with perf.timer("workload.resolve"):
             for spec in calls:
-                pair = self.resolve_pair(spec.caller.prefix, spec.callee.prefix, stats)
+                pair = resolver.resolve_pair(
+                    spec.caller.prefix, spec.callee.prefix, stats
+                )
                 if pair is None:
                     stats.calls_failed += 1
                     perf.incr("workload.calls.failed")
@@ -869,7 +819,7 @@ class CampaignEngine:
                             REGION_CODE[spec.caller.region],
                             REGION_CODE[spec.callee.region],
                             spec.day * 24.0 + spec.start_hour_cet,
-                            candidates=self.candidates_for(
+                            candidates=resolver.candidates_for(
                                 spec.caller.prefix, spec.callee.prefix, pair
                             ),
                             call_id=spec.call_id,

@@ -83,6 +83,7 @@ from repro.workload.engine import (
     CampaignRun,
     CampaignStats,
     PathModel,
+    PathResolver,
 )
 from repro.workload.report import CampaignAggregator
 
@@ -427,46 +428,28 @@ def warmup_manifest(calls: list[CallSpec]) -> list[tuple[Prefix, Prefix]]:
 # worker side
 # --------------------------------------------------------------------- #
 
-#: The worker's world, installed once per process by :func:`_init_worker`.
-_WORKER_SERVICE: VideoNetworkService | None = None
-#: The worker's persistent path caches, shared by reference with every
-#: engine the worker runs — warm across shards *and* campaigns.
-_WORKER_CACHES: dict[str, dict] | None = None
+#: The worker's resolver over its installed world, created once per
+#: process by :func:`_init_worker` and handed to every engine the worker
+#: runs — path caches stay warm across shards *and* campaigns.
+_WORKER_RESOLVER: PathResolver | None = None
 #: Install-time costs, reported to the parent once (first shard result).
 _WORKER_INIT: dict = {"world_ship_s": 0.0, "warmup_s": 0.0, "reported": True}
-
-
-def _fresh_caches() -> dict[str, dict]:
-    return {name: {} for name in CampaignEngine.PATH_CACHE_NAMES}
-
-
-def _warm_into_caches(
-    service: VideoNetworkService,
-    caches: dict[str, dict],
-    pairs: list[tuple[Prefix, Prefix]],
-) -> int:
-    """Resolve ``pairs`` into ``caches`` (idempotent; report-invisible)."""
-    engine = CampaignEngine(service, CampaignConfig())
-    engine.adopt_path_caches(caches)
-    return engine.warm_pairs(pairs)
 
 
 def _init_worker(
     blob: bytes, manifest: list[tuple[Prefix, Prefix]] | None
 ) -> None:
     """Install the world (and optionally warm caches) once per worker."""
-    global _WORKER_SERVICE, _WORKER_CACHES, _WORKER_INIT
+    global _WORKER_RESOLVER, _WORKER_INIT
     started = time.perf_counter()
-    service = pickle.loads(blob)
+    resolver = PathResolver(pickle.loads(blob))
     ship_s = time.perf_counter() - started
-    caches = _fresh_caches()
     warm_s = 0.0
     if manifest:
         started = time.perf_counter()
-        _warm_into_caches(service, caches, manifest)
+        resolver.warm_pairs(manifest)
         warm_s = time.perf_counter() - started
-    _WORKER_SERVICE = service
-    _WORKER_CACHES = caches
+    _WORKER_RESOLVER = resolver
     _WORKER_INIT = {"world_ship_s": ship_s, "warmup_s": warm_s, "reported": False}
 
 
@@ -476,26 +459,22 @@ def _warm_worker(pairs: list[tuple[Prefix, Prefix]]) -> float:
     Best-effort: the pool cannot target a specific worker, so duplicate
     deliveries land on already-warm caches and cost nearly nothing.
     """
-    if _WORKER_SERVICE is None or _WORKER_CACHES is None:
+    if _WORKER_RESOLVER is None:
         raise RuntimeError("warm task reached a worker with no installed world")
     started = time.perf_counter()
-    _warm_into_caches(_WORKER_SERVICE, _WORKER_CACHES, pairs)
+    _WORKER_RESOLVER.warm_pairs(pairs)
     return time.perf_counter() - started
 
 
-def _execute_shard(
-    service: VideoNetworkService,
-    task: ShardTask,
-    caches: dict[str, dict] | None = None,
-) -> _ShardResult:
-    """Run one shard on ``service`` (in a worker or in-process).
+def _execute_shard(resolver: PathResolver, task: ShardTask) -> _ShardResult:
+    """Run one shard over ``resolver``'s service (in a worker or in-process).
 
     Captures the engine's perf timers as a delta against the process's
     registry and leaves the registry exactly as found when perf was off
     (:func:`repro.perf.counters.restore`), so in-process shards do not
     leak timings into a caller that never enabled instrumentation.
-    ``caches`` (from :meth:`CampaignEngine.export_path_caches`) are
-    adopted by reference, keeping them warm for the next shard.
+    The engine resolves through ``resolver``, whose caches outlive it
+    and so stay warm for the next shard.
     """
     if task.attempt < task.fail_attempts:
         raise RuntimeError(
@@ -507,10 +486,12 @@ def _execute_shard(
     perf.enable()
     try:
         engine = CampaignEngine(
-            service, task.config, steering=task.steering, path_model=task.path_model
+            resolver.service,
+            task.config,
+            steering=task.steering,
+            path_model=task.path_model,
         )
-        if caches is not None:
-            engine.adopt_path_caches(caches)
+        engine.resolver = resolver
         run = engine.run(task.calls)
     finally:
         after = perf.snapshot()
@@ -529,10 +510,10 @@ def _execute_shard(
 
 
 def _run_shard_worker(task: ShardTask) -> _ShardResult:
-    if _WORKER_SERVICE is None:
+    if _WORKER_RESOLVER is None:
         raise RuntimeError("shard worker used before _init_worker installed a world")
     picked_up = time.time()
-    result = _execute_shard(_WORKER_SERVICE, task, caches=_WORKER_CACHES)
+    result = _execute_shard(_WORKER_RESOLVER, task)
     overhead: dict[str, float] = {}
     if task.submitted_at is not None:
         overhead["queue_wait_s"] = max(0.0, picked_up - task.submitted_at)
@@ -805,14 +786,13 @@ class ShardedCampaignRunner:
     ) -> None:
         self.config = config if config is not None else CampaignConfig()
         self.plan = plan if plan is not None else ShardPlan()
-        self._service = service
         self._fail_map = dict(self.plan.fail_injections)
         self.steering = steering
         self.path_model = path_model
         self.pool = pool
-        #: Persistent caches for in-process shards (and salvage), warm
-        #: across every run of this runner.
-        self._inproc_caches = _fresh_caches()
+        #: The resolver for in-process shards (and salvage); its caches
+        #: stay warm across every run of this runner.
+        self._resolver = PathResolver(service)
         self._checkpoints: ShardCheckpointStore | None = None
         self._run_overhead: dict[str, float] = {}
         self._pool_stats: PoolStats | None = None
@@ -899,9 +879,7 @@ class ShardedCampaignRunner:
         attempt = task.attempt
         while True:
             try:
-                result = _execute_shard(
-                    self._service, task, caches=self._inproc_caches
-                )
+                result = _execute_shard(self._resolver, task)
                 break
             except Exception as exc:  # noqa: BLE001 - retry budget decides
                 failures.append(f"in-process attempt {attempt}: {exc}")

@@ -97,7 +97,7 @@ class TestSampling:
     def test_west_coast_discount(self):
         west = seg(start=SJS, end=HK)
         east = seg(start=ATL, end=HK)
-        assert west._spread_probability(12.0) < east._spread_probability(12.0)
+        assert west.loss_params(12.0).spread_prob < east.loss_params(12.0).spread_prob
 
     def test_access_mean_tracks_base(self, rng):
         s = seg(kind=SegmentKind.ACCESS, start=SIN, end=SIN, as_type=ASType.CAHP)

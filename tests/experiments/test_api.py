@@ -1,63 +1,19 @@
-"""Tests for the uniform experiment API (RunConfig / ExperimentResult)."""
+"""Tests for the shared experiment result shape (ExperimentResult)."""
 
-import pytest
-
-from repro.experiments import (
-    EXPERIMENT_MODULES,
-    ExperimentResult,
-    RunConfig,
-    run,
-)
-from repro.experiments import campaign, fig6_delay
+from repro.experiments import ExperimentResult, campaign, fig6_delay
 from repro.workload import CampaignRun
 
 
-class TestRunConfig:
-    def test_of_sorts_options_for_equality(self):
-        assert RunConfig.of("campaign", a=1, b=2) == RunConfig.of("campaign", b=2, a=1)
-        assert hash(RunConfig.of("fig6")) == hash(RunConfig.of("fig6"))
-
-    def test_kwargs_round_trip(self):
-        config = RunConfig.of("campaign", n_users=10, seed=3)
-        assert config.kwargs() == {"n_users": 10, "seed": 3}
-
-    def test_replace_overrides_and_extends(self):
-        config = RunConfig.of("campaign", n_users=10)
-        updated = config.replace(n_users=20, seed=1)
-        assert updated.kwargs() == {"n_users": 20, "seed": 1}
-        assert config.kwargs() == {"n_users": 10}  # original untouched
-
-    def test_frozen(self):
-        config = RunConfig.of("campaign")
-        with pytest.raises(AttributeError):
-            config.experiment = "fig6"
-
-
 class TestRunDispatch:
-    def test_unknown_experiment_lists_known(self, small_world):
-        with pytest.raises(KeyError, match="campaign"):
-            run(small_world, RunConfig.of("fig99"))
-
     def test_campaign_through_the_api(self, small_world):
-        result = run(
-            small_world, RunConfig.of("campaign", n_users=40, days=1, seed=3)
-        )
+        result = campaign.run(small_world, n_users=40, days=1, seed=3)
         assert isinstance(result, CampaignRun)
         assert isinstance(result, ExperimentResult)
-        direct = campaign.run(small_world, n_users=40, days=1, seed=3)
-        assert result.report.to_json() == direct.report.to_json()
 
     def test_fig6_through_the_api(self, small_world):
-        result = run(small_world, RunConfig.of("fig6", max_origins=8))
+        result = fig6_delay.run(small_world, max_origins=8)
         assert isinstance(result, ExperimentResult)
         assert result.render().startswith("Fig 6")
-
-    def test_module_table_entries_resolve(self):
-        import importlib
-
-        for name, module_name in EXPERIMENT_MODULES.items():
-            module = importlib.import_module(module_name)
-            assert callable(module.run), name
 
 
 class TestRenderDelegation:

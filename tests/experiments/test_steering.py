@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments import steering
-from repro.experiments.common import RunConfig, run
+from repro.experiments import ExperimentResult, campaign, steering
 from repro.workload import ShardPlan
 
 KWARGS = dict(
@@ -33,6 +32,19 @@ class TestSteeringExperiment:
     def test_policies_share_the_campaign(self, comparison):
         n_calls = {run_.report.n_calls for run_ in comparison.runs.values()}
         assert len(n_calls) == 1  # same users, arrivals and resolution
+
+    def test_same_seed_is_the_campaign_experiments_campaign(
+        self, small_world, comparison
+    ):
+        """One seed derivation: the unsteered columns are ``campaign.run``'s."""
+        plain = campaign.run(
+            small_world, n_users=50, calls_per_user_day=2.0, days=1, seed=3
+        ).report
+        steered = comparison.runs["always_vns"].report
+        assert steered.n_calls == plain.n_calls
+        for key, pair in plain.pairs.items():
+            assert steered.pairs[key]["vns"] == pair["vns"]
+            assert steered.pairs[key]["internet"] == pair["internet"]
 
     def test_policy_ordering(self, comparison):
         always = comparison.report("always_vns")
@@ -77,12 +89,8 @@ class TestSteeringExperiment:
             steering.run(small_world, budget_fraction=1.5)
 
     def test_uniform_api_entry(self, small_world):
-        result = run(
-            small_world,
-            RunConfig.of(
-                "steering", policies=("always_vns",), **KWARGS
-            ),
-        )
+        result = steering.run(small_world, policies=("always_vns",), **KWARGS)
+        assert isinstance(result, ExperimentResult)
         assert result.report("always_vns")["offload_rate"] == 0.0
         assert "Steering policies" in result.render()
 
@@ -93,7 +101,7 @@ class TestSteeringPoolReuse:
 
     def test_three_policies_share_one_pool(self, small_world, comparison, recwarn):
         small_world.close_pool()
-        pooled = run(small_world, RunConfig.of("steering", workers=2, **KWARGS))
+        pooled = steering.run(small_world, workers=2, **KWARGS)
         pool = small_world.campaign_pool()
         try:
             assert pool.workers == 2 and pool.started

@@ -143,3 +143,54 @@ class TestImpairedPath:
 
         injector.perturb(TransitRestore(time_s=6.0, regions=regions))
         assert injector.impaired_path(path) is path
+
+    def test_restore_matches_the_corridor_as_a_set(self, fault_world):
+        """The impairment matches corridors unordered; so must its end."""
+        injector = FaultInjector(fault_world.service)
+        injector.perturb(
+            TransitDegrade(time_s=1.0, regions=("Europe", "Asia Pacific"))
+        )
+        injector.perturb(
+            TransitRestore(time_s=2.0, regions=("Asia Pacific", "Europe"))
+        )
+        assert injector.degradations == []
+
+    def test_degradation_stacks_on_an_already_degraded_segment(self, fault_world):
+        service = fault_world.service
+        injector = FaultInjector(service)
+        path = self._transit_path(service)
+        segment = next(s for s in path.segments if s.kind is SegmentKind.TRANSIT)
+        regions = (segment.start_region.value, segment.end_region.value)
+        injector.perturb(
+            TransitDegrade(
+                time_s=1.0, regions=regions, extra_loss=0.1, extra_delay_ms=25.0
+            )
+        )
+        once = injector.impaired_path(path)
+        twice = injector.impaired_path(once)
+        index = path.segments.index(segment)
+        assert twice.segments[index].extra_loss == pytest.approx(0.2)
+        assert twice.segments[index].extra_delay_ms == pytest.approx(50.0)
+
+
+class TestRestore:
+    def test_restore_undoes_everything_still_in_effect(self, fault_world):
+        service = fault_world.service
+        meter = make_meter(service)
+        before = meter.snapshot()
+        upstream = service.deployment.upstreams[0]
+        injector = FaultInjector(service)
+        injector.apply(LinkDown(time_s=1.0, a="LON", b="ASH"))
+        injector.apply(PopDown(time_s=2.0, pop="SIN"))
+        injector.apply(SessionDown(time_s=3.0, asn=upstream))
+        injector.apply(LinkUp(time_s=4.0, a="ASH", b="LON"))  # repaired in-timeline
+        injector.apply(TransitDegrade(time_s=5.0, regions=("Europe", "Europe")))
+        assert [type(e).__name__ for e in injector.active] == [
+            "PopDown",
+            "SessionDown",
+        ]
+        injector.restore()
+        assert injector.active == [] and injector.degradations == []
+        assert not service.network.down_pops and not service.network.down_links
+        assert meter.snapshot().states == before.states
+        assert injector.restore() == 0  # idempotent

@@ -182,6 +182,20 @@ class TestFaultApplication:
         finally:
             applied.restore()
 
+    def test_transit_restore_matches_the_corridor_unordered(self, scenario_world):
+        spec = ScenarioSpec(
+            name="x",
+            faults=(
+                TransitDegrade(time_s=0.0, regions=("Europe", "Asia Pacific")),
+                TransitRestore(time_s=1.0, regions=("Asia Pacific", "Europe")),
+            ),
+        )
+        applied = apply_scenario_faults(scenario_world.service, spec)
+        try:
+            assert applied.degradations == []
+        finally:
+            applied.restore()
+
     def test_restore_is_idempotent(self, scenario_world):
         spec = ScenarioSpec(name="x", faults=(PopDown(time_s=0.0, pop="SIN"),))
         applied = apply_scenario_faults(scenario_world.service, spec)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import perf
 from repro.dataplane.transmit import simulate_stream
 from repro.workload.arrivals import CallArrivalProcess, CallSpec
 from repro.workload.engine import CampaignConfig, CampaignEngine, CampaignStats
@@ -177,7 +176,7 @@ class TestResolveAccounting:
         caller, callee = population.users[2], population.users[3]
         engine = self.make_engine(small_world)
         # Make the caller unservable: no anycast entry PoP.
-        engine._entry[caller.prefix] = None
+        engine.resolver._entry[caller.prefix] = None
         for _ in range(2):  # miss, then the cached failure
             stats = CampaignStats()
             assert engine.resolve_pair(caller.prefix, callee.prefix, stats) is None
@@ -188,10 +187,10 @@ class TestResolveAccounting:
         population, _ = campaign_inputs
         caller, callee = population.users[4], population.users[5]
         engine = self.make_engine(small_world)
-        entry = engine._entry_pop(caller.prefix)
+        entry = engine.resolver._entry_pop(caller.prefix)
         assert entry is not None
         # Make the onward leg unroutable (cached negative resolution).
-        engine._onward[(entry, callee.prefix)] = None
+        engine.resolver._onward[(entry, callee.prefix)] = None
         for _ in range(2):  # via the onward cache, then via the pair cache
             stats = CampaignStats()
             assert engine.resolve_pair(caller.prefix, callee.prefix, stats) is None
@@ -209,18 +208,3 @@ class TestResolveAccounting:
         snapshot = stats.to_snapshot().counters
         assert snapshot["workload.stats.internet_hits"] == stats.internet_hits
         assert snapshot["workload.stats.internet_misses"] == stats.internet_misses
-
-    def test_internet_cache_perf_counters(self, small_world, campaign_inputs):
-        _, calls = campaign_inputs
-        perf.reset()
-        perf.enable()
-        try:
-            run = CampaignEngine(small_world.service, CampaignConfig(seed=8)).run(calls)
-            counters = perf.snapshot()["counters"]
-        finally:
-            perf.disable()
-            perf.reset()
-        assert counters["workload.cache.internet_hit"] == run.stats.internet_hits
-        assert counters["workload.cache.internet_miss"] == run.stats.internet_misses
-        assert counters["workload.cache.onward_hit"] == run.stats.onward_hits
-        assert counters["workload.cache.onward_miss"] == run.stats.onward_misses
