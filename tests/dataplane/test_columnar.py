@@ -332,3 +332,104 @@ class TestInternals:
         n = np.array([2100, 2100])
         p = np.array([0.0, 0.0])
         assert np.array_equal(_binom_quantile(u, n, p), [0, 0])
+
+
+# --------------------------------------------------------------------- #
+# pinned kernel bits
+# --------------------------------------------------------------------- #
+
+LON = city_by_name("London").location
+
+#: sha256 over every stream of :func:`pinned_specs` — recorded on the
+#: row-at-a-time spec table this kernel started with; any change to the
+#: kernel must reproduce it bit for bit.
+PINNED_KERNEL_SHA256 = "3788786c99006202f899b6fc20117b59b1e76f485e0fdd91053d780a80e85d94"
+
+
+def pinned_paths() -> list[DataPath]:
+    """Every layer kind, both hauls, an impairment, and a value-equal twin."""
+    paths = [
+        access_only_path(),
+        transit_long_path(),
+        transit_short_path(),
+        vns_path(),
+        peering_path(),
+        mixed_path(),
+        degraded_transit_path(extra_loss=0.04),
+        # A campaign-shaped path: access, hand-off, short and long transit
+        # (one impaired), dedicated L2, destination access.
+        DataPath(
+            segments=[
+                PathSegment(kind=SegmentKind.ACCESS, start=LON, end=LON, as_type=ASType.CAHP),
+                PathSegment(kind=SegmentKind.PEERING, start=LON, end=LON),
+                PathSegment(kind=SegmentKind.TRANSIT, start=LON, end=AMS, owner_type=ASType.STP),
+                degrade_segment(
+                    PathSegment(
+                        kind=SegmentKind.TRANSIT, start=AMS, end=SIN, owner_type=ASType.LTP
+                    ),
+                    extra_loss=0.01,
+                    extra_delay_ms=5.0,
+                ),
+                PathSegment(kind=SegmentKind.VNS_L2, start=AMS, end=LON, label="AMS==LON"),
+                degrade_segment(
+                    PathSegment(kind=SegmentKind.PEERING, start=SIN, end=SIN), extra_loss=0.002
+                ),
+                PathSegment(kind=SegmentKind.ACCESS, start=SIN, end=SIN, as_type=ASType.EC),
+            ],
+            description="campaign-shaped",
+        ),
+    ]
+    # Value-equal to paths[5] and paths[1] but distinct objects all the way down.
+    paths.append(mixed_path())
+    paths.append(transit_long_path())
+    return paths
+
+
+def pinned_specs() -> list[StreamColumnSpec]:
+    hours = (4.5, 12.5, 20.5)
+    durations = (60.0, 120.0, 300.0, 600.0, 12.0)  # campaign set + a partial final slot
+    counts = (1, 5, 50)
+    specs = []
+    for index, path in enumerate(pinned_paths()):
+        for k, duration_s in enumerate(durations):
+            specs.append(
+                StreamColumnSpec(
+                    path=path,
+                    n_streams=counts[(index + k) % 3],
+                    duration_s=duration_s,
+                    hour_cet=hours[(index + 2 * k) % 3],
+                    digest=(DIGEST[0] + 977 * index, DIGEST[1] ^ (k << 17)),
+                    salt=(index + k) % 3,
+                )
+            )
+    return specs
+
+
+def kernel_sha256(columns) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    for column in columns:
+        for r in column:
+            digest.update(np.ascontiguousarray(r.slot_losses, dtype=np.int64).tobytes())
+            digest.update(repr(float(r.jitter_p95_ms)).encode())
+            digest.update(repr(float(r.rtt_ms)).encode())
+            digest.update(repr(int(r.packets_sent)).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedBits:
+    def test_kernel_digest_pinned(self):
+        # max_rows_per_pass=7: 50-stream specs straddle many passes and
+        # passes mix specs, hours and layer shapes.
+        columns = simulate_stream_columns(pinned_specs(), max_rows_per_pass=7)
+        assert sum(len(column) for column in columns) == sum(
+            spec.n_streams for spec in pinned_specs()
+        )
+        assert kernel_sha256(columns) == PINNED_KERNEL_SHA256
+
+    def test_pinned_digest_independent_of_pass_size(self):
+        assert (
+            kernel_sha256(simulate_stream_columns(pinned_specs()))
+            == PINNED_KERNEL_SHA256
+        )
