@@ -15,12 +15,6 @@ from repro.dataplane.latency import (
     propagation_delay_ms,
 )
 from repro.dataplane.diurnal import DiurnalProfile, access_profile, transit_profile
-from repro.dataplane.loss import (
-    BernoulliLoss,
-    GilbertElliottLoss,
-    LossModel,
-    congestion_loss_probability,
-)
 from repro.dataplane.columnar import StreamColumnSpec, simulate_stream_columns
 from repro.dataplane.link import SegmentKind, SegmentLossParams, PathSegment
 from repro.dataplane.path import (
@@ -44,10 +38,6 @@ __all__ = [
     "DiurnalProfile",
     "access_profile",
     "transit_profile",
-    "LossModel",
-    "BernoulliLoss",
-    "GilbertElliottLoss",
-    "congestion_loss_probability",
     "SegmentKind",
     "SegmentLossParams",
     "PathSegment",

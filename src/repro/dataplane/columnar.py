@@ -35,8 +35,11 @@ through dense interpolation tables over the body of the distribution
 (exact scipy evaluations for the outer 1/256 tails), with grid error
 orders of magnitude below what any campaign statistic can resolve.
 
-Requires scipy (a declared dependency): the import below fails loudly
-when it is missing — a campaign never runs on a substitute kernel.
+Requires scipy (a declared dependency): the ``scipy.special`` import
+below fails loudly when it is missing — a campaign never runs on a
+substitute kernel.  ``scipy.stats`` costs as much to import as the rest
+of ``repro`` together and serves one branch (binomial quantiles of
+large-mean cells), so it is imported there, on first use.
 """
 
 from __future__ import annotations
@@ -46,16 +49,18 @@ from typing import NamedTuple
 import numpy as np
 
 from scipy import special as _special
-from scipy import stats as _scipy_stats
 
 from repro.dataplane import calibration as cal
-from repro.dataplane.link import SegmentKind, SegmentLossParams
+from repro.dataplane.link import KIND_CODE, LOSS_TABLE, SegmentKind, SegmentLossParams
 from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import (
     StreamResult,
-    _jitter_scale_from_traits,
+    _jitter_base_ms,
+    _jitter_rate_factor,
     _stream_shape,
+    heavy_loss_slots,
 )
+from repro.perf import counters as perf
 
 __all__ = ["StreamColumnSpec", "simulate_stream_columns"]
 
@@ -234,21 +239,23 @@ def _binom_quantile(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
         log_q = np.log1p(-p)
     p_zero = np.exp(n * log_q)
     need = np.nonzero(u > p_zero)[0]
-    if need.size == 0:
-        return k_out
-    ui, ni, pi = u[need], n[need], p[need]
-    mean = ni * pi
-    small = mean <= _BINOM_STEPWISE_MAX_MEAN
-    if small.any():
-        idx = need[small]
-        k_out[idx] = _binom_stepwise(u[idx], n[idx], p[idx])
-    large = ~small
-    if large.any():
-        idx = need[large]
-        k_out[idx] = _scipy_stats.binom.ppf(ui[large], ni[large], pi[large]).astype(
-            np.int64
-        )
+    small = n[need] * p[need] <= _BINOM_STEPWISE_MAX_MEAN
+    stepwise, ppf = need[small], need[~small]
+    if perf.enabled:
+        perf.incr("dataplane.kernel.cells_zero", u.size - need.size)
+        perf.incr("dataplane.kernel.cells_stepwise", stepwise.size)
+        perf.incr("dataplane.kernel.cells_ppf", ppf.size)
+    if stepwise.size:
+        k_out[stepwise] = _binom_stepwise(u[stepwise], n[stepwise], p[stepwise])
+    if ppf.size:
+        k_out[ppf] = _binom_ppf(u[ppf], n[ppf], p[ppf])
     return k_out
+
+
+def _binom_ppf(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    from scipy.stats import binom  # deferred: see the module docstring
+
+    return binom.ppf(u, n, p).astype(np.int64)
 
 
 def _binom_stepwise(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -269,9 +276,7 @@ def _binom_stepwise(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
         k[active] = step
         active = active[u[active] > cdf_a]
     if active.size:  # pragma: no cover - numerically unreachable backstop
-        k[active] = _scipy_stats.binom.ppf(u[active], n[active], p[active]).astype(
-            np.int64
-        )
+        k[active] = _binom_ppf(u[active], n[active], p[active])
     return k
 
 
@@ -297,18 +302,23 @@ class StreamColumnSpec(NamedTuple):
     salt: int = 0
 
 
-class _SpecState(NamedTuple):
-    """Per-spec precomputation shared by every chunk the spec lands in."""
+class _PathView(NamedTuple):
+    """What the kernel needs of a path, kept on the path (``_kernel_view``)."""
 
-    params: list[SegmentLossParams]
-    n_slots: int
-    packets_per_slot: int
-    final_packets: int
-    packets_sent: int
+    sids: tuple[int, ...]  #: :data:`LOSS_TABLE` id of each segment, in order
     rtt_ms: float
-    jitter_scale: float
-    digest: tuple[int, int]
-    salt: int
+    jitter_base_ms: float
+
+
+def _path_view(path: DataPath) -> _PathView:
+    view = path._kernel_view
+    if view is None:
+        view = path._kernel_view = _PathView(
+            tuple(map(LOSS_TABLE.segment_id, path.segments)),
+            path.rtt_ms(),
+            _jitter_base_ms(path.segments),
+        )
+    return view
 
 
 def simulate_stream_columns(
@@ -320,10 +330,13 @@ def simulate_stream_columns(
 ) -> list[list[StreamResult]]:
     """Simulate every stream of every spec; one result list per spec.
 
-    Specs are bucketed by slot count (the campaign's quantized durations
-    make these buckets huge) and processed in row chunks of at most
-    ``max_rows_per_pass`` streams; neither the bucketing nor the chunk
-    boundary affects any result (counter-based draws).
+    The spec table is columnar too: one array per spec field, a
+    ``(specs, layers)`` matrix of :data:`LOSS_TABLE` parameter rows, and
+    per pass one row-to-spec index through which everything else is
+    gathered.  Specs are bucketed by slot count (the campaign's quantized
+    durations make these buckets huge) and processed in passes of at
+    most ``max_rows_per_pass`` streams; neither the bucketing nor the
+    pass boundary affects any result (counter-based draws).
 
     Raises
     ------
@@ -335,84 +348,95 @@ def simulate_stream_columns(
         raise ValueError("packet rate and slot length must be positive")
     if max_rows_per_pass < 1:
         raise ValueError(f"max_rows_per_pass must be >= 1, got {max_rows_per_pass!r}")
-    out: list[list[StreamResult]] = [[] for _ in specs]
     if not specs:
-        return out
-
-    # Per-invocation caches, keyed by path identity — ``specs`` keeps
-    # every path alive for the whole invocation, so ids are stable, and
-    # identity lookups skip deep dataclass hashing.  Per-segment
-    # parameter resolution is memoised by value inside
-    # :meth:`PathSegment.loss_params` (paths do not share segment
-    # objects, but thousands of paths cross value-equal segments).
-    path_cache: dict[tuple[int, float], list[SegmentLossParams]] = {}
-    # Jitter traits (kind, long-haul) are hour-independent: key by path.
-    scale_cache: dict[int, float] = {}
-    states: list[_SpecState] = []
-    buckets: dict[int, list[int]] = {}
-    for index, spec in enumerate(specs):
-        if spec.n_streams <= 0:
-            raise ValueError(f"n_streams must be positive, got {spec.n_streams!r}")
-        if spec.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {spec.duration_s!r}")
-        n_slots, packets_per_slot, final_packets = _stream_shape(
-            spec.duration_s, packets_per_second, slot_s
-        )
-        path_id = id(spec.path)
-        path_key = (path_id, spec.hour_cet)
-        params = path_cache.get(path_key)
-        if params is None:
-            params = [
-                segment.loss_params(spec.hour_cet) for segment in spec.path.segments
-            ]
-            path_cache[path_key] = params
-        scale = scale_cache.get(path_id)
-        if scale is None:
-            scale = _jitter_scale_from_traits(
-                ((p.kind, p.long_haul) for p in params), packets_per_second
-            )
-            scale_cache[path_id] = scale
-        states.append(
-            _SpecState(
-                params=params,
-                n_slots=n_slots,
-                packets_per_slot=packets_per_slot,
-                final_packets=final_packets,
-                packets_sent=packets_per_slot * (n_slots - 1) + final_packets,
-                rtt_ms=spec.path.rtt_ms(),
-                jitter_scale=scale,
-                digest=spec.digest,
-                salt=spec.salt,
-            )
-        )
-        out[index] = [None] * spec.n_streams  # type: ignore[list-item]
-        buckets.setdefault(n_slots, []).append(index)
-
-    for n_slots in sorted(buckets):
-        # Split the bucket into row runs of at most max_rows_per_pass
-        # streams; a spec larger than the cap spans several chunks.
-        chunk: list[tuple[int, int, int]] = []  # (spec index, start, stop)
-        rows = 0
-        for index in buckets[n_slots]:
-            start = 0
-            remaining = specs[index].n_streams
-            while remaining:
-                take = min(remaining, max_rows_per_pass - rows)
-                chunk.append((index, start, start + take))
-                start += take
-                remaining -= take
-                rows += take
-                if rows == max_rows_per_pass:
-                    _simulate_chunk(chunk, n_slots, states, out)
-                    chunk, rows = [], 0
-        if chunk:
-            _simulate_chunk(chunk, n_slots, states, out)
+        return []
+    with perf.timer("dataplane.kernel.prelude"):
+        table = _spec_table(specs, packets_per_second, slot_s)
+    out: list[list[StreamResult]] = [[None] * n for n in table.n_streams.tolist()]
+    with perf.timer("dataplane.kernel.chunks"):
+        for n_slots in np.unique(table.n_slots).tolist():
+            bucket = np.flatnonzero(table.n_slots == n_slots)
+            counts = table.n_streams[bucket]
+            # One entry per stream of the bucket: its spec, and its index
+            # within the spec (a spec larger than a pass spans several).
+            row_spec = np.repeat(bucket, counts)
+            row_stream = _group_rows(np.zeros_like(counts), counts)
+            for start in range(0, row_spec.size, max_rows_per_pass):
+                rows = slice(start, start + max_rows_per_pass)
+                _simulate_pass(table, n_slots, row_spec[rows], row_stream[rows], out)
     return out
 
 
-def _repeat(values: list[float], lens: np.ndarray) -> np.ndarray:
-    """Broadcast one per-run value across that run's rows."""
-    return np.repeat(np.asarray(values, dtype=np.float64), lens)
+class _SpecTable(NamedTuple):
+    """The specs as columns: one array entry (or matrix row) per spec."""
+
+    n_streams: np.ndarray
+    n_slots: np.ndarray
+    packets_per_slot: int
+    final_packets: np.ndarray
+    packets_sent: np.ndarray
+    rtt_ms: np.ndarray
+    jitter_scale: np.ndarray
+    key_base: np.ndarray  #: uint64 mix of (digest word 0, salt)
+    key_word: np.ndarray  #: uint64 digest word 1
+    #: ``(specs, layers)`` LOSS_TABLE rows, 0-padded past a path's length.
+    param_rows: np.ndarray
+
+
+def _spec_table(
+    specs: list[StreamColumnSpec], packets_per_second: float, slot_s: float
+) -> _SpecTable:
+    """Validate the specs and lay them out as columns."""
+    paths, n_streams, durations, hours, digests, salts = zip(*specs)
+    n_streams = np.asarray(n_streams, dtype=np.int64)
+    if (n_streams <= 0).any():
+        bad = n_streams[n_streams <= 0][0]
+        raise ValueError(f"n_streams must be positive, got {int(bad)!r}")
+    # Stream shapes: one derivation per distinct duration.
+    distinct, which = np.unique(np.asarray(durations, dtype=float), return_inverse=True)
+    if not distinct[0] > 0:
+        raise ValueError(f"duration_s must be positive, got {float(distinct[0])!r}")
+    shapes = np.array(
+        [_stream_shape(float(d), packets_per_second, slot_s) for d in distinct]
+    )
+    n_slots, final_packets = shapes[which, 0], shapes[which, 2]
+    packets_per_slot = int(shapes[0, 1])
+
+    views = [_path_view(path) for path in paths]
+    layers = np.array([len(view.sids) for view in views], dtype=np.int64)
+    flat_rows: list[int] = []  # one flat list: nothing per spec outlives its turn
+    for view, hour in zip(views, hours):
+        flat_rows += LOSS_TABLE.rows(view.sids, hour)
+    param_rows = np.zeros((len(specs), max(int(layers.max()), 1)), dtype=np.int64)
+    param_rows[
+        np.repeat(np.arange(len(specs)), layers), _group_rows(np.zeros_like(layers), layers)
+    ] = flat_rows
+
+    mask64 = 0xFFFFFFFFFFFFFFFF
+    words = np.array([(d0 & mask64, d1 & mask64) for d0, d1 in digests], dtype=np.uint64)
+    salt_words = np.array([salt & 0xFFFFFFFF for salt in salts], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        key_base = _mix64(words[:, 0] + salt_words * _GOLDEN)
+
+    if perf.enabled:
+        perf.incr("dataplane.kernel.specs", len(specs))
+        perf.incr("dataplane.kernel.rows", int(n_streams.sum()))
+        perf.incr("dataplane.kernel.cells", int((n_streams * n_slots).sum()))
+        perf.incr("dataplane.kernel.paths_unique", len(set(map(id, paths))))
+        perf.incr("dataplane.kernel.param_rows", np.unique(flat_rows).size)
+    return _SpecTable(
+        n_streams=n_streams,
+        n_slots=n_slots,
+        packets_per_slot=packets_per_slot,
+        final_packets=final_packets,
+        packets_sent=packets_per_slot * (n_slots - 1) + final_packets,
+        rtt_ms=np.array([view.rtt_ms for view in views]),
+        jitter_scale=np.array([view.jitter_base_ms for view in views])
+        * _jitter_rate_factor(packets_per_second),
+        key_base=key_base,
+        key_word=words[:, 1],
+        param_rows=param_rows,
+    )
 
 
 def _group_rows(run_starts: np.ndarray, run_lens: np.ndarray) -> np.ndarray:
@@ -426,96 +450,78 @@ def _group_rows(run_starts: np.ndarray, run_lens: np.ndarray) -> np.ndarray:
     return np.repeat(shift, run_lens) + np.arange(total, dtype=np.int64)
 
 
-def _apply_extra(rates: np.ndarray, extras: np.ndarray) -> np.ndarray:
-    """Degraded-segment impairment: add after the stochastic draw, clip."""
-    if not np.any(extras > 0.0):
-        return rates
-    e = extras[:, None]
-    return np.where(e > 0.0, np.clip(rates + e, 0.0, 0.95), rates)
-
-
-def _simulate_chunk(
-    chunk: list[tuple[int, int, int]],
+def _simulate_pass(
+    table: _SpecTable,
     n_slots: int,
-    states: list[_SpecState],
+    row_spec: np.ndarray,
+    row_stream: np.ndarray,
     out: list[list[StreamResult]],
 ) -> None:
     """Simulate one ``(rows, n_slots)`` pass and scatter the results."""
-    lens = np.array([stop - start for _, start, stop in chunk], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(lens)))
-    m = int(offsets[-1])
-    # Per-stream keys, vectorised across runs — bit-identical to calling
-    # _stream_keys(digest, salt, start, stop) per run and concatenating.
-    mask64 = 0xFFFFFFFFFFFFFFFF
-    d0s = np.array([states[i].digest[0] & mask64 for i, _, _ in chunk], dtype=np.uint64)
-    d1s = np.array([states[i].digest[1] & mask64 for i, _, _ in chunk], dtype=np.uint64)
-    salts = np.array([states[i].salt & 0xFFFFFFFF for i, _, _ in chunk], dtype=np.uint64)
-    starts = np.array([start for _, start, _ in chunk], dtype=np.int64)
+    m = row_spec.size
+    # Per-stream keys — bit-identical to _stream_keys(digest, salt, start,
+    # stop) per spec, concatenated.
     with np.errstate(over="ignore"):
-        base = _mix64(d0s + salts * _GOLDEN)
-        idx = _group_rows(starts, lens).astype(np.uint64)
-        keys = _mix64(idx * _GOLDEN + np.repeat(d1s, lens)) ^ np.repeat(base, lens)
+        keys = (
+            _mix64(row_stream.astype(np.uint64) * _GOLDEN + table.key_word[row_spec])
+            ^ table.key_base[row_spec]
+        )
+    columns = LOSS_TABLE.columns
+    param_rows = table.param_rows[row_spec]
     survival = np.ones((m, n_slots))
-    run_starts = offsets[:-1]
-    max_layers = max(len(states[index].params) for index, _, _ in chunk)
-    for layer in range(max_layers):
-        by_kind: dict[SegmentKind, list[int]] = {}
-        for run, (index, _, _) in enumerate(chunk):
-            params = states[index].params
-            if layer < len(params):
-                by_kind.setdefault(params[layer].kind, []).append(run)
-        for kind, runs in by_kind.items():
-            if kind is SegmentKind.PEERING and all(
-                states[chunk[run][0]].params[layer].extra_loss == 0.0 for run in runs
-            ):
-                continue  # loss-free hand-off: survival unchanged
-            run_lens = lens[runs]
-            rows = _group_rows(run_starts[runs], run_lens)
-            run_params = [states[chunk[run][0]].params[layer] for run in runs]
-            sub_keys = keys[rows]
-            if kind is SegmentKind.ACCESS:
-                rates = _access_rates(sub_keys, layer, n_slots, run_params, run_lens)
-            elif kind is SegmentKind.TRANSIT:
-                rates = _transit_rates(sub_keys, layer, n_slots, run_params, run_lens)
-            elif kind is SegmentKind.VNS_L2:
-                rates = _vns_rates(sub_keys, layer, n_slots, run_params, run_lens)
-            else:
-                rates = np.zeros((rows.size, n_slots))
-            rates = _apply_extra(rates, _repeat([p.extra_loss for p in run_params], run_lens))
-            survival[rows] *= 1.0 - rates
+    for layer in range(param_rows.shape[1]):
+        ids = param_rows[:, layer]
+        kinds = columns.kind[ids]
+        extra = columns.extra_loss[ids]
+        for kind, sampler in _RATE_SAMPLERS.items():
+            wanted = kinds == kind
+            if sampler is _lossless_rates:
+                wanted &= extra > 0.0  # an unimpaired hand-off changes nothing
+            rows = np.flatnonzero(wanted)
+            if rows.size:
+                rates = sampler(keys[rows], layer, n_slots, columns, ids[rows])
+                survival[rows] *= 1.0 - _apply_extra(rates, extra[rows])
     rates = 1.0 - survival
 
-    packets = np.full(
-        (m, n_slots),
-        states[chunk[0][0]].packets_per_slot,
-        dtype=np.int64,
-    )
-    packets[:, -1] = np.repeat(
-        [states[index].final_packets for index, _, _ in chunk], lens
-    )
+    packets = np.full((m, n_slots), table.packets_per_slot, dtype=np.int64)
+    packets[:, -1] = table.final_packets[row_spec]
     u_binom = _draw_slots(keys, 0, _P_BINOMIAL, n_slots)
     losses = _binom_quantile(u_binom.ravel(), packets.ravel(), rates.ravel()).reshape(
         m, n_slots
     )
 
     u_jitter = _draw_slots(keys, 0, _P_JITTER, n_slots)
-    scale = _repeat([states[index].jitter_scale for index, _, _ in chunk], lens)
-    jitter = _gamma_quantile(u_jitter, cal.JITTER_GAMMA_SHAPE) * scale[:, None]
+    jitter = _gamma_quantile(u_jitter, cal.JITTER_GAMMA_SHAPE)
+    jitter *= table.jitter_scale[row_spec][:, None]
     jitter *= 1.0 + 40.0 * rates
     jitter_p95 = np.percentile(jitter, 95, axis=1)
 
-    row = 0
-    for index, start, stop in chunk:
-        state = states[index]
-        results = out[index]
-        for stream in range(start, stop):
-            results[stream] = StreamResult(
-                packets_sent=state.packets_sent,
-                slot_losses=losses[row],
-                jitter_p95_ms=float(jitter_p95[row]),
-                rtt_ms=state.rtt_ms,
-            )
-            row += 1
+    results = list(
+        map(
+            StreamResult,
+            table.packets_sent[row_spec].tolist(),
+            losses,
+            jitter_p95.tolist(),
+            table.rtt_ms[row_spec].tolist(),
+            losses.sum(axis=1).tolist(),
+            heavy_loss_slots(losses, packets).tolist(),
+        )
+    )
+    # Rows of one spec are contiguous: hand each run to its spec's list.
+    cuts = np.flatnonzero(np.diff(row_spec)) + 1
+    los = [0, *cuts.tolist()]
+    for spec, first, lo, hi in zip(
+        row_spec[los].tolist(), row_stream[los].tolist(), los, [*los[1:], m]
+    ):
+        out[spec][first : first + hi - lo] = results[lo:hi]
+
+
+def _apply_extra(rates: np.ndarray, extras: np.ndarray) -> np.ndarray:
+    """Degraded-segment impairment: add after the stochastic draw, clip."""
+    if not np.any(extras > 0.0):
+        return rates
+    e = extras[:, None]
+    return np.where(e > 0.0, np.clip(rates + e, 0.0, 0.95), rates)
 
 
 # --------------------------------------------------------------------- #
@@ -527,18 +533,18 @@ def _access_rates(
     keys: np.ndarray,
     layer: int,
     n_slots: int,
-    run_params: list[SegmentLossParams],
-    run_lens: np.ndarray,
+    columns: SegmentLossParams,
+    ids: np.ndarray,
 ) -> np.ndarray:
     """Episodic access loss — mirrors ``link._access_rates``."""
-    occurrence = _repeat([p.occurrence for p in run_params], run_lens)[:, None]
-    mean_rate = _repeat([p.mean_rate for p in run_params], run_lens)[:, None]
+    occurrence = columns.occurrence[ids][:, None]
     episodes = _draw_slots(keys, layer, _P_ACCESS_EPISODE, n_slots) < occurrence
     rates = np.zeros(episodes.shape)
     if episodes.any():
         sigma = cal.ACCESS_EPISODE_SIGMA
         u = _draw_slots(keys, layer, _P_ACCESS_RATE, n_slots)[episodes]
         draws = np.exp(-0.5 * sigma * sigma + sigma * _ndtri(u))
+        mean_rate = columns.mean_rate[ids][:, None]
         rates[episodes] = np.clip(
             np.broadcast_to(mean_rate, episodes.shape)[episodes] * draws, 0.0, 0.5
         )
@@ -549,8 +555,8 @@ def _transit_rates(
     keys: np.ndarray,
     layer: int,
     n_slots: int,
-    run_params: list[SegmentLossParams],
-    run_lens: np.ndarray,
+    columns: SegmentLossParams,
+    ids: np.ndarray,
 ) -> np.ndarray:
     """Floor + spread + bursts — mirrors ``link._transit_rates``.
 
@@ -559,21 +565,18 @@ def _transit_rates(
     call's wall-clock duration).
     """
     rates = np.full((keys.size, n_slots), cal.TRANSIT_FLOOR_RATE)
-    long_haul = np.repeat([p.long_haul for p in run_params], run_lens)
-    if long_haul.any():
-        lh_rows = np.nonzero(long_haul)[0]
-        spread_prob = _repeat([p.spread_prob for p in run_params], run_lens)[lh_rows]
-        occ = _draw(keys[lh_rows], layer, _P_SPREAD_OCC) < spread_prob
+    lh_rows = np.flatnonzero(columns.long_haul[ids])
+    if lh_rows.size:
+        occ = _draw(keys[lh_rows], layer, _P_SPREAD_OCC) < columns.spread_prob[ids[lh_rows]]
         if occ.any():
             hit = lh_rows[occ]
-            mult = _repeat([p.rate_mult for p in run_params], run_lens)[hit]
             u = _draw(keys[hit], layer, _P_SPREAD_RATE)
             draws = np.exp(
                 cal.TRANSIT_SPREAD_LOG_MEAN + cal.TRANSIT_SPREAD_LOG_SIGMA * _ndtri(u)
             )
-            rates[hit] += np.minimum(draws * mult, 0.05)[:, None]
+            rates[hit] += np.minimum(draws * columns.rate_mult[ids[hit]], 0.05)[:, None]
     exposure = (5.0 * n_slots) / 120.0
-    burst_scale = _repeat([p.burst_scale_120s for p in run_params], run_lens) * exposure
+    burst_scale = columns.burst_scale_120s[ids] * exposure
 
     short = (
         _draw(keys, layer, _P_SHORT_OCC) < cal.TRANSIT_SHORT_BURST_PROB * burst_scale
@@ -611,16 +614,34 @@ def _vns_rates(
     keys: np.ndarray,
     layer: int,
     n_slots: int,
-    run_params: list[SegmentLossParams],
-    run_lens: np.ndarray,
+    columns: SegmentLossParams,
+    ids: np.ndarray,
 ) -> np.ndarray:
     """Dedicated-L2 spread loss — mirrors ``link._vns_rates``."""
     rates = np.zeros((keys.size, n_slots))
-    spread_prob = _repeat([p.spread_prob for p in run_params], run_lens)
-    hit = _draw(keys, layer, _P_VNS_OCC) < spread_prob
-    if hit.any():
-        rows = np.nonzero(hit)[0]
-        lo = _repeat([p.uniform_lo for p in run_params], run_lens)[rows]
-        hi = _repeat([p.uniform_hi for p in run_params], run_lens)[rows]
+    rows = np.flatnonzero(_draw(keys, layer, _P_VNS_OCC) < columns.spread_prob[ids])
+    if rows.size:
+        lo = columns.uniform_lo[ids[rows]]
+        hi = columns.uniform_hi[ids[rows]]
         rates[rows] += (lo + (hi - lo) * _draw(keys[rows], layer, _P_VNS_RATE))[:, None]
     return rates
+
+
+def _lossless_rates(
+    keys: np.ndarray,
+    layer: int,
+    n_slots: int,
+    columns: SegmentLossParams,
+    ids: np.ndarray,
+) -> np.ndarray:
+    """PEERING hand-offs are loss-free (an impairment is added on top)."""
+    return np.zeros((keys.size, n_slots))
+
+
+#: The rate sampler of each ``kind`` column code.
+_RATE_SAMPLERS = {
+    KIND_CODE[SegmentKind.ACCESS]: _access_rates,
+    KIND_CODE[SegmentKind.TRANSIT]: _transit_rates,
+    KIND_CODE[SegmentKind.VNS_L2]: _vns_rates,
+    KIND_CODE[SegmentKind.PEERING]: _lossless_rates,
+}

@@ -88,13 +88,13 @@ def _segment_delay_ms(segment: "PathSegment") -> float:
 class SegmentLossParams(NamedTuple):
     """The resolved loss-distribution parameters of one segment at one hour.
 
-    This is the columnar kernel's view of a segment: everything the
-    stochastic loss model needs, with geography, AS classes and diurnal
-    profiles already folded in.  Produced by
-    :meth:`PathSegment.loss_params`; consumed by
-    :mod:`repro.dataplane.columnar`, which samples the *same*
-    distributions as :meth:`PathSegment.sample_slot_rates` from these
-    numbers alone (no further topology lookups in the hot loop).
+    Everything the stochastic loss model needs, with geography, AS
+    classes and diurnal profiles already folded in.  Produced by
+    :meth:`PathSegment._derive_loss_params`; the scalar samplers read one
+    directly, the columnar kernel (:mod:`repro.dataplane.columnar`)
+    reads the same fields as *columns* of :data:`LOSS_TABLE` — one row
+    per distinct ``(segment, hour)`` — and samples the same
+    distributions from those numbers alone.
 
     Field use by kind:
 
@@ -181,8 +181,8 @@ def _vns_rates(
 class _SegmentStatic(NamedTuple):
     """Hour-independent loss-model constants of one segment.
 
-    Everything in :meth:`PathSegment.loss_params` that does not depend on
-    the hour — geography, corridor spread, rate multipliers, the static
+    Everything in :meth:`PathSegment._derive_loss_params` that does not
+    depend on the hour — geography, corridor spread, rate multipliers, the static
     congestion mean, and the access base-loss table entry — resolved once
     per segment (memoised by :func:`_segment_static`).  The hour-dependent
     remainder is just a couple of memoised diurnal-factor lookups and
@@ -256,6 +256,8 @@ class PathSegment:
     #: delay memo caches, and the generated dataclass hash (two points
     #: plus three enum members, all Python-level) dominated those lookups.
     _hash: int = field(init=False, repr=False, compare=False, default=0)
+    #: this value's id in :data:`LOSS_TABLE` (-1 until first asked for).
+    _sid: int = field(init=False, repr=False, compare=False, default=-1)
 
     # Unannotated on purpose: plain class attributes, not fields.  A
     # healthy segment has no impairment; :class:`DegradedSegment`'s
@@ -265,16 +267,19 @@ class PathSegment:
     extra_delay_ms = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(
-                (self.kind, self.start, self.end, self.as_type, self.owner_type, self.label)
-            ),
-        )
+        object.__setattr__(self, "_hash", hash(self._value()))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def _value(self) -> tuple:
+        """The constructor arguments: what two equal segments share."""
+        return (self.kind, self.start, self.end, self.as_type, self.owner_type, self.label)
+
+    def __reduce__(self):
+        # Pickle the value, not the slots: ``_hash`` (salted string
+        # hashing) and ``_sid`` mean nothing in another process.
+        return (type(self), self._value())
 
     @property
     def distance_km(self) -> float:
@@ -343,7 +348,7 @@ class PathSegment:
         The one parameterisation of the loss model: the scalar samplers
         (:meth:`sample_slot_rates`, the distribution oracle) call this
         directly, the columnar kernel (:mod:`repro.dataplane.columnar`)
-        through the memoised :meth:`loss_params`.  Geography and AS-class
+        through the rows of :data:`LOSS_TABLE`.  Geography and AS-class
         constants come from the memoised :func:`_segment_static`, so one
         call is a couple of diurnal-factor lookups and scalar arithmetic.
         """
@@ -392,11 +397,6 @@ class PathSegment:
                 uniform_hi=hi,
             )
         return SegmentLossParams(kind=self.kind, long_haul=long_haul, extra_loss=extra)
-
-    #: :meth:`_derive_loss_params` memoised by value — paths do not share
-    #: segment objects, but thousands of campaign paths cross value-equal
-    #: segments at a handful of whole-hour bins.
-    loss_params = lru_cache(maxsize=None)(_derive_loss_params)
 
     def _corridor(self) -> tuple[float, float]:
         """(spread probability, rate multiplier) of this segment's corridor.
@@ -453,6 +453,9 @@ class DegradedSegment(PathSegment):
 
     # NB: explicit parent calls — ``slots=True`` dataclasses are re-created
     # by the decorator, which breaks zero-argument ``super()``.
+    def _value(self) -> tuple:
+        return PathSegment._value(self) + (self.extra_loss, self.extra_delay_ms)
+
     def delay_ms(self) -> float:
         return PathSegment.delay_ms(self) + self.extra_delay_ms
 
@@ -465,6 +468,126 @@ class DegradedSegment(PathSegment):
     ) -> np.ndarray:
         base = PathSegment.sample_slot_rates(self, n_slots, hour_cet, rng, duration_s)
         return np.clip(base + self.extra_loss, 0.0, 0.95)
+
+
+
+#: Integer code of each kind in :data:`LOSS_TABLE`'s ``kind`` column
+#: (0 is the padding row: no segment at that layer).
+KIND_CODE: dict[SegmentKind, int] = {
+    kind: code for code, kind in enumerate(SegmentKind, start=1)
+}
+
+
+class SegmentLossTable:
+    """Segment ids and loss-parameter rows, interned for the process.
+
+    Campaign paths are assembled from a small set of segment *values*
+    (a few thousand) over and over (tens of thousands of constructions
+    a day), and the columnar kernel needs each value's parameters at a
+    handful of whole-hour bins.  This table gives every distinct value a
+    small integer id — :meth:`intern` where paths are assembled,
+    :meth:`segment_id` for a segment built any other way — and every
+    distinct ``(id, hour)`` one row of :attr:`columns`, a
+    :class:`SegmentLossParams` whose fields are arrays, filled lazily by
+    the one :meth:`PathSegment._derive_loss_params`.
+
+    Ids and rows are keyed by segment **value** and parameters are a pure
+    function of ``(value, hour)``, so no event can stale a row: an
+    impaired segment (:class:`DegradedSegment`) is a different value
+    with its own id, and repairing the fault brings back the healthy
+    value and its old rows.
+    """
+
+    _DTYPES = (np.int8, np.bool_) + (np.float64,) * (len(SegmentLossParams._fields) - 2)
+
+    def __init__(self) -> None:
+        self._canonical: dict[tuple, PathSegment] = {}
+        #: id -> the canonical segment of that value.
+        self.segments: list[PathSegment] = []
+        self._row_at: dict[float, dict[int, int]] = {}  # hour -> id -> row
+        #: Rows handed out; row 0 is the all-zero padding row.
+        self.n_rows = 1
+        self._columns = SegmentLossParams(*(np.zeros(256, dtype) for dtype in self._DTYPES))
+        self._unwritten: list[tuple] = []  # rows handed out, not yet in the arrays
+
+    def intern(
+        self,
+        kind: SegmentKind,
+        start: GeoPoint,
+        end: GeoPoint,
+        as_type: ASType | None = None,
+        owner_type: ASType | None = None,
+        label: str = "",
+    ) -> PathSegment:
+        """The one shared :class:`PathSegment` of this value."""
+        value = (kind, start, end, as_type, owner_type, label)
+        segment = self._canonical.get(value)
+        if segment is None:
+            segment = self._register(value, PathSegment(*value))
+        return segment
+
+    def segment_id(self, segment: PathSegment) -> int:
+        """``segment``'s id: equal for equal values, cached on the object."""
+        sid = segment._sid
+        if sid < 0:
+            # A DegradedSegment's value is two fields longer, so it can
+            # never collide with its healthy twin's.
+            value = segment._value()
+            canonical = self._canonical.get(value)
+            if canonical is None:
+                canonical = self._register(value, segment)
+            sid = canonical._sid
+            object.__setattr__(segment, "_sid", sid)
+        return sid
+
+    def _register(self, value: tuple, segment: PathSegment) -> PathSegment:
+        object.__setattr__(segment, "_sid", len(self.segments))
+        self.segments.append(segment)
+        self._canonical[value] = segment
+        return segment
+
+    def rows(self, sids: tuple[int, ...], hour_cet: float) -> list[int]:
+        """The parameter-row index of each id at ``hour_cet``."""
+        at_hour = self._row_at.get(hour_cet)
+        if at_hour is None:
+            at_hour = self._row_at[hour_cet] = {}
+        try:
+            return [at_hour[sid] for sid in sids]
+        except KeyError:  # first sight of some (id, hour); real rows are >= 1
+            return [
+                at_hour.get(sid) or self._add_row(at_hour, sid, hour_cet) for sid in sids
+            ]
+
+    def _add_row(self, at_hour: dict[int, int], sid: int, hour_cet: float) -> int:
+        params = self.segments[sid]._derive_loss_params(hour_cet)
+        self._unwritten.append((KIND_CODE[params.kind], *params[1:]))
+        row = at_hour[sid] = self.n_rows
+        self.n_rows = row + 1
+        return row
+
+    @property
+    def columns(self) -> SegmentLossParams:
+        """The parameter rows as a :class:`SegmentLossParams` of arrays."""
+        if self._unwritten:
+            capacity = len(self._columns.kind)
+            if self.n_rows > capacity:
+                room = max(self.n_rows, 2 * capacity) - capacity
+                self._columns = SegmentLossParams(
+                    *(
+                        np.concatenate((column, np.zeros(room, column.dtype)))
+                        for column in self._columns
+                    )
+                )
+            first = self.n_rows - len(self._unwritten)
+            for column, values in zip(self._columns, zip(*self._unwritten)):
+                column[first : self.n_rows] = values
+            self._unwritten.clear()
+        return self._columns
+
+
+#: The process's table (worker processes each fill their own).
+LOSS_TABLE = SegmentLossTable()
+intern_segment = LOSS_TABLE.intern
 
 
 def degrade_segment(

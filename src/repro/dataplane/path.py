@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.dataplane.link import PathSegment, SegmentKind
+from repro.dataplane.link import PathSegment, SegmentKind, intern_segment
 from repro.geo.coords import GeoPoint
 from repro.net.asn import ASType
 from repro.net.topology import InternetTopology
@@ -30,6 +30,13 @@ class DataPath:
     #: lazily-computed RTT (segments are fixed after construction; both
     #: the resolve and simulate phases ask for the same path's RTT).
     _rtt_ms: float | None = field(default=None, repr=False, compare=False)
+    #: the columnar kernel's view of this path (segment ids, RTT, jitter
+    #: base), built by the kernel the first time it simulates the path.
+    _kernel_view: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __reduce__(self):
+        # Pickle the value, not the memos: segment ids are per process.
+        return (DataPath, (self.segments, self.description))
 
     def one_way_delay_ms(self) -> float:
         """Total one-way delay."""
@@ -132,10 +139,10 @@ def internet_path(
     for location, label, owner in waypoints:
         kind = first_segment_kind if not segments else SegmentKind.TRANSIT
         segments.append(
-            PathSegment(
-                kind=kind,
-                start=current,
-                end=location,
+            intern_segment(
+                kind,
+                current,
+                location,
                 owner_type=owner,
                 label=f"{current_label}->{label}",
             )
@@ -143,10 +150,10 @@ def internet_path(
         current, current_label, last_owner = location, label, owner
     final_kind = SegmentKind.ACCESS if final_access else SegmentKind.TRANSIT
     segments.append(
-        PathSegment(
-            kind=final_kind,
-            start=current,
-            end=destination,
+        intern_segment(
+            final_kind,
+            current,
+            destination,
             as_type=destination_as_type if final_access else None,
             owner_type=None if final_access else last_owner,
             label=f"{current_label}->dst",
@@ -164,12 +171,8 @@ def access_path(
     """A pure last-mile path (source and destination in the same AS)."""
     return DataPath(
         segments=[
-            PathSegment(
-                kind=SegmentKind.ACCESS,
-                start=start,
-                end=destination,
-                as_type=as_type,
-                label="direct",
+            intern_segment(
+                SegmentKind.ACCESS, start, destination, as_type=as_type, label="direct"
             )
         ],
         description=description,

@@ -25,6 +25,12 @@ from repro.dataplane.link import PathSegment, SegmentKind
 from repro.dataplane.path import DataPath
 
 
+#: A slot is "lossy" for QoE accounting when it loses at least this
+#: fraction of the packets it carried (the campaign-scale analogue of the
+#: Fig. 9 slot accounting).
+LOSSY_SLOT_THRESHOLD = 0.02
+
+
 @dataclass(slots=True)
 class StreamResult:
     """Outcome of one simulated media stream.
@@ -39,16 +45,32 @@ class StreamResult:
         95th-percentile interarrival jitter over the stream.
     rtt_ms:
         Path round-trip time (constant per stream in this model).
+    packets_lost, heavy_loss_slots:
+        Reductions of ``slot_losses``: the total, and the number of slots
+        that lost at least :data:`LOSSY_SLOT_THRESHOLD` of the packets
+        they carried (:func:`heavy_loss_slots`).  The simulators pass
+        them in — they know what each slot carried, and the columnar
+        kernel reduces whole passes at once; left out, every slot is
+        taken to have carried an even share of ``packets_sent``.
     """
 
     packets_sent: int
     slot_losses: np.ndarray
     jitter_p95_ms: float
     rtt_ms: float
+    packets_lost: int | None = None
+    heavy_loss_slots: int | None = None
 
-    @property
-    def packets_lost(self) -> int:
-        return int(self.slot_losses.sum())
+    def __post_init__(self) -> None:
+        if self.packets_lost is None:
+            self.packets_lost = int(np.sum(self.slot_losses))
+        if self.heavy_loss_slots is None:
+            n_slots = len(self.slot_losses)
+            self.heavy_loss_slots = (
+                int(heavy_loss_slots(self.slot_losses, self.packets_sent / n_slots))
+                if n_slots and self.packets_sent
+                else 0
+            )
 
     @property
     def loss_percent(self) -> float:
@@ -65,6 +87,16 @@ class StreamResult:
     @property
     def n_slots(self) -> int:
         return len(self.slot_losses)
+
+
+def heavy_loss_slots(slot_losses, slot_packets):
+    """Slots (last axis) losing >= :data:`LOSSY_SLOT_THRESHOLD` of their packets.
+
+    ``slot_packets`` is what each slot carried, broadcast against
+    ``slot_losses``: one vector for a stream, one row per stream for a
+    kernel pass.
+    """
+    return (np.asarray(slot_losses) / slot_packets >= LOSSY_SLOT_THRESHOLD).sum(axis=-1)
 
 
 def slot_count(duration_s: float, slot_s: float) -> int:
@@ -104,30 +136,29 @@ def _jitter_rate_factor(pps: float) -> float:
     return float(np.sqrt(cal.JITTER_REFERENCE_PPS / max(pps, 1.0)))
 
 
-def _jitter_scale_from_traits(traits, pps: float) -> float:
-    """Jitter scale from ``(kind, is_long_haul)`` segment traits.
+def _jitter_base_ms(segments) -> float:
+    """A path's jitter scale before the packet-rate factor.
 
-    Shared between the scalar path (which reads traits off the
-    :class:`DataPath`) and the columnar kernel (which reads them off
-    cached :class:`~repro.dataplane.link.SegmentLossParams`), so the two
-    cannot drift apart.
+    Grows with congested hops.  Hour- and rate-independent, so the
+    columnar kernel keeps it on the path; the scalar path and the kernel
+    both multiply it by :func:`_jitter_rate_factor`, so the two cannot
+    drift apart.
     """
     congestion_terms = 0.0
-    for kind, long_haul in traits:
-        if kind is SegmentKind.TRANSIT and long_haul:
-            congestion_terms += 0.5
-        elif kind is SegmentKind.ACCESS:
+    for segment in segments:
+        kind = segment.kind
+        if kind is SegmentKind.ACCESS:
             congestion_terms += 0.3
-        elif kind is SegmentKind.VNS_L2 and long_haul:
+        elif kind is SegmentKind.TRANSIT and segment.is_long_haul:
+            congestion_terms += 0.5
+        elif kind is SegmentKind.VNS_L2 and segment.is_long_haul:
             congestion_terms += 0.1
-    return cal.JITTER_BASE_SCALE_MS * (1.0 + congestion_terms) * _jitter_rate_factor(pps)
+    return cal.JITTER_BASE_SCALE_MS * (1.0 + congestion_terms)
 
 
 def _jitter_scale(path: DataPath, hour_cet: float, pps: float) -> float:
     """Jitter scale: grows with congested transit hops, shrinks with pps."""
-    return _jitter_scale_from_traits(
-        ((segment.kind, segment.is_long_haul) for segment in path.segments), pps
-    )
+    return _jitter_base_ms(path.segments) * _jitter_rate_factor(pps)
 
 
 def _stream_shape(
@@ -182,13 +213,13 @@ def simulate_stream(
     ]
     rates = combine_rates(per_segment, n_slots)
     if final_packets == packets_per_slot:
-        slot_losses = rng.binomial(packets_per_slot, rates)
+        slot_packets = packets_per_slot
     else:
         # Non-divisible duration: the final slot is partial and carries
         # fewer packets, but its tail seconds are still accounted.
         slot_packets = np.full(n_slots, packets_per_slot)
         slot_packets[-1] = final_packets
-        slot_losses = rng.binomial(slot_packets, rates)
+    slot_losses = rng.binomial(slot_packets, rates)
     jitter_samples = rng.gamma(
         cal.JITTER_GAMMA_SHAPE,
         _jitter_scale(path, hour_cet, packets_per_second),
@@ -202,6 +233,7 @@ def simulate_stream(
         slot_losses=slot_losses,
         jitter_p95_ms=jitter_p95,
         rtt_ms=path.rtt_ms(),
+        heavy_loss_slots=int(heavy_loss_slots(slot_losses, slot_packets)),
     )
 
 

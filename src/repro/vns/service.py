@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.bgp.propagation import AsLevelRouting
-from repro.dataplane.link import PathSegment, SegmentKind
+from repro.dataplane.link import PathSegment, SegmentKind, intern_segment
 from repro.dataplane.path import DataPath, internet_path
 from repro.geo.coords import GeoPoint
 from repro.geo.errors import GeoIPErrorModel, apply_error_models
@@ -186,10 +186,10 @@ class VideoNetworkService:
         """The leg across VNS's dedicated L2 circuits (IGP shortest path)."""
         pop_sequence = self.network.pop_l2_path(src_pop, dst_pop)
         segments = [
-            PathSegment(
-                kind=SegmentKind.VNS_L2,
-                start=pop_by_code(a).location,
-                end=pop_by_code(b).location,
+            intern_segment(
+                SegmentKind.VNS_L2,
+                pop_by_code(a).location,
+                pop_by_code(b).location,
                 label=f"{a}=={b}",
             )
             for a, b in zip(pop_sequence, pop_sequence[1:])
@@ -335,11 +335,8 @@ class VideoNetworkService:
                 # Deliberately not marked premium: the wart is exactly
                 # that this trunk is a poor fit for EU-bound traffic.
                 segments_prefix.append(
-                    PathSegment(
-                        kind=SegmentKind.TRANSIT,
-                        start=start,
-                        end=detour,
-                        label="LON->US-haul",
+                    intern_segment(
+                        SegmentKind.TRANSIT, start, detour, label="LON->US-haul"
                     )
                 )
                 start = detour
@@ -415,10 +412,10 @@ class VideoNetworkService:
         )
         # Type the first (access) segment with the user's AS class.
         first = path.segments[0]
-        path.segments[0] = PathSegment(
-            kind=SegmentKind.ACCESS,
-            start=first.start,
-            end=first.end,
+        path.segments[0] = intern_segment(
+            SegmentKind.ACCESS,
+            first.start,
+            first.end,
             as_type=origin.as_type,
             label=first.label,
         )

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.dataplane.transmit import LOSSY_SLOT_THRESHOLD  # noqa: F401 - re-exported
 from repro.geo.regions import WorldRegion
 from repro.measurement.stats import OnlineStats, percentile
 
@@ -38,10 +39,6 @@ REGION_CODE: dict[WorldRegion, str] = {
     WorldRegion.NORTH_CENTRAL_AMERICA: "NA",
     WorldRegion.SOUTH_AMERICA: "SA",
 }
-
-#: A slot is "lossy" when it loses at least this fraction of its packets
-#: (the campaign-scale analogue of the Fig. 9 slot accounting).
-LOSSY_SLOT_THRESHOLD = 0.02
 
 
 @dataclass(slots=True)
@@ -83,7 +80,6 @@ class PairAccumulator:
         if result.spec.multiparty:
             self.multiparty += 1
         vns, inet = result.via_vns, result.via_internet
-        # loss_percent reduces the slot-loss vector; compute each once.
         vns_rtt, vns_loss = vns.rtt_ms, vns.loss_percent
         inet_rtt, inet_loss = inet.rtt_ms, inet.loss_percent
         self.vns_delay.add(vns_rtt)
@@ -95,9 +91,9 @@ class PairAccumulator:
         self.inet_delay_samples.append(inet_rtt)
         self.inet_loss_samples.append(inet_loss)
         self.vns_slots += vns.n_slots
-        self.vns_lossy_slots += _lossy_slots(vns)
+        self.vns_lossy_slots += vns.heavy_loss_slots
         self.inet_slots += inet.n_slots
-        self.inet_lossy_slots += _lossy_slots(inet)
+        self.inet_lossy_slots += inet.heavy_loss_slots
         if vns_rtt <= inet_rtt:
             self.vns_delay_wins += 1
         if vns_loss <= inet_loss:
@@ -251,16 +247,6 @@ def _stable_mean(samples: list[float]) -> float:
     if not samples:
         return 0.0
     return float(np.sort(np.asarray(samples, dtype=float)).mean())
-
-
-def _lossy_slots(stream) -> int:
-    """Slots losing at least :data:`LOSSY_SLOT_THRESHOLD` of their packets."""
-    if stream.n_slots == 0 or stream.packets_sent == 0:
-        return 0
-    slot_packets = stream.packets_sent / stream.n_slots
-    return int(
-        (np.asarray(stream.slot_losses) / slot_packets >= LOSSY_SLOT_THRESHOLD).sum()
-    )
 
 
 class CampaignAggregator:

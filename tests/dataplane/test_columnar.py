@@ -433,3 +433,66 @@ class TestPinnedBits:
             kernel_sha256(simulate_stream_columns(pinned_specs()))
             == PINNED_KERNEL_SHA256
         )
+
+
+class TestWorkCounts:
+    def test_kernel_counters(self):
+        from repro import perf
+
+        specs = pinned_specs()
+        before = perf.snapshot()
+        was_enabled = perf.is_enabled()
+        perf.enable()
+        try:
+            simulate_stream_columns(specs, max_rows_per_pass=7)
+            counted = perf.snapshot().diff(before).counters
+            timed = perf.snapshot().diff(before).timers
+        finally:
+            if not was_enabled:
+                perf.disable()
+        count = {
+            name.removeprefix("dataplane.kernel."): value
+            for name, value in counted.items()
+            if name.startswith("dataplane.kernel.")
+        }
+        rows = sum(spec.n_streams for spec in specs)
+        cells = sum(
+            spec.n_streams * (3 if spec.duration_s == 12.0 else int(spec.duration_s / 5.0))
+            for spec in specs
+        )
+        assert count["specs"] == len(specs)
+        assert count["rows"] == rows
+        assert count["cells"] == cells
+        assert count["paths_unique"] == len(pinned_paths())
+        # Distinct (segment value, hour) pairs: the twins add none.
+        distinct = {
+            (segment, spec.hour_cet) for spec in specs for segment in spec.path.segments
+        }
+        assert count["param_rows"] == len(distinct)
+        assert count["cells_zero"] + count["cells_stepwise"] + count["cells_ppf"] == cells
+        assert count["cells_stepwise"] > 0 and count["cells_ppf"] > 0
+        assert {"dataplane.kernel.prelude", "dataplane.kernel.chunks"} <= set(timed)
+
+    def test_counters_off_by_default(self):
+        from repro import perf
+
+        assert not perf.is_enabled()
+        before = perf.snapshot()
+        columnar_batch(transit_long_path(), 4)
+        assert perf.snapshot().diff(before).counters == {}
+
+
+class TestPathView:
+    def test_view_is_built_once_and_not_pickled(self):
+        import pickle
+
+        path = mixed_path()
+        columnar_batch(path, 2)
+        view = path._kernel_view
+        assert view is not None and len(view.sids) == len(path.segments)
+        assert view.rtt_ms == path.rtt_ms()
+        columnar_batch(path, 2, hour_cet=3.5)
+        assert path._kernel_view is view
+        clone = pickle.loads(pickle.dumps(path))
+        assert clone == path and clone._kernel_view is None
+        assert_identical(columnar_batch(clone, 3), columnar_batch(path, 3))

@@ -1,10 +1,9 @@
 """Property-based tests for statistics and loss-model invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dataplane.loss import GilbertElliottLoss
 from repro.dataplane.transmit import combine_rates
 from repro.measurement.stats import Cdf, Ccdf, fraction_at_most, fraction_exceeding
 
@@ -72,18 +71,3 @@ class TestCombineRatesProperties:
         combined = combine_rates(arrays)
         stacked = np.vstack(arrays)
         assert (combined <= stacked.sum(axis=0) + 1e-9).all()
-
-
-class TestGilbertElliottProperties:
-    probabilities = st.floats(min_value=0.001, max_value=1.0, allow_nan=False)
-
-    @given(probabilities, probabilities, probabilities)
-    @settings(max_examples=50, deadline=None)
-    def test_mean_loss_bounded_by_bad_loss(self, p_gb, p_bg, loss_bad):
-        model = GilbertElliottLoss(p_gb=p_gb, p_bg=p_bg, loss_good=0.0, loss_bad=loss_bad)
-        assert 0.0 <= model.mean_loss() <= loss_bad + 1e-12
-
-    @given(probabilities, probabilities)
-    def test_stationary_in_unit_interval(self, p_gb, p_bg):
-        model = GilbertElliottLoss(p_gb=p_gb, p_bg=p_bg)
-        assert 0.0 <= model.stationary_bad() <= 1.0

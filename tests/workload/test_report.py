@@ -179,3 +179,70 @@ class TestReport:
     def test_region_codes_cover_all_regions(self):
         assert set(REGION_CODE) == set(WorldRegion)
         assert len(set(REGION_CODE.values())) == len(WorldRegion)
+
+
+class TestPartialFinalSlot:
+    """A 12 s stream is 2,100 + 2,100 + 840 packets: the lossy-slot rule
+    thresholds the last slot against the 840 it carried, not against the
+    mean slot size (2% of the mean is 34 packets, of the slot itself 17)."""
+
+    SLOT_PACKETS = np.array([2100, 2100, 840])
+
+    def test_rule_uses_each_slots_own_packets(self):
+        from repro.dataplane.transmit import heavy_loss_slots
+
+        assert heavy_loss_slots(np.array([41, 42, 16]), self.SLOT_PACKETS) == 1
+        assert heavy_loss_slots(np.array([41, 42, 17]), self.SLOT_PACKETS) == 2
+        assert list(
+            heavy_loss_slots(np.array([[0, 0, 17], [42, 42, 0]]), self.SLOT_PACKETS)
+        ) == [1, 2]
+
+    def test_campaign_folds_the_simulators_count(self):
+        from repro.dataplane.columnar import StreamColumnSpec, simulate_stream_columns
+        from repro.dataplane.link import PathSegment, SegmentKind, degrade_segment
+        from repro.dataplane.path import DataPath
+        from repro.dataplane.transmit import simulate_stream
+
+        location = GeoPoint(52.37, 4.9)
+        # A flat 3% impairment: every slot loses about 3% of what it
+        # carried, so the 840-packet tail loses ~25 — lossy by its own
+        # size, not by the mean slot's.
+        path = DataPath(
+            segments=[
+                degrade_segment(
+                    PathSegment(kind=SegmentKind.PEERING, start=location, end=location),
+                    extra_loss=0.03,
+                )
+            ]
+        )
+        spec = StreamColumnSpec(path, 40, 12.0, 12.5, (1, 2))
+        streams = simulate_stream_columns([spec])[0]
+        streams.append(
+            simulate_stream(path, duration_s=12.0, rng=np.random.default_rng(3))
+        )
+        by_own_size = [
+            int((s.slot_losses / self.SLOT_PACKETS >= LOSSY_SLOT_THRESHOLD).sum())
+            for s in streams
+        ]
+        by_mean_size = [
+            int((s.slot_losses / (s.packets_sent / 3) >= LOSSY_SLOT_THRESHOLD).sum())
+            for s in streams
+        ]
+        assert [s.heavy_loss_slots for s in streams] == by_own_size
+        assert by_own_size != by_mean_size  # the case the old rule got wrong
+
+        accumulator = PairAccumulator(src="EU", dst="EU")
+        lossless = make_stream([0, 0, 0])
+        for call_id, stream in enumerate(streams):
+            result = make_result(
+                call_id,
+                WorldRegion.EUROPE,
+                WorldRegion.EUROPE,
+                vns_losses=[0, 0, 0],
+                inet_losses=[0, 0, 0],
+            )
+            result.via_vns, result.via_internet = stream, lossless
+            accumulator.add(result)
+        assert accumulator.vns_lossy_slots == sum(by_own_size)
+        assert accumulator.vns_slots == 3 * len(streams)
+        assert accumulator.inet_lossy_slots == 0
