@@ -10,6 +10,10 @@ judged against recorded numbers:
 * path-cache effectiveness — the ``(entry_pop, dst_prefix)`` onward
   cache hit rate, the number that makes population scale affordable;
 * batching — how many vectorised groups the campaign collapsed into;
+* the columnar kernel's work counts (``kernel``: specs, rows, cells,
+  distinct paths and parameter rows, binomial cells per regime — all
+  exact under the seed; ``kernel.cells`` is a CI gate) and its
+  prelude / array-pass split;
 * sharding — the same campaign through
   :class:`~repro.workload.sharded.ShardedCampaignRunner` on a persistent
   :class:`~repro.workload.sharded.CampaignWorkerPool` at several worker
@@ -213,6 +217,18 @@ def test_bench_workload(scale: str, show) -> None:
         phase: round(snap["timers"][f"workload.{phase}"]["total_s"], 4)
         for phase in ("resolve", "simulate", "aggregate")
     }
+    # The columnar kernel's deterministic work counts and its two timers.
+    kernel = {
+        name.removeprefix("dataplane.kernel."): value
+        for name, value in sorted(snap["counters"].items())
+        if name.startswith("dataplane.kernel.")
+    }
+    for part in ("prelude", "chunks"):
+        timer = snap["timers"][f"dataplane.kernel.{part}"]
+        kernel[f"{part}_s"] = round(timer["total_s"], 4)
+    assert kernel["cells_zero"] + kernel["cells_stepwise"] + kernel["cells_ppf"] == (
+        kernel["cells"]
+    )
     sequential_json = run.report.to_json()
     _reports[scale] = json.loads(sequential_json)
     _perf[scale] = snap.to_dict()
@@ -360,6 +376,7 @@ def test_bench_workload(scale: str, show) -> None:
             "largest_batch": stats.largest_batch,
             "phase_s": phase_s,
         },
+        "kernel": kernel,
     }
     show(
         f"scale={scale}: {stats.calls_resolved} calls in {stats.elapsed_s:.2f}s"

@@ -58,7 +58,7 @@ from repro.dataplane.transmit import (
     _jitter_base_ms,
     _jitter_rate_factor,
     _stream_shape,
-    heavy_loss_slots,
+    count_heavy_loss_slots,
 )
 from repro.perf import counters as perf
 
@@ -311,6 +311,7 @@ class _PathView(NamedTuple):
 
 
 def _path_view(path: DataPath) -> _PathView:
+    """``path``'s view, built the first time the kernel meets the path."""
     view = path._kernel_view
     if view is None:
         view = path._kernel_view = _PathView(
@@ -402,11 +403,11 @@ def _spec_table(
     n_slots, final_packets = shapes[which, 0], shapes[which, 2]
     packets_per_slot = int(shapes[0, 1])
 
-    views = [_path_view(path) for path in paths]
-    layers = np.array([len(view.sids) for view in views], dtype=np.int64)
+    path_sids, rtt_ms, jitter_base_ms = zip(*map(_path_view, paths))
+    layers = np.array(list(map(len, path_sids)), dtype=np.int64)
     flat_rows: list[int] = []  # one flat list: nothing per spec outlives its turn
-    for view, hour in zip(views, hours):
-        flat_rows += LOSS_TABLE.rows(view.sids, hour)
+    for sids, hour in zip(path_sids, hours):
+        flat_rows += LOSS_TABLE.rows(sids, hour)
     param_rows = np.zeros((len(specs), max(int(layers.max()), 1)), dtype=np.int64)
     param_rows[
         np.repeat(np.arange(len(specs)), layers), _group_rows(np.zeros_like(layers), layers)
@@ -430,9 +431,8 @@ def _spec_table(
         packets_per_slot=packets_per_slot,
         final_packets=final_packets,
         packets_sent=packets_per_slot * (n_slots - 1) + final_packets,
-        rtt_ms=np.array([view.rtt_ms for view in views]),
-        jitter_scale=np.array([view.jitter_base_ms for view in views])
-        * _jitter_rate_factor(packets_per_second),
+        rtt_ms=np.array(rtt_ms),
+        jitter_scale=np.array(jitter_base_ms) * _jitter_rate_factor(packets_per_second),
         key_base=key_base,
         key_word=words[:, 1],
         param_rows=param_rows,
@@ -504,7 +504,7 @@ def _simulate_pass(
             jitter_p95.tolist(),
             table.rtt_ms[row_spec].tolist(),
             losses.sum(axis=1).tolist(),
-            heavy_loss_slots(losses, packets).tolist(),
+            count_heavy_loss_slots(losses, packets).tolist(),
         )
     )
     # Rows of one spec are contiguous: hand each run to its spec's list.

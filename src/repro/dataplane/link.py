@@ -505,9 +505,8 @@ class SegmentLossTable:
         #: id -> the canonical segment of that value.
         self.segments: list[PathSegment] = []
         self._row_at: dict[float, dict[int, int]] = {}  # hour -> id -> row
-        #: Rows handed out; row 0 is the all-zero padding row.
-        self.n_rows = 1
-        self._columns = SegmentLossParams(*(np.zeros(256, dtype) for dtype in self._DTYPES))
+        # Row 0 is the all-zero padding row.
+        self._columns = SegmentLossParams(*(np.zeros(1, dtype) for dtype in self._DTYPES))
         self._unwritten: list[tuple] = []  # rows handed out, not yet in the arrays
 
     def intern(
@@ -560,27 +559,20 @@ class SegmentLossTable:
 
     def _add_row(self, at_hour: dict[int, int], sid: int, hour_cet: float) -> int:
         params = self.segments[sid]._derive_loss_params(hour_cet)
+        row = at_hour[sid] = len(self._columns.kind) + len(self._unwritten)
         self._unwritten.append((KIND_CODE[params.kind], *params[1:]))
-        row = at_hour[sid] = self.n_rows
-        self.n_rows = row + 1
         return row
 
     @property
     def columns(self) -> SegmentLossParams:
         """The parameter rows as a :class:`SegmentLossParams` of arrays."""
-        if self._unwritten:
-            capacity = len(self._columns.kind)
-            if self.n_rows > capacity:
-                room = max(self.n_rows, 2 * capacity) - capacity
-                self._columns = SegmentLossParams(
-                    *(
-                        np.concatenate((column, np.zeros(room, column.dtype)))
-                        for column in self._columns
-                    )
+        if self._unwritten:  # one block append per batch of new rows
+            self._columns = SegmentLossParams(
+                *(
+                    np.concatenate((column, np.array(values, dtype=column.dtype)))
+                    for column, values in zip(self._columns, zip(*self._unwritten))
                 )
-            first = self.n_rows - len(self._unwritten)
-            for column, values in zip(self._columns, zip(*self._unwritten)):
-                column[first : self.n_rows] = values
+            )
             self._unwritten.clear()
         return self._columns
 

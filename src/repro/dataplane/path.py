@@ -32,7 +32,9 @@ class DataPath:
     _rtt_ms: float | None = field(default=None, repr=False, compare=False)
     #: the columnar kernel's view of this path (segment ids, RTT, jitter
     #: base), built by the kernel the first time it simulates the path.
-    _kernel_view: tuple | None = field(default=None, repr=False, compare=False)
+    _kernel_view: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __reduce__(self):
         # Pickle the value, not the memos: segment ids are per process.

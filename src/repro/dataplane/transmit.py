@@ -48,7 +48,7 @@ class StreamResult:
     packets_lost, heavy_loss_slots:
         Reductions of ``slot_losses``: the total, and the number of slots
         that lost at least :data:`LOSSY_SLOT_THRESHOLD` of the packets
-        they carried (:func:`heavy_loss_slots`).  The simulators pass
+        they carried (:func:`count_heavy_loss_slots`).  The simulators pass
         them in — they know what each slot carried, and the columnar
         kernel reduces whole passes at once; left out, every slot is
         taken to have carried an even share of ``packets_sent``.
@@ -66,10 +66,9 @@ class StreamResult:
             self.packets_lost = int(np.sum(self.slot_losses))
         if self.heavy_loss_slots is None:
             n_slots = len(self.slot_losses)
-            self.heavy_loss_slots = (
-                int(heavy_loss_slots(self.slot_losses, self.packets_sent / n_slots))
-                if n_slots and self.packets_sent
-                else 0
+            even_share = self.packets_sent / n_slots if n_slots else 0
+            self.heavy_loss_slots = int(
+                even_share and count_heavy_loss_slots(self.slot_losses, even_share)
             )
 
     @property
@@ -89,7 +88,7 @@ class StreamResult:
         return len(self.slot_losses)
 
 
-def heavy_loss_slots(slot_losses, slot_packets):
+def count_heavy_loss_slots(slot_losses, slot_packets):
     """Slots (last axis) losing >= :data:`LOSSY_SLOT_THRESHOLD` of their packets.
 
     ``slot_packets`` is what each slot carried, broadcast against
@@ -233,7 +232,7 @@ def simulate_stream(
         slot_losses=slot_losses,
         jitter_p95_ms=jitter_p95,
         rtt_ms=path.rtt_ms(),
-        heavy_loss_slots=int(heavy_loss_slots(slot_losses, slot_packets)),
+        heavy_loss_slots=int(count_heavy_loss_slots(slot_losses, slot_packets)),
     )
 
 

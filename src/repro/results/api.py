@@ -55,6 +55,8 @@ CI_GATES: dict[str, tuple[Gate, ...]] = {
         Gate("+scales.small.engine.calls_per_s", rtol=0.85),
         Gate("scales.small.campaign.calls"),
         Gate("scales.small.campaign.calls_failed"),
+        # Seed-deterministic kernel work (streams x slots): exact int.
+        Gate("scales.small.kernel.cells"),
     ),
     "steering": (
         Gate("scales.small.policies.threshold_offload.offload_rate", rtol=0.25),

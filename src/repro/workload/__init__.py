@@ -16,6 +16,7 @@ subpackage is that campaign's synthetic counterpart:
   byte-stable JSON report.
 """
 
+from repro.dataplane.transmit import LOSSY_SLOT_THRESHOLD
 from repro.workload.arrivals import (
     CALLEE_ZIPF_EXPONENT,
     DURATION_CHOICES_S,
@@ -41,7 +42,6 @@ from repro.workload.population import (
     UserPopulation,
 )
 from repro.workload.report import (
-    LOSSY_SLOT_THRESHOLD,
     REGION_CODE,
     CampaignAggregator,
     CampaignReport,

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.dataplane.transmit import LOSSY_SLOT_THRESHOLD  # noqa: F401 - re-exported
 from repro.geo.regions import WorldRegion
 from repro.measurement.stats import OnlineStats, percentile
 

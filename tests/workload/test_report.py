@@ -12,8 +12,8 @@ from repro.net.addressing import Prefix
 from repro.workload.arrivals import CallSpec
 from repro.workload.engine import CallResult
 from repro.workload.population import User
+from repro.workload import LOSSY_SLOT_THRESHOLD
 from repro.workload.report import (
-    LOSSY_SLOT_THRESHOLD,
     REGION_CODE,
     CampaignAggregator,
     PairAccumulator,
@@ -189,12 +189,12 @@ class TestPartialFinalSlot:
     SLOT_PACKETS = np.array([2100, 2100, 840])
 
     def test_rule_uses_each_slots_own_packets(self):
-        from repro.dataplane.transmit import heavy_loss_slots
+        from repro.dataplane.transmit import count_heavy_loss_slots
 
-        assert heavy_loss_slots(np.array([41, 42, 16]), self.SLOT_PACKETS) == 1
-        assert heavy_loss_slots(np.array([41, 42, 17]), self.SLOT_PACKETS) == 2
+        assert count_heavy_loss_slots(np.array([41, 42, 16]), self.SLOT_PACKETS) == 1
+        assert count_heavy_loss_slots(np.array([41, 42, 17]), self.SLOT_PACKETS) == 2
         assert list(
-            heavy_loss_slots(np.array([[0, 0, 17], [42, 42, 0]]), self.SLOT_PACKETS)
+            count_heavy_loss_slots(np.array([[0, 0, 17], [42, 42, 0]]), self.SLOT_PACKETS)
         ) == [1, 2]
 
     def test_campaign_folds_the_simulators_count(self):
