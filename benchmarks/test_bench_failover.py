@@ -9,14 +9,33 @@ ConvergenceError; after each scenario's final repair no prefix is left
 permanently blackholed (the production mesh is biconnected except for
 SYD behind SIN, and even that restores on repair); media loss during
 failover is bounded and returns to the steady-state level.
+
+The second bench is the deterministic gate on what a fault timeline costs
+the control plane: 24 down/up events on a SMALL world, counted in
+messages delivered and ``_decide`` runs (``CI_GATES["failover"]``).
 """
 
 import pytest
 
+from repro import perf
 from repro.experiments import failover
 from repro.experiments.common import World, build_world
+from repro.faults import (
+    FaultInjector,
+    LinkDown,
+    LinkUp,
+    PopDown,
+    PopUp,
+    SessionDown,
+    SessionUp,
+)
+from repro.vns.links import VNS_LONG_HAUL_LINKS
 
 from .conftest import BENCH_SEED, record_row, run_once
+
+#: PoPs the churn timeline fails, led by the SIN cut-vertex (SYD sits
+#: behind it; ASH hosts a reflector) — `bench_e2e`'s `fault_churn` set.
+CHURN_POPS = ("SIN", "LON", "ASH", "SYD")
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +89,65 @@ def test_bench_failover_suite(benchmark, failover_world, show):
     assert quiet.notes["control_plane_quiet"] is True
     assert quiet.media.failover_loss_percent > quiet.media.steady_loss_percent
     record_row("failover", **result.to_row())
+
+
+def churn_timeline(world: World) -> list:
+    """Four long-haul circuits, four PoPs, four upstreams: each down, then up."""
+    pairs = [
+        (LinkDown, LinkUp, {"a": a, "b": b}) for a, b in VNS_LONG_HAUL_LINKS[:4]
+    ]
+    pairs += [(PopDown, PopUp, {"pop": code}) for code in CHURN_POPS]
+    pairs += [
+        (SessionDown, SessionUp, {"asn": asn})
+        for asn in world.service.deployment.upstreams[:4]
+    ]
+    events = []
+    for slot, (down, up, fields) in enumerate(pairs):
+        events.append(down(time_s=2.0 * slot, **fields))
+        events.append(up(time_s=2.0 * slot + 1.0, **fields))
+    return events
+
+
+def test_bench_failover_timeline_small(benchmark, show):
+    """Control-plane work of a fault timeline, as exact counts."""
+    world = build_world("small", seed=BENCH_SEED)
+    engine = world.service.network.engine
+    injector = FaultInjector(world.service)
+    timeline = churn_timeline(world)
+
+    def play() -> int:
+        return sum(injector.apply(event) for event in timeline)
+
+    delivered_before = engine.delivered
+    perf.reset()
+    perf.enable()
+    try:
+        delivered = run_once(benchmark, play)
+        counters = perf.snapshot()["counters"]
+    finally:
+        perf.disable()
+
+    assert delivered == engine.delivered - delivered_before
+    assert injector.active == [] and engine.converged
+    row = {
+        "events": len(timeline),
+        "messages_delivered": delivered,
+        "decisions": int(counters["bgp.decide.calls"]),
+        "decisions_unchanged": int(counters["bgp.decide.unchanged"]),
+        "nht_notifications": int(counters["bgp.nht.notifications"]),
+        "nht_prefixes_affected": int(counters["bgp.nht.prefixes_affected"]),
+        "nht_empty": int(counters["bgp.nht.empty"]),
+    }
+    show(
+        f"fault timeline (small): {row['events']} events, {delivered} messages,"
+        f" {row['decisions']} decisions ({row['decisions_unchanged']} unchanged);"
+        f" {row['nht_notifications']} IGP notifications re-decided"
+        f" {row['nht_prefixes_affected']} prefixes ({row['nht_empty']} empty)"
+    )
+    # Every IGP event notifies every speaker once; session events none.
+    igp_events = sum(
+        not isinstance(event, (SessionDown, SessionUp)) for event in timeline
+    )
+    assert row["nht_notifications"] == igp_events * len(engine.routers)
+    assert row["nht_prefixes_affected"] < row["decisions"]
+    record_row("failover", scales={"small": {"timeline": row}})

@@ -2,10 +2,13 @@
 
 Also defines :class:`IgpNotification`, the intra-router event the IGP
 delivers when its topology view changes: real speakers re-validate BGP
-next hops and re-run selection when SPF moves (next-hop tracking / the
-BGP scanner).  Modelling it as a queued message rather than a synchronous
-callback means remote routers react in delivery order, which is what
-creates an observable window of stale forwarding decisions after a fault.
+next hops and re-run selection when SPF moves.  With next-hop tracking
+the IGP names the next hops whose metric moved and the speaker re-decides
+only the prefixes that resolve through one of them; without it the
+speaker walks its whole table (the BGP scanner).  Modelling it as a
+queued message rather than a synchronous callback means remote routers
+react in delivery order, which is what creates an observable window of
+stale forwarding decisions after a fault.
 """
 
 from __future__ import annotations
@@ -46,10 +49,16 @@ class Withdraw:
 
 @dataclass(frozen=True, slots=True)
 class IgpNotification:
-    """The IGP tells one speaker that next-hop reachability/costs changed."""
+    """The IGP tells one speaker that next-hop reachability/costs changed.
+
+    ``changed`` is the set of BGP next hops whose IGP metric, seen from
+    the receiver, moved in the SPF run that triggered the notification;
+    ``None`` means "unknown — re-validate everything".
+    """
 
     receiver: str
     sender: str = "igp"
+    changed: frozenset[str] | None = None
 
     def __str__(self) -> str:
         return f"IGP-EVENT ->{self.receiver}"

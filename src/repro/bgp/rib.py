@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Set
 
 from repro.bgp.attributes import Route
 from repro.net.addressing import Prefix
@@ -42,6 +42,15 @@ class AdjRib:
         for routes in self._routes.values():
             seen.update(routes)
         return seen
+
+    def prefixes_via(self, next_hops: Set[str]) -> set[Prefix]:
+        """Every prefix with a route whose next hop is one of ``next_hops``."""
+        return {
+            prefix
+            for routes in self._routes.values()
+            for prefix, route in routes.items()
+            if route.next_hop in next_hops
+        }
 
     def drop_peer(self, peer: str) -> dict[Prefix, Route]:
         """Remove all state for a peer (session teardown); return it."""

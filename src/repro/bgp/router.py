@@ -227,15 +227,22 @@ class BgpRouter:
     def process(self, message: Message) -> list[Message]:
         """Handle one incoming message; return the messages it triggers.
 
+        An :class:`IgpNotification` re-runs selection for the prefixes
+        with a candidate through one of its ``changed`` next hops
+        (:meth:`_track_next_hops`); without a set it is a full
+        :meth:`refresh_advertisements`.
+
         Raises
         ------
         KeyError
             If the message arrives from a peer with no configured session.
         """
         if isinstance(message, IgpNotification):
-            # SPF moved: re-validate next hops and re-run selection for
-            # everything, exactly like next-hop tracking / the BGP scanner.
-            return self.refresh_advertisements()
+            if message.changed is None:
+                # SPF moved and the IGP did not say where: walk the whole
+                # table, like the BGP scanner.
+                return self.refresh_advertisements()
+            return self._track_next_hops(message.changed)
         session = self.sessions[message.sender]
         if message.sender in self.down_sessions:
             return []  # in-flight message from a session that has failed
@@ -304,7 +311,8 @@ class BgpRouter:
         Adj-RIB-Out was last synchronised to there is nothing to send and
         the diff is skipped.  Entry points that re-synchronise Adj-RIB-Out
         (origination, session failure/restore, :meth:`refresh_advertisements`)
-        drop the remembered pair first and so always take the full path.
+        drop the remembered pair first and so always take the full path;
+        an IGP event (:meth:`_track_next_hops`) changes neither and keeps it.
         """
         candidates = self._candidates(prefix)
         best = best_route(candidates, self._ctx)
@@ -331,6 +339,33 @@ class BgpRouter:
             else:
                 desired = self._ibgp_desired(session, payload, source_peer, from_client)
             self._emit(peer_id, prefix, desired, messages)
+        return messages
+
+    def _track_next_hops(self, changed: frozenset[str]) -> list[Message]:
+        """Re-run selection where an IGP metric move can change it.
+
+        Next-hop tracking: ``changed`` names the next hops whose metric
+        from this speaker moved.  Selection reads the IGP only through
+        its candidates' next hops, so a prefix with no candidate (learned
+        or originated) through one of them keeps its outcome and is not
+        visited.  The :attr:`_advertised` memo stays: an IGP event changes
+        neither sessions nor policy, so an unchanged ``(best, source)``
+        still has nothing to send.
+        """
+        if perf.enabled:
+            perf.incr("bgp.nht.notifications")
+        if not changed:
+            if perf.enabled:
+                perf.incr("bgp.nht.empty")
+            return []
+        affected = self.adj_rib_in.prefixes_via(changed)
+        if self.router_id in changed:
+            affected.update(self.originated)
+        if perf.enabled:
+            perf.incr("bgp.nht.prefixes_affected", len(affected))
+        messages: list[Message] = []
+        for prefix in sorted(affected):
+            messages.extend(self._decide(prefix))
         return messages
 
     def refresh_advertisements(self) -> list[Message]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.bgp.attributes import Route
-from repro.bgp.messages import IgpNotification
 from repro.dataplane.link import PathSegment, SegmentKind, degrade_segment
 from repro.dataplane.path import DataPath
 from repro.faults.events import (
@@ -228,14 +227,11 @@ class FaultInjector:
         only when its notification is delivered, so the snapshot taken
         between :meth:`perturb` and :meth:`converge` sees the stale
         forwarding decisions a real network forwards on mid-failover.
+        The network words the notifications: each names the next hops
+        whose metric the SPF rebuild just moved for its receiver.
         """
         network = self.service.network
-        network.engine.inject(
-            [IgpNotification(receiver=rid) for rid in sorted(network.border_routers)]
-        )
-        network.engine.inject(
-            [IgpNotification(receiver=rid) for rid in sorted(network.reflectors)]
-        )
+        network.engine.inject(network.igp_notifications())
 
     def _set_link(self, a: str, b: str, *, up: bool) -> None:
         if self.service.network.set_link_state(a, b, up):

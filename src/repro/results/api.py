@@ -70,6 +70,12 @@ CI_GATES: dict[str, tuple[Gate, ...]] = {
         # The golden gate distilled: any failed cell regresses the row.
         Gate("golden_failed"),
     ),
+    "failover": (
+        # Seed-deterministic control-plane work of the 24-event fault
+        # timeline (messages and `_decide` runs): exact int compare.
+        Gate("scales.small.timeline.messages_delivered"),
+        Gate("scales.small.timeline.decisions"),
+    ),
 }
 
 

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.bgp.attributes import Route
 from repro.bgp.engine import BgpEngine
+from repro.bgp.messages import IgpNotification
 from repro.bgp.policy import (
     RelationshipExportPolicy,
     RelationshipImportPolicy,
@@ -208,6 +209,11 @@ class VnsNetwork:
         self.reflectors: dict[str, RouteReflector] = {}
         self.pop_of_router: dict[str, str] = {}
         self.router_locations: dict[str, GeoPoint] = {}
+        #: Reflector id -> the border router whose IGP view it decides by.
+        self.reflector_anchor: dict[str, str] = {}
+        #: Per border router, the internal next hops whose metric moved in
+        #: the last :meth:`_rebuild_igp` (see :meth:`igp_notifications`).
+        self._igp_moved: dict[str, frozenset[str]] = {}
         self._build_routers()
         self._build_ibgp()
 
@@ -262,6 +268,7 @@ class VnsNetwork:
                     igp_metric=self._igp_metric_fn(anchor),
                 )
             self.reflectors[rr_id] = reflector
+            self.reflector_anchor[rr_id] = anchor
             self.pop_of_router[rr_id] = pop.code
             self.engine.add_router(reflector)
 
@@ -324,8 +331,10 @@ class VnsNetwork:
 
         Models instantaneous IGP reconvergence (link-state protocols
         reconverge in milliseconds; BGP, which this engine does model
-        message-by-message, is the slow part).
+        message-by-message, is the slow part), and records which next-hop
+        metrics the rebuild moved for :meth:`igp_notifications`.
         """
+        before = self._igp_metrics()
         self.pop_igp, _ = build_l2_topology(
             excluded_links=frozenset(self.down_links),
             excluded_pops=frozenset(self.down_pops),
@@ -334,6 +343,48 @@ class VnsNetwork:
         self.router_igp = router_level_igp(self.pop_igp, require_connected=False)
         self._pop_spf = all_pairs_spf(self.pop_igp)
         self._router_spf = all_pairs_spf(self.router_igp)
+        self._igp_moved = {
+            router_id: frozenset(
+                next_hop
+                for next_hop, metric in metrics.items()
+                if metric != before[router_id][next_hop]
+            )
+            for router_id, metrics in self._igp_metrics().items()
+        }
+
+    def _igp_metrics(self) -> dict[str, dict[str, float]]:
+        """Each border router's metric to every internal BGP next hop.
+
+        Read through the same callable the speakers decide by, so a
+        difference between two of these tables is exactly what selection
+        can observe — own-PoP-down (everything ``inf``) included.
+        """
+        metrics: dict[str, dict[str, float]] = {}
+        for router_id in self.border_routers:
+            metric = self._igp_metric_fn(router_id)
+            metrics[router_id] = {
+                next_hop: metric(next_hop) for next_hop in self.pop_of_router
+            }
+        return metrics
+
+    def igp_notifications(self) -> list[IgpNotification]:
+        """What the IGP tells each speaker about its last rebuild.
+
+        One notification per speaker — border routers, then reflectors,
+        each in id order — carrying the next hops whose metric moved from
+        that speaker's vantage (a reflector's is its anchor border
+        router).  The caller queues them on the engine *after* the BGP
+        changes of the same event, so speakers react in delivery order.
+        """
+        return [
+            IgpNotification(
+                receiver=speaker_id,
+                changed=self._igp_moved.get(
+                    self.reflector_anchor.get(speaker_id, speaker_id), frozenset()
+                ),
+            )
+            for speaker_id in (*sorted(self.border_routers), *sorted(self.reflectors))
+        ]
 
     def set_link_state(self, a: str, b: str, up: bool) -> bool:
         """Mark the L2 circuit ``a``–``b`` up or down; True if it changed.

@@ -5,10 +5,11 @@ import pickle
 import pytest
 
 from repro.bgp.attributes import NO_EXPORT, AsPath, Route
-from repro.bgp.messages import Update, Withdraw
+from repro.bgp.messages import IgpNotification, Update, Withdraw
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session, SessionType
 from repro.net.addressing import Prefix
+from repro.perf import counters as perf
 
 PFX = Prefix.parse("203.0.113.0/24")
 LOCAL_ASN = 65000
@@ -273,6 +274,104 @@ class TestUnchangedOutcomeSkip:
         router.adj_rib_out.drop_peer("rr")
         assert [m.receiver for m in router.refresh_advertisements()] == ["rr"]
         assert router.refresh_advertisements() == []
+
+
+class TestNextHopTracking:
+    """An IGP notification re-decides only what its delta can change."""
+
+    PREFIXES = {
+        "e1": Prefix.parse("198.51.100.0/24"),
+        "e2": Prefix.parse("192.0.2.0/24"),
+    }
+    OWN = Prefix.parse("203.0.114.0/24")
+
+    def _router(self, metrics: dict[str, float]):
+        """``r1`` with PFX via e1 and e2, one prefix via each alone, one
+        originated; returns the router and the prefixes it re-decides."""
+        router = make_router(igp_metric=lambda next_hop: metrics.get(next_hop, 0.0))
+        wire(router, "rr1", SessionType.IBGP, peer_asn=LOCAL_ASN)
+        wire(router, "rr2", SessionType.IBGP, peer_asn=LOCAL_ASN)
+        wire(router, "ext1", SessionType.EBGP, peer_asn=100)
+        for sender, next_hop, asn in (("rr1", "e1", 300), ("rr2", "e2", 400)):
+            for prefix in (PFX, self.PREFIXES[next_hop]):
+                route = Route(prefix=prefix, as_path=AsPath((asn, 9)), next_hop=next_hop)
+                router.process(Update(sender=sender, receiver="r1", route=route))
+        router.originate(self.OWN)
+        decided: list[Prefix] = []
+        decide = router._decide
+
+        def recording_decide(prefix):
+            decided.append(prefix)
+            return decide(prefix)
+
+        router._decide = recording_decide
+        return router, decided
+
+    @staticmethod
+    def _ribs(router: BgpRouter):
+        peers = list(router.sessions)
+        return (
+            dict(router.loc_rib.items()),
+            {peer: router.adj_rib_in.routes_from(peer) for peer in peers},
+            {peer: router.adj_rib_out.routes_from(peer) for peer in peers},
+        )
+
+    def test_empty_delta_is_a_no_op(self):
+        metrics = {"e1": 1.0, "e2": 2.0}
+        router, decided = self._router(metrics)
+        before = self._ribs(router)
+        metrics["e1"] = 9.0  # moved, but the IGP says nothing this speaker uses did
+        assert router.process(IgpNotification(receiver="r1", changed=frozenset())) == []
+        assert decided == []
+        assert self._ribs(router) == before
+
+    def test_one_next_hop_redecides_exactly_the_prefixes_through_it(self):
+        metrics = {"e1": 1.0, "e2": 2.0}
+        router, decided = self._router(metrics)
+        assert router.best(PFX).next_hop == "e1"
+        metrics["e1"] = 9.0
+        router.process(IgpNotification(receiver="r1", changed=frozenset({"e1"})))
+        assert decided == sorted([PFX, self.PREFIXES["e1"]])
+        assert router.best(PFX).next_hop == "e2"  # hot potato moved with the metric
+
+    def test_own_id_in_the_delta_redecides_originated_prefixes(self):
+        router, decided = self._router({})
+        router.process(IgpNotification(receiver="r1", changed=frozenset({"r1"})))
+        assert decided == [self.OWN]
+
+    def test_no_delta_still_walks_the_whole_table(self):
+        metrics = {"e1": 1.0, "e2": 2.0}
+        router, decided = self._router(metrics)
+        metrics["e1"] = 9.0
+        router.process(IgpNotification(receiver="r1"))
+        assert decided == sorted([PFX, *self.PREFIXES.values(), self.OWN])
+        assert router.best(PFX).next_hop == "e2"
+
+    def test_work_counters(self):
+        router, _ = self._router({})
+        perf.reset()
+        perf.enable()
+        try:
+            router.process(IgpNotification(receiver="r1", changed=frozenset()))
+            router.process(IgpNotification(receiver="r1", changed=frozenset({"e1"})))
+            router.process(IgpNotification(receiver="r1"))  # full walk: not tracked
+            counts = {
+                name: perf.counter(f"bgp.nht.{name}")
+                for name in ("notifications", "empty", "prefixes_affected")
+            }
+        finally:
+            perf.disable()
+            perf.reset()
+        assert counts == {"notifications": 2, "empty": 1, "prefixes_affected": 2}
+
+    def test_delta_sends_what_the_full_walk_sends(self):
+        sent = []
+        for changed in (frozenset({"e1"}), None):
+            metrics = {"e1": 1.0, "e2": 2.0}
+            router, _ = self._router(metrics)
+            metrics["e1"] = 9.0
+            sent.append(router.process(IgpNotification(receiver="r1", changed=changed)))
+        assert sent[0] == sent[1] != []
 
 
 class TestPickle:

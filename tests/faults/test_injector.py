@@ -51,6 +51,29 @@ class TestDispatch:
         assert "link-up" in injector.event_log[1]
 
 
+class TestIgpNotifications:
+    def test_igp_events_queue_the_networks_deltas(self, fault_world):
+        """One notification per speaker, worded by the network, after the
+        event's own BGP messages; session events run no SPF and queue none."""
+        network = fault_world.service.network
+        engine = network.engine
+        injector = FaultInjector(fault_world.service)
+        try:
+            injector.perturb(PopDown(time_s=1.0, pop="SYD"))
+            queued = list(engine.queue)
+            expected = network.igp_notifications()
+            assert queued[-len(expected) :] == expected
+            assert all(message.sender != "igp" for message in queued[: -len(expected)])
+            assert all(n.changed is not None for n in expected)
+            injector.converge()
+            upstream = fault_world.service.deployment.upstreams[0]
+            injector.perturb(SessionDown(time_s=2.0, asn=upstream))
+            assert all(message.sender != "igp" for message in engine.queue)
+            injector.converge()
+        finally:
+            injector.restore()
+
+
 class TestReversibility:
     def test_link_cut_and_repair_restores_state(self, fault_world):
         service = fault_world.service

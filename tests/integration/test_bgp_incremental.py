@@ -5,16 +5,22 @@
 lexicographic key.  Neither may change a single message: the tests below
 hold the resulting state against a full recomputation
 (``refresh_advertisements``) and against the staged reference run with
-the skip disabled.
+the skip disabled.  An IGP notification re-decides only the prefixes
+through the next hops it names; the fault-timeline test also holds that
+against the full walk — fewer decisions, and still nothing left to send.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro import perf
 from repro.bgp import decision
 from repro.bgp import router as router_module
 from repro.bgp.engine import BgpEngine
+from repro.bgp.messages import IgpNotification
 from repro.bgp.router import BgpRouter
 from repro.experiments.common import build_world
 from repro.faults import (
@@ -54,8 +60,40 @@ def assert_refresh_is_a_no_op(engine: BgpEngine, when: str) -> None:
         assert adj_rib_out(router) == before, (when, router)
 
 
+def converge_counting_notification_work(
+    engine: BgpEngine,
+) -> tuple[Counter[str], Counter[str]]:
+    """Run to convergence; per router, the ``_decide`` calls its IGP
+    notifications cost and what walking its whole table would have."""
+    spent: Counter[str] = Counter()
+    full_walk: Counter[str] = Counter()
+    perf.enable()
+    try:
+        while engine.queue:
+            message = engine.queue[0]
+            if not isinstance(message, IgpNotification):
+                engine.step()
+                continue
+            router = engine.routers[message.receiver]
+            table = router.adj_rib_in.prefixes() | set(router.originated)
+            before = perf.counter("bgp.decide.calls")
+            engine.step()
+            spent[router.router_id] += perf.counter("bgp.decide.calls") - before
+            full_walk[router.router_id] += len(table)
+    finally:
+        perf.disable()
+    return spent, full_walk
+
+
 def test_skip_is_sound_across_a_fault_timeline():
-    """Incremental state ≡ full recomputation, at rest and after every event."""
+    """Incremental state ≡ full recomputation, at rest and after every event.
+
+    Every IGP event (link and PoP) costs each router at most its full
+    walk and the routers together strictly less.  "Strictly" is per
+    event, not per router: a reflector holds a candidate through nearly
+    every egress, and a router whose own PoP went down sees every next
+    hop move — those still re-decide their whole table.
+    """
     world = build_world("small", seed=SEED)
     service = world.service
     engine = service.network.engine
@@ -75,7 +113,16 @@ def test_skip_is_sound_across_a_fault_timeline():
     pristine = control_plane_state(engine)
     injector = FaultInjector(service)
     for event in timeline:
-        injector.apply(event)
+        injector.perturb(event)
+        spent, full_walk = converge_counting_notification_work(engine)
+        assert set(spent) == set(full_walk)
+        if isinstance(event, (SessionDown, SessionUp)):
+            assert spent == {}, event.describe()  # no SPF run, no notification
+        else:
+            assert set(spent) == set(engine.routers), event.describe()
+            for router_id, decisions in spent.items():
+                assert decisions <= full_walk[router_id], (event.describe(), router_id)
+            assert sum(spent.values()) < sum(full_walk.values()), event.describe()
         assert_refresh_is_a_no_op(engine, event.describe())
     assert control_plane_state(engine) == pristine
 

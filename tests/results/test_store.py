@@ -239,8 +239,14 @@ class TestJsonlHistory:
     def test_committed_history_round_trips_byte_identical(self, store):
         """history.jsonl is the committed baseline: import -> export is it."""
         run_ids = store.import_jsonl(HISTORY)
-        assert store.benches() == ("scale", "scenario_matrix", "steering", "workload")
-        assert len(run_ids) == 5
+        assert store.benches() == (
+            "failover",
+            "scale",
+            "scenario_matrix",
+            "steering",
+            "workload",
+        )
+        assert len(run_ids) == 6
         assert store.export_jsonl() == HISTORY.read_text(encoding="utf-8")
 
     def test_every_ci_gate_resolves_against_the_committed_history(self, store):

@@ -66,3 +66,60 @@ class TestConstruction:
     def test_asn_constant(self):
         net = VnsNetwork(geoip=GeoIPDatabase())
         assert all(r.asn == VNS_ASN for r in net.border_routers.values())
+
+
+class TestIgpNotifications:
+    """What the IGP tells the speakers after an SPF rebuild."""
+
+    @staticmethod
+    def _deltas(net):
+        return {n.receiver: n.changed for n in net.igp_notifications()}
+
+    def test_one_per_speaker_borders_then_reflectors_in_id_order(self):
+        net = VnsNetwork(geoip=GeoIPDatabase())
+        receivers = [n.receiver for n in net.igp_notifications()]
+        assert receivers == sorted(net.border_routers) + sorted(net.reflectors)
+        # No rebuild yet: nothing has moved for anyone.
+        assert set(self._deltas(net).values()) == {frozenset()}
+
+    def test_delta_is_exactly_the_metrics_that_moved(self):
+        net = VnsNetwork(geoip=GeoIPDatabase())
+        metric = {rid: net._igp_metric_fn(rid) for rid in net.border_routers}
+        before = {
+            rid: {nh: fn(nh) for nh in net.pop_of_router} for rid, fn in metric.items()
+        }
+        assert net.set_link_state("SIN", "SYD", up=False)
+        deltas = self._deltas(net)
+        for rid, fn in metric.items():
+            moved = {nh for nh in net.pop_of_router if fn(nh) != before[rid][nh]}
+            assert deltas[rid] == moved, rid
+        # SYD hangs off SIN alone: the cut strands it from everyone else.
+        assert deltas["LON-r1"] == {"SYD-r1", "SYD-r2"}
+        assert "SYD-r1" not in deltas["SYD-r1"]  # still 0 to itself
+        assert "LON-r1" in deltas["SYD-r1"]
+
+    def test_reflector_sees_its_anchors_delta(self):
+        net = VnsNetwork(geoip=GeoIPDatabase())
+        net.set_link_state("AMS", "SIN", up=False)
+        deltas = self._deltas(net)
+        assert deltas
+        for rr_id, anchor in net.reflector_anchor.items():
+            assert deltas[rr_id] == deltas[anchor]
+
+    def test_own_pop_down_moves_every_internal_next_hop(self):
+        net = VnsNetwork(geoip=GeoIPDatabase())
+        net.set_pop_state("AMS", up=False)
+        deltas = self._deltas(net)
+        everyone = frozenset(net.border_routers)
+        assert deltas["AMS-r1"] == everyone  # its own id included
+        assert deltas["RR1-AMS"] == everyone  # anchored at AMS-r1
+        # Elsewhere: AMS itself, and whatever used to be reached through it.
+        assert {"AMS-r1", "AMS-r2"} <= deltas["LON-r1"] < everyone
+        assert not deltas["LON-r1"] & {"LON-r1", "LON-r2"}
+
+    def test_unchanged_state_keeps_the_last_delta_unqueued(self):
+        net = VnsNetwork(geoip=GeoIPDatabase())
+        assert net.set_link_state("SIN", "SYD", up=False)
+        assert not net.set_link_state("SIN", "SYD", up=False)  # no SPF run
+        net.set_link_state("SIN", "SYD", up=True)
+        assert self._deltas(net)["LON-r1"] == {"SYD-r1", "SYD-r2"}  # moved back
