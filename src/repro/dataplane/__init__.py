@@ -15,7 +15,12 @@ from repro.dataplane.latency import (
     propagation_delay_ms,
 )
 from repro.dataplane.diurnal import DiurnalProfile, access_profile, transit_profile
-from repro.dataplane.columnar import StreamColumnSpec, simulate_stream_columns
+from repro.dataplane.columnar import (
+    StreamColumns,
+    StreamColumnSpec,
+    simulate_columns,
+    simulate_stream_columns,
+)
 from repro.dataplane.link import SegmentKind, SegmentLossParams, PathSegment
 from repro.dataplane.path import (
     DataPath,
@@ -42,6 +47,8 @@ __all__ = [
     "SegmentLossParams",
     "PathSegment",
     "StreamColumnSpec",
+    "StreamColumns",
+    "simulate_columns",
     "simulate_stream_columns",
     "DataPath",
     "access_path",

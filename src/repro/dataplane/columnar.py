@@ -8,7 +8,12 @@ gathered into per-``n_slots`` buckets and pushed through a handful of
 wide numpy passes over ``(streams, slots)`` arrays — per-segment-kind
 rate sampling, survival-product combination, binomial slot losses, and
 gamma jitter with its p95 reduction.  It is the campaign engine's only
-simulation kernel.
+simulation kernel.  Both sides are columnar: specs go in as one table
+of arrays, and every stream's measurements come out as
+:class:`StreamColumns` — flat arrays a campaign folds without building
+an object per stream (:func:`simulate_stream_columns` materialises
+them as :class:`~repro.dataplane.transmit.StreamResult` lists for the
+tests and probes that want objects).
 
 Two properties make this safe to drop into the campaign engine:
 
@@ -37,13 +42,15 @@ orders of magnitude below what any campaign statistic can resolve.
 
 Requires scipy (a declared dependency): the ``scipy.special`` import
 below fails loudly when it is missing — a campaign never runs on a
-substitute kernel.  ``scipy.stats`` costs as much to import as the rest
-of ``repro`` together and serves one branch (binomial quantiles of
-large-mean cells), so it is imported there, on first use.
+substitute kernel.  ``scipy.special`` is all of scipy the kernel uses:
+the binomial quantile is searched against ``bdtr`` from its definition
+(:func:`_binom_quantile`), so no campaign process imports scipy's much
+heavier statistics package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +69,12 @@ from repro.dataplane.transmit import (
 )
 from repro.perf import counters as perf
 
-__all__ = ["StreamColumnSpec", "simulate_stream_columns"]
+__all__ = [
+    "StreamColumnSpec",
+    "StreamColumns",
+    "simulate_columns",
+    "simulate_stream_columns",
+]
 
 
 # --------------------------------------------------------------------- #
@@ -213,23 +225,28 @@ def _gamma_quantile(u: np.ndarray, shape: float) -> np.ndarray:
     return table(u)
 
 
-#: mean n*p above which stepwise binomial-quantile recursion loses to
-#: scipy's ``binom.ppf`` (iterations grow with the mean).
-_BINOM_STEPWISE_MAX_MEAN = 64.0
-_BINOM_STEPWISE_MAX_ITERS = 512
+#: Steps the anchored walk may take before a cell goes to the bisection
+#: backstop.  Campaign cells need 0-2; the Cornish-Fisher guess is off by
+#: more only deep in a tail.
+_BINOM_WALK_MAX_STEPS = 64
+#: Relative distance between ``u`` and a CDF step under which the walk's
+#: accumulated sums are not trusted to order them (they carry a few ulps
+#: per step; one campaign cell in ~1e10 is this close).
+_BINOM_CLOSE_CALL = 1e-12
+#: Below this the pmf recursion has lost its precision to denormals.
+_PMF_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _binom_quantile(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Vectorised binomial quantile: ``min {k : P(X <= k) >= u}``.
 
-    Three regimes, exact in distribution in all of them:
+    Computed from that definition, exact in distribution:
 
     * ``u <= (1-p)^n`` — the overwhelmingly common no-loss cell — answers
       0 straight from one ``exp``/``log1p`` pass;
-    * small mean: walk the pmf recursion
-      ``pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/(1-p)`` over the shrinking
-      set of unresolved cells (a dozen tiny vector iterations);
-    * large mean (rare burst cells): ``scipy.stats.binom.ppf``.
+    * every other cell is *searched* (:func:`_binom_search`): an anchor
+      near the answer, its CDF, and a walk along the pmf recursion until
+      ``cdf(k-1) < u <= cdf(k)``.
     """
     u = np.asarray(u, dtype=np.float64)
     n = np.asarray(n, dtype=np.int64)
@@ -239,45 +256,97 @@ def _binom_quantile(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
         log_q = np.log1p(-p)
     p_zero = np.exp(n * log_q)
     need = np.nonzero(u > p_zero)[0]
-    small = n[need] * p[need] <= _BINOM_STEPWISE_MAX_MEAN
-    stepwise, ppf = need[small], need[~small]
     if perf.enabled:
         perf.incr("dataplane.kernel.cells_zero", u.size - need.size)
-        perf.incr("dataplane.kernel.cells_stepwise", stepwise.size)
-        perf.incr("dataplane.kernel.cells_ppf", ppf.size)
-    if stepwise.size:
-        k_out[stepwise] = _binom_stepwise(u[stepwise], n[stepwise], p[stepwise])
-    if ppf.size:
-        k_out[ppf] = _binom_ppf(u[ppf], n[ppf], p[ppf])
+        perf.incr("dataplane.kernel.cells_inverted", need.size)
+    if need.size:
+        k_out[need] = _binom_search(u[need], n[need], p[need], log_q[need])
     return k_out
 
 
-def _binom_ppf(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    from scipy.stats import binom  # deferred: see the module docstring
+def _binom_search(
+    u: np.ndarray, n: np.ndarray, p: np.ndarray, log_q: np.ndarray
+) -> np.ndarray:
+    """The quantile of cells with ``u > (1-p)^n``, by search against the CDF.
 
-    return binom.ppf(u, n, p).astype(np.int64)
-
-
-def _binom_stepwise(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """pmf-recursion quantile walk; all inputs already have ``u > (1-p)^n``."""
+    Anchor at a Cornish-Fisher guess ``k0``; take ``P(X <= k0)`` from
+    ``bdtr`` and ``pmf(k0)`` from ``gammaln``; then walk down while
+    ``cdf(k-1) >= u`` or up until ``cdf(k) >= u`` with
+    ``pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/(1-p)``.  Cells whose anchor
+    pmf underflowed, that are still walking after
+    :data:`_BINOM_WALK_MAX_STEPS`, or whose ``u`` lies within rounding of
+    a CDF step are bisected on ``bdtr`` instead.
+    """
+    nf = n.astype(np.float64)
     q = 1.0 - p
-    pmf = np.exp(n * np.log1p(-p))
-    cdf = pmf.copy()
-    ratio = p / q
-    k = np.zeros(u.shape, dtype=np.int64)
-    active = np.arange(u.size)
-    step = 0
-    while active.size and step < _BINOM_STEPWISE_MAX_ITERS:
-        pmf_a = pmf[active] * ((n[active] - step) / (step + 1.0)) * ratio[active]
+    mean = nf * p
+    sd = np.sqrt(mean * q)
+    z = _special.ndtri(u)
+    k = np.floor(mean + sd * z + (q - p) * (z * z - 1.0) / 6.0 + 0.5)
+    np.clip(k, 0.0, nf, out=k)
+    cdf = _special.bdtr(k, n, p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pmf = np.exp(
+            _special.gammaln(nf + 1.0)
+            - _special.gammaln(k + 1.0)
+            - _special.gammaln(nf - k + 1.0)
+            + k * np.log(p)
+            + (nf - k) * log_q
+        )
+        odds = p / q
+    walkable = np.isfinite(pmf) & (pmf >= _PMF_TINY) & np.isfinite(odds)
+    bisect = ~walkable
+
+    # Down: k is an upper bound; step while the CDF one below still covers u.
+    active = np.flatnonzero(walkable & (cdf >= u))
+    for _ in range(_BINOM_WALK_MAX_STEPS):
+        if not active.size:
+            break
+        k_a, pmf_a = k[active], pmf[active]
+        below = cdf[active] - pmf_a
+        go = (below >= u[active]) & (k_a > 0.0)
+        active = active[go]
+        cdf[active] = below[go]
+        pmf[active] = pmf_a[go] * (k_a[go] / (nf[active] - k_a[go] + 1.0)) / odds[active]
+        k[active] = k_a[go] - 1.0
+    bisect[active] = True
+
+    # Up: cdf(k) < u; step until it covers u.
+    active = np.flatnonzero(walkable & (cdf < u) & (k < nf))
+    for _ in range(_BINOM_WALK_MAX_STEPS):
+        if not active.size:
+            break
+        k_a = k[active]
+        pmf_a = pmf[active] * ((nf[active] - k_a) / (k_a + 1.0)) * odds[active]
         cdf_a = cdf[active] + pmf_a
-        pmf[active] = pmf_a
-        cdf[active] = cdf_a
-        step += 1
-        k[active] = step
-        active = active[u[active] > cdf_a]
-    if active.size:  # pragma: no cover - numerically unreachable backstop
-        k[active] = _binom_ppf(u[active], n[active], p[active])
-    return k
+        k_a = k_a + 1.0
+        pmf[active], cdf[active], k[active] = pmf_a, cdf_a, k_a
+        active = active[(cdf_a < u[active]) & (k_a < nf[active])]
+    bisect[active] = True
+
+    # Every walked cell now has cdf(k-1) = cdf - pmf < u <= cdf.  Where u
+    # sits within rounding of either step the walk's sums and ``bdtr``
+    # may order them differently: ``bdtr`` decides those too.
+    margin = _BINOM_CLOSE_CALL * cdf
+    bisect |= (cdf - u < margin) | (u - (cdf - pmf) < margin)
+    stuck = np.flatnonzero(bisect)
+    if stuck.size:
+        k[stuck] = _binom_bisect(u[stuck], n[stuck], p[stuck])
+    return k.astype(np.int64)
+
+
+def _binom_bisect(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``min {k : bdtr(k, n, p) >= u}`` by bisection over ``[0, n]``."""
+    lo = np.full(u.shape, -1.0)  # cdf(lo) < u
+    hi = n.astype(np.float64)  # cdf(hi) = 1 >= u
+    active = np.flatnonzero(hi - lo > 1.0)
+    while active.size:
+        mid = np.floor((lo[active] + hi[active]) / 2.0)
+        covers = _special.bdtr(mid, n[active], p[active]) >= u[active]
+        hi[active[covers]] = mid[covers]
+        lo[active[~covers]] = mid[~covers]
+        active = active[hi[active] - lo[active] > 1.0]
+    return hi
 
 
 # --------------------------------------------------------------------- #
@@ -322,6 +391,81 @@ def _path_view(path: DataPath) -> _PathView:
     return view
 
 
+@dataclass(slots=True, eq=False)
+class StreamColumns:
+    """Every simulated stream's measurements, one array entry per stream.
+
+    Rows are spec-major: spec ``i``'s streams are rows
+    ``spec_start[i]:spec_start[i + 1]``, in stream-index order.  The
+    scalar columns are what a campaign folds; a stream's per-slot losses
+    stay in the matrix of the pass that simulated it (``losses[loss_pass]
+    [loss_row]``) and become an object only through :meth:`results`.
+    """
+
+    spec_start: np.ndarray  #: ``(specs + 1,)`` first row of each spec
+    packets_sent: np.ndarray
+    packets_lost: np.ndarray
+    heavy_loss_slots: np.ndarray
+    n_slots: np.ndarray
+    jitter_p95_ms: np.ndarray
+    rtt_ms: np.ndarray
+    loss_pass: np.ndarray  #: which ``losses`` matrix holds the row's slots
+    loss_row: np.ndarray  #: the row's position in that matrix
+    losses: list[np.ndarray]  #: one ``(rows, n_slots)`` matrix per pass
+
+    def __len__(self) -> int:
+        return self.packets_sent.size
+
+    def results(self, rows: np.ndarray | None = None) -> list[StreamResult]:
+        """``rows`` (every row by default) as :class:`StreamResult`\\ s, in order."""
+        if rows is None:
+            rows = np.arange(len(self))
+        losses = self.losses
+        return list(
+            map(
+                StreamResult,
+                self.packets_sent[rows].tolist(),
+                [
+                    losses[p][r]
+                    for p, r in zip(self.loss_pass[rows].tolist(), self.loss_row[rows].tolist())
+                ],
+                self.jitter_p95_ms[rows].tolist(),
+                self.rtt_ms[rows].tolist(),
+                self.packets_lost[rows].tolist(),
+                self.heavy_loss_slots[rows].tolist(),
+            )
+        )
+
+    @classmethod
+    def concat(cls, parts: "list[StreamColumns]") -> "StreamColumns":
+        """The parts' rows end to end (part-major), as one set of columns."""
+        row_shift = np.cumsum([0, *(len(part) for part in parts)])
+        pass_shift = np.cumsum([0, *(len(part.losses) for part in parts)])
+        unshifted = (
+            "packets_sent",
+            "packets_lost",
+            "heavy_loss_slots",
+            "n_slots",
+            "jitter_p95_ms",
+            "rtt_ms",
+            "loss_row",
+        )
+        return cls(
+            spec_start=np.concatenate(
+                [part.spec_start[:-1] + shift for part, shift in zip(parts, row_shift)]
+                + [row_shift[-1:]]
+            ),
+            loss_pass=np.concatenate(
+                [part.loss_pass + shift for part, shift in zip(parts, pass_shift)]
+            ),
+            losses=[matrix for part in parts for matrix in part.losses],
+            **{
+                name: np.concatenate([getattr(part, name) for part in parts])
+                for name in unshifted
+            },
+        )
+
+
 def simulate_stream_columns(
     specs: list[StreamColumnSpec],
     *,
@@ -330,6 +474,29 @@ def simulate_stream_columns(
     max_rows_per_pass: int = 65536,
 ) -> list[list[StreamResult]]:
     """Simulate every stream of every spec; one result list per spec.
+
+    :func:`simulate_columns` with every stream materialised — the form
+    the kernel's tests and probes read.
+    """
+    columns = simulate_columns(
+        specs,
+        packets_per_second=packets_per_second,
+        slot_s=slot_s,
+        max_rows_per_pass=max_rows_per_pass,
+    )
+    streams = columns.results()
+    cuts = columns.spec_start.tolist()
+    return [streams[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def simulate_columns(
+    specs: list[StreamColumnSpec],
+    *,
+    packets_per_second: float = 420.0,
+    slot_s: float = 5.0,
+    max_rows_per_pass: int = 65536,
+) -> StreamColumns:
+    """Simulate every stream of every spec into :class:`StreamColumns`.
 
     The spec table is columnar too: one array per spec field, a
     ``(specs, layers)`` matrix of :data:`LOSS_TABLE` parameter rows, and
@@ -350,10 +517,11 @@ def simulate_stream_columns(
     if max_rows_per_pass < 1:
         raise ValueError(f"max_rows_per_pass must be >= 1, got {max_rows_per_pass!r}")
     if not specs:
-        return []
+        return _unfilled_columns(np.zeros(1, dtype=np.int64))
     with perf.timer("dataplane.kernel.prelude"):
         table = _spec_table(specs, packets_per_second, slot_s)
-    out: list[list[StreamResult]] = [[None] * n for n in table.n_streams.tolist()]
+    spec_start = np.concatenate(([0], np.cumsum(table.n_streams)))
+    out = _unfilled_columns(spec_start)
     with perf.timer("dataplane.kernel.chunks"):
         for n_slots in np.unique(table.n_slots).tolist():
             bucket = np.flatnonzero(table.n_slots == n_slots)
@@ -366,6 +534,27 @@ def simulate_stream_columns(
                 rows = slice(start, start + max_rows_per_pass)
                 _simulate_pass(table, n_slots, row_spec[rows], row_stream[rows], out)
     return out
+
+
+def _unfilled_columns(spec_start: np.ndarray) -> StreamColumns:
+    """Result columns for ``spec_start[-1]`` streams, for the passes to fill."""
+    n_rows = int(spec_start[-1])
+
+    def ints() -> np.ndarray:
+        return np.empty(n_rows, dtype=np.int64)
+
+    return StreamColumns(
+        spec_start=spec_start,
+        packets_sent=ints(),
+        packets_lost=ints(),
+        heavy_loss_slots=ints(),
+        n_slots=ints(),
+        jitter_p95_ms=np.empty(n_rows),
+        rtt_ms=np.empty(n_rows),
+        loss_pass=ints(),
+        loss_row=ints(),
+        losses=[],
+    )
 
 
 class _SpecTable(NamedTuple):
@@ -455,9 +644,9 @@ def _simulate_pass(
     n_slots: int,
     row_spec: np.ndarray,
     row_stream: np.ndarray,
-    out: list[list[StreamResult]],
+    out: StreamColumns,
 ) -> None:
-    """Simulate one ``(rows, n_slots)`` pass and scatter the results."""
+    """Simulate one ``(rows, n_slots)`` pass into the rows' result columns."""
     m = row_spec.size
     # Per-stream keys — bit-identical to _stream_keys(digest, salt, start,
     # stop) per spec, concatenated.
@@ -496,24 +685,16 @@ def _simulate_pass(
     jitter *= 1.0 + 40.0 * rates
     jitter_p95 = np.percentile(jitter, 95, axis=1)
 
-    results = list(
-        map(
-            StreamResult,
-            table.packets_sent[row_spec].tolist(),
-            losses,
-            jitter_p95.tolist(),
-            table.rtt_ms[row_spec].tolist(),
-            losses.sum(axis=1).tolist(),
-            count_heavy_loss_slots(losses, packets).tolist(),
-        )
-    )
-    # Rows of one spec are contiguous: hand each run to its spec's list.
-    cuts = np.flatnonzero(np.diff(row_spec)) + 1
-    los = [0, *cuts.tolist()]
-    for spec, first, lo, hi in zip(
-        row_spec[los].tolist(), row_stream[los].tolist(), los, [*los[1:], m]
-    ):
-        out[spec][first : first + hi - lo] = results[lo:hi]
+    at = out.spec_start[row_spec] + row_stream
+    out.packets_sent[at] = table.packets_sent[row_spec]
+    out.packets_lost[at] = losses.sum(axis=1)
+    out.heavy_loss_slots[at] = count_heavy_loss_slots(losses, packets)
+    out.n_slots[at] = n_slots
+    out.jitter_p95_ms[at] = jitter_p95
+    out.rtt_ms[at] = table.rtt_ms[row_spec]
+    out.loss_pass[at] = len(out.losses)
+    out.loss_row[at] = np.arange(m)
+    out.losses.append(losses)
 
 
 def _apply_extra(rates: np.ndarray, extras: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from repro.workload.arrivals import (
 )
 from repro.workload.engine import (
     CallResult,
+    CallResults,
     CampaignConfig,
     CampaignEngine,
     CampaignRun,
@@ -73,6 +74,7 @@ __all__ = [
     "REGION_CODE",
     "CallArrivalProcess",
     "CallResult",
+    "CallResults",
     "CallSpec",
     "CampaignAggregator",
     "CampaignConfig",

@@ -45,12 +45,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Protocol
 
+import numpy as np
+
 from repro import perf
-from repro.dataplane.columnar import StreamColumnSpec, simulate_stream_columns
+from repro.dataplane.columnar import StreamColumns, StreamColumnSpec, simulate_columns
 from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import StreamResult
 from repro.media.turn import TurnService
@@ -195,6 +198,129 @@ class CallResult:
     backbone_bytes: int = 0
 
 
+@dataclass(slots=True, eq=False)
+class CallResults(Sequence):
+    """A run's completed calls, kept as columns until someone asks.
+
+    One entry per call, in result order.  ``streams`` holds every
+    simulated stream of the run (:class:`~repro.dataplane.columnar.
+    StreamColumns`); ``vns_row`` / ``inet_row`` — and, under steering,
+    ``steered_row`` — say which of its rows each call rode.  The
+    aggregator folds these columns directly
+    (:meth:`~repro.workload.report.CampaignAggregator.add_columns`);
+    ``len``, indexing and iteration build the :class:`CallResult` /
+    :class:`~repro.dataplane.transmit.StreamResult` objects on demand, a
+    fresh one per access.
+    """
+
+    specs: list[CallSpec]
+    entry_pops: list[str]
+    egress_pops: list[str]
+    streams: StreamColumns
+    vns_row: np.ndarray
+    inet_row: np.ndarray
+    #: Parallel to ``specs`` under a steering engine, else ``None``.
+    decisions: "list[SteeringDecision] | None" = None
+    steered_row: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __getitem__(self, index):
+        positions = np.arange(len(self))
+        if isinstance(index, slice):
+            return self.take(positions[index])._objects()
+        return self.take(positions[[range(len(self))[index]]])._objects()[0]
+
+    def __iter__(self) -> Iterator[CallResult]:
+        return iter(self._objects())
+
+    @property
+    def backbone_bytes(self) -> np.ndarray:
+        """Media bytes each call's VNS stream would push over the backbone
+        (zero without a steering engine, as nothing could save them)."""
+        if self.decisions is None:
+            return np.zeros(len(self), dtype=np.int64)
+        from repro.steering.policies import MEDIA_PACKET_BYTES
+
+        return self.streams.packets_sent[self.vns_row] * MEDIA_PACKET_BYTES
+
+    def _objects(self) -> list[CallResult]:
+        """Every call, as objects."""
+        via_vns = self.streams.results(self.vns_row)
+        via_internet = self.streams.results(self.inet_row)
+        if self.decisions is None:
+            decisions = steered = [None] * len(self)
+        else:
+            decisions = self.decisions
+            # A steered call rides one of its two baseline streams — the
+            # same object — or a third, detour, stream.
+            rows = self.steered_row
+            steered = [
+                vns if on_vns else inet
+                for on_vns, vns, inet in zip(
+                    (rows == self.vns_row).tolist(), via_vns, via_internet
+                )
+            ]
+            detoured = np.flatnonzero((rows != self.vns_row) & (rows != self.inet_row))
+            for at, stream in zip(detoured.tolist(), self.streams.results(rows[detoured])):
+                steered[at] = stream
+        return list(
+            map(
+                CallResult,
+                self.specs,
+                self.entry_pops,
+                self.egress_pops,
+                via_vns,
+                via_internet,
+                decisions,
+                steered,
+                self.backbone_bytes.tolist(),
+            )
+        )
+
+    def take(self, calls: np.ndarray) -> "CallResults":
+        """The calls at positions ``calls`` (a reordering or a subset)."""
+        picked = calls.tolist()
+        steering = self.decisions is not None
+        return CallResults(
+            specs=[self.specs[i] for i in picked],
+            entry_pops=[self.entry_pops[i] for i in picked],
+            egress_pops=[self.egress_pops[i] for i in picked],
+            streams=self.streams,
+            vns_row=self.vns_row[calls],
+            inet_row=self.inet_row[calls],
+            decisions=[self.decisions[i] for i in picked] if steering else None,
+            steered_row=self.steered_row[calls] if steering else None,
+        )
+
+    @classmethod
+    def concat(cls, parts: "list[CallResults]") -> "CallResults":
+        """The parts' calls end to end over their concatenated streams."""
+        shifts = np.cumsum([0, *(len(part.streams) for part in parts)])[:-1].tolist()
+        steering = parts[0].decisions is not None
+
+        def rows(name: str) -> np.ndarray:
+            return np.concatenate(
+                [getattr(part, name) + shift for part, shift in zip(parts, shifts)]
+            )
+
+        return cls(
+            specs=[spec for part in parts for spec in part.specs],
+            entry_pops=[pop for part in parts for pop in part.entry_pops],
+            egress_pops=[pop for part in parts for pop in part.egress_pops],
+            streams=StreamColumns.concat([part.streams for part in parts]),
+            vns_row=rows("vns_row"),
+            inet_row=rows("inet_row"),
+            decisions=(
+                [decision for part in parts for decision in part.decisions]
+                if steering
+                else None
+            ),
+            steered_row=rows("steered_row") if steering else None,
+        )
+
+
 @dataclass(slots=True)
 class CampaignStats:
     """Engine-side accounting for one campaign run."""
@@ -269,16 +395,32 @@ class CampaignStats:
 class CampaignRun:
     """Everything a campaign produces.
 
-    ``aggregator`` is the streaming state the report was frozen from;
-    shard reducers merge these (see
+    ``results`` is the per-call view — a :class:`CallResults` over the
+    run's result columns, or ``[]`` when they were dropped
+    (``ShardPlan.keep_results=False``).  ``aggregator`` is the streaming
+    state the report is frozen from; shard reducers merge these (see
     :meth:`~repro.workload.report.CampaignAggregator.merge`) instead of
-    re-folding every call.
+    re-folding every call.  ``report`` is frozen on first access, so a
+    shard — whose report the reducer never reads — never computes one.
     """
 
-    results: list[CallResult]
-    report: CampaignReport
+    results: Sequence[CallResult]
     stats: CampaignStats
     aggregator: CampaignAggregator
+    seed: int
+    steering_policy: str | None = None
+    _report: CampaignReport | None = None
+
+    @property
+    def report(self) -> CampaignReport:
+        if self._report is None:
+            self._report = self.aggregator.report(
+                seed=self.seed,
+                n_failed=self.stats.calls_failed,
+                turn_allocations=self.stats.turn_allocations,
+                steering_policy=self.steering_policy,
+            )
+        return self._report
 
     def render(self) -> str:
         """The campaign summary as rows (one per directed region pair)."""
@@ -658,68 +800,26 @@ class CampaignEngine:
             return detour_path
         return None
 
-    def _emit_group(
-        self,
-        indices: list[int],
-        resolved: list[tuple[CallSpec, _ResolvedPair]],
-        decisions: list["SteeringDecision"],
-        results: list["CallResult | None"],
-        vns_streams: list[StreamResult],
-        inet_streams: list[StreamResult],
-        detour_streams: list[StreamResult] | None,
-    ) -> None:
-        """Scatter one group's simulated streams into per-call results."""
-        steering = self.steering
-        if steering is not None:
-            from repro.steering.policies import MEDIA_PACKET_BYTES, PathChoice
-
-        _, pair = resolved[indices[0]]
-        for slot, index in enumerate(indices):
-            spec, _ = resolved[index]
-            decision = None
-            steered = None
-            backbone = 0
-            if steering is not None:
-                decision = decisions[index]
-                if decision.choice is PathChoice.VNS:
-                    steered = vns_streams[slot]
-                elif (
-                    decision.choice is PathChoice.POP_DETOUR
-                    and detour_streams is not None
-                ):
-                    steered = detour_streams[slot]
-                else:
-                    steered = inet_streams[slot]
-                backbone = vns_streams[slot].packets_sent * MEDIA_PACKET_BYTES
-            results[index] = CallResult(
-                spec=spec,
-                entry_pop=pair.entry_pop,
-                egress_pop=pair.egress_pop,
-                via_vns=vns_streams[slot],
-                via_internet=inet_streams[slot],
-                decision=decision,
-                steered=steered,
-                backbone_bytes=backbone,
-            )
-
     def _simulate_columnar(
         self,
         groups: dict[GroupKey, list[int]],
         resolved: list[tuple[CallSpec, _ResolvedPair]],
         decisions: list["SteeringDecision"],
-        results: list["CallResult | None"],
         stats: CampaignStats,
-    ) -> None:
-        """Gather all groups into stream columns, simulate, scatter back.
+    ) -> CallResults:
+        """Gather all groups into stream columns, simulate, index back.
 
         Per group: a vns column (salt 0), an internet column (salt 1),
         and — only for groups where some call's steering decision is a
         PoP detour — a detour column (salt 2).  Draw keying is per
         ``(group digest, salt, stream)``, so column order and co-resident
-        groups cannot affect any stream's outcome.
+        groups cannot affect any stream's outcome.  Nothing is scattered:
+        a call's streams are the rows ``spec_start[column] + position in
+        group`` of the kernel's result columns.
         """
         specs: list[StreamColumnSpec] = []
-        plan: list[tuple[list[int], bool]] = []
+        vns_spec: list[int] = []  # per group: its vns column (internet is next)
+        detour_spec: list[int] = []  # per group: its detour column, or -1
         for key, indices in groups.items():
             _, _, hour_bin, duration_s = key
             _, pair = resolved[indices[0]]
@@ -731,6 +831,7 @@ class CampaignEngine:
             vns_path = self._modeled_path(pair.via_vns, "vns", pair.entry_pop)
             inet_path = self._modeled_path(pair.via_internet, "internet", pair.entry_pop)
             n = len(indices)
+            vns_spec.append(len(specs))
             specs.append(
                 StreamColumnSpec(vns_path, n, duration_s, hour, digest, _SALT_VNS)
             )
@@ -739,35 +840,70 @@ class CampaignEngine:
                     inet_path, n, duration_s, hour, digest, _SALT_INTERNET
                 )
             )
+            detour_spec.append(len(specs) if detour_path is not None else -1)
             if detour_path is not None:
                 specs.append(
                     StreamColumnSpec(
                         detour_path, n, duration_s, hour, digest, _SALT_DETOUR
                     )
                 )
-            plan.append((indices, detour_path is not None))
             stats.batches += 1
             stats.largest_batch = max(stats.largest_batch, n)
-        streams = simulate_stream_columns(
+        streams = simulate_columns(
             specs,
             packets_per_second=self.config.packets_per_second,
             slot_s=self.config.slot_s,
         )
-        cursor = 0
-        for indices, has_detour in plan:
-            vns_streams = streams[cursor]
-            inet_streams = streams[cursor + 1]
-            detour_streams = streams[cursor + 2] if has_detour else None
-            cursor += 3 if has_detour else 2
-            self._emit_group(
-                indices,
-                resolved,
-                decisions,
-                results,
-                vns_streams,
-                inet_streams,
-                detour_streams,
+
+        # Call -> stream row, per transport.  ``member`` lists the calls
+        # group by group; each sits ``slot`` rows into its group's columns.
+        n_calls = len(resolved)
+        sizes = np.fromiter(map(len, groups.values()), np.int64, len(groups))
+        member = np.fromiter(
+            (index for indices in groups.values() for index in indices),
+            np.int64,
+            n_calls,
+        )
+
+        def per_call(per_group: np.ndarray) -> np.ndarray:
+            out = np.empty(n_calls, dtype=per_group.dtype)
+            out[member] = np.repeat(per_group, sizes)
+            return out
+
+        slot = np.empty(n_calls, dtype=np.int64)
+        slot[member] = np.arange(n_calls) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        spec_start = streams.spec_start
+        vns_first = np.asarray(vns_spec, dtype=np.int64)
+        vns_row = per_call(spec_start[vns_first]) + slot
+        inet_row = per_call(spec_start[vns_first + 1]) + slot
+        steered_row = None
+        if self.steering is not None:
+            from repro.steering.policies import PathChoice
+
+            # The stream a call rode: its VNS stream, its group's detour
+            # column when it chose a detour and the group has one, else
+            # its Internet stream.
+            detour_first = np.asarray(detour_spec, dtype=np.int64)
+            on_vns = np.fromiter(
+                (d.choice is PathChoice.VNS for d in decisions), bool, n_calls
             )
+            on_detour = per_call(detour_first >= 0) & np.fromiter(
+                (d.choice is PathChoice.POP_DETOUR for d in decisions), bool, n_calls
+            )
+            detour_row = per_call(spec_start[detour_first]) + slot
+            steered_row = np.where(
+                on_vns, vns_row, np.where(on_detour, detour_row, inet_row)
+            )
+        return CallResults(
+            specs=[spec for spec, _ in resolved],
+            entry_pops=[pair.entry_pop for _, pair in resolved],
+            egress_pops=[pair.egress_pop for _, pair in resolved],
+            streams=streams,
+            vns_row=vns_row,
+            inet_row=inet_row,
+            decisions=decisions if self.steering is not None else None,
+            steered_row=steered_row,
+        )
 
     # ------------------------------------------------------------------ #
     # the campaign
@@ -836,28 +972,20 @@ class CampaignEngine:
         perf.incr("workload.calls", len(calls))
 
         # Phase 2: simulate every group's streams, gathered into
-        # campaign-wide array passes.
-        results: list[CallResult | None] = [None] * len(resolved)
+        # campaign-wide array passes; the results stay columns.
         with perf.timer("workload.simulate"):
-            self._simulate_columnar(groups, resolved, decisions, results, stats)
+            results = self._simulate_columnar(groups, resolved, decisions, stats)
         perf.incr("workload.batches", stats.batches)
 
-        # Phase 3: fold into the per-region-pair report.
+        # Phase 3: fold the columns into the per-region-pair aggregator.
         aggregator = CampaignAggregator()
         with perf.timer("workload.aggregate"):
-            for result in results:
-                assert result is not None  # every resolved index is filled
-                aggregator.add(result)
+            aggregator.add_columns(results)
         stats.elapsed_s = time.perf_counter() - started
-        report = aggregator.report(
-            seed=self.config.seed,
-            n_failed=stats.calls_failed,
-            turn_allocations=stats.turn_allocations,
-            steering_policy=None if steering is None else steering.policy.name,
-        )
         return CampaignRun(
-            results=[result for result in results if result is not None],
-            report=report,
+            results=results,
             stats=stats,
             aggregator=aggregator,
+            seed=self.config.seed,
+            steering_policy=None if steering is None else steering.policy.name,
         )

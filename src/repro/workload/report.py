@@ -7,11 +7,13 @@ shapes here — per directed region pair: delay and loss percentiles,
 the fraction of 5-second slots losing at least 2% of their packets, and
 the rate at which the VNS transport beats the native Internet path.
 
-Aggregation is streaming: an accumulator folds calls one at a time and
-two accumulators :meth:`merge <PairAccumulator.merge>` (shard-friendly,
-via :meth:`OnlineStats.merge`).  The final :class:`CampaignReport` is a
-plain dataclass whose :meth:`~CampaignReport.to_json` is byte-stable for
-a given campaign — seeded runs diff clean.
+Aggregation is streaming: an aggregator folds a run's result columns in
+one grouped pass (:meth:`CampaignAggregator.add_columns`; folding calls
+one at a time through :meth:`~CampaignAggregator.add` is its oracle) and
+two accumulators :meth:`merge <PairAccumulator.merge>` (shard-friendly).
+The final :class:`CampaignReport` is a plain dataclass whose
+:meth:`~CampaignReport.to_json` is byte-stable for a given campaign —
+seeded runs diff clean.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.geo.regions import WorldRegion
-from repro.measurement.stats import OnlineStats, percentile
+from repro.measurement.stats import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.workload.engine import CallResult
+    from repro.workload.engine import CallResult, CallResults
 
 #: Short region codes for report keys ("AP->EU").
 REGION_CODE: dict[WorldRegion, str] = {
@@ -48,12 +50,8 @@ class PairAccumulator:
     dst: str
     calls: int = 0
     multiparty: int = 0
-    vns_delay: OnlineStats = field(default_factory=OnlineStats)
-    inet_delay: OnlineStats = field(default_factory=OnlineStats)
-    vns_loss: OnlineStats = field(default_factory=OnlineStats)
-    inet_loss: OnlineStats = field(default_factory=OnlineStats)
-    #: Raw per-call samples, kept for percentiles (the OnlineStats
-    #: moments alone merge sample-free; percentiles cannot).
+    #: Raw per-call samples: percentiles need them, and means taken over
+    #: the sorted samples are what makes a report permutation-invariant.
     vns_delay_samples: list[float] = field(default_factory=list)
     inet_delay_samples: list[float] = field(default_factory=list)
     vns_loss_samples: list[float] = field(default_factory=list)
@@ -81,12 +79,8 @@ class PairAccumulator:
         vns, inet = result.via_vns, result.via_internet
         vns_rtt, vns_loss = vns.rtt_ms, vns.loss_percent
         inet_rtt, inet_loss = inet.rtt_ms, inet.loss_percent
-        self.vns_delay.add(vns_rtt)
-        self.vns_loss.add(vns_loss)
         self.vns_delay_samples.append(vns_rtt)
         self.vns_loss_samples.append(vns_loss)
-        self.inet_delay.add(inet_rtt)
-        self.inet_loss.add(inet_loss)
         self.inet_delay_samples.append(inet_rtt)
         self.inet_loss_samples.append(inet_loss)
         self.vns_slots += vns.n_slots
@@ -124,10 +118,6 @@ class PairAccumulator:
             )
         self.calls += other.calls
         self.multiparty += other.multiparty
-        self.vns_delay.merge(other.vns_delay)
-        self.inet_delay.merge(other.inet_delay)
-        self.vns_loss.merge(other.vns_loss)
-        self.inet_loss.merge(other.inet_loss)
         self.vns_delay_samples.extend(other.vns_delay_samples)
         self.inet_delay_samples.extend(other.inet_delay_samples)
         self.vns_loss_samples.extend(other.vns_loss_samples)
@@ -152,21 +142,15 @@ class PairAccumulator:
         Every float here is *permutation-invariant*: means and percentiles
         are computed over the sorted sample arrays, so any shard partition
         and merge order of the same calls reproduces the summary — and
-        hence :meth:`CampaignReport.to_json` — byte for byte.  (The
-        :class:`OnlineStats` moments are kept for sample-free consumers;
-        sequential Welford and Chan-merged means agree only to float
-        rounding, which is why the report does not read them.)
+        hence :meth:`CampaignReport.to_json` — byte for byte.
         """
 
         def transport(
-            delay: OnlineStats,
-            loss: OnlineStats,
             delay_samples: list[float],
             loss_samples: list[float],
             lossy: int,
             slots: int,
         ) -> dict:
-            del delay, loss  # moments stay available on the accumulator
             return {
                 "delay_ms": {
                     "mean": round(_stable_mean(delay_samples), 4),
@@ -185,16 +169,12 @@ class PairAccumulator:
             "calls": self.calls,
             "multiparty": self.multiparty,
             "vns": transport(
-                self.vns_delay,
-                self.vns_loss,
                 self.vns_delay_samples,
                 self.vns_loss_samples,
                 self.vns_lossy_slots,
                 self.vns_slots,
             ),
             "internet": transport(
-                self.inet_delay,
-                self.inet_loss,
                 self.inet_delay_samples,
                 self.inet_loss_samples,
                 self.inet_lossy_slots,
@@ -249,7 +229,12 @@ def _stable_mean(samples: list[float]) -> float:
 
 
 class CampaignAggregator:
-    """Folds :class:`CallResult`s into per-region-pair accumulators."""
+    """Folds a campaign's calls into per-region-pair accumulators.
+
+    :meth:`add_columns` is the path every campaign takes;
+    :meth:`add` folds one materialised :class:`CallResult` and is its
+    per-call oracle.
+    """
 
     def __init__(self) -> None:
         self.pairs: dict[tuple[str, str], PairAccumulator] = {}
@@ -262,6 +247,89 @@ class CampaignAggregator:
             accumulator = PairAccumulator(src=src, dst=dst)
             self.pairs[(src, dst)] = accumulator
         accumulator.add(result)
+
+    def add_columns(self, results: "CallResults") -> None:
+        """Fold a run's result columns: one grouped pass over region pairs.
+
+        Leaves every accumulator exactly as folding ``results`` call by
+        call through :meth:`add` would — same sample lists in the same
+        order, same sums — without building a call or stream object.
+        """
+        n_calls = len(results)
+        if not n_calls:
+            return
+        specs = results.specs
+        pair_code: dict[tuple[str, str], int] = {}  # first-seen order, as ``add``
+        codes = np.fromiter(
+            (
+                pair_code.setdefault(
+                    (REGION_CODE[spec.caller.region], REGION_CODE[spec.callee.region]),
+                    len(pair_code),
+                )
+                for spec in specs
+            ),
+            np.int64,
+            n_calls,
+        )
+        # Calls sorted by pair (stably: call order within a pair); pair g
+        # owns sorted positions starts[g]:starts[g + 1].
+        order = np.argsort(codes, kind="stable")
+        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        bounds = [*starts.tolist(), n_calls]
+
+        streams = results.streams
+
+        def loss_percent(rows: np.ndarray) -> np.ndarray:
+            # StreamResult.loss_percent, operation for operation.
+            return 100.0 * streams.packets_lost[rows] / streams.packets_sent[rows]
+
+        vns, inet = results.vns_row[order], results.inet_row[order]
+        vns_rtt, inet_rtt = streams.rtt_ms[vns], streams.rtt_ms[inet]
+        vns_loss, inet_loss = loss_percent(vns), loss_percent(inet)
+        samples = {
+            "vns_delay_samples": vns_rtt,
+            "vns_loss_samples": vns_loss,
+            "inet_delay_samples": inet_rtt,
+            "inet_loss_samples": inet_loss,
+        }
+        counts = {
+            "calls": np.ones(n_calls, dtype=np.int64),
+            "multiparty": np.fromiter((spec.multiparty for spec in specs), bool, n_calls)[order],
+            "vns_slots": streams.n_slots[vns],
+            "vns_lossy_slots": streams.heavy_loss_slots[vns],
+            "inet_slots": streams.n_slots[inet],
+            "inet_lossy_slots": streams.heavy_loss_slots[inet],
+            "vns_delay_wins": vns_rtt <= inet_rtt,
+            "vns_loss_wins": vns_loss <= inet_loss,
+        }
+        decisions = results.decisions
+        if decisions is not None:
+            steered = results.steered_row[order]
+            offloaded = np.fromiter((d.offloaded for d in decisions), bool, n_calls)[order]
+            detour = np.fromiter(
+                (d.choice.value == "pop_detour" for d in decisions), bool, n_calls
+            )[order]
+            backbone = results.backbone_bytes[order]
+            samples["steered_delay_samples"] = streams.rtt_ms[steered]
+            samples["steered_loss_samples"] = loss_percent(steered)
+            counts["steered_calls"] = counts["calls"]
+            counts["offloaded_calls"] = offloaded
+            counts["detour_calls"] = detour
+            counts["backbone_bytes"] = backbone
+            counts["backbone_bytes_saved"] = np.where(offloaded, backbone, 0)
+        sums = {
+            name: np.add.reduceat(column.astype(np.int64), starts).tolist()
+            for name, column in counts.items()
+        }
+        for (src, dst), g in pair_code.items():
+            accumulator = self.pairs.get((src, dst))
+            if accumulator is None:
+                accumulator = self.pairs[(src, dst)] = PairAccumulator(src=src, dst=dst)
+            lo, hi = bounds[g], bounds[g + 1]
+            for name, column in samples.items():
+                getattr(accumulator, name).extend(column[lo:hi].tolist())
+            for name, per_pair in sums.items():
+                setattr(accumulator, name, getattr(accumulator, name) + per_pair[g])
 
     def merge(self, other: "CampaignAggregator") -> None:
         """Fold another shard's aggregator into this one."""

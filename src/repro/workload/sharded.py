@@ -60,6 +60,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from collections.abc import Iterable, Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -73,11 +74,15 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro import perf
 from repro.net.addressing import Prefix
 from repro.vns.service import VideoNetworkService
 from repro.workload.arrivals import CallSpec
 from repro.workload.engine import (
+    CallResult,
+    CallResults,
     CampaignConfig,
     CampaignEngine,
     CampaignRun,
@@ -162,7 +167,8 @@ class ShardPlan:
         falls back to this process, with a fresh budget;
         :class:`ShardExecutionError` is raised only when that fails too.
     keep_results:
-        Return per-call :class:`~repro.workload.engine.CallResult`\\ s.
+        Return the per-call view (``run.results``, a
+        :class:`~repro.workload.engine.CallResults` over result columns).
         Switching this off saves the dominant share of worker→parent
         transfer at population scale; the report and stats are complete
         either way.
@@ -354,6 +360,84 @@ def predicted_group_cost(
     return COST_RESOLVE_MISS + COST_PER_CALL * n_calls + total_duration_s / slot_s
 
 
+@dataclass(slots=True)
+class _PairIndex:
+    """A call list grouped by ``(src, dst)`` prefix pair.
+
+    One walk of the calls and one rendering of each distinct pair; the
+    partition, the predicted costs, the warm-up manifest and its digest
+    are all read off it.  Pairs are in first-seen order and every
+    per-pair list is parallel to ``keys``.
+    """
+
+    #: The pair as text — the deterministic tie-break and sort key.
+    keys: list[tuple[str, str]]
+    #: The pair as the first call's prefix objects (what workers resolve).
+    prefixes: list[tuple[Prefix, Prefix]]
+    #: Positions of the pair's calls in the call list, ascending.
+    positions: list[list[int]]
+    #: Summed call durations, added in call order.
+    durations: list[float]
+
+    @classmethod
+    def of(cls, calls: list[CallSpec]) -> "_PairIndex":
+        slot_of: dict[tuple[Prefix, Prefix], int] = {}
+        keys, prefixes, positions, durations = [], [], [], []
+        for position, spec in enumerate(calls):
+            pair = (spec.caller.prefix, spec.callee.prefix)
+            slot = slot_of.get(pair)
+            if slot is None:
+                slot = slot_of[pair] = len(keys)
+                keys.append((str(pair[0]), str(pair[1])))
+                prefixes.append(pair)
+                positions.append([])
+                durations.append(0.0)
+            positions[slot].append(position)
+            durations[slot] += spec.duration_s
+        return cls(keys, prefixes, positions, durations)
+
+    def costs(self, slot_s: float) -> list[float]:
+        """:func:`predicted_group_cost` of each pair."""
+        return [
+            predicted_group_cost(len(positions), duration, slot_s=slot_s)
+            for positions, duration in zip(self.positions, self.durations)
+        ]
+
+    def partition(self, n_shards: int, slot_s: float) -> list[list[int]]:
+        """The pairs of each shard: at most ``n_shards`` non-empty lists.
+
+        Greedy, largest predicted cost first, ties broken by the pair's
+        text; a shard's calls are its pairs' positions, sorted.
+        """
+        if n_shards <= 1:
+            return [list(range(len(self.keys)))] if self.keys else []
+        costs = self.costs(slot_s)
+        loads = [0.0] * n_shards
+        members: list[list[int]] = [[] for _ in range(n_shards)]
+        for pair in sorted(range(len(costs)), key=lambda i: (-costs[i], self.keys[i])):
+            target = loads.index(min(loads))
+            members[target].append(pair)
+            loads[target] += costs[pair]
+        return [pairs for pairs in members if pairs]
+
+    def slice_of(self, pairs: list[int], calls: list[CallSpec]) -> list[CallSpec]:
+        """The calls of ``pairs``, in original call order."""
+        positions = sorted(p for pair in pairs for p in self.positions[pair])
+        return [calls[position] for position in positions]
+
+    def manifest(self, pairs: list[int]) -> tuple[list[tuple[Prefix, Prefix]], str]:
+        """``pairs`` sorted by text as prefix objects, and their warm digest."""
+        ordered = sorted(pairs, key=self.keys.__getitem__)
+        digest = _warm_digest(self.keys[pair] for pair in ordered)
+        return [self.prefixes[pair] for pair in ordered], digest
+
+
+def _warm_digest(pairs: "Iterable[tuple[object, object]]") -> str:
+    """Digest of a warm-up manifest, its pairs as prefixes or as their text."""
+    text = "|".join(f"{a}>{b}" for a, b in pairs)
+    return blake2b(text.encode("ascii"), digest_size=8).hexdigest()
+
+
 def partition_calls(
     calls: list[CallSpec], n_shards: int, *, slot_s: float = DEFAULT_SLOT_S
 ) -> list[list[CallSpec]]:
@@ -369,43 +453,15 @@ def partition_calls(
     """
     if n_shards <= 1 or len(calls) <= 1:
         return [list(calls)] if calls else []
-    buckets: dict[tuple[str, str], list[int]] = {}
-    durations: dict[tuple[str, str], float] = {}
-    for position, spec in enumerate(calls):
-        key = (str(spec.caller.prefix), str(spec.callee.prefix))
-        buckets.setdefault(key, []).append(position)
-        durations[key] = durations.get(key, 0.0) + spec.duration_s
-    weights = {
-        key: predicted_group_cost(len(positions), durations[key], slot_s=slot_s)
-        for key, positions in buckets.items()
-    }
-    ordered = sorted(buckets.items(), key=lambda item: (-weights[item[0]], item[0]))
-    loads = [0.0] * n_shards
-    members: list[list[int]] = [[] for _ in range(n_shards)]
-    for key, positions in ordered:
-        target = loads.index(min(loads))
-        members[target].extend(positions)
-        loads[target] += weights[key]
-    shards = []
-    for positions in members:
-        if positions:
-            positions.sort()
-            shards.append([calls[position] for position in positions])
-    return shards
+    index = _PairIndex.of(calls)
+    return [index.slice_of(pairs, calls) for pairs in index.partition(n_shards, slot_s)]
 
 
 def predicted_shard_cost(
     calls: list[CallSpec], *, slot_s: float = DEFAULT_SLOT_S
 ) -> float:
     """Predicted work of one shard slice (sum over its pair groups)."""
-    groups: dict[tuple[str, str], list[float]] = {}
-    for spec in calls:
-        key = (str(spec.caller.prefix), str(spec.callee.prefix))
-        groups.setdefault(key, []).append(spec.duration_s)
-    return sum(
-        predicted_group_cost(len(durations), sum(durations), slot_s=slot_s)
-        for durations in groups.values()
-    )
+    return sum(_PairIndex.of(calls).costs(slot_s))
 
 
 def warmup_manifest(calls: list[CallSpec]) -> list[tuple[Prefix, Prefix]]:
@@ -416,12 +472,8 @@ def warmup_manifest(calls: list[CallSpec]) -> list[tuple[Prefix, Prefix]]:
     so covering the manifest up front turns shard resolves into pure
     cache hits.
     """
-    seen: dict[tuple[str, str], tuple[Prefix, Prefix]] = {}
-    for spec in calls:
-        key = (str(spec.caller.prefix), str(spec.callee.prefix))
-        if key not in seen:
-            seen[key] = (spec.caller.prefix, spec.callee.prefix)
-    return [seen[key] for key in sorted(seen)]
+    index = _PairIndex.of(calls)
+    return index.manifest(list(range(len(index.keys))))[0]
 
 
 # --------------------------------------------------------------------- #
@@ -500,7 +552,7 @@ def _execute_shard(resolver: PathResolver, task: ShardTask) -> _ShardResult:
             perf.disable()
     shard_perf = after.diff(before).merge(run.stats.to_snapshot())
     if not task.keep_results:
-        run.results = []
+        run.results = []  # dropped here, before the result is pickled
     return _ShardResult(
         index=task.index,
         run=run,
@@ -624,20 +676,22 @@ class CampaignWorkerPool:
         assert self._executor is not None
         return self._executor.submit(_run_shard_worker, task)
 
-    def warm(self, pairs: list[tuple[Prefix, Prefix]]) -> float:
+    def warm(
+        self, pairs: list[tuple[Prefix, Prefix]], *, digest: str | None = None
+    ) -> float:
         """Best-effort cache warmup across workers; returns wall seconds.
 
         A fresh pool folds ``pairs`` into the worker init payload (zero
         extra IPC).  A running pool broadcasts one warm task per worker
         and waits; workers that draw a duplicate hit warm caches and
         return almost immediately.  Warmth never affects reports, so
-        failures here are swallowed.
+        failures here are swallowed.  ``digest`` is the pairs' digest
+        when the caller has already rendered them (the runner has).
         """
         if not pairs:
             return 0.0
-        digest = blake2b(
-            "|".join(f"{a}>{b}" for a, b in pairs).encode("ascii"), digest_size=8
-        ).hexdigest()
+        if digest is None:
+            digest = _warm_digest(pairs)
         if digest in self._warm_digests:
             return 0.0
         if self._executor is None:
@@ -677,6 +731,12 @@ class CampaignWorkerPool:
 # --------------------------------------------------------------------- #
 
 
+#: How a checkpointed shard result is laid out (result columns, not
+#: per-call objects).  Part of the campaign fingerprint, so a file
+#: written under another layout is never found, let alone unpickled.
+CHECKPOINT_LAYOUT = "result-columns-1"
+
+
 def campaign_fingerprint(
     config: CampaignConfig,
     slices: list[list[CallSpec]],
@@ -688,11 +748,12 @@ def campaign_fingerprint(
     """A digest identifying one exact campaign partition.
 
     Checkpoint files are keyed by it, so resuming with a different seed,
-    call set, shard count, steering policy or path model never picks up
-    stale shards.
+    call set, shard count, steering policy, path model or checkpoint
+    layout never picks up stale shards.
     """
     digest = blake2b(digest_size=8)
     digest.update(
+        f"{CHECKPOINT_LAYOUT}|"
         f"{config.seed}|{config.packets_per_second}|{config.slot_s}|"
         f"{steering_policy or '-'}|{int(keep_results)}|"
         f"{path_model_fingerprint or '-'}|"
@@ -708,10 +769,14 @@ def campaign_fingerprint(
 class ShardCheckpointStore:
     """Atomic per-shard result persistence for checkpoint/resume.
 
-    One pickle per completed shard, named by the campaign fingerprint
-    and shard index.  Loads are defensive: an unreadable or mismatched
-    file is treated as absent (the shard simply re-executes).
+    One file per completed shard, named by the campaign fingerprint and
+    shard index: a blake2b checksum, then the pickle it covers.  Loads
+    are defensive: a file that is missing, truncated, altered or not
+    this shard's is treated as absent (the shard simply re-executes) —
+    nothing is unpickled unless its checksum holds.
     """
+
+    _CHECKSUM_BYTES = 16
 
     def __init__(self, directory: str | os.PathLike, fingerprint: str) -> None:
         self.directory = Path(directory)
@@ -721,13 +786,27 @@ class ShardCheckpointStore:
     def path(self, index: int) -> Path:
         return self.directory / f"shard-{self.fingerprint}-{index:04d}.pkl"
 
+    def _checksum(self, payload: bytes) -> bytes:
+        return blake2b(payload, digest_size=self._CHECKSUM_BYTES).digest()
+
     def load(self, index: int) -> tuple[_ShardResult, ShardOutcome] | None:
-        path = self.path(index)
         try:
-            with path.open("rb") as handle:
-                result, outcome = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                AttributeError, TypeError):
+            blob = self.path(index).read_bytes()
+        except OSError:
+            return None
+        try:
+            checksum, payload = blob[: self._CHECKSUM_BYTES], blob[self._CHECKSUM_BYTES :]
+            if checksum != self._checksum(payload):
+                raise ValueError("checksum does not cover the payload")
+            result, outcome = pickle.loads(payload)
+            if not (
+                isinstance(result, _ShardResult)
+                and isinstance(outcome, ShardOutcome)
+                and result.index == index
+            ):
+                raise ValueError("not this shard's result")
+        except Exception:  # noqa: BLE001 - whatever a damaged file raises: absent
+            perf.incr("workload.checkpoint.rejected")
             return None
         outcome.resumed = True
         return result, outcome
@@ -735,8 +814,8 @@ class ShardCheckpointStore:
     def save(self, result: _ShardResult, outcome: ShardOutcome) -> None:
         path = self.path(result.index)
         tmp = path.with_suffix(".tmp")
-        with tmp.open("wb") as handle:
-            pickle.dump((result, outcome), handle, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps((result, outcome), protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.write_bytes(self._checksum(payload) + payload)
         os.replace(tmp, path)
 
 
@@ -805,30 +884,40 @@ class ShardedCampaignRunner:
         started = time.perf_counter()
         self._run_overhead = {}
         self._pool_stats = None
+        pool = self.pool
         if self.plan.n_shards is not None:
             n_shards = self.plan.n_shards
-        elif self.pool is None:
-            n_shards = 1
         else:
-            n_shards = self.plan.effective_shards
-            if n_shards > self.plan.effective_workers:
+            n_shards = 1 if pool is None else self.plan.effective_shards
+        if pool is None and n_shards <= 1:
+            # The sequential campaign: nothing to cut, nothing to warm.
+            slices = [list(calls)] if calls else []
+        else:
+            # One walk of the call list serves the shard count, the cut
+            # and (on a pool) the warm-up manifest and its digest.
+            pair_index = _PairIndex.of(calls)
+            slot_s = self.config.slot_s
+            if (
+                self.plan.n_shards is None
+                and n_shards > self.plan.effective_workers
+                and sum(pair_index.costs(slot_s)) < STREAM_MIN_COST
+            ):
                 # Auto-streaming clamp: oversplit only campaigns big
                 # enough to amortise the per-shard fixed costs.
-                total_cost = predicted_shard_cost(calls, slot_s=self.config.slot_s)
-                if total_cost < STREAM_MIN_COST:
-                    n_shards = self.plan.effective_workers
-        slices = partition_calls(calls, n_shards, slot_s=self.config.slot_s)
+                n_shards = self.plan.effective_workers
+            shard_pairs = pair_index.partition(n_shards, slot_s)
+            slices = [pair_index.slice_of(pairs, calls) for pairs in shard_pairs]
         tasks = [
             ShardTask(
-                index=index,
+                index=shard,
                 calls=slice_,
                 config=self.config,
-                fail_attempts=self._fail_map.get(index, 0),
+                fail_attempts=self._fail_map.get(shard, 0),
                 keep_results=self.plan.keep_results,
                 steering=self.steering,
                 path_model=self.path_model,
             )
-            for index, slice_ in enumerate(slices)
+            for shard, slice_ in enumerate(slices)
         ]
         self._checkpoints = None
         executed: list[tuple[_ShardResult, ShardOutcome]] = []
@@ -853,8 +942,11 @@ class ShardedCampaignRunner:
                 else:
                     fresh.append(task)
             tasks = fresh
-        if self.pool is not None and tasks:
-            executed.extend(self._run_pool(self.pool, tasks))
+        if pool is not None and tasks:
+            manifest, digest = pair_index.manifest(
+                [pair for task in tasks for pair in shard_pairs[task.index]]
+            )
+            executed.extend(self._run_pool(pool, tasks, manifest, digest))
         else:
             for task in tasks:
                 executed.append(self._checkpointed(self._run_task_inprocess(task)))
@@ -894,15 +986,19 @@ class ShardedCampaignRunner:
         return result, outcome
 
     def _run_pool(
-        self, pool: CampaignWorkerPool, tasks: list[ShardTask]
+        self,
+        pool: CampaignWorkerPool,
+        tasks: list[ShardTask],
+        manifest: list[tuple[Prefix, Prefix]],
+        digest: str,
     ) -> list[tuple[_ShardResult, ShardOutcome]]:
-        # Slices are never empty, so neither is the manifest: ``warm``
+        # ``manifest`` is the tasks' warm-up manifest (``digest`` its
+        # digest).  Slices are never empty, so neither is it: ``warm``
         # starts a fresh pool with it.  Warmth never changes a report —
         # only when resolution work happens.
-        manifest = warmup_manifest([spec for task in tasks for spec in task.calls])
         freshly_started = not pool.started
         try:
-            warm_wall = pool.warm(manifest)
+            warm_wall = pool.warm(manifest, digest=digest)
             if warm_wall > 0.0:
                 self._run_overhead["workload.pool.rewarm"] = warm_wall
         except Exception:  # noqa: BLE001 - pool genuinely unavailable
@@ -1050,16 +1146,25 @@ class ShardedCampaignRunner:
         aggregator = CampaignAggregator()
         stats = CampaignStats()
         merged_perf = perf.PerfSnapshot()
-        results = []
+        kept = []
         outcomes = []
         for result, outcome in executed:
             aggregator.merge(result.run.aggregator)
             stats.merge(result.run.stats)
             merged_perf = merged_perf.merge(result.perf)
-            results.extend(result.run.results)
+            if len(result.run.results):
+                kept.append(result.run.results)
             outcomes.append(outcome)
         stats.elapsed_s = wall_s
-        results.sort(key=lambda call_result: call_result.spec.call_id)
+        # Per-call results: the shards' columns end to end, read in call-id
+        # order (no per-call object is built to sort them).
+        results: Sequence[CallResult] = []
+        if kept:
+            results = CallResults.concat(kept)
+            call_ids = np.fromiter(
+                (spec.call_id for spec in results.specs), np.int64, len(results)
+            )
+            results = results.take(np.argsort(call_ids, kind="stable"))
         overhead_rows = dict(self._run_overhead)
         for column, row in (
             ("warmup_s", "workload.pool.warmup"),
@@ -1076,17 +1181,12 @@ class ShardedCampaignRunner:
             merged_perf = merged_perf.merge(
                 perf.PerfSnapshot.of_timers(overhead_rows, cpu=False)
             )
-        report = aggregator.report(
-            seed=self.config.seed,
-            n_failed=stats.calls_failed,
-            turn_allocations=stats.turn_allocations,
-            steering_policy=None if self.steering is None else self.steering.policy.name,
-        )
         return ShardedCampaignRun(
             results=results,
-            report=report,
             stats=stats,
             aggregator=aggregator,
+            seed=self.config.seed,
+            steering_policy=None if self.steering is None else self.steering.policy.name,
             shards=outcomes,
             perf_snapshot=merged_perf,
             pool_stats=self._pool_stats,

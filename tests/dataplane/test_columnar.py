@@ -321,7 +321,7 @@ class TestInternals:
 
         rng = np.random.default_rng(5)
         u = rng.random(4000)
-        # Spans all three regimes: fast-zero, stepwise, and scipy ppf.
+        # Spans the zero fast path and searched cells of every mean.
         n = rng.integers(1, 6000, size=4000)
         p = rng.uniform(0.0, 0.2, size=4000)
         expected = binom.ppf(u, n, p).astype(np.int64)
@@ -332,6 +332,83 @@ class TestInternals:
         n = np.array([2100, 2100])
         p = np.array([0.0, 0.0])
         assert np.array_equal(_binom_quantile(u, n, p), [0, 0])
+
+
+class TestBinomQuantile:
+    """``_binom_quantile`` is ``min {k : P(X <= k) >= u}`` — searched, not
+    approximated: equal to ``scipy.stats.binom.ppf`` (imported here only)
+    and, independently, to the definition evaluated with ``bdtr``."""
+
+    N = (1, 840, 2100, 6000)
+
+    @staticmethod
+    def grid(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every n x p x u: p from 1e-12 to 0.95, u into both 1e-12 tails."""
+        rng = np.random.default_rng(seed)
+        p = np.concatenate(
+            [10.0 ** np.arange(-12, 0), [0.2, 0.5, 0.8, 0.95], rng.uniform(0.0, 0.95, 8)]
+        )
+        tails = 10.0 ** np.arange(-12.0, -1.0)
+        u = np.concatenate([tails, 1.0 - tails, rng.random(24)])
+        n, p, u = np.meshgrid(np.array(TestBinomQuantile.N), p, u, indexing="ij")
+        return u.ravel(), n.ravel(), p.ravel()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_scipy_ppf_on_a_seeded_grid(self, seed):
+        from scipy.stats import binom
+
+        u, n, p = self.grid(seed)
+        assert np.array_equal(_binom_quantile(u, n, p), binom.ppf(u, n, p).astype(np.int64))
+
+    def test_is_the_quantile_by_definition(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+        from scipy.special import bdtr
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            u=st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
+            n=st.sampled_from(self.N) | st.integers(min_value=1, max_value=6000),
+            p=st.floats(min_value=0.0, max_value=0.95),
+        )
+        def check(u, n, p):
+            k = int(_binom_quantile(np.array([u]), np.array([n]), np.array([p]))[0])
+            assert 0 <= k <= n
+            assert bdtr(float(k), n, p) >= u
+            assert k == 0 or bdtr(float(k - 1), n, p) < u
+
+        check()
+
+    def test_walk_cap_falls_back_to_bisection(self, monkeypatch):
+        from scipy.stats import binom
+
+        from repro.dataplane import columnar
+
+        u, n, p = self.grid(2)
+        expected = binom.ppf(u, n, p).astype(np.int64)
+        # No walking allowed: every searched cell is bisected on the CDF.
+        monkeypatch.setattr(columnar, "_BINOM_WALK_MAX_STEPS", 0)
+        assert np.array_equal(_binom_quantile(u, n, p), expected)
+
+    def test_underflowed_anchor_pmf_is_bisected(self, monkeypatch):
+        from scipy.special import bdtr
+
+        from repro.dataplane import columnar
+
+        # A denormal u: the anchor sits ~38 sd below the mean, where the
+        # pmf is below the smallest normal double and cannot seed a walk.
+        u, n, p = np.array([1e-320]), np.array([200_000]), np.array([0.5])
+        bisected = []
+        bisect = columnar._binom_bisect
+
+        def spy(*cells):
+            bisected.append(cells[0].size)
+            return bisect(*cells)
+
+        monkeypatch.setattr(columnar, "_binom_bisect", spy)
+        k = int(_binom_quantile(u, n, p)[0])
+        assert bisected == [1]
+        assert bdtr(float(k), 200_000, 0.5) >= u[0] > bdtr(float(k - 1), 200_000, 0.5)
 
 
 # --------------------------------------------------------------------- #
@@ -469,8 +546,8 @@ class TestWorkCounts:
             (segment, spec.hour_cet) for spec in specs for segment in spec.path.segments
         }
         assert count["param_rows"] == len(distinct)
-        assert count["cells_zero"] + count["cells_stepwise"] + count["cells_ppf"] == cells
-        assert count["cells_stepwise"] > 0 and count["cells_ppf"] > 0
+        assert count["cells_zero"] + count["cells_inverted"] == cells
+        assert count["cells_zero"] > 0 and count["cells_inverted"] > 0
         assert {"dataplane.kernel.prelude", "dataplane.kernel.chunks"} <= set(timed)
 
     def test_counters_off_by_default(self):

@@ -81,6 +81,58 @@ class TestPartition:
         assert partition_calls(only, 8) == [only]
 
 
+class TestPairIndex:
+    """One walk of the call list serves the cut, the costs, the warm-up
+    manifest and its digest; each must equal its per-call derivation."""
+
+    @staticmethod
+    def reference_partition(calls, n_shards, slot_s=5.0):
+        """The cut, derived call by call with text keys (the oracle)."""
+        from repro.workload.sharded import predicted_group_cost
+
+        buckets, durations = {}, {}
+        for position, spec in enumerate(calls):
+            key = (str(spec.caller.prefix), str(spec.callee.prefix))
+            buckets.setdefault(key, []).append(position)
+            durations[key] = durations.get(key, 0.0) + spec.duration_s
+        weights = {
+            key: predicted_group_cost(len(at), durations[key], slot_s=slot_s)
+            for key, at in buckets.items()
+        }
+        loads, members = [0.0] * n_shards, [[] for _ in range(n_shards)]
+        for key, at in sorted(buckets.items(), key=lambda kv: (-weights[kv[0]], kv[0])):
+            target = loads.index(min(loads))
+            members[target].extend(at)
+            loads[target] += weights[key]
+        return [[calls[i] for i in sorted(at)] for at in members if at], weights
+
+    def test_cut_costs_manifest_and_digest(self, campaign_inputs):
+        from hashlib import blake2b
+
+        from repro.workload import predicted_shard_cost, warmup_manifest
+        from repro.workload.sharded import _PairIndex
+
+        _, calls = campaign_inputs
+        index = _PairIndex.of(calls)
+        for n_shards in (2, 3, 5):
+            slices, weights = self.reference_partition(calls, n_shards)
+            shard_pairs = index.partition(n_shards, 5.0)
+            assert [index.slice_of(pairs, calls) for pairs in shard_pairs] == slices
+            assert partition_calls(calls, n_shards) == slices
+            assert sum(index.costs(5.0)) == sum(weights.values())
+            for pairs, slice_ in zip(shard_pairs, slices):
+                # A shard's manifest: its slice's unique pairs, sorted by text.
+                manifest, digest = index.manifest(pairs)
+                texts = sorted({(str(s.caller.prefix), str(s.callee.prefix)) for s in slice_})
+                assert [(str(a), str(b)) for a, b in manifest] == texts
+                assert manifest == warmup_manifest(slice_)
+                joined = "|".join(f"{a}>{b}" for a, b in texts)
+                assert digest == blake2b(joined.encode("ascii"), digest_size=8).hexdigest()
+                assert predicted_shard_cost(slice_) == pytest.approx(
+                    sum(weights[key] for key in texts)  # summed in another order
+                )
+
+
 class TestPlanValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="n_workers"):
@@ -347,6 +399,78 @@ class TestCheckpointResume:
             small_world.service, CampaignConfig(seed=8), plan
         ).run(calls)
         assert not any(outcome.resumed for outcome in other.shards)
+
+
+    def test_damaged_checkpoints_are_absent_never_wrong(
+        self, small_world, campaign_inputs, sequential_json, tmp_path
+    ):
+        """The corrupt-checkpoint drill: truncate and flip bytes of saved
+        shards under a seed.  A load is ``None`` or a valid pair — never
+        an exception, never altered data — and the resumed report is
+        byte-identical."""
+        import numpy as np
+
+        from repro.workload.sharded import ShardOutcome, _ShardResult
+
+        _, calls = campaign_inputs
+        plan = ShardPlan(n_shards=3, checkpoint_dir=str(tmp_path))
+
+        def runner():
+            return ShardedCampaignRunner(small_world.service, CampaignConfig(seed=7), plan)
+
+        first = runner()
+        first.run(calls)
+        store = first._checkpoints
+        pristine = {index: store.path(index).read_bytes() for index in range(3)}
+        rng = np.random.default_rng(2024)
+        outcomes = {"absent": 0, "valid": 0}
+        for trial in range(60):
+            index = trial % 3
+            blob = bytearray(pristine[index])
+            if trial % 2:
+                blob = blob[: int(rng.integers(0, len(blob) + 1))]
+            else:
+                for at in rng.integers(0, len(blob), size=int(rng.integers(1, 4))):
+                    blob[at] ^= 1 << int(rng.integers(0, 8))
+            store.path(index).write_bytes(bytes(blob))
+            loaded = store.load(index)
+            if loaded is None:
+                outcomes["absent"] += 1
+            else:
+                # Only an untouched file (a "truncation" at full length) loads.
+                assert bytes(blob) == pristine[index]
+                result, outcome = loaded
+                assert isinstance(result, _ShardResult) and result.index == index
+                assert isinstance(outcome, ShardOutcome) and outcome.resumed
+                outcomes["valid"] += 1
+        assert outcomes["absent"] >= 55
+        # Files that are not checkpoints at all, under a checkpoint's name.
+        store.path(0).write_bytes(b"")
+        store.path(1).write_bytes(pickle.dumps(("not", "a shard")))
+        assert store.load(0) is None and store.load(1) is None
+        # Resume over whatever the drill left: damaged shards re-execute.
+        resumed = runner().run(calls)
+        assert resumed.report.to_json() == sequential_json
+        assert any(not outcome.resumed for outcome in resumed.shards)
+        # ... and are saved again, so the next resume restores all three.
+        assert all(outcome.resumed for outcome in runner().run(calls).shards)
+
+    def test_checkpoint_of_another_layout_is_never_found(
+        self, small_world, campaign_inputs, tmp_path, monkeypatch
+    ):
+        from repro.workload import sharded
+
+        _, calls = campaign_inputs
+        plan = ShardPlan(n_shards=2, checkpoint_dir=str(tmp_path))
+
+        def run_once():
+            return ShardedCampaignRunner(
+                small_world.service, CampaignConfig(seed=7), plan
+            ).run(calls)
+
+        run_once()
+        monkeypatch.setattr(sharded, "CHECKPOINT_LAYOUT", "some-other-layout")
+        assert not any(outcome.resumed for outcome in run_once().shards)
 
 
 class TestCostBalance:
