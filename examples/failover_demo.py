@@ -6,7 +6,8 @@ trans-Atlantic circuit their traffic rides is cut.  The demo walks the
 failure the way the overlay experiences it: the IGP reroutes, BGP
 re-shuffles hot-potato egresses message by message, the in-flight stream
 eats a bounded outage, and the repair puts everything back exactly as it
-was.
+was.  It is one drill — a fault timeline plus the corridor to ride —
+through `run_drill`, and the narrative is read off the result.
 
 Run:
     python examples/failover_demo.py
@@ -17,68 +18,36 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import build_world
-from repro.faults import (
-    FaultInjector,
-    ImpactMeter,
-    LinkDown,
-    LinkUp,
-    MediaImpact,
-    failover_window_s,
-    measure_event,
-    overlay_outage,
-    prefix_sample,
-    resolve_corridor,
-)
-
-
-def route(service, src: str, dst: str) -> str:
-    return " -> ".join(service.network.pop_l2_path(src, dst))
+from repro.faults import link_cut, run_drill
 
 
 def main() -> None:
     world = build_world("small", seed=42)
-    service = world.service
-    rng = np.random.default_rng(7)
 
-    src, dst = "AMS", "ASH"
-    a, b = resolve_corridor(service, src, dst)  # AMS->ASH rides LON==ASH
-    print(f"Conference corridor {src} -> {dst}; circuit to cut: {a}=={b}")
-    print(f"  route before the cut: {route(service, src, dst)}")
+    drill = link_cut(world.service, "AMS", "ASH")  # AMS->ASH rides LON==ASH
+    (src, dst), (down, up) = drill.media, drill.events
+    circuit = f"{down.a}=={down.b}"
+    result = run_drill(world.service, np.random.default_rng(7), drill)
+    cut, repair = result.impacts
+    media = result.media
 
-    injector = FaultInjector(service)
-    meter = ImpactMeter(
-        service, prefix_sample(tuple(service.topology.prefix_location), limit=32)
-    )
+    print(f"Conference corridor {src} -> {dst}; circuit to cut: {circuit}")
+    print(f"  route before the cut: {' -> '.join(result.before.route)}")
+    print(f"  steady state: loss {media.steady.loss_percent:.2f}%, "
+          f"RTT {media.steady.rtt_ms:.1f} ms")
 
-    # The call is up and clean.
-    steady = service.simulate_internal_stream(src, dst, rng=rng)
-    print(f"  steady state: loss {steady.loss_percent:.2f}%, RTT {steady.rtt_ms:.1f} ms")
-
-    # --- the cut ---------------------------------------------------------
-    cut = measure_event(injector, meter, LinkDown(time_s=60.0, a=a, b=b))
-    window = failover_window_s(cut.messages)
-    print(f"\nt=60s  {a}=={b} goes dark")
+    print(f"\nt={down.time_s:.0f}s  {circuit} goes dark")
     print(f"  BGP reconverges in {cut.messages} messages "
-          f"(failover window ~{window:.2f} s)")
+          f"(failover window ~{media.window_s:.2f} s)")
     print(f"  cells blackholed mid-failover: {len(cut.blackholes_during)}, "
           f"after convergence: {len(cut.blackholes_after)}")
     print(f"  egress shifted for {len(cut.shifted)} (entry, prefix) cells")
-    print(f"  route during the outage: {route(service, src, dst)}")
+    print(f"  route during the outage: {' -> '.join(result.during.route)}")
 
-    failover = overlay_outage(
-        service.simulate_internal_stream(src, dst, rng=rng), window
-    )
-
-    # --- the repair ------------------------------------------------------
-    repair = measure_event(injector, meter, LinkUp(time_s=660.0, a=a, b=b))
-    print(f"\nt=660s {a}=={b} restored "
+    print(f"\nt={up.time_s:.0f}s {circuit} restored "
           f"({repair.messages} messages to reconverge)")
-    print(f"  route after repair: {route(service, src, dst)}")
+    print(f"  route after repair: {' -> '.join(result.after.route)}")
 
-    recovered = service.simulate_internal_stream(src, dst, rng=rng)
-    media = MediaImpact(
-        steady=steady, failover=failover, recovered=recovered, window_s=window
-    )
     print(f"\n{media.summary()}")
     print(
         "\nThe overlay healed on its own: the L2 mesh rerouted around the"

@@ -1,8 +1,9 @@
 """Failover experiment: reconvergence cost and loss during failures.
 
 Not a paper figure — the paper measures the steady state its circuits buy
-— but the natural stress companion: run the canned fault scenarios of
-:mod:`repro.faults.scenarios` over one world and aggregate
+— but the natural stress companion: replay the canned drills of
+:mod:`repro.faults.drills` (or any others) over one world with
+:func:`repro.faults.recovery.run_drill` and aggregate
 
 * the CDF of per-event reconvergence cost (BGP messages and the derived
   failover-window seconds),
@@ -10,8 +11,9 @@ Not a paper figure — the paper measures the steady state its circuits buy
 * blackhole-window sizes (cells routed-but-undeliverable mid-failover,
   and any that survive convergence).
 
-Every scenario repairs itself, so the whole suite runs on one service
-deployment and leaves it converged and healthy.
+Every drill repairs what it breaks, so the whole suite runs on one
+service deployment and leaves it converged and healthy.  (The rendered
+rows and JSON keys still say "scenario": they are recorded history.)
 """
 
 from __future__ import annotations
@@ -20,17 +22,9 @@ import json
 from dataclasses import dataclass, field
 
 from repro.experiments.common import World, experiment_rng
-from repro.faults.recovery import EventImpact
-from repro.faults.scenarios import (
-    ScenarioResult,
-    flapping_upstream,
-    pop_failure,
-    regional_failure,
-    single_link_cut,
-    transit_degradation,
-)
+from repro.faults.drills import canned_drills
+from repro.faults.recovery import Drill, DrillResult, EventImpact, run_drill
 from repro.measurement.stats import Cdf
-from repro.vns.links import VNS_LONG_HAUL_LINKS
 
 #: Salt for this experiment's dedicated generator.
 RNG_SALT = 9090
@@ -38,13 +32,13 @@ RNG_SALT = 9090
 
 @dataclass(slots=True)
 class FailoverResult:
-    """Aggregated outcome of the scenario suite on one world."""
+    """Aggregated outcome of the drills run on one world."""
 
-    scenarios: list[ScenarioResult] = field(default_factory=list)
+    drills: list[DrillResult] = field(default_factory=list)
 
     def impacts(self) -> list[EventImpact]:
-        """Every measured fault event across all scenarios."""
-        return [impact for scenario in self.scenarios for impact in scenario.impacts]
+        """Every measured fault event across all drills."""
+        return [impact for drill in self.drills for impact in drill.impacts]
 
     def message_cdf(self) -> Cdf:
         """CDF of per-event reconvergence message counts."""
@@ -54,34 +48,13 @@ class FailoverResult:
         """CDF of per-event failover-window seconds."""
         return Cdf.of(impact.failover_window_s for impact in self.impacts())
 
-    def steady_loss_values(self) -> list[float]:
-        return [
-            s.media.steady_loss_percent for s in self.scenarios if s.media is not None
-        ]
-
-    def failover_loss_values(self) -> list[float]:
-        return [
-            s.media.failover_loss_percent
-            for s in self.scenarios
-            if s.media is not None
-        ]
-
-    def recovered_loss_values(self) -> list[float]:
-        return [
-            s.media.recovered_loss_percent
-            for s in self.scenarios
-            if s.media is not None
-        ]
-
     def max_blackholes_during(self) -> int:
         """Largest mid-failover blackhole set over all events."""
-        return max(
-            (len(impact.blackholes_during) for impact in self.impacts()), default=0
-        )
+        return max((drill.blackholes_during_max for drill in self.drills), default=0)
 
     def permanent_blackhole_count(self) -> int:
-        """Blackholes still present after each scenario's final repair."""
-        return sum(len(s.permanent_blackholes) for s in self.scenarios)
+        """Blackholes still present after each drill's final repair."""
+        return sum(len(drill.permanent_blackholes) for drill in self.drills)
 
     def render(self) -> str:
         """The failover summary as rows (the uniform-API entry point)."""
@@ -90,11 +63,8 @@ class FailoverResult:
             "  scenario                                  msgs   bh-during  bh-perm"
             "  loss steady->failover->recovered"
         )
-        for scenario in self.scenarios:
-            during = max(
-                (len(i.blackholes_during) for i in scenario.impacts), default=0
-            )
-            media = scenario.media
+        for drill in self.drills:
+            media = drill.media
             loss = (
                 f"{media.steady_loss_percent:5.2f}% ->{media.failover_loss_percent:6.2f}%"
                 f" ->{media.recovered_loss_percent:5.2f}%"
@@ -102,8 +72,9 @@ class FailoverResult:
                 else "        (control plane only)"
             )
             lines.append(
-                f"  {scenario.name:<41} {scenario.total_messages:5d}"
-                f"   {during:7d}  {len(scenario.permanent_blackholes):7d}  {loss}"
+                f"  {drill.name:<41} {drill.total_messages:5d}"
+                f"   {drill.blackholes_during_max:7d}"
+                f"  {len(drill.permanent_blackholes):7d}  {loss}"
             )
         if not self.impacts():
             lines.append("  (no fault events measured)")
@@ -127,9 +98,9 @@ class FailoverResult:
     def to_row(self) -> dict:
         """Flat scalar summary (seed-deterministic; no wall clock)."""
         row = {
-            "scenarios": len(self.scenarios),
+            "scenarios": len(self.drills),
             "fault_events": len(self.impacts()),
-            "messages_total": sum(s.total_messages for s in self.scenarios),
+            "messages_total": sum(drill.total_messages for drill in self.drills),
             "blackholes_during_max": self.max_blackholes_during(),
             "blackholes_permanent": self.permanent_blackhole_count(),
         }
@@ -143,18 +114,15 @@ class FailoverResult:
         return row
 
     def to_json(self, indent: int | None = 2) -> str:
-        """Canonical JSON: per-scenario blocks plus the flat row."""
+        """Canonical JSON: per-drill blocks plus the flat row."""
         scenarios = {}
-        for scenario in self.scenarios:
-            media = scenario.media
-            scenarios[scenario.name] = {
-                "messages": scenario.total_messages,
-                "events": len(scenario.impacts),
-                "blackholes_during_max": max(
-                    (len(i.blackholes_during) for i in scenario.impacts),
-                    default=0,
-                ),
-                "blackholes_permanent": len(scenario.permanent_blackholes),
+        for drill in self.drills:
+            media = drill.media
+            scenarios[drill.name] = {
+                "messages": drill.total_messages,
+                "events": len(drill.impacts),
+                "blackholes_during_max": drill.blackholes_during_max,
+                "blackholes_permanent": len(drill.permanent_blackholes),
                 "media": None
                 if media is None
                 else {
@@ -167,51 +135,18 @@ class FailoverResult:
         return json.dumps(payload, indent=indent, sort_keys=True)
 
 
-def run(
-    world: World,
-    *,
-    corridors: tuple[tuple[str, str], ...] | None = None,
-    include_pop_failure: bool = True,
-    include_regional: bool = True,
-    include_flapping: bool = True,
-    include_degradation: bool = True,
-    flaps: int = 2,
-    prefix_limit: int = 32,
-) -> FailoverResult:
-    """Run the fault-scenario suite over ``world``.
+def run(world: World, drills: tuple[Drill, ...] | None = None) -> FailoverResult:
+    """Run ``drills`` (default: the canned suite) over ``world``, back to back.
 
-    ``corridors`` defaults to every long-haul circuit — each gets its own
-    cut-and-repair scenario, which is what populates the reconvergence
-    CDF.  The service is restored to health between and after scenarios.
+    The canned suite cuts every long-haul circuit — which is what
+    populates the reconvergence CDF — and adds the four composite drills.
+    All drills share one experiment generator, in order.
     """
     rng = experiment_rng(world, RNG_SALT)
     service = world.service
-    if corridors is None:
-        corridors = VNS_LONG_HAUL_LINKS
-    result = FailoverResult()
-    for corridor in corridors:
-        result.scenarios.append(
-            single_link_cut(
-                service, rng, corridor=corridor, prefix_limit=prefix_limit
-            )
-        )
-    if include_pop_failure:
-        result.scenarios.append(
-            pop_failure(service, rng, prefix_limit=prefix_limit)
-        )
-    if include_regional:
-        result.scenarios.append(
-            regional_failure(service, rng, prefix_limit=prefix_limit)
-        )
-    if include_flapping:
-        result.scenarios.append(
-            flapping_upstream(service, rng, flaps=flaps, prefix_limit=prefix_limit)
-        )
-    if include_degradation:
-        result.scenarios.append(
-            transit_degradation(service, rng, prefix_limit=prefix_limit)
-        )
-    return result
+    return FailoverResult(
+        [run_drill(service, rng, drill) for drill in drills or canned_drills(service)]
+    )
 
 
 def render(result: FailoverResult) -> str:

@@ -5,22 +5,28 @@ circuits, cold-potato egress, anycast entry.  This subpackage asks what
 happens when pieces of it break:
 
 * :mod:`~repro.faults.events` — typed fault events (circuit cut, PoP
-  loss, eBGP session flap, transit degradation) on a deterministic
-  simulated timeline driven by a seeded generator,
+  loss, eBGP session flap, transit degradation); a fault timeline is a
+  time-sorted tuple of them, here and in ``ScenarioSpec.faults`` alike,
 * :mod:`~repro.faults.injector` — applies events to the live network:
   IGP re-runs SPF, border routers withdraw and re-advertise through the
   real BGP machinery, every fault has an exact inverse,
 * :mod:`~repro.faults.recovery` — convergence cost, egress churn, the
-  blackhole window, and the loss an in-flight media stream eats,
-* :mod:`~repro.faults.scenarios` — canned scenarios: single long-haul
-  cut, whole-PoP failure with anycast re-catchment, correlated regional
-  failure, flapping upstream, pure data-plane transit degradation.
+  blackhole window, and the loss an in-flight media stream eats;
+  :func:`run_drill` takes all of them over one :class:`Drill` (a fault
+  timeline plus the corridor a stream rides) and is the only code that
+  knows the fail → window → repair sequence,
+* :mod:`~repro.faults.drills` — the canned drills as data: every
+  long-haul cut, whole-PoP failure with anycast re-catchment, correlated
+  regional failure, flapping upstream, pure data-plane transit
+  degradation.
+
+A *scenario* is :mod:`repro.scenarios`' word (a declared world run under
+a campaign); what this package runs is a *drill*.
 """
 
 from repro.faults.events import (
     EVENT_TYPES,
     FaultEvent,
-    FaultTimeline,
     LinkDown,
     LinkUp,
     PopDown,
@@ -34,10 +40,12 @@ from repro.faults.events import (
     event_to_dict,
     events_from_json,
     events_to_json,
-    random_flap_timeline,
 )
+from repro.faults.drills import canned_drills, link_cut, resolve_corridor
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import (
+    Drill,
+    DrillResult,
     EventImpact,
     ImpactMeter,
     MediaImpact,
@@ -46,21 +54,12 @@ from repro.faults.recovery import (
     measure_event,
     overlay_outage,
     prefix_sample,
-)
-from repro.faults.scenarios import (
-    ScenarioResult,
-    flapping_upstream,
-    pop_failure,
-    regional_failure,
-    resolve_corridor,
-    single_link_cut,
-    transit_degradation,
+    run_drill,
 )
 
 __all__ = [
     "EVENT_TYPES",
     "FaultEvent",
-    "FaultTimeline",
     "event_from_dict",
     "event_to_dict",
     "events_from_json",
@@ -74,8 +73,9 @@ __all__ = [
     "SimulatedClock",
     "TransitDegrade",
     "TransitRestore",
-    "random_flap_timeline",
     "FaultInjector",
+    "Drill",
+    "DrillResult",
     "EventImpact",
     "ImpactMeter",
     "MediaImpact",
@@ -84,11 +84,8 @@ __all__ = [
     "measure_event",
     "overlay_outage",
     "prefix_sample",
-    "ScenarioResult",
-    "flapping_upstream",
-    "pop_failure",
-    "regional_failure",
+    "run_drill",
+    "canned_drills",
+    "link_cut",
     "resolve_corridor",
-    "single_link_cut",
-    "transit_degradation",
 ]

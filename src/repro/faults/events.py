@@ -1,21 +1,21 @@
 """Typed fault events on a deterministic simulated timeline.
 
-The subsystem is a discrete-event perturbation layer: a timeline holds
-timestamped fault events (circuit down/up, PoP failure/restore, eBGP
-session flap, transit-path degradation), a :class:`SimulatedClock` tracks
-simulated seconds (never wall time), and every stochastic choice is drawn
-from a seeded ``numpy.random.Generator`` — two runs with the same seed
-produce the identical event log.
+The subsystem is a discrete-event perturbation layer.  A *fault timeline*
+is a time-sorted tuple of :class:`FaultEvent` objects (circuit down/up,
+PoP failure/restore, eBGP session flap, transit-path degradation) — the
+one representation ``ScenarioSpec.faults``, ``Drill.events`` and the
+failover bench share, with :func:`events_to_json` /
+:func:`events_from_json` as its wire format.  A :class:`SimulatedClock`
+tracks simulated seconds (never wall time), so replaying the same
+timeline produces the identical event log.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,108 +247,3 @@ class SimulatedClock:
                 f"clock cannot go backwards ({time_s} < {self.now_s})"
             )
         self.now_s = time_s
-
-
-@dataclass(slots=True)
-class FaultTimeline:
-    """An ordered sequence of fault events.
-
-    Events sort by time; ties keep insertion order (so a scenario that
-    cuts two links "simultaneously" applies them in the order written).
-    """
-
-    _events: list[FaultEvent] = field(default_factory=list)
-
-    def add(self, event: FaultEvent) -> "FaultTimeline":
-        """Insert an event, keeping the timeline sorted (returns self)."""
-        self._events.append(event)
-        self._events.sort(key=lambda e: e.time_s)  # stable: ties keep order
-        return self
-
-    def extend(self, events: Iterable[FaultEvent]) -> "FaultTimeline":
-        for event in events:
-            self.add(event)
-        return self
-
-    def events(self) -> tuple[FaultEvent, ...]:
-        return tuple(self._events)
-
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def end_s(self) -> float:
-        """Time of the last event (0 for an empty timeline)."""
-        return self._events[-1].time_s if self._events else 0.0
-
-    def describe(self) -> tuple[str, ...]:
-        """The deterministic event log, one line per event."""
-        return tuple(event.describe() for event in self._events)
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        """Byte-stable JSON; re-serialising the round trip is identical."""
-        return events_to_json(self._events, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultTimeline":
-        """Rebuild a timeline from :meth:`to_json` output.
-
-        Events pass through :meth:`add`, so the result is sorted exactly
-        as the original was (the serialised order is already sorted with
-        ties in insertion order, and the sort is stable).
-        """
-        timeline = cls()
-        for event in events_from_json(text):
-            timeline.add(event)
-        return timeline
-
-
-def random_flap_timeline(
-    rng: np.random.Generator,
-    *,
-    links: tuple[tuple[str, str], ...],
-    duration_s: float = 3600.0,
-    failures_per_hour: float = 2.0,
-    mean_repair_s: float = 120.0,
-    start_s: float = 0.0,
-) -> FaultTimeline:
-    """A random sequence of link failures with exponential repair times.
-
-    Failures arrive as a Poisson process over the whole link set; each
-    down event is paired with an up event after an exponential repair
-    time (clamped so everything is repaired by ``duration_s``).  Only the
-    seeded ``rng`` drives the draws, so the timeline is reproducible.
-
-    Raises
-    ------
-    ValueError
-        For an empty link set or non-positive duration.
-    """
-    if not links:
-        raise ValueError("need at least one link to flap")
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s!r}")
-    timeline = FaultTimeline()
-    mean_gap_s = 3600.0 / failures_per_hour
-    t = start_s
-    repaired_at: dict[frozenset[str], float] = {}
-    while True:
-        t += float(rng.exponential(mean_gap_s))
-        if t >= start_s + duration_s:
-            break
-        index = int(rng.integers(len(links)))
-        a, b = links[index]
-        key = frozenset((a, b))
-        if t < repaired_at.get(key, start_s):
-            continue  # still down from an earlier failure; no double-fail
-        repair = min(
-            float(rng.exponential(mean_repair_s)),
-            start_s + duration_s - t,
-        )
-        repaired_at[key] = t + repair
-        timeline.add(LinkDown(time_s=t, a=a, b=b))
-        timeline.add(LinkUp(time_s=t + repair, a=a, b=b))
-    return timeline

@@ -22,6 +22,7 @@ from repro.bgp.attributes import Route
 from repro.dataplane.link import PathSegment, SegmentKind, degrade_segment
 from repro.dataplane.path import DataPath
 from repro.faults.events import (
+    EVENT_TYPES,
     FaultEvent,
     LinkDown,
     LinkUp,
@@ -127,13 +128,18 @@ class FaultInjector:
         the BGP engine — call :meth:`converge` (or use :meth:`apply`)
         afterwards; in between, the network is mid-failover.
 
+        An event the injector cannot apply is rejected before anything is
+        recorded: no log line, no clock movement, no state change.
+
         Raises
         ------
         TypeError
             For an event kind the injector does not know.
         ValueError
-            For impossible transitions (unknown link, clock regression).
+            For impossible transitions (unknown circuit or PoP, clock
+            regression).
         """
+        self._validate(event)
         self.clock.advance_to(event.time_s)
         self.event_log.append(event.describe())
         if isinstance(event, LinkDown):
@@ -150,13 +156,11 @@ class FaultInjector:
             self._sessions_up(event.asn, event.router_id)
         elif isinstance(event, TransitDegrade):
             self.degradations.append(event)
-        elif isinstance(event, TransitRestore):
+        else:  # TransitRestore: _validate admitted nothing else
             corridor = set(event.regions)
             self.degradations = [
                 d for d in self.degradations if set(d.regions) != corridor
             ]
-        else:
-            raise TypeError(f"unknown fault event {event!r}")
         if isinstance(event, (LinkDown, PopDown, SessionDown)):
             self.active.append(event)
         elif isinstance(event, (LinkUp, PopUp, SessionUp)):
@@ -166,6 +170,21 @@ class FaultInjector:
                 if _target(self.active[index]) == target:
                     del self.active[index]
                     break
+
+    def _validate(self, event: FaultEvent) -> None:
+        """Raise unless ``event`` names a target this network has.
+
+        Timelines arrive from spec JSON — from outside the program.
+        """
+        if type(event) not in EVENT_TYPES.values():
+            raise TypeError(f"unknown fault event {event!r}")
+        if isinstance(event, (LinkDown, LinkUp)):
+            if not self.service.network.has_circuit(event.a, event.b):
+                raise ValueError(f"no L2 circuit {event.a}-{event.b}")
+        elif isinstance(event, (PopDown, PopUp)):
+            known = [pop.code for pop in self.service.pops()]
+            if event.pop not in known:
+                raise ValueError(f"unknown PoP {event.pop!r} (known: {known})")
 
     def converge(self, max_messages: int = 10_000_000) -> int:
         """Run BGP to convergence; return messages delivered.

@@ -1,4 +1,4 @@
-"""Convergence and impact metrics for fault scenarios.
+"""Convergence and impact metrics for faults, and the drill that takes them.
 
 Three lenses on one fault:
 
@@ -15,22 +15,42 @@ Three lenses on one fault:
   window maps to fully lost slots overlaid on the post-fault path's own
   loss process.
 
-Everything here only reads the network; the perturbation itself is the
-:class:`~repro.faults.injector.FaultInjector`'s job.
+:func:`run_drill` is the one place that knows the fail → window → repair
+sequence: it replays a :class:`Drill` — a fault timeline plus the path a
+stream rides — through a :class:`~repro.faults.injector.FaultInjector`
+and takes all three measurements.  Everything else here only reads the
+network; the perturbation itself is the injector's job.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, TypeVar
 
 import numpy as np
 
-from repro.dataplane.transmit import StreamResult
-from repro.faults.events import FaultEvent
+from repro.dataplane.transmit import (
+    StreamResult,
+    _stream_shape,
+    count_heavy_loss_slots,
+    simulate_stream,
+)
+from repro.faults.events import FaultEvent, LinkUp, PopUp, SessionUp, TransitRestore
 from repro.faults.injector import FaultInjector
 from repro.net.addressing import Prefix
 from repro.vns.service import VideoNetworkService
+
+#: Duration of the media stream a drill rides at each stage.
+DRILL_STREAM_S = 120.0
+
+#: User ASes sampled for the anycast entry-PoP observation.
+ENTRY_SAMPLE = 24
+
+#: The events that end a fault; a drill's first one closes the failover window.
+REPAIRS = (LinkUp, PopUp, SessionUp, TransitRestore)
+
+T = TypeVar("T")
 
 #: Seconds to *detect* a fault (BFD / hold-timer expiry) before BGP reacts.
 DETECTION_S = 1.0
@@ -65,12 +85,6 @@ class RoutingSnapshot:
     def blackholes(self) -> frozenset[tuple[str, Prefix]]:
         return frozenset(k for k, s in self.states.items() if s.blackholed)
 
-    @property
-    def unrouted(self) -> frozenset[tuple[str, Prefix]]:
-        return frozenset(
-            k for k, s in self.states.items() if s.egress_pop is None
-        )
-
     def shifted_from(self, other: "RoutingSnapshot") -> frozenset[tuple[str, Prefix]]:
         """Keys routed in both snapshots whose egress PoP differs."""
         return frozenset(
@@ -103,20 +117,13 @@ class ImpactMeter:
     """
 
     def __init__(
-        self,
-        service: VideoNetworkService,
-        prefixes: tuple[Prefix, ...],
-        entry_pops: tuple[str, ...] | None = None,
+        self, service: VideoNetworkService, prefixes: tuple[Prefix, ...]
     ) -> None:
         if not prefixes:
             raise ValueError("need at least one prefix to meter")
         self.service = service
         self.prefixes = tuple(prefixes)
-        self.entry_pops = (
-            tuple(entry_pops)
-            if entry_pops is not None
-            else tuple(pop.code for pop in service.pops())
-        )
+        self.entry_pops = tuple(pop.code for pop in service.pops())
 
     def snapshot(self) -> RoutingSnapshot:
         """The current forwarding state of every grid cell."""
@@ -166,15 +173,6 @@ class EventImpact:
         """Simulated duration of the failover (see :func:`failover_window_s`)."""
         return failover_window_s(self.messages)
 
-    def summary(self) -> str:
-        return (
-            f"{self.event.describe()}: {self.messages} msgs"
-            f" ({self.failover_window_s:.2f}s), {len(self.shifted)} shifted,"
-            f" {len(self.blackholes_during)} blackholed during,"
-            f" {len(self.blackholes_after)} after,"
-            f" {len(self.routes_lost)} lost"
-        )
-
 
 def measure_event(
     injector: FaultInjector, meter: ImpactMeter, event: FaultEvent
@@ -206,12 +204,7 @@ def measure_event(
 # --------------------------------------------------------------------- #
 
 
-def failover_window_s(
-    messages: int,
-    *,
-    detection_s: float = DETECTION_S,
-    per_message_s: float = PER_MESSAGE_S,
-) -> float:
+def failover_window_s(messages: int) -> float:
     """Simulated seconds a fault disrupts forwarding.
 
     Detection delay plus a per-message convergence cost — the engine is
@@ -219,40 +212,59 @@ def failover_window_s(
     """
     if messages < 0:
         raise ValueError(f"messages must be non-negative, got {messages!r}")
-    return detection_s + per_message_s * messages
+    return DETECTION_S + PER_MESSAGE_S * messages
 
 
 def overlay_outage(
-    result: StreamResult, window_s: float, *, slot_s: float = 5.0
+    result: StreamResult,
+    window_s: float,
+    *,
+    slot_s: float = 5.0,
+    packets_per_second: float = 420.0,
 ) -> StreamResult:
     """``result`` with the first ``window_s`` seconds fully blacked out.
 
     Models a stream in flight when the fault hits: until reconvergence
     every packet is lost, after which the stream rides the (already
-    rerouted) path whose loss process ``result`` sampled.  Loss-free by
-    construction if ``window_s`` is 0.
+    rerouted) path whose loss process ``result`` sampled.  A blanked slot
+    loses what *it* carried — a partial final slot carries fewer packets
+    than the others.  ``slot_s`` and ``packets_per_second`` are the ones
+    the stream was simulated with.  Loss-free by construction if
+    ``window_s`` is 0.
 
     Raises
     ------
     ValueError
-        For a negative window or non-positive slot length.
+        For a negative window, a non-positive slot length or packet
+        rate, or a ``result`` that is not shaped like a stream at that
+        rate.
     """
     if window_s < 0:
         raise ValueError(f"window_s must be non-negative, got {window_s!r}")
-    if slot_s <= 0:
-        raise ValueError(f"slot_s must be positive, got {slot_s!r}")
-    n_slots = result.n_slots
-    if n_slots == 0 or window_s == 0:
+    if slot_s <= 0 or packets_per_second <= 0:
+        raise ValueError("slot length and packet rate must be positive")
+    if result.n_slots == 0 or window_s == 0:
         return result
-    packets_per_slot = result.packets_sent // n_slots
+    n_slots, packets_per_slot, final_packets = _stream_shape(
+        result.packets_sent / packets_per_second, packets_per_second, slot_s
+    )
+    if n_slots != result.n_slots:
+        raise ValueError(
+            f"{result.packets_sent} packets in {result.n_slots} slots is not a "
+            f"{packets_per_second:g} pps stream with {slot_s:g} s slots"
+        )
+    slot_packets = np.full(n_slots, packets_per_slot)
+    slot_packets[-1] = final_packets
     blanked = min(n_slots, math.ceil(window_s / slot_s))
     slot_losses = result.slot_losses.copy()
-    slot_losses[:blanked] = packets_per_slot
+    slot_losses[:blanked] = slot_packets[:blanked]
     return StreamResult(
         packets_sent=result.packets_sent,
         slot_losses=slot_losses,
         jitter_p95_ms=result.jitter_p95_ms,
         rtt_ms=result.rtt_ms,
+        packets_lost=int(slot_losses.sum()),
+        heavy_loss_slots=int(count_heavy_loss_slots(slot_losses, slot_packets)),
     )
 
 
@@ -277,11 +289,6 @@ class MediaImpact:
     def recovered_loss_percent(self) -> float:
         return self.recovered.loss_percent
 
-    @property
-    def excess_loss_percent(self) -> float:
-        """Loss attributable to the fault itself."""
-        return self.failover_loss_percent - self.steady_loss_percent
-
     def summary(self) -> str:
         return (
             f"loss steady {self.steady_loss_percent:.2f}% ->"
@@ -291,23 +298,13 @@ class MediaImpact:
         )
 
 
-def stream_percentile_jitter_delta(
-    impact: MediaImpact,
-) -> float:
-    """Jitter-p95 delta between failover and steady state (ms)."""
-    return impact.failover.jitter_p95_ms - impact.steady.jitter_p95_ms
+def prefix_sample(items: Iterable[T], *, limit: int) -> tuple[T, ...]:
+    """A deterministic, evenly strided sample of at most ``limit`` items.
 
-
-def prefix_sample(
-    prefixes: tuple[Prefix, ...] | list[Prefix],
-    *,
-    limit: int,
-) -> tuple[Prefix, ...]:
-    """A deterministic, evenly strided sample of at most ``limit`` prefixes.
-
-    Sorting first makes the sample a function of the prefix *set*, not of
+    Sorting first makes the sample a function of the *set*, not of
     iteration order — two worlds built from the same seed meter the same
-    cells.
+    cells.  Prefixes for the :class:`ImpactMeter` grid; a drill samples
+    user ASes the same way.
 
     Raises
     ------
@@ -316,8 +313,176 @@ def prefix_sample(
     """
     if limit <= 0:
         raise ValueError(f"limit must be positive, got {limit!r}")
-    ordered = sorted(prefixes)
+    ordered = sorted(items)
     if len(ordered) <= limit:
         return tuple(ordered)
     indices = np.linspace(0, len(ordered) - 1, num=limit).astype(int)
     return tuple(ordered[i] for i in dict.fromkeys(indices))
+
+
+# --------------------------------------------------------------------- #
+# drills
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True, slots=True)
+class Drill:
+    """A fault timeline plus the path a media stream rides through it.
+
+    ``events`` is faults then repairs in time order — the same tuple of
+    :class:`~repro.faults.events.FaultEvent` a ``ScenarioSpec.faults``
+    holds.  ``media`` names the stream's path, re-resolved at every stage
+    because routes move under faults: ``(src_pop, dst_pop)`` rides the
+    internal L2 route between two PoPs, ``(entry_pop, prefix)`` the VNS
+    path from an entry PoP out to a prefix; ``None`` measures the control
+    plane only.
+    """
+
+    name: str
+    events: tuple[FaultEvent, ...]
+    media: tuple[str, str] | tuple[str, Prefix] | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class StageView:
+    """What can only be read while a stage is live."""
+
+    #: PoP route of an internal media corridor (``None``: partitioned, or
+    #: the drill rides no PoP-to-PoP corridor).
+    route: tuple[str, ...] | None
+    #: Anycast entry PoP per sampled user AS (``None``: no PoP reachable).
+    entries: dict[int, str | None]
+
+
+@dataclass(slots=True)
+class DrillResult:
+    """Everything one drill measured."""
+
+    name: str
+    impacts: list[EventImpact]
+    media: MediaImpact | None
+    event_log: tuple[str, ...]
+    before: StageView  #: healthy, before the first event
+    during: StageView  #: every fault in effect, before the first repair
+    after: StageView  #: after the last event
+    #: The drill left the world as found: the metered routing state after
+    #: the last event equals the state before the first, nothing active.
+    restored: bool
+
+    @property
+    def total_messages(self) -> int:
+        """BGP messages across every event (fail and repair)."""
+        return sum(impact.messages for impact in self.impacts)
+
+    @property
+    def permanent_blackholes(self) -> frozenset[tuple[str, Prefix]]:
+        """Blackholes still present after the *last* convergence."""
+        return self.impacts[-1].blackholes_after if self.impacts else frozenset()
+
+    @property
+    def blackholes_during_max(self) -> int:
+        """Largest mid-failover blackhole set over the drill's events."""
+        return max((len(i.blackholes_during) for i in self.impacts), default=0)
+
+
+def run_drill(
+    service: VideoNetworkService,
+    rng: np.random.Generator,
+    drill: Drill,
+    *,
+    prefix_limit: int = 32,
+) -> DrillResult:
+    """Replay ``drill`` on ``service`` and measure what it cost.
+
+    Steady stream → each fault through :func:`measure_event` → just
+    before the first repair, the failover stream with the outage window
+    of the messages delivered so far overlaid → the remaining events →
+    recovered stream.  A fault that costs no BGP message (transit
+    degradation) opens no window: its stream only rides the impaired
+    path.  A fault that leaves the media path no route takes the stream
+    down for its whole duration.  The three streams draw from ``rng`` in
+    that order; a drill whose repairs undo its faults leaves the service
+    exactly as found (:attr:`DrillResult.restored`), so drills run back
+    to back on one world.
+
+    Raises
+    ------
+    ValueError
+        If the drill has no repair event, its media path has no route on
+        the healthy network, or the injector rejects an event — whatever
+        was applied until then is undone first.
+    """
+    split = next(
+        (i for i, event in enumerate(drill.events) if isinstance(event, REPAIRS)),
+        None,
+    )
+    if split is None:
+        raise ValueError(f"drill {drill.name!r} never repairs what it breaks")
+    injector = FaultInjector(service)
+    meter = ImpactMeter(
+        service, prefix_sample(service.topology.prefix_location, limit=prefix_limit)
+    )
+    users = {
+        asn: service.topology.autonomous_system(asn).home.location
+        for asn in prefix_sample(service.topology.ases, limit=ENTRY_SAMPLE)
+    }
+
+    def stage() -> tuple[StageView, StreamResult | None]:
+        """Observe the live stage and ride the media path, if it has a route."""
+        entries = {}
+        for asn, location in users.items():
+            pop = service.anycast.entry_pop(asn, location)
+            entries[asn] = None if pop is None else pop.code
+        route = path = None
+        if drill.media is not None:
+            start, end = drill.media
+            try:
+                if isinstance(end, str):
+                    route = tuple(service.network.pop_l2_path(start, end))
+                    path = service.vns_internal_path(start, end)
+                else:
+                    path = service.path_via_vns(start, end)
+            except ValueError:
+                pass  # the corridor is partitioned
+        if path is None:
+            return StageView(route, entries), None
+        return StageView(route, entries), simulate_stream(
+            injector.impaired_path(path), duration_s=DRILL_STREAM_S, rng=rng
+        )
+
+    baseline = meter.snapshot()
+    before, steady = stage()
+    if drill.media is not None and steady is None:
+        raise ValueError(f"drill {drill.name!r}: no route for media {drill.media}")
+    try:
+        impacts = [measure_event(injector, meter, e) for e in drill.events[:split]]
+        messages = sum(impact.messages for impact in impacts)
+        during, failover = stage()
+        impacts += [measure_event(injector, meter, e) for e in drill.events[split:]]
+    except (TypeError, ValueError):
+        injector.restore()  # a rejected event must not leave the world faulted
+        raise
+    after, recovered = stage()
+    media = None
+    if drill.media is not None:
+        window = failover_window_s(messages) if messages else 0.0
+        if failover is None:  # no route: down for the stream's whole duration
+            window, failover = DRILL_STREAM_S, steady
+        media = MediaImpact(
+            steady=steady,
+            failover=overlay_outage(failover, window),
+            recovered=recovered,
+            window_s=window,
+        )
+    return DrillResult(
+        name=drill.name,
+        impacts=impacts,
+        media=media,
+        event_log=tuple(injector.event_log),
+        before=before,
+        during=during,
+        after=after,
+        restored=meter.snapshot().states == baseline.states
+        and not injector.active
+        and not injector.degradations,
+    )

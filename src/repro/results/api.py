@@ -75,6 +75,12 @@ CI_GATES: dict[str, tuple[Gate, ...]] = {
         # timeline (messages and `_decide` runs): exact int compare.
         Gate("scales.small.timeline.messages_delivered"),
         Gate("scales.small.timeline.decisions"),
+        # The MEDIUM drill suite's seed-deterministic columns: exact.
+        Gate("messages_total"),
+        Gate("fault_events"),
+        Gate("scenarios"),
+        Gate("blackholes_permanent"),
+        Gate("blackholes_during_max"),
     ),
 }
 

@@ -386,6 +386,11 @@ class VnsNetwork:
             for speaker_id in (*sorted(self.border_routers), *sorted(self.reflectors))
         ]
 
+    def has_circuit(self, a: str, b: str) -> bool:
+        """Whether the L2 topology has a direct ``a``–``b`` circuit (up or down)."""
+        key = {a, b}
+        return any({link.a, link.b} == key for link in self.l2_links)
+
     def set_link_state(self, a: str, b: str, up: bool) -> bool:
         """Mark the L2 circuit ``a``–``b`` up or down; True if it changed.
 
@@ -398,9 +403,9 @@ class VnsNetwork:
         ValueError
             If no such circuit exists in the L2 topology.
         """
-        key = frozenset((a, b))
-        if not any(frozenset((link.a, link.b)) == key for link in self.l2_links):
+        if not self.has_circuit(a, b):
             raise ValueError(f"no L2 circuit {a}-{b}")
+        key = frozenset((a, b))
         changed = (key in self.down_links) == up
         if up:
             self.down_links.discard(key)

@@ -183,7 +183,11 @@ class VideoNetworkService:
     # ----------------------------------------------------------------- #
 
     def vns_internal_path(self, src_pop: str, dst_pop: str) -> DataPath:
-        """The leg across VNS's dedicated L2 circuits (IGP shortest path)."""
+        """The leg across VNS's dedicated L2 circuits (IGP shortest path).
+
+        Re-resolved on every call, so under an active fault it is the
+        post-reroute circuits (what a failover drill's stream rides).
+        """
         pop_sequence = self.network.pop_l2_path(src_pop, dst_pop)
         segments = [
             intern_segment(
@@ -195,26 +199,6 @@ class VideoNetworkService:
             for a, b in zip(pop_sequence, pop_sequence[1:])
         ]
         return DataPath(segments=segments, description=f"vns:{src_pop}->{dst_pop}")
-
-    def simulate_internal_stream(
-        self,
-        src_pop: str,
-        dst_pop: str,
-        *,
-        rng: np.random.Generator,
-        duration_s: float = 120.0,
-    ):
-        """One media stream across the current internal L2 route.
-
-        Re-resolves the IGP path on every call, so under an active fault
-        the stream rides the post-reroute circuits — this is what the
-        failover scenarios and demos measure.
-        """
-        from repro.dataplane.transmit import simulate_stream
-
-        return simulate_stream(
-            self.vns_internal_path(src_pop, dst_pop), duration_s=duration_s, rng=rng
-        )
 
     def path_via_vns(
         self,

@@ -33,7 +33,7 @@ def digests(result: failover.FailoverResult) -> tuple[str, str]:
     as_json = result.to_json()
     everything = "\n".join(
         [as_json, result.render()]
-        + [line for block in result.scenarios for line in block.event_log]
+        + [line for block in result.drills for line in block.event_log]
     )
     return (
         hashlib.sha256(as_json.encode()).hexdigest(),

@@ -1,13 +1,11 @@
-"""Unit tests for fault events, the simulated clock, and timelines."""
+"""Unit tests for fault events, their wire format, and the simulated clock."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.faults.events import (
     FaultEvent,
-    FaultTimeline,
     LinkDown,
     LinkUp,
     PopDown,
@@ -21,10 +19,7 @@ from repro.faults.events import (
     event_to_dict,
     events_from_json,
     events_to_json,
-    random_flap_timeline,
 )
-
-LINKS = (("LON", "ASH"), ("AMS", "SIN"), ("SJS", "HK"))
 
 
 class TestClock:
@@ -45,100 +40,23 @@ class TestClock:
             clock.advance_to(59.9)
 
 
-class TestTimeline:
-    def test_events_sort_by_time(self):
-        timeline = FaultTimeline()
-        timeline.add(LinkUp(time_s=30.0, a="LON", b="ASH"))
-        timeline.add(LinkDown(time_s=10.0, a="LON", b="ASH"))
-        assert [e.time_s for e in timeline] == [10.0, 30.0]
-        assert timeline.end_s == 30.0
-
-    def test_ties_keep_insertion_order(self):
-        timeline = FaultTimeline()
-        first = LinkDown(time_s=10.0, a="SJS", b="HK")
-        second = LinkDown(time_s=10.0, a="SJS", b="TYO")
-        timeline.add(first).add(second)
-        assert timeline.events() == (first, second)
-
-    def test_extend_and_len(self):
-        timeline = FaultTimeline().extend(
-            [LinkDown(time_s=1.0, a="A", b="B"), LinkUp(time_s=2.0, a="A", b="B")]
-        )
-        assert len(timeline) == 2
-
-    def test_empty_timeline_end_is_zero(self):
-        assert FaultTimeline().end_s == 0.0
-
+class TestDescribe:
     def test_describe_lines(self):
-        timeline = FaultTimeline().extend(
-            [
+        lines = [
+            event.describe()
+            for event in (
                 LinkDown(time_s=60.0, a="LON", b="ASH"),
                 PopDown(time_s=90.0, pop="SIN"),
                 SessionDown(time_s=120.0, asn=101),
                 TransitDegrade(
                     time_s=150.0, regions=("Europe", "Asia"), extra_loss=0.05
                 ),
-            ]
-        )
-        lines = timeline.describe()
+            )
+        ]
         assert "link-down" in lines[0] and "LON==ASH" in lines[0]
         assert "pop-down" in lines[1] and "SIN" in lines[1]
         assert "AS101@all-sessions" in lines[2]
         assert "+5.0% loss" in lines[3]
-
-
-class TestRandomFlapTimeline:
-    def test_same_seed_same_timeline(self):
-        one = random_flap_timeline(np.random.default_rng(11), links=LINKS)
-        two = random_flap_timeline(np.random.default_rng(11), links=LINKS)
-        assert one.describe() == two.describe()
-
-    def test_different_seed_differs(self):
-        one = random_flap_timeline(np.random.default_rng(11), links=LINKS)
-        two = random_flap_timeline(np.random.default_rng(12), links=LINKS)
-        assert one.describe() != two.describe()
-
-    def test_every_down_has_a_later_up(self):
-        timeline = random_flap_timeline(
-            np.random.default_rng(3), links=LINKS, failures_per_hour=30.0
-        )
-        downs = [e for e in timeline if isinstance(e, LinkDown)]
-        ups = [e for e in timeline if isinstance(e, LinkUp)]
-        assert downs, "timeline drew no failures"
-        assert len(downs) == len(ups)
-
-    def test_no_double_fail_per_link(self):
-        timeline = random_flap_timeline(
-            np.random.default_rng(3),
-            links=LINKS,
-            failures_per_hour=60.0,
-            mean_repair_s=600.0,
-        )
-        up_count: dict[frozenset, int] = {}
-        for event in timeline:
-            key = frozenset((event.a, event.b))
-            if isinstance(event, LinkDown):
-                # A link may only fail while it is up.
-                assert up_count.get(key, 0) == 0, key
-                up_count[key] = up_count.get(key, 0) + 1
-            else:
-                up_count[key] -= 1
-
-    def test_everything_repaired_within_duration(self):
-        timeline = random_flap_timeline(
-            np.random.default_rng(5), links=LINKS, duration_s=1800.0
-        )
-        assert timeline.end_s <= 1800.0
-
-    def test_empty_links_rejected(self):
-        with pytest.raises(ValueError):
-            random_flap_timeline(np.random.default_rng(0), links=())
-
-    def test_non_positive_duration_rejected(self):
-        with pytest.raises(ValueError):
-            random_flap_timeline(
-                np.random.default_rng(0), links=LINKS, duration_s=0.0
-            )
 
 
 class TestEventSerialisation:
@@ -205,20 +123,3 @@ class TestEventSerialisation:
 
         with pytest.raises(TypeError):
             event_to_dict(Bogus(time_s=0.0))
-
-
-class TestTimelineSerialisation:
-    def test_round_trip_preserves_events_and_order(self):
-        timeline = FaultTimeline()
-        timeline.add(LinkUp(time_s=30.0, a="LON", b="ASH"))
-        timeline.add(LinkDown(time_s=10.0, a="LON", b="ASH"))
-        timeline.add(PopDown(time_s=10.0, pop="SIN"))
-        restored = FaultTimeline.from_json(timeline.to_json())
-        assert restored.events() == timeline.events()
-
-    def test_to_json_is_byte_stable(self):
-        timeline = FaultTimeline().extend(
-            [LinkDown(time_s=1.0, a="A", b="B"), LinkUp(time_s=2.0, a="A", b="B")]
-        )
-        text = timeline.to_json()
-        assert FaultTimeline.from_json(text).to_json() == text

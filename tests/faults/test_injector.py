@@ -35,6 +35,30 @@ class TestDispatch:
         with pytest.raises(ValueError):
             injector.perturb(LinkDown(time_s=1.0, a="AMS", b="NOPE"))
 
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (LinkDown(time_s=5.0, a="AMS", b="XXX"), "no L2 circuit AMS-XXX"),
+            (LinkUp(time_s=5.0, a="AMS", b="XXX"), "no L2 circuit AMS-XXX"),
+            (PopDown(time_s=6.0, pop="NOPE"), r"unknown PoP 'NOPE' \(known: .*'SIN'"),
+            (PopUp(time_s=6.0, pop="NOPE"), r"unknown PoP 'NOPE' \(known: .*'SIN'"),
+        ],
+        ids=["link-down", "link-up", "pop-down", "pop-up"],
+    )
+    def test_rejected_event_leaves_no_trace(self, fault_world, event, message):
+        """Timelines come from spec JSON: a bad target is a ValueError, and
+        neither the log, the clock nor ``active`` remembers the attempt."""
+        network = fault_world.service.network
+        injector = FaultInjector(fault_world.service)
+        injector.apply(TransitDegrade(time_s=1.0, regions=("Europe", "Europe")))
+        with pytest.raises(ValueError, match=message):
+            injector.perturb(event)
+        assert injector.event_log == [injector.degradations[0].describe()]
+        assert injector.clock.now_s == 1.0
+        assert injector.active == []
+        assert not network.down_links and not network.down_pops
+        assert network.engine.converged
+
     def test_clock_regression_rejected(self, fault_world):
         injector = FaultInjector(fault_world.service)
         injector.apply(TransitDegrade(time_s=60.0, regions=("Europe", "Europe")))
