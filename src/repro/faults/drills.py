@@ -93,27 +93,28 @@ def canned_drills(service: VideoNetworkService) -> tuple[Drill, ...]:
     Raises
     ------
     ValueError
-        On a world without a North-America prefix, or whose path to it
+        If LON's main upstream has no session at LON, there is no
+        North-America prefix, or AMS has no VNS path to it or one that
         crosses no transit segment (not the standard scales).
     """
     topology, deployment = service.topology, service.deployment
     asn = deployment.main_upstream_at["LON"]
+    pop_of = service.network.pop_of_router
     router_id = next(
-        rid
-        for rid in deployment.sessions[asn]
-        if service.network.pop_of_router[rid] == "LON"
+        (rid for rid in deployment.sessions[asn] if pop_of[rid] == "LON"), None
     )
+    if router_id is None:
+        raise ValueError(f"AS{asn} has no session at LON")
     prefix = min(
         prefix
         for prefix, location in topology.prefix_location.items()
         if region_of_point(location) is WorldRegion.NORTH_CENTRAL_AMERICA
     )
+    path = service.path_via_vns("AMS", prefix)
+    if path is None:
+        raise ValueError(f"AMS has no VNS path to {prefix}")
     hop = max(
-        (
-            segment
-            for segment in service.path_via_vns("AMS", prefix).segments
-            if segment.kind is SegmentKind.TRANSIT
-        ),
+        (s for s in path.segments if s.kind is SegmentKind.TRANSIT),
         key=lambda segment: segment.distance_km,
     )
     regions = (hop.start_region.value, hop.end_region.value)

@@ -134,19 +134,15 @@ class TransitRestore(FaultEvent):
         return f"restore     {self.regions[0]}~{self.regions[1]}"
 
 
+#: Which kinds start a control-plane fault, and which kinds end a fault —
+#: the one classification the injector and the drill runner both read.
+CONTROL_FAULTS = (LinkDown, PopDown, SessionDown)
+CONTROL_REPAIRS = (LinkUp, PopUp, SessionUp)
+REPAIR_TYPES = (*CONTROL_REPAIRS, TransitRestore)
+
 #: Every concrete event type, keyed by class name — the wire-format tag.
 EVENT_TYPES: dict[str, type[FaultEvent]] = {
-    cls.__name__: cls
-    for cls in (
-        LinkDown,
-        LinkUp,
-        PopDown,
-        PopUp,
-        SessionDown,
-        SessionUp,
-        TransitDegrade,
-        TransitRestore,
-    )
+    cls.__name__: cls for cls in (*CONTROL_FAULTS, TransitDegrade, *REPAIR_TYPES)
 }
 
 

@@ -22,6 +22,8 @@ from repro.bgp.attributes import Route
 from repro.dataplane.link import PathSegment, SegmentKind, degrade_segment
 from repro.dataplane.path import DataPath
 from repro.faults.events import (
+    CONTROL_FAULTS,
+    CONTROL_REPAIRS,
     EVENT_TYPES,
     FaultEvent,
     LinkDown,
@@ -161,9 +163,9 @@ class FaultInjector:
             self.degradations = [
                 d for d in self.degradations if set(d.regions) != corridor
             ]
-        if isinstance(event, (LinkDown, PopDown, SessionDown)):
+        if isinstance(event, CONTROL_FAULTS):
             self.active.append(event)
-        elif isinstance(event, (LinkUp, PopUp, SessionUp)):
+        elif isinstance(event, CONTROL_REPAIRS):
             # A repair ends the most recent fault on the same target.
             target = _target(event)
             for index in reversed(range(len(self.active))):

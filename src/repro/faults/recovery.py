@@ -36,19 +36,18 @@ from repro.dataplane.transmit import (
     count_heavy_loss_slots,
     simulate_stream,
 )
-from repro.faults.events import FaultEvent, LinkUp, PopUp, SessionUp, TransitRestore
+from repro.faults.events import REPAIR_TYPES, FaultEvent
 from repro.faults.injector import FaultInjector
 from repro.net.addressing import Prefix
 from repro.vns.service import VideoNetworkService
 
-#: Duration of the media stream a drill rides at each stage.
+#: Duration and packet rate (1080p) of the media stream a drill rides at
+#: each stage; :func:`overlay_outage` sizes slots at the same rate.
 DRILL_STREAM_S = 120.0
+DRILL_STREAM_PPS = 420.0
 
 #: User ASes sampled for the anycast entry-PoP observation.
 ENTRY_SAMPLE = 24
-
-#: The events that end a fault; a drill's first one closes the failover window.
-REPAIRS = (LinkUp, PopUp, SessionUp, TransitRestore)
 
 T = TypeVar("T")
 
@@ -216,11 +215,7 @@ def failover_window_s(messages: int) -> float:
 
 
 def overlay_outage(
-    result: StreamResult,
-    window_s: float,
-    *,
-    slot_s: float = 5.0,
-    packets_per_second: float = 420.0,
+    result: StreamResult, window_s: float, *, slot_s: float = 5.0
 ) -> StreamResult:
     """``result`` with the first ``window_s`` seconds fully blacked out.
 
@@ -228,30 +223,29 @@ def overlay_outage(
     every packet is lost, after which the stream rides the (already
     rerouted) path whose loss process ``result`` sampled.  A blanked slot
     loses what *it* carried — a partial final slot carries fewer packets
-    than the others.  ``slot_s`` and ``packets_per_second`` are the ones
-    the stream was simulated with.  Loss-free by construction if
+    than the others.  ``slot_s`` is the one the stream was simulated
+    with, at :data:`DRILL_STREAM_PPS`.  Loss-free by construction if
     ``window_s`` is 0.
 
     Raises
     ------
     ValueError
-        For a negative window, a non-positive slot length or packet
-        rate, or a ``result`` that is not shaped like a stream at that
-        rate.
+        For a negative window, a non-positive slot length, or a
+        ``result`` that is not shaped like a stream at that rate.
     """
     if window_s < 0:
         raise ValueError(f"window_s must be non-negative, got {window_s!r}")
-    if slot_s <= 0 or packets_per_second <= 0:
-        raise ValueError("slot length and packet rate must be positive")
+    if slot_s <= 0:
+        raise ValueError(f"slot_s must be positive, got {slot_s!r}")
     if result.n_slots == 0 or window_s == 0:
         return result
     n_slots, packets_per_slot, final_packets = _stream_shape(
-        result.packets_sent / packets_per_second, packets_per_second, slot_s
+        result.packets_sent / DRILL_STREAM_PPS, DRILL_STREAM_PPS, slot_s
     )
     if n_slots != result.n_slots:
         raise ValueError(
             f"{result.packets_sent} packets in {result.n_slots} slots is not a "
-            f"{packets_per_second:g} pps stream with {slot_s:g} s slots"
+            f"{DRILL_STREAM_PPS:g} pps stream with {slot_s:g} s slots"
         )
     slot_packets = np.full(n_slots, packets_per_slot)
     slot_packets[-1] = final_packets
@@ -397,9 +391,10 @@ def run_drill(
     Steady stream → each fault through :func:`measure_event` → just
     before the first repair, the failover stream with the outage window
     of the messages delivered so far overlaid → the remaining events →
-    recovered stream.  A fault that costs no BGP message (transit
-    degradation) opens no window: its stream only rides the impaired
-    path.  A fault that leaves the media path no route takes the stream
+    recovered stream.  Faults that leave the control plane alone (transit
+    degradation) open no window: the stream only rides the impaired path;
+    any other fault costs at least its detection, even if no egress moves.
+    A fault that leaves the media path no route takes the stream
     down for its whole duration.  The three streams draw from ``rng`` in
     that order; a drill whose repairs undo its faults leaves the service
     exactly as found (:attr:`DrillResult.restored`), so drills run back
@@ -413,7 +408,7 @@ def run_drill(
         was applied until then is undone first.
     """
     split = next(
-        (i for i, event in enumerate(drill.events) if isinstance(event, REPAIRS)),
+        (i for i, e in enumerate(drill.events) if isinstance(e, REPAIR_TYPES)),
         None,
     )
     if split is None:
@@ -447,7 +442,10 @@ def run_drill(
         if path is None:
             return StageView(route, entries), None
         return StageView(route, entries), simulate_stream(
-            injector.impaired_path(path), duration_s=DRILL_STREAM_S, rng=rng
+            injector.impaired_path(path),
+            duration_s=DRILL_STREAM_S,
+            packets_per_second=DRILL_STREAM_PPS,
+            rng=rng,
         )
 
     baseline = meter.snapshot()
@@ -456,7 +454,9 @@ def run_drill(
         raise ValueError(f"drill {drill.name!r}: no route for media {drill.media}")
     try:
         impacts = [measure_event(injector, meter, e) for e in drill.events[:split]]
-        messages = sum(impact.messages for impact in impacts)
+        window = 0.0
+        if injector.active:  # the control plane had something to detect
+            window = failover_window_s(sum(impact.messages for impact in impacts))
         during, failover = stage()
         impacts += [measure_event(injector, meter, e) for e in drill.events[split:]]
     except (TypeError, ValueError):
@@ -465,7 +465,6 @@ def run_drill(
     after, recovered = stage()
     media = None
     if drill.media is not None:
-        window = failover_window_s(messages) if messages else 0.0
         if failover is None:  # no route: down for the stream's whole duration
             window, failover = DRILL_STREAM_S, steady
         media = MediaImpact(

@@ -7,7 +7,8 @@ from repro.experiments import failover
 from repro.experiments.common import build_world
 from repro.faults.drills import canned_drills, link_cut, resolve_corridor
 from repro.faults.events import LinkDown, LinkUp, PopUp
-from repro.faults.recovery import DRILL_STREAM_S, Drill, run_drill
+from repro.faults.injector import FaultInjector
+from repro.faults.recovery import DETECTION_S, DRILL_STREAM_S, Drill, run_drill
 from repro.scenarios.registry import canned_scenario
 
 LIMIT = 8
@@ -174,6 +175,22 @@ class TestDrillsAreData:
         down_messages = sum(i.messages for i in result.impacts[: len(faults)])
         assert result.media.window_s == pytest.approx(1.0 + 0.005 * down_messages)
         assert result.restored
+
+    def test_a_cut_that_moves_no_route_still_costs_its_detection(self, fault_world):
+        # The circuit is already down, so cutting it again delivers no BGP
+        # message — but a control-plane fault is never free for a stream.
+        service = fault_world.service
+        FaultInjector(service).apply(LinkDown(0.0, "SJS", "HK"))
+        drill = Drill(
+            "cut-again",
+            (LinkDown(60.0, "SJS", "HK"), LinkUp(660.0, "SJS", "HK")),
+            media=("SJS", "HK"),
+        )
+        result = run(fault_world, drill)
+        assert result.impacts[0].messages == 0
+        assert result.media.window_s == DETECTION_S
+        assert result.media.failover.slot_losses[0] == 2100  # one blanked slot
+        assert not service.network.down_links  # the drill's repair healed it
 
     def test_a_timeline_that_never_repairs_is_not_a_drill(self, fault_world):
         with pytest.raises(ValueError, match="never repairs"):

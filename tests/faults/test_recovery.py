@@ -50,12 +50,9 @@ class TestOverlayOutage:
         stream = clean_stream(120.0)
         assert overlay_outage(stream, 0.0) is stream
 
-    def test_other_rates_are_named(self):
-        stream = clean_stream(12.0, pps=100)
-        out = overlay_outage(stream, 11.0, packets_per_second=100.0)
-        assert list(out.slot_losses) == [500, 500, 200]
+    def test_a_stream_at_another_rate_is_rejected(self):
         with pytest.raises(ValueError, match="420 pps"):
-            overlay_outage(stream, 11.0)
+            overlay_outage(clean_stream(12.0, pps=100), 11.0)
 
     def test_bad_arguments_rejected(self):
         stream = clean_stream(120.0)
