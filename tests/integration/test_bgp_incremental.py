@@ -14,15 +14,17 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro import perf
 from repro.bgp import decision
 from repro.bgp import router as router_module
+from repro.bgp.propagation import AsLevelRouting
 from repro.bgp.engine import BgpEngine
 from repro.bgp.messages import IgpNotification
 from repro.bgp.router import BgpRouter
-from repro.experiments.common import build_world
+from repro.experiments.common import _MAX_PEERS, _TOPOLOGY_CONFIGS, WorldScale, build_world
 from repro.faults import (
     FaultInjector,
     LinkDown,
@@ -32,6 +34,9 @@ from repro.faults import (
     SessionDown,
     SessionUp,
 )
+from repro.net.topology import generate_topology
+from repro.vns.builder import VnsConfig, build_vns
+from repro.vns.service import VideoNetworkService
 
 SEED = 7
 
@@ -50,6 +55,39 @@ def control_plane_state(engine: BgpEngine) -> dict:
         )
         for router_id, router in engine.routers.items()
     }
+
+
+def external_announcements(engine: BgpEngine) -> dict:
+    """What each outside neighbour was last told, per prefix (``None``: withdrawn)."""
+    last = {}
+    for message in engine.external_outbox:
+        last[message.receiver, message.prefix] = getattr(message, "route", None)
+    return last
+
+
+def fixed_point(engine: BgpEngine) -> tuple[dict, dict]:
+    """The state a converged world is defined by (DESIGN.md section 10)."""
+    assert engine.converged
+    return control_plane_state(engine), external_announcements(engine)
+
+
+def build_unconverged(
+    scale: str, seed: int = SEED, config: VnsConfig | None = None
+) -> VideoNetworkService:
+    """``VideoNetworkService.build`` up to, not including, BGP convergence.
+
+    The engine holds the start-up table transfers, undelivered; the
+    caller picks the schedule that delivers them.
+    """
+    scale = WorldScale(scale)
+    if config is None:
+        config = VnsConfig(max_peers=_MAX_PEERS[scale])
+    rng = np.random.default_rng(seed)
+    topology = generate_topology(_TOPOLOGY_CONFIGS[scale], rng)
+    routing = AsLevelRouting(topology.graph)
+    geoip = topology.build_geoip()
+    deployment = build_vns(topology, routing, geoip, config, rng, converge=False)
+    return VideoNetworkService(topology, routing, deployment, geoip)
 
 
 def assert_refresh_is_a_no_op(engine: BgpEngine, when: str) -> None:
@@ -85,6 +123,58 @@ def converge_counting_notification_work(
     return spent, full_walk
 
 
+def fault_timeline(service: VideoNetworkService) -> tuple:
+    """Link, cut-vertex PoP, reflector-free PoP and upstream session, each repaired."""
+    upstream = service.deployment.upstreams[0]
+    return (
+        LinkDown(time_s=10.0, a="LON", b="ASH"),
+        LinkUp(time_s=20.0, a="LON", b="ASH"),
+        PopDown(time_s=30.0, pop="SIN"),  # the cut-vertex: strands next hops
+        PopUp(time_s=40.0, pop="SIN"),
+        PopDown(time_s=50.0, pop="LON"),
+        PopUp(time_s=60.0, pop="LON"),
+        SessionDown(time_s=70.0, asn=upstream),
+        SessionUp(time_s=80.0, asn=upstream),
+    )
+
+
+def step_to_convergence(engine: BgpEngine) -> None:
+    """The oracle schedule: deliver the single oldest message, repeat."""
+    while engine.step():
+        pass
+
+
+@pytest.mark.parametrize(
+    "scale", ["small", pytest.param("medium", marks=pytest.mark.slow)]
+)
+def test_one_message_at_a_time_reaches_the_state_run_reaches(scale):
+    """``while engine.step()`` ≡ ``engine.run()``, state for state.
+
+    ``step`` is how tests script exact arrival orders and the reference
+    every schedule ``run`` may use is held against: same Loc-RIB,
+    Adj-RIB-In and Adj-RIB-Out on every speaker and the same last word
+    to every outside neighbour — at rest and (SMALL) after each event of
+    the fault timeline below.
+    """
+    stepped, ran = build_unconverged(scale), build_unconverged(scale)
+    engines = [stepped.network.engine, ran.network.engine]
+    assert not engines[0].converged
+    step_to_convergence(engines[0])
+    engines[1].run()
+    assert fixed_point(engines[0]) == fixed_point(engines[1])
+    if scale != "small":
+        return
+    pristine = fixed_point(engines[1])
+    injectors = [FaultInjector(stepped), FaultInjector(ran)]
+    for event in fault_timeline(ran):
+        for injector in injectors:
+            injector.perturb(event)
+        step_to_convergence(engines[0])
+        engines[1].run()
+        assert fixed_point(engines[0]) == fixed_point(engines[1]), event.describe()
+    assert fixed_point(engines[1]) == pristine
+
+
 def test_skip_is_sound_across_a_fault_timeline():
     """Incremental state ≡ full recomputation, at rest and after every event.
 
@@ -99,20 +189,9 @@ def test_skip_is_sound_across_a_fault_timeline():
     engine = service.network.engine
     assert_refresh_is_a_no_op(engine, "converged")
 
-    upstream = service.deployment.upstreams[0]
-    timeline = (
-        LinkDown(time_s=10.0, a="LON", b="ASH"),
-        LinkUp(time_s=20.0, a="LON", b="ASH"),
-        PopDown(time_s=30.0, pop="SIN"),  # the cut-vertex: strands next hops
-        PopUp(time_s=40.0, pop="SIN"),
-        PopDown(time_s=50.0, pop="LON"),
-        PopUp(time_s=60.0, pop="LON"),
-        SessionDown(time_s=70.0, asn=upstream),
-        SessionUp(time_s=80.0, asn=upstream),
-    )
     pristine = control_plane_state(engine)
     injector = FaultInjector(service)
-    for event in timeline:
+    for event in fault_timeline(service):
         injector.perturb(event)
         spent, full_walk = converge_counting_notification_work(engine)
         assert set(spent) == set(full_walk)
