@@ -14,7 +14,7 @@ The speaker implements the mechanics the paper's setup relies on:
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Collection, Iterable
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, AsPath, Origin, Route
 from repro.bgp.decision import DecisionContext, _no_igp_metric, best_external, best_route
@@ -144,10 +144,7 @@ class BgpRouter:
         snapshot = self.adj_rib_in.drop_peer(peer_id)
         self.adj_rib_out.drop_peer(peer_id)
         self._advertised.clear()
-        messages: list[Message] = []
-        for prefix in sorted(snapshot):
-            messages.extend(self._decide(prefix))
-        return snapshot, messages
+        return snapshot, self._decide_each(snapshot)
 
     def restore_session(
         self, peer_id: str, routes: dict[Prefix, Route]
@@ -196,7 +193,7 @@ class BgpRouter:
         self._advertised.pop(prefix, None)
         return self._decide(prefix)
 
-    def bulk_receive(self, messages: list[Message]) -> None:
+    def bulk_receive(self, messages: Collection[Message]) -> None:
         """Install many incoming updates without running the decision process.
 
         Used for the initial table transfer at session establishment: real
@@ -209,60 +206,87 @@ class BgpRouter:
         KeyError
             If a message arrives from a peer with no configured session.
         """
-        for message in messages:
-            session = self.sessions[message.sender]
-            if isinstance(message, Withdraw):
-                self.adj_rib_in.withdraw(message.sender, message.prefix)
-                continue
-            route = message.route
-            if not self._acceptable(route, session):
-                self.adj_rib_in.withdraw(message.sender, route.prefix)
-                continue
-            received = self._import(route, session)
-            if received is None:
-                self.adj_rib_in.withdraw(message.sender, route.prefix)
-                continue
-            self.adj_rib_in.update(message.sender, received)
+        self._install(messages)
 
     def process(self, message: Message) -> list[Message]:
-        """Handle one incoming message; return the messages it triggers.
+        """Handle one incoming message: a one-message :meth:`process_batch`."""
+        return self.process_batch((message,))
 
-        An :class:`IgpNotification` re-runs selection for the prefixes
-        with a candidate through one of its ``changed`` next hops
-        (:meth:`_track_next_hops`); without a set it is a full
-        :meth:`refresh_advertisements`.
+    def process_batch(self, messages: Collection[Message]) -> list[Message]:
+        """Handle a whole inbox; return the messages it triggers.
+
+        RFC 4271 section 9.1: the decision process runs over the
+        Adj-RIBs-In, not per received UPDATE.  Every message is installed
+        first, in arrival order; then each prefix whose candidates (or
+        their IGP metrics) changed is decided once, in sorted order, so
+        peers hear the winner and none of the intermediate ones.
 
         Raises
         ------
         KeyError
-            If the message arrives from a peer with no configured session.
+            If a message arrives from a peer with no configured session;
+            nothing of the batch is installed.
         """
-        if isinstance(message, IgpNotification):
-            if message.changed is None:
-                # SPF moved and the IGP did not say where: walk the whole
-                # table, like the BGP scanner.
-                return self.refresh_advertisements()
-            return self._track_next_hops(message.changed)
-        session = self.sessions[message.sender]
-        if message.sender in self.down_sessions:
-            return []  # in-flight message from a session that has failed
-        if isinstance(message, Withdraw):
-            removed = self.adj_rib_in.withdraw(message.sender, message.prefix)
-            if removed is None:
-                return []
-            return self._decide(message.prefix)
-        route = message.route
-        if not self._acceptable(route, session):
-            # A rejected update still implicitly replaces (removes) any
-            # previous route from this peer for the prefix.
-            had = self.adj_rib_in.withdraw(message.sender, route.prefix)
-            return self._decide(route.prefix) if had is not None else []
-        received = self._import(route, session)
-        if received is None:
-            had = self.adj_rib_in.withdraw(message.sender, route.prefix)
-            return self._decide(route.prefix) if had is not None else []
-        self.adj_rib_in.update(message.sender, received)
-        return self._decide(route.prefix)
+        return self._decide_each(self._install(messages))
+
+    def _install(self, messages: Collection[Message]) -> set[Prefix]:
+        """Apply ``messages`` to Adj-RIB-In; the prefixes left to re-decide.
+
+        An update that fails loop prevention or import policy implicitly
+        withdraws what its sender had announced before, and messages still
+        in flight from a session that has failed are dropped.
+        """
+        for message in messages:  # all or nothing: no half-installed batch
+            if not isinstance(message, IgpNotification):
+                self.sessions[message.sender]
+        touched: set[Prefix] = set()
+        for message in messages:
+            if isinstance(message, IgpNotification):
+                touched |= self._revalidate(message.changed)
+                continue
+            sender = message.sender
+            if sender in self.down_sessions:
+                continue  # in flight from a session that has failed
+            received = None
+            if isinstance(message, Update):
+                session = self.sessions[sender]
+                if self._acceptable(message.route, session):
+                    received = self._import(message.route, session)
+            if received is not None:
+                self.adj_rib_in.update(sender, received)
+            elif self.adj_rib_in.withdraw(sender, message.prefix) is None:
+                continue  # nothing was held, nothing to re-decide
+            touched.add(message.prefix)
+        return touched
+
+    def _revalidate(self, changed: frozenset[str] | None) -> set[Prefix]:
+        """The prefixes an :class:`IgpNotification` leaves to re-decide.
+
+        Next-hop tracking: ``changed`` names the next hops whose metric
+        from this speaker moved.  Selection reads the IGP only through
+        its candidates' next hops, so a prefix with no candidate (learned
+        or originated) through one of them keeps its outcome and is not
+        visited.  The :attr:`_advertised` memo stays: an IGP event changes
+        neither sessions nor policy, so an unchanged ``(best, source)``
+        still has nothing to send.  Without a set, SPF moved and the IGP
+        did not say where: the whole table, memo dropped, like the BGP
+        scanner (:meth:`refresh_advertisements`).
+        """
+        if changed is None:
+            self._advertised.clear()
+            return self._table()
+        if perf.enabled:
+            perf.incr("bgp.nht.notifications")
+        if not changed:
+            if perf.enabled:
+                perf.incr("bgp.nht.empty")
+            return set()
+        affected = self.adj_rib_in.prefixes_via(changed)
+        if self.router_id in changed:
+            affected.update(self.originated)
+        if perf.enabled:
+            perf.incr("bgp.nht.prefixes_affected", len(affected))
+        return affected
 
     def _acceptable(self, route: Route, session: Session) -> bool:
         """Wire-level sanity checks (loop prevention)."""
@@ -312,7 +336,7 @@ class BgpRouter:
         the diff is skipped.  Entry points that re-synchronise Adj-RIB-Out
         (origination, session failure/restore, :meth:`refresh_advertisements`)
         drop the remembered pair first and so always take the full path;
-        an IGP event (:meth:`_track_next_hops`) changes neither and keeps it.
+        an IGP event (:meth:`_revalidate`) changes neither and keeps it.
         """
         candidates = self._candidates(prefix)
         best = best_route(candidates, self._ctx)
@@ -341,42 +365,21 @@ class BgpRouter:
             self._emit(peer_id, prefix, desired, messages)
         return messages
 
-    def _track_next_hops(self, changed: frozenset[str]) -> list[Message]:
-        """Re-run selection where an IGP metric move can change it.
+    def _table(self) -> set[Prefix]:
+        """Every prefix this speaker holds a candidate or a best route for."""
+        return self.adj_rib_in.prefixes() | set(self.originated) | set(self.loc_rib.prefixes())
 
-        Next-hop tracking: ``changed`` names the next hops whose metric
-        from this speaker moved.  Selection reads the IGP only through
-        its candidates' next hops, so a prefix with no candidate (learned
-        or originated) through one of them keeps its outcome and is not
-        visited.  The :attr:`_advertised` memo stays: an IGP event changes
-        neither sessions nor policy, so an unchanged ``(best, source)``
-        still has nothing to send.
-        """
-        if perf.enabled:
-            perf.incr("bgp.nht.notifications")
-        if not changed:
-            if perf.enabled:
-                perf.incr("bgp.nht.empty")
-            return []
-        affected = self.adj_rib_in.prefixes_via(changed)
-        if self.router_id in changed:
-            affected.update(self.originated)
-        if perf.enabled:
-            perf.incr("bgp.nht.prefixes_affected", len(affected))
+    def _decide_each(self, prefixes: Iterable[Prefix]) -> list[Message]:
+        """:meth:`_decide` once per prefix, in sorted order."""
         messages: list[Message] = []
-        for prefix in sorted(affected):
+        for prefix in sorted(prefixes):
             messages.extend(self._decide(prefix))
         return messages
 
     def refresh_advertisements(self) -> list[Message]:
         """Recompute every advertisement (e.g. after a policy change)."""
-        messages: list[Message] = []
         self._advertised.clear()
-        prefixes = set(self.adj_rib_in.prefixes()) | set(self.originated)
-        prefixes |= set(self.loc_rib.prefixes())
-        for prefix in sorted(prefixes):
-            messages.extend(self._decide(prefix))
-        return messages
+        return self._decide_each(self._table())
 
     def _emit(
         self,

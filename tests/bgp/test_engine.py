@@ -125,6 +125,65 @@ class TestEngine:
         assert not engine.queue  # a str is not char-split into the queue
 
 
+class TestSchedule:
+    """``run`` serves whole inboxes, oldest pending message first;
+    ``step`` delivers the single oldest message."""
+
+    @staticmethod
+    def recording(engine: BgpEngine) -> list[tuple[str, int]]:
+        """Log ``(receiver, batch size)`` per turn; speakers answer nothing."""
+        turns: list[tuple[str, int]] = []
+        for router_id, router in engine.routers.items():
+            router.process_batch = (
+                lambda batch, router_id=router_id: turns.append((router_id, len(batch))) or []
+            )
+        return turns
+
+    @staticmethod
+    def note(receiver: str) -> IgpNotification:
+        return IgpNotification(receiver=receiver)
+
+    def test_run_hands_each_speaker_its_whole_inbox_in_order_of_oldest_message(self):
+        engine, a, b = build_pair()
+        turns = self.recording(engine)
+        engine.inject([self.note("b"), self.note("a"), self.note("b"), self.note("ext")])
+        assert [m.receiver for m in engine.queue] == ["b", "a", "b", "ext"]
+        assert engine.pending_by_receiver() == {"b": 2, "a": 1, "ext": 1}
+        assert engine.run() == 4
+        assert turns == [("b", 2), ("a", 1)]
+        assert [m.receiver for m in engine.external_outbox] == ["ext"]
+
+    def test_step_delivers_the_single_oldest_message(self):
+        engine, a, b = build_pair()
+        turns = self.recording(engine)
+        engine.inject([self.note("b"), self.note("a"), self.note("b")])
+        while engine.step():
+            pass
+        assert turns == [("b", 1), ("a", 1), ("b", 1)]
+        assert engine.delivered == 3
+
+    def test_budget_cuts_the_last_inbox_and_keeps_arrival_order(self):
+        engine, a, b = build_pair()
+        turns = self.recording(engine)
+        first, second, third = self.note("b"), self.note("a"), self.note("b")
+        engine.inject([first, second, third, self.note("b")])
+        with pytest.raises(ConvergenceError) as excinfo:
+            engine.run(max_messages=2)
+        assert turns == [("b", 2)] and engine.delivered == 2
+        assert engine.last_delivered is third
+        assert excinfo.value.queue_depths == {"a": 1, "b": 1}
+        assert engine.queue[0] is second  # b's remainder queues behind a's message
+        assert engine.run() == 2 and turns[1:] == [("a", 1), ("b", 1)]
+
+    def test_replies_join_the_inbox_their_receiver_already_has(self):
+        engine, a, b = build_pair()
+        engine.inject([ext_update(), self.note("b")])
+        turns = self.recording(engine)
+        del a.process_batch  # a really speaks (an update to b); b only records
+        assert engine.run() == 3
+        assert turns == [("b", 2)]
+
+
 class TestDiagnostics:
     def test_budget_error_carries_queue_snapshot(self):
         engine, a, b = build_pair()

@@ -374,6 +374,124 @@ class TestNextHopTracking:
         assert sent[0] == sent[1] != []
 
 
+class TestBatch:
+    """A whole inbox is installed first and decided once per touched
+    prefix — and is as atomic as one message was."""
+
+    OTHER = Prefix.parse("198.51.100.0/24")
+
+    def _router(self) -> BgpRouter:
+        router = make_router()
+        wire(router, "ext1", SessionType.EBGP, peer_asn=100)
+        wire(router, "ext2", SessionType.EBGP, peer_asn=200)
+        wire(router, "rr", SessionType.IBGP, peer_asn=LOCAL_ASN)
+        return router
+
+    def test_only_the_final_winner_is_advertised(self):
+        router = self._router()
+        inbox = [
+            ext_update("r1", sender="ext2", asns=(200, 7, 9)),
+            ext_update("r1", sender="ext1", asns=(100, 9)),  # shorter: wins
+        ]
+        one_by_one = self._router()
+        stream = [m for message in inbox for m in one_by_one.process(message)]
+        out = router.process_batch(inbox)
+        assert [m.receiver for m in out] == ["ext2", "rr"]  # split horizon at ext1
+        assert len(stream) > len(out)  # the stream advertised ext2's route first
+        assert router.best(PFX) == one_by_one.best(PFX)
+        assert TestNextHopTracking._ribs(router) == TestNextHopTracking._ribs(one_by_one)
+
+    def test_touched_prefixes_are_decided_once_in_sorted_order(self):
+        router = self._router()
+        other = Route(prefix=self.OTHER, as_path=AsPath((100, 9)), next_hop="ext1")
+        out = router.process_batch(
+            [
+                ext_update("r1", sender="ext1"),
+                Update(sender="ext1", receiver="r1", route=other),
+                ext_update("r1", sender="ext2", asns=(200, 7, 9)),
+            ]
+        )
+        assert [m.prefix for m in out if m.receiver == "rr"] == sorted([PFX, self.OTHER])
+
+    def test_poisoned_inbox_installs_nothing_and_raises(self):
+        router = self._router()
+        router.process(ext_update("r1", sender="ext1"))
+        before = TestNextHopTracking._ribs(router)
+        inbox = [
+            ext_update("r1", sender="ext2", asns=(200, 9)),  # would win the tie-break
+            Withdraw(sender="ext1", receiver="r1", prefix=PFX),
+            ext_update("r1", sender="stranger"),
+        ]
+        with pytest.raises(KeyError, match="stranger"):
+            router.process_batch(inbox)
+        assert TestNextHopTracking._ribs(router) == before
+        assert router.refresh_advertisements() == []  # nothing stale left behind
+
+    def test_full_walk_in_a_batch_runs_once_and_sends_each_advertisement_once(self):
+        router = self._router()
+        router.process(ext_update("r1", sender="ext1"))
+        router.adj_rib_out.drop_peer("rr")  # something only the full walk repairs
+        decided: list[Prefix] = []
+        decide = router._decide
+        router._decide = lambda prefix: decided.append(prefix) or decide(prefix)
+        other = Route(prefix=self.OTHER, as_path=AsPath((200, 9)), next_hop="ext2")
+        out = router.process_batch(
+            [
+                IgpNotification(receiver="r1"),
+                Update(sender="ext2", receiver="r1", route=other),
+                IgpNotification(receiver="r1"),
+            ]
+        )
+        assert decided == sorted([PFX, self.OTHER])
+        assert sorted((m.receiver, m.prefix) for m in out) == sorted(
+            [("rr", PFX), ("rr", self.OTHER), ("ext1", self.OTHER)]
+        )
+        assert router.refresh_advertisements() == []
+
+    def test_update_then_its_withdraw_sends_nothing(self):
+        router = self._router()
+        router.process(ext_update("r1", sender="ext2", asns=(200, 7, 9)))
+        winner = ext_update("r1", sender="ext1", asns=(100, 9))
+        retraction = Withdraw(sender="ext1", receiver="r1", prefix=PFX)
+        assert router.process_batch([winner, retraction]) == []
+        assert router.best(PFX).learned_from == "ext2"
+        # One at a time the peers hear the winner and then its retraction.
+        assert router.process(winner) and router.process(retraction)
+
+    def test_message_queued_behind_its_sessions_failure_is_dropped(self):
+        router = self._router()
+        router.process(ext_update("r1", sender="ext2", asns=(200, 7, 9)))
+        router.fail_session("ext1")
+        inbox = [ext_update("r1", sender="ext1"), ext_update("r1", sender="ext2", asns=(200, 9))]
+        out = router.process_batch(inbox)
+        assert router.adj_rib_in.routes_from("ext1") == {}
+        assert router.best(PFX).learned_from == "ext2"
+        assert all(m.receiver != "ext1" for m in out)
+
+    def test_next_hop_counters_count_notifications_not_batches(self):
+        router, _ = TestNextHopTracking()._router({})
+        perf.reset()
+        perf.enable()
+        try:
+            router.process_batch(
+                [
+                    IgpNotification(receiver="r1", changed=frozenset()),
+                    IgpNotification(receiver="r1", changed=frozenset({"e1"})),
+                    IgpNotification(receiver="r1", changed=frozenset({"e1", "e2"})),
+                ]
+            )
+            counts = {
+                name: perf.counter(f"bgp.nht.{name}")
+                for name in ("notifications", "empty", "prefixes_affected")
+            }
+            decisions = perf.counter("bgp.decide.calls")
+        finally:
+            perf.disable()
+            perf.reset()
+        assert counts == {"notifications": 3, "empty": 1, "prefixes_affected": 2 + 3}
+        assert decisions == 3  # the union, each prefix once
+
+
 class TestPickle:
     def test_default_router_round_trips(self):
         router = make_router()

@@ -1,13 +1,19 @@
-"""The incremental control plane ≡ full recomputation, message for message.
+"""The incremental control plane ≡ full recomputation, state for state.
 
-``BgpRouter._decide`` skips the advertisement diff when a message leaves
-``(best, iBGP source)`` unchanged, and ``best_route`` selects by one
-lexicographic key.  Neither may change a single message: the tests below
-hold the resulting state against a full recomputation
-(``refresh_advertisements``) and against the staged reference run with
-the skip disabled.  An IGP notification re-decides only the prefixes
-through the next hops it names; the fault-timeline test also holds that
-against the full walk — fewer decisions, and still nothing left to send.
+A converged world is defined by its fixed point (DESIGN.md section 10):
+every Loc-RIB, Adj-RIB-In and Adj-RIB-Out and the last word to every
+outside neighbour.  ``BgpEngine.run`` serves whole inboxes and decides
+each touched prefix once; ``BgpEngine.step`` delivers one message at a
+time and is the oracle ``run`` is held against, at rest and after every
+event of a fault timeline.  ``BgpRouter._decide`` skips the advertisement
+diff when ``(best, iBGP source)`` is unchanged, and ``best_route`` selects
+by one lexicographic key: neither may change the state, which the tests
+below hold against a full recomputation (``refresh_advertisements``) and
+against the staged reference run with the skip disabled (same schedule,
+so there the message count agrees too).  An IGP notification re-decides
+only the prefixes through the next hops it names; the fault-timeline test
+also holds that against the full walk — fewer decisions, and still
+nothing left to send.
 """
 
 from __future__ import annotations
@@ -107,15 +113,15 @@ def converge_counting_notification_work(
     full_walk: Counter[str] = Counter()
     perf.enable()
     try:
-        while engine.queue:
-            message = engine.queue[0]
-            if not isinstance(message, IgpNotification):
-                engine.step()
-                continue
-            router = engine.routers[message.receiver]
-            table = router.adj_rib_in.prefixes() | set(router.originated)
+        while not engine.converged:
             before = perf.counter("bgp.decide.calls")
             engine.step()
+            message = engine.last_delivered
+            if not isinstance(message, IgpNotification):
+                continue
+            # A notification installs nothing: the table is as it found it.
+            router = engine.routers[message.receiver]
+            table = router.adj_rib_in.prefixes() | set(router.originated)
             spent[router.router_id] += perf.counter("bgp.decide.calls") - before
             full_walk[router.router_id] += len(table)
     finally:
