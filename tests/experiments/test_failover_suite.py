@@ -1,9 +1,11 @@
 """The failover suite's output, pinned byte for byte.
 
-The digests below were recorded on the hand-written scenario functions
-(the commit that adds this file changes nothing else) and are the gate
-for every later rewrite of the failover path: ``to_json()``, ``render()``
-and each block's event log must not move by a byte.
+The digests below are the gate for every rewrite of the failover path:
+``to_json()``, ``render()`` and each block's event log must not move by a
+byte.  First recorded on the hand-written scenario functions; re-recorded
+once, when ``BgpEngine.run`` began serving whole inboxes: the suite's
+message counts (``pop-failure:SIN``) and the window seconds derived from
+them moved, nothing else (the commit that re-pins lists every JSON key).
 """
 
 import hashlib
@@ -18,13 +20,13 @@ from repro.experiments.common import build_world
 PINNED = [
     (
         42,
-        "643023177de4e3225abf03a2978d2814f3738ad34eac686a5a319446a9392c5f",
-        "fe67b1e41c7fcb24eb328c40669f73f3fcfd1726ee198b15a8574ea644d991bb",
+        "f0ae00f11e215fcb05563a5d9aa103c0dd365ab907de6b108eb68dad9967b96d",
+        "142e8ac6e10b5b5b51f7b5cb23079a7fba442e2bc7c69d4d4086a485aa5bccf2",
     ),
     (
         7,
-        "cf4ae0755114d4107530328a46f404a526ab20d9c583d4eaa16965942d2a10e8",
-        "e158f7c1a09864664e2aaef5abbb129b639540dd980aa00af25d5bcf90aa0917",
+        "dddaf6790ba5de0c06de527e1e781713c295d8d1f37550300840379c64005b32",
+        "a4067dd7d04c55f91b45c4f399153cbd684a5f397a2fcf8e23ae44d08ad114fd",
     ),
 ]
 
@@ -41,7 +43,12 @@ def digests(result: failover.FailoverResult) -> tuple[str, str]:
     )
 
 
-@pytest.mark.parametrize("seed, json_digest, full_digest", PINNED)
+# Ids name the seed, not the digest: a re-pin does not rename the test.
+@pytest.mark.parametrize(
+    "seed, json_digest, full_digest",
+    PINNED,
+    ids=[f"{seed}-canned-drills" for seed, _, _ in PINNED],
+)
 def test_suite_output_is_pinned_and_leaves_the_world_as_found(
     seed, json_digest, full_digest
 ):
