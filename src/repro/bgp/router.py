@@ -2,7 +2,9 @@
 
 The speaker implements the mechanics the paper's setup relies on:
 
-* RFC 4271 decision process with hot-potato IGP tie-break,
+* RFC 4271 decision process with hot-potato IGP tie-break, run over the
+  Adj-RIBs-In: a whole inbox is installed, then each touched prefix is
+  decided once (:meth:`BgpRouter.process_batch`),
 * next-hop-self toward iBGP (as border routers in VNS do),
 * standard iBGP re-advertisement rules (eBGP-learned and locally
   originated routes only — which is what *hides* routes once a reflector
