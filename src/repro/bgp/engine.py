@@ -128,7 +128,7 @@ class BgpEngine:
 
     @property
     def queue(self) -> list[Message]:
-        """The pending messages, in arrival order (a copy)."""
+        """The pending messages in arrival order: a sorted copy, for inspection."""
         return [message for _, message in sorted(chain(*self._inboxes.values()))]
 
     @property

@@ -139,7 +139,7 @@ class TestHiddenRoutes:
 # --------------------------------------------------------------------- #
 
 
-def small_world(pick=None, *, enable_best_external: bool = False):
+def seed7_world(pick=None, *, enable_best_external: bool = False):
     """SMALL seed 7, geo reflectors; converged by ``pick`` (default: ``run``)."""
     config = VnsConfig(max_peers=8, enable_best_external=enable_best_external)
     service = build_unconverged("small", seed=7, config=config)
@@ -167,10 +167,10 @@ class TestTheStateIsTheQueuesWithoutBestExternal:
         better egress prefers the reflected route (geo LOCAL_PREF beats
         its eBGP default) and never offers its own — hidden, for good.
         """
-        whole_world = small_world(schedules.whole_inboxes())
+        whole_world = seed7_world(schedules.whole_inboxes())
         reflectors = sorted(whole_world.network.reflectors)
         whole = whole_world.network.engine
-        half = small_world(schedules.half_inboxes()).network.engine
+        half = seed7_world(schedules.half_inboxes()).network.engine
         reflector = reflectors[0]
         best_whole, best_half = (
             dict(engine.routers[reflector].loc_rib.items()) for engine in (whole, half)
@@ -193,14 +193,14 @@ class TestTheStateIsTheQueuesWithoutBestExternal:
         assert worse == 8  # strictly farther egress; the other 23 are ties in f(d)
 
     def test_best_external_makes_the_same_two_schedules_agree(self):
-        whole = small_world(schedules.whole_inboxes(), enable_best_external=True)
-        half = small_world(schedules.half_inboxes(), enable_best_external=True)
+        whole = seed7_world(schedules.whole_inboxes(), enable_best_external=True)
+        half = seed7_world(schedules.half_inboxes(), enable_best_external=True)
         assert loc_ribs(whole) == loc_ribs(half) == loc_ribs(
-            small_world(enable_best_external=True)
+            seed7_world(enable_best_external=True)
         )
 
     def test_a_repaired_pop_failure_does_not_restore_the_pre_fault_state(self):
-        service = small_world()
+        service = seed7_world()
         engine = service.network.engine
         pristine = control_plane_state(engine)
         injector = FaultInjector(service)
@@ -225,7 +225,7 @@ class TestTheStateIsTheQueuesWithoutBestExternal:
         (measured once; not repeated here).  The by-speaker ``run``
         converges both (test above).
         """
-        service = small_world()
+        service = seed7_world()
         engine = service.network.engine
         injector = FaultInjector(service)
         injector.perturb(PopDown(time_s=1.0, pop="SIN"))

@@ -246,7 +246,7 @@ class TestJsonlHistory:
             "steering",
             "workload",
         )
-        assert len(run_ids) == 6
+        assert len(run_ids) == 8
         assert store.export_jsonl() == HISTORY.read_text(encoding="utf-8")
 
     def test_every_ci_gate_resolves_against_the_committed_history(self, store):
