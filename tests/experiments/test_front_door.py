@@ -1,0 +1,117 @@
+"""The campaign front doors, pinned byte for byte.
+
+``campaign.run``, ``steering.run`` and ``load_scenario(...).run()`` are
+three ways in to the same machinery, and the paper's Sec. 5 comparisons
+only mean something if "the same campaign" is the same bytes through
+every one of them.  This file pins sha256 digests of their reports on a
+private SMALL world at two world seeds, and the identity between the
+doors; the digests were recorded before the doors were folded into one
+(``ScenarioSpec`` composed by ``scenarios/loader.py``) and must never be
+edited by a change that claims to keep behaviour.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.experiments import campaign, steering
+from repro.experiments.common import build_world
+from repro.scenarios import (
+    ScenarioSpec,
+    canned_names,
+    canned_scenario,
+    load_scenario,
+    run_scenario,
+)
+
+#: The campaign every door is asked for (``ScenarioSpec`` field names).
+FIELDS = dict(
+    n_users=120, calls_per_user_day=4.0, days=1, multiparty_fraction=0.15, seed=5
+)
+
+#: ``(world seed, what)`` -> first 16 hex digits of the report's sha256.
+DIGESTS = {
+    (7, "campaign"): "fc712541d5f65c83",
+    (7, "steering"): "d2ffb313826d6274",
+    (7, "baseline"): "1a0cf548c7dd997f",
+    (7, "geo_satellite"): "90b2f45a589a42e4",
+    (7, "flash_crowd"): "75a0f1b3b98277e5",
+    (7, "regional_outage"): "a595c803c65c43f1",
+    (7, "pop_exhaustion"): "5ab7687e228c8c65",
+    (42, "campaign"): "9b24520fd3e21582",
+    (42, "steering"): "09ff8475ed03dde1",
+    (42, "baseline"): "26fadb167b700667",
+    (42, "geo_satellite"): "df673d2d4c5dd430",
+    (42, "flash_crowd"): "78eb21c350454862",
+    (42, "regional_outage"): "f04da1c776977a92",
+    (42, "pop_exhaustion"): "fc0d18d61640e6f3",
+}
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module", params=(7, 42))
+def world(request):
+    """A private world: the canned outage faults (and restores) it."""
+    return build_world("small", seed=request.param)
+
+
+@pytest.fixture(scope="module")
+def plain(world):
+    return campaign.run(world, **FIELDS)
+
+
+@pytest.fixture(scope="module")
+def comparison(world):
+    """Default telemetry size, all three policies."""
+    return steering.run(world, **FIELDS)
+
+
+class TestPinnedDigests:
+    def test_campaign(self, world, plain):
+        assert digest(plain.report.to_json()) == DIGESTS[world.seed, "campaign"]
+
+    def test_steering(self, world, comparison):
+        assert tuple(comparison.runs) == steering.DEFAULT_POLICIES
+        assert digest(comparison.to_json()) == DIGESTS[world.seed, "steering"]
+
+    @pytest.mark.parametrize("name", canned_names())
+    def test_canned_scenario(self, world, name):
+        loaded = load_scenario(canned_scenario(name), base_world=world)
+        try:
+            report = loaded.run().report.to_json()
+        finally:
+            loaded.restore()
+        assert digest(report) == DIGESTS[world.seed, name]
+
+
+class TestOneCampaignThroughEveryDoor:
+    def test_campaign_run_is_the_bare_spec(self, world, plain):
+        spec = ScenarioSpec(name="front-door", **FIELDS)
+        through_spec = run_scenario(spec, base_world=world)
+        assert through_spec.report.to_json() == plain.report.to_json()
+
+    def test_always_vns_is_the_campaign_plus_a_steering_block(
+        self, plain, comparison
+    ):
+        steered = comparison.runs["always_vns"].report.to_dict()
+        assert steered["steering"]["policy"] == "always_vns"
+        unsteered = {k: v for k, v in steered.items() if k != "steering"}
+        unsteered["pairs"] = {
+            key: {k: v for k, v in pair.items() if k != "steering"}
+            for key, pair in steered["pairs"].items()
+        }
+        assert unsteered == plain.report.to_dict()
+
+    def test_each_policy_is_the_spec_with_that_policy(self, world, comparison):
+        for name in steering.DEFAULT_POLICIES:
+            spec = ScenarioSpec(name="front-door", steering_policy=name, **FIELDS)
+            through_spec = run_scenario(spec, base_world=world)
+            assert (
+                through_spec.report.to_json()
+                == comparison.runs[name].report.to_json()
+            ), name
