@@ -1,7 +1,7 @@
 """Scenario-matrix benchmark: the canned-regime regression gate.
 
 Runs the scenario matrix — canned operating regimes x campaign seeds —
-sharded over a persistent 2-worker :class:`CampaignWorkerPool`, and
+sharded over the world's persistent 2-worker campaign pool, and
 holds the results to two bars:
 
 * **Golden regression** — every cell's ``CampaignReport`` must match
@@ -66,15 +66,13 @@ def test_bench_scenario_matrix(show):
     grid = [replace(canned_scenario(name), **CELL_KNOBS) for name in names]
     store = GoldenStore(GOLDEN_DIR)
 
-    sharded = run_matrix(
-        grid, seeds=seeds, workers=WORKERS, sharded=True, golden=store
-    )
+    sharded = run_matrix(grid, seeds=seeds, workers=WORKERS, golden=store)
     show(sharded.render())
     assert len(sharded.cells) == len(names) * len(seeds)
     assert all(cell.n_calls > 0 for cell in sharded.cells)
 
     # Determinism: the sequential grid reproduces every cell byte for byte.
-    sequential = run_matrix(grid, seeds=seeds, sharded=False)
+    sequential = run_matrix(grid, seeds=seeds, workers=1)
     for cell, reference in zip(sharded.cells, sequential.cells):
         assert cell.key == reference.key
         assert json.dumps(cell.report, sort_keys=True) == json.dumps(

@@ -33,6 +33,8 @@ from repro import perf
 from repro.experiments import steering
 from repro.experiments.common import build_world
 from repro.results import record
+from repro.scenarios import loader
+from repro.steering import ThresholdOffloadPolicy
 
 BENCH_SEED = 7
 ALL_SCALES = ("small", "medium")
@@ -41,12 +43,13 @@ ALL_SCALES = ("small", "medium")
 #: line-up over the same campaign, so the decision counter sees
 #: ~3x the calls.
 CAMPAIGNS: dict[str, dict] = {
-    "small": {"n_users": 300, "calls_per_user_day": 5.0, "telemetry_hosts": 2},
-    "medium": {"n_users": 800, "calls_per_user_day": 6.0, "telemetry_hosts": 2},
+    "small": {"n_users": 300, "calls_per_user_day": 5.0},
+    "medium": {"n_users": 800, "calls_per_user_day": 6.0},
 }
 
-#: The thresholds the MEDIUM acceptance asserts against (defaults of
-#: ThresholdOffloadPolicy, restated so a default drift fails loudly).
+#: The thresholds the MEDIUM acceptance asserts against, restated so a
+#: drift of the one place each is defined (ThresholdOffloadPolicy's
+#: field defaults, ``scenarios.loader.BUDGET_FRACTION``) fails loudly.
 RTT_DELTA_MS = 15.0
 LOSS_DELTA_PCT = 0.25
 BUDGET_FRACTION = 0.5
@@ -74,6 +77,9 @@ def test_bench_steering(scale: str, show) -> None:
     if scale not in enabled_scales():
         pytest.skip(f"scale {scale!r} excluded by BENCH_STEERING_SCALES")
     sizing = CAMPAIGNS[scale]
+    policy = ThresholdOffloadPolicy()
+    assert (policy.rtt_delta_ms, policy.loss_delta_pct) == (RTT_DELTA_MS, LOSS_DELTA_PCT)
+    assert loader.BUDGET_FRACTION == BUDGET_FRACTION
     start = time.perf_counter()
     world = build_world(scale, seed=BENCH_SEED)
     build_s = time.perf_counter() - start
@@ -87,10 +93,6 @@ def test_bench_steering(scale: str, show) -> None:
             n_users=sizing["n_users"],
             calls_per_user_day=sizing["calls_per_user_day"],
             seed=BENCH_SEED,
-            rtt_delta_ms=RTT_DELTA_MS,
-            loss_delta_pct=LOSS_DELTA_PCT,
-            budget_fraction=BUDGET_FRACTION,
-            telemetry_hosts=sizing["telemetry_hosts"],
         )
         elapsed_s = time.perf_counter() - run_start
         snap = perf.snapshot()
@@ -155,6 +157,11 @@ def test_emit_bench_steering_json(show) -> None:
             "rtt_delta_ms": RTT_DELTA_MS,
             "loss_delta_pct": LOSS_DELTA_PCT,
             "budget_fraction": BUDGET_FRACTION,
+        },
+        "telemetry": {
+            "days": loader.TELEMETRY_DAYS,
+            "minutes_between_rounds": loader.TELEMETRY_MINUTES_BETWEEN_ROUNDS,
+            "hosts_per_type_per_region": loader.TELEMETRY_HOSTS_PER_TYPE_PER_REGION,
         },
         "campaigns": {scale: CAMPAIGNS[scale] for scale in _results},
         "scales": _results,

@@ -83,7 +83,7 @@ def main() -> None:
         golden["pairs"][pair]["vns"]["delay_ms"]["p50"] *= 1.5
         store.save(key, golden)
         print(f"\nPerturbed {key}'s golden by +50% on one QoE float; re-checking...")
-        recheck = run_matrix(grid, seeds=(0, 1), sharded=False, golden=store)
+        recheck = run_matrix(grid, seeds=(0, 1), workers=1, golden=store)
         for cell in recheck.regressions():
             print(cell.golden.render())
 

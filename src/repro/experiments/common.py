@@ -106,10 +106,14 @@ class World:
 
         The pool ships a frozen snapshot of ``service`` to each worker
         once and keeps workers (and their warm path caches) alive across
-        every sharded campaign run over this world — the reuse that
-        makes repeated ``campaign.run(world, workers=N)`` invocations
-        pay spawn and world-shipping cost only once.
-        Requesting a different worker count replaces the cached pool.
+        every pooled campaign over this world, so repeated runs pay
+        spawn and world shipping once.  This is the one place that
+        decides whether a pool is still good: a cached pool is handed
+        back only while it is open, unbroken, of the requested size and
+        still :meth:`~repro.workload.sharded.CampaignWorkerPool.serves`
+        the service — a fault or a repair since it froze the world
+        replaces it (a restored world gets a fresh pool too: the state
+        is back, the pool cannot know).
         """
         from repro.workload.sharded import CampaignWorkerPool
 
@@ -119,10 +123,10 @@ class World:
             and not pool.closed
             and not pool.broken
             and (workers is None or pool.workers == workers)
+            and pool.serves(self.service)
         ):
             return pool
-        if pool is not None and not pool.closed:
-            pool.shutdown(wait=True)
+        self.close_pool()
         pool = CampaignWorkerPool(self.service, workers=workers)
         self._campaign_pool = pool
         return pool

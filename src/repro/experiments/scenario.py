@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, replace
 
 from repro.experiments.common import World
-from repro.scenarios.loader import load_scenario
+from repro.scenarios.loader import run_scenario
 from repro.scenarios.registry import canned_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.workload.engine import CampaignRun
@@ -75,8 +75,8 @@ def run(
     :func:`repro.scenarios.registry.canned_names`) and ``spec_json``
     (a serialised :class:`ScenarioSpec`) selects the scenario; ``seed``
     optionally overrides the spec's campaign seed.  ``workers > 1``
-    shards the campaign over a pool created on the faulted world — the
-    unfaulted case reuses ``world``'s persistent campaign pool.
+    runs the campaign on ``world``'s pool, which serves the world as the
+    scenario's faults left it.
     """
     if bool(name) == bool(spec_json):
         raise ValueError("pass exactly one of name= and spec_json=")
@@ -85,14 +85,5 @@ def run(
         spec = replace(spec, world=replace(spec.world, scale=world.scale.value))
     if seed is not None:
         spec = replace(spec, seed=seed)
-    loaded = load_scenario(spec, base_world=world)
-    try:
-        if workers > 1 and loaded.applied is not None and not loaded.applied.active:
-            # Nothing mutated the world: safe to reuse (and keep warm)
-            # the world's persistent pool across scenario runs.
-            campaign = loaded.run(pool=world.campaign_pool(workers=workers))
-        else:
-            campaign = loaded.run(workers=workers)
-    finally:
-        loaded.restore()
+    campaign = run_scenario(spec, base_world=world, workers=workers)
     return ScenarioRun(spec=spec, campaign=campaign, sharded=workers > 1)

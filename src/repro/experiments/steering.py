@@ -9,32 +9,31 @@ stream draws (the steered stream reuses the baseline batches, see
 :mod:`repro.workload.engine`) — so the offload-rate, backbone-byte and
 QoE-delta columns differ only by policy.
 
-With ``workers > 1`` every policy's campaign runs on the world's one
-persistent worker pool; reports stay byte-identical to ``workers=1``.
+Each policy's run is the bare campaign scenario with that policy's
+prepared engine swapped in (:mod:`repro.scenarios.loader` says what a
+policy name, the telemetry size and the budget mean), so a policy here
+*is* ``ScenarioSpec(steering_policy=name)`` — collected once instead of
+once per policy.  With ``workers > 1`` every policy's campaign runs on
+the world's one persistent worker pool; reports stay byte-identical to
+``workers=1``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.experiments.campaign import seeded_calls
+from repro.experiments.campaign import campaign_spec
 from repro.experiments.common import World
-from repro.steering import (
-    PathHealthTable,
-    SteeringEngine,
-    SteeringTelemetry,
-    make_policy,
-    stream_payload_bytes,
+from repro.scenarios.loader import (
+    backbone_budget_bytes,
+    compose_scenario,
+    corridor_payload_bytes,
+    scenario_steering,
+    scenario_telemetry,
 )
-from repro.workload import (
-    REGION_CODE,
-    CallSpec,
-    CampaignConfig,
-    CampaignRun,
-    ShardedCampaignRunner,
-    ShardPlan,
-)
+from repro.steering import PathHealthTable
+from repro.workload import CampaignRun
 
 #: The comparison's default policy line-up.
 DEFAULT_POLICIES: tuple[str, ...] = (
@@ -42,24 +41,6 @@ DEFAULT_POLICIES: tuple[str, ...] = (
     "threshold_offload",
     "cost_budgeted",
 )
-
-
-def corridor_payload_bytes(
-    calls: list[CallSpec], config: CampaignConfig
-) -> dict[tuple[str, str], int]:
-    """Projected media bytes per directed region corridor.
-
-    The traffic matrix :meth:`CostBudgetedPolicy.prepare` plans against —
-    computed from the call list alone (no simulation), using the same
-    packet accounting as the stream simulator.
-    """
-    matrix: dict[tuple[str, str], int] = {}
-    for spec in calls:
-        corridor = (REGION_CODE[spec.caller.region], REGION_CODE[spec.callee.region])
-        matrix[corridor] = matrix.get(corridor, 0) + stream_payload_bytes(
-            spec.duration_s, config.packets_per_second, config.slot_s
-        )
-    return matrix
 
 
 @dataclass(slots=True)
@@ -134,67 +115,37 @@ def run(
     multiparty_fraction: float = 0.15,
     seed: int = 0,
     policies: tuple[str, ...] = DEFAULT_POLICIES,
-    rtt_delta_ms: float = 15.0,
-    loss_delta_pct: float = 0.25,
-    budget_fraction: float = 0.5,
-    telemetry_days: int = 1,
-    telemetry_minutes: float = 240.0,
-    telemetry_hosts: int = 2,
     workers: int = 1,
-    shard_plan: ShardPlan | None = None,
 ) -> SteeringComparison:
     """Compare steering policies over one seeded campaign.
 
-    Seeds derive as in :func:`repro.experiments.campaign.seeded_calls`
-    (population ``seed``, arrivals ``seed + 1``, engine ``seed + 2``) with
-    the probe telemetry on ``seed + 3``, so one integer reproduces everything.
-    ``budget_fraction`` sets the ``cost_budgeted`` backbone budget as a
-    fraction of the campaign's projected backbone bytes.
-
-    Raises
-    ------
-    ValueError
-        For an out-of-range ``budget_fraction``.
+    One integer reproduces everything: the campaign as in
+    :func:`repro.experiments.campaign.run`, the probe telemetry on
+    ``seed + 3``.  To compare a differently tuned policy, build it with
+    :func:`repro.steering.make_policy` and swap it into the composed
+    scenario the same way (``dataclasses.replace(loaded, steering=...)``).
     """
-    if not 0.0 <= budget_fraction <= 1.0:
-        raise ValueError(
-            f"budget_fraction must be in [0, 1], got {budget_fraction!r}"
-        )
-    calls, config = seeded_calls(
-        world, n_users, calls_per_user_day, days, multiparty_fraction, seed
+    spec = campaign_spec(
+        world,
+        "steering",
+        seed=seed,
+        n_users=n_users,
+        calls_per_user_day=calls_per_user_day,
+        days=days,
+        multiparty_fraction=multiparty_fraction,
     )
-
-    health = SteeringTelemetry(world.service, seed=seed + 3).collect(
-        days=telemetry_days,
-        minutes_between_rounds=telemetry_minutes,
-        hosts_per_type_per_region=telemetry_hosts,
-    )
-
-    matrix = corridor_payload_bytes(calls, config)
-    budget_bytes = int(sum(matrix.values()) * budget_fraction)
-
+    loaded = compose_scenario(spec, world)
+    health = scenario_telemetry(world, seed)
     comparison = SteeringComparison(
-        seed=seed, health=health, budget_bytes=budget_bytes
+        seed=seed,
+        health=health,
+        budget_bytes=backbone_budget_bytes(
+            corridor_payload_bytes(loaded.calls, loaded.config)
+        ),
     )
-    if shard_plan is None:
-        shard_plan = ShardPlan(n_workers=workers)
-    pool = None
-    if shard_plan.effective_workers > 1:
-        pool = world.campaign_pool(workers=shard_plan.effective_workers)
     for name in policies:
-        if name == "threshold_offload":
-            policy = make_policy(
-                name, rtt_delta_ms=rtt_delta_ms, loss_delta_pct=loss_delta_pct
-            )
-        elif name == "cost_budgeted":
-            policy = make_policy(name, budget_bytes=budget_bytes)
-            policy.prepare(matrix, health)
-        else:
-            policy = make_policy(name)
-        engine = SteeringEngine(health=health, policy=policy, seed=config.seed)
-        comparison.runs[name] = ShardedCampaignRunner(
-            world.service, config, shard_plan, steering=engine, pool=pool
-        ).run(calls)
+        engine = scenario_steering(name, health, loaded.calls, loaded.config)
+        comparison.runs[name] = replace(loaded, steering=engine).run(workers=workers)
     return comparison
 
 

@@ -36,6 +36,7 @@ from repro.scenarios.loader import (
     scenario_calls,
     scenario_path_model,
     scenario_steering,
+    scenario_telemetry,
 )
 from repro.scenarios.matrix import MatrixCell, MatrixResult, run_matrix
 from repro.scenarios.registry import SCENARIOS, canned_names, canned_scenario
@@ -81,4 +82,5 @@ __all__ = [
     "scenario_calls",
     "scenario_path_model",
     "scenario_steering",
+    "scenario_telemetry",
 ]

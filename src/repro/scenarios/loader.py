@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.dataplane.link import SegmentKind, degrade_segment, satellite_segment
 from repro.dataplane.path import DataPath
@@ -37,17 +37,18 @@ from repro.experiments.common import World, build_world
 from repro.faults.events import FaultEvent, PopDown, TransitDegrade
 from repro.faults.injector import FaultInjector, impaired_segment
 from repro.scenarios.spec import CAPACITY_WILDCARD, ScenarioSpec, WorldSpec
+from repro.steering import (
+    PathHealthTable,
+    SteeringEngine,
+    SteeringTelemetry,
+    make_policy,
+    stream_payload_bytes,
+)
 from repro.workload.arrivals import CallArrivalProcess, CallSpec, flash_crowd_calls
 from repro.workload.engine import CampaignConfig, CampaignRun
 from repro.workload.population import UserPopulation
-from repro.workload.sharded import (
-    CampaignWorkerPool,
-    ShardedCampaignRunner,
-    ShardPlan,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.steering.engine import SteeringEngine
+from repro.workload.report import REGION_CODE
+from repro.workload.sharded import ShardedCampaignRunner, ShardPlan
 
 #: PoP congestion per unit of overload (offered/capacity - 1), applied
 #: to the first segment of VNS-entering transports.  Queueing delay and
@@ -56,6 +57,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 OVERLOAD_DELAY_MS_PER_UNIT = 40.0
 OVERLOAD_LOSS_PER_UNIT = 0.02
 OVERLOAD_UNIT_CLAMP = 4.0
+
+#: The probe telemetry a steered scenario decides on: one day of rounds
+#: every four hours to two hosts per AS type per region, from every PoP.
+TELEMETRY_DAYS = 1
+TELEMETRY_MINUTES_BETWEEN_ROUNDS = 240.0
+TELEMETRY_HOSTS_PER_TYPE_PER_REGION = 2
+
+#: ``cost_budgeted``'s backbone budget, as a fraction of the campaign's
+#: projected backbone bytes.  (``threshold_offload``'s two deltas are
+#: :class:`~repro.steering.policies.ThresholdOffloadPolicy`'s defaults.)
+BUDGET_FRACTION = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,7 +193,14 @@ def apply_scenario_faults(service, spec: ScenarioSpec) -> FaultInjector:
 
 
 def scenario_calls(spec: ScenarioSpec, world: World) -> list[CallSpec]:
-    """The scenario's call list (campaign seed derivation: see spec)."""
+    """One integer → the whole campaign: ``spec``'s call list on ``world``.
+
+    The one seed derivation every campaign front door shares: the
+    population is sampled with ``spec.seed``, the arrivals (and any
+    flash crowd) drawn with ``seed + 1``; :func:`compose_scenario` keys
+    the engine's simulation draws by ``seed + 2`` and
+    :func:`scenario_telemetry` probes with ``seed + 3``.
+    """
     population = UserPopulation.sample(world.topology, spec.n_users, seed=spec.seed)
     arrivals = CallArrivalProcess(
         population,
@@ -266,35 +285,59 @@ def scenario_path_model(
     return None if model.is_noop else model
 
 
+def corridor_payload_bytes(
+    calls: list[CallSpec], config: CampaignConfig
+) -> dict[tuple[str, str], int]:
+    """Projected media bytes per directed region corridor.
+
+    The traffic matrix :meth:`CostBudgetedPolicy.prepare` plans against —
+    computed from the call list alone (no simulation), with the stream
+    simulator's packet accounting.
+    """
+    matrix: dict[tuple[str, str], int] = {}
+    for spec in calls:
+        corridor = (REGION_CODE[spec.caller.region], REGION_CODE[spec.callee.region])
+        matrix[corridor] = matrix.get(corridor, 0) + stream_payload_bytes(
+            spec.duration_s, config.packets_per_second, config.slot_s
+        )
+    return matrix
+
+
+def backbone_budget_bytes(matrix: dict[tuple[str, str], int]) -> int:
+    """``cost_budgeted``'s budget for a projected traffic ``matrix``."""
+    return int(sum(matrix.values()) * BUDGET_FRACTION)
+
+
+def scenario_telemetry(world: World, seed: int) -> PathHealthTable:
+    """The health table a campaign with ``seed`` steers by (``seed + 3``).
+
+    Probed on ``world`` as it stands — after the scenario's faults.
+    """
+    return SteeringTelemetry(world.service, seed=seed + 3).collect(
+        days=TELEMETRY_DAYS,
+        minutes_between_rounds=TELEMETRY_MINUTES_BETWEEN_ROUNDS,
+        hosts_per_type_per_region=TELEMETRY_HOSTS_PER_TYPE_PER_REGION,
+    )
+
+
 def scenario_steering(
-    spec: ScenarioSpec,
-    world: World,
+    policy_name: str,
+    health: PathHealthTable,
     calls: list[CallSpec],
     config: CampaignConfig,
-) -> "SteeringEngine | None":
-    """The steering engine for ``spec.steering_policy`` ("" = none).
+) -> SteeringEngine:
+    """What a policy name means as a prepared engine.
 
-    Telemetry is collected on the (possibly faulted) world with seed
-    ``spec.seed + 3``; ``cost_budgeted`` is prepared against the call
-    list's projected traffic matrix with half the backbone bytes as
-    budget — the experiment module's defaults.
+    ``cost_budgeted`` is planned against the call list's projected
+    traffic matrix with :func:`backbone_budget_bytes` of it as budget;
+    the other policies need nothing but the table.
     """
-    if not spec.steering_policy:
-        return None
-    from repro.experiments.steering import corridor_payload_bytes
-    from repro.steering import SteeringEngine, SteeringTelemetry, make_policy
-
-    health = SteeringTelemetry(world.service, seed=spec.seed + 3).collect(
-        days=1, minutes_between_rounds=240.0, hosts_per_type_per_region=2
-    )
-    if spec.steering_policy == "cost_budgeted":
+    if policy_name == "cost_budgeted":
         matrix = corridor_payload_bytes(calls, config)
-        policy = make_policy(
-            spec.steering_policy, budget_bytes=int(sum(matrix.values()) * 0.5)
-        )
+        policy = make_policy(policy_name, budget_bytes=backbone_budget_bytes(matrix))
         policy.prepare(matrix, health)
     else:
-        policy = make_policy(spec.steering_policy)
+        policy = make_policy(policy_name)
     return SteeringEngine(health=health, policy=policy, seed=config.seed)
 
 
@@ -307,8 +350,7 @@ def scenario_steering(
 class LoadedScenario:
     """A composed scenario: world faulted, calls drawn, model built.
 
-    Call :meth:`run` (in this process, or on a pool with
-    ``workers``/``pool``) and :meth:`restore` when done — or use
+    Call :meth:`run` and :meth:`restore` when done — or use
     :func:`run_scenario` which does both.
     """
 
@@ -316,53 +358,37 @@ class LoadedScenario:
     world: World
     calls: list[CallSpec]
     config: CampaignConfig
-    steering: "SteeringEngine | None"
+    steering: SteeringEngine | None
     path_model: ScenarioPathModel | None
     applied: FaultInjector | None
 
-    def run(
-        self,
-        *,
-        workers: int = 1,
-        pool: CampaignWorkerPool | None = None,
-        shard_plan: ShardPlan | None = None,
-    ) -> CampaignRun:
-        """Run the campaign; byte-identical in-process vs pooled.
+    def run(self, *, workers: int = 1) -> CampaignRun:
+        """Run the campaign; byte-identical at every worker count.
 
-        With ``pool`` (or ``workers > 1`` / a ``shard_plan`` sized for
-        more than one worker, which builds a private pool for the call
-        and shuts it down after) the shards run on spawned workers;
-        otherwise in this process.  A pool must have been created
-        *after* this scenario's faults were applied — worker snapshots
-        freeze the world at pool start.
+        One worker runs it in this process; more run it on the world's
+        :meth:`~repro.experiments.common.World.campaign_pool`, which
+        serves the world as it stands now (faults included) and stays
+        up for the next run.
         """
-        if shard_plan is None:
-            shard_plan = ShardPlan(
-                n_workers=pool.workers if pool is not None else workers
-            )
-        own_pool = None
-        if pool is None and shard_plan.effective_workers > 1:
-            own_pool = CampaignWorkerPool(
-                self.world.service, workers=shard_plan.effective_workers
-            )
-            pool = own_pool
-        try:
-            return ShardedCampaignRunner(
-                self.world.service,
-                self.config,
-                shard_plan,
-                steering=self.steering,
-                path_model=self.path_model,
-                pool=pool,
-            ).run(self.calls)
-        finally:
-            if own_pool is not None:
-                own_pool.shutdown(wait=True)
+        pool = self.world.campaign_pool(workers=workers) if workers > 1 else None
+        return ShardedCampaignRunner(
+            self.world.service,
+            self.config,
+            ShardPlan(n_workers=workers),
+            steering=self.steering,
+            path_model=self.path_model,
+            pool=pool,
+        ).run(self.calls)
 
     def restore(self) -> None:
         """Undo the scenario's control-plane faults (idempotent)."""
         if self.applied is not None:
             self.applied.restore()
+
+
+def build_spec_world(spec: WorldSpec) -> World:
+    """The world ``spec``'s recipe (scale, seed, GeoIP errors) builds."""
+    return build_world(spec.scale, seed=spec.seed, geoip_errors=spec.geoip_errors)
 
 
 def load_scenario(
@@ -388,11 +414,7 @@ def load_scenario(
             )
         world = base_world
     else:
-        world = build_world(
-            spec.world.scale,
-            seed=spec.world.seed,
-            geoip_errors=spec.world.geoip_errors,
-        )
+        world = build_spec_world(spec.world)
     applied = apply_scenario_faults(world.service, spec)
     try:
         loaded = compose_scenario(spec, world, applied.degradations)
@@ -410,36 +432,39 @@ def compose_scenario(
 ) -> LoadedScenario:
     """The post-fault composition: calls, config, path model, steering.
 
-    For callers (like the matrix runner) that manage fault application
-    themselves — e.g. applying a fault set once for a whole group of
-    seeds.  ``world`` must already be in the spec's faulted state and
-    ``degradations`` carry the timeline's still-active transit events.
-    The returned scenario has no fault bookkeeping (``applied=None``).
+    For callers that manage fault application themselves (the matrix
+    runner applies a fault set once for a whole group of seeds) or have
+    none to apply (the campaign and steering experiments).  ``world``
+    must already be in the spec's faulted state and ``degradations``
+    carry the timeline's still-active transit events.  The returned
+    scenario has no fault bookkeeping (``applied=None``).
     """
     calls = scenario_calls(spec, world)
     config = CampaignConfig(seed=spec.seed + 2)
+    steering = None
+    if spec.steering_policy:
+        steering = scenario_steering(
+            spec.steering_policy, scenario_telemetry(world, spec.seed), calls, config
+        )
     return LoadedScenario(
         spec=spec,
         world=world,
         calls=calls,
         config=config,
-        steering=scenario_steering(spec, world, calls, config),
+        steering=steering,
         path_model=scenario_path_model(spec, world, calls, tuple(degradations)),
         applied=None,
     )
 
 
 def run_scenario(
-    spec: ScenarioSpec,
-    *,
-    base_world: World | None = None,
-    workers: int = 1,
-    pool: CampaignWorkerPool | None = None,
-    shard_plan: ShardPlan | None = None,
+    spec: ScenarioSpec, *, base_world: World | None = None, workers: int = 1
 ) -> CampaignRun:
     """Load, run, and restore in one call (the common case)."""
     loaded = load_scenario(spec, base_world=base_world)
     try:
-        return loaded.run(workers=workers, pool=pool, shard_plan=shard_plan)
+        return loaded.run(workers=workers)
     finally:
         loaded.restore()
+        if base_world is None:
+            loaded.world.close_pool()

@@ -9,11 +9,12 @@ canned operating regimes and diffs them against known-good reports.
 **Pool reuse.**  Cells are grouped by their *fault signature* — the
 world-mutating part of the spec (scale, world seed, GeoIP errors,
 PoPs down, control-plane fault timeline).  Each group applies its
-faults once, spawns one persistent :class:`CampaignWorkerPool` on the
-faulted world, streams every cell of the group through it, then shuts
-the pool down and restores the world.  Unfaulted scenarios (baseline,
-GEO satellite, flash crowd, PoP exhaustion — whose impairments live in
-the path model, not the world) all share a single pool per scale.
+faults once, streams every cell through the pool its world hands out
+(:meth:`~repro.experiments.common.World.campaign_pool` — one pool per
+faulted state, replaced when the state moves), then restores the
+world.  Unfaulted scenarios (baseline, GEO satellite, flash crowd, PoP
+exhaustion — whose impairments live in the path model, not the world)
+all share a single pool per world.
 
 **Determinism.**  Cell reports are byte-identical whether the group ran
 sequentially or sharded, at any worker count — the engine's contract.
@@ -28,17 +29,17 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.experiments.common import World, build_world
+from repro.experiments.common import World
 from repro.faults.events import event_to_dict
 from repro.scenarios.golden import DEFAULT_ATOL, DEFAULT_RTOL, GoldenStore
 from repro.scenarios.loader import (
     apply_scenario_faults,
+    build_spec_world,
     compose_scenario,
 )
 from repro.scenarios.registry import canned_scenario
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, WorldSpec
 from repro.tolerance import ToleranceDiff
-from repro.workload.sharded import CampaignWorkerPool
 
 
 @dataclass(slots=True)
@@ -189,7 +190,6 @@ def run_matrix(
     scales: tuple[str, ...] = ("small",),
     seeds: tuple[int, ...] = (0,),
     workers: int = 2,
-    sharded: bool = True,
     golden: "GoldenStore | str | Path | None" = None,
     update_golden: bool = False,
     rtol: float = DEFAULT_RTOL,
@@ -206,11 +206,10 @@ def run_matrix(
         Grid axes; each scenario is re-targeted per cell with
         ``dataclasses.replace`` (the spec's own scale/seed are
         overridden).
-    workers / sharded:
-        ``sharded=True`` runs each fault group through one persistent
-        :class:`CampaignWorkerPool` of ``workers`` processes;
-        ``sharded=False`` runs every cell sequentially in-process
-        (byte-identical reports either way).
+    workers:
+        More than one runs each fault group on its world's persistent
+        pool of that many processes; ``workers=1`` runs every cell
+        sequentially in-process (byte-identical reports either way).
     golden:
         A :class:`GoldenStore` (or a directory for one); each cell's
         report is checked against ``<dir>/<cell key>.json``.
@@ -238,61 +237,55 @@ def run_matrix(
     for index, spec in enumerate(grid):
         groups.setdefault(_fault_signature(spec), []).append((index, spec))
 
-    worlds: dict[tuple, World] = {}
+    # One world per build recipe, whatever the cells then do to it.
+    worlds: dict[WorldSpec, World] = {}
 
     def _world_for(spec: ScenarioSpec) -> World:
-        key = (spec.world.scale, spec.world.seed, spec.world.geoip_errors)
-        if key not in worlds:
-            worlds[key] = build_world(
-                spec.world.scale,
-                seed=spec.world.seed,
-                geoip_errors=spec.world.geoip_errors,
-            )
-        return worlds[key]
+        recipe = replace(spec.world, pops_down=(), pop_capacity=())
+        if recipe not in worlds:
+            worlds[recipe] = build_spec_world(recipe)
+        return worlds[recipe]
 
     cells: list[MatrixCell | None] = [None] * len(grid)
-    use_pool = sharded and workers > 1
-    for members in groups.values():
-        world = _world_for(members[0][1])
-        applied = apply_scenario_faults(world.service, members[0][1])
-        pool: CampaignWorkerPool | None = None
-        try:
-            if use_pool:
-                # After the faults: worker snapshots freeze the world
-                # at pool start.
-                pool = CampaignWorkerPool(world.service, workers=workers)
-            for index, spec in members:
-                cell_started = time.perf_counter()
-                loaded = compose_scenario(spec, world, applied.degradations)
-                run = loaded.run(pool=pool)
-                report = run.report.to_dict()
-                cell = MatrixCell(
-                    scenario=spec.name,
-                    scale=spec.world.scale,
-                    seed=spec.seed,
-                    report=report,
-                    n_calls=run.stats.calls_resolved + run.stats.calls_failed,
-                    n_failed=run.stats.calls_failed,
-                    sharded=use_pool,
-                    elapsed_s=time.perf_counter() - cell_started,
-                )
-                if store is not None:
-                    cell.golden = store.check(
-                        cell.key,
-                        report,
-                        update=update_golden,
-                        rtol=rtol,
-                        atol=atol,
+    sharded = workers > 1
+    try:
+        for members in groups.values():
+            world = _world_for(members[0][1])
+            applied = apply_scenario_faults(world.service, members[0][1])
+            try:
+                for index, spec in members:
+                    cell_started = time.perf_counter()
+                    loaded = compose_scenario(spec, world, applied.degradations)
+                    run = loaded.run(workers=workers)
+                    report = run.report.to_dict()
+                    cell = MatrixCell(
+                        scenario=spec.name,
+                        scale=spec.world.scale,
+                        seed=spec.seed,
+                        report=report,
+                        n_calls=run.stats.calls_resolved + run.stats.calls_failed,
+                        n_failed=run.stats.calls_failed,
+                        sharded=sharded,
+                        elapsed_s=time.perf_counter() - cell_started,
                     )
-                cells[index] = cell
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-            applied.restore()
+                    if store is not None:
+                        cell.golden = store.check(
+                            cell.key,
+                            report,
+                            update=update_golden,
+                            rtol=rtol,
+                            atol=atol,
+                        )
+                    cells[index] = cell
+            finally:
+                applied.restore()
+    finally:
+        for world in worlds.values():
+            world.close_pool()
 
     return MatrixResult(
         cells=[cell for cell in cells if cell is not None],
-        workers=workers if use_pool else 1,
-        sharded=use_pool,
+        workers=workers,
+        sharded=sharded,
         elapsed_s=time.perf_counter() - started,
     )

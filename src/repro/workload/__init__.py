@@ -58,6 +58,7 @@ from repro.workload.sharded import (
     ShardOutcome,
     ShardPlan,
     ShardTask,
+    StalePoolError,
     campaign_fingerprint,
     default_workers,
     partition_calls,
@@ -94,6 +95,7 @@ __all__ = [
     "ShardTask",
     "ShardedCampaignRun",
     "ShardedCampaignRunner",
+    "StalePoolError",
     "User",
     "UserPopulation",
     "call_rate_profile",

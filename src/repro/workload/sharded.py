@@ -131,6 +131,29 @@ class ShardExecutionError(RuntimeError):
         super().__init__(f"shard {shard_index} failed permanently: {attempts}")
 
 
+class StalePoolError(RuntimeError):
+    """The pool's workers hold a world its service has since left.
+
+    A pool freezes the service when it starts; a fault (or a repair)
+    applied afterwards is invisible to its workers, so running on it
+    would return the earlier world's report.  Ask
+    :meth:`repro.experiments.common.World.campaign_pool` for the pool —
+    it replaces a stale one.
+    """
+
+
+def converged_state(service: VideoNetworkService) -> int | None:
+    """What a pool remembers of the world it froze.
+
+    The BGP engine's cumulative delivered-message count: every
+    control-plane change (link, PoP, session; down or up) delivers
+    messages, so the count moves whenever the forwarding state may have.
+    A frozen service has no engine and no state to leave: ``None``.
+    """
+    engine = getattr(service.network, "engine", None)
+    return None if engine is None else engine.delivered
+
+
 def default_workers() -> int:
     """The default pool size: ``min(4, os.cpu_count())``."""
     return min(4, os.cpu_count() or 1)
@@ -614,6 +637,8 @@ class CampaignWorkerPool:
         #: Digests of warmup manifests already delivered to the workers;
         #: a repeat campaign over the same pairs skips the broadcast.
         self._warm_digests: set[str] = set()
+        #: :func:`converged_state` of the service when it was frozen.
+        self._frozen_at: int | None = None
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -634,9 +659,14 @@ class CampaignWorkerPool:
         """Whether the underlying executor can no longer run tasks."""
         return bool(getattr(self._executor, "_broken", False))
 
+    def serves(self, service: VideoNetworkService) -> bool:
+        """Whether the workers hold (or will freeze) ``service`` as it is now."""
+        return not self.started or self._frozen_at == converged_state(service)
+
     def _frozen_world(self) -> bytes:
         """The pickled frozen snapshot, with dump cost booked to stats."""
         started = time.perf_counter()
+        self._frozen_at = converged_state(self._service)
         blob = pickle.dumps(self._service.freeze(), protocol=pickle.HIGHEST_PROTOCOL)
         self.stats.world_dump_s += time.perf_counter() - started
         self.stats.world_bytes = len(blob)
@@ -880,11 +910,23 @@ class ShardedCampaignRunner:
 
     def run(self, calls: list[CallSpec]) -> ShardedCampaignRun:
         """Run ``calls``; the report is byte-identical to
-        ``CampaignEngine(service, config).run(calls).report``."""
+        ``CampaignEngine(service, config).run(calls).report``.
+
+        Raises
+        ------
+        StalePoolError
+            If the pool froze the service before its last control-plane
+            change (its workers would simulate the earlier world).
+        """
         started = time.perf_counter()
         self._run_overhead = {}
         self._pool_stats = None
         pool = self.pool
+        if pool is not None and not pool.serves(self._resolver.service):
+            raise StalePoolError(
+                "the pool froze this service before its last control-plane "
+                "change; take the pool from World.campaign_pool()"
+            )
         if self.plan.n_shards is not None:
             n_shards = self.plan.n_shards
         else:

@@ -21,7 +21,7 @@ class TestGrid:
         result = run_matrix(
             [small("baseline"), small("geo_satellite")],
             seeds=(0, 1),
-            sharded=False,
+            workers=1,
         )
         assert [cell.key for cell in result.cells] == [
             "baseline-small-seed0",
@@ -35,7 +35,7 @@ class TestGrid:
             run_matrix(["no_such_scenario"])
 
     def test_cell_lookup_by_key(self):
-        result = run_matrix([small("baseline")], sharded=False)
+        result = run_matrix([small("baseline")], workers=1)
         assert result.cell("baseline-small-seed0").scenario == "baseline"
         with pytest.raises(KeyError):
             result.cell("nope")
@@ -55,7 +55,7 @@ class TestGrid:
         result = run_matrix(
             [small("baseline")],
             seeds=(0, 1),
-            sharded=False,
+            workers=1,
             golden=tmp_path,
             update_golden=True,
         )
@@ -80,8 +80,8 @@ class TestDeterminism:
             small("pop_exhaustion"),
             small("regional_outage"),
         ]
-        sharded = run_matrix(grid, seeds=(0,), workers=2, sharded=True)
-        sequential = run_matrix(grid, seeds=(0,), sharded=False)
+        sharded = run_matrix(grid, seeds=(0,), workers=2)
+        sequential = run_matrix(grid, seeds=(0,), workers=1)
         assert [c.key for c in sharded.cells] == [c.key for c in sequential.cells]
         assert sharded.sharded and not sequential.sharded
         for a, b in zip(sharded.cells, sequential.cells):
@@ -91,8 +91,8 @@ class TestDeterminism:
 
     def test_repeat_run_is_byte_identical(self):
         grid = [small("geo_satellite")]
-        first = run_matrix(grid, sharded=False)
-        second = run_matrix(grid, sharded=False)
+        first = run_matrix(grid, workers=1)
+        second = run_matrix(grid, workers=1)
         assert json.dumps(first.cells[0].report, sort_keys=True) == json.dumps(
             second.cells[0].report, sort_keys=True
         )
@@ -102,16 +102,16 @@ class TestGoldenRegression:
     def test_injected_perturbation_is_caught_with_a_path(self, tmp_path):
         grid = [small("baseline")]
         store = GoldenStore(tmp_path)
-        assert run_matrix(grid, sharded=False, golden=store, update_golden=True).ok
+        assert run_matrix(grid, workers=1, golden=store, update_golden=True).ok
         # A clean re-run passes against the committed goldens.
-        assert run_matrix(grid, sharded=False, golden=store).ok
+        assert run_matrix(grid, workers=1, golden=store).ok
         # Perturb one QoE float by 50% — far past rtol.
         key = "baseline-small-seed0"
         golden = store.load(key)
         pair = next(iter(golden["pairs"]))
         golden["pairs"][pair]["internet"]["delay_ms"]["p50"] *= 1.5
         store.save(key, golden)
-        result = run_matrix(grid, sharded=False, golden=store)
+        result = run_matrix(grid, workers=1, golden=store)
         assert not result.ok
         (bad,) = result.regressions()
         assert bad.key == key
@@ -120,7 +120,7 @@ class TestGoldenRegression:
 
     def test_missing_golden_is_a_regression(self, tmp_path):
         result = run_matrix(
-            [small("baseline")], sharded=False, golden=GoldenStore(tmp_path)
+            [small("baseline")], workers=1, golden=GoldenStore(tmp_path)
         )
         assert not result.ok
         assert result.regressions()[0].golden.missing
@@ -128,10 +128,10 @@ class TestGoldenRegression:
     def test_structural_drift_is_caught(self, tmp_path):
         store = GoldenStore(tmp_path)
         grid = [small("baseline")]
-        run_matrix(grid, sharded=False, golden=store, update_golden=True)
+        run_matrix(grid, workers=1, golden=store, update_golden=True)
         key = "baseline-small-seed0"
         golden = store.load(key)
         golden["pairs"]["XX->XX"] = {"calls": 1}
         store.save(key, golden)
-        result = run_matrix(grid, sharded=False, golden=store)
+        result = run_matrix(grid, workers=1, golden=store)
         assert "missing from report" in result.cells[0].golden.mismatches[0]
