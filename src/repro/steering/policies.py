@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Protocol, runtime_checkable
 
-from repro.dataplane.transmit import slot_count
+from repro.dataplane.transmit import _stream_shape
 from repro.steering.health import HealthEntry
 
 #: Media payload per RTP packet, for backbone-byte accounting (a typical
@@ -118,12 +118,11 @@ class SteeringPolicy(Protocol):
 def stream_payload_bytes(
     duration_s: float, packets_per_second: float, slot_s: float
 ) -> int:
-    """Payload bytes of one media stream, matching the simulator's packet
-    accounting (whole slots plus a partial final slot)."""
-    n_slots = slot_count(duration_s, slot_s)
-    packets_per_slot = int(round(packets_per_second * slot_s))
-    final_slot_s = duration_s - (n_slots - 1) * slot_s
-    final_packets = int(round(packets_per_second * final_slot_s))
+    """Payload bytes of one media stream: the packets the simulator
+    sends for it (:func:`~repro.dataplane.transmit._stream_shape`)."""
+    n_slots, packets_per_slot, final_packets = _stream_shape(
+        duration_s, packets_per_second, slot_s
+    )
     return (packets_per_slot * (n_slots - 1) + final_packets) * MEDIA_PACKET_BYTES
 
 

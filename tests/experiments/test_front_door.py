@@ -18,6 +18,7 @@ import pytest
 
 from repro.experiments import campaign, steering
 from repro.experiments.common import build_world
+from repro.experiments.steering import corridor_payload_bytes
 from repro.scenarios import (
     ScenarioSpec,
     canned_names,
@@ -25,6 +26,7 @@ from repro.scenarios import (
     load_scenario,
     run_scenario,
 )
+from repro.workload import CampaignConfig
 
 #: The campaign every door is asked for (``ScenarioSpec`` field names).
 FIELDS = dict(
@@ -115,3 +117,22 @@ class TestOneCampaignThroughEveryDoor:
                 through_spec.report.to_json()
                 == comparison.runs[name].report.to_json()
             ), name
+
+
+class TestBytesAreConserved:
+    """Projected corridor bytes == what the always-VNS campaign carried."""
+
+    def test_projection_equals_backbone_bytes_under_always_vns(self, comparison):
+        run = comparison.runs["always_vns"]
+        results = run.results
+        projected = corridor_payload_bytes(list(results.specs), CampaignConfig())
+        steering_block = run.report.steering
+        assert steering_block["backbone_bytes_saved"] == 0
+        assert (
+            sum(projected.values())
+            == int(results.backbone_bytes.sum())
+            == steering_block["backbone_bytes"]
+        )
+        for (src, dst), planned in projected.items():
+            pair = run.report.pairs[f"{src}->{dst}"]["steering"]
+            assert pair["backbone_bytes"] == planned, (src, dst)
