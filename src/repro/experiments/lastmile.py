@@ -105,7 +105,7 @@ def run_lastmile_campaign(
         world.service, rng, per_type_per_region=hosts_per_type_per_region
     )
     campaign = LossProbeCampaign(
-        world.service, rng, packets_per_round=packets_per_round
+        world.service.path_local_exit, rng, packets_per_round=packets_per_round
     )
     rounds = rounds_every(minutes_between_rounds, days)
     observations = campaign.run(list(pop_codes), hosts, rounds)

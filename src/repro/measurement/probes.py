@@ -9,6 +9,7 @@ bucket them.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,34 +63,41 @@ class ProbeObservation:
         return self.lost > 0
 
 
+#: ``(pop_code, prefix, host location) -> path`` — which way out of the
+#: PoP a campaign probes: ``service.path_local_exit`` (forced out of VNS
+#: at the PoP, Sec. 5.2) or ``service.path_via_vns`` (across the backbone).
+PathBuilder = Callable[[str, Prefix, GeoPoint], "DataPath | None"]
+
+
 class LossProbeCampaign:
     """Runs the Sec. 5.2 campaign on a set of hosts and PoPs."""
 
     def __init__(
         self,
-        service: VideoNetworkService,
+        path_builder: PathBuilder,
         rng: np.random.Generator,
         *,
         packets_per_round: int = 100,
     ) -> None:
         if packets_per_round <= 0:
             raise ValueError("packets_per_round must be positive")
-        self.service = service
+        self.path_builder = path_builder
         self.rng = rng
         self.packets_per_round = packets_per_round
         self._path_cache: dict[tuple[str, Prefix], DataPath | None] = {}
 
-    def _path(self, pop_code: str, host: TargetHost) -> DataPath | None:
+    def path(self, pop_code: str, host: TargetHost) -> DataPath | None:
+        """The probed path from ``pop_code`` to ``host`` (built once)."""
         key = (pop_code, host.prefix)
         if key not in self._path_cache:
-            self._path_cache[key] = self.service.path_local_exit(
+            self._path_cache[key] = self.path_builder(
                 pop_code, host.prefix, host.location
             )
         return self._path_cache[key]
 
     def probe(self, pop_code: str, host: TargetHost, round_: Round) -> ProbeObservation | None:
         """One probe round; ``None`` when the PoP has no route to the host."""
-        path = self._path(pop_code, host)
+        path = self.path(pop_code, host)
         if path is None:
             return None
         result = simulate_probe_round(

@@ -4,13 +4,13 @@ The steering loop's sensor: on every round of a
 :mod:`repro.measurement.scheduler` schedule, probe a diverse host sample
 from the PoPs **both ways a call could travel** —
 
-* forced out of VNS immediately at the PoP (the Sec. 5.2
-  :class:`~repro.measurement.probes.LossProbeCampaign`, i.e. the direct
-  Internet transport), and
+* forced out of VNS immediately at the PoP (the Sec. 5.2 campaign,
+  i.e. the direct Internet transport), and
 * across the backbone circuits to the egress nearest the host and out
-  (the VNS transport, probed with the same back-to-back round shape)
+  (the VNS transport)
 
-— then fold each round's minimum RTT and loss fraction into the health
+— one :class:`~repro.measurement.probes.LossProbeCampaign` per
+transport, the same back-to-back round shape on both — then fold each round's minimum RTT and loss fraction into the health
 table under the (PoP region -> host region) corridor and the round's
 diurnal bucket.  Everything is driven by one seed; the same seed
 reproduces the same table.
@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dataplane.path import DataPath
-from repro.dataplane.transmit import simulate_probe_round
 from repro.geo.cities import region_of_point
 from repro.measurement.probes import LossProbeCampaign, TargetHost, select_hosts
 from repro.measurement.scheduler import Round, rounds_every
@@ -66,17 +64,8 @@ class SteeringTelemetry:
         self.seed = seed
         self.packets_per_round = packets_per_round
         self.stats = TelemetryStats()
-        self._vns_paths: dict[tuple[str, object], DataPath | None] = {}
 
     # ------------------------------------------------------------------ #
-
-    def _vns_path(self, pop_code: str, host: TargetHost) -> DataPath | None:
-        key = (pop_code, host.prefix)
-        if key not in self._vns_paths:
-            self._vns_paths[key] = self.service.path_via_vns(
-                pop_code, host.prefix, host.location
-            )
-        return self._vns_paths[key]
 
     def collect(
         self,
@@ -100,68 +89,53 @@ class SteeringTelemetry:
             code: REGION_CODE[region_of_point(pop_by_code(code).location)]
             for code in pop_codes
         }
-        internet = LossProbeCampaign(
-            self.service, rng, packets_per_round=self.packets_per_round
+        def probing(path_builder) -> LossProbeCampaign:
+            return LossProbeCampaign(
+                path_builder, rng, packets_per_round=self.packets_per_round
+            )
+
+        # Both campaigns draw from the one generator, Internet first.
+        campaigns = (
+            (Transport.INTERNET, probing(self.service.path_local_exit)),
+            (Transport.VNS, probing(self.service.path_via_vns)),
         )
-        rounds = rounds_every(minutes_between_rounds, days)
-        for round_ in rounds:
+        for round_ in rounds_every(minutes_between_rounds, days):
             self.stats.rounds += 1
             for pop_code in pop_codes:
+                src_region = pop_region[pop_code]
                 for host in hosts:
-                    self._probe_pair(
-                        table, internet, pop_region[pop_code], pop_code, host, round_, rng
-                    )
+                    for transport, campaign in campaigns:
+                        self._observe(
+                            table, campaign, transport, src_region, pop_code, host, round_
+                        )
         return table
 
-    def _probe_pair(
+    def _observe(
         self,
         table: PathHealthTable,
-        internet: LossProbeCampaign,
+        campaign: LossProbeCampaign,
+        transport: Transport,
         src_region: str,
         pop_code: str,
         host: TargetHost,
         round_: Round,
-        rng: np.random.Generator,
     ) -> None:
-        dst_region = REGION_CODE[host.region]
-        t_hours = round_.absolute_hours
-
-        observation = internet.probe(pop_code, host, round_)
+        """Probe one (PoP, host) pair one way and fold the round in."""
+        observation = campaign.probe(pop_code, host, round_)
         if observation is None:
-            self.stats.unroutable += 1
-        else:
-            self.stats.probes += 1
-            rtt = observation.min_rtt_ms
-            if rtt is None:
-                # Every packet lost: fall back to the path's base RTT so
-                # the (terrible) loss reading still lands in the table.
-                path = internet._path(pop_code, host)
-                rtt = path.rtt_ms() if path is not None else 0.0
-            table.observe(
-                src_region,
-                dst_region,
-                Transport.INTERNET,
-                rtt_ms=rtt,
-                loss_fraction=observation.loss_fraction,
-                t_hours=t_hours,
-            )
-
-        vns_path = self._vns_path(pop_code, host)
-        if vns_path is None:
             self.stats.unroutable += 1
             return
         self.stats.probes += 1
-        result = simulate_probe_round(
-            vns_path,
-            packets=self.packets_per_round,
-            hour_cet=round_.hour_cet,
-            rng=rng,
-        )
+        rtt = observation.min_rtt_ms
+        if rtt is None:
+            # Every packet lost: fall back to the path's base RTT so
+            # the (terrible) loss reading still lands in the table.
+            rtt = campaign.path(pop_code, host).rtt_ms()
         table.observe(
             src_region,
-            dst_region,
-            Transport.VNS,
-            rtt_ms=result.min_rtt_ms if result.min_rtt_ms is not None else vns_path.rtt_ms(),
-            loss_fraction=result.loss_fraction,
-            t_hours=t_hours,
+            REGION_CODE[host.region],
+            transport,
+            rtt_ms=rtt,
+            loss_fraction=observation.loss_fraction,
+            t_hours=round_.absolute_hours,
         )

@@ -77,7 +77,7 @@ class TestProbeObservationBoundaries:
 class TestCampaign:
     def test_probe_observation(self, small_world):
         rng = np.random.default_rng(0)
-        campaign = LossProbeCampaign(small_world.service, rng)
+        campaign = LossProbeCampaign(small_world.service.path_local_exit, rng)
         hosts = select_hosts(small_world.service, rng, per_type_per_region=1)
         obs = campaign.probe("AMS", hosts[0], Round(day=0, hour_cet=12.0))
         assert obs is not None
@@ -89,7 +89,7 @@ class TestCampaign:
 
     def test_run_counts(self, small_world):
         rng = np.random.default_rng(0)
-        campaign = LossProbeCampaign(small_world.service, rng)
+        campaign = LossProbeCampaign(small_world.service.path_local_exit, rng)
         hosts = select_hosts(small_world.service, rng, per_type_per_region=1)[:4]
         rounds = [Round(day=0, hour_cet=float(h)) for h in (0, 6, 12, 18)]
         observations = campaign.run(["AMS", "SJS"], hosts, rounds)
@@ -97,7 +97,7 @@ class TestCampaign:
 
     def test_path_cache_reused(self, small_world):
         rng = np.random.default_rng(0)
-        campaign = LossProbeCampaign(small_world.service, rng)
+        campaign = LossProbeCampaign(small_world.service.path_local_exit, rng)
         hosts = select_hosts(small_world.service, rng, per_type_per_region=1)[:1]
         campaign.probe("AMS", hosts[0], Round(day=0, hour_cet=0.0))
         campaign.probe("AMS", hosts[0], Round(day=0, hour_cet=1.0))
@@ -106,5 +106,7 @@ class TestCampaign:
     def test_invalid_packets(self, small_world):
         with pytest.raises(ValueError):
             LossProbeCampaign(
-                small_world.service, np.random.default_rng(0), packets_per_round=0
+                small_world.service.path_local_exit,
+                np.random.default_rng(0),
+                packets_per_round=0,
             )
