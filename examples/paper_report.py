@@ -97,6 +97,7 @@ def main() -> None:
 
     banner("Section 5 at scale — population campaign (sharded, 2 workers)")
     print(campaign.run(world, n_users=120, seed=7, workers=2).render())
+    world.close_pool()  # the failover suite below faults this world
 
     banner("Beyond the paper — failover under injected faults")
     print(failover.run(world).render())

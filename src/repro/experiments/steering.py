@@ -72,9 +72,8 @@ class SteeringComparison:
     def to_row(self) -> dict:
         """Flat scalar summary: each policy's steering outcomes."""
         row: dict = {"policies": len(self.runs), "budget_bytes": self.budget_bytes}
-        for name, run in self.runs.items():
-            steering = run.report.steering
-            assert steering is not None
+        for name in self.runs:
+            steering = self.report(name)
             delta = steering["qoe_delta_vs_vns"]
             row[f"{name}.offload_rate"] = steering["offload_rate"]
             row[f"{name}.detour_calls"] = steering["detour_calls"]
@@ -91,9 +90,8 @@ class SteeringComparison:
             "  policy              offload   detour   backbone saved"
             "      dQoE delay    dQoE loss"
         )
-        for name, run in self.runs.items():
-            steering = run.report.steering
-            assert steering is not None
+        for name in self.runs:
+            steering = self.report(name)
             delta = steering["qoe_delta_vs_vns"]
             lines.append(
                 f"  {name:<18}"

@@ -53,7 +53,6 @@ class MatrixCell:
     report: dict
     n_calls: int
     n_failed: int
-    sharded: bool
     elapsed_s: float
     #: Golden comparison, or ``None`` when no store was given.
     golden: ToleranceDiff | None = None
@@ -74,8 +73,12 @@ class MatrixResult:
 
     cells: list[MatrixCell] = field(default_factory=list)
     workers: int = 1
-    sharded: bool = False
     elapsed_s: float = 0.0
+
+    @property
+    def sharded(self) -> bool:
+        """Whether the cells ran on worker pools (``workers > 1``)."""
+        return self.workers > 1
 
     def cell(self, key: str) -> MatrixCell:
         for cell in self.cells:
@@ -246,37 +249,33 @@ def run_matrix(
             worlds[recipe] = build_spec_world(recipe)
         return worlds[recipe]
 
+    def _run_cell(spec: ScenarioSpec, world: World, degradations) -> MatrixCell:
+        cell_started = time.perf_counter()
+        run = compose_scenario(spec, world, degradations).run(workers=workers)
+        report = run.report.to_dict()
+        cell = MatrixCell(
+            scenario=spec.name,
+            scale=spec.world.scale,
+            seed=spec.seed,
+            report=report,
+            n_calls=run.stats.calls_resolved + run.stats.calls_failed,
+            n_failed=run.stats.calls_failed,
+            elapsed_s=time.perf_counter() - cell_started,
+        )
+        if store is not None:
+            cell.golden = store.check(
+                cell.key, report, update=update_golden, rtol=rtol, atol=atol
+            )
+        return cell
+
     cells: list[MatrixCell | None] = [None] * len(grid)
-    sharded = workers > 1
     try:
         for members in groups.values():
             world = _world_for(members[0][1])
             applied = apply_scenario_faults(world.service, members[0][1])
             try:
                 for index, spec in members:
-                    cell_started = time.perf_counter()
-                    loaded = compose_scenario(spec, world, applied.degradations)
-                    run = loaded.run(workers=workers)
-                    report = run.report.to_dict()
-                    cell = MatrixCell(
-                        scenario=spec.name,
-                        scale=spec.world.scale,
-                        seed=spec.seed,
-                        report=report,
-                        n_calls=run.stats.calls_resolved + run.stats.calls_failed,
-                        n_failed=run.stats.calls_failed,
-                        sharded=sharded,
-                        elapsed_s=time.perf_counter() - cell_started,
-                    )
-                    if store is not None:
-                        cell.golden = store.check(
-                            cell.key,
-                            report,
-                            update=update_golden,
-                            rtol=rtol,
-                            atol=atol,
-                        )
-                    cells[index] = cell
+                    cells[index] = _run_cell(spec, world, applied.degradations)
             finally:
                 applied.restore()
     finally:
@@ -286,6 +285,5 @@ def run_matrix(
     return MatrixResult(
         cells=[cell for cell in cells if cell is not None],
         workers=workers,
-        sharded=sharded,
         elapsed_s=time.perf_counter() - started,
     )
