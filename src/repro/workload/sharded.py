@@ -78,6 +78,7 @@ import numpy as np
 
 from repro import perf
 from repro.net.addressing import Prefix
+from repro.vns.frozen import is_frozen
 from repro.vns.service import VideoNetworkService
 from repro.workload.arrivals import CallSpec
 from repro.workload.engine import (
@@ -150,8 +151,7 @@ def converged_state(service: VideoNetworkService) -> int | None:
     messages, so the count moves whenever the forwarding state may have.
     A frozen service has no engine and no state to leave: ``None``.
     """
-    engine = getattr(service.network, "engine", None)
-    return None if engine is None else engine.delivered
+    return None if is_frozen(service) else service.network.engine.delivered
 
 
 def default_workers() -> int:

@@ -3,9 +3,9 @@
 A worker pool freezes the service when it starts.  The world owns the
 pool and is the one place that decides whether it is still good
 (:meth:`World.campaign_pool`); the runner refuses a pool that is not
-(:class:`StalePoolError`).  Before that rule had a home, a pooled
-``campaign.run`` on a world faulted after its first pooled run returned
-the healthy world's report, silently.
+(:class:`StalePoolError`).  The failure these guard against is silent:
+a pooled ``campaign.run`` on a world faulted after its first pooled run
+returning the healthy world's report.
 """
 
 from __future__ import annotations
