@@ -127,7 +127,7 @@ def test_bench_failover_timeline_small(benchmark, show):
     perf.enable()
     try:
         delivered = run_once(benchmark, play)
-        counters = perf.snapshot()["counters"]
+        counters = perf.snapshot().counters
     finally:
         perf.disable()
 

@@ -112,8 +112,8 @@ def test_bench_scale(scale: str, show) -> None:
         perf.disable()
 
     engine = world.service.network.engine
-    engine_run_s = snap["timers"]["bgp.engine.run"]["total_s"]
-    delivered = snap["counters"]["bgp.engine.delivered"]
+    engine_run_s = snap.timers["bgp.engine.run"]["total_s"]
+    delivered = snap.counters["bgp.engine.delivered"]
     assert delivered == engine.delivered
     engine_msgs_per_s = delivered / engine_run_s if engine_run_s else 0.0
 
@@ -137,8 +137,8 @@ def test_bench_scale(scale: str, show) -> None:
             "messages_delivered": int(delivered),
             # Deterministic decision work: `_decide` runs, and how many of
             # them left the advertised outcome unchanged (diff skipped).
-            "decisions": int(snap["counters"]["bgp.decide.calls"]),
-            "decisions_unchanged": int(snap["counters"]["bgp.decide.unchanged"]),
+            "decisions": int(snap.counters["bgp.decide.calls"]),
+            "decisions_unchanged": int(snap.counters["bgp.decide.unchanged"]),
             "run_s": round(engine_run_s, 4),
             "messages_per_s": round(engine_msgs_per_s, 1),
         },
@@ -148,7 +148,7 @@ def test_bench_scale(scale: str, show) -> None:
             "optimized_per_s": round(optimised_per_s, 1),
             "speedup": round(speedup, 2),
         },
-        "perf_counters": snap["counters"],
+        "perf_counters": snap.counters,
     }
     show(
         f"scale={scale}: build {build_s:.2f}s | engine "

@@ -100,7 +100,7 @@ def test_bench_steering(scale: str, show) -> None:
         perf.disable()
         perf.reset()
 
-    decisions = snap["counters"].get("steering.decide", 0)
+    decisions = snap.counters.get("steering.decide", 0)
     policy_rows: dict[str, dict] = {}
     for name, campaign_run in comparison.runs.items():
         block = campaign_run.report.steering

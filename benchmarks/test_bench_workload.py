@@ -173,23 +173,23 @@ def test_bench_workload(scale: str, show) -> None:
     stats = run.stats
 
     phase_s = {
-        phase: round(snap["timers"][f"workload.{phase}"]["total_s"], 4)
+        phase: round(snap.timers[f"workload.{phase}"]["total_s"], 4)
         for phase in ("resolve", "simulate", "aggregate")
     }
     # The columnar kernel's deterministic work counts and its two timers.
     kernel = {
         name.removeprefix("dataplane.kernel."): value
-        for name, value in sorted(snap["counters"].items())
+        for name, value in sorted(snap.counters.items())
         if name.startswith("dataplane.kernel.")
     }
     for part in ("prelude", "chunks"):
-        timer = snap["timers"][f"dataplane.kernel.{part}"]
+        timer = snap.timers[f"dataplane.kernel.{part}"]
         kernel[f"{part}_s"] = round(timer["total_s"], 4)
     assert kernel["cells_zero"] + kernel["cells_inverted"] == kernel["cells"]
     sequential_json = run.report.to_json()
     _reports[scale] = json.loads(sequential_json)
     _perf[scale] = snap.to_dict()
-    sequential_simulate_cpu = snap["timers"]["workload.simulate"]["cpu_s"]
+    sequential_simulate_cpu = snap.timers["workload.simulate"]["cpu_s"]
     # Best of two for the recorded wall-clock base: single runs on a
     # shared host carry +-20% scheduler noise, and the determinism
     # contract needs a rerun anyway.

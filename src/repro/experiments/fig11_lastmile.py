@@ -20,19 +20,7 @@ from repro.experiments.lastmile import (
     LastMileData,
     run_lastmile_campaign,
 )
-from repro.geo.regions import WorldRegion
-
-_REGIONS = (
-    WorldRegion.ASIA_PACIFIC,
-    WorldRegion.EUROPE,
-    WorldRegion.NORTH_CENTRAL_AMERICA,
-)
-
-_REGION_LABEL = {
-    WorldRegion.ASIA_PACIFIC: "AP",
-    WorldRegion.EUROPE: "EU",
-    WorldRegion.NORTH_CENTRAL_AMERICA: "NA",
-}
+from repro.geo.regions import LAST_MILE_STUDY_REGIONS, WorldRegion
 
 #: PoPs per probing region, in Fig. 11's x-axis order.
 POPS_BY_REGION: dict[str, tuple[str, ...]] = {
@@ -86,7 +74,7 @@ def run(
         )
     result = Fig11Result(data=data)
     for pop_code in LASTMILE_POPS:
-        for region in _REGIONS:
+        for region in LAST_MILE_STUDY_REGIONS:
             result.mean_loss[(pop_code, region)] = data.mean_loss_percent(
                 pop_code=pop_code, dest_region=region
             )
@@ -100,7 +88,8 @@ def render(result: Fig11Result) -> str:
     for region_pops in POPS_BY_REGION.values():
         for pop_code in region_pops:
             cells = "".join(
-                f"{result.loss(pop_code, region):8.3f}" for region in _REGIONS
+                f"{result.loss(pop_code, region):8.3f}"
+                for region in LAST_MILE_STUDY_REGIONS
             )
             lines.append(f"  {pop_code:<5}{cells}")
     lines.append(f"  London EU anomaly ratio: {result.london_eu_ratio():.2f}x")

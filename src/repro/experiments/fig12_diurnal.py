@@ -17,14 +17,13 @@ import numpy as np
 
 from repro.experiments.common import World
 from repro.experiments.lastmile import LastMileData, run_lastmile_campaign
-from repro.geo.regions import WorldRegion, local_hour_to_cet
-from repro.net.asn import ASType
-
-_REGIONS = (
-    WorldRegion.ASIA_PACIFIC,
-    WorldRegion.EUROPE,
-    WorldRegion.NORTH_CENTRAL_AMERICA,
+from repro.geo.regions import (
+    LAST_MILE_STUDY_REGIONS,
+    REGION_CODE,
+    WorldRegion,
+    local_hour_to_cet,
 )
+from repro.net.asn import ASType
 
 
 @dataclass(slots=True)
@@ -87,7 +86,7 @@ def run(
         )
     result = Fig12Result(vantage=vantage)
     for as_type in ASType:
-        for region in _REGIONS:
+        for region in LAST_MILE_STUDY_REGIONS:
             counts = [
                 data.loss_round_count(
                     pop_code=vantage,
@@ -105,18 +104,13 @@ def render(result: Fig12Result) -> str:
     """Fig. 12 as peak hours and swing strengths."""
     lines = [f"Fig 12 — diurnal loss from {result.vantage} (peak CET hour, swing)"]
     lines.append("  type   region  peak@CET  swing   in-local-window")
-    labels = {
-        WorldRegion.ASIA_PACIFIC: "AP",
-        WorldRegion.EUROPE: "EU",
-        WorldRegion.NORTH_CENTRAL_AMERICA: "NA",
-    }
     for as_type in ASType:
-        for region in _REGIONS:
+        for region in LAST_MILE_STUDY_REGIONS:
             peak = result.peak_hour_cet(as_type, region)
             swing = result.peak_to_trough(as_type, region)
             within = result.peak_within_local_window(as_type, region)
             lines.append(
-                f"  {as_type.value:<6} {labels[region]:<7} {peak:8d}"
+                f"  {as_type.value:<6} {REGION_CODE[region]:<7} {peak:8d}"
                 f"  {swing:5.1f}  {'yes' if within else 'no':>15}"
             )
     return "\n".join(lines)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.common import World
 from repro.experiments.lastmile import LastMileData, run_lastmile_campaign
-from repro.geo.regions import WorldRegion
+from repro.geo.regions import REGION_CODE, WorldRegion
 from repro.net.asn import ASType
 
 #: The paper's Table 1, for side-by-side reporting (percent).
@@ -40,12 +40,6 @@ PAPER_TABLE1: dict[WorldRegion, dict[ASType, float]] = {
         ASType.CAHP: 0.46,
         ASType.EC: 0.55,
     },
-}
-
-_REGION_LABEL = {
-    WorldRegion.ASIA_PACIFIC: "AP",
-    WorldRegion.EUROPE: "EU",
-    WorldRegion.NORTH_CENTRAL_AMERICA: "NA",
 }
 
 
@@ -107,5 +101,5 @@ def render(result: Table1Result) -> str:
             f"{result.loss(region, as_type):6.2f}|{paper_row[as_type]:5.2f}  "
             for as_type in (ASType.LTP, ASType.STP, ASType.CAHP, ASType.EC)
         )
-        lines.append(f"  {_REGION_LABEL[region]:<8} {cells}")
+        lines.append(f"  {REGION_CODE[region]:<8} {cells}")
     return "\n".join(lines)

@@ -38,6 +38,18 @@ class WorldRegion(enum.Enum):
         return self.value
 
 
+#: Short region codes for report keys ("AP->EU") and figure labels.
+REGION_CODE: dict[WorldRegion, str] = {
+    WorldRegion.OCEANIA: "OC",
+    WorldRegion.ASIA_PACIFIC: "AP",
+    WorldRegion.MIDDLE_EAST: "ME",
+    WorldRegion.AFRICA: "AF",
+    WorldRegion.EUROPE: "EU",
+    WorldRegion.NORTH_CENTRAL_AMERICA: "NA",
+    WorldRegion.SOUTH_AMERICA: "SA",
+}
+
+
 class PopRegion(enum.Enum):
     """The four VNS PoP regions of Sec. 4.4."""
 
@@ -98,8 +110,9 @@ def cet_to_local_hour(hour_cet: float, region: WorldRegion) -> float:
     return (hour_cet - CET_UTC_OFFSET_HOURS + offset) % 24.0
 
 
-#: World regions whose hosts the last-mile study (Sec. 5.2) probes.  The
-#: paper selects 600 hosts in NA, EU and AP.
+#: World regions whose hosts the last-mile study (Sec. 5.2) probes, in the
+#: order Fig. 11, Fig. 12 and Table 1 list them.  The paper selects 600
+#: hosts in NA, EU and AP.
 LAST_MILE_STUDY_REGIONS = (
     WorldRegion.ASIA_PACIFIC,
     WorldRegion.EUROPE,

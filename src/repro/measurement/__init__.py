@@ -9,7 +9,6 @@ figure plots.
 from repro.measurement.stats import (
     Ccdf,
     Cdf,
-    OnlineStats,
     fraction_at_most,
     fraction_exceeding,
     percentile,
@@ -30,7 +29,6 @@ from repro.measurement.probes import (
 __all__ = [
     "Cdf",
     "Ccdf",
-    "OnlineStats",
     "percentile",
     "fraction_at_most",
     "fraction_exceeding",

@@ -17,7 +17,7 @@ import numpy as np
 from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import simulate_probe_round
 from repro.geo.coords import GeoPoint
-from repro.geo.regions import WorldRegion
+from repro.geo.regions import LAST_MILE_STUDY_REGIONS, WorldRegion
 from repro.measurement.scheduler import Round
 from repro.net.addressing import Prefix
 from repro.net.asn import ASType
@@ -138,11 +138,7 @@ def select_hosts(
     *,
     seed: int | None = None,
     per_type_per_region: int = 50,
-    regions: tuple[WorldRegion, ...] = (
-        WorldRegion.ASIA_PACIFIC,
-        WorldRegion.EUROPE,
-        WorldRegion.NORTH_CENTRAL_AMERICA,
-    ),
+    regions: tuple[WorldRegion, ...] = LAST_MILE_STUDY_REGIONS,
 ) -> list[TargetHost]:
     """Select the measurement sample of Sec. 5.2.1.
 

@@ -129,68 +129,3 @@ def fraction_at_most(values: Sequence[float], threshold: float) -> float:
     data = np.asarray(values, dtype=float)
     return float((data <= threshold).mean())
 
-
-class OnlineStats:
-    """Streaming mean/min/max/count (Welford variance) accumulator."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the summary."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold many samples."""
-        for value in values:
-            self.add(value)
-
-    def merge(self, other: "OnlineStats") -> None:
-        """Fold another accumulator into this one (Chan's parallel update).
-
-        Combines two independently accumulated summaries as if every
-        sample had been fed to a single accumulator — campaign shards
-        aggregate locally and merge, without keeping raw samples.
-        """
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 when empty)."""
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 for fewer than two samples)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation."""
-        return float(np.sqrt(self.variance))

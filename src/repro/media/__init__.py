@@ -14,7 +14,7 @@ from repro.media.codec import (
     PROFILE_720P,
     VideoProfile,
 )
-from repro.media.rtp import RtpSession, RtpStreamSpec
+from repro.media.rtp import RtpStreamSpec
 from repro.media.sip import EchoServer, SipCall, SipClient, SipResponse
 from repro.media.turn import TurnRelay, TurnService
 from repro.media.client import InstrumentedClient, SessionMeasurement
@@ -25,7 +25,6 @@ __all__ = [
     "PROFILE_720P",
     "AUDIO_OPUS",
     "RtpStreamSpec",
-    "RtpSession",
     "SipClient",
     "SipCall",
     "SipResponse",

@@ -16,7 +16,7 @@ import numpy as np
 from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import StreamResult, simulate_stream
 from repro.media.codec import VideoProfile
-from repro.media.rtp import RtpSession, RtpStreamSpec, new_ssrc
+from repro.media.rtp import RtpStreamSpec, new_ssrc
 from repro.media.sip import CallState, EchoServer, SipClient
 
 
@@ -117,12 +117,6 @@ class InstrumentedClient:
             hour_cet=hour_cet,
             rng=self.rng,
         )
-        # Mirror the counts into RTP receiver accounting (the instrumented
-        # client reads its numbers off the RTP session, as real tools do).
-        session = RtpSession(spec=spec)
-        for i, lost in enumerate(outbound.slot_losses[: spec.n_slots]):
-            capacity = spec.packets_in_slot(i)
-            session.record_slot(capacity - min(int(lost), capacity))
         self.sip.bye(call, path, hour_cet=hour_cet, rng=self.rng)
         return SessionMeasurement(
             client_name=self.name,

@@ -1,13 +1,14 @@
-"""RTP session bookkeeping.
+"""RTP stream descriptions.
 
-A thin RTP layer: sequence numbering, SSRCs, and the RFC 3550 receiver
-accounting (expected vs received) that the measurement client uses to
-count loss per 5-second slot.
+A thin RTP layer: SSRCs and the 5-second loss-accounting slots (with
+their packet capacities) of the streams the measurement client sends.
+The per-slot loss counts themselves are the simulated stream's
+(:attr:`~repro.dataplane.transmit.StreamResult.slot_losses`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,69 +70,6 @@ class RtpStreamSpec:
         return self.packets_per_slot * (self.n_slots - 1) + self.packets_in_slot(
             self.n_slots - 1
         )
-
-
-@dataclass(slots=True)
-class RtpSession:
-    """Receiver-side RTP accounting for one stream."""
-
-    spec: RtpStreamSpec
-    received_per_slot: list[int] = field(default_factory=list)
-    highest_seq: int = -1
-
-    def record_slot(self, received: int) -> None:
-        """Record one slot's received-packet count.
-
-        The capacity bound is per slot: a partial final slot carries
-        fewer packets than a full one.
-
-        Raises
-        ------
-        ValueError
-            If more packets are recorded than the slot can carry, or the
-            stream already ended.
-        """
-        if len(self.received_per_slot) >= self.spec.n_slots:
-            raise ValueError("stream already complete")
-        capacity = self.spec.packets_in_slot(len(self.received_per_slot))
-        if received < 0 or received > capacity:
-            raise ValueError(f"received {received} outside [0, {capacity}]")
-        self.received_per_slot.append(received)
-        self.highest_seq += capacity
-
-    @property
-    def complete(self) -> bool:
-        return len(self.received_per_slot) == self.spec.n_slots
-
-    @property
-    def expected(self) -> int:
-        """RFC 3550 'expected' packet count so far."""
-        return sum(
-            self.spec.packets_in_slot(i) for i in range(len(self.received_per_slot))
-        )
-
-    @property
-    def received(self) -> int:
-        return sum(self.received_per_slot)
-
-    @property
-    def lost(self) -> int:
-        return self.expected - self.received
-
-    def slot_losses(self) -> np.ndarray:
-        """Lost packets per slot (the Fig. 10 instrumentation)."""
-        return np.array(
-            [
-                self.spec.packets_in_slot(i) - got
-                for i, got in enumerate(self.received_per_slot)
-            ]
-        )
-
-    @property
-    def loss_percent(self) -> float:
-        if self.expected == 0:
-            return 0.0
-        return 100.0 * self.lost / self.expected
 
 
 def new_ssrc(rng: np.random.Generator) -> int:

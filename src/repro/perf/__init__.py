@@ -17,7 +17,6 @@ from repro.perf.counters import (
     reset,
     restore,
     snapshot,
-    timed,
     timer,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "reset",
     "restore",
     "snapshot",
-    "timed",
     "timer",
 ]

@@ -14,33 +14,31 @@ test.  Enable around a region of interest, read a snapshot, and reset:
 Two probe flavours:
 
 * counters — :func:`incr` adds to a named event count;
-* timers — :func:`timer` (context manager) and :func:`timed` (decorator)
-  accumulate wall-clock *and* CPU seconds plus a call count under a name.
+* timers — :func:`timer` (a context manager) accumulates wall-clock
+  *and* CPU seconds plus a call count under a name.
 
 Names are dotted paths (``"bgp.engine.run"``); the registry is flat.
 
 The public read API is the :class:`PerfSnapshot` value type returned by
-:func:`snapshot`: an immutable view that supports :meth:`PerfSnapshot.merge`
-(fold another process's numbers in — how campaign shards reduce),
-:meth:`PerfSnapshot.diff` (what happened since a ``before`` snapshot) and
-:meth:`PerfSnapshot.to_dict` (JSON-ready).  Consumers should go through
-snapshots rather than reaching into this module's registries.
+:func:`snapshot`: an immutable view whose ``counters`` and ``timers``
+are plain dicts, with :meth:`PerfSnapshot.diff` (what happened since a
+``before`` snapshot) and :meth:`PerfSnapshot.to_dict` (JSON-ready).
+Consumers should go through snapshots rather than reaching into this
+module's registries.
 
 The module is intentionally not thread-safe: the simulation is
 single-threaded and the probes must stay cheap.  Worker processes each
-carry their own registry; their snapshots merge in the parent.
+carry their own registry; a campaign shard reads its phase timers off
+a :meth:`~PerfSnapshot.diff` where it ran and hands back only those
+(:attr:`repro.workload.sharded.ShardOutcome.phase_s`).
 """
 
 from __future__ import annotations
 
-import functools
 import time
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, TypeVar
-
-F = TypeVar("F", bound=Callable[..., Any])
 
 #: Global on/off switch.  Read directly by hot paths (`perf.enabled`);
 #: mutate only via :func:`enable` / :func:`disable`.
@@ -118,30 +116,6 @@ def timer(name: str) -> Iterator[None]:
         )
 
 
-def timed(name: str) -> Callable[[F], F]:
-    """Decorator form of :func:`timer` for whole functions."""
-
-    def decorate(fn: F) -> F:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not enabled:
-                return fn(*args, **kwargs)
-            start = time.perf_counter()
-            start_cpu = time.process_time()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                add_time(
-                    name,
-                    time.perf_counter() - start,
-                    cpu_seconds=time.process_time() - start_cpu,
-                )
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
-
-
 def counter(name: str) -> int:
     """Current value of one counter (0 if never incremented)."""
     return _counts.get(name, 0)
@@ -153,63 +127,12 @@ class PerfSnapshot:
 
     ``counters`` maps names to event counts; ``timers`` maps names to
     ``{"calls", "total_s", "cpu_s"}`` dicts.  Snapshots are values:
-    :meth:`merge` and :meth:`diff` return new snapshots and never touch
-    the live registry.  For backwards compatibility with the original
-    dict-shaped API, ``snap["counters"]`` / ``snap["timers"]`` also work.
+    :meth:`diff` returns a new snapshot and never touches the live
+    registry.
     """
 
     counters: dict[str, int] = field(default_factory=dict)
     timers: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    @classmethod
-    def of_counters(cls, counters: Mapping[str, int]) -> "PerfSnapshot":
-        """A counters-only snapshot (e.g. engine or geo-RR stats)."""
-        return cls(counters={k: int(v) for k, v in counters.items()}, timers={})
-
-    @classmethod
-    def of_timers(
-        cls, timers: Mapping[str, float], *, calls: int = 1, cpu: bool = True
-    ) -> "PerfSnapshot":
-        """A timers-only snapshot from plain ``name -> seconds`` figures.
-
-        The campaign pool uses this to fold externally measured overheads
-        (world shipping, warmup, queue wait) into the merged shard
-        snapshot as regular timer rows.  Each row gets ``calls`` calls;
-        ``cpu=True`` mirrors the wall column into the CPU column (exact
-        for single-threaded regions), ``cpu=False`` books zero CPU —
-        right for waiting time such as queue latency.
-        """
-        return cls(
-            counters={},
-            timers={
-                name: {
-                    "calls": calls,
-                    "total_s": float(seconds),
-                    "cpu_s": float(seconds) if cpu else 0.0,
-                }
-                for name, seconds in timers.items()
-            },
-        )
-
-    def merge(self, other: "PerfSnapshot") -> "PerfSnapshot":
-        """This snapshot plus ``other`` (counters and timers summed).
-
-        The shard-reduce operation: each worker snapshots its own
-        registry, the parent folds them together.
-        """
-        counters = dict(self.counters)
-        for name, count in other.counters.items():
-            counters[name] = counters.get(name, 0) + count
-        timers = {name: dict(entry) for name, entry in self.timers.items()}
-        for name, entry in other.timers.items():
-            mine = timers.get(name)
-            if mine is None:
-                timers[name] = dict(entry)
-            else:
-                mine["calls"] += entry["calls"]
-                mine["total_s"] += entry["total_s"]
-                mine["cpu_s"] += entry["cpu_s"]
-        return PerfSnapshot(counters=counters, timers=timers)
 
     def diff(self, before: "PerfSnapshot") -> "PerfSnapshot":
         """What happened since ``before`` (never negative; empty rows drop)."""
@@ -231,26 +154,12 @@ class PerfSnapshot:
             }
         return PerfSnapshot(counters=counters, timers=timers)
 
-    def timer_s(self, name: str, *, cpu: bool = False) -> float:
-        """Total seconds accumulated under one timer (0.0 if absent)."""
-        entry = self.timers.get(name)
-        if entry is None:
-            return 0.0
-        return entry["cpu_s"] if cpu else entry["total_s"]
-
     def to_dict(self) -> dict:
         """JSON-ready copy: ``{"counters": ..., "timers": ...}``."""
         return {
             "counters": dict(self.counters),
             "timers": {name: dict(entry) for name, entry in self.timers.items()},
         }
-
-    def __getitem__(self, key: str):
-        if key == "counters":
-            return self.counters
-        if key == "timers":
-            return self.timers
-        raise KeyError(key)
 
 
 _ZERO_TIMER = {"calls": 0, "total_s": 0.0, "cpu_s": 0.0}

@@ -114,18 +114,6 @@ class GeoRouteReflector(RouteReflector):
         self._lp_memo: OrderedDict[tuple[str, object], int] = OrderedDict()
         self._memo_version = geoip.version
 
-    def stats_snapshot(self) -> perf.PerfSnapshot:
-        """This reflector's :attr:`stats` as a mergeable perf snapshot.
-
-        Counters are namespaced ``geo.rr.<router_id>.<stat>`` so snapshots
-        from several reflectors (or shard processes) merge without
-        colliding; :meth:`~repro.perf.counters.PerfSnapshot.merge` is the
-        aggregation path the management tooling and campaign shards use.
-        """
-        return perf.PerfSnapshot.of_counters(
-            {f"geo.rr.{self.router_id}.{key}": value for key, value in self.stats.items()}
-        )
-
     def invalidate_geo_cache(self) -> None:
         """Drop all memoized LOCAL_PREFs and re-read egress locations.
 

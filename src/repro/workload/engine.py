@@ -56,7 +56,6 @@ from repro import perf
 from repro.dataplane.columnar import StreamColumns, StreamColumnSpec, simulate_columns
 from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import StreamResult
-from repro.media.turn import TurnService
 from repro.net.addressing import Prefix
 from repro.vns.network import EgressDecision
 from repro.vns.service import VideoNetworkService, detour_candidates
@@ -368,27 +367,6 @@ class CampaignStats:
         self.largest_batch = max(self.largest_batch, other.largest_batch)
         self.turn_allocations += other.turn_allocations
         self.elapsed_s += other.elapsed_s
-
-    def to_snapshot(self) -> perf.PerfSnapshot:
-        """The integer counts as a mergeable ``workload.stats.*`` snapshot.
-
-        Routes engine accounting through the same
-        :class:`~repro.perf.counters.PerfSnapshot` merge path shard
-        reducers use for timers, so one aggregation mechanism covers
-        both.
-        """
-        return perf.PerfSnapshot.of_counters(
-            {
-                "workload.stats.calls_total": self.calls_total,
-                "workload.stats.calls_failed": self.calls_failed,
-                "workload.stats.onward_hits": self.onward_hits,
-                "workload.stats.onward_misses": self.onward_misses,
-                "workload.stats.internet_hits": self.internet_hits,
-                "workload.stats.internet_misses": self.internet_misses,
-                "workload.stats.batches": self.batches,
-                "workload.stats.turn_allocations": self.turn_allocations,
-            }
-        )
 
 
 @dataclass(slots=True)
@@ -734,7 +712,6 @@ class CampaignEngine:
         self.config = config if config is not None else CampaignConfig()
         self.steering = steering
         self.path_model = path_model
-        self.turn = TurnService(service)
         # Transformed-path memo for ``path_model``; keyed by the cached
         # path object (pinned by the resolver's caches for this engine's
         # lifetime), so each distinct path is transformed once per run.
@@ -942,13 +919,10 @@ class CampaignEngine:
                     perf.incr("workload.calls.failed")
                     continue
                 if spec.multiparty:
-                    # Multiparty legs relay via the TURN service at the
-                    # caller's (already resolved) anycast entry PoP.
-                    allocation = self.turn.relays[pair.entry_pop].allocate(
-                        f"user-{spec.caller.user_id}"
-                    )
-                    if allocation is not None:
-                        stats.turn_allocations += 1
+                    # Multiparty legs relay via the TURN server at the
+                    # caller's anycast entry PoP; campaign relays are open
+                    # (no credential set), so every leg is one allocation.
+                    stats.turn_allocations += 1
                 if steering is not None:
                     decisions.append(
                         steering.decide_for_regions(

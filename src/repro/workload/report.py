@@ -24,22 +24,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.geo.regions import WorldRegion
+from repro.geo.regions import REGION_CODE
 from repro.measurement.stats import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.workload.engine import CallResult, CallResults
-
-#: Short region codes for report keys ("AP->EU").
-REGION_CODE: dict[WorldRegion, str] = {
-    WorldRegion.OCEANIA: "OC",
-    WorldRegion.ASIA_PACIFIC: "AP",
-    WorldRegion.MIDDLE_EAST: "ME",
-    WorldRegion.AFRICA: "AF",
-    WorldRegion.EUROPE: "EU",
-    WorldRegion.NORTH_CENTRAL_AMERICA: "NA",
-    WorldRegion.SOUTH_AMERICA: "SA",
-}
 
 
 @dataclass(slots=True)

@@ -26,9 +26,8 @@ data-parallel training loop:
    Without a pool: the same slices run in this process, one shard by
    default — the sequential campaign *is* the one-shard run.
 3. **Reduce** by merging the shards'
-   :class:`~repro.workload.report.CampaignAggregator`\\ s,
-   :class:`~repro.workload.engine.CampaignStats` and
-   :class:`~repro.perf.counters.PerfSnapshot`\\ s into one
+   :class:`~repro.workload.report.CampaignAggregator`\\ s and
+   :class:`~repro.workload.engine.CampaignStats` into one
    :class:`ShardedCampaignRun`.
 
 **Determinism contract.**  Simulation draws are keyed by ``(campaign
@@ -47,12 +46,15 @@ exhausts its retries there.  Shard faults can be injected via
 (``ShardPlan.checkpoint_dir``) and resume, skipping finished work while
 reproducing the identical merged report.
 
-**Overhead attribution.**  Each :class:`ShardOutcome` carries, next to
-the engine phases, the fan-out's own costs as separate columns:
+**Where the costs are recorded.**  Once: each :class:`ShardOutcome`'s
+``phase_s`` carries the engine phases (:data:`PHASES`) and, as separate
+columns, the fan-out's own costs (:data:`OVERHEAD_COLUMNS`):
 ``warmup_s`` (cache pre-warming), ``world_ship_s`` (world unpickle in
 the worker) and ``queue_wait_s`` (time the shard sat in the work
-queue).  The ``workload`` bench row reports these instead of letting
-them hide inside the simulate phase.
+queue).  The pool's own costs — spawn, world dump and size, warmed
+pairs — are its :class:`PoolStats`.  The ``workload`` bench row and
+``bench_e2e`` read these two records instead of letting the overheads
+hide inside the simulate phase.
 """
 
 from __future__ import annotations
@@ -272,15 +274,14 @@ class ShardOutcome:
     attempts: int
     in_process: bool
     elapsed_s: float
-    #: ``phase -> {"total_s": wall, "cpu_s": cpu}`` from the worker's
-    #: perf timers (CPU seconds are what speedup is judged on: they are
-    #: immune to core contention on oversubscribed hosts).  Beside the
-    #: engine phases this carries the fan-out's own overheads
-    #: (:data:`OVERHEAD_COLUMNS`): ``warmup_s`` / ``world_ship_s``
-    #: appear once per worker (on its first completed shard),
-    #: ``queue_wait_s`` on every pooled shard.
+    #: ``phase -> {"total_s": wall, "cpu_s": cpu}`` for every one of
+    #: :data:`PHASES`, from the shard's perf timers (CPU seconds are what
+    #: speedup is judged on: they are immune to core contention on
+    #: oversubscribed hosts).  Beside the engine phases this carries the
+    #: fan-out's own overheads (:data:`OVERHEAD_COLUMNS`): ``warmup_s`` /
+    #: ``world_ship_s`` appear once per worker (on its first completed
+    #: shard), ``queue_wait_s`` on every pooled shard.
     phase_s: dict[str, dict[str, float]]
-    stats: CampaignStats
     failures: list[str] = field(default_factory=list)
     #: Restored from a checkpoint instead of executed this run.
     resumed: bool = False
@@ -292,10 +293,9 @@ class _ShardResult:
 
     index: int
     run: CampaignRun
-    perf: perf.PerfSnapshot
+    #: :attr:`ShardOutcome.phase_s`, filled where it is measured.
+    phase_s: dict[str, dict[str, float]]
     elapsed_s: float
-    #: Fan-out overheads measured worker-side (column -> wall seconds).
-    overhead: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -320,15 +320,11 @@ class ShardedCampaignRun(CampaignRun):
     """A :class:`CampaignRun` plus the shard fan-out's observability.
 
     ``stats.elapsed_s`` is the reducer's wall clock; per-shard busy time
-    lives in each :class:`ShardOutcome`.  ``perf_snapshot`` merges every
-    shard's timers/counters (including the engines'
-    ``workload.stats.*`` counts routed through
-    :meth:`CampaignStats.to_snapshot`) plus the fan-out's overhead rows
-    (``workload.pool.*``).
+    and the fan-out's overheads live in each :class:`ShardOutcome`'s
+    ``phase_s``, the pool's own costs in ``pool_stats``.
     """
 
     shards: list[ShardOutcome] = field(default_factory=list)
-    perf_snapshot: perf.PerfSnapshot = field(default_factory=perf.PerfSnapshot)
     pool_stats: PoolStats | None = None
 
     def simulate_critical_path_s(self, *, cpu: bool = True) -> float:
@@ -528,28 +524,26 @@ def _init_worker(
     _WORKER_INIT = {"world_ship_s": ship_s, "warmup_s": warm_s, "reported": False}
 
 
-def _warm_worker(pairs: list[tuple[Prefix, Prefix]]) -> float:
-    """Warm this worker's persistent caches; returns wall seconds spent.
+def _warm_worker(pairs: list[tuple[Prefix, Prefix]]) -> None:
+    """Warm this worker's persistent caches.
 
     Best-effort: the pool cannot target a specific worker, so duplicate
     deliveries land on already-warm caches and cost nearly nothing.
     """
     if _WORKER_RESOLVER is None:
         raise RuntimeError("warm task reached a worker with no installed world")
-    started = time.perf_counter()
     _WORKER_RESOLVER.warm_pairs(pairs)
-    return time.perf_counter() - started
 
 
 def _execute_shard(resolver: PathResolver, task: ShardTask) -> _ShardResult:
     """Run one shard over ``resolver``'s service (in a worker or in-process).
 
-    Captures the engine's perf timers as a delta against the process's
-    registry and leaves the registry exactly as found when perf was off
-    (:func:`repro.perf.counters.restore`), so in-process shards do not
-    leak timings into a caller that never enabled instrumentation.
-    The engine resolves through ``resolver``, whose caches outlive it
-    and so stay warm for the next shard.
+    Reads the engine's :data:`PHASES` timers off a delta against the
+    process's registry and leaves the registry exactly as found when
+    perf was off (:func:`repro.perf.counters.restore`), so in-process
+    shards do not leak timings into a caller that never enabled
+    instrumentation.  The engine resolves through ``resolver``, whose
+    caches outlive it and so stay warm for the next shard.
     """
     if task.attempt < task.fail_attempts:
         raise RuntimeError(
@@ -573,13 +567,17 @@ def _execute_shard(resolver: PathResolver, task: ShardTask) -> _ShardResult:
         if not was_enabled:
             perf.restore(before)
             perf.disable()
-    shard_perf = after.diff(before).merge(run.stats.to_snapshot())
+    timers = after.diff(before).timers
+    phase_s = {}
+    for phase in PHASES:
+        entry = timers[f"workload.{phase}"]  # the engine times every phase
+        phase_s[phase] = {"total_s": entry["total_s"], "cpu_s": entry["cpu_s"]}
     if not task.keep_results:
         run.results = []  # dropped here, before the result is pickled
     return _ShardResult(
         index=task.index,
         run=run,
-        perf=shard_perf,
+        phase_s=phase_s,
         elapsed_s=time.perf_counter() - started,
     )
 
@@ -589,14 +587,14 @@ def _run_shard_worker(task: ShardTask) -> _ShardResult:
         raise RuntimeError("shard worker used before _init_worker installed a world")
     picked_up = time.time()
     result = _execute_shard(_WORKER_RESOLVER, task)
-    overhead: dict[str, float] = {}
-    if task.submitted_at is not None:
-        overhead["queue_wait_s"] = max(0.0, picked_up - task.submitted_at)
+    # The OVERHEAD_COLUMNS: wall clock spent installing or waiting, no CPU.
     if not _WORKER_INIT.get("reported", True):
         _WORKER_INIT["reported"] = True
-        overhead["world_ship_s"] = float(_WORKER_INIT["world_ship_s"])
-        overhead["warmup_s"] = float(_WORKER_INIT["warmup_s"])
-    result.overhead = overhead
+        for column in ("warmup_s", "world_ship_s"):
+            result.phase_s[column] = {"total_s": _WORKER_INIT[column], "cpu_s": 0.0}
+    if task.submitted_at is not None:
+        queue_wait_s = max(0.0, picked_up - task.submitted_at)
+        result.phase_s["queue_wait_s"] = {"total_s": queue_wait_s, "cpu_s": 0.0}
     return result
 
 
@@ -708,8 +706,8 @@ class CampaignWorkerPool:
 
     def warm(
         self, pairs: list[tuple[Prefix, Prefix]], *, digest: str | None = None
-    ) -> float:
-        """Best-effort cache warmup across workers; returns wall seconds.
+    ) -> None:
+        """Best-effort cache warmup across workers.
 
         A fresh pool folds ``pairs`` into the worker init payload (zero
         extra IPC).  A running pool broadcasts one warm task per worker
@@ -719,16 +717,15 @@ class CampaignWorkerPool:
         when the caller has already rendered them (the runner has).
         """
         if not pairs:
-            return 0.0
+            return
         if digest is None:
             digest = _warm_digest(pairs)
         if digest in self._warm_digests:
-            return 0.0
+            return
         if self._executor is None:
             self.start(warm_pairs=pairs)
             self._warm_digests.add(digest)
-            return 0.0
-        started = time.perf_counter()
+            return
         futures = [
             self._executor.submit(_warm_worker, list(pairs))
             for _ in range(self.workers)
@@ -740,7 +737,6 @@ class CampaignWorkerPool:
                 break
         self._warm_digests.add(digest)
         self.stats.warmed_pairs = max(self.stats.warmed_pairs, len(pairs))
-        return time.perf_counter() - started
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the workers; the pool cannot be restarted afterwards."""
@@ -764,7 +760,7 @@ class CampaignWorkerPool:
 #: How a checkpointed shard result is laid out (result columns, not
 #: per-call objects).  Part of the campaign fingerprint, so a file
 #: written under another layout is never found, let alone unpickled.
-CHECKPOINT_LAYOUT = "result-columns-1"
+CHECKPOINT_LAYOUT = "result-columns-2"
 
 
 def campaign_fingerprint(
@@ -903,7 +899,6 @@ class ShardedCampaignRunner:
         #: stay warm across every run of this runner.
         self._resolver = PathResolver(service)
         self._checkpoints: ShardCheckpointStore | None = None
-        self._run_overhead: dict[str, float] = {}
         self._pool_stats: PoolStats | None = None
 
     # ------------------------------------------------------------------ #
@@ -919,7 +914,6 @@ class ShardedCampaignRunner:
             change (its workers would simulate the earlier world).
         """
         started = time.perf_counter()
-        self._run_overhead = {}
         self._pool_stats = None
         pool = self.pool
         if pool is not None and not pool.serves(self._resolver.service):
@@ -1038,19 +1032,13 @@ class ShardedCampaignRunner:
         # digest).  Slices are never empty, so neither is it: ``warm``
         # starts a fresh pool with it.  Warmth never changes a report —
         # only when resolution work happens.
-        freshly_started = not pool.started
         try:
-            warm_wall = pool.warm(manifest, digest=digest)
-            if warm_wall > 0.0:
-                self._run_overhead["workload.pool.rewarm"] = warm_wall
+            pool.warm(manifest, digest=digest)
         except Exception:  # noqa: BLE001 - pool genuinely unavailable
             return [
                 self._checkpointed(self._run_task_inprocess(task)) for task in tasks
             ]
         pool.stats.runs += 1
-        if freshly_started:
-            self._run_overhead["workload.pool.setup"] = pool.stats.setup_s
-            self._run_overhead["workload.pool.world_dump"] = pool.stats.world_dump_s
         self._pool_stats = pool.stats
         return self._stream(pool, tasks)
 
@@ -1159,26 +1147,13 @@ class ShardedCampaignRunner:
     def _outcome(
         self, result: _ShardResult, task: ShardTask, *, attempts: int, in_process: bool
     ) -> ShardOutcome:
-        phase_s = {}
-        for phase in PHASES:
-            entry = result.perf.timers.get(f"workload.{phase}")
-            if entry is not None:
-                phase_s[phase] = {
-                    "total_s": entry["total_s"],
-                    "cpu_s": entry["cpu_s"],
-                }
-        for column in OVERHEAD_COLUMNS:
-            seconds = result.overhead.get(column)
-            if seconds is not None:
-                phase_s[column] = {"total_s": seconds, "cpu_s": 0.0}
         return ShardOutcome(
             index=result.index,
             n_calls=len(task.calls),
             attempts=attempts,
             in_process=in_process,
             elapsed_s=result.elapsed_s,
-            phase_s=phase_s,
-            stats=result.run.stats,
+            phase_s=result.phase_s,
         )
 
     def _reduce(
@@ -1187,13 +1162,11 @@ class ShardedCampaignRunner:
         executed.sort(key=lambda pair: pair[0].index)
         aggregator = CampaignAggregator()
         stats = CampaignStats()
-        merged_perf = perf.PerfSnapshot()
         kept = []
         outcomes = []
         for result, outcome in executed:
             aggregator.merge(result.run.aggregator)
             stats.merge(result.run.stats)
-            merged_perf = merged_perf.merge(result.perf)
             if len(result.run.results):
                 kept.append(result.run.results)
             outcomes.append(outcome)
@@ -1207,22 +1180,6 @@ class ShardedCampaignRunner:
                 (spec.call_id for spec in results.specs), np.int64, len(results)
             )
             results = results.take(np.argsort(call_ids, kind="stable"))
-        overhead_rows = dict(self._run_overhead)
-        for column, row in (
-            ("warmup_s", "workload.pool.warmup"),
-            ("world_ship_s", "workload.pool.world_ship"),
-            ("queue_wait_s", "workload.pool.queue_wait"),
-        ):
-            total = sum(
-                outcome.phase_s.get(column, {}).get("total_s", 0.0)
-                for outcome in outcomes
-            )
-            if total > 0.0:
-                overhead_rows[row] = total
-        if overhead_rows:
-            merged_perf = merged_perf.merge(
-                perf.PerfSnapshot.of_timers(overhead_rows, cpu=False)
-            )
         return ShardedCampaignRun(
             results=results,
             stats=stats,
@@ -1230,6 +1187,5 @@ class ShardedCampaignRunner:
             seed=self.config.seed,
             steering_policy=None if self.steering is None else self.steering.policy.name,
             shards=outcomes,
-            perf_snapshot=merged_perf,
             pool_stats=self._pool_stats,
         )

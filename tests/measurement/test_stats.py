@@ -5,7 +5,6 @@ import pytest
 from repro.measurement.stats import (
     Ccdf,
     Cdf,
-    OnlineStats,
     fraction_at_most,
     fraction_exceeding,
     percentile,
@@ -117,71 +116,3 @@ class TestPercentile:
         with pytest.raises(ValueError):
             percentile([1], 101)
 
-
-class TestOnlineStats:
-    def test_moments(self):
-        stats = OnlineStats()
-        data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        stats.extend(data)
-        assert stats.count == 8
-        assert stats.mean == pytest.approx(5.0)
-        assert stats.stddev == pytest.approx(2.138, rel=0.01)
-        assert stats.min == 2.0
-        assert stats.max == 9.0
-
-    def test_empty(self):
-        stats = OnlineStats()
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-
-    def test_single_sample(self):
-        stats = OnlineStats()
-        stats.add(3.0)
-        assert stats.mean == 3.0
-        assert stats.variance == 0.0
-
-
-class TestOnlineStatsMerge:
-    def _reference(self, data):
-        whole = OnlineStats()
-        whole.extend(data)
-        return whole
-
-    def test_merge_matches_unsharded(self):
-        import numpy as np
-
-        rng = np.random.default_rng(5)
-        data = rng.lognormal(0.0, 1.3, size=1000).tolist()
-        whole = self._reference(data)
-        merged = OnlineStats()
-        for lo in range(0, len(data), 137):  # deliberately uneven shards
-            shard = OnlineStats()
-            shard.extend(data[lo : lo + 137])
-            merged.merge(shard)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-9)
-        assert merged.min == whole.min
-        assert merged.max == whole.max
-
-    def test_merge_empty_is_noop(self):
-        stats = self._reference([1.0, 2.0, 3.0])
-        before = (stats.count, stats.mean, stats.variance, stats.min, stats.max)
-        stats.merge(OnlineStats())
-        assert (stats.count, stats.mean, stats.variance, stats.min, stats.max) == before
-
-    def test_merge_into_empty_copies(self):
-        shard = self._reference([4.0, 6.0, 8.0])
-        stats = OnlineStats()
-        stats.merge(shard)
-        assert stats.count == 3
-        assert stats.mean == pytest.approx(6.0)
-        assert stats.variance == pytest.approx(4.0)
-        assert (stats.min, stats.max) == (4.0, 8.0)
-
-    def test_merge_two_singletons(self):
-        a = self._reference([1.0])
-        b = self._reference([3.0])
-        a.merge(b)
-        assert a.mean == pytest.approx(2.0)
-        assert a.variance == pytest.approx(2.0)  # unbiased: ((1-2)^2+(3-2)^2)/1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.media.codec import PROFILE_1080P
-from repro.media.rtp import RtpSession, RtpStreamSpec, new_ssrc
+from repro.media.rtp import RtpStreamSpec, new_ssrc
 
 
 @pytest.fixture
@@ -53,55 +53,6 @@ class TestSpec:
             spec.slot_duration_s(3)
         with pytest.raises(IndexError):
             spec.slot_duration_s(-1)
-
-
-class TestSession:
-    def test_accounting(self, spec):
-        session = RtpSession(spec=spec)
-        per_slot = spec.packets_per_slot
-        session.record_slot(per_slot)  # clean slot
-        session.record_slot(per_slot - 10)  # lossy slot
-        assert session.expected == 2 * per_slot
-        assert session.lost == 10
-        assert session.slot_losses().tolist() == [0, 10]
-        assert not session.complete
-
-    def test_loss_percent(self, spec):
-        session = RtpSession(spec=spec)
-        session.record_slot(spec.packets_per_slot // 2)
-        assert session.loss_percent == pytest.approx(50.0, abs=0.1)
-
-    def test_complete_after_all_slots(self, spec):
-        session = RtpSession(spec=spec)
-        for _ in range(spec.n_slots):
-            session.record_slot(spec.packets_per_slot)
-        assert session.complete
-        with pytest.raises(ValueError):
-            session.record_slot(spec.packets_per_slot)
-
-    def test_invalid_received_count(self, spec):
-        session = RtpSession(spec=spec)
-        with pytest.raises(ValueError):
-            session.record_slot(-1)
-        with pytest.raises(ValueError):
-            session.record_slot(spec.packets_per_slot + 1)
-
-    def test_empty_session_loss(self, spec):
-        assert RtpSession(spec=spec).loss_percent == 0.0
-
-    def test_partial_final_slot_accounting(self):
-        spec = RtpStreamSpec(ssrc=1, profile=PROFILE_1080P, duration_s=12.0)
-        session = RtpSession(spec=spec)
-        session.record_slot(spec.packets_in_slot(0))
-        session.record_slot(spec.packets_in_slot(1))
-        final_capacity = spec.packets_in_slot(2)
-        with pytest.raises(ValueError):
-            session.record_slot(final_capacity + 1)  # over partial capacity
-        session.record_slot(final_capacity - 3)
-        assert session.complete
-        assert session.expected == spec.total_packets
-        assert session.lost == 3
-        assert session.slot_losses().tolist() == [0, 0, 3]
 
 
 class TestSsrc:

@@ -25,6 +25,17 @@ from repro.workload import (
     group_key,
     partition_calls,
 )
+from repro.workload.sharded import PHASES
+
+
+def every_shard_has_every_phase(run) -> bool:
+    """The run's one cost record is complete: each outcome's ``phase_s``
+    carries wall and CPU seconds for every engine phase."""
+    return all(
+        set(outcome.phase_s[phase]) == {"total_s", "cpu_s"}
+        for outcome in run.shards
+        for phase in PHASES
+    )
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +223,6 @@ class TestInProcessEquivalence:
         assert perf.snapshot().timers == {}
         # ... yet the run still captured its own phase timings.
         assert run.shards[0].phase_s["simulate"]["total_s"] > 0.0
-        assert run.perf_snapshot.timers
 
 
 class TestRetryAndFallback:
@@ -294,7 +304,7 @@ class TestSpawnPool:
         assert 1 <= len(shipped) <= 2
         assert all("warmup_s" in o.phase_s for o in shipped)
         assert run.overhead_s("world_ship_s") > 0.0
-        assert "workload.pool.queue_wait" in run.perf_snapshot.timers
+        assert every_shard_has_every_phase(run)
         assert run.pool_stats is not None
         assert run.pool_stats.world_bytes > 0
 
@@ -375,17 +385,22 @@ class TestCheckpointResume:
         first = run_once()
         assert first.report.to_json() == sequential_json
         assert not any(outcome.resumed for outcome in first.shards)
+        assert every_shard_has_every_phase(first)
         saved = sorted(tmp_path.glob("shard-*.pkl"))
         assert len(saved) == 3
         # Rerun: every shard restores from its checkpoint.
         resumed = run_once()
         assert all(outcome.resumed for outcome in resumed.shards)
         assert resumed.report.to_json() == sequential_json
+        # A restored shard carries the costs it was recorded with.
+        assert every_shard_has_every_phase(resumed)
+        assert [o.phase_s for o in resumed.shards] == [o.phase_s for o in first.shards]
         # Partial resume: drop one shard's file, only it re-executes.
         saved[1].unlink()
         partial = run_once()
         assert sum(not outcome.resumed for outcome in partial.shards) == 1
         assert partial.report.to_json() == sequential_json
+        assert every_shard_has_every_phase(partial)
 
     def test_different_campaign_ignores_checkpoints(
         self, small_world, campaign_inputs, tmp_path
@@ -562,6 +577,7 @@ class TestOneExecutionPath:
         assert run.report.to_json() == bare_json
         assert len(run.shards) == k
         assert all(o.in_process and o.attempts == 1 for o in run.shards)
+        assert every_shard_has_every_phase(run)
 
     def test_default_plan_is_one_inprocess_shard(
         self, small_world, campaign_inputs, sequential_json
@@ -575,3 +591,4 @@ class TestOneExecutionPath:
         assert outcome.in_process and outcome.attempts == 1
         assert outcome.n_calls == len(calls)
         assert run.pool_stats is None
+        assert every_shard_has_every_phase(run)
