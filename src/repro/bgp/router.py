@@ -120,10 +120,6 @@ class BgpRouter:
         """
         return self.sessions[peer_id]
 
-    def set_igp_metric_fn(self, fn: Callable[[str], float]) -> None:
-        """Install the IGP metric callback (e.g. after SPF is computed)."""
-        self._ctx.igp_metric = fn
-
     def fail_session(
         self, peer_id: str
     ) -> tuple[dict[Prefix, Route], list[Message]]:

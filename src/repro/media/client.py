@@ -36,10 +36,6 @@ class SessionMeasurement:
         return self.outbound.loss_percent
 
     @property
-    def loss_percent_in(self) -> float:
-        return self.inbound.loss_percent
-
-    @property
     def lossy_slots_out(self) -> int:
         return self.outbound.lossy_slots
 

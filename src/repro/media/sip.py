@@ -19,15 +19,6 @@ from repro.dataplane.path import DataPath
 from repro.media.codec import VideoProfile
 
 
-class SipMethod(enum.Enum):
-    INVITE = "INVITE"
-    ACK = "ACK"
-    BYE = "BYE"
-
-    def __str__(self) -> str:
-        return self.value
-
-
 class SipResponse(enum.IntEnum):
     """The response classes the simulation distinguishes."""
 

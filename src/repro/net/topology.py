@@ -140,10 +140,6 @@ class InternetTopology:
         """Every originated prefix."""
         return list(self.origin_of)
 
-    def prefixes_of(self, asn: int) -> list[Prefix]:
-        """Prefixes originated by one AS."""
-        return list(self.ases[asn].prefixes)
-
     def origin_as(self, prefix: Prefix) -> AutonomousSystem:
         """The AS originating ``prefix``.
 

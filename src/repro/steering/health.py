@@ -116,10 +116,6 @@ class PathHealthTable:
         """The diurnal bucket index of an hour-of-day stamp."""
         return int((hour_cet % 24.0) // self.bucket_hours)
 
-    @property
-    def n_buckets(self) -> int:
-        return int(24.0 / self.bucket_hours)
-
     def observe(
         self,
         src_region: str,

@@ -70,12 +70,6 @@ class ManagementInterface(ManagementHook):
     # queries
     # ----------------------------------------------------------------- #
 
-    def forced_exit_of(self, prefix: Prefix) -> str | None:
-        return self._forced_exit.get(prefix)
-
-    def is_exempt(self, prefix: Prefix) -> bool:
-        return prefix in self._geo_exempt
-
     def static_more_specifics(self) -> dict[Prefix, str]:
         """All registered more-specifics (prefix → PoP code)."""
         return dict(self._static_more_specifics)

@@ -55,10 +55,6 @@ class EgressDecision:
     as_path: tuple[int, ...]
     local_pref: int
 
-    @property
-    def exits_locally(self) -> bool:
-        return self.entry_pop == self.egress_pop
-
 
 @dataclass(slots=True)
 class IgpMetricFromRouter:
@@ -462,16 +458,6 @@ class VnsNetwork:
             for router_id, router in self.border_routers.items()
             if self.pop_of_router[router_id] == pop_code
         ]
-
-    def pop_spf(self, pop_code: str) -> ShortestPaths:
-        """SPF over the PoP-level L2 topology from ``pop_code``.
-
-        Raises
-        ------
-        KeyError
-            For an unknown PoP code.
-        """
-        return self._pop_spf[pop_code]
 
     def pop_l2_path(self, src_pop: str, dst_pop: str) -> list[str]:
         """The PoP sequence traffic takes inside VNS (IGP shortest path).

@@ -116,11 +116,6 @@ def pops_in_region(region: PopRegion) -> tuple[PoP, ...]:
     return tuple(pop for pop in POPS if pop.region is region)
 
 
-def pop_distance_km(pop: PoP, location: GeoPoint) -> float:
-    """Great-circle distance from a production PoP, using cached trig."""
-    return great_circle_km_fast(_POP_TRIG[pop.code], location)
-
-
 def nearest_pop(location: GeoPoint, among: Iterable[PoP] | None = None) -> PoP:
     """The PoP geographically nearest to ``location``.
 

@@ -20,7 +20,7 @@ from repro.dataplane.path import DataPath, internet_path
 from repro.geo.coords import GeoPoint
 from repro.geo.errors import GeoIPErrorModel, apply_error_models
 from repro.geo.geoip import GeoIPDatabase
-from repro.net.addressing import IPv4Address, Prefix
+from repro.net.addressing import Prefix
 from repro.net.topology import InternetTopology, TopologyConfig, generate_topology
 from repro.vns.anycast import AnycastResolver
 from repro.vns.builder import VnsConfig, VnsDeployment, build_vns
@@ -172,11 +172,6 @@ class VideoNetworkService:
     def egress_decision(self, entry_pop: str, prefix: Prefix) -> EgressDecision | None:
         """Where traffic entering at ``entry_pop`` exits for ``prefix``."""
         return self.network.egress_decision(entry_pop, prefix)
-
-    def resolve_prefix(self, address: IPv4Address) -> Prefix | None:
-        """Longest-prefix-match an address against the global table."""
-        hit = self.topology.resolve_address(address)
-        return None if hit is None else hit[0]
 
     # ----------------------------------------------------------------- #
     # path builders

@@ -35,14 +35,16 @@ seed, group signature)`` (:func:`~repro.workload.engine.group_digest`)
 and every float in a report summary is permutation-invariant, so a run
 is *byte-identical* in :meth:`CampaignReport.to_json` to a bare
 ``CampaignEngine`` over the whole list under the same seed — for any
-pool, worker count, shard count, scheduling order, retry history, cache
+pool, worker count, shard count, scheduling order, salvage, cache
 warmth, or resume.  Nothing shard-local feeds the simulation draws.
 
-**Robustness.**  Progress timeouts, failed-shard retry, and graceful
-fallback to in-process execution when the pool cannot start or a shard
-exhausts its retries there.  Shard faults can be injected via
-``ShardPlan.fail_injections`` for chaos-style testing, in the spirit of
-:mod:`repro.faults`.  Long campaigns can checkpoint completed shards
+**Robustness.**  A shard runs where it was sent.  If the pool cannot
+finish it — its worker died, the pool was already broken, or the shard
+raised there — it runs once more in this process; if it raises here
+too, :class:`ShardExecutionError` carries both failures.  There is no
+retry budget: a shard is a pure function of its inputs, so one that
+raised would raise again.  A pool that cannot start sends every shard
+here.  Long campaigns can checkpoint completed shards
 (``ShardPlan.checkpoint_dir``) and resume, skipping finished work while
 reproducing the identical merged report.
 
@@ -63,14 +65,8 @@ import os
 import pickle
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from dataclasses import dataclass, field, replace
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field
 from hashlib import blake2b
 from multiprocessing import get_context
 from pathlib import Path
@@ -121,17 +117,17 @@ STREAM_MIN_COST = 200_000.0
 
 
 class ShardExecutionError(RuntimeError):
-    """A shard kept failing after every permitted retry.
+    """A shard raised in this process, after failing on the pool if it ran there.
 
-    Carries the per-attempt failure log so the caller can see what the
-    pool saw (``str(exc)`` includes it).
+    Carries the failure log (the pool's failure, then this process's) so
+    the caller can see what each side saw (``str(exc)`` includes it).
     """
 
     def __init__(self, shard_index: int, failures: list[str]) -> None:
         self.shard_index = shard_index
         self.failures = list(failures)
-        attempts = "; ".join(failures) or "no attempts recorded"
-        super().__init__(f"shard {shard_index} failed permanently: {attempts}")
+        joined = "; ".join(failures)
+        super().__init__(f"shard {shard_index} failed permanently: {joined}")
 
 
 class StalePoolError(RuntimeError):
@@ -181,16 +177,6 @@ class ShardPlan:
         :data:`STREAM_MIN_COST` (oversplitting tiny campaigns costs
         more than streaming recovers); with no pool it defaults to one
         in-process shard.
-    shard_timeout_s:
-        Upper bound on each wait for *progress*; ``None`` waits forever.
-        When no shard completes within the window, every pending shard
-        counts a failed attempt (the stuck workers cannot be reclaimed,
-        so prefer generous bounds).
-    max_retries:
-        Failed-attempt budget per shard *beyond* the first try.  A
-        shard that exhausts it on the pool (or a pool that cannot start)
-        falls back to this process, with a fresh budget;
-        :class:`ShardExecutionError` is raised only when that fails too.
     keep_results:
         Return the per-call view (``run.results``, a
         :class:`~repro.workload.engine.CallResults` over result columns).
@@ -201,26 +187,21 @@ class ShardPlan:
         When set, completed shards are persisted here (atomically, keyed
         by a campaign fingerprint) and skipped on rerun; the resumed
         merged report is identical.
-    fail_injections:
-        ``((shard_index, n_attempts), ...)`` — make the shard's first
-        ``n_attempts`` executions raise, exercising the retry path.
+
+    What a shard the pool could not finish does is not configurable: it
+    runs once more in this process (see the module docstring).
     """
 
     n_workers: int | None = None
     n_shards: int | None = None
-    shard_timeout_s: float | None = None
-    max_retries: int = 1
     keep_results: bool = True
     checkpoint_dir: str | None = None
-    fail_injections: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_workers is not None and self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers!r}")
         if self.n_shards is not None and self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards!r}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
 
     @property
     def effective_workers(self) -> int:
@@ -254,8 +235,6 @@ class ShardTask:
     index: int
     calls: list[CallSpec]
     config: CampaignConfig
-    attempt: int = 0
-    fail_attempts: int = 0  #: injected fault: raise on the first N attempts
     keep_results: bool = True
     steering: "SteeringEngine | None" = None
     #: Optional :class:`~repro.workload.engine.PathModel` (picklable,
@@ -271,6 +250,8 @@ class ShardOutcome:
 
     index: int
     n_calls: int
+    #: 1, or 2 for a shard the pool could not finish and this process
+    #: ran again (``failures`` then holds the pool's failure).
     attempts: int
     in_process: bool
     elapsed_s: float
@@ -545,10 +526,6 @@ def _execute_shard(resolver: PathResolver, task: ShardTask) -> _ShardResult:
     instrumentation.  The engine resolves through ``resolver``, whose
     caches outlive it and so stay warm for the next shard.
     """
-    if task.attempt < task.fail_attempts:
-        raise RuntimeError(
-            f"injected shard fault: shard {task.index} attempt {task.attempt}"
-        )
     started = time.perf_counter()
     was_enabled = perf.is_enabled()
     before = perf.snapshot()
@@ -861,7 +838,7 @@ class ShardedCampaignRunner:
     config:
         The campaign's :class:`CampaignConfig` (defaults to seed 0).
     plan:
-        The :class:`ShardPlan` (how to cut; retry/checkpoint policy).
+        The :class:`ShardPlan` (how to cut; where to checkpoint).
     steering:
         Optional :class:`~repro.steering.engine.SteeringEngine`, shipped
         to every shard; the reduced report carries the same steering
@@ -891,7 +868,6 @@ class ShardedCampaignRunner:
     ) -> None:
         self.config = config if config is not None else CampaignConfig()
         self.plan = plan if plan is not None else ShardPlan()
-        self._fail_map = dict(self.plan.fail_injections)
         self.steering = steering
         self.path_model = path_model
         self.pool = pool
@@ -948,7 +924,6 @@ class ShardedCampaignRunner:
                 index=shard,
                 calls=slice_,
                 config=self.config,
-                fail_attempts=self._fail_map.get(shard, 0),
                 keep_results=self.plan.keep_results,
                 steering=self.steering,
                 path_model=self.path_model,
@@ -984,42 +959,46 @@ class ShardedCampaignRunner:
             )
             executed.extend(self._run_pool(pool, tasks, manifest, digest))
         else:
-            for task in tasks:
-                executed.append(self._checkpointed(self._run_task_inprocess(task)))
+            executed.extend(self._run_task_inprocess(task) for task in tasks)
         return self._reduce(executed, time.perf_counter() - started)
 
     # ------------------------------------------------------------------ #
     # execution paths
     # ------------------------------------------------------------------ #
 
-    def _checkpointed(
-        self, pair: tuple[_ShardResult, ShardOutcome]
+    def _completed(
+        self,
+        result: _ShardResult,
+        task: ShardTask,
+        *,
+        in_process: bool,
+        failures: list[str],
     ) -> tuple[_ShardResult, ShardOutcome]:
+        """The shard's outcome record, checkpointed when the plan asks."""
+        outcome = ShardOutcome(
+            index=result.index,
+            n_calls=len(task.calls),
+            attempts=1 + len(failures),
+            in_process=in_process,
+            elapsed_s=result.elapsed_s,
+            phase_s=result.phase_s,
+            failures=failures,
+        )
         if self._checkpoints is not None:
-            self._checkpoints.save(*pair)
-        return pair
+            self._checkpoints.save(result, outcome)
+        return result, outcome
 
     def _run_task_inprocess(
         self, task: ShardTask, failures: list[str] | None = None
     ) -> tuple[_ShardResult, ShardOutcome]:
+        """Run one shard here: its only run, or its last after a pool failure."""
         failures = list(failures or [])
-        first_attempt = task.attempt
-        attempt = task.attempt
-        while True:
-            try:
-                result = _execute_shard(self._resolver, task)
-                break
-            except Exception as exc:  # noqa: BLE001 - retry budget decides
-                failures.append(f"in-process attempt {attempt}: {exc}")
-                if attempt - first_attempt >= self.plan.max_retries:
-                    raise ShardExecutionError(task.index, failures) from exc
-                attempt += 1
-                task = replace(task, attempt=attempt)
-        outcome = self._outcome(
-            result, task, attempts=attempt - first_attempt + 1, in_process=True
-        )
-        outcome.failures = failures
-        return result, outcome
+        try:
+            result = _execute_shard(self._resolver, task)
+        except Exception as exc:  # noqa: BLE001 - reported with the pool's failure
+            failures.append(f"in-process: {type(exc).__name__}: {exc}")
+            raise ShardExecutionError(task.index, failures) from exc
+        return self._completed(result, task, in_process=True, failures=failures)
 
     def _run_pool(
         self,
@@ -1035,9 +1014,7 @@ class ShardedCampaignRunner:
         try:
             pool.warm(manifest, digest=digest)
         except Exception:  # noqa: BLE001 - pool genuinely unavailable
-            return [
-                self._checkpointed(self._run_task_inprocess(task)) for task in tasks
-            ]
+            return [self._run_task_inprocess(task) for task in tasks]
         pool.stats.runs += 1
         self._pool_stats = pool.stats
         return self._stream(pool, tasks)
@@ -1045,116 +1022,41 @@ class ShardedCampaignRunner:
     def _stream(
         self, pool: CampaignWorkerPool, tasks: list[ShardTask]
     ) -> list[tuple[_ShardResult, ShardOutcome]]:
-        """Collect shards as they finish; retry, salvage, checkpoint.
+        """Collect shards as they finish; run here any the pool could not finish.
 
         Shards stream: with more shards than workers, a worker that
         finishes its slice immediately pulls the next one off the queue,
         so the resolve phase of one shard overlaps the simulate phase of
-        another.  The wait loop preserves the retry/timeout/salvage
-        semantics of the sequential collector it replaced.
+        another.  A shard whose worker died, that a broken pool refused,
+        or that raised on the pool runs once more in this process; a
+        shard that finished before its pool broke keeps its pool result.
         """
-        executed: list[tuple[_ShardResult, ShardOutcome]] = []
-        state: dict[Future, tuple[ShardTask, int, list[str]]] = {}
-        pool_broken = False
-
-        def dispatch(task: ShardTask, attempts: int, failures: list[str]) -> None:
-            """Queue one attempt; a pool that refuses it is broken — salvage."""
-            nonlocal pool_broken
+        pending: dict[Future, ShardTask] = {}
+        for task in tasks:
             task.submitted_at = time.time()
             try:
                 future = pool.submit_task(task)
-            except (BrokenExecutor, RuntimeError) as exc:
-                failures.append(f"attempt {task.attempt}: submit failed: {exc}")
-                pool_broken = True
-                executed.append(self._salvage_task(task, attempts, failures))
+            except RuntimeError as exc:  # the pool is already broken (or shut down)
+                future = Future()
+                future.set_exception(exc)
+            pending[future] = task
+        executed = []
+        for future in as_completed(pending):
+            task = pending[future]
+            try:
+                result = future.result()
+            except Exception as exc:  # noqa: BLE001 - worker died or shard raised
+                failure = f"pool: {type(exc).__name__}: {exc}"
+                executed.append(self._run_task_inprocess(task, [failure]))
             else:
-                state[future] = (task, attempts, failures)
-
-        def retry_or_salvage(
-            task: ShardTask, attempts: int, failures: list[str]
-        ) -> None:
-            """After a failed attempt: resubmit within budget, else salvage."""
-            if attempts > self.plan.max_retries:
-                executed.append(self._salvage_task(task, attempts, failures))
-            else:
-                retry = replace(task, attempt=task.attempt + 1)
-                dispatch(retry, attempts + 1, failures)
-
-        for task in tasks:
-            dispatch(task, 1, [])
-        while state and not pool_broken:
-            done, _ = wait(
-                set(state), timeout=self.plan.shard_timeout_s,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                # No progress inside the window: every pending shard has
-                # now waited >= shard_timeout_s — each burns an attempt.
-                for future in list(state):
-                    task, attempts, failures = state.pop(future)
-                    failures.append(
-                        f"attempt {task.attempt}: timed out after "
-                        f"{self.plan.shard_timeout_s}s"
-                    )
-                    future.cancel()
-                    retry_or_salvage(task, attempts, failures)
-                continue
-            for future in done:
-                task, attempts, failures = state.pop(future)
-                try:
-                    result = future.result()
-                except BrokenExecutor as exc:
-                    failures.append(f"attempt {task.attempt}: pool broke: {exc}")
-                    pool_broken = True
-                    executed.append(self._salvage_task(task, attempts, failures))
-                except Exception as exc:  # noqa: BLE001 - retry budget decides
-                    failures.append(f"attempt {task.attempt}: {exc}")
-                    retry_or_salvage(task, attempts, failures)
-                else:
-                    executed.append(
-                        self._checkpointed(
-                            self._finish_pool_task(result, task, attempts, failures)
-                        )
-                    )
-        # Salvage everything still in flight on this side of a broken pool.
-        for task, attempts, failures in state.values():
-            executed.append(self._salvage_task(task, attempts, failures))
+                executed.append(
+                    self._completed(result, task, in_process=False, failures=[])
+                )
         return executed
-
-    def _finish_pool_task(
-        self, result: _ShardResult, task: ShardTask, attempts: int, failures: list[str]
-    ) -> tuple[_ShardResult, ShardOutcome]:
-        outcome = self._outcome(result, task, attempts=attempts, in_process=False)
-        outcome.failures = failures
-        return result, outcome
-
-    def _salvage_task(
-        self, task: ShardTask, attempts: int, failures: list[str]
-    ) -> tuple[_ShardResult, ShardOutcome]:
-        """Last resort for a shard the pool could not finish."""
-        # The injected-fault budget is attempt-indexed; continue counting
-        # so a fault spanning all pool attempts still clears in-process.
-        result, outcome = self._run_task_inprocess(
-            replace(task, attempt=task.attempt + 1), failures
-        )
-        outcome.attempts += attempts
-        return self._checkpointed((result, outcome))
 
     # ------------------------------------------------------------------ #
     # reduce
     # ------------------------------------------------------------------ #
-
-    def _outcome(
-        self, result: _ShardResult, task: ShardTask, *, attempts: int, in_process: bool
-    ) -> ShardOutcome:
-        return ShardOutcome(
-            index=result.index,
-            n_calls=len(task.calls),
-            attempts=attempts,
-            in_process=in_process,
-            elapsed_s=result.elapsed_s,
-            phase_s=result.phase_s,
-        )
 
     def _reduce(
         self, executed: list[tuple[_ShardResult, ShardOutcome]], wall_s: float

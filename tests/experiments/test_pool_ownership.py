@@ -24,6 +24,7 @@ from repro.workload import (
     StalePoolError,
 )
 from repro.workload.sharded import converged_state
+from tests.workload.test_sharded import DiesInWorker
 
 FIELDS = dict(n_users=120, seed=3)
 
@@ -89,6 +90,25 @@ def test_runner_refuses_a_pool_started_before_the_fault(world):
     with pytest.raises(StalePoolError):
         runner.run(calls)
     assert world.campaign_pool(workers=2) is not pool
+
+
+@pytest.mark.slow
+def test_the_world_replaces_a_pool_a_worker_death_broke(world):
+    healthy = report(world, workers=1)
+    loaded = compose_scenario(campaign.campaign_spec(world, "campaign", **FIELDS), world)
+    pool = world.campaign_pool(workers=2)
+    salvaged = ShardedCampaignRunner(
+        world.service,
+        loaded.config,
+        ShardPlan(n_workers=2),
+        path_model=DiesInWorker(),
+        pool=pool,
+    ).run(loaded.calls)
+    assert salvaged.report.to_json() == healthy
+    assert pool.broken and world.campaign_pool(workers=2) is not pool
+    run = campaign.run(world, workers=2, **FIELDS)
+    assert run.report.to_json() == healthy
+    assert all(not outcome.in_process for outcome in run.shards)
 
 
 def test_an_unstarted_pool_serves_whatever_it_will_freeze(world):

@@ -1,15 +1,21 @@
 """Tests for the one campaign execution path (partition/execute/reduce).
 
 The determinism contract: a runner's report — in-process or across a
-real spawn pool, however many shards, with or without retries — is
-byte-identical in ``CampaignReport.to_json()`` to a bare
-``CampaignEngine`` over the whole call list under the same seed.  That
-is structural (every shard *is* a ``CampaignEngine`` over a slice; the
-sequential campaign is the one-shard run), so one parametrised
-invariant pins it.
+real spawn pool, however many shards, whether or not a shard the pool
+could not finish ran again in this process — is byte-identical in
+``CampaignReport.to_json()`` to a bare ``CampaignEngine`` over the whole
+call list under the same seed.  That is structural (every shard *is* a
+``CampaignEngine`` over a slice; the sequential campaign is the
+one-shard run), so one parametrised invariant pins it.
+
+Recovery is drilled with real faults: path models that kill or raise in
+a pool worker (and only there, so a salvaged report must still equal the
+bare engine's) or raise in every process.
 """
 
+import os
 import pickle
+from multiprocessing import parent_process
 
 import pytest
 
@@ -26,6 +32,46 @@ from repro.workload import (
     partition_calls,
 )
 from repro.workload.sharded import PHASES
+
+
+class _WorkerFault:
+    """The identity path model in this process; misbehaves in a pool worker.
+
+    Module level, so a spawned worker unpickles it by name.
+    """
+
+    def transform(self, path, transport, *, entry_pop):
+        if parent_process() is not None:
+            self.misbehave()
+        return path
+
+    def fingerprint(self) -> str:
+        return type(self).__name__
+
+
+class DiesInWorker(_WorkerFault):
+    """Kills the worker process that applies it: the pool breaks."""
+
+    def misbehave(self) -> None:
+        os._exit(1)
+
+
+class RaisesInWorker(_WorkerFault):
+    """Raises in the worker; the pool itself stays usable."""
+
+    MESSAGE = "path model raised in a worker"
+
+    def misbehave(self) -> None:
+        raise RuntimeError(self.MESSAGE)
+
+
+class RaisesEverywhere(_WorkerFault):
+    """Raises in every process, this one included."""
+
+    MESSAGE = "path model raised"
+
+    def transform(self, path, transport, *, entry_pop):
+        raise RuntimeError(self.MESSAGE)
 
 
 def every_shard_has_every_phase(run) -> bool:
@@ -150,19 +196,23 @@ class TestPlanValidation:
             ShardPlan(n_workers=0)
         with pytest.raises(ValueError, match="n_shards"):
             ShardPlan(n_shards=0)
-        with pytest.raises(ValueError, match="max_retries"):
-            ShardPlan(max_retries=-1)
 
     def test_removed_variants_are_gone(self, small_world):
-        # World transports, the rebuild recipe and force_inprocess were
-        # deleted outright (no shim): plain TypeError, like any unknown
-        # keyword.
+        # World transports, the rebuild recipe, force_inprocess and the
+        # retry knobs were deleted outright (no shim): plain TypeError,
+        # like any unknown keyword.
         from repro.workload import CampaignWorkerPool
 
         with pytest.raises(TypeError):
             ShardPlan(world_transport="pickle")
         with pytest.raises(TypeError):
             ShardPlan(force_inprocess=True)
+        with pytest.raises(TypeError):
+            ShardPlan(max_retries=1)
+        with pytest.raises(TypeError):
+            ShardPlan(fail_injections=((0, 1),))
+        with pytest.raises(TypeError):
+            ShardPlan(shard_timeout_s=1.0)
         with pytest.raises(TypeError):
             ShardedCampaignRunner(
                 small_world.service, CampaignConfig(), world_spec=object()
@@ -225,39 +275,6 @@ class TestInProcessEquivalence:
         assert run.shards[0].phase_s["simulate"]["total_s"] > 0.0
 
 
-class TestRetryAndFallback:
-    def test_injected_fault_is_retried(
-        self, small_world, campaign_inputs, sequential_json
-    ):
-        _, calls = campaign_inputs
-        run = ShardedCampaignRunner(
-            small_world.service,
-            CampaignConfig(seed=7),
-            ShardPlan(
-                n_shards=2,
-                fail_injections=((0, 1),),
-                max_retries=2,
-            ),
-        ).run(calls)
-        shard0 = next(o for o in run.shards if o.index == 0)
-        assert shard0.attempts == 2
-        assert "injected shard fault" in shard0.failures[0]
-        assert run.report.to_json() == sequential_json
-
-    def test_exhausted_retries_raise(self, small_world, campaign_inputs):
-        _, calls = campaign_inputs
-        with pytest.raises(ShardExecutionError, match="shard 0 failed permanently"):
-            ShardedCampaignRunner(
-                small_world.service,
-                CampaignConfig(seed=7),
-                ShardPlan(
-                    n_shards=2,
-                    fail_injections=((0, 99),),
-                    max_retries=1,
-                ),
-            ).run(calls)
-
-
 class TestPickledWorldRoundTrip:
     def test_service_round_trips_and_reproduces(
         self, small_world, campaign_inputs, sequential_json
@@ -311,7 +328,7 @@ class TestSpawnPool:
 
 @pytest.mark.slow
 class TestPersistentPool:
-    """Pool lifecycle: reuse, chaos salvage, clean shutdown."""
+    """Pool lifecycle: reuse, salvage of shards that raised there, shutdown."""
 
     def test_reuse_across_runs_and_salvage(
         self, small_world, campaign_inputs, sequential_json
@@ -343,19 +360,30 @@ class TestPersistentPool:
             )
             assert ship_reports <= 2
             assert pool.stats.runs == 2
-            # Chaos: injected faults exhaust the pool's retry budget and
-            # the shard still salvages in-process, report intact.
-            chaos = ShardedCampaignRunner(
+            # Every shard raises on the pool: each runs once more here,
+            # where the model is the identity, and the report is intact.
+            salvaged = ShardedCampaignRunner(
                 small_world.service,
                 CampaignConfig(seed=7),
-                ShardPlan(n_workers=2, fail_injections=((0, 2),), max_retries=1),
+                plan,
+                path_model=RaisesInWorker(),
                 pool=pool,
             ).run(calls)
-            shard0 = next(o for o in chaos.shards if o.index == 0)
-            assert shard0.in_process
-            assert shard0.attempts >= 2
-            assert any("injected shard fault" in f for f in shard0.failures)
-            assert chaos.report.to_json() == sequential_json
+            assert all(o.in_process and o.attempts == 2 for o in salvaged.shards)
+            assert all(
+                o.failures == [f"pool: RuntimeError: {RaisesInWorker.MESSAGE}"]
+                for o in salvaged.shards
+            )
+            assert salvaged.report.to_json() == sequential_json
+            assert salvaged.to_row()["shard_retries"] == len(salvaged.shards)
+            # A shard that raised does not break the pool: the next run
+            # is pooled through.
+            assert not pool.broken
+            clean = ShardedCampaignRunner(
+                small_world.service, CampaignConfig(seed=7), plan, pool=pool
+            ).run(calls)
+            assert all(not o.in_process and o.attempts == 1 for o in clean.shards)
+            assert clean.report.to_json() == sequential_json
         assert pool.closed
 
     def test_context_manager_shuts_down_on_exception(self, small_world):
@@ -368,6 +396,66 @@ class TestPersistentPool:
         assert pool.closed
         with pytest.raises(RuntimeError, match="shut down"):
             pool.start()
+
+
+@pytest.mark.slow
+class TestRecovery:
+    """A shard the pool could not finish runs once more in this process."""
+
+    def test_worker_death_breaks_the_pool_not_the_run(
+        self, small_world, campaign_inputs, sequential_json
+    ):
+        from repro.workload import CampaignWorkerPool
+
+        _, calls = campaign_inputs
+        plan = ShardPlan(n_workers=2, n_shards=4)
+        with CampaignWorkerPool(small_world.service, workers=2) as pool:
+            run = ShardedCampaignRunner(
+                small_world.service,
+                CampaignConfig(seed=7),
+                plan,
+                path_model=DiesInWorker(),
+                pool=pool,
+            ).run(calls)
+            assert pool.broken
+            # The broken pool (already warm for these pairs) refuses the
+            # next run's shards at submit: each runs here instead.
+            refused = ShardedCampaignRunner(
+                small_world.service, CampaignConfig(seed=7), plan, pool=pool
+            ).run(calls)
+        for salvaged in (run, refused):
+            assert len(salvaged.shards) == 4
+            for outcome in salvaged.shards:
+                assert outcome.in_process and outcome.attempts == 2
+                [failure] = outcome.failures
+                assert failure.startswith("pool: BrokenProcessPool: ")
+            assert salvaged.report.to_json() == sequential_json
+
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no-pool"])
+    def test_raising_everywhere_carries_both_failures(
+        self, small_world, campaign_inputs, pooled
+    ):
+        from repro.workload import CampaignWorkerPool
+
+        _, calls = campaign_inputs
+        pool = CampaignWorkerPool(small_world.service, workers=2) if pooled else None
+        try:
+            with pytest.raises(ShardExecutionError, match=r"^shard \d+ failed") as caught:
+                ShardedCampaignRunner(
+                    small_world.service,
+                    CampaignConfig(seed=7),
+                    ShardPlan(n_workers=2, n_shards=2),
+                    path_model=RaisesEverywhere(),
+                    pool=pool,
+                ).run(calls)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        error = caught.value
+        assert error.shard_index in (0, 1)
+        here = f"in-process: RuntimeError: {RaisesEverywhere.MESSAGE}"
+        there = f"pool: RuntimeError: {RaisesEverywhere.MESSAGE}"
+        assert error.failures == ([there, here] if pooled else [here])
 
 
 class TestCheckpointResume:
