@@ -5,7 +5,13 @@ upstreams there is a random-loss baseline (loss grows with the number of
 lossy 5-second slots) plus two bursty outlier populations — upper-left
 (large loss, few slots) and upper-right (large loss throughout).  VNS
 eliminates multi-slot loss and both outlier sets.
+
+Scale note: the paper's schedule — half-hourly rounds for 14 simulated
+days (8,064 Amsterdam sessions); the row records the session count and
+the campaign's wall time.
 """
+
+import time
 
 import numpy as np
 
@@ -16,13 +22,15 @@ from .conftest import record_row, run_once
 
 
 def test_bench_fig10_loss_nature(benchmark, medium_world, show):
+    start = time.perf_counter()
     result = run_once(
         benchmark,
         fig10_loss_nature.run,
         medium_world,
-        days=3,
+        days=14,
         minutes_between_rounds=30.0,
     )
+    wall_s = time.perf_counter() - start
     show(fig10_loss_nature.render(result))
 
     # --- shape assertions -----------------------------------------------
@@ -52,4 +60,6 @@ def test_bench_fig10_loss_nature(benchmark, medium_world, show):
         transit_long_bursts=result.count("T", LossClass.LONG_BURST),
         vns_no_loss_fraction=result.count("I", LossClass.NO_LOSS)
         / result.sessions("I"),
+        sessions=result.sessions("T") + result.sessions("I"),
+        wall_s=wall_s,
     )

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""A full video conference over VNS: TURN, SIP, RTP, instrumentation.
+"""A full video conference over VNS: a TURN allocation, then echo sessions.
 
 Walks the application-layer path the paper describes: a user requests a
 TURN allocation against the anycast address (routing decides which PoP
-answers), SIP sets up a call to an echo server, and a bidirectional HD
-stream runs with the client instrumenting loss per five-second slot —
-first through VNS, then through the transit providers, side by side.
+answers), then streams HD video to an echo server and back, with loss
+logged per five-second slot — first through VNS, then through the
+transit providers, side by side.  Each session is two scalar
+``simulate_stream`` draws: the stream over the path and its echo over
+``path.reversed()``.
 
 Run:
     python examples/video_conference.py
@@ -15,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dataplane.transmit import simulate_stream
 from repro.experiments.common import build_world
-from repro.media.client import InstrumentedClient
 from repro.media.codec import PROFILE_1080P, PROFILE_720P
-from repro.media.sip import EchoServer
 from repro.media.turn import TurnService
 from repro.net.asn import ASType
 
@@ -42,11 +43,8 @@ def main() -> None:
     print(f"User in {user.home.city.name} asks {turn.anycast_address} for a relay")
     print(f"  anycast routing lands on PoP {entry_pop.code}; allocation {allocation}")
 
-    # --- SIP + RTP echo session through VNS and through transit ---------
+    # --- Echo sessions through VNS and through transit -----------------
     echo_pop = "AMS"  # conference bridge on another continent
-    server = EchoServer(f"sip:echo-{echo_pop.lower()}@vns", echo_pop)
-    client = InstrumentedClient("carol", rng=rng)
-
     last_mile = service.last_mile_path(user.prefixes[0], location, entry_pop.code)
     via_vns = last_mile.concat(service.vns_internal_path(entry_pop.code, echo_pop))
     via_transit = last_mile.concat(
@@ -60,16 +58,22 @@ def main() -> None:
     for profile in (PROFILE_1080P, PROFILE_720P):
         print(f"\n  {profile.name} ({profile.packets_per_second:.0f} packets/s):")
         for label, path in (("VNS", via_vns), ("transit", via_transit)):
-            sessions = [
-                client.run_session(server, path, profile, hour_cet=float(h % 24))
-                for h in range(20)
-            ]
-            ok = [s for s in sessions if s is not None]
-            losses = [s.loss_percent_out for s in ok]
-            jitters = [s.jitter_p95_ms for s in ok]
-            slots = [s.lossy_slots_out for s in ok]
+            losses, slots, jitters = [], [], []
+            for hour in range(20):
+                outbound, echo = (
+                    simulate_stream(
+                        leg,
+                        packets_per_second=profile.packets_per_second,
+                        hour_cet=float(hour),
+                        rng=rng,
+                    )
+                    for leg in (path, path.reversed())
+                )
+                losses.append(outbound.loss_percent)
+                slots.append(outbound.lossy_slots)
+                jitters.append(max(outbound.jitter_p95_ms, echo.jitter_p95_ms))
             print(
-                f"    {label:<8} {len(ok)}/20 calls up | "
+                f"    {label:<8} 20 sessions | "
                 f"mean loss {np.mean(losses):7.4f}% | "
                 f"worst lossy slots {max(slots):2d}/24 | "
                 f"p95 jitter {np.mean(jitters):5.2f} ms"

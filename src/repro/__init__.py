@@ -26,8 +26,8 @@ Subpackages
     short-burst / long-burst / episodic access), diurnal utilisation
     profiles, and the scalar and columnar transmission simulators.
 ``repro.media``
-    HD video codec model, RTP streams, SIP clients and echo servers, TURN
-    relays, and the instrumented measurement client from Sec. 5.1.
+    HD video codec profiles and the anycast TURN relays users enter VNS
+    through.
 ``repro.vns``
     The paper's contribution: the overlay network of 11 PoPs, the geo-based
     route reflector, the management override interface, and anycast service

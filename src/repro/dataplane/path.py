@@ -68,6 +68,14 @@ class DataPath:
             description=f"{self.description}+{other.description}",
         )
 
+    def reversed(self) -> "DataPath":
+        """The same segments walked in the opposite direction."""
+        segments = [
+            intern_segment(s.kind, s.end, s.start, s.as_type, s.owner_type, f"rev:{s.label}")
+            for s in reversed(self.segments)
+        ]
+        return DataPath(segments=segments, description=f"rev:{self.description}")
+
     def __str__(self) -> str:
         inner = " | ".join(str(segment) for segment in self.segments)
         return f"DataPath({self.description}: {inner})"

@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.experiments.common import World
 from repro.experiments.video import VideoCampaignResult, run_video_campaign
 from repro.media.codec import PROFILE_1080P
@@ -36,15 +38,21 @@ class LossClass(enum.Enum):
 
 def classify(loss_percent: float, lossy_slots: int, n_slots: int = 24) -> LossClass:
     """Map one session onto a Fig. 10 population."""
-    if lossy_slots == 0:
-        return LossClass.NO_LOSS
-    if loss_percent < LARGE_LOSS_PCT:
-        return LossClass.RANDOM_BASELINE
-    if lossy_slots <= max(3, n_slots // 8):
-        return LossClass.SHORT_BURST
-    if lossy_slots >= int(0.75 * n_slots):
-        return LossClass.LONG_BURST
-    return LossClass.RANDOM_BASELINE
+    return list(LossClass)[int(_class_codes(loss_percent, lossy_slots, n_slots))]
+
+
+def _class_codes(loss_percent, lossy_slots, n_slots) -> np.ndarray:
+    """:func:`classify` over columns: each session's index into ``LossClass``."""
+    return np.select(
+        [
+            lossy_slots == 0,
+            loss_percent < LARGE_LOSS_PCT,
+            lossy_slots <= np.maximum(3, n_slots // 8),
+            lossy_slots >= np.floor(0.75 * n_slots),
+        ],
+        [0, 1, 2, 3],
+        default=1,
+    )
 
 
 @dataclass(slots=True)
@@ -76,18 +84,13 @@ def analyze(campaign: VideoCampaignResult, *, client_pop: str = "AMS") -> Fig10R
     """Build the Fig. 10 panels from an existing campaign run."""
     result = Fig10Result()
     for transport in ("T", "I"):
-        sessions = campaign.select(
-            client_pop=client_pop, transport=transport, profile=PROFILE_1080P
+        rows = campaign.mask(client_pop=client_pop, transport=transport, profile=PROFILE_1080P)
+        slots, loss = campaign.lossy_slots[rows], campaign.loss_percent[rows]
+        codes = _class_codes(loss, slots, campaign.n_slots[rows])
+        result.points[transport] = list(zip(slots.tolist(), loss.tolist()))
+        result.counts[transport] = dict(
+            zip(LossClass, np.bincount(codes, minlength=len(LossClass)).tolist())
         )
-        points: list[tuple[int, float]] = []
-        counts: dict[LossClass, int] = {cls: 0 for cls in LossClass}
-        for session in sessions:
-            slots = session.lossy_slots
-            loss = session.loss_percent
-            points.append((slots, loss))
-            counts[classify(loss, slots, session.measurement.outbound.n_slots)] += 1
-        result.points[transport] = points
-        result.counts[transport] = counts
     return result
 
 

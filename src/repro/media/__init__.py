@@ -1,11 +1,11 @@
-"""Media plane: codecs, RTP, SIP, TURN relays, measurement clients.
+"""Media plane: codec profiles and TURN relays.
 
-The Sec. 5.1 experiment uses "custom-made software tools capable of
-running Session Initiation Protocol (SIP) and Real Time Protocol (RTP)
-media streaming, instrumented to measure packet loss and jitter", with
-"SIP media servers programmed to stream back any incoming video stream to
-the source address".  This subpackage reproduces those tools on top of
-the data-plane simulator.
+The Sec. 5.1 experiment streams "actual recordings of 720p and 1080p HD
+video conferences"; a recording is modelled by its packetisation
+(:mod:`repro.media.codec`), and the streams themselves run on the
+data-plane simulators (:mod:`repro.experiments.video`).  Users reach VNS
+through TURN relays behind one anycast address (:mod:`repro.media.turn`,
+Fig. 7).
 """
 
 from repro.media.codec import (
@@ -14,23 +14,13 @@ from repro.media.codec import (
     PROFILE_720P,
     VideoProfile,
 )
-from repro.media.rtp import RtpStreamSpec
-from repro.media.sip import EchoServer, SipCall, SipClient, SipResponse
 from repro.media.turn import TurnRelay, TurnService
-from repro.media.client import InstrumentedClient, SessionMeasurement
 
 __all__ = [
     "VideoProfile",
     "PROFILE_1080P",
     "PROFILE_720P",
     "AUDIO_OPUS",
-    "RtpStreamSpec",
-    "SipClient",
-    "SipCall",
-    "SipResponse",
-    "EchoServer",
     "TurnRelay",
     "TurnService",
-    "InstrumentedClient",
-    "SessionMeasurement",
 ]

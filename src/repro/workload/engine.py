@@ -42,7 +42,6 @@ hit rates are available without enabling perf.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from collections.abc import Iterator, Sequence
@@ -53,7 +52,12 @@ from typing import TYPE_CHECKING, Protocol
 import numpy as np
 
 from repro import perf
-from repro.dataplane.columnar import StreamColumns, StreamColumnSpec, simulate_columns
+from repro.dataplane.columnar import (
+    StreamColumns,
+    StreamColumnSpec,
+    simulate_columns,
+    spec_digest,
+)
 from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import StreamResult
 from repro.net.addressing import Prefix
@@ -144,20 +148,16 @@ def group_key(spec: CallSpec) -> GroupKey:
 def group_digest(seed: int, key: GroupKey) -> tuple[int, int]:
     """The 128-bit signature of one simulation group, as two 64-bit words.
 
-    A stable blake2b hash of ``(campaign seed, group signature)`` —
-    deliberately **not** Python's ``hash()``, whose string salting
-    differs between (worker) processes.  Identical inputs yield
-    identical words in any process, which is the foundation of the
-    sequential-vs-sharded equivalence guarantee.  The columnar kernel
-    feeds these words into its per-draw counters
+    The :func:`~repro.dataplane.columnar.spec_digest` of ``(campaign
+    seed, group signature)``: identical inputs yield identical words in
+    any process, which is the foundation of the sequential-vs-sharded
+    equivalence guarantee.  The columnar kernel feeds these words into
+    its per-draw counters
     (:class:`~repro.dataplane.columnar.StreamColumnSpec`).
     """
     src, dst, hour_bin, duration_s = key
-    text = f"{seed}|{_prefix_text(src)}|{_prefix_text(dst)}|{hour_bin}|{duration_s:.6f}"
-    digest = hashlib.blake2b(text.encode("ascii"), digest_size=16).digest()
-    return (
-        int.from_bytes(digest[0:8], "little"),
-        int.from_bytes(digest[8:16], "little"),
+    return spec_digest(
+        f"{seed}|{_prefix_text(src)}|{_prefix_text(dst)}|{hour_bin}|{duration_s:.6f}"
     )
 
 

@@ -15,6 +15,7 @@ from repro.dataplane.columnar import (
     _binom_quantile,
     _group_rows,
     _stream_keys,
+    simulate_columns,
     simulate_stream_columns,
 )
 from repro.dataplane.link import PathSegment, SegmentKind, degrade_segment
@@ -207,6 +208,17 @@ class TestAccounting:
         ra, rb = simulate_stream_columns([a, b])
         assert all(r.n_slots == 24 for r in ra)
         assert all(r.n_slots == 12 for r in rb)
+
+    def test_lossy_slots_column_matches_results(self):
+        # Two slot counts and 7-row passes: rows spread over many matrices.
+        specs = [
+            StreamColumnSpec(degraded_transit_path(), 20, 120.0, 20.0, DIGEST),
+            StreamColumnSpec(transit_long_path(), 20, 60.0, 20.0, OTHER_DIGEST),
+        ]
+        columns = simulate_columns(specs, max_rows_per_pass=7)
+        lossy = columns.lossy_slots()
+        assert lossy.tolist() == [r.lossy_slots for r in columns.results()]
+        assert lossy.any()
 
 
 class TestDistributionIdentity:

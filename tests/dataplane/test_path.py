@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataplane.link import SegmentKind
+from repro.dataplane.link import PathSegment, SegmentKind
 from repro.dataplane.path import (
     DataPath,
     access_path,
@@ -13,6 +13,7 @@ from repro.geo.cities import city_by_name
 from repro.net.asn import ASType
 
 AMS = city_by_name("Amsterdam").location
+SIN = city_by_name("Singapore").location
 
 
 class TestWaypoints:
@@ -105,3 +106,26 @@ class TestDataPath:
     def test_access_path_typed(self):
         path = access_path(AMS, AMS, as_type=ASType.CAHP)
         assert path.segments[0].as_type is ASType.CAHP
+
+
+class TestReversePath:
+    @staticmethod
+    def transit_path() -> DataPath:
+        return DataPath(
+            segments=[
+                PathSegment(kind=SegmentKind.PEERING, start=AMS, end=AMS, label="in"),
+                PathSegment(kind=SegmentKind.TRANSIT, start=AMS, end=SIN, label="haul"),
+            ],
+            description="fwd",
+        )
+
+    def test_segments_reversed(self):
+        fwd = self.transit_path()
+        rev = fwd.reversed()
+        assert len(rev) == len(fwd)
+        assert rev.segments[0].start == fwd.segments[-1].end
+        assert rev.segments[-1].end == fwd.segments[0].start
+
+    def test_delay_symmetric(self):
+        fwd = self.transit_path()
+        assert fwd.reversed().one_way_delay_ms() == pytest.approx(fwd.one_way_delay_ms())

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataplane.transmit import simulate_stream
-from repro.media.client import InstrumentedClient
 from repro.media.codec import PROFILE_1080P
-from repro.media.sip import EchoServer
 from repro.media.turn import TurnService
 from repro.net.asn import ASType
 from repro.vns.pop import POPS
@@ -68,7 +66,7 @@ class TestFullPipeline:
         assert loss_vns < loss_internet
 
     def test_turn_plus_media_session(self, small_world):
-        """TURN allocation, SIP setup and media over the allocated path."""
+        """TURN allocation, then media both ways over the allocated path."""
         service = small_world.service
         rng = np.random.default_rng(5)
         turn = TurnService(service)
@@ -79,14 +77,14 @@ class TestFullPipeline:
         )
         allocation, pop = turn.request("alice", user.asn, user.home.location)
         assert allocation is not None
-        client = InstrumentedClient("alice", rng=rng)
-        server = EchoServer("sip:echo@vns", pop.code)
         last_mile = service.last_mile_path(
             user.prefixes[0], user.home.location, pop.code
         )
-        measurement = client.run_session(server, last_mile, PROFILE_1080P)
-        assert measurement is not None
-        assert measurement.outbound.n_slots == 24
+        pps = PROFILE_1080P.packets_per_second
+        outbound = simulate_stream(last_mile, packets_per_second=pps, rng=rng)
+        inbound = simulate_stream(last_mile.reversed(), packets_per_second=pps, rng=rng)
+        assert outbound.n_slots == inbound.n_slots == 24
+        assert inbound.rtt_ms == pytest.approx(outbound.rtt_ms)
 
     def test_before_after_share_topology(self, small_world_pair):
         before = small_world_pair.before
