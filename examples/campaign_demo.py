@@ -48,9 +48,9 @@ def main() -> None:
     print(campaign.render(run))
     shards = getattr(run, "shards", None)
     if shards:
-        detail = ", ".join(
-            f"#{o.index}: {o.n_calls} calls in {o.elapsed_s:.2f}s" for o in shards
-        )
+        # Calls per shard only: a wall clock would make the output differ
+        # from run to run.
+        detail = ", ".join(f"#{o.index}: {o.n_calls} calls" for o in shards)
         print(f"  shards ({len(shards)} x {args.workers} workers): {detail}")
 
     # Where did multiparty traffic land?  The TURN relays sit at every

@@ -9,11 +9,13 @@ wide numpy passes over ``(streams, slots)`` arrays — per-segment-kind
 rate sampling, survival-product combination, binomial slot losses, and
 gamma jitter with its p95 reduction.  It is the campaign engine's only
 simulation kernel.  Both sides are columnar: specs go in as one table
-of arrays, and every stream's measurements come out as
-:class:`StreamColumns` — flat arrays a campaign folds without building
-an object per stream (:func:`simulate_stream_columns` materialises
-them as :class:`~repro.dataplane.transmit.StreamResult` lists for the
-tests and probes that want objects).
+of arrays (:func:`simulate_table`; :func:`simulate_columns` unzips a
+list of :class:`StreamColumnSpec` into it), and every stream's
+measurements come out as :class:`StreamColumns` — flat arrays a
+campaign folds without building an object per stream
+(:func:`simulate_stream_columns` materialises them as
+:class:`~repro.dataplane.transmit.StreamResult` lists for the tests and
+probes that want objects).
 
 Two properties make this safe to drop into the campaign engine:
 
@@ -75,6 +77,7 @@ __all__ = [
     "StreamColumns",
     "simulate_columns",
     "simulate_stream_columns",
+    "simulate_table",
     "spec_digest",
 ]
 
@@ -232,9 +235,10 @@ def _gamma_quantile(u: np.ndarray, shape: float) -> np.ndarray:
 #: more only deep in a tail.
 _BINOM_WALK_MAX_STEPS = 64
 #: Relative distance between ``u`` and a CDF step under which the walk's
-#: accumulated sums are not trusted to order them (they carry a few ulps
-#: per step; one campaign cell in ~1e10 is this close).
-_BINOM_CLOSE_CALL = 1e-12
+#: accumulated sums are not trusted to order them (their error reaches
+#: ~1.5e-12 at n ~ 1.5k, e.g. ``u = 0.5`` on ``bdtr(743, 1487, 0.5)``;
+#: one campaign cell in ~1e8 is this close).
+_BINOM_CLOSE_CALL = 1e-9
 #: Below this the pmf recursion has lost its precision to denormals.
 _PMF_TINY = float(np.finfo(np.float64).tiny)
 
@@ -396,13 +400,17 @@ class _PathView(NamedTuple):
 
 
 def _path_view(path: DataPath) -> _PathView:
-    """``path``'s view, built the first time the kernel meets the path."""
+    """``path``'s view, built the first time the kernel meets the path:
+    :data:`LOSS_TABLE` ids and sums over its per-id scalars, summed in the
+    order of :meth:`DataPath.rtt_ms` and :func:`_jitter_base_ms` (same bits)."""
     view = path._kernel_view
     if view is None:
+        segments = path.segments
+        sids = tuple(map(LOSS_TABLE.segment_id, segments))
         view = path._kernel_view = _PathView(
-            tuple(map(LOSS_TABLE.segment_id, path.segments)),
-            path.rtt_ms(),
-            _jitter_base_ms(path.segments),
+            sids,
+            2.0 * sum(map(LOSS_TABLE.delay_ms.__getitem__, sids)),
+            _jitter_base_ms(segments),
         )
     return view
 
@@ -520,13 +528,47 @@ def simulate_columns(
 ) -> StreamColumns:
     """Simulate every stream of every spec into :class:`StreamColumns`.
 
-    The spec table is columnar too: one array per spec field, a
-    ``(specs, layers)`` matrix of :data:`LOSS_TABLE` parameter rows, and
-    per pass one row-to-spec index through which everything else is
-    gathered.  Specs are bucketed by slot count (the campaign's quantized
-    durations make these buckets huge) and processed in passes of at
-    most ``max_rows_per_pass`` streams; neither the bucketing nor the
-    pass boundary affects any result (counter-based draws).
+    :func:`simulate_table` over the specs unzipped into its columns.
+    """
+    paths, n_streams, durations, hours, digests, salts = tuple(zip(*specs)) or ((),) * 6
+    mask64 = 0xFFFFFFFFFFFFFFFF
+    return simulate_table(
+        list(paths),
+        np.asarray(n_streams, dtype=np.int64),
+        np.asarray(durations, dtype=float),
+        np.asarray(hours, dtype=float),
+        np.array([(d0 & mask64, d1 & mask64) for d0, d1 in digests], dtype=np.uint64),
+        np.array([salt & 0xFFFFFFFF for salt in salts], dtype=np.uint64),
+        packets_per_second=packets_per_second,
+        slot_s=slot_s,
+        max_rows_per_pass=max_rows_per_pass,
+    )
+
+
+def simulate_table(
+    paths: list[DataPath],
+    n_streams: np.ndarray,
+    duration_s: np.ndarray,
+    hour_cet: np.ndarray,
+    digest: np.ndarray,
+    salt: np.ndarray,
+    *,
+    packets_per_second: float = 420.0,
+    slot_s: float = 5.0,
+    max_rows_per_pass: int = 65536,
+) -> StreamColumns:
+    """Simulate a spec table given as columns into :class:`StreamColumns`.
+
+    Spec ``i`` is ``paths[i]`` with the fields of a
+    :class:`StreamColumnSpec` at ``[i]`` of the arrays; ``digest`` is
+    ``(specs, 2)`` uint64 words and ``salt`` uint64.  The table stays
+    columnar inside too: a ``(specs, layers)`` matrix of
+    :data:`LOSS_TABLE` parameter rows, and per pass one row-to-spec
+    index through which everything else is gathered.  Specs are bucketed
+    by slot count (the campaign's quantized durations make these buckets
+    huge) and processed in passes of at most ``max_rows_per_pass``
+    streams; neither the bucketing nor the pass boundary affects any
+    result (counter-based draws).
 
     Raises
     ------
@@ -538,10 +580,12 @@ def simulate_columns(
         raise ValueError("packet rate and slot length must be positive")
     if max_rows_per_pass < 1:
         raise ValueError(f"max_rows_per_pass must be >= 1, got {max_rows_per_pass!r}")
-    if not specs:
+    if not paths:
         return _unfilled_columns(np.zeros(1, dtype=np.int64))
     with perf.timer("dataplane.kernel.prelude"):
-        table = _spec_table(specs, packets_per_second, slot_s)
+        table = _spec_table(
+            paths, n_streams, duration_s, hour_cet, digest, salt, packets_per_second, slot_s
+        )
     spec_start = np.concatenate(([0], np.cumsum(table.n_streams)))
     out = _unfilled_columns(spec_start)
     with perf.timer("dataplane.kernel.chunks"):
@@ -596,16 +640,21 @@ class _SpecTable(NamedTuple):
 
 
 def _spec_table(
-    specs: list[StreamColumnSpec], packets_per_second: float, slot_s: float
+    paths: list[DataPath],
+    n_streams: np.ndarray,
+    durations: np.ndarray,
+    hours: np.ndarray,
+    digest: np.ndarray,
+    salt: np.ndarray,
+    packets_per_second: float,
+    slot_s: float,
 ) -> _SpecTable:
-    """Validate the specs and lay them out as columns."""
-    paths, n_streams, durations, hours, digests, salts = zip(*specs)
-    n_streams = np.asarray(n_streams, dtype=np.int64)
+    """Validate the spec columns and derive the kernel's from them."""
     if (n_streams <= 0).any():
         bad = n_streams[n_streams <= 0][0]
         raise ValueError(f"n_streams must be positive, got {int(bad)!r}")
     # Stream shapes: one derivation per distinct duration.
-    distinct, which = np.unique(np.asarray(durations, dtype=float), return_inverse=True)
+    distinct, which = np.unique(durations, return_inverse=True)
     if not distinct[0] > 0:
         raise ValueError(f"duration_s must be positive, got {float(distinct[0])!r}")
     shapes = np.array(
@@ -617,21 +666,18 @@ def _spec_table(
     path_sids, rtt_ms, jitter_base_ms = zip(*map(_path_view, paths))
     layers = np.array(list(map(len, path_sids)), dtype=np.int64)
     flat_rows: list[int] = []  # one flat list: nothing per spec outlives its turn
-    for sids, hour in zip(path_sids, hours):
+    for sids, hour in zip(path_sids, hours.tolist()):
         flat_rows += LOSS_TABLE.rows(sids, hour)
-    param_rows = np.zeros((len(specs), max(int(layers.max()), 1)), dtype=np.int64)
+    param_rows = np.zeros((len(paths), max(int(layers.max()), 1)), dtype=np.int64)
     param_rows[
-        np.repeat(np.arange(len(specs)), layers), _group_rows(np.zeros_like(layers), layers)
+        np.repeat(np.arange(len(paths)), layers), _group_rows(np.zeros_like(layers), layers)
     ] = flat_rows
 
-    mask64 = 0xFFFFFFFFFFFFFFFF
-    words = np.array([(d0 & mask64, d1 & mask64) for d0, d1 in digests], dtype=np.uint64)
-    salt_words = np.array([salt & 0xFFFFFFFF for salt in salts], dtype=np.uint64)
     with np.errstate(over="ignore"):
-        key_base = _mix64(words[:, 0] + salt_words * _GOLDEN)
+        key_base = _mix64(digest[:, 0] + salt * _GOLDEN)
 
     if perf.enabled:
-        perf.incr("dataplane.kernel.specs", len(specs))
+        perf.incr("dataplane.kernel.specs", len(paths))
         perf.incr("dataplane.kernel.rows", int(n_streams.sum()))
         perf.incr("dataplane.kernel.cells", int((n_streams * n_slots).sum()))
         perf.incr("dataplane.kernel.paths_unique", len(set(map(id, paths))))
@@ -645,7 +691,7 @@ def _spec_table(
         rtt_ms=np.array(rtt_ms),
         jitter_scale=np.array(jitter_base_ms) * _jitter_rate_factor(packets_per_second),
         key_base=key_base,
-        key_word=words[:, 1],
+        key_word=digest[:, 1],
         param_rows=param_rows,
     )
 

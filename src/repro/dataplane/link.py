@@ -301,6 +301,18 @@ class PathSegment:
         """One-way delay contribution, including a per-hop constant."""
         return _segment_delay_ms(self)
 
+    def jitter_term(self) -> float:
+        """This segment's congestion term in its path's jitter scale
+        (:func:`repro.dataplane.transmit._jitter_base_ms`)."""
+        kind = self.kind
+        if kind is SegmentKind.ACCESS:
+            return 0.3
+        if kind is SegmentKind.TRANSIT and self.is_long_haul:
+            return 0.5
+        if kind is SegmentKind.VNS_L2 and self.is_long_haul:
+            return 0.1
+        return 0.0
+
     # -------------------------------------------------------------- #
     # loss sampling
     # -------------------------------------------------------------- #
@@ -489,7 +501,8 @@ class SegmentLossTable:
     :meth:`segment_id` for a segment built any other way — and every
     distinct ``(id, hour)`` one row of :attr:`columns`, a
     :class:`SegmentLossParams` whose fields are arrays, filled lazily by
-    the one :meth:`PathSegment._derive_loss_params`.
+    the one :meth:`PathSegment._derive_loss_params`.  A value's
+    ``delay_ms()`` and ``jitter_term()`` are taken once, when it gets its id.
 
     Ids and rows are keyed by segment **value** and parameters are a pure
     function of ``(value, hour)``, so no event can stale a row: an
@@ -504,6 +517,9 @@ class SegmentLossTable:
         self._canonical: dict[tuple, PathSegment] = {}
         #: id -> the canonical segment of that value.
         self.segments: list[PathSegment] = []
+        #: id -> that value's ``delay_ms()`` and ``jitter_term()``.
+        self.delay_ms: list[float] = []
+        self.jitter_term: list[float] = []
         self._row_at: dict[float, dict[int, int]] = {}  # hour -> id -> row
         # Row 0 is the all-zero padding row.
         self._columns = SegmentLossParams(*(np.zeros(1, dtype) for dtype in self._DTYPES))
@@ -542,6 +558,8 @@ class SegmentLossTable:
     def _register(self, value: tuple, segment: PathSegment) -> PathSegment:
         object.__setattr__(segment, "_sid", len(self.segments))
         self.segments.append(segment)
+        self.delay_ms.append(segment.delay_ms())
+        self.jitter_term.append(segment.jitter_term())
         self._canonical[value] = segment
         return segment
 

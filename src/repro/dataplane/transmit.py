@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.dataplane import calibration as cal
-from repro.dataplane.link import PathSegment, SegmentKind
+from repro.dataplane.link import LOSS_TABLE, PathSegment, SegmentKind
 from repro.dataplane.path import DataPath
 
 
@@ -138,20 +138,17 @@ def _jitter_rate_factor(pps: float) -> float:
 def _jitter_base_ms(segments) -> float:
     """A path's jitter scale before the packet-rate factor.
 
-    Grows with congested hops.  Hour- and rate-independent, so the
-    columnar kernel keeps it on the path; the scalar path and the kernel
-    both multiply it by :func:`_jitter_rate_factor`, so the two cannot
-    drift apart.
+    Grows with congested hops: the segments' terms
+    (:meth:`~repro.dataplane.link.PathSegment.jitter_term`, kept per
+    segment id in :data:`~repro.dataplane.link.LOSS_TABLE`) summed left
+    to right.  Hour- and rate-independent, so the columnar kernel keeps
+    it on the path; the scalar path and the kernel both multiply it by
+    :func:`_jitter_rate_factor`, so the two cannot drift apart.
     """
+    terms = LOSS_TABLE.jitter_term
     congestion_terms = 0.0
-    for segment in segments:
-        kind = segment.kind
-        if kind is SegmentKind.ACCESS:
-            congestion_terms += 0.3
-        elif kind is SegmentKind.TRANSIT and segment.is_long_haul:
-            congestion_terms += 0.5
-        elif kind is SegmentKind.VNS_L2 and segment.is_long_haul:
-            congestion_terms += 0.1
+    for sid in map(LOSS_TABLE.segment_id, segments):
+        congestion_terms += terms[sid]
     return cal.JITTER_BASE_SCALE_MS * (1.0 + congestion_terms)
 
 

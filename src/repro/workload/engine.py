@@ -52,12 +52,7 @@ from typing import TYPE_CHECKING, Protocol
 import numpy as np
 
 from repro import perf
-from repro.dataplane.columnar import (
-    StreamColumns,
-    StreamColumnSpec,
-    simulate_columns,
-    spec_digest,
-)
+from repro.dataplane.columnar import StreamColumns, simulate_table, spec_digest
 from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import StreamResult
 from repro.net.addressing import Prefix
@@ -759,122 +754,115 @@ class CampaignEngine:
             self._modeled[key] = modeled
         return modeled
 
-    def _group_detour_path(
-        self,
-        key: GroupKey,
-        indices: list[int],
-        decisions: list["SteeringDecision"],
-    ) -> DataPath | None:
-        """The detour path to simulate for a group, if any call needs it."""
-        if self.steering is None:
-            return None
-        from repro.steering.policies import PathChoice
-
-        detour_path = self.resolver.detour_path(key[0], key[1])
-        if detour_path is not None and any(
-            decisions[i].choice is PathChoice.POP_DETOUR for i in indices
-        ):
-            return detour_path
-        return None
-
     def _simulate_columnar(
         self,
-        groups: dict[GroupKey, list[int]],
-        resolved: list[tuple[CallSpec, _ResolvedPair]],
+        resolved: list[CallSpec],
+        pair_of: list[int],
+        pairs: list[_ResolvedPair],
         decisions: list["SteeringDecision"],
         stats: CampaignStats,
     ) -> CallResults:
-        """Gather all groups into stream columns, simulate, index back.
+        """Group the calls, simulate every group's streams, index back.
 
-        Per group: a vns column (salt 0), an internet column (salt 1),
-        and — only for groups where some call's steering decision is a
-        PoP detour — a detour column (salt 2).  Draw keying is per
-        ``(group digest, salt, stream)``, so column order and co-resident
-        groups cannot affect any stream's outcome.  Nothing is scattered:
-        a call's streams are the rows ``spec_start[column] + position in
+        ``pairs[pair_of[i]]`` holds call ``resolved[i]``'s paths.  A
+        group is one :func:`group_key`, coded as one integer over the
+        pair, the whole hour and the duration; groups come in
+        first-appearance order and keep their calls in list order.  Per
+        group: a vns column (salt 0), an internet column (salt 1), and —
+        only for groups where some call's steering decision is a PoP
+        detour — a detour column (salt 2).  Draw keying is per ``(group
+        digest, salt, stream)``, so column order and co-resident groups
+        cannot affect any stream's outcome.  Nothing is scattered: a
+        call's streams are the rows ``spec_start[column] + position in
         group`` of the kernel's result columns.
         """
-        specs: list[StreamColumnSpec] = []
-        vns_spec: list[int] = []  # per group: its vns column (internet is next)
-        detour_spec: list[int] = []  # per group: its detour column, or -1
-        for key, indices in groups.items():
-            _, _, hour_bin, duration_s = key
-            _, pair = resolved[indices[0]]
-            hour = hour_bin + 0.5
-            digest = group_digest(self.config.seed, key)
-            detour_path = self._group_detour_path(key, indices, decisions)
-            if detour_path is not None:
-                detour_path = self._modeled_path(detour_path, "detour", pair.entry_pop)
-            vns_path = self._modeled_path(pair.via_vns, "vns", pair.entry_pop)
-            inet_path = self._modeled_path(pair.via_internet, "internet", pair.entry_pop)
-            n = len(indices)
-            vns_spec.append(len(specs))
-            specs.append(
-                StreamColumnSpec(vns_path, n, duration_s, hour, digest, _SALT_VNS)
+        n_calls, n_pairs = len(resolved), len(pairs)
+        pair = np.asarray(pair_of, dtype=np.int64)
+        hour_bins, hour = np.unique(
+            np.array([spec.start_hour_cet for spec in resolved]).astype(np.int64),
+            return_inverse=True,
+        )
+        durations, duration = np.unique(
+            np.array([spec.duration_s for spec in resolved], dtype=float),
+            return_inverse=True,
+        )
+        code = (pair * hour_bins.size + hour) * durations.size + duration
+        _, first, group = np.unique(code, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        first, group = first[order], np.argsort(order)[group]
+        sizes = np.bincount(group, minlength=first.size)
+        stats.batches, stats.largest_batch = first.size, int(sizes.max(initial=0))
+        slot = np.empty(n_calls, dtype=np.int64)  # a call's position in its group
+        slot[np.argsort(group, kind="stable")] = np.arange(n_calls) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
+        )
+
+        # Per pair, salt by salt: the (modelled) path its groups simulate.
+        group_pair = pair[first]
+        paths: list[DataPath | None] = [
+            self._modeled_path(p.via_vns, "vns", p.entry_pop) for p in pairs
+        ] + [self._modeled_path(p.via_internet, "internet", p.entry_pop) for p in pairs]
+        paths += [None] * n_pairs
+        detour = np.zeros(first.size, dtype=bool)
+        if self.steering is not None:
+            from repro.steering.policies import PathChoice
+
+            on_detour = np.fromiter(
+                (d.choice is PathChoice.POP_DETOUR for d in decisions), bool, n_calls
             )
-            specs.append(
-                StreamColumnSpec(
-                    inet_path, n, duration_s, hour, digest, _SALT_INTERNET
-                )
-            )
-            detour_spec.append(len(specs) if detour_path is not None else -1)
-            if detour_path is not None:
-                specs.append(
-                    StreamColumnSpec(
-                        detour_path, n, duration_s, hour, digest, _SALT_DETOUR
+            detour = np.bincount(group, on_detour) > 0
+            has_path = np.zeros(n_pairs, dtype=bool)
+            pair_first = np.unique(pair, return_index=True)[1].tolist()
+            for p in np.unique(group_pair[detour]).tolist():
+                spec = resolved[pair_first[p]]
+                path = self.resolver.detour_path(spec.caller.prefix, spec.callee.prefix)
+                if path is not None:
+                    has_path[p] = True
+                    paths[2 * n_pairs + p] = self._modeled_path(
+                        path, "detour", pairs[p].entry_pop
                     )
-                )
-            stats.batches += 1
-            stats.largest_batch = max(stats.largest_batch, n)
-        streams = simulate_columns(
-            specs,
+            detour &= has_path[group_pair]
+
+        # The spec table: each group's vns, internet and detour columns.
+        per_group = 2 + detour
+        spec_first = np.cumsum(per_group) - per_group
+        spec_group = np.repeat(np.arange(first.size), per_group)
+        salt = np.arange(spec_group.size) - spec_first[spec_group]
+        digest: list[int] = []
+        for call in first.tolist():
+            digest += group_digest(self.config.seed, group_key(resolved[call]))
+        streams = simulate_table(
+            list(map(paths.__getitem__, (salt * n_pairs + group_pair[spec_group]).tolist())),
+            sizes[spec_group],
+            durations[duration[first]][spec_group],
+            hour_bins[hour[first]][spec_group] + 0.5,
+            np.array(digest, dtype=np.uint64).reshape(-1, 2)[spec_group],
+            salt.astype(np.uint64),
             packets_per_second=self.config.packets_per_second,
             slot_s=self.config.slot_s,
         )
 
-        # Call -> stream row, per transport.  ``member`` lists the calls
-        # group by group; each sits ``slot`` rows into its group's columns.
-        n_calls = len(resolved)
-        sizes = np.fromiter(map(len, groups.values()), np.int64, len(groups))
-        member = np.fromiter(
-            (index for indices in groups.values() for index in indices),
-            np.int64,
-            n_calls,
-        )
+        def row(salt: int) -> np.ndarray:
+            """Each call's stream row in its group's ``salt`` column."""
+            return streams.spec_start[spec_first + salt][group] + slot
 
-        def per_call(per_group: np.ndarray) -> np.ndarray:
-            out = np.empty(n_calls, dtype=per_group.dtype)
-            out[member] = np.repeat(per_group, sizes)
-            return out
-
-        slot = np.empty(n_calls, dtype=np.int64)
-        slot[member] = np.arange(n_calls) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        spec_start = streams.spec_start
-        vns_first = np.asarray(vns_spec, dtype=np.int64)
-        vns_row = per_call(spec_start[vns_first]) + slot
-        inet_row = per_call(spec_start[vns_first + 1]) + slot
+        vns_row, inet_row = row(_SALT_VNS), row(_SALT_INTERNET)
         steered_row = None
         if self.steering is not None:
-            from repro.steering.policies import PathChoice
-
             # The stream a call rode: its VNS stream, its group's detour
             # column when it chose a detour and the group has one, else
             # its Internet stream.
-            detour_first = np.asarray(detour_spec, dtype=np.int64)
             on_vns = np.fromiter(
                 (d.choice is PathChoice.VNS for d in decisions), bool, n_calls
             )
-            on_detour = per_call(detour_first >= 0) & np.fromiter(
-                (d.choice is PathChoice.POP_DETOUR for d in decisions), bool, n_calls
-            )
-            detour_row = per_call(spec_start[detour_first]) + slot
+            on_detour &= detour[group]
             steered_row = np.where(
-                on_vns, vns_row, np.where(on_detour, detour_row, inet_row)
+                on_vns, vns_row, np.where(on_detour, row(_SALT_DETOUR), inet_row)
             )
         return CallResults(
-            specs=[spec for spec, _ in resolved],
-            entry_pops=[pair.entry_pop for _, pair in resolved],
-            egress_pops=[pair.egress_pop for _, pair in resolved],
+            specs=resolved,
+            entry_pops=[pairs[p].entry_pop for p in pair_of],
+            egress_pops=[pairs[p].egress_pop for p in pair_of],
             streams=streams,
             vns_row=vns_row,
             inet_row=inet_row,
@@ -905,10 +893,12 @@ class CampaignEngine:
             from repro.steering.policies import stream_payload_bytes
 
         # Phase 1: resolve paths (and, under steering, decide each call's
-        # transport) and group calls by simulation signature.
-        resolved: list[tuple[CallSpec, _ResolvedPair]] = []
+        # transport); number the distinct resolved pairs as they appear.
+        resolved: list[CallSpec] = []
+        pair_of: list[int] = []  # parallel to ``resolved``: its index in ``pairs``
+        pairs: list[_ResolvedPair] = []
+        pair_index: dict[int, int] = {}  # id(pair) -> index (the caches pin pairs)
         decisions: list["SteeringDecision"] = []  # parallel to ``resolved``
-        groups: dict[GroupKey, list[int]] = {}
         with perf.timer("workload.resolve"):
             for spec in calls:
                 pair = resolver.resolve_pair(
@@ -940,15 +930,17 @@ class CampaignEngine:
                             ),
                         )
                     )
-                index = len(resolved)
-                resolved.append((spec, pair))
-                groups.setdefault(group_key(spec), []).append(index)
+                index = pair_index.setdefault(id(pair), len(pairs))
+                if index == len(pairs):
+                    pairs.append(pair)
+                resolved.append(spec)
+                pair_of.append(index)
         perf.incr("workload.calls", len(calls))
 
-        # Phase 2: simulate every group's streams, gathered into
-        # campaign-wide array passes; the results stay columns.
+        # Phase 2: group the calls and simulate every group's streams,
+        # gathered into campaign-wide array passes; the results stay columns.
         with perf.timer("workload.simulate"):
-            results = self._simulate_columnar(groups, resolved, decisions, stats)
+            results = self._simulate_columnar(resolved, pair_of, pairs, decisions, stats)
         perf.incr("workload.batches", stats.batches)
 
         # Phase 3: fold the columns into the per-region-pair aggregator.

@@ -13,6 +13,7 @@ import pytest
 from repro.dataplane.columnar import (
     StreamColumnSpec,
     _binom_quantile,
+    _path_view,
     _group_rows,
     _stream_keys,
     simulate_columns,
@@ -373,11 +374,14 @@ class TestBinomQuantile:
         assert np.array_equal(_binom_quantile(u, n, p), binom.ppf(u, n, p).astype(np.int64))
 
     def test_is_the_quantile_by_definition(self):
-        from hypothesis import given, settings
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
         from scipy.special import bdtr
 
         @settings(max_examples=300, deadline=None)
+        # Exact ties: cdf(k - 1) sits ~1e-12 above u, inside the walk's error.
+        @example(u=0.5, n=1487, p=0.5)
+        @example(u=0.5, n=5999, p=0.5)
         @given(
             u=st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
             n=st.sampled_from(self.N) | st.integers(min_value=1, max_value=6000),
@@ -585,3 +589,39 @@ class TestPathView:
         clone = pickle.loads(pickle.dumps(path))
         assert clone == path and clone._kernel_view is None
         assert_identical(columnar_batch(clone, 3), columnar_batch(path, 3))
+
+    def test_view_is_the_path_scalars_bit_for_bit(self):
+        from repro.dataplane import calibration as cal
+        from repro.dataplane.link import LOSS_TABLE, satellite_segment
+        from repro.dataplane.transmit import _jitter_base_ms
+
+        healthy = mixed_path().segments
+        segments = [
+            satellite_segment(healthy[0]),
+            healthy[1],
+            degrade_segment(healthy[2], extra_loss=0.02, extra_delay_ms=7.5),
+            healthy[2],
+            PathSegment(kind=SegmentKind.VNS_L2, start=SIN, end=AMS),
+            PathSegment(kind=SegmentKind.VNS_L2, start=AMS, end=AMS),
+            healthy[3],
+        ]
+        path = DataPath(segments=segments, description="mixed-impaired")
+        view = _path_view(path)
+        assert view == (
+            tuple(LOSS_TABLE.segment_id(s) for s in segments),
+            2.0 * sum(s.delay_ms() for s in segments),
+            _jitter_base_ms(segments),
+        )
+        assert view.rtt_ms == path.rtt_ms()
+        # The per-segment term, derived here from kinds and distances.
+        terms = 0.0
+        for s in segments:
+            if s.kind is SegmentKind.ACCESS:
+                terms += 0.3
+            elif s.kind is SegmentKind.TRANSIT and s.is_long_haul:
+                terms += 0.5
+            elif s.kind is SegmentKind.VNS_L2 and s.is_long_haul:
+                terms += 0.1
+        assert view.jitter_base_ms == cal.JITTER_BASE_SCALE_MS * (1.0 + terms)
+        # An impairment's extra delay is in its segment's delay.
+        assert segments[0].delay_ms() == healthy[0].delay_ms() + segments[0].extra_delay_ms
