@@ -130,7 +130,8 @@ def group_key(spec: CallSpec) -> GroupKey:
     """The simulation-group signature of one call.
 
     Hour is binned to whole hours (the diurnal models change slowly) so
-    calls across a campaign day share batches.
+    calls across a campaign day share batches.  A run groups its calls by
+    an integer code of exactly this signature (no key is built per call).
     """
     return (
         spec.caller.prefix,
@@ -147,8 +148,8 @@ def group_digest(seed: int, key: GroupKey) -> tuple[int, int]:
     seed, group signature)``: identical inputs yield identical words in
     any process, which is the foundation of the sequential-vs-sharded
     equivalence guarantee.  The columnar kernel feeds these words into
-    its per-draw counters
-    (:class:`~repro.dataplane.columnar.StreamColumnSpec`).
+    its per-draw counters (the ``digest`` column of
+    :func:`~repro.dataplane.columnar.simulate_table`).
     """
     src, dst, hour_bin, duration_s = key
     return spec_digest(
@@ -842,9 +843,9 @@ class CampaignEngine:
             slot_s=self.config.slot_s,
         )
 
-        def row(salt: int) -> np.ndarray:
-            """Each call's stream row in its group's ``salt`` column."""
-            return streams.spec_start[spec_first + salt][group] + slot
+        def row(column: int) -> np.ndarray:
+            """Each call's stream row in its group's column of salt ``column``."""
+            return streams.spec_start[spec_first + column][group] + slot
 
         vns_row, inet_row = row(_SALT_VNS), row(_SALT_INTERNET)
         steered_row = None
