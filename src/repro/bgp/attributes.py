@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.net.addressing import Prefix
 
@@ -91,14 +91,18 @@ class Route:
         """The neighbouring AS this route points at."""
         return self.as_path.first_hop
 
+    # The copies below run once per message during convergence, so they
+    # construct positionally: half the cost of ``dataclasses.replace``.
+
     def with_communities(self, *extra: str) -> "Route":
         """A copy with additional communities — or ``self`` when all are present."""
         if self.communities.issuperset(extra):
             return self
-        return replace(self, communities=self.communities.union(extra))
-
-    # The copies below run once per message during convergence, so they
-    # construct positionally: half the cost of ``dataclasses.replace``.
+        return Route(
+            self.prefix, self.as_path, self.next_hop, self.origin, self.med,
+            self.local_pref, self.communities.union(extra), self.originator_id,
+            self.cluster_list, self.learned_from, self.ebgp,
+        )
 
     def with_local_pref(self, local_pref: int) -> "Route":
         """A copy with LOCAL_PREF replaced — or ``self`` when unchanged.

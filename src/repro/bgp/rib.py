@@ -9,55 +9,76 @@ from repro.net.addressing import Prefix
 
 
 class AdjRib:
-    """Per-peer routes, either received (In) or advertised (Out)."""
+    """Per-peer routes, either received (In) or advertised (Out).
+
+    Indexed by prefix (prefix -> {peer: route}): the decision process
+    asks for one prefix's candidates on every run, and that is one
+    lookup.  A prefix whose last route goes is deleted, so every stored
+    entry is non-empty.  Per-peer reads are scans over the prefixes.
+    """
 
     def __init__(self) -> None:
-        self._routes: dict[str, dict[Prefix, Route]] = {}
+        self._routes: dict[Prefix, dict[str, Route]] = {}
 
     def update(self, peer: str, route: Route) -> None:
         """Store ``route`` as the current route from/to ``peer``."""
-        self._routes.setdefault(peer, {})[route.prefix] = route
+        peers = self._routes.get(route.prefix)
+        if peers is None:
+            self._routes[route.prefix] = {peer: route}
+        else:
+            peers[peer] = route
 
     def withdraw(self, peer: str, prefix: Prefix) -> Route | None:
         """Remove and return the route for ``prefix`` from ``peer``."""
-        return self._routes.get(peer, {}).pop(prefix, None)
+        peers = self._routes.get(prefix)
+        if peers is None:
+            return None
+        removed = peers.pop(peer, None)
+        if not peers:
+            del self._routes[prefix]
+        return removed
 
     def route(self, peer: str, prefix: Prefix) -> Route | None:
         """The current route for ``prefix`` from/to ``peer``."""
-        return self._routes.get(peer, {}).get(prefix)
+        peers = self._routes.get(prefix)
+        return None if peers is None else peers.get(peer)
 
     def routes_for(self, prefix: Prefix) -> list[Route]:
-        """All per-peer routes for ``prefix``."""
-        return [
-            routes[prefix] for routes in self._routes.values() if prefix in routes
-        ]
+        """All per-peer routes for ``prefix`` (a new list)."""
+        peers = self._routes.get(prefix)
+        return [] if peers is None else list(peers.values())
 
     def routes_from(self, peer: str) -> dict[Prefix, Route]:
         """All routes from/to one peer (a copy)."""
-        return dict(self._routes.get(peer, {}))
+        return {
+            prefix: peers[peer] for prefix, peers in self._routes.items() if peer in peers
+        }
 
     def prefixes(self) -> set[Prefix]:
         """Every prefix that has at least one route."""
-        seen: set[Prefix] = set()
-        for routes in self._routes.values():
-            seen.update(routes)
-        return seen
+        return set(self._routes)
 
     def prefixes_via(self, next_hops: Set[str]) -> set[Prefix]:
         """Every prefix with a route whose next hop is one of ``next_hops``."""
         return {
             prefix
-            for routes in self._routes.values()
-            for prefix, route in routes.items()
-            if route.next_hop in next_hops
+            for prefix, peers in self._routes.items()
+            if any(route.next_hop in next_hops for route in peers.values())
         }
 
     def drop_peer(self, peer: str) -> dict[Prefix, Route]:
         """Remove all state for a peer (session teardown); return it."""
-        return self._routes.pop(peer, {})
+        dropped: dict[Prefix, Route] = {}
+        for prefix, peers in list(self._routes.items()):
+            route = peers.pop(peer, None)
+            if route is not None:
+                dropped[prefix] = route
+                if not peers:
+                    del self._routes[prefix]
+        return dropped
 
     def __len__(self) -> int:
-        return sum(len(routes) for routes in self._routes.values())
+        return sum(len(peers) for peers in self._routes.values())
 
 
 class LocRib:

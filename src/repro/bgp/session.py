@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class SessionType(enum.Enum):
@@ -37,11 +37,10 @@ class Session:
     session_type: SessionType
     peer_asn: int
     rr_client: bool = False
+    #: derived from ``session_type`` once: the speakers read them per message.
+    is_ebgp: bool = field(init=False, repr=False, compare=False, default=False)
+    is_ibgp: bool = field(init=False, repr=False, compare=False, default=False)
 
-    @property
-    def is_ebgp(self) -> bool:
-        return self.session_type is SessionType.EBGP
-
-    @property
-    def is_ibgp(self) -> bool:
-        return self.session_type is SessionType.IBGP
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_ebgp", self.session_type is SessionType.EBGP)
+        object.__setattr__(self, "is_ibgp", self.session_type is SessionType.IBGP)

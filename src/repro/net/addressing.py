@@ -8,7 +8,7 @@ operations (the hot path of the BGP simulator) inexpensive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
 
 _MAX_ADDRESS = (1 << 32) - 1
@@ -79,6 +79,12 @@ class Prefix:
 
     network: int
     length: int
+    #: value hash, precomputed once — prefixes key every RIB dict, and the
+    #: generated dataclass hash led the control plane's profile.  It is
+    #: pickled with the prefix, which is sound only because the key is
+    #: ints: a ``str`` hash is salted per process, so a str-keyed type
+    #: storing one would carry a stale hash into spawned pool workers.
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         if not 0 <= self.length <= 32:
@@ -90,6 +96,10 @@ class Prefix:
                 f"network {_format_dotted_quad(self.network)} has host bits set "
                 f"for /{self.length}"
             )
+        object.__setattr__(self, "_hash", hash((self.network, self.length)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":

@@ -75,6 +75,8 @@ CI_GATES: dict[str, tuple[Gate, ...]] = {
         # timeline (messages and `_decide` runs): exact int compare.
         Gate("scales.small.timeline.messages_delivered"),
         Gate("scales.small.timeline.decisions"),
+        Gate("scales.small.timeline.decisions_unchanged"),
+        Gate("scales.small.timeline.nht_prefixes_affected"),
         # The MEDIUM drill suite's seed-deterministic columns: exact.
         Gate("messages_total"),
         Gate("fault_events"),

@@ -61,22 +61,18 @@ class IgpMetricFromRouter:
     """IGP metric from one router to a BGP next hop (0 for external).
 
     A picklable callable (campaign shards ship whole worlds to worker
-    processes) that looks the SPF table up per call rather than capturing
-    it, so the metric tracks IGP reconvergence after link/PoP faults: a
-    next hop at an unreachable or failed router costs ``inf``.
+    processes) that looks the network's metric table up per call rather
+    than capturing it, so the metric tracks IGP reconvergence after
+    link/PoP faults: a next hop at an unreachable or failed router costs
+    ``inf``.  A next hop the table does not name is external, resolved
+    over the local session.
     """
 
     network: "VnsNetwork"
     router_id: str
 
     def __call__(self, next_hop: str) -> float:
-        network = self.network
-        if next_hop not in network.pop_of_router:
-            return 0.0  # external next hop resolved over the local session
-        spf = network._router_spf.get(self.router_id)
-        if spf is None:
-            return float("inf")  # this router's own PoP is down
-        return spf.metric_to(next_hop)
+        return self.network._igp_table[self.router_id].get(next_hop, 0.0)
 
 
 def external_peer_id(asn: int, router_id: str) -> str:
@@ -211,6 +207,9 @@ class VnsNetwork:
         #: the last :meth:`_rebuild_igp` (see :meth:`igp_notifications`).
         self._igp_moved: dict[str, frozenset[str]] = {}
         self._build_routers()
+        #: Border router -> {internal next hop: metric}, what the speakers
+        #: decide by; re-derived from ``_router_spf`` whenever SPF re-runs.
+        self._igp_table = self._igp_metrics()
         self._build_ibgp()
 
     # ----------------------------------------------------------------- #
@@ -330,7 +329,7 @@ class VnsNetwork:
         message-by-message, is the slow part), and records which next-hop
         metrics the rebuild moved for :meth:`igp_notifications`.
         """
-        before = self._igp_metrics()
+        before = self._igp_table
         self.pop_igp, _ = build_l2_topology(
             excluded_links=frozenset(self.down_links),
             excluded_pops=frozenset(self.down_pops),
@@ -339,27 +338,30 @@ class VnsNetwork:
         self.router_igp = router_level_igp(self.pop_igp, require_connected=False)
         self._pop_spf = all_pairs_spf(self.pop_igp)
         self._router_spf = all_pairs_spf(self.router_igp)
+        self._igp_table = self._igp_metrics()
         self._igp_moved = {
             router_id: frozenset(
                 next_hop
                 for next_hop, metric in metrics.items()
                 if metric != before[router_id][next_hop]
             )
-            for router_id, metrics in self._igp_metrics().items()
+            for router_id, metrics in self._igp_table.items()
         }
 
     def _igp_metrics(self) -> dict[str, dict[str, float]]:
         """Each border router's metric to every internal BGP next hop.
 
-        Read through the same callable the speakers decide by, so a
-        difference between two of these tables is exactly what selection
-        can observe — own-PoP-down (everything ``inf``) included.
+        The one derivation of what the speakers decide by
+        (:class:`IgpMetricFromRouter` reads it), so a difference between
+        two of these tables is exactly what selection can observe — an
+        unreachable next hop and own-PoP-down (everything) cost ``inf``.
         """
         metrics: dict[str, dict[str, float]] = {}
         for router_id in self.border_routers:
-            metric = self._igp_metric_fn(router_id)
+            spf = self._router_spf.get(router_id)
             metrics[router_id] = {
-                next_hop: metric(next_hop) for next_hop in self.pop_of_router
+                next_hop: float("inf") if spf is None else spf.metric_to(next_hop)
+                for next_hop in self.pop_of_router
             }
         return metrics
 

@@ -1,5 +1,6 @@
 """Unit tests for BGP path attributes."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -92,6 +93,9 @@ class TestRoute:
         assert route.with_local_pref(9) == replace(route, local_pref=9)
         assert route.with_communities("d") == replace(
             route, communities=frozenset({"c", "d"})
+        )
+        assert pickle.dumps(route.with_communities("d", "e")) == pickle.dumps(
+            replace(route, communities=route.communities.union(("d", "e")))
         )
         assert route.received("p2", False) == replace(
             route, learned_from="p2", ebgp=False

@@ -1,5 +1,10 @@
 """Unit tests for the RIB structures."""
 
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.bgp.attributes import AsPath, Route
 from repro.bgp.rib import AdjRib, LocRib
 from repro.net.addressing import Prefix
@@ -54,6 +59,88 @@ class TestAdjRib:
         rib.update("a", route())
         rib.update("b", route())
         assert len(rib) == 2
+
+
+class PeerMajorRib:
+    """The reference: peer -> {prefix: route}, the obvious layout."""
+
+    def __init__(self) -> None:
+        self.routes: dict[str, dict[Prefix, Route]] = {}
+
+    def update(self, peer, route):
+        self.routes.setdefault(peer, {})[route.prefix] = route
+
+    def withdraw(self, peer, prefix):
+        return self.routes.get(peer, {}).pop(prefix, None)
+
+    def drop_peer(self, peer):
+        return self.routes.pop(peer, {})
+
+
+PEERS = ("a", "b", "c")
+PREFIXES = (P1, P2, Prefix.parse("192.0.2.0/24"))
+NEXT_HOPS = ("n1", "n2", "n3")
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("update"),
+            st.sampled_from(PEERS),
+            st.sampled_from(PREFIXES),
+            st.sampled_from(NEXT_HOPS),
+            st.integers(min_value=1, max_value=3),
+        ),
+        st.tuples(st.just("withdraw"), st.sampled_from(PEERS), st.sampled_from(PREFIXES)),
+        st.tuples(st.just("drop_peer"), st.sampled_from(PEERS)),
+    ),
+    max_size=40,
+)
+
+
+def assert_agrees(rib: AdjRib, model: PeerMajorRib) -> None:
+    for peer in PEERS:
+        held = model.routes.get(peer, {})
+        for prefix in PREFIXES:
+            assert rib.route(peer, prefix) == held.get(prefix)
+        routes_from = rib.routes_from(peer)
+        assert routes_from == held
+        routes_from[P1] = route(peer="junk")  # a copy: the RIB must not see it
+    for prefix in PREFIXES:
+        routes_for = rib.routes_for(prefix)
+        expected = [held[prefix] for held in model.routes.values() if prefix in held]
+        assert len(routes_for) == len(expected)
+        assert set(routes_for) == set(expected)
+        routes_for.append(route(peer="junk"))  # the decision appends originations
+    assert rib.prefixes() == {p for held in model.routes.values() for p in held}
+    for size in range(len(NEXT_HOPS) + 1):
+        for next_hops in combinations(NEXT_HOPS, size):
+            assert rib.prefixes_via(frozenset(next_hops)) == {
+                prefix
+                for held in model.routes.values()
+                for prefix, r in held.items()
+                if r.next_hop in next_hops
+            }
+    assert len(rib) == sum(len(held) for held in model.routes.values())
+
+
+class TestAdjRibModel:
+    @given(operations)
+    @settings(max_examples=200)
+    def test_prefix_index_agrees_with_peer_major_reference(self, ops):
+        """Every read of the prefix-indexed RIB equals the peer-major
+        reference's after every step, and the removals return equal state."""
+        rib, model = AdjRib(), PeerMajorRib()
+        for op, peer, *args in ops:
+            if op == "update":
+                prefix, next_hop, path_len = args
+                r = Route(prefix=prefix, as_path=AsPath((1,) * path_len), next_hop=next_hop)
+                rib.update(peer, r)
+                model.update(peer, r)
+            elif op == "withdraw":
+                assert rib.withdraw(peer, args[0]) == model.withdraw(peer, args[0])
+            else:
+                assert rib.drop_peer(peer) == model.drop_peer(peer)
+            assert_agrees(rib, model)
 
 
 class TestLocRib:

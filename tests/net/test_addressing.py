@@ -1,5 +1,9 @@
 """Unit tests for IPv4 addresses and prefixes."""
 
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.net.addressing import DEFAULT_ROUTE, IPv4Address, Prefix
@@ -101,3 +105,31 @@ class TestPrefix:
     def test_netmask(self):
         assert Prefix.parse("10.0.0.0/8").netmask() == 0xFF000000
         assert DEFAULT_ROUTE.netmask() == 0
+
+
+class TestPrefixHash:
+    """``Prefix`` stores its hash; it must stay the value hash everywhere."""
+
+    def test_built_prefixes_hash_by_value(self, tiny_topology):
+        prefixes = list(tiny_topology.prefix_location)
+        assert prefixes
+        for prefix in prefixes:
+            assert hash(prefix) == hash((prefix.network, prefix.length))
+
+    def test_pickle_round_trip_keeps_the_value_hash(self, tiny_topology):
+        prefixes = list(tiny_topology.prefix_location)
+        restored = pickle.loads(pickle.dumps(prefixes))
+        assert restored == prefixes
+        assert [hash(p) for p in restored] == [hash((p.network, p.length)) for p in prefixes]
+        assert set(restored) == set(prefixes)
+
+    def test_spawned_process_agrees(self, tiny_topology):
+        """A pool worker unpickles the stored hash; it must equal the hash
+        the worker itself computes from the value."""
+        prefixes = list(tiny_topology.prefix_location)[:64]
+        values = [(p.network, p.length) for p in prefixes]
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            stored = list(pool.map(hash, prefixes, timeout=120))
+            computed = list(pool.map(hash, values, timeout=120))
+        assert stored == computed == [hash(value) for value in values]
