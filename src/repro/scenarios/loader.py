@@ -28,7 +28,6 @@ function of the path value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from hashlib import blake2b
 from typing import Sequence
 
 from repro.dataplane.link import SegmentKind, degrade_segment, satellite_segment
@@ -139,20 +138,6 @@ class ScenarioPathModel:
         if not changed:
             return path
         return DataPath(segments=segments, description=path.description)
-
-    def fingerprint(self) -> str:
-        """Stable digest of every field (for campaign fingerprints)."""
-        digest = blake2b(digest_size=8)
-        digest.update(
-            f"{self.last_mile}|{self.satellite_delay_ms}|{self.satellite_loss}".encode()
-        )
-        for d in self.degradations:
-            digest.update(
-                f"|{d.regions}|{d.extra_loss}|{d.extra_delay_ms}".encode()
-            )
-        for pop, units in self.pop_overload:
-            digest.update(f"|{pop}:{units}".encode())
-        return digest.hexdigest()
 
 
 # --------------------------------------------------------------------- #

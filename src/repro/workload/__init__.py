@@ -51,7 +51,6 @@ from repro.workload.report import (
 from repro.workload.sharded import (
     CampaignWorkerPool,
     PoolStats,
-    ShardCheckpointStore,
     ShardedCampaignRun,
     ShardedCampaignRunner,
     ShardExecutionError,
@@ -59,7 +58,6 @@ from repro.workload.sharded import (
     ShardPlan,
     ShardTask,
     StalePoolError,
-    campaign_fingerprint,
     default_workers,
     partition_calls,
     predicted_shard_cost,
@@ -88,7 +86,6 @@ __all__ = [
     "PathModel",
     "PathResolver",
     "PoolStats",
-    "ShardCheckpointStore",
     "ShardExecutionError",
     "ShardOutcome",
     "ShardPlan",
@@ -99,7 +96,6 @@ __all__ = [
     "User",
     "UserPopulation",
     "call_rate_profile",
-    "campaign_fingerprint",
     "default_workers",
     "flash_crowd_calls",
     "group_key",

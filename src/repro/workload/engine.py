@@ -81,16 +81,12 @@ class PathModel(Protocol):
     anycast entry PoP, and returns either the path unchanged or a new
     :class:`~repro.dataplane.path.DataPath`.  It must be a pure function
     of its arguments (no hidden state, no randomness) so shard workers
-    reproduce the parent's transformed paths exactly.  ``fingerprint``
-    is a stable string folded into shard checkpoints' campaign
-    fingerprints.
+    reproduce the parent's transformed paths exactly.
     """
 
     def transform(
         self, path: DataPath, transport: str, *, entry_pop: str
     ) -> DataPath: ...  # pragma: no cover - protocol
-
-    def fingerprint(self) -> str: ...  # pragma: no cover - protocol
 
 
 @dataclass(frozen=True, slots=True)

@@ -126,21 +126,9 @@ class TestScenarioPathModel:
         )
         clone = pickle.loads(pickle.dumps(model))
         assert clone == model
-        assert clone.fingerprint() == model.fingerprint()
         a = model.transform(synthetic_path(), "vns", entry_pop="LON")
         b = clone.transform(synthetic_path(), "vns", entry_pop="LON")
         assert a.segments == b.segments
-
-    def test_fingerprint_distinguishes_models(self):
-        prints = {
-            ScenarioPathModel().fingerprint(),
-            ScenarioPathModel(last_mile="geo_satellite").fingerprint(),
-            ScenarioPathModel(pop_overload=(("LON", 0.5),)).fingerprint(),
-            ScenarioPathModel(
-                degradations=(TransitDegrade(time_s=0.0, regions=EU_NA),)
-            ).fingerprint(),
-        }
-        assert len(prints) == 4
 
 
 class TestFaultApplication:

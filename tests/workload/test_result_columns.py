@@ -47,9 +47,6 @@ class ImpairedVns:
         first = degrade_segment(path.segments[0], extra_loss=0.01, extra_delay_ms=5.0)
         return DataPath(segments=[first, *path.segments[1:]], description=path.description)
 
-    def fingerprint(self) -> str:
-        return "impaired-vns"
-
 
 @pytest.fixture(scope="module")
 def calls(small_world):
