@@ -129,26 +129,6 @@ def _to_unit(z: np.ndarray) -> np.ndarray:
     return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
 
 
-def _stream_keys(digest: tuple[int, int], salt: int, start: int, stop: int) -> np.ndarray:
-    """One pseudo-random 64-bit key per stream of a spec slice.
-
-    ``digest`` is the group's blake2b-128 split into two words
-    (:func:`spec_digest`), so the keyspace inherits the caller's keying
-    — ``(seed, group signature)`` for a campaign.
-    ``salt`` separates transports sharing a group (vns / internet /
-    detour): the baseline transports' draws are independent of whether a
-    detour batch exists at all.
-    """
-    d0, d1 = digest
-    with np.errstate(over="ignore"):
-        base = _mix64(
-            np.uint64(d0 & 0xFFFFFFFFFFFFFFFF)
-            + np.uint64(salt & 0xFFFFFFFF) * _GOLDEN
-        )
-        idx = np.arange(start, stop, dtype=np.uint64)
-        return _mix64(idx * _GOLDEN + np.uint64(d1 & 0xFFFFFFFFFFFFFFFF)) ^ base
-
-
 def _draw(keys: np.ndarray, layer: int, purpose: int) -> np.ndarray:
     """One per-stream uniform: shape ``(len(keys),)``."""
     counter = np.uint64((layer * _PURPOSE_SPAN + purpose) << 32)
@@ -716,8 +696,11 @@ def _simulate_pass(
 ) -> None:
     """Simulate one ``(rows, n_slots)`` pass into the rows' result columns."""
     m = row_spec.size
-    # Per-stream keys — bit-identical to _stream_keys(digest, salt, start,
-    # stop) per spec, concatenated.
+    # One pseudo-random 64-bit key per stream: a function of the spec's
+    # digest (its caller's keying, e.g. (seed, group signature)), its
+    # transport salt and the stream's absolute index alone, so a spec cut
+    # across passes draws the same keys and transports sharing a group
+    # draw independently.
     with np.errstate(over="ignore"):
         keys = (
             _mix64(row_stream.astype(np.uint64) * _GOLDEN + table.key_word[row_spec])

@@ -8,14 +8,56 @@ failover bench share, with :func:`events_to_json` /
 :func:`events_from_json` as its wire format.  A :class:`SimulatedClock`
 tracks simulated seconds (never wall time), so replaying the same
 timeline produces the identical event log.
+
+Every event validates its fields on construction (:data:`FIELD_RULES`),
+so hostile JSON ends in a ``ValueError`` that names the field instead of
+an event that fails later.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
-from typing import Iterable
+from typing import Callable, Iterable
+
+from repro.geo.regions import WorldRegion
+
+
+def is_int(value: object) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value: object) -> bool:
+    """A finite JSON number: an ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_name(value: object) -> bool:
+    return isinstance(value, str) and bool(value)
+
+
+_REGION_NAMES = tuple(region.value for region in WorldRegion)
+
+#: Field name -> (what a valid value is, its test), for every event field.
+FIELD_RULES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "time_s": ("a finite number >= 0", lambda v: is_real(v) and v >= 0),
+    "a": ("a non-empty string", _is_name),
+    "b": ("a non-empty string", _is_name),
+    "pop": ("a non-empty string", _is_name),
+    "asn": ("an int >= 0", lambda v: is_int(v) and v >= 0),
+    "router_id": ("null or a non-empty string", lambda v: v is None or _is_name(v)),
+    "regions": (
+        f"two WorldRegion values {list(_REGION_NAMES)}",
+        lambda v: isinstance(v, tuple)
+        and len(v) == 2
+        and all(isinstance(r, str) and r in _REGION_NAMES for r in v),
+    ),
+    "extra_loss": ("a number in [0, 1)", lambda v: is_real(v) and 0 <= v < 1),
+    "extra_delay_ms": ("a finite number >= 0", lambda v: is_real(v) and v >= 0),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,6 +65,15 @@ class FaultEvent:
     """Base class: something happens at ``time_s`` simulated seconds."""
 
     time_s: float
+
+    def __post_init__(self) -> None:
+        for f in dataclass_fields(self):
+            rule, valid = FIELD_RULES[f.name]
+            value = getattr(self, f.name)
+            if not valid(value):
+                raise ValueError(
+                    f"{type(self).__name__}.{f.name} must be {rule}, got {value!r}"
+                )
 
     def describe(self) -> str:
         """One event-log line; subclasses refine the tail."""
@@ -186,7 +237,7 @@ def event_from_dict(payload: dict) -> FaultEvent:
             f"fault event payload is missing its 'type' field "
             f"(known types: {sorted(EVENT_TYPES)})"
         )
-    cls = EVENT_TYPES.get(name)
+    cls = EVENT_TYPES.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ValueError(
             f"unknown fault event type {name!r} (known: {sorted(EVENT_TYPES)})"

@@ -15,10 +15,11 @@ scenario is two value objects —
 Both are frozen, hashable, and round-trip through JSON **byte-stably**:
 ``to_json(from_json(text)) == to_json(spec)`` for any spec, because
 serialisation sorts keys and Python floats round-trip exactly through
-JSON.  ``from_json`` is schema-validating — unknown fields and unknown
-enum values are rejected with errors that name the offender and list
-what is accepted, so a typo in a committed spec file fails loudly
-instead of silently running the default.
+JSON.  ``from_json`` is schema-validating — unknown fields, unknown
+enum values and values of the wrong type are rejected with a
+``ValueError`` that names the offender and lists what is accepted, so a
+typo in a committed spec file fails loudly instead of silently running
+the default.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
+from typing import Callable
 
 from repro.dataplane.link import GEO_SATELLITE_DELAY_MS, GEO_SHAPING_LOSS
-from repro.faults.events import FaultEvent, event_from_dict, event_to_dict
+from repro.faults.events import FaultEvent, event_from_dict, event_to_dict, is_int, is_real
 from repro.vns.pop import POPS
 
 #: Accepted ``WorldSpec.scale`` values (mirrors ``WorldScale``).
@@ -67,6 +69,30 @@ def _require_object(cls: type, payload: object) -> dict:
     return dict(payload)
 
 
+#: A spec field's annotation (up to any ``[``) -> (what a valid value
+#: is, its test): ``int`` is an integer and ``float`` a finite number,
+#: neither a ``bool``; a ``tuple`` field takes any array.
+_KINDS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "int": ("an int", is_int),
+    "float": ("a finite number", is_real),
+    "bool": ("a bool", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple": ("an array", lambda v: isinstance(v, (list, tuple))),
+    "WorldSpec": ("a WorldSpec", lambda v: isinstance(v, WorldSpec)),
+}
+
+
+def _require_kinds(spec: object) -> None:
+    """Every field of ``spec`` holds a value of its annotated kind."""
+    for f in dataclass_fields(spec):
+        rule, valid = _KINDS[f.type.partition("[")[0]]
+        value = getattr(spec, f.name)
+        if not valid(value):
+            raise ValueError(
+                f"{type(spec).__name__}.{f.name} must be {rule}, got {value!r}"
+            )
+
+
 def _require_enum(cls: type, field_name: str, value: str, accepted: tuple[str, ...]) -> None:
     if value not in accepted:
         raise ValueError(
@@ -103,15 +129,29 @@ class WorldSpec:
     pop_capacity: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        _require_kinds(self)
+        for entry in self.pop_capacity:
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == 2
+                and isinstance(entry[0], str)
+                and is_real(entry[1])
+            ):
+                raise ValueError(
+                    "WorldSpec.pop_capacity entries must be [pop, erlangs] "
+                    f"pairs, got {entry!r}"
+                )
         # Normalise list inputs (e.g. straight from JSON) to tuples so
         # the spec stays hashable however it was constructed.
         object.__setattr__(self, "pops_down", tuple(self.pops_down))
         object.__setattr__(
             self,
             "pop_capacity",
-            tuple((str(pop), float(cap)) for pop, cap in self.pop_capacity),
+            tuple((pop, float(cap)) for pop, cap in self.pop_capacity),
         )
         _require_enum(WorldSpec, "scale", self.scale, WORLD_SCALES)
+        if self.seed < 0:
+            raise ValueError(f"WorldSpec.seed must be >= 0, got {self.seed!r}")
         for pop in self.pops_down:
             if pop not in POP_CODES:
                 raise ValueError(
@@ -147,21 +187,7 @@ class WorldSpec:
 
     @classmethod
     def from_dict(cls, payload: object) -> "WorldSpec":
-        data = _require_object(cls, payload)
-        capacity = data.get("pop_capacity", ())
-        if not isinstance(capacity, (list, tuple)):
-            raise ValueError(
-                "WorldSpec.pop_capacity must be an array of [pop, erlangs] "
-                f"pairs, got {type(capacity).__name__}"
-            )
-        for entry in capacity:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ValueError(
-                    "WorldSpec.pop_capacity entries must be [pop, erlangs] "
-                    f"pairs, got {entry!r}"
-                )
-        data["pop_capacity"] = tuple(tuple(entry) for entry in capacity)
-        return cls(**data)
+        return cls(**_require_object(cls, payload))
 
     def to_json(self, *, indent: int | None = 2) -> str:
         """Byte-stable: sorted keys, exact float round-trip."""
@@ -209,9 +235,12 @@ class ScenarioSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
+        _require_kinds(self)
         object.__setattr__(self, "faults", tuple(self.faults))
         if not self.name:
             raise ValueError("ScenarioSpec.name must be non-empty")
+        if self.seed < 0:
+            raise ValueError(f"ScenarioSpec.seed must be >= 0, got {self.seed!r}")
         _require_enum(
             ScenarioSpec, "arrival_profile", self.arrival_profile, ARRIVAL_PROFILES
         )
@@ -290,15 +319,11 @@ class ScenarioSpec:
         if "world" in data:
             data["world"] = WorldSpec.from_dict(data["world"])
         faults = data.get("faults", ())
-        if not isinstance(faults, (list, tuple)):
-            raise ValueError(
-                "ScenarioSpec.faults must be an array of fault event "
-                f"objects, got {type(faults).__name__}"
+        if isinstance(faults, (list, tuple)):  # anything else: __post_init__ refuses it
+            data["faults"] = tuple(
+                event if isinstance(event, FaultEvent) else event_from_dict(event)
+                for event in faults
             )
-        data["faults"] = tuple(
-            event if isinstance(event, FaultEvent) else event_from_dict(event)
-            for event in faults
-        )
         return cls(**data)
 
     def to_json(self, *, indent: int | None = 2) -> str:

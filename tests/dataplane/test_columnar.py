@@ -15,7 +15,6 @@ from repro.dataplane.columnar import (
     _binom_quantile,
     _path_view,
     _group_rows,
-    _stream_keys,
     simulate_columns,
     simulate_stream_columns,
 )
@@ -312,17 +311,6 @@ class TestGuards:
 
 
 class TestInternals:
-    def test_stream_keys_slice_consistent(self):
-        # Keys depend only on (digest, salt, absolute index) — a spec
-        # split across chunks sees the same keys as one whole pass.
-        whole = _stream_keys(DIGEST, 0, 0, 10)
-        assert np.array_equal(whole[3:7], _stream_keys(DIGEST, 0, 3, 7))
-
-    def test_stream_keys_salted(self):
-        assert not np.array_equal(
-            _stream_keys(DIGEST, 0, 0, 10), _stream_keys(DIGEST, 1, 0, 10)
-        )
-
     def test_group_rows_matches_concatenated_aranges(self):
         starts = np.array([0, 5, 5, 100], dtype=np.int64)
         lens = np.array([3, 1, 4, 2], dtype=np.int64)

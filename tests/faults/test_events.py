@@ -21,6 +21,8 @@ from repro.faults.events import (
     events_to_json,
 )
 
+EU_NA = ("Europe", "North and Central America")
+
 
 class TestClock:
     def test_starts_at_zero_and_advances(self):
@@ -49,7 +51,7 @@ class TestDescribe:
                 PopDown(time_s=90.0, pop="SIN"),
                 SessionDown(time_s=120.0, asn=101),
                 TransitDegrade(
-                    time_s=150.0, regions=("Europe", "Asia"), extra_loss=0.05
+                    time_s=150.0, regions=("Europe", "Asia Pacific"), extra_loss=0.05
                 ),
             )
         ]
@@ -69,9 +71,9 @@ class TestEventSerialisation:
         SessionDown(time_s=1.0, asn=64512),
         SessionUp(time_s=9.0, asn=64512, router_id=None),
         TransitDegrade(
-            time_s=0.0, regions=("EU", "NA"), extra_loss=0.05, extra_delay_ms=40.0
+            time_s=0.0, regions=EU_NA, extra_loss=0.05, extra_delay_ms=40.0
         ),
-        TransitRestore(time_s=600.0, regions=("EU", "NA")),
+        TransitRestore(time_s=600.0, regions=EU_NA),
     )
 
     @pytest.mark.parametrize("event", EVENTS, ids=lambda e: type(e).__name__)
@@ -81,10 +83,10 @@ class TestEventSerialisation:
         assert type(restored) is type(event)
 
     def test_regions_tuple_restored_from_json_list(self):
-        event = TransitDegrade(time_s=0.0, regions=("EU", "NA"))
+        event = TransitDegrade(time_s=0.0, regions=EU_NA)
         payload = json.loads(json.dumps(event_to_dict(event)))
         restored = event_from_dict(payload)
-        assert restored.regions == ("EU", "NA")
+        assert restored.regions == EU_NA
         assert isinstance(restored.regions, tuple)
 
     def test_events_json_round_trip_is_byte_stable(self):
@@ -116,6 +118,38 @@ class TestEventSerialisation:
     def test_non_array_events_json_rejected(self):
         with pytest.raises(ValueError, match="array"):
             events_from_json('{"type": "PopDown"}')
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"type": "LinkDown", "time_s": "soon", "a": "LON", "b": "AMS"}, "time_s"),
+            ({"type": "PopDown", "time_s": -5, "pop": "LON"}, "time_s"),
+            ({"type": "PopDown", "time_s": True, "pop": "LON"}, "time_s"),
+            ({"type": "PopDown", "time_s": 0.0, "pop": ""}, "pop"),
+            ({"type": "LinkUp", "time_s": 0.0, "a": "LON", "b": 7}, "b"),
+            ({"type": "SessionDown", "time_s": 0.0, "asn": "x"}, "asn"),
+            ({"type": "SessionUp", "time_s": 0.0, "asn": 1, "router_id": ""}, "router_id"),
+            ({"type": "TransitDegrade", "time_s": 0.0, "regions": ["Europe"]}, "regions"),
+            (
+                {"type": "TransitDegrade", "time_s": 0.0, "regions": ["Mars", "Venus"]},
+                "regions",
+            ),
+            (
+                {"type": "TransitDegrade", "time_s": 0.0, "regions": list(EU_NA),
+                 "extra_loss": 3.0},
+                "extra_loss",
+            ),
+            (
+                {"type": "TransitDegrade", "time_s": 0.0, "regions": list(EU_NA),
+                 "extra_delay_ms": float("inf")},
+                "extra_delay_ms",
+            ),
+            ({"type": ["PopDown"], "time_s": 0.0, "pop": "LON"}, "type"),
+        ],
+    )
+    def test_hostile_field_is_named(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            events_from_json(json.dumps([payload]))
 
     def test_unregistered_event_type_rejected_on_write(self):
         class Bogus(FaultEvent):

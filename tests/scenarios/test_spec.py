@@ -1,5 +1,7 @@
 """Spec schema tests: byte-stable JSON round trips, loud rejection."""
 
+import json
+
 import pytest
 
 from repro.faults.events import LinkDown, PopDown, TransitDegrade
@@ -172,6 +174,26 @@ class TestRejection:
     def test_out_of_range_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"name": "x", "seed": "7"}, "ScenarioSpec.seed"),
+            ({"name": "x", "seed": -1}, "ScenarioSpec.seed"),
+            ({"name": "x", "n_users": "120"}, "ScenarioSpec.n_users"),
+            ({"name": "x", "days": True}, "ScenarioSpec.days"),
+            ({"name": "x", "calls_per_user_day": None}, "ScenarioSpec.calls_per_user_day"),
+            ({"name": "x", "flash_hour_cet": float("nan")}, "ScenarioSpec.flash_hour_cet"),
+            ({"name": ["x"]}, "ScenarioSpec.name"),
+            ({"name": "x", "world": {"pops_down": "LON"}}, "WorldSpec.pops_down"),
+            ({"name": "x", "world": {"seed": 1.5}}, "WorldSpec.seed"),
+            ({"name": "x", "world": {"geoip_errors": 1}}, "WorldSpec.geoip_errors"),
+            ({"name": "x", "world": {"pop_capacity": [["LON", None]]}}, "pop_capacity"),
+        ],
+    )
+    def test_wrong_kind_is_named(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec.from_json(json.dumps(payload))
 
 
 class TestRegistry:
