@@ -1,13 +1,23 @@
 """Unit tests for AS-level valley-free route propagation."""
 
+import heapq
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.bgp.propagation import (
+    AsLevelRoute,
     AsLevelRouting,
     RouteKind,
     compute_routes_to_origin,
 )
+from repro.experiments.common import _MAX_PEERS, _TOPOLOGY_CONFIGS, WorldScale
 from repro.net.relationships import ASGraph, Relationship
+from repro.net.topology import generate_topology
+from repro.vns.builder import VnsConfig, build_vns
+from repro.vns.network import VNS_ASN
+from tests.property.test_props_routing import hierarchies
 
 
 @pytest.fixture
@@ -116,3 +126,128 @@ class TestExportToNeighbor:
         own = routing.exported_to_neighbor(3, Relationship.PEER, 3)
         assert own is not None
         assert own.kind is RouteKind.ORIGIN
+
+
+# --------------------------------------------------------------------- #
+# oracle: the route-object-first computation, kept test-side
+# --------------------------------------------------------------------- #
+
+
+def _reference_tiebreak(route: AsLevelRoute) -> int:
+    if not route.path:
+        return 0
+    return ((route.path[0] * 2654435761) ^ (route.path[-1] * 2246822519)) & 0xFFFFFFFF
+
+
+def _reference_better(a: AsLevelRoute, b: AsLevelRoute) -> bool:
+    key_a = (int(a.kind), len(a.path), _reference_tiebreak(a), a.path[:1])
+    key_b = (int(b.kind), len(b.path), _reference_tiebreak(b), b.path[:1])
+    return key_a < key_b
+
+
+def reference_routes_to_origin(graph: ASGraph, origin: int) -> dict[int, AsLevelRoute]:
+    """The computation ``compute_routes_to_origin`` replaced: an
+    ``AsLevelRoute`` per candidate, compared by full Gao-Rexford key."""
+    routes = {origin: AsLevelRoute(kind=RouteKind.ORIGIN, path=())}
+    heap = [(0, (), origin)]
+    while heap:
+        dist, path, asn = heapq.heappop(heap)
+        current = routes.get(asn)
+        if current is None or current.path != path:
+            continue
+        for provider in graph.providers_of(asn):
+            candidate = AsLevelRoute(kind=RouteKind.CUSTOMER, path=(asn,) + path)
+            existing = routes.get(provider)
+            if existing is None or _reference_better(candidate, existing):
+                routes[provider] = candidate
+                heapq.heappush(heap, (dist + 1, candidate.path, provider))
+    customer_routed = [
+        (asn, route)
+        for asn, route in routes.items()
+        if route.kind in (RouteKind.ORIGIN, RouteKind.CUSTOMER)
+    ]
+    peer_candidates = {}
+    for asn, route in customer_routed:
+        for peer in graph.peers_of(asn):
+            if peer in routes:
+                continue
+            candidate = AsLevelRoute(kind=RouteKind.PEER, path=(asn,) + route.path)
+            existing = peer_candidates.get(peer)
+            if existing is None or _reference_better(candidate, existing):
+                peer_candidates[peer] = candidate
+    routes.update(peer_candidates)
+    heap = [(len(route.path), route.path, asn) for asn, route in routes.items()]
+    heapq.heapify(heap)
+    while heap:
+        dist, path, asn = heapq.heappop(heap)
+        route = routes.get(asn)
+        if route is None or len(route.path) != dist or route.path != path:
+            continue
+        for customer in graph.customers_of(asn):
+            candidate = AsLevelRoute(kind=RouteKind.PROVIDER, path=(asn,) + path)
+            existing = routes.get(customer)
+            if existing is None or (
+                existing.kind is RouteKind.PROVIDER
+                and _reference_better(candidate, existing)
+            ):
+                routes[customer] = candidate
+                heapq.heappush(heap, (len(candidate.path), candidate.path, customer))
+    return routes
+
+
+def assert_same_tables(graph: ASGraph, origins) -> None:
+    for origin in origins:
+        expected = reference_routes_to_origin(graph, origin)
+        actual = compute_routes_to_origin(graph, origin)
+        assert actual == expected, f"origin AS{origin}"
+        assert list(actual) == list(expected), f"origin AS{origin}: table order"
+
+
+def _seed7_world_graph(scale: str) -> ASGraph:
+    """The seed-7 world's AS graph with VNS attached (``build_vns`` adds
+    it under its upstreams; convergence does not touch the graph)."""
+    world_scale = WorldScale(scale)
+    rng = np.random.default_rng(7)
+    topology = generate_topology(_TOPOLOGY_CONFIGS[world_scale], rng)
+    build_vns(
+        topology,
+        routing=AsLevelRouting(topology.graph),
+        geoip=topology.build_geoip(),
+        config=VnsConfig(max_peers=_MAX_PEERS[world_scale]),
+        rng=rng,
+        converge=False,
+    )
+    return topology.graph
+
+
+class TestReferenceOracle:
+    """Every table equals the reference's, in the same ``list(table)``
+    order (the order callers iterate a table in)."""
+
+    @given(hierarchies())
+    @settings(max_examples=80, deadline=None)
+    def test_random_hierarchies(self, graph):
+        assert_same_tables(graph, graph.asns())
+
+    def test_diamond(self, diamond):
+        assert_same_tables(diamond, diamond.asns())
+
+    @pytest.mark.parametrize("scale", ["small", pytest.param("medium", marks=pytest.mark.slow)])
+    def test_every_origin_of_the_seed7_world(self, scale):
+        graph = _seed7_world_graph(scale)
+        assert VNS_ASN in graph
+        assert_same_tables(graph, graph.asns())
+
+    def test_vns_edges_reach_both_endpoints(self):
+        """``build_vns`` adds VNS's edges after the topology is built:
+        each upstream lists VNS as its newest customer, each peer as its
+        newest peer."""
+        graph = _seed7_world_graph("small")
+        upstreams = graph.providers_of(VNS_ASN)
+        peers = graph.peers_of(VNS_ASN)
+        assert upstreams and peers
+        assert graph.customers_of(VNS_ASN) == []
+        for upstream in upstreams:
+            assert graph.customers_of(upstream)[-1] == VNS_ASN
+        for peer in peers:
+            assert graph.peers_of(peer)[-1] == VNS_ASN

@@ -53,6 +53,38 @@ class TestQueries:
     def test_peers_of(self, graph):
         assert graph.peers_of(3) == [5]
 
+    def test_lists_in_edge_insertion_order(self):
+        g = ASGraph()
+        g.add_provider_customer(1, 9)
+        g.add_peering(1, 4)
+        g.add_provider_customer(1, 3)
+        g.add_provider_customer(7, 1)
+        g.add_peering(1, 2)
+        g.add_provider_customer(5, 1)
+        assert g.customers_of(1) == [9, 3]
+        assert g.peers_of(1) == [4, 2]
+        assert g.providers_of(1) == [7, 5]
+
+    @pytest.mark.parametrize("query", ["customers_of", "providers_of", "peers_of"])
+    def test_returned_lists_are_fresh(self, graph, query):
+        before = {asn: getattr(graph, query)(asn) for asn in graph.asns()}
+        for asn in graph.asns():
+            returned = getattr(graph, query)(asn)
+            returned.append(999)
+            returned.clear()
+        assert {asn: getattr(graph, query)(asn) for asn in graph.asns()} == before
+        assert getattr(graph, query)(3) is not getattr(graph, query)(3)
+
+    def test_edge_added_later_reaches_both_endpoints(self, graph):
+        assert graph.customers_of(1) == [3, 5]
+        graph.add_provider_customer(1, 6)
+        graph.add_peering(6, 4)
+        assert graph.customers_of(1) == [3, 5, 6]
+        assert graph.providers_of(6) == [1]
+        assert graph.peers_of(6) == [4]
+        assert graph.peers_of(4) == [6]
+        assert graph.relationship(6, 1) is Relationship.PROVIDER
+
     def test_customer_cone(self, graph):
         assert graph.customer_cone(1) == {1, 3, 4, 5}
         assert graph.customer_cone(4) == {4}
