@@ -41,10 +41,19 @@ class ASGraph:
 
     def __init__(self) -> None:
         self._neighbors: dict[int, dict[int, Relationship]] = {}
+        # Each AS's neighbours by how it sees them, in edge-insertion
+        # order; ``_add_edge`` keeps them beside ``_neighbors``.
+        self._customers: dict[int, list[int]] = {}
+        self._providers: dict[int, list[int]] = {}
+        self._peers: dict[int, list[int]] = {}
 
     def add_as(self, asn: int) -> None:
         """Register an AS with no links yet (idempotent)."""
-        self._neighbors.setdefault(asn, {})
+        if asn not in self._neighbors:
+            self._neighbors[asn] = {}
+            self._customers[asn] = []
+            self._providers[asn] = []
+            self._peers[asn] = []
 
     def __contains__(self, asn: int) -> bool:
         return asn in self._neighbors
@@ -77,6 +86,15 @@ class ASGraph:
             raise ValueError(f"AS{a} and AS{b} already have a relationship")
         self._neighbors[a][b] = rel_of_b_to_a
         self._neighbors[b][a] = rel_of_b_to_a.inverse()
+        self._listed(rel_of_b_to_a)[a].append(b)
+        self._listed(rel_of_b_to_a.inverse())[b].append(a)
+
+    def _listed(self, rel: Relationship) -> dict[int, list[int]]:
+        if rel is Relationship.CUSTOMER:
+            return self._customers
+        if rel is Relationship.PROVIDER:
+            return self._providers
+        return self._peers
 
     def relationship(self, local: int, neighbor: int) -> Relationship:
         """How ``local`` sees ``neighbor``.
@@ -93,19 +111,17 @@ class ASGraph:
         return dict(self._neighbors[asn])
 
     def customers_of(self, asn: int) -> list[int]:
-        """ASes buying transit from ``asn``."""
-        return self._filter(asn, Relationship.CUSTOMER)
+        """ASes buying transit from ``asn`` (a fresh list, oldest edge first)."""
+        return list(self._customers[asn])
 
     def providers_of(self, asn: int) -> list[int]:
-        """ASes that ``asn`` buys transit from (its upstreams)."""
-        return self._filter(asn, Relationship.PROVIDER)
+        """ASes that ``asn`` buys transit from (its upstreams; a fresh list,
+        oldest edge first)."""
+        return list(self._providers[asn])
 
     def peers_of(self, asn: int) -> list[int]:
-        """Settlement-free peers of ``asn``."""
-        return self._filter(asn, Relationship.PEER)
-
-    def _filter(self, asn: int, rel: Relationship) -> list[int]:
-        return [nbr for nbr, r in self._neighbors[asn].items() if r is rel]
+        """Settlement-free peers of ``asn`` (a fresh list, oldest edge first)."""
+        return list(self._peers[asn])
 
     def customer_cone(self, asn: int) -> set[int]:
         """All ASes reachable from ``asn`` by walking customer edges.
