@@ -21,7 +21,7 @@ from repro.bgp.attributes import (
     Route,
 )
 from repro.bgp.messages import Update, Withdraw
-from repro.bgp.decision import DecisionContext, best_route, decision_order
+from repro.bgp.decision import best_route, decision_order
 from repro.bgp.policy import ExportPolicy, ImportPolicy, RelationshipExportPolicy
 from repro.bgp.rib import AdjRib, LocRib
 from repro.bgp.session import Session, SessionType
@@ -39,7 +39,6 @@ __all__ = [
     "Withdraw",
     "best_route",
     "decision_order",
-    "DecisionContext",
     "ImportPolicy",
     "ExportPolicy",
     "RelationshipExportPolicy",

@@ -12,7 +12,6 @@ irrelevant whenever geography discriminates.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 from repro.bgp.attributes import Route
 
@@ -22,26 +21,6 @@ _UNREACHABLE = float("inf")
 def _no_igp_metric(next_hop: str) -> float:
     """Default IGP metric when the speaker has no IGP view (flat cost)."""
     return 0.0
-
-
-@dataclass(slots=True)
-class DecisionContext:
-    """Inputs the decision process needs beyond the candidate routes.
-
-    Parameters
-    ----------
-    igp_metric:
-        Metric from this speaker to a BGP next hop; drives hot-potato.
-    router_id:
-        The local speaker's identifier (used as default originator id).
-    always_compare_med:
-        If true, MED is compared across neighbour ASes too (the non-default
-        vendor knob); the paper's setup leaves this off.
-    """
-
-    igp_metric: Callable[[str], float] = field(default=_no_igp_metric)
-    router_id: str = ""
-    always_compare_med: bool = False
 
 
 def _stage_max(routes: list[Route], key: Callable[[Route], float]) -> list[Route]:
@@ -54,13 +33,8 @@ def _stage_min(routes: list[Route], key: Callable[[Route], float]) -> list[Route
     return [r for r in routes if key(r) == best]
 
 
-def _med_stage(routes: list[Route], always_compare: bool) -> list[Route]:
-    """Keep routes that are lowest-MED within their neighbour-AS group.
-
-    With ``always_compare`` MED becomes a global minimum instead.
-    """
-    if always_compare:
-        return _stage_min(routes, lambda r: r.med)
+def _med_stage(routes: list[Route]) -> list[Route]:
+    """Keep routes that are lowest-MED within their neighbour-AS group."""
     lowest_by_neighbor: dict[int | None, int] = {}
     for route in routes:
         key = route.neighbor_as
@@ -69,11 +43,15 @@ def _med_stage(routes: list[Route], always_compare: bool) -> list[Route]:
     return [r for r in routes if r.med == lowest_by_neighbor[r.neighbor_as]]
 
 
-def decision_order(routes: Sequence[Route], ctx: DecisionContext) -> list[Route]:
+def decision_order(
+    routes: Sequence[Route], igp_metric: Callable[[str], float] = _no_igp_metric
+) -> list[Route]:
     """All candidates that survive the decision process, best first.
 
     The first element is the best route; remaining elements are the other
     survivors of the last discriminating stage, in deterministic order.
+    ``igp_metric`` is the speaker's metric to a BGP next hop; it drives
+    hot-potato (here and in :func:`best_route` / :func:`best_external`).
     """
     if not routes:
         return []
@@ -85,7 +63,7 @@ def decision_order(routes: Sequence[Route], ctx: DecisionContext) -> list[Route]
     #    (an out-of-band reflector at a failed PoP) keeps its table rather
     #    than withdrawing the world, and a prefix whose every egress is
     #    stranded stays visibly routed-but-blackholed instead of vanishing.
-    reachable = [r for r in survivors if ctx.igp_metric(r.next_hop) != _UNREACHABLE]
+    reachable = [r for r in survivors if igp_metric(r.next_hop) != _UNREACHABLE]
     if reachable:
         survivors = reachable
 
@@ -96,12 +74,12 @@ def decision_order(routes: Sequence[Route], ctx: DecisionContext) -> list[Route]
     # 3. Lowest ORIGIN (IGP < EGP < INCOMPLETE).
     survivors = _stage_min(survivors, lambda r: int(r.origin))
     # 4. Lowest MED among routes from the same neighbour AS.
-    survivors = _med_stage(survivors, ctx.always_compare_med)
+    survivors = _med_stage(survivors)
     # 5. eBGP-learned over iBGP-learned.
     if any(r.ebgp for r in survivors):
         survivors = [r for r in survivors if r.ebgp]
     # 6. Lowest IGP metric to the BGP next hop (hot potato).
-    survivors = _stage_min(survivors, lambda r: ctx.igp_metric(r.next_hop))
+    survivors = _stage_min(survivors, lambda r: igp_metric(r.next_hop))
     # 7. Shortest CLUSTER_LIST (RFC 4456 §9).
     survivors = _stage_min(survivors, lambda r: len(r.cluster_list))
     # 8. Lowest originator router id, then lowest peer id.  The AS path
@@ -119,26 +97,25 @@ def decision_order(routes: Sequence[Route], ctx: DecisionContext) -> list[Route]
     return survivors
 
 
-def best_route(routes: Sequence[Route], ctx: DecisionContext | None = None) -> Route | None:
+def best_route(
+    routes: Sequence[Route], igp_metric: Callable[[str], float] = _no_igp_metric
+) -> Route | None:
     """The single best route among ``routes`` (``None`` if empty).
 
     One pass: the minimum of one lexicographic key per candidate, which
     *is* the staged process of :func:`decision_order` whenever MED cannot
-    discriminate per neighbour AS (all MEDs equal, or
-    ``always_compare_med``).  Otherwise the per-neighbour-AS MED stage is
-    not a total order and the staged process — the reference, and that
-    stage's only implementation — decides.
+    discriminate per neighbour AS (all MEDs equal).  Otherwise the
+    per-neighbour-AS MED stage is not a total order and the staged
+    process — the reference, and that stage's only implementation —
+    decides.
     """
     if not routes:
         return None
-    if ctx is None:
-        ctx = DecisionContext()
-    igp_metric, compare_any_med = ctx.igp_metric, ctx.always_compare_med
     med = routes[0].med
     best = best_key = None
     for r in routes:
-        if r.med != med and not compare_any_med:
-            return decision_order(routes, ctx)[0]
+        if r.med != med:
+            return decision_order(routes, igp_metric)[0]
         metric = igp_metric(r.next_hop)
         key = (
             metric == _UNREACHABLE,  # ranked only when nothing is reachable
@@ -159,7 +136,9 @@ def best_route(routes: Sequence[Route], ctx: DecisionContext | None = None) -> R
     return best
 
 
-def best_external(routes: Sequence[Route], ctx: DecisionContext | None = None) -> Route | None:
+def best_external(
+    routes: Sequence[Route], igp_metric: Callable[[str], float] = _no_igp_metric
+) -> Route | None:
     """The best route among the eBGP-learned candidates only.
 
     This is what the "BGP best external" feature advertises into iBGP when
@@ -169,4 +148,4 @@ def best_external(routes: Sequence[Route], ctx: DecisionContext | None = None) -
     externals = [r for r in routes if r.ebgp]
     if not externals:
         return None
-    return best_route(externals, ctx)
+    return best_route(externals, igp_metric)

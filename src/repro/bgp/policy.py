@@ -134,33 +134,6 @@ class RelationshipExportPolicy(ExportPolicy):
         return None
 
 
-class ChainPolicy(ImportPolicy, ExportPolicy):
-    """Apply several policies in order; the first rejection wins."""
-
-    def __init__(self, *policies: ImportPolicy | ExportPolicy) -> None:
-        self._policies = policies
-
-    def apply(self, route: Route, session: Session) -> Route | None:
-        current: Route | None = route
-        for policy in self._policies:
-            if current is None:
-                return None
-            current = policy.apply(current, session)
-        return current
-
-
-class DenyPrefixImport(ImportPolicy):
-    """Reject specific prefixes on import (management-interface building block)."""
-
-    def __init__(self, prefixes: set) -> None:
-        self._prefixes = set(prefixes)
-
-    def apply(self, route: Route, session: Session) -> Route | None:
-        if route.prefix in self._prefixes:
-            return None
-        return route
-
-
 def strip_ibgp_only_attributes(route: Route) -> Route:
     """Reset attributes that must not cross an AS boundary.
 

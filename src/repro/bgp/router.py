@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Iterable
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, AsPath, Origin, Route
-from repro.bgp.decision import DecisionContext, _no_igp_metric, best_external, best_route
+from repro.bgp.decision import _no_igp_metric, best_external, best_route
 from repro.bgp.messages import IgpNotification, Message, Update, Withdraw
 from repro.bgp.policy import (
     AcceptAll,
@@ -83,9 +83,7 @@ class BgpRouter:
         self.adj_rib_out = AdjRib()
         self.loc_rib = LocRib()
         self.originated: dict[Prefix, Route] = {}
-        self._ctx = DecisionContext(
-            igp_metric=igp_metric or _no_igp_metric, router_id=router_id
-        )
+        self._igp_metric = igp_metric or _no_igp_metric
         #: Per prefix, the ``(best, iBGP source route)`` outcome Adj-RIB-Out
         #: was last synchronised to; lets :meth:`_decide` skip the
         #: advertisement diff when a message did not change the outcome.
@@ -337,7 +335,7 @@ class BgpRouter:
         an IGP event (:meth:`_revalidate`) changes neither and keeps it.
         """
         candidates = self._candidates(prefix)
-        best = best_route(candidates, self._ctx)
+        best = best_route(candidates, self._igp_metric)
         if perf.enabled:
             perf.incr("bgp.decide.calls")
         if best is None:
@@ -417,7 +415,7 @@ class BgpRouter:
         if best.ebgp or best.learned_from is None:
             return best
         if self.enable_best_external:
-            return best_external(candidates, self._ctx)
+            return best_external(candidates, self._igp_metric)
         # Standard rule: iBGP-learned routes are not re-advertised into
         # iBGP by an ordinary speaker.  This is the hidden-routes hazard.
         return None

@@ -96,7 +96,6 @@ def run_lastmile_campaign(
     hosts_per_type_per_region: int = 8,
     days: int = 1,
     minutes_between_rounds: float = 60.0,
-    packets_per_round: int = 100,
     pop_codes: tuple[str, ...] = LASTMILE_POPS,
 ) -> LastMileData:
     """Run the campaign at a configurable (scaled-down) intensity."""
@@ -104,9 +103,7 @@ def run_lastmile_campaign(
     hosts = select_hosts(
         world.service, rng, per_type_per_region=hosts_per_type_per_region
     )
-    campaign = LossProbeCampaign(
-        world.service.path_local_exit, rng, packets_per_round=packets_per_round
-    )
+    campaign = LossProbeCampaign(world.service.path_local_exit, rng)
     rounds = rounds_every(minutes_between_rounds, days)
     observations = campaign.run(list(pop_codes), hosts, rounds)
     return LastMileData(hosts=hosts, observations=observations)

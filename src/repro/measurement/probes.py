@@ -68,22 +68,16 @@ class ProbeObservation:
 #: at the PoP, Sec. 5.2) or ``service.path_via_vns`` (across the backbone).
 PathBuilder = Callable[[str, Prefix, GeoPoint], "DataPath | None"]
 
+#: Back-to-back packets per probe round (Sec. 5.2).
+PACKETS_PER_ROUND = 100
+
 
 class LossProbeCampaign:
     """Runs the Sec. 5.2 campaign on a set of hosts and PoPs."""
 
-    def __init__(
-        self,
-        path_builder: PathBuilder,
-        rng: np.random.Generator,
-        *,
-        packets_per_round: int = 100,
-    ) -> None:
-        if packets_per_round <= 0:
-            raise ValueError("packets_per_round must be positive")
+    def __init__(self, path_builder: PathBuilder, rng: np.random.Generator) -> None:
         self.path_builder = path_builder
         self.rng = rng
-        self.packets_per_round = packets_per_round
         self._path_cache: dict[tuple[str, Prefix], DataPath | None] = {}
 
     def path(self, pop_code: str, host: TargetHost) -> DataPath | None:
@@ -102,7 +96,7 @@ class LossProbeCampaign:
             return None
         result = simulate_probe_round(
             path,
-            packets=self.packets_per_round,
+            packets=PACKETS_PER_ROUND,
             hour_cet=round_.hour_cet,
             rng=self.rng,
         )
@@ -134,9 +128,8 @@ class LossProbeCampaign:
 
 def select_hosts(
     service: VideoNetworkService,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
-    seed: int | None = None,
     per_type_per_region: int = 50,
     regions: tuple[WorldRegion, ...] = LAST_MILE_STUDY_REGIONS,
 ) -> list[TargetHost]:
@@ -149,23 +142,10 @@ def select_hosts(
     round-robin across distinct origin ASes first, then across each AS's
     prefixes.
 
-    All randomness (the host-location jitter) flows through the explicit
-    generator: pass ``rng``, or ``seed`` to have one built — two calls
-    with the same seed pick identical hosts.
-
-    Raises
-    ------
-    ValueError
-        When both ``rng`` and ``seed`` are given, or neither is.
+    All randomness (the host-location jitter) flows through ``rng``: two
+    generators in the same state pick identical hosts.
     """
     from repro.geo.cities import region_of_point
-
-    if rng is not None and seed is not None:
-        raise ValueError("pass either rng or seed, not both")
-    if rng is None:
-        if seed is None:
-            raise ValueError("select_hosts needs an rng or an explicit seed")
-        rng = np.random.default_rng(seed)
 
     topology = service.topology
     # Bucket candidate prefixes by (region, AS type), grouped per origin.

@@ -59,6 +59,7 @@ OVERLOAD_UNIT_CLAMP = 4.0
 
 #: The probe telemetry a steered scenario decides on: one day of rounds
 #: every four hours to two hosts per AS type per region, from every PoP.
+#: ``SteeringTelemetry.collect`` has no schedule of its own.
 TELEMETRY_DAYS = 1
 TELEMETRY_MINUTES_BETWEEN_ROUNDS = 240.0
 TELEMETRY_HOSTS_PER_TYPE_PER_REGION = 2

@@ -7,8 +7,8 @@ capacity, and overlay work motivates a one-hop PoP detour as the middle
 ground.  This subsystem is that decision layer:
 
 * :mod:`~repro.steering.health` — the telemetry store: per-corridor
-  EWMA RTT/loss with diurnal buckets, staleness expiry and confidence
-  counts;
+  EWMA RTT/loss with diurnal buckets, a staleness limit and a confidence
+  floor (constants, like the EWMA weight and the bucket width);
 * :mod:`~repro.steering.telemetry` — dual-transport probe campaigns
   (:class:`~repro.measurement.probes.LossProbeCampaign` rounds on
   :mod:`~repro.measurement.scheduler` schedules) feeding the table;
@@ -17,8 +17,8 @@ ground.  This subsystem is that decision layer:
   (Internet when probed RTT/loss are within deltas of VNS) and
   ``cost_budgeted`` (greedy offload under a backbone-byte budget);
 * :mod:`~repro.steering.engine` — the per-call
-  :meth:`~repro.steering.engine.SteeringEngine.decide` front the
-  campaign engine and :meth:`VideoNetworkService.call_paths` consult.
+  :meth:`~repro.steering.engine.SteeringEngine.decide_for_regions`, the
+  one place a verdict is made; the campaign engine consults it.
 """
 
 from repro.steering.engine import SteeringEngine

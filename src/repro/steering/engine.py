@@ -1,28 +1,25 @@
 """The per-call steering decision engine.
 
-Sits between routing and the workload: the campaign engine (or
-:meth:`repro.vns.service.VideoNetworkService.call_paths`) resolves the
-candidate transports for a call, then asks the
-:class:`SteeringEngine` which one carries it.  The engine translates
-prefixes to report-region codes, reads the corridor's
-:class:`~repro.steering.health.PathHealthTable` state at the call's
-time, and delegates the verdict to its pluggable policy.
+Sits between routing and the workload: the campaign engine resolves the
+candidate transports for a call, then asks the :class:`SteeringEngine`
+which one carries it.  The engine reads the corridor's
+:class:`~repro.steering.health.PathHealthTable` state at the call's time
+and delegates the verdict to its pluggable policy.
 
 Decisions are pure in ``(call identity, corridor health, candidates)``
 — the engine itself holds no evolving state beyond an optional memo for
 policies whose verdicts are constant per (corridor, diurnal bucket).
 That purity is what lets a sharded campaign reproduce the sequential
 decision stream exactly, and it makes the engine picklable (plain data:
-table, policy, a prefix->region dict).
+table and policy).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro import perf
-from repro.steering.health import PathHealthTable, Transport
+from repro.steering.health import PathHealthTable, Transport, bucket_of
 from repro.steering.policies import (
     PathCandidates,
     SteeringContext,
@@ -30,14 +27,10 @@ from repro.steering.policies import (
     SteeringPolicy,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.addressing import Prefix
-    from repro.vns.service import VideoNetworkService
-
 
 @dataclass(slots=True)
 class SteeringEngine:
-    """Binds a health table, a policy and a prefix->region map.
+    """Binds a health table and a policy.
 
     Parameters
     ----------
@@ -45,73 +38,14 @@ class SteeringEngine:
         The probe-fed :class:`PathHealthTable` decisions read.
     policy:
         Any :class:`~repro.steering.policies.SteeringPolicy`.
-    region_of:
-        Report-region code (``"EU"``, ``"AP"``, ...) per prefix — a plain
-        dict so the engine pickles to shard workers.  Prefixes absent
-        from it decide as region ``"??"`` (policies then see no health
-        and fall back to VNS).
     seed:
         Drives the deterministic per-call splits some policies use.
     """
 
     health: PathHealthTable
     policy: SteeringPolicy
-    region_of: dict["Prefix", str] = field(default_factory=dict)
     seed: int = 0
     _memo: dict[tuple[str, str, int], SteeringDecision] = field(default_factory=dict)
-
-    @classmethod
-    def for_service(
-        cls,
-        service: "VideoNetworkService",
-        health: PathHealthTable,
-        policy: SteeringPolicy,
-        *,
-        seed: int = 0,
-    ) -> "SteeringEngine":
-        """An engine whose region map covers every originated prefix."""
-        from repro.geo.cities import region_of_point
-        from repro.workload.report import REGION_CODE
-
-        region_of = {
-            prefix: REGION_CODE[region_of_point(location)]
-            for prefix, location in service.topology.prefix_location.items()
-        }
-        return cls(health=health, policy=policy, region_of=region_of, seed=seed)
-
-    # ------------------------------------------------------------------ #
-
-    def regions(self, src_prefix: "Prefix", dst_prefix: "Prefix") -> tuple[str, str]:
-        return (
-            self.region_of.get(src_prefix, "??"),
-            self.region_of.get(dst_prefix, "??"),
-        )
-
-    def decide(
-        self,
-        src_prefix: "Prefix",
-        dst_prefix: "Prefix",
-        t_hours: float,
-        *,
-        candidates: PathCandidates | None = None,
-        call_id: int = 0,
-        payload_bytes: int = 0,
-    ) -> SteeringDecision:
-        """The transport verdict for one call at campaign hour ``t_hours``.
-
-        ``candidates`` carries the call's resolved path RTTs when the
-        caller has them (the campaign engine always does); without them
-        policies fall back to corridor telemetry alone.
-        """
-        src_region, dst_region = self.regions(src_prefix, dst_prefix)
-        return self.decide_for_regions(
-            src_region,
-            dst_region,
-            t_hours,
-            candidates=candidates,
-            call_id=call_id,
-            payload_bytes=payload_bytes,
-        )
 
     def decide_for_regions(
         self,
@@ -123,12 +57,18 @@ class SteeringEngine:
         call_id: int = 0,
         payload_bytes: int = 0,
     ) -> SteeringDecision:
-        """As :meth:`decide`, for callers that already know the regions
-        (the campaign engine reads them off the sampled users)."""
+        """The transport verdict for one call at campaign hour ``t_hours``.
+
+        The regions are report-region codes (``"EU"``, ``"AP"``, ...) the
+        campaign engine reads off the sampled users; a corridor with no
+        telemetry decides as VNS.  ``candidates`` carries the call's
+        resolved path RTTs (the campaign engine always has them); without
+        them policies fall back to corridor telemetry alone.
+        """
         perf.incr("steering.decide")
         memo_key = None
         if not self.policy.call_sensitive:
-            memo_key = (src_region, dst_region, self.health.bucket_of(t_hours % 24.0))
+            memo_key = (src_region, dst_region, bucket_of(t_hours))
             cached = self._memo.get(memo_key)
             if cached is not None:
                 perf.incr("steering.memo_hit")

@@ -26,7 +26,6 @@ from repro.geo.cities import region_of_point
 from repro.measurement.probes import LossProbeCampaign, TargetHost, select_hosts
 from repro.measurement.scheduler import Round, rounds_every
 from repro.steering.health import PathHealthTable, Transport
-from repro.vns.pop import pop_by_code
 from repro.vns.service import VideoNetworkService
 from repro.workload.report import REGION_CODE
 
@@ -49,60 +48,44 @@ class SteeringTelemetry:
         The VNS under measurement.
     seed:
         Drives host selection and every probe draw.
-    packets_per_round:
-        Back-to-back packets per probe round (Sec. 5.2 uses 100).
     """
 
-    def __init__(
-        self,
-        service: VideoNetworkService,
-        *,
-        seed: int = 0,
-        packets_per_round: int = 100,
-    ) -> None:
+    def __init__(self, service: VideoNetworkService, *, seed: int = 0) -> None:
         self.service = service
         self.seed = seed
-        self.packets_per_round = packets_per_round
         self.stats = TelemetryStats()
 
     # ------------------------------------------------------------------ #
 
     def collect(
         self,
-        table: PathHealthTable | None = None,
         *,
-        days: int = 1,
-        minutes_between_rounds: float = 120.0,
-        hosts_per_type_per_region: int = 2,
-        pop_codes: tuple[str, ...] | None = None,
+        days: int,
+        minutes_between_rounds: float,
+        hosts_per_type_per_region: int,
     ) -> PathHealthTable:
-        """Probe the schedule and return the (possibly pre-seeded) table."""
-        if table is None:
-            table = PathHealthTable()
+        """Probe the schedule from every PoP and return the filled table.
+
+        The schedule has no defaults here: the one a steered scenario
+        uses is ``scenarios.loader.TELEMETRY_*``.
+        """
+        table = PathHealthTable()
         rng = np.random.default_rng(self.seed)
         hosts = select_hosts(
             self.service, rng, per_type_per_region=hosts_per_type_per_region
         )
-        if pop_codes is None:
-            pop_codes = tuple(pop.code for pop in self.service.pops())
         pop_region = {
-            code: REGION_CODE[region_of_point(pop_by_code(code).location)]
-            for code in pop_codes
+            pop.code: REGION_CODE[region_of_point(pop.location)]
+            for pop in self.service.pops()
         }
-        def probing(path_builder) -> LossProbeCampaign:
-            return LossProbeCampaign(
-                path_builder, rng, packets_per_round=self.packets_per_round
-            )
-
         # Both campaigns draw from the one generator, Internet first.
         campaigns = (
-            (Transport.INTERNET, probing(self.service.path_local_exit)),
-            (Transport.VNS, probing(self.service.path_via_vns)),
+            (Transport.INTERNET, LossProbeCampaign(self.service.path_local_exit, rng)),
+            (Transport.VNS, LossProbeCampaign(self.service.path_via_vns, rng)),
         )
         for round_ in rounds_every(minutes_between_rounds, days):
             self.stats.rounds += 1
-            for pop_code in pop_codes:
-                src_region = pop_region[pop_code]
+            for pop_code, src_region in pop_region.items():
                 for host in hosts:
                     for transport, campaign in campaigns:
                         self._observe(

@@ -55,12 +55,8 @@ class VnsConfig:
     #: Cap on settlement-free peers (paper: 13+ appear in Fig. 5's top-20).
     max_peers: int = 40
     #: Build geo reflectors ("after"); False gives the hot-potato "before"
-    #: network, which also switches iBGP to the classic full mesh unless
-    #: ``ibgp_mode`` says otherwise.
+    #: network, whose iBGP is the classic full mesh.
     geo_routing: bool = True
-    #: ``"route-reflector"``, ``"full-mesh"``, or ``None`` to derive from
-    #: ``geo_routing``.
-    ibgp_mode: str | None = None
     #: The hidden-routes fix on border routers.
     enable_best_external: bool = True
     #: ``f(d)`` for the geo reflectors.
@@ -335,9 +331,6 @@ def build_vns(
     }
     relationships.update({asn: Relationship.PEER for asn in peers})
 
-    ibgp_mode = config.ibgp_mode
-    if ibgp_mode is None:
-        ibgp_mode = "route-reflector" if config.geo_routing else "full-mesh"
     network = VnsNetwork(
         geoip=geoip,
         geo_routing=config.geo_routing,
@@ -345,7 +338,6 @@ def build_vns(
         lp_function=config.lp_function,
         relationships=relationships,
         management=management,
-        ibgp_mode=ibgp_mode,
     )
 
     # Register VNS in the AS graph so anycast catchment can be resolved.

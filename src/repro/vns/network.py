@@ -5,6 +5,8 @@ Assembles the intra-AS machinery: one or two border routers per PoP
 operational stability (the paper's footnote), an iBGP star from every
 border to both reflectors (borders are clients; reflectors peer with each
 other as non-clients), and a delay-tuned IGP over the L2 circuits.
+Without geo routing (the hot-potato "before" network) there are no
+reflectors: the border routers form a classic iBGP full mesh.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.bgp.policy import (
     RelationshipExportPolicy,
     RelationshipImportPolicy,
 )
-from repro.bgp.reflector import RouteReflector
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session, SessionType
 from repro.geo.coords import GeoPoint
@@ -150,7 +151,8 @@ class VnsNetwork:
         Prefix geolocation database used by the geo reflectors.
     geo_routing:
         True builds :class:`GeoRouteReflector`\\ s ("after"); False builds
-        plain reflectors, i.e. the hot-potato "before" configuration.
+        the hot-potato "before" configuration, a classic iBGP full mesh
+        between the border routers (no reflectors).
     enable_best_external:
         The hidden-routes fix on border routers (Sec. 3.2); on by default.
     lp_function:
@@ -158,10 +160,6 @@ class VnsNetwork:
     relationships:
         Relationship of each external neighbour ASN (PROVIDER for
         upstreams, PEER for peers), used by import/export policy.
-    ibgp_mode:
-        ``"route-reflector"`` (the deployed design) or ``"full-mesh"``
-        (the classic pre-reflector iBGP used as the "before" baseline).
-        Geo routing requires reflectors.
     """
 
     def __init__(
@@ -173,13 +171,7 @@ class VnsNetwork:
         lp_function: LocalPrefFunction = linear_lp,
         relationships: dict[int, Relationship] | None = None,
         management: ManagementInterface | None = None,
-        ibgp_mode: str = "route-reflector",
     ) -> None:
-        if ibgp_mode not in ("route-reflector", "full-mesh"):
-            raise ValueError(f"unknown ibgp_mode {ibgp_mode!r}")
-        if geo_routing and ibgp_mode != "route-reflector":
-            raise ValueError("geo routing is implemented in the route reflectors")
-        self.ibgp_mode = ibgp_mode
         self.geoip = geoip
         self.geo_routing = geo_routing
         self.enable_best_external = enable_best_external
@@ -198,7 +190,7 @@ class VnsNetwork:
 
         self.engine = BgpEngine()
         self.border_routers: dict[str, BgpRouter] = {}
-        self.reflectors: dict[str, RouteReflector] = {}
+        self.reflectors: dict[str, GeoRouteReflector] = {}
         self.pop_of_router: dict[str, str] = {}
         self.router_locations: dict[str, GeoPoint] = {}
         #: Reflector id -> the border router whose IGP view it decides by.
@@ -238,37 +230,29 @@ class VnsNetwork:
                 self.pop_of_router[router_id] = pop.code
                 self.router_locations[router_id] = pop.location
                 self.engine.add_router(router)
-        if self.ibgp_mode == "full-mesh":
+        if not self.geo_routing:
             return
         for index, pop_code in enumerate(REFLECTOR_POPS):
             pop = pop_by_code(pop_code)
             rr_id = f"RR{index + 1}-{pop_code}"
             anchor = pop.router_ids()[0]
-            if self.geo_routing:
-                reflector: RouteReflector = GeoRouteReflector(
-                    rr_id,
-                    VNS_ASN,
-                    geoip=self.geoip,
-                    router_locations=self.router_locations,
-                    lp_function=self.lp_function,
-                    management=self.management,
-                    location=pop.location,
-                    igp_metric=self._igp_metric_fn(anchor),
-                )
-            else:
-                reflector = RouteReflector(
-                    rr_id,
-                    VNS_ASN,
-                    location=pop.location,
-                    igp_metric=self._igp_metric_fn(anchor),
-                )
+            reflector = GeoRouteReflector(
+                rr_id,
+                VNS_ASN,
+                geoip=self.geoip,
+                router_locations=self.router_locations,
+                lp_function=self.lp_function,
+                management=self.management,
+                location=pop.location,
+                igp_metric=self._igp_metric_fn(anchor),
+            )
             self.reflectors[rr_id] = reflector
             self.reflector_anchor[rr_id] = anchor
             self.pop_of_router[rr_id] = pop.code
             self.engine.add_router(reflector)
 
     def _build_ibgp(self) -> None:
-        if self.ibgp_mode == "full-mesh":
+        if not self.geo_routing:
             router_ids = sorted(self.border_routers)
             for i, a in enumerate(router_ids):
                 for b in router_ids[i + 1 :]:

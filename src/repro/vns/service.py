@@ -10,7 +10,6 @@ video call end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,68 +27,15 @@ from repro.vns.management import ManagementInterface
 from repro.vns.network import EgressDecision, VnsNetwork
 from repro.vns.pop import POPS, PoP, pop_by_code
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (steering imports us back)
-    from repro.steering.engine import SteeringEngine
-    from repro.steering.policies import SteeringDecision
-
 
 @dataclass(slots=True)
 class CallPaths:
-    """The transport options for a media stream between two users.
-
-    ``via_detour`` (the one-hop PoP detour: last mile to the anycast
-    entry PoP, then forced out onto the Internet there — zero backbone
-    circuits) and ``decision`` are populated only when :meth:`
-    VideoNetworkService.call_paths` ran with a steering engine.
-    """
+    """The transport options for a media stream between two users."""
 
     via_vns: DataPath
     via_internet: DataPath
     entry_pop: str
     exit_pop: str
-    via_detour: DataPath | None = None
-    decision: "SteeringDecision | None" = None
-
-    @property
-    def chosen(self) -> DataPath:
-        """The path the steering verdict selected (VNS when unsteered)."""
-        if self.decision is None or self.decision.choice.value == "vns":
-            return self.via_vns
-        if self.decision.choice.value == "pop_detour" and self.via_detour is not None:
-            return self.via_detour
-        return self.via_internet
-
-
-def detour_candidates(
-    src_prefix: Prefix,
-    dst_prefix: Prefix,
-    entry_pop: str,
-    inbound: DataPath,
-    exit_leg: DataPath | None,
-    via_vns: DataPath,
-    via_internet: DataPath,
-) -> "tuple[DataPath | None, PathCandidates]":
-    """A call's one-hop PoP detour and the RTTs a steering policy weighs.
-
-    The detour is the caller's last mile (``inbound``) to the anycast
-    entry PoP followed by the forced local exit there (``exit_leg``, from
-    :meth:`VideoNetworkService.path_local_exit`; Sec. 4.1) — zero
-    backbone circuits; ``None`` when the PoP has no external route.  The
-    one composition behind :meth:`VideoNetworkService.call_paths` and
-    the campaign resolver, which pass their own (cached) legs.
-    """
-    from repro.steering.policies import PathCandidates
-
-    via_detour = None
-    if exit_leg is not None:
-        via_detour = inbound.concat(exit_leg)
-        via_detour.description = f"call-detour:{src_prefix}->{dst_prefix}"
-    return via_detour, PathCandidates(
-        vns_rtt_ms=via_vns.rtt_ms(),
-        internet_rtt_ms=via_internet.rtt_ms(),
-        detour_rtt_ms=None if via_detour is None else via_detour.rtt_ms(),
-        detour_pop=None if via_detour is None else entry_pop,
-    )
 
 
 class VideoNetworkService:
@@ -438,10 +384,6 @@ class VideoNetworkService:
         src_location: GeoPoint,
         dst_prefix: Prefix,
         dst_location: GeoPoint,
-        *,
-        steering: "SteeringEngine | None" = None,
-        t_hours: float = 0.0,
-        call_id: int = 0,
     ) -> CallPaths | None:
         """The transport options for a call between two users.
 
@@ -449,12 +391,6 @@ class VideoNetworkService:
         the egress closest to the destination, then the Internet tail.
         Via Internet: the native AS path between the two users' networks.
         Returns ``None`` if routing fails to resolve either way.
-
-        Passing a ``steering`` engine additionally resolves the one-hop
-        PoP detour (local exit at the entry PoP) and records the
-        policy's :class:`~repro.steering.policies.SteeringDecision` for
-        the call at campaign hour ``t_hours`` — read the selected path
-        off :attr:`CallPaths.chosen`.
         """
         src_origin = self.topology.origin_as(src_prefix)
         entry = self.anycast.entry_pop(src_origin.asn, src_location)
@@ -476,32 +412,11 @@ class VideoNetworkService:
         )
         if via_internet is None:
             return None
-        via_detour = None
-        verdict = None
-        if steering is not None:
-            via_detour, candidates = detour_candidates(
-                src_prefix,
-                dst_prefix,
-                entry.code,
-                inbound,
-                self.path_local_exit(entry.code, dst_prefix, destination=dst_location),
-                via_vns,
-                via_internet,
-            )
-            verdict = steering.decide(
-                src_prefix,
-                dst_prefix,
-                t_hours,
-                candidates=candidates,
-                call_id=call_id,
-            )
         return CallPaths(
             via_vns=via_vns,
             via_internet=via_internet,
             entry_pop=entry.code,
             exit_pop=decision.egress_pop,
-            via_detour=via_detour,
-            decision=verdict,
         )
 
     # ----------------------------------------------------------------- #

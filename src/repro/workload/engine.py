@@ -57,7 +57,7 @@ from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import StreamResult
 from repro.net.addressing import Prefix
 from repro.vns.network import EgressDecision
-from repro.vns.service import VideoNetworkService, detour_candidates
+from repro.vns.service import VideoNetworkService
 from repro.workload.arrivals import CallSpec
 from repro.workload.report import REGION_CODE, CampaignAggregator, CampaignReport
 
@@ -640,24 +640,31 @@ class PathResolver:
     ) -> "PathCandidates":
         """The pair's candidate-transport RTTs (path delay is exact).
 
-        :func:`repro.vns.service.detour_candidates` over the cached last
-        mile and the cached forced local exit at the pair's entry PoP.
-        The one-hop detour it composes is cached too: the simulate phase
-        reads it back through :meth:`detour_path` for detoured streams.
+        The one-hop PoP detour is the cached last mile to the pair's
+        entry PoP followed by the cached forced local exit there
+        (:meth:`VideoNetworkService.path_local_exit`; Sec. 4.1) — zero
+        backbone circuits; none when the PoP has no external route.  It
+        is cached too: the simulate phase reads it back through
+        :meth:`detour_path` for detoured streams.
         """
         key = (src_prefix, dst_prefix)
         candidates = self._candidates.get(key)
         if candidates is None:
-            self._detour_paths[key], candidates = detour_candidates(
-                src_prefix,
-                dst_prefix,
-                pair.entry_pop,
-                self._lastmile_leg(src_prefix, pair.entry_pop),
-                self._detour_exit(pair.entry_pop, dst_prefix),
-                pair.via_vns,
-                pair.via_internet,
+            from repro.steering.policies import PathCandidates
+
+            via_detour = None
+            exit_leg = self._detour_exit(pair.entry_pop, dst_prefix)
+            if exit_leg is not None:
+                inbound = self._lastmile_leg(src_prefix, pair.entry_pop)
+                via_detour = inbound.concat(exit_leg)
+                via_detour.description = f"call-detour:{src_prefix}->{dst_prefix}"
+            self._detour_paths[key] = via_detour
+            candidates = self._candidates[key] = PathCandidates(
+                vns_rtt_ms=pair.via_vns.rtt_ms(),
+                internet_rtt_ms=pair.via_internet.rtt_ms(),
+                detour_rtt_ms=None if via_detour is None else via_detour.rtt_ms(),
+                detour_pop=None if via_detour is None else pair.entry_pop,
             )
-            self._candidates[key] = candidates
         return candidates
 
     def detour_path(self, src_prefix: Prefix, dst_prefix: Prefix) -> DataPath | None:

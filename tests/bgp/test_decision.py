@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bgp.attributes import AsPath, Origin, Route
-from repro.bgp.decision import DecisionContext, best_external, best_route, decision_order
+from repro.bgp.decision import best_external, best_route, decision_order
 from repro.net.addressing import Prefix
 
 PFX = Prefix.parse("203.0.113.0/24")
@@ -23,7 +23,7 @@ def route(**kwargs) -> Route:
 class TestStages:
     def test_empty(self):
         assert best_route([]) is None
-        assert decision_order([], DecisionContext()) == []
+        assert decision_order([]) == []
 
     def test_local_pref_wins_over_shorter_path(self):
         low = route(local_pref=100, as_path=AsPath((1,)), learned_from="a")
@@ -51,14 +51,8 @@ class TestStages:
         # stage then ties, and IGP metric decides.
         from_as1 = route(as_path=AsPath((1, 9)), med=50, learned_from="a", next_hop="n1")
         from_as2 = route(as_path=AsPath((2, 9)), med=5, learned_from="b", next_hop="n2")
-        ctx = DecisionContext(igp_metric=lambda nh: {"n1": 1.0, "n2": 9.0}[nh])
-        assert best_route([from_as1, from_as2], ctx) is from_as1
-
-    def test_always_compare_med(self):
-        from_as1 = route(as_path=AsPath((1, 9)), med=50, learned_from="a", next_hop="n1")
-        from_as2 = route(as_path=AsPath((2, 9)), med=5, learned_from="b", next_hop="n2")
-        ctx = DecisionContext(always_compare_med=True)
-        assert best_route([from_as1, from_as2], ctx) is from_as2
+        igp_metric = {"n1": 1.0, "n2": 9.0}.__getitem__
+        assert best_route([from_as1, from_as2], igp_metric) is from_as1
 
     def test_ebgp_over_ibgp(self):
         ibgp = route(ebgp=False, learned_from="rr")
@@ -68,8 +62,8 @@ class TestStages:
     def test_igp_metric_hot_potato(self):
         near = route(next_hop="close", learned_from="a")
         far = route(next_hop="far", learned_from="b")
-        ctx = DecisionContext(igp_metric=lambda nh: {"close": 1.0, "far": 100.0}[nh])
-        assert best_route([far, near], ctx) is near
+        igp_metric = {"close": 1.0, "far": 100.0}.__getitem__
+        assert best_route([far, near], igp_metric) is near
 
     def test_cluster_list_length(self):
         direct = route(learned_from="a", cluster_list=("c1",))

@@ -4,8 +4,6 @@ import pytest
 
 from repro.bgp.attributes import NO_EXPORT, AsPath, Route
 from repro.bgp.policy import (
-    ChainPolicy,
-    DenyPrefixImport,
     RelationshipExportPolicy,
     RelationshipImportPolicy,
     strip_ibgp_only_attributes,
@@ -109,14 +107,6 @@ class TestRelationshipExport:
 
 
 class TestHelpers:
-    def test_chain_policy_stops_on_reject(self):
-        policy = ChainPolicy(DenyPrefixImport({PFX}), RelationshipImportPolicy(RELATIONSHIPS))
-        assert policy.apply(route(), ebgp_session(100)) is None
-
-    def test_chain_policy_applies_in_order(self):
-        policy = ChainPolicy(RelationshipImportPolicy(RELATIONSHIPS))
-        assert policy.apply(route(), ebgp_session(200)).local_pref == 200
-
     def test_strip_ibgp_only(self):
         noisy = route(
             local_pref=4242,

@@ -215,8 +215,8 @@ def test_skip_is_sound_across_a_fault_timeline():
 def build_with_reference_decisions(scale: str, monkeypatch: pytest.MonkeyPatch):
     """A world converged by the staged process with the skip disabled."""
 
-    def staged_best_route(routes, ctx=None):
-        ordered = decision.decision_order(routes, ctx or decision.DecisionContext())
+    def staged_best_route(routes, igp_metric=decision._no_igp_metric):
+        ordered = decision.decision_order(routes, igp_metric)
         return ordered[0] if ordered else None
 
     full_decide = BgpRouter._decide

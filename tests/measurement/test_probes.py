@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from repro.geo.regions import WorldRegion
-from repro.measurement.probes import LossProbeCampaign, ProbeObservation, select_hosts
+from repro.measurement.probes import (
+    PACKETS_PER_ROUND,
+    LossProbeCampaign,
+    ProbeObservation,
+    select_hosts,
+)
 from repro.measurement.scheduler import Round
 from repro.net.asn import ASType
 
 
 def _host(small_world):
-    return select_hosts(small_world.service, seed=0, per_type_per_region=1)[0]
+    rng = np.random.default_rng(0)
+    return select_hosts(small_world.service, rng, per_type_per_region=1)[0]
 
 
 class TestSelectHosts:
@@ -33,18 +39,13 @@ class TestSelectHosts:
         assert len({h.prefix for h in hosts}) > len(hosts) // 2
 
     def test_explicit_seed_is_deterministic(self, small_world):
-        first = select_hosts(small_world.service, seed=7, per_type_per_region=2)
-        second = select_hosts(small_world.service, seed=7, per_type_per_region=2)
+        first = select_hosts(
+            small_world.service, np.random.default_rng(7), per_type_per_region=2
+        )
+        second = select_hosts(
+            small_world.service, np.random.default_rng(7), per_type_per_region=2
+        )
         assert first == second
-        # ...and matches an explicitly seeded generator.
-        rng = np.random.default_rng(7)
-        assert select_hosts(small_world.service, rng, per_type_per_region=2) == first
-
-    def test_rng_and_seed_are_exclusive(self, small_world):
-        with pytest.raises(ValueError):
-            select_hosts(small_world.service, np.random.default_rng(0), seed=1)
-        with pytest.raises(ValueError):
-            select_hosts(small_world.service)
 
 
 class TestProbeObservationBoundaries:
@@ -81,9 +82,9 @@ class TestCampaign:
         hosts = select_hosts(small_world.service, rng, per_type_per_region=1)
         obs = campaign.probe("AMS", hosts[0], Round(day=0, hour_cet=12.0))
         assert obs is not None
-        assert obs.sent == 100
-        assert 0 <= obs.lost <= 100
-        assert obs.loss_percent == pytest.approx(obs.lost)
+        assert obs.sent == PACKETS_PER_ROUND
+        assert 0 <= obs.lost <= PACKETS_PER_ROUND
+        assert obs.loss_percent == pytest.approx(100.0 * obs.lost / PACKETS_PER_ROUND)
         # At least one echo came back, so the round's floor RTT is real.
         assert obs.min_rtt_ms is not None and obs.min_rtt_ms > 0.0
 
@@ -102,11 +103,3 @@ class TestCampaign:
         campaign.probe("AMS", hosts[0], Round(day=0, hour_cet=0.0))
         campaign.probe("AMS", hosts[0], Round(day=0, hour_cet=1.0))
         assert len(campaign._path_cache) == 1
-
-    def test_invalid_packets(self, small_world):
-        with pytest.raises(ValueError):
-            LossProbeCampaign(
-                small_world.service.path_local_exit,
-                np.random.default_rng(0),
-                packets_per_round=0,
-            )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.bgp import decision
 from repro.bgp.attributes import AsPath, Origin, Route
-from repro.bgp.decision import DecisionContext, best_external, best_route, decision_order
+from repro.bgp.decision import best_external, best_route, decision_order
 from repro.net.addressing import Prefix
 
 PFX = Prefix.parse("203.0.113.0/24")
@@ -31,32 +31,32 @@ def routes(draw):
     )
 
 
-CTX = DecisionContext(igp_metric=lambda nh: {"n1": 1.0, "n2": 5.0, "n3": 9.0}[nh])
+IGP_METRIC = {"n1": 1.0, "n2": 5.0, "n3": 9.0}.__getitem__
 
 
 class TestDecisionProperties:
     @given(st.lists(routes(), min_size=1, max_size=8))
     @settings(max_examples=300)
     def test_best_is_a_candidate(self, candidates):
-        best = best_route(candidates, CTX)
+        best = best_route(candidates, IGP_METRIC)
         assert best in candidates
 
     @given(st.lists(routes(), min_size=1, max_size=8))
     @settings(max_examples=300)
     def test_order_invariance(self, candidates):
         """The selected route must not depend on candidate order."""
-        forward = best_route(candidates, CTX)
-        backward = best_route(list(reversed(candidates)), CTX)
+        forward = best_route(candidates, IGP_METRIC)
+        backward = best_route(list(reversed(candidates)), IGP_METRIC)
         assert forward == backward
 
     @given(st.lists(routes(), min_size=1, max_size=8))
     def test_best_has_max_local_pref(self, candidates):
-        best = best_route(candidates, CTX)
+        best = best_route(candidates, IGP_METRIC)
         assert best.local_pref == max(r.local_pref for r in candidates)
 
     @given(st.lists(routes(), min_size=1, max_size=8))
     def test_survivors_subset(self, candidates):
-        survivors = decision_order(candidates, CTX)
+        survivors = decision_order(candidates, IGP_METRIC)
         assert survivors
         assert set(id(r) for r in survivors) <= set(id(r) for r in candidates)
 
@@ -65,12 +65,12 @@ class TestDecisionProperties:
     def test_removing_a_loser_keeps_best(self, candidates):
         """Independence of irrelevant alternatives: dropping a non-best
         candidate never changes the selection."""
-        best = best_route(candidates, CTX)
+        best = best_route(candidates, IGP_METRIC)
         for i in range(len(candidates)):
             if candidates[i] == best:
                 continue
             remaining = candidates[:i] + candidates[i + 1 :]
-            assert best_route(remaining, CTX) == best
+            assert best_route(remaining, IGP_METRIC) == best
 
 
 # --------------------------------------------------------------------- #
@@ -120,13 +120,7 @@ candidate_lists = st.one_of(
     st.lists(tie_prone_routes(st.sampled_from([0, 10])), min_size=1, max_size=7),
 )
 
-contexts = st.builds(
-    lambda view, always: DecisionContext(
-        igp_metric=view.__getitem__, always_compare_med=always
-    ),
-    st.sampled_from(IGP_VIEWS),
-    st.booleans(),
-)
+igp_metrics = st.sampled_from(IGP_VIEWS).map(lambda view: view.__getitem__)
 
 
 def test_keyed_selection_is_the_head_of_the_staged_order(monkeypatch):
@@ -139,24 +133,22 @@ def test_keyed_selection_is_the_head_of_the_staged_order(monkeypatch):
     reference = decision_order
     staged_calls = []
 
-    def counting(routes, ctx):
+    def counting(routes, igp_metric):
         staged_calls.append(len(routes))
-        return reference(routes, ctx)
+        return reference(routes, igp_metric)
 
     monkeypatch.setattr(decision, "decision_order", counting)
     taken = Counter()
 
-    @given(candidate_lists, contexts)
+    @given(candidate_lists, igp_metrics)
     @settings(max_examples=600, deadline=None)
-    def check(candidates, ctx):
+    def check(candidates, igp_metric):
         before = len(staged_calls)
-        assert best_route(candidates, ctx) is reference(candidates, ctx)[0]
+        assert best_route(candidates, igp_metric) is reference(candidates, igp_metric)[0]
         taken["staged" if len(staged_calls) > before else "keyed"] += 1
         externals = [r for r in candidates if r.ebgp]
-        expected = reference(externals, ctx)[0] if externals else None
-        assert best_external(candidates, ctx) is expected
-        if ctx.always_compare_med:
-            assert len(staged_calls) == before  # MED is a global minimum
+        expected = reference(externals, igp_metric)[0] if externals else None
+        assert best_external(candidates, igp_metric) is expected
 
     check()
     assert taken["staged"] > 20 and taken["keyed"] > 20, taken

@@ -10,7 +10,7 @@ reaches: every Loc-RIB, Adj-RIB-In and Adj-RIB-Out and the last word to
 every outside neighbour, at rest and after each event of a drawn link /
 PoP / session timeline, with the repair restoring the pre-fault state
 exactly.  That holds for the default deployment (geo reflectors with
-best-external), the full mesh and plain route reflection.  It does *not*
+best-external) and the full mesh.  It does *not*
 hold for geo reflectors without best-external — the counter-example is
 pinned in ``tests/bgp/test_hidden_routes.py``.
 
@@ -40,7 +40,6 @@ SEED = 42
 DEPLOYMENTS = {
     "geo-reflectors": VnsConfig(max_peers=8),
     "full-mesh": VnsConfig(max_peers=8, geo_routing=False),
-    "plain-reflectors": VnsConfig(max_peers=8, geo_routing=False, ibgp_mode="route-reflector"),
 }
 
 
@@ -136,7 +135,7 @@ def test_with_best_external_no_egress_hides_a_route_from_its_reflectors(default_
     offered = 0
     for router_id, router in network.border_routers.items():
         for prefix in router.adj_rib_in.prefixes():
-            external = best_external(router.adj_rib_in.routes_for(prefix), router._ctx)
+            external = best_external(router.adj_rib_in.routes_for(prefix), router._igp_metric)
             if external is None:
                 continue
             for reflector in network.reflectors.values():

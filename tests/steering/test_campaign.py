@@ -1,4 +1,4 @@
-"""Steering end-to-end: campaign engine, sharded identity, call_paths.
+"""Steering end-to-end: campaign engine, sharded identity, detour paths.
 
 The load-bearing guarantees:
 
@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.dataplane.link import SegmentKind
 from repro.steering import (
     PathChoice,
     SteeringEngine,
@@ -24,6 +25,7 @@ from repro.workload import (
     CallArrivalProcess,
     CampaignConfig,
     CampaignEngine,
+    PathResolver,
     ShardedCampaignRunner,
     ShardPlan,
     UserPopulation,
@@ -43,9 +45,9 @@ def campaign_calls(small_world):
 
 @pytest.fixture(scope="module")
 def health_table(small_world):
-    return SteeringTelemetry(
-        small_world.service, seed=11, packets_per_round=20
-    ).collect(days=1, minutes_between_rounds=480.0, hosts_per_type_per_region=1)
+    return SteeringTelemetry(small_world.service, seed=11).collect(
+        days=1, minutes_between_rounds=480.0, hosts_per_type_per_region=1
+    )
 
 
 @pytest.fixture(scope="module")
@@ -177,52 +179,32 @@ class TestSteeredCampaign:
         assert steering["offload_rate"] > 0.0
 
 
-class TestCallPathsSteering:
-    def test_decision_and_detour_populated(self, small_world, health_table, config):
+class TestDetourComposition:
+    def test_detour_leaves_at_the_entry_pop(self, small_world):
+        """The resolver's cached detour is the service's last mile to the
+        entry PoP plus the forced local exit there: no backbone circuit."""
         service = small_world.service
-        engine = SteeringEngine.for_service(
-            service,
-            health_table,
-            make_policy("threshold_offload", rtt_delta_ms=RTT_DELTA_MS),
-            seed=config.seed,
-        )
-        prefixes = sorted(service.topology.prefix_location, key=str)
-        steered_any = False
+        location = service.topology.prefix_location
+        resolver = PathResolver(service)
+        prefixes = sorted(location, key=str)
+        detoured = 0
         for src, dst in zip(prefixes[:10], prefixes[10:20]):
-            paths = service.call_paths(
-                src,
-                service.topology.prefix_location[src],
-                dst,
-                service.topology.prefix_location[dst],
-                steering=engine,
-                t_hours=4.0,
-                call_id=1,
-            )
-            if paths is None:
+            pair = resolver.resolve_pair(src, dst)
+            if pair is None:
                 continue
-            steered_any = True
-            assert paths.decision is not None
-            assert paths.chosen in (paths.via_vns, paths.via_internet, paths.via_detour)
-            if paths.via_detour is not None:
-                # The detour leaves at the entry PoP: no backbone circuits.
-                from repro.dataplane.link import SegmentKind
-
-                kinds = {segment.kind for segment in paths.via_detour.segments}
-                assert SegmentKind.VNS_L2 not in kinds
-        assert steered_any
-
-    def test_unsteered_call_paths_unchanged(self, small_world):
-        service = small_world.service
-        prefixes = sorted(service.topology.prefix_location, key=str)
-        for src, dst in zip(prefixes[:5], prefixes[5:10]):
-            paths = service.call_paths(
-                src,
-                service.topology.prefix_location[src],
-                dst,
-                service.topology.prefix_location[dst],
-            )
-            if paths is None:
+            candidates = resolver.candidates_for(src, dst, pair)
+            detour = resolver.detour_path(src, dst)
+            exit_leg = service.path_local_exit(pair.entry_pop, dst)
+            if exit_leg is None:
+                assert detour is None and candidates.detour_rtt_ms is None
                 continue
-            assert paths.decision is None
-            assert paths.via_detour is None
-            assert paths.chosen is paths.via_vns
+            detoured += 1
+            reference = service.last_mile_path(src, location[src], pair.entry_pop)
+            assert detour.segments == reference.concat(exit_leg).segments
+            kinds = {segment.kind for segment in detour.segments}
+            assert SegmentKind.VNS_L2 not in kinds
+            assert candidates.detour_rtt_ms == detour.rtt_ms()
+            assert candidates.detour_pop == pair.entry_pop
+            assert candidates.vns_rtt_ms == pair.via_vns.rtt_ms()
+            assert candidates.internet_rtt_ms == pair.via_internet.rtt_ms()
+        assert detoured

@@ -4,9 +4,13 @@ import pytest
 
 from repro.steering.health import (
     AGGREGATE_BUCKET,
+    EWMA_ALPHA,
+    MAX_AGE_HOURS,
+    MIN_SAMPLES,
     HealthEntry,
     PathHealthTable,
     Transport,
+    bucket_of,
 )
 
 
@@ -25,23 +29,23 @@ def _fill(table, src="EU", dst="NA", transport=Transport.INTERNET, n=3, t0=0.0):
 class TestHealthEntry:
     def test_first_sample_seeds_ewma(self):
         entry = HealthEntry()
-        entry.observe(80.0, 0.02, t_hours=1.0, alpha=0.3)
+        entry.observe(80.0, 0.02, t_hours=1.0)
         assert entry.rtt_ms == 80.0
         assert entry.loss_fraction == 0.02
         assert entry.samples == 1
 
     def test_ewma_moves_toward_new_observations(self):
         entry = HealthEntry()
-        entry.observe(100.0, 0.0, t_hours=0.0, alpha=0.5)
-        entry.observe(200.0, 0.1, t_hours=1.0, alpha=0.5)
-        assert entry.rtt_ms == pytest.approx(150.0)
-        assert entry.loss_fraction == pytest.approx(0.05)
+        entry.observe(100.0, 0.0, t_hours=0.0)
+        entry.observe(200.0, 0.1, t_hours=1.0)
+        assert entry.rtt_ms == pytest.approx(100.0 + EWMA_ALPHA * 100.0)
+        assert entry.loss_fraction == pytest.approx(EWMA_ALPHA * 0.1)
 
     def test_staleness(self):
         entry = HealthEntry()
-        entry.observe(100.0, 0.0, t_hours=10.0, alpha=0.3)
-        assert not entry.is_stale(now_hours=50.0, max_age_hours=48.0)
-        assert entry.is_stale(now_hours=60.0, max_age_hours=48.0)
+        entry.observe(100.0, 0.0, t_hours=10.0)
+        assert not entry.is_stale(now_hours=10.0 + MAX_AGE_HOURS)
+        assert entry.is_stale(now_hours=10.0 + MAX_AGE_HOURS + 1.0)
 
     def test_loss_percent(self):
         entry = HealthEntry(loss_fraction=0.015)
@@ -49,33 +53,23 @@ class TestHealthEntry:
 
 
 class TestPathHealthTable:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PathHealthTable(alpha=0.0)
-        with pytest.raises(ValueError):
-            PathHealthTable(bucket_hours=5.0)  # does not divide 24
-        with pytest.raises(ValueError):
-            PathHealthTable(max_age_hours=0.0)
-        with pytest.raises(ValueError):
-            PathHealthTable(min_samples=0)
-
     def test_observe_fills_bucket_and_aggregate(self):
-        table = PathHealthTable(bucket_hours=4.0)
+        table = PathHealthTable()
         table.observe(
             "EU", "NA", Transport.VNS, rtt_ms=90.0, loss_fraction=0.0, t_hours=5.0
         )
         assert len(table) == 2  # bucket 1 plus the all-day aggregate
-        assert table.bucket_of(5.0) == 1
+        assert bucket_of(5.0) == 1
 
     def test_lookup_needs_confidence(self):
-        table = PathHealthTable(min_samples=3)
-        _fill(table, n=2)
+        table = PathHealthTable()
+        _fill(table, n=MIN_SAMPLES - 1)
         assert table.lookup("EU", "NA", Transport.INTERNET, t_hours=2.0) is None
         _fill(table, n=1, t0=2.0)
         assert table.lookup("EU", "NA", Transport.INTERNET, t_hours=2.0) is not None
 
     def test_lookup_falls_back_to_aggregate_bucket(self):
-        table = PathHealthTable(bucket_hours=4.0, min_samples=1)
+        table = PathHealthTable()
         # Observations land in the morning bucket; an evening query has
         # no bucket entry and must serve the all-day aggregate.
         _fill(table, n=3, t0=1.0)
@@ -85,35 +79,25 @@ class TestPathHealthTable:
         assert morning is not None
         # The aggregate saw the same three samples here, but the morning
         # hit resolves to the bucket entry, not the fallback.
-        key_bucket = ("EU", "NA", Transport.INTERNET.value, table.bucket_of(2.0))
+        key_bucket = ("EU", "NA", Transport.INTERNET.value, bucket_of(2.0))
         assert morning is table._entries[key_bucket]
         assert evening is table._entries[("EU", "NA", "internet", AGGREGATE_BUCKET)]
 
     def test_stale_entries_not_served(self):
-        table = PathHealthTable(min_samples=1, max_age_hours=10.0)
+        table = PathHealthTable()
         _fill(table, n=3, t0=0.0)
         assert table.lookup("EU", "NA", Transport.INTERNET, t_hours=5.0) is not None
-        assert table.lookup("EU", "NA", Transport.INTERNET, t_hours=100.0) is None
-
-    def test_expire_drops_stale_entries(self):
-        table = PathHealthTable(min_samples=1, max_age_hours=10.0)
-        _fill(table, src="EU", dst="NA", n=3, t0=0.0)
-        _fill(table, src="AP", dst="EU", n=3, t0=96.0)
-        dropped = table.expire(now_hours=100.0)
-        assert dropped == 2  # EU->NA bucket + aggregate
-        assert len(table) == 2
-        assert table.corridors() == [("AP", "EU")]
-        # Expiry at a quiet table is a no-op.
-        assert table.expire(now_hours=100.0) == 0
+        stale = 2.0 + MAX_AGE_HOURS + 1.0  # the last sample was at hour 2
+        assert table.lookup("EU", "NA", Transport.INTERNET, t_hours=stale) is None
 
     def test_transports_tracked_independently(self):
-        table = PathHealthTable(min_samples=1)
+        table = PathHealthTable()
         _fill(table, transport=Transport.VNS, n=3)
         assert table.lookup("EU", "NA", Transport.INTERNET, t_hours=1.0) is None
         assert table.lookup("EU", "NA", Transport.VNS, t_hours=1.0) is not None
 
     def test_to_dict_aggregates_only(self):
-        table = PathHealthTable(min_samples=1)
+        table = PathHealthTable()
         _fill(table, n=3)
         view = table.to_dict()
         assert list(view) == ["EU->NA"]

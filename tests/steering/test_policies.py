@@ -25,7 +25,7 @@ from repro.steering.health import HealthEntry
 def _healthy_table(
     *, vns_rtt=80.0, inet_rtt=85.0, vns_loss=0.001, inet_loss=0.001
 ) -> PathHealthTable:
-    table = PathHealthTable(min_samples=1)
+    table = PathHealthTable()
     for _ in range(3):
         table.observe(
             "EU", "NA", Transport.VNS, rtt_ms=vns_rtt, loss_fraction=vns_loss, t_hours=1.0
@@ -210,10 +210,8 @@ class TestSteeringEngine:
         assert engine._memo == {}
 
     def test_unknown_prefix_decides_as_vns(self):
-        engine = SteeringEngine(
-            health=_healthy_table(), policy=ThresholdOffloadPolicy(), region_of={}
-        )
-        # decide() maps unknown prefixes to "??", which has no telemetry.
+        engine = SteeringEngine(health=_healthy_table(), policy=ThresholdOffloadPolicy())
+        # A corridor nobody probed has no telemetry.
         decision = engine.decide_for_regions("??", "??", 1.0)
         assert decision.reason == "no_telemetry"
 
@@ -225,13 +223,3 @@ class TestSteeringEngine:
         assert clone.decide_for_regions("EU", "NA", 1.0) == engine.decide_for_regions(
             "EU", "NA", 1.0
         )
-
-    def test_for_service_builds_region_map(self, small_world):
-        engine = SteeringEngine.for_service(
-            small_world.service, _healthy_table(), AlwaysVnsPolicy(), seed=1
-        )
-        assert len(engine.region_of) == len(
-            small_world.service.topology.prefix_location
-        )
-        prefix = next(iter(engine.region_of))
-        assert engine.decide(prefix, prefix, 0.0).choice is PathChoice.VNS

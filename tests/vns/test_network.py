@@ -32,19 +32,11 @@ class TestConstruction:
             assert set(router.sessions) >= set(net.reflectors)
 
     def test_full_mesh_mode(self):
-        net = VnsNetwork(geoip=GeoIPDatabase(), geo_routing=False, ibgp_mode="full-mesh")
+        net = VnsNetwork(geoip=GeoIPDatabase(), geo_routing=False)
         assert not net.reflectors
         n = len(net.border_routers)
         for router in net.border_routers.values():
             assert len(router.sessions) == n - 1
-
-    def test_geo_requires_reflectors(self):
-        with pytest.raises(ValueError):
-            VnsNetwork(geoip=GeoIPDatabase(), geo_routing=True, ibgp_mode="full-mesh")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            VnsNetwork(geoip=GeoIPDatabase(), ibgp_mode="ring")
 
     def test_igp_l2_paths(self):
         net = VnsNetwork(geoip=GeoIPDatabase())

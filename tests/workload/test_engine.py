@@ -226,7 +226,7 @@ class TestCallOrderIndependence:
     def health_table(self, small_world):
         from repro.steering import SteeringTelemetry
 
-        return SteeringTelemetry(small_world.service, seed=11, packets_per_round=20).collect(
+        return SteeringTelemetry(small_world.service, seed=11).collect(
             days=1, minutes_between_rounds=480.0, hosts_per_type_per_region=1
         )
 

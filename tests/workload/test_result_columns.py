@@ -58,7 +58,7 @@ def calls(small_world):
 
 @pytest.fixture(scope="module")
 def health_table(small_world):
-    return SteeringTelemetry(small_world.service, seed=11, packets_per_round=20).collect(
+    return SteeringTelemetry(small_world.service, seed=11).collect(
         days=1, minutes_between_rounds=480.0, hosts_per_type_per_region=1
     )
 

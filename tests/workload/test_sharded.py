@@ -543,9 +543,9 @@ class TestOneExecutionPath:
         from repro.steering import SteeringEngine, SteeringTelemetry, make_policy
 
         _, calls = campaign_inputs
-        health = SteeringTelemetry(
-            small_world.service, seed=11, packets_per_round=20
-        ).collect(days=1, minutes_between_rounds=480.0, hosts_per_type_per_region=1)
+        health = SteeringTelemetry(small_world.service, seed=11).collect(
+            days=1, minutes_between_rounds=480.0, hosts_per_type_per_region=1
+        )
         engine = SteeringEngine(
             health=health, policy=make_policy("threshold_offload"), seed=7
         )
