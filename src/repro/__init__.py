@@ -13,8 +13,8 @@ Subpackages
     Geodesy, world regions, city gazetteer, and a synthetic GeoIP database
     with the error classes the paper observed in MaxMind data.
 ``repro.net``
-    IPv4 addressing, a longest-prefix-match radix trie, Autonomous System
-    entities, and a synthetic AS-level Internet topology generator.
+    IPv4 addresses and prefixes, Autonomous System entities, and a
+    synthetic AS-level Internet topology generator.
 ``repro.bgp``
     A BGP-4 implementation: path attributes, the RFC 4271 decision process,
     Gao-Rexford policies, speakers with full RIBs, route reflection, the

@@ -85,16 +85,6 @@ class RelationshipImportPolicy(ImportPolicy):
         self._relationships = dict(relationships)
         self._local_pref = dict(local_pref or RELATIONSHIP_LOCAL_PREF)
 
-    def relationship_of(self, peer_asn: int) -> Relationship:
-        """The configured relationship of a neighbour AS.
-
-        Raises
-        ------
-        KeyError
-            For a neighbour with no configured relationship.
-        """
-        return self._relationships[peer_asn]
-
     def apply(self, route: Route, session: Session) -> Route | None:
         if not session.is_ebgp:
             return route

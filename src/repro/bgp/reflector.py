@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.bgp.attributes import Route
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session
-from repro.net.addressing import Prefix
 
 
 class RouteReflector(BgpRouter):
@@ -80,11 +79,3 @@ class RouteReflector(BgpRouter):
     def clients(self) -> list[str]:
         """Peer ids of all configured reflection clients."""
         return [s.peer_id for s in self.sessions.values() if s.rr_client]
-
-    def hidden_route_check(self, prefix: Prefix) -> bool:
-        """Whether the reflector knows more than one route for ``prefix``.
-
-        A single known route for a multi-homed prefix is the smell of the
-        hidden-routes problem; useful for diagnostics and tests.
-        """
-        return len(self.adj_rib_in.routes_for(prefix)) > 1

@@ -11,7 +11,6 @@ reproduces the shape of every loss figure.
 
 from repro.dataplane.latency import (
     FIBER_MS_PER_KM,
-    path_propagation_ms,
     propagation_delay_ms,
 )
 from repro.dataplane.diurnal import DiurnalProfile, access_profile, transit_profile
@@ -24,7 +23,6 @@ from repro.dataplane.columnar import (
 from repro.dataplane.link import SegmentKind, SegmentLossParams, PathSegment
 from repro.dataplane.path import (
     DataPath,
-    access_path,
     assemble_as_path_waypoints,
     internet_path,
 )
@@ -39,7 +37,6 @@ from repro.dataplane.transmit import (
 __all__ = [
     "FIBER_MS_PER_KM",
     "propagation_delay_ms",
-    "path_propagation_ms",
     "DiurnalProfile",
     "access_profile",
     "transit_profile",
@@ -51,7 +48,6 @@ __all__ = [
     "simulate_columns",
     "simulate_stream_columns",
     "DataPath",
-    "access_path",
     "assemble_as_path_waypoints",
     "internet_path",
     "PingResult",

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.dataplane.calibration import FIBER_MS_PER_KM, TRANSIT_PATH_INFLATION
-from repro.geo.coords import GeoPoint, great_circle_km
 
 
 def propagation_delay_ms(
@@ -23,13 +20,3 @@ def propagation_delay_ms(
     if inflation < 1.0:
         raise ValueError(f"inflation must be >= 1, got {inflation!r}")
     return distance_km * FIBER_MS_PER_KM * inflation
-
-
-def path_propagation_ms(
-    waypoints: Sequence[GeoPoint], inflation: float = TRANSIT_PATH_INFLATION
-) -> float:
-    """One-way propagation delay along a polyline of waypoints."""
-    total = 0.0
-    for a, b in zip(waypoints, waypoints[1:]):
-        total += propagation_delay_ms(great_circle_km(a, b), inflation)
-    return total

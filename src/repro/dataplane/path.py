@@ -51,10 +51,6 @@ class DataPath:
             rtt = self._rtt_ms = 2.0 * self.one_way_delay_ms()
         return rtt
 
-    def total_distance_km(self) -> float:
-        """Sum of segment great-circle distances."""
-        return sum(segment.distance_km for segment in self.segments)
-
     def __len__(self) -> int:
         return len(self.segments)
 
@@ -170,20 +166,3 @@ def internet_path(
         )
     )
     return DataPath(segments=segments, description=description)
-
-
-def access_path(
-    start: GeoPoint,
-    destination: GeoPoint,
-    as_type: ASType | None = None,
-    description: str = "access",
-) -> DataPath:
-    """A pure last-mile path (source and destination in the same AS)."""
-    return DataPath(
-        segments=[
-            intern_segment(
-                SegmentKind.ACCESS, start, destination, as_type=as_type, label="direct"
-            )
-        ],
-        description=description,
-    )

@@ -13,8 +13,6 @@ from repro.geo.coords import (
     GeoPoint,
     destination_point,
     great_circle_km,
-    initial_bearing_deg,
-    midpoint,
 )
 from repro.geo.regions import (
     POP_REGION_FOR_WORLD_REGION,
@@ -25,8 +23,6 @@ from repro.geo.regions import (
 from repro.geo.cities import (
     CITIES,
     City,
-    cities_in_pop_region,
-    cities_in_world_region,
     city_by_name,
     nearest_city,
     region_of_point,
@@ -35,7 +31,6 @@ from repro.geo.geoip import GeoIPDatabase, GeoIPEntry
 from repro.geo.errors import (
     CountryCentroidError,
     GeoIPErrorModel,
-    MissingEntryError,
     RandomNoiseError,
     StaleWhoisError,
     apply_error_models,
@@ -45,9 +40,7 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "GeoPoint",
     "great_circle_km",
-    "initial_bearing_deg",
     "destination_point",
-    "midpoint",
     "PopRegion",
     "WorldRegion",
     "POP_REGION_FOR_WORLD_REGION",
@@ -55,16 +48,13 @@ __all__ = [
     "City",
     "CITIES",
     "city_by_name",
-    "cities_in_pop_region",
     "nearest_city",
     "region_of_point",
-    "cities_in_world_region",
     "GeoIPDatabase",
     "GeoIPEntry",
     "GeoIPErrorModel",
     "CountryCentroidError",
     "StaleWhoisError",
     "RandomNoiseError",
-    "MissingEntryError",
     "apply_error_models",
 ]

@@ -189,16 +189,6 @@ def city_by_name(name: str) -> City:
         raise KeyError(f"unknown city {name!r}") from None
 
 
-def cities_in_world_region(region: WorldRegion) -> tuple[City, ...]:
-    """All gazetteer cities in a given world region."""
-    return tuple(city for city in CITIES if city.region is region)
-
-
-def cities_in_pop_region(region: PopRegion) -> tuple[City, ...]:
-    """All gazetteer cities whose serving PoP region is ``region``."""
-    return tuple(city for city in CITIES if city.pop_region is region)
-
-
 #: Per-city haversine terms ``(lat_rad, cos_lat, lon, city)``, built on
 #: the first reverse-geocoding miss.
 _CITY_TRIG: list[tuple[float, float, float, City]] | None = None

@@ -102,19 +102,6 @@ def great_circle_km_fast(terms: TrigTerms, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
 
 
-def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
-    """Initial bearing (forward azimuth) from ``a`` to ``b`` in degrees.
-
-    Returned in ``[0, 360)``, measured clockwise from true north.
-    """
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
-    dlon = math.radians(b.lon - a.lon)
-    x = math.sin(dlon) * math.cos(lat2)
-    y = math.cos(lat1) * math.sin(lat2) - math.sin(lat1) * math.cos(lat2) * math.cos(dlon)
-    return math.degrees(math.atan2(x, y)) % 360.0
-
-
 def destination_point(origin: GeoPoint, bearing_deg: float, distance_km: float) -> GeoPoint:
     """The point ``distance_km`` away from ``origin`` along ``bearing_deg``.
 
@@ -137,20 +124,3 @@ def destination_point(origin: GeoPoint, bearing_deg: float, distance_km: float) 
     # Normalise longitude to [-180, 180].
     lon_deg = (math.degrees(lon2) + 540.0) % 360.0 - 180.0
     return GeoPoint(lat=math.degrees(lat2), lon=lon_deg)
-
-
-def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
-    """Geographic midpoint of the great-circle segment between two points."""
-    lat1 = math.radians(a.lat)
-    lon1 = math.radians(a.lon)
-    lat2 = math.radians(b.lat)
-    dlon = math.radians(b.lon - a.lon)
-    bx = math.cos(lat2) * math.cos(dlon)
-    by = math.cos(lat2) * math.sin(dlon)
-    lat3 = math.atan2(
-        math.sin(lat1) + math.sin(lat2),
-        math.sqrt((math.cos(lat1) + bx) ** 2 + by**2),
-    )
-    lon3 = lon1 + math.atan2(by, math.cos(lat1) + bx)
-    lon_deg = (math.degrees(lon3) + 540.0) % 360.0 - 180.0
-    return GeoPoint(lat=math.degrees(lat3), lon=lon_deg)

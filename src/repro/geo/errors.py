@@ -148,19 +148,6 @@ class RandomNoiseError(GeoIPErrorModel):
         return affected
 
 
-class MissingEntryError(GeoIPErrorModel):
-    """Drop a fraction of records, modelling database misses."""
-
-    def __init__(self, fraction: float) -> None:
-        self.fraction = fraction
-
-    def apply(self, db: GeoIPDatabase, rng: np.random.Generator) -> list[Hashable]:
-        affected = _sample_fraction(db.prefixes(), self.fraction, rng)
-        for prefix in affected:
-            db.remove(prefix)
-        return affected
-
-
 def apply_error_models(
     db: GeoIPDatabase,
     models: Sequence[GeoIPErrorModel],

@@ -126,11 +126,6 @@ class GeoIPDatabase:
         self._entries[prefix] = entry
         self.version += 1
 
-    def remove(self, prefix: Hashable) -> None:
-        """Drop a record entirely, modelling a database miss."""
-        del self._entries[prefix]
-        self.version += 1
-
     def prefixes(self) -> tuple[Hashable, ...]:
         """All registered prefixes, in insertion order."""
         return tuple(self._entries)
@@ -151,15 +146,3 @@ class GeoIPDatabase:
         if not self._entries:
             return 0.0
         return sum(e.error_km for e in self._entries.values()) / len(self._entries)
-
-    def fraction_within_km(self, radius_km: float) -> float:
-        """Fraction of records whose error is within ``radius_km``.
-
-        The study the paper cites found MaxMind located ~60% of prefixes
-        within 100 km of truth; this metric lets tests assert the same kind
-        of statement about the synthetic database.
-        """
-        if not self._entries:
-            return 1.0
-        hits = sum(1 for e in self._entries.values() if e.error_km <= radius_km)
-        return hits / len(self._entries)

@@ -95,9 +95,6 @@ class IgpGraph:
         """
         return self._adj[a][b]
 
-    def num_links(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
-
     def is_connected(self) -> bool:
         """Whether every node can reach every other node."""
         if not self._adj:

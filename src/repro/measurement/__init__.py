@@ -14,8 +14,6 @@ from repro.measurement.stats import (
     percentile,
 )
 from repro.measurement.scheduler import (
-    hourly_rounds,
-    half_hourly_rounds,
     rounds_every,
 )
 from repro.measurement.ping import PingCampaign, PopRttMeasurement
@@ -33,8 +31,6 @@ __all__ = [
     "fraction_at_most",
     "fraction_exceeding",
     "rounds_every",
-    "half_hourly_rounds",
-    "hourly_rounds",
     "PingCampaign",
     "PopRttMeasurement",
     "LossProbeCampaign",

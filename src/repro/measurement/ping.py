@@ -32,11 +32,6 @@ class PopRttMeasurement:
             return None
         return min(self.rtt_ms_by_pop, key=lambda code: self.rtt_ms_by_pop[code])
 
-    @property
-    def best_rtt_ms(self) -> float | None:
-        best = self.best_pop
-        return None if best is None else self.rtt_ms_by_pop[best]
-
     def rtt_from(self, pop_code: str) -> float | None:
         return self.rtt_ms_by_pop.get(pop_code)
 
@@ -73,14 +68,3 @@ class PingCampaign:
             if ping.min_rtt_ms is not None:
                 result.rtt_ms_by_pop[code] = ping.min_rtt_ms
         return result
-
-    def probe_all(
-        self, prefixes: list[Prefix], hour_cet: float = 12.0
-    ) -> dict[Prefix, PopRttMeasurement]:
-        """Probe many prefixes; skips prefixes nobody could reach."""
-        results: dict[Prefix, PopRttMeasurement] = {}
-        for prefix in prefixes:
-            measurement = self.probe_prefix(prefix, hour_cet)
-            if measurement.rtt_ms_by_pop:
-                results[prefix] = measurement
-        return results

@@ -131,14 +131,14 @@ def select_hosts(
     rng: np.random.Generator,
     *,
     per_type_per_region: int = 50,
-    regions: tuple[WorldRegion, ...] = LAST_MILE_STUDY_REGIONS,
 ) -> list[TargetHost]:
     """Select the measurement sample of Sec. 5.2.1.
 
-    The paper uses 50 hosts per AS type per region (600 total), chosen to
-    maximise AS / country / prefix diversity.  A host's region is where
-    the *prefix* lives, not where its AS is headquartered — an LTP homed
-    in Europe originates prefixes on every continent.  Buckets sample
+    The paper uses 50 hosts per AS type in each of its three study
+    regions (``LAST_MILE_STUDY_REGIONS``; 600 total), chosen to maximise
+    AS / country / prefix diversity.  A host's region is where the
+    *prefix* lives, not where its AS is headquartered — an LTP homed in
+    Europe originates prefixes on every continent.  Buckets sample
     round-robin across distinct origin ASes first, then across each AS's
     prefixes.
 
@@ -153,13 +153,13 @@ def select_hosts(
     for prefix, origin_asn in topology.origin_of.items():
         system = topology.autonomous_system(origin_asn)
         region = region_of_point(topology.prefix_location[prefix])
-        if region not in regions:
+        if region not in LAST_MILE_STUDY_REGIONS:
             continue
         bucket = candidates.setdefault((region, system.as_type), {})
         bucket.setdefault(origin_asn, []).append(prefix)
 
     hosts: list[TargetHost] = []
-    for region in regions:
+    for region in LAST_MILE_STUDY_REGIONS:
         for as_type in ASType:
             per_as = candidates.get((region, as_type))
             if not per_as:

@@ -44,39 +44,24 @@ def rounds_per_day(minutes: float) -> int:
     return math.ceil(ratio)
 
 
-def rounds_every(minutes: float, days: int, start_hour: float = 0.0) -> list[Round]:
+def rounds_every(minutes: float, days: int) -> list[Round]:
     """Rounds every ``minutes`` across ``days`` full days.
 
-    Each day carries :func:`rounds_per_day` rounds, phase-anchored at
-    ``start_hour``.  A schedule whose rounds cross midnight (nonzero
-    ``start_hour``) attributes the post-midnight rounds to the *next*
-    day, so ``Round.absolute_hours`` is strictly increasing across the
-    whole schedule instead of jumping backwards at the wrap.
+    Each day carries :func:`rounds_per_day` rounds from midnight CET.
+    Every round starts inside its day (the last one at
+    ``(ceil(1440 / minutes) - 1) * minutes < 1440`` minutes), so
+    ``Round.absolute_hours`` is strictly increasing across the schedule.
 
     Raises
     ------
     ValueError
-        For a non-positive period, negative day count, or a start hour
-        outside [0, 24).
+        For a non-positive period or a negative day count.
     """
     if days < 0:
         raise ValueError(f"days must be non-negative, got {days!r}")
-    if not 0.0 <= start_hour < 24.0:
-        raise ValueError(f"start_hour must be in [0, 24), got {start_hour!r}")
     per_day = rounds_per_day(minutes)
-    rounds: list[Round] = []
-    for day in range(days):
-        for slot in range(per_day):
-            raw = start_hour + slot * minutes / 60.0
-            rounds.append(Round(day=day + int(raw // 24.0), hour_cet=raw % 24.0))
-    return rounds
-
-
-def half_hourly_rounds(days: int) -> list[Round]:
-    """The Sec. 5.1 streaming schedule: every 30 minutes."""
-    return rounds_every(30.0, days)
-
-
-def hourly_rounds(days: int) -> list[Round]:
-    """A coarser schedule for scaled-down campaigns."""
-    return rounds_every(60.0, days)
+    return [
+        Round(day=day, hour_cet=slot * minutes / 60.0)
+        for day in range(days)
+        for slot in range(per_day)
+    ]

@@ -33,18 +33,6 @@ class VideoProfile:
         """Packet rate implied by bitrate and packet size."""
         return self.bitrate_bps / (8.0 * self.packet_bytes)
 
-    def packets_in(self, duration_s: float) -> int:
-        """Packet count for a stream of the given duration.
-
-        Raises
-        ------
-        ValueError
-            For negative duration.
-        """
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s!r}")
-        return int(round(self.packets_per_second * duration_s))
-
     def __str__(self) -> str:
         return self.name
 

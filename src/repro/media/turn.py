@@ -4,13 +4,13 @@
 network using transport- or application-layer media relays, such as TURN
 relays" (Sec. 3.1); "there is a TURN server in each PoP and all of them
 use the same anycast address" (Sec. 4.4).  Relays also provide "user
-authentication and access control", which we model as an allocation
-ledger keyed by credentials.
+authentication and access control"; the experiments authenticate out of
+band, so every relay here is open and keeps only an allocation ledger.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.geo.coords import GeoPoint
 from repro.net.addressing import IPv4Address, Prefix
@@ -33,32 +33,19 @@ class Allocation:
 class TurnRelay:
     """The TURN server at one PoP."""
 
-    def __init__(self, pop_code: str, *, credentials: set[str] | None = None) -> None:
+    def __init__(self, pop_code: str) -> None:
         self.pop_code = pop_code
-        self.credentials = set(credentials) if credentials else None
         self.allocations: list[Allocation] = []
-        self.auth_failures = 0
         self._next_port = 49152
 
-    def allocate(self, username: str) -> Allocation | None:
-        """Authenticate and allocate; ``None`` on authentication failure.
-
-        With no credential set configured, the relay is open (the
-        experiments authenticate out of band).
-        """
-        if self.credentials is not None and username not in self.credentials:
-            self.auth_failures += 1
-            return None
+    def allocate(self, username: str) -> Allocation:
+        """Allocate a relayed port pair for ``username``."""
         allocation = Allocation(
             username=username, relay=self, relayed_port=self._next_port
         )
         self._next_port += 2  # RTP/RTCP pair
         self.allocations.append(allocation)
         return allocation
-
-    @property
-    def allocation_count(self) -> int:
-        return len(self.allocations)
 
 
 class TurnService:
@@ -89,7 +76,3 @@ class TurnService:
             return None, None
         allocation = self.relays[pop.code].allocate(username)
         return allocation, pop
-
-    def requests_by_pop(self) -> dict[str, int]:
-        """How many allocations each PoP's relay has served."""
-        return {code: relay.allocation_count for code, relay in self.relays.items()}

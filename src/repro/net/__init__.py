@@ -1,15 +1,14 @@
 """The Internet substrate: addressing, ASes, and synthetic topology.
 
 VNS is evaluated against "the Internet" — transit providers, peers, and the
-last mile.  This subpackage provides that substrate: IPv4 addressing with a
-longest-prefix-match trie, Autonomous Systems typed per the
-Dhamdhere-Dovrolis taxonomy the paper adopts (LTP / STP / CAHP / EC),
-customer-provider and peering relationships, Internet exchange points, and a
-generator that synthesises a geographically embedded AS-level Internet.
+last mile.  This subpackage provides that substrate: IPv4 addresses and
+CIDR prefixes, Autonomous Systems typed per the Dhamdhere-Dovrolis taxonomy
+the paper adopts (LTP / STP / CAHP / EC), customer-provider and peering
+relationships, Internet exchange points, and a generator that synthesises
+a geographically embedded AS-level Internet.
 """
 
 from repro.net.addressing import IPv4Address, Prefix
-from repro.net.radix import RadixTree
 from repro.net.asn import ASType, AutonomousSystem
 from repro.net.relationships import ASGraph, Relationship
 from repro.net.ixp import IXP
@@ -18,7 +17,6 @@ from repro.net.topology import InternetTopology, TopologyConfig, generate_topolo
 __all__ = [
     "IPv4Address",
     "Prefix",
-    "RadixTree",
     "ASType",
     "AutonomousSystem",
     "Relationship",

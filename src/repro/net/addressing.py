@@ -112,23 +112,11 @@ class Prefix:
             raise ValueError(f"invalid prefix length in {text!r}")
         return cls(network=_parse_dotted_quad(addr_text), length=int(length_text))
 
-    @classmethod
-    def from_address(cls, address: IPv4Address, length: int) -> "Prefix":
-        """The /``length`` prefix containing ``address``."""
-        if not 0 <= length <= 32:
-            raise ValueError(f"prefix length {length!r} outside [0, 32]")
-        mask = 0xFFFFFFFF << (32 - length) & 0xFFFFFFFF if length else 0
-        return cls(network=address.value & mask, length=length)
-
     def netmask(self) -> int:
         """The netmask as a 32-bit integer."""
         if self.length == 0:
             return 0
         return (0xFFFFFFFF << (32 - self.length)) & 0xFFFFFFFF
-
-    def contains_address(self, address: IPv4Address) -> bool:
-        """Whether ``address`` falls inside this prefix."""
-        return (address.value & self.netmask()) == self.network
 
     def contains_prefix(self, other: "Prefix") -> bool:
         """Whether ``other`` is equal to or more specific than this prefix."""
@@ -137,36 +125,11 @@ class Prefix:
         return (other.network & self.netmask()) == self.network
 
     @property
-    def first_address(self) -> IPv4Address:
-        """The network address; the paper probes "the first IP address in
-        each destination prefix", which in practice is network + 1."""
-        return IPv4Address(self.network)
-
-    @property
     def probe_address(self) -> IPv4Address:
         """First host address (network + 1), the paper's probe target."""
         if self.length == 32:
             return IPv4Address(self.network)
         return IPv4Address(self.network + 1)
-
-    @property
-    def num_addresses(self) -> int:
-        """Number of addresses covered by the prefix."""
-        return 1 << (32 - self.length)
-
-    def address_at(self, offset: int) -> IPv4Address:
-        """The address ``offset`` positions into the prefix.
-
-        Raises
-        ------
-        ValueError
-            If ``offset`` is outside the prefix.
-        """
-        if not 0 <= offset < self.num_addresses:
-            raise ValueError(
-                f"offset {offset} outside {self} ({self.num_addresses} addresses)"
-            )
-        return IPv4Address(self.network + offset)
 
     def subnets(self, new_length: int) -> tuple["Prefix", ...]:
         """All subnets of this prefix at ``new_length``.
@@ -188,20 +151,6 @@ class Prefix:
             Prefix(network=self.network + i * step, length=new_length)
             for i in range(count)
         )
-
-    def supernet(self) -> "Prefix":
-        """The parent prefix one bit shorter.
-
-        Raises
-        ------
-        ValueError
-            For the default route /0, which has no parent.
-        """
-        if self.length == 0:
-            raise ValueError("0.0.0.0/0 has no supernet")
-        parent_length = self.length - 1
-        mask = (0xFFFFFFFF << (32 - parent_length)) & 0xFFFFFFFF if parent_length else 0
-        return Prefix(network=self.network & mask, length=parent_length)
 
     def __str__(self) -> str:
         return _render_prefix(self.network, self.length)

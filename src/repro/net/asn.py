@@ -37,10 +37,6 @@ class ASType(enum.Enum):
         return self.value
 
 
-#: Whether a type offers transit to customers.
-TRANSIT_TYPES = frozenset({ASType.LTP, ASType.STP})
-
-
 @dataclass(slots=True)
 class PresencePoint:
     """One location where an AS has infrastructure (a provider PoP)."""
@@ -87,20 +83,6 @@ class AutonomousSystem:
             raise ValueError(f"ASN must be positive, got {self.asn!r}")
         if not self.presence:
             self.presence = [self.home]
-
-    @property
-    def is_transit(self) -> bool:
-        """Whether this AS sells transit (LTP or STP)."""
-        return self.as_type in TRANSIT_TYPES
-
-    @property
-    def is_stub(self) -> bool:
-        """Whether this AS only originates its own prefixes."""
-        return not self.is_transit
-
-    def presence_cities(self) -> list[City]:
-        """Cities where the AS has a presence point."""
-        return [point.city for point in self.presence]
 
     @lru_cache(maxsize=None)
     def nearest_presence(self, target: GeoPoint) -> PresencePoint:

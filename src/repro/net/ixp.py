@@ -38,10 +38,6 @@ class IXP:
     def __contains__(self, asn: int) -> bool:
         return asn in self.members
 
-    def common_members(self, other: "IXP") -> set[int]:
-        """ASNs present at both exchanges."""
-        return self.members & other.members
-
     def __str__(self) -> str:
         return f"{self.name} ({self.city.name})"
 

@@ -65,10 +65,6 @@ class ASGraph:
         """All registered AS numbers."""
         return list(self._neighbors)
 
-    def num_links(self) -> int:
-        """Number of undirected relationship edges."""
-        return sum(len(nbrs) for nbrs in self._neighbors.values()) // 2
-
     def add_provider_customer(self, provider: int, customer: int) -> None:
         """Add a transit edge: ``customer`` buys transit from ``provider``."""
         self._add_edge(provider, customer, Relationship.CUSTOMER)

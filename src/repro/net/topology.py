@@ -19,10 +19,9 @@ from repro.geo.cities import CITIES, City
 from repro.geo.coords import GeoPoint, destination_point
 from repro.geo.geoip import GeoIPDatabase
 from repro.geo.regions import WorldRegion
-from repro.net.addressing import IPv4Address, Prefix
+from repro.net.addressing import Prefix
 from repro.net.asn import ASType, AutonomousSystem, PresencePoint
 from repro.net.ixp import IXP, ixp_for_city
-from repro.net.radix import RadixTree
 from repro.net.relationships import ASGraph
 
 
@@ -61,6 +60,9 @@ STP_REMOTE_PRESENCE_PROB = 0.25
 #: Mean jitter applied to prefix locations around their anchor city (km).
 PREFIX_JITTER_MEAN_KM = 40.0
 
+#: Mean distance of a host from its prefix's true location (km).
+HOST_JITTER_MEAN_KM = 15.0
+
 #: First /16 block index used by the address allocator (1 => 0.1.0.0/16
 #: is skipped; we start at 16 to stay clear of special-use space).
 FIRST_BLOCK = 16 * 256  # 16.0.0.0
@@ -78,10 +80,6 @@ class TopologyConfig:
     n_stp: int = 60
     n_cahp: int = 120
     n_ec: int = 160
-
-    def total_ases(self) -> int:
-        """Total number of ASes the config will generate."""
-        return self.n_ltp + self.n_stp + self.n_cahp + self.n_ec
 
 
 class PrefixAllocator:
@@ -116,7 +114,6 @@ class InternetTopology:
     prefix_location: dict[Prefix, GeoPoint]
     prefix_country: dict[Prefix, str]
     ixps: dict[str, IXP]
-    fib: RadixTree
 
     def autonomous_system(self, asn: int) -> AutonomousSystem:
         """Look up an AS by number.
@@ -132,10 +129,6 @@ class InternetTopology:
         """All ASes of a given Dhamdhere-Dovrolis type."""
         return [a for a in self.ases.values() if a.as_type is as_type]
 
-    def ases_in_region(self, region: WorldRegion) -> list[AutonomousSystem]:
-        """All ASes whose home city lies in ``region``."""
-        return [a for a in self.ases.values() if a.home.city.region is region]
-
     def prefixes(self) -> list[Prefix]:
         """Every originated prefix."""
         return list(self.origin_of)
@@ -150,14 +143,6 @@ class InternetTopology:
         """
         return self.ases[self.origin_of[prefix]]
 
-    def resolve_address(self, address: IPv4Address) -> tuple[Prefix, int] | None:
-        """Longest-prefix match an address to ``(prefix, origin ASN)``."""
-        hit = self.fib.longest_match(address)
-        if hit is None:
-            return None
-        prefix, asn = hit
-        return prefix, asn
-
     def build_geoip(self) -> GeoIPDatabase:
         """A perfect GeoIP database derived from prefix ground truth."""
         db = GeoIPDatabase()
@@ -165,20 +150,12 @@ class InternetTopology:
             db.register(prefix, location, self.prefix_country[prefix])
         return db
 
-    def host_location(
-        self, prefix: Prefix, rng: np.random.Generator, jitter_km: float = 15.0
-    ) -> GeoPoint:
+    def host_location(self, prefix: Prefix, rng: np.random.Generator) -> GeoPoint:
         """A host location near the prefix's true location."""
         anchor = self.prefix_location[prefix]
-        distance = float(rng.exponential(jitter_km))
+        distance = float(rng.exponential(HOST_JITTER_MEAN_KM))
         bearing = float(rng.uniform(0.0, 360.0))
         return destination_point(anchor, bearing, distance)
-
-    def host_address(self, prefix: Prefix, rng: np.random.Generator) -> IPv4Address:
-        """A random host address inside ``prefix`` (not the network address)."""
-        span = prefix.num_addresses
-        offset = int(rng.integers(1, span)) if span > 1 else 0
-        return prefix.address_at(offset)
 
 
 def _weighted_city_choice(
@@ -383,11 +360,7 @@ def generate_topology(
             if rng.random() < REGIONAL_PEERING_PROB:
                 graph.add_peering(a.asn, b.asn)
 
-    # ---- FIB and validation ----------------------------------------------
-    fib: RadixTree = RadixTree()
-    for prefix, asn in origin_of.items():
-        fib.insert(prefix, asn)
-
+    # ---- Validation ------------------------------------------------------
     clique = tuple(system.asn for system in ltps)
     for asn in graph.asns():
         if not graph.has_provider_path_to_clique(asn, clique):
@@ -401,5 +374,4 @@ def generate_topology(
         prefix_location=prefix_location,
         prefix_country=prefix_country,
         ixps=ixps,
-        fib=fib,
     )

@@ -14,8 +14,8 @@ store so numbers compare across commits, seeds, scales and scenarios:
   differ (:mod:`repro.tolerance`), and the committable JSONL text form
   (:meth:`~ResultsStore.export_jsonl` /
   :meth:`~ResultsStore.import_jsonl`) is lossless;
-* :func:`heatmap_from_report` / :func:`heatmap_from_store` — per
-  region-pair QoE heatmaps (text grid and CSV) for any corridor metric;
+* :func:`heatmap_from_store` — per region-pair QoE heatmaps (text grid
+  and CSV) for any corridor metric;
 * :func:`perf_trajectory` — the cross-commit metric table;
 * ``python -m repro.results`` — the CLI CI drives (``check`` gates on
   :data:`~repro.results.api.CI_GATES`, ``import``/``export`` move the
@@ -37,7 +37,6 @@ from repro.results.api import (
 from repro.results.heatmap import (
     HeatmapGrid,
     heatmap_from_pairs,
-    heatmap_from_report,
     heatmap_from_store,
 )
 from repro.results.store import (
@@ -71,7 +70,6 @@ __all__ = [
     "flatten_metrics",
     "git_rev",
     "heatmap_from_pairs",
-    "heatmap_from_report",
     "heatmap_from_store",
     "open_store",
     "perf_trajectory",

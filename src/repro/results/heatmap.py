@@ -4,9 +4,8 @@ The longitudinal analogue of the paper's per-corridor tables: pick one
 corridor metric (``delay_ms.p50``, ``loss_pct.p95``,
 ``lossy_slot_fraction``, ``vns_delay_win_rate``, ...) on one transport
 (``vns`` / ``internet`` / ``steering`` / ``""`` for pair-level columns)
-and render the source-region x destination-region grid — from a live
-:class:`~repro.workload.report.CampaignReport`, a report-shaped dict, or
-a stored run's ``pair_metrics`` rows.
+and render the source-region x destination-region grid — from a report's
+``pairs`` mapping or a stored run's ``pair_metrics`` rows.
 """
 
 from __future__ import annotations
@@ -82,16 +81,6 @@ def heatmap_from_pairs(
         if name in flat:
             values[(src, dst)] = float(flat[name])
     return _grid(metric, transport, values)
-
-
-def heatmap_from_report(
-    report: object, *, metric: str = "delay_ms.p50", transport: str = "vns"
-) -> HeatmapGrid:
-    """Build the grid from a :class:`CampaignReport` or report dict."""
-    if hasattr(report, "to_dict"):
-        report = report.to_dict()  # type: ignore[union-attr]
-    pairs = report.get("pairs", {}) if isinstance(report, Mapping) else {}
-    return heatmap_from_pairs(pairs, metric=metric, transport=transport)
 
 
 def heatmap_from_store(

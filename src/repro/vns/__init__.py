@@ -8,7 +8,7 @@ distance between each candidate egress and the destination prefix's GeoIP
 location, turning default hot-potato routing into cold-potato routing.
 """
 
-from repro.vns.pop import POPS, PoP, pop_by_code, pop_by_id, pops_in_region
+from repro.vns.pop import POPS, PoP, pop_by_code, pops_in_region
 from repro.vns.links import VNS_LONG_HAUL_LINKS, build_l2_topology
 from repro.vns.geo_rr import GeoRouteReflector, LocalPrefFunction, linear_lp, stepped_lp
 from repro.vns.management import ManagementInterface
@@ -26,7 +26,6 @@ from repro.vns.frozen import (
 __all__ = [
     "PoP",
     "POPS",
-    "pop_by_id",
     "pop_by_code",
     "pops_in_region",
     "VNS_LONG_HAUL_LINKS",

@@ -84,16 +84,6 @@ class VnsDeployment:
         """All neighbours, upstreams first."""
         return list(self.upstreams) + list(self.peers)
 
-    def relationship_of(self, asn: int) -> Relationship:
-        """PROVIDER for upstreams, PEER for peers.
-
-        Raises
-        ------
-        KeyError
-            For an AS that is not a VNS neighbour.
-        """
-        return self.network.relationships[asn]
-
     def session_pops(self, asn: int) -> list[str]:
         """PoP codes where VNS has a session with ``asn`` (memoised)."""
         pops = self._session_pops.get(asn)

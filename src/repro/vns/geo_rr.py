@@ -15,7 +15,6 @@ geo-exempt) hook in before the distance computation.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import replace
 
@@ -90,7 +89,6 @@ class GeoRouteReflector(RouteReflector):
         router_locations: dict[str, GeoPoint],
         lp_function: LocalPrefFunction = linear_lp,
         management: "ManagementHook | None" = None,
-        memo_size: int = 1 << 16,
         **kwargs,
     ) -> None:
         super().__init__(router_id, asn, **kwargs)
@@ -105,13 +103,14 @@ class GeoRouteReflector(RouteReflector):
         self._egress_trig: dict[str, TrigTerms] = {
             rid: trig_terms(loc) for rid, loc in self.router_locations.items()
         }
-        # LRU memo of computed LOCAL_PREFs keyed on (next_hop, prefix).
+        # Memo of computed LOCAL_PREFs keyed on (next_hop, prefix).
         # During convergence the same (egress, prefix) pair is re-imported
         # many times (reflection, refreshes, IGP notifications); the f(d)
         # result cannot change unless the GeoIP database does, which the
-        # database version stamp detects.
-        self._memo_size = memo_size
-        self._lp_memo: OrderedDict[tuple[str, object], int] = OrderedDict()
+        # database version stamp detects.  The key space is bounded by
+        # border routers x prefixes (21 x 2,126 = 44,646 entries at LARGE),
+        # so the memo needs no eviction.
+        self._lp_memo: dict[tuple[str, object], int] = {}
         self._memo_version = geoip.version
 
     def invalidate_geo_cache(self) -> None:
@@ -149,8 +148,8 @@ class GeoRouteReflector(RouteReflector):
         Hot path: runs once per imported route during convergence.  Three
         optimisations over :meth:`assign_geo_preference_reference`, all
         decision-identical: per-egress trig terms are precomputed, the
-        ``(next_hop, prefix) -> lp`` result is memoized (LRU, invalidated
-        by GeoIP mutation), and the route is only copied when the computed
+        ``(next_hop, prefix) -> lp`` result is memoized (invalidated by
+        GeoIP mutation), and the route is only copied when the computed
         preference actually differs from its current value.
         """
         if perf.enabled:
@@ -162,7 +161,6 @@ class GeoRouteReflector(RouteReflector):
         memo = self._lp_memo
         lp = memo.get(key)
         if lp is not None:
-            memo.move_to_end(key)
             if perf.enabled:
                 perf.incr("geo.assign.memo_hits")
         else:
@@ -180,8 +178,6 @@ class GeoRouteReflector(RouteReflector):
                 return route
             lp = self.lp_function(great_circle_km_fast(trig, entry.location))
             memo[key] = lp
-            if len(memo) > self._memo_size:
-                memo.popitem(last=False)
         self.stats["assigned"] += 1
         return route.with_local_pref(lp)
 

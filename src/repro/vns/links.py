@@ -39,6 +39,12 @@ class L2Link:
         return f"{self.a}{marker}{self.b}"
 
 
+#: IGP metric per millisecond of circuit delay (metrics floor at 1).
+IGP_METRIC_PER_MS = 10.0
+
+#: IGP metric of the metro link joining two border routers in one PoP.
+INTRA_POP_METRIC = 1.0
+
 #: The inter-cluster long-haul circuits.
 VNS_LONG_HAUL_LINKS: tuple[tuple[str, str], ...] = (
     ("LON", "ASH"),  # trans-Atlantic
@@ -64,7 +70,6 @@ def l2_links() -> list[L2Link]:
 
 
 def build_l2_topology(
-    igp_metric_scale: float = 10.0,
     *,
     excluded_links: frozenset[frozenset[str]] = frozenset(),
     excluded_pops: frozenset[str] = frozenset(),
@@ -72,7 +77,7 @@ def build_l2_topology(
 ) -> tuple[IgpGraph, list[L2Link]]:
     """The PoP-level IGP graph with delay-proportional metrics.
 
-    Metrics are ``delay_ms * igp_metric_scale`` (floored at 1) so SPF
+    Metrics are ``delay_ms * IGP_METRIC_PER_MS`` (floored at 1) so SPF
     inside VNS tracks propagation delay, as a latency-tuned IGP would.
 
     ``excluded_links`` (endpoint-code pairs) and ``excluded_pops`` support
@@ -98,7 +103,7 @@ def build_l2_topology(
             continue
         if link.a in excluded_pops or link.b in excluded_pops:
             continue
-        metric = max(1.0, link.delay_ms() * igp_metric_scale)
+        metric = max(1.0, link.delay_ms() * IGP_METRIC_PER_MS)
         graph.add_link(link.a, link.b, metric)
     if require_connected and not graph.is_connected():
         raise RuntimeError("VNS L2 topology is not connected")
@@ -107,17 +112,17 @@ def build_l2_topology(
 
 def router_level_igp(
     pop_graph: IgpGraph,
-    intra_pop_metric: float = 1.0,
     *,
     require_connected: bool = True,
 ) -> IgpGraph:
     """Expand the PoP-level graph to border-router granularity.
 
-    Routers within a PoP are joined by a cheap metro link; inter-PoP
-    circuits connect the first router of each PoP (a simplification: real
-    deployments terminate circuits on specific boxes, which is also why
-    the paper can pick circuit termination points "carefully").  PoPs
-    absent from ``pop_graph`` (failed) contribute no routers.
+    Routers within a PoP are joined by a cheap metro link
+    (:data:`INTRA_POP_METRIC`); inter-PoP circuits connect the first
+    router of each PoP (a simplification: real deployments terminate
+    circuits on specific boxes, which is also why the paper can pick
+    circuit termination points "carefully").  PoPs absent from
+    ``pop_graph`` (failed) contribute no routers.
 
     Raises
     ------
@@ -133,7 +138,7 @@ def router_level_igp(
             graph.add_node(router_id)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
-                graph.add_link(a, b, intra_pop_metric)
+                graph.add_link(a, b, INTRA_POP_METRIC)
     for pop in POPS:
         if pop.code not in pop_graph:
             continue

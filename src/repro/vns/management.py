@@ -10,14 +10,16 @@ supports:
   spread prefixes), reverting it to default BGP behaviour;
 * **static more-specifics** — have the PoP closest to a remote subnet
   statically advertise the more-specific prefix, tagged ``no-export`` so
-  it never leaks outside VNS.
+  it never leaks outside VNS.  A border router originates it
+  (:meth:`~repro.vns.service.VideoNetworkService.apply_static_more_specific`);
+  this interface holds the other two.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.bgp.attributes import NO_EXPORT, Route
+from repro.bgp.attributes import Route
 from repro.net.addressing import Prefix
 from repro.vns.geo_rr import GeoRouteReflector, ManagementHook
 
@@ -29,14 +31,12 @@ class ManagementInterface(ManagementHook):
     """Concrete override store, shared by all reflectors of the AS.
 
     The interface "communicates with the Quagga-RR and border routers";
-    here the reflectors consult it during import, and the network builder
-    consults it for static more-specific originations.
+    here the reflectors consult it during import.
     """
 
     def __init__(self) -> None:
         self._forced_exit: dict[Prefix, str] = {}  # prefix -> PoP code
         self._geo_exempt: set[Prefix] = set()
-        self._static_more_specifics: dict[Prefix, str] = {}  # prefix -> PoP code
 
     # ----------------------------------------------------------------- #
     # operator actions
@@ -53,34 +53,6 @@ class ManagementInterface(ManagementHook):
     def exempt_from_geo(self, prefix: Prefix) -> None:
         """Exclude ``prefix`` from geo-routing (globally spread prefix)."""
         self._geo_exempt.add(prefix)
-
-    def clear_exemption(self, prefix: Prefix) -> None:
-        """Remove a geo exemption (no-op if absent)."""
-        self._geo_exempt.discard(prefix)
-
-    def add_static_more_specific(self, prefix: Prefix, pop_code: str) -> None:
-        """Register a more-specific to be advertised from ``pop_code``.
-
-        The builder/service layer performs the actual origination on a
-        border router at that PoP, tagged with :data:`NO_EXPORT`.
-        """
-        self._static_more_specifics[prefix] = pop_code
-
-    # ----------------------------------------------------------------- #
-    # queries
-    # ----------------------------------------------------------------- #
-
-    def static_more_specifics(self) -> dict[Prefix, str]:
-        """All registered more-specifics (prefix → PoP code)."""
-        return dict(self._static_more_specifics)
-
-    def overrides_count(self) -> int:
-        """Total number of active overrides of any kind."""
-        return (
-            len(self._forced_exit)
-            + len(self._geo_exempt)
-            + len(self._static_more_specifics)
-        )
 
     # ----------------------------------------------------------------- #
     # reflector hook
@@ -104,8 +76,3 @@ class ManagementInterface(ManagementHook):
             # they remain usable if the forced PoP loses the route.
             return reflector.assign_geo_preference(route)
         return None
-
-
-def tag_no_export(route: Route) -> Route:
-    """Tag a route with the ``no-export`` community."""
-    return route.with_communities(NO_EXPORT)

@@ -378,7 +378,8 @@ class VnsNetwork:
 
         Only flips operational state and re-runs SPF — the BGP
         consequences (hot-potato decisions moving) are the caller's to
-        drive, e.g. via :meth:`repro.vns.service.VideoNetworkService.refresh_routing`.
+        drive: :class:`repro.faults.injector.FaultInjector` injects the
+        routers' ``igp_notifications()``.
 
         Raises
         ------

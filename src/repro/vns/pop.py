@@ -81,23 +81,11 @@ POPS: tuple[PoP, ...] = (
     _pop(11, "TYO", "Tokyo", PopRegion.AP, 2),
 )
 
-_BY_ID = {pop.pop_id: pop for pop in POPS}
 _BY_CODE = {pop.code: pop for pop in POPS}
 
 #: The footprint is fixed, so each PoP's haversine trig terms are
 #: computed once at import; every nearest-PoP query reuses them.
 _POP_TRIG: dict[str, TrigTerms] = {pop.code: trig_terms(pop.location) for pop in POPS}
-
-
-def pop_by_id(pop_id: int) -> PoP:
-    """Look up a PoP by its Fig. 4 id.
-
-    Raises
-    ------
-    KeyError
-        For an unknown id.
-    """
-    return _BY_ID[pop_id]
 
 
 def pop_by_code(code: str) -> PoP:
@@ -133,8 +121,3 @@ def nearest_pop(location: GeoPoint, among: Iterable[PoP] | None = None) -> PoP:
     if not candidates:
         raise ValueError("nearest_pop needs at least one candidate PoP")
     return min(candidates, key=lambda pop: great_circle_km_fast(_POP_TRIG[pop.code], location))
-
-
-def total_border_routers() -> int:
-    """Across all PoPs — the paper says "over 20"."""
-    return sum(pop.n_border_routers for pop in POPS)

@@ -447,18 +447,9 @@ class VideoNetworkService:
             raise ValueError(
                 f"{pop_code} has no route to a prefix covering {prefix}"
             )
-        self.management.add_static_more_specific(prefix, pop_code)
         from repro.bgp.attributes import NO_EXPORT
 
         self.network.engine.inject(
             router.originate(prefix, communities=frozenset({NO_EXPORT}))
         )
-        self.network.converge()
-
-    def refresh_routing(self) -> None:
-        """Re-run convergence after management changes."""
-        for router in self.network.border_routers.values():
-            self.network.engine.inject(router.refresh_advertisements())
-        for reflector in self.network.reflectors.values():
-            self.network.engine.inject(reflector.refresh_advertisements())
         self.network.converge()

@@ -86,35 +86,30 @@ class UserPopulation:
         n_users: int,
         *,
         seed: int = 0,
-        region_weights: dict[WorldRegion, float] | None = None,
     ) -> "UserPopulation":
         """Sample ``n_users`` users from the topology's prefixes.
 
-        Regions are drawn according to ``region_weights`` (default
-        :data:`DEFAULT_REGION_WEIGHTS`), restricted to regions the
-        topology actually covers and renormalised; the prefix within a
-        region is uniform.  The same ``(topology, n_users, seed,
-        weights)`` always yields the same population.
+        Regions are drawn according to :data:`DEFAULT_REGION_WEIGHTS`,
+        restricted to regions the topology actually covers and
+        renormalised; the prefix within a region is uniform.  The same
+        ``(topology, n_users, seed)`` always yields the same population.
 
         Raises
         ------
         ValueError
-            For a non-positive user count or all-zero weights.
+            For a non-positive user count.
         """
         if n_users <= 0:
             raise ValueError(f"n_users must be positive, got {n_users!r}")
-        weights = dict(DEFAULT_REGION_WEIGHTS if region_weights is None else region_weights)
 
         by_region: dict[WorldRegion, list[Prefix]] = {}
         for prefix in topology.prefixes():
             region = region_of_point(topology.prefix_location[prefix])
             by_region.setdefault(region, []).append(prefix)
 
-        covered = [region for region in by_region if weights.get(region, 0.0) > 0.0]
-        if not covered:
-            raise ValueError("no region has both prefixes and positive weight")
-        covered.sort(key=lambda region: region.value)  # deterministic order
-        probs = np.array([weights[region] for region in covered], dtype=float)
+        # Every default weight is positive: each region with prefixes is drawn.
+        covered = sorted(by_region, key=lambda region: region.value)  # deterministic order
+        probs = np.array([DEFAULT_REGION_WEIGHTS[region] for region in covered], dtype=float)
         probs /= probs.sum()
 
         rng = np.random.default_rng(seed)

@@ -126,12 +126,3 @@ class TestReflection:
         rr.add_session(client_session("rA"))
         rr.add_session(nonclient_session("rr2"))
         assert rr.clients() == ["rA"]
-
-    def test_hidden_route_check(self):
-        rr = make_rr()
-        rr.add_session(client_session("rA"))
-        rr.add_session(client_session("rB"))
-        rr.process(update_from("rA", "rr1"))
-        assert not rr.hidden_route_check(PFX)
-        rr.process(update_from("rB", "rr1"))
-        assert rr.hidden_route_check(PFX)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.dataplane.latency import path_propagation_ms, propagation_delay_ms
-from repro.geo.coords import GeoPoint
+from repro.dataplane.latency import propagation_delay_ms
 
 
 class TestPropagationDelay:
@@ -31,23 +30,3 @@ class TestPropagationDelay:
         # in the familiar 70-100 ms window.
         one_way = propagation_delay_ms(5900.0)
         assert 35.0 < one_way < 50.0
-
-
-class TestPathPropagation:
-    def test_empty_and_single(self):
-        assert path_propagation_ms([]) == 0.0
-        assert path_propagation_ms([GeoPoint(0, 0)]) == 0.0
-
-    def test_additivity(self):
-        a = GeoPoint(0, 0)
-        b = GeoPoint(0, 10)
-        c = GeoPoint(0, 20)
-        assert path_propagation_ms([a, b, c]) == pytest.approx(
-            path_propagation_ms([a, b]) + path_propagation_ms([b, c])
-        )
-
-    def test_detour_is_longer(self):
-        a = GeoPoint(0, 0)
-        b = GeoPoint(40, 10)  # far off the direct path
-        c = GeoPoint(0, 20)
-        assert path_propagation_ms([a, b, c]) > path_propagation_ms([a, c])

@@ -9,8 +9,6 @@ from repro.geo.coords import (
     GeoPoint,
     destination_point,
     great_circle_km,
-    initial_bearing_deg,
-    midpoint,
 )
 
 
@@ -73,21 +71,6 @@ class TestGreatCircle:
         assert great_circle_km(west, east) < 120.0
 
 
-class TestBearing:
-    def test_due_north(self):
-        assert initial_bearing_deg(GeoPoint(0, 0), GeoPoint(10, 0)) == pytest.approx(0.0)
-
-    def test_due_east(self):
-        assert initial_bearing_deg(GeoPoint(0, 0), GeoPoint(0, 10)) == pytest.approx(90.0)
-
-    def test_due_south(self):
-        assert initial_bearing_deg(GeoPoint(10, 0), GeoPoint(0, 0)) == pytest.approx(180.0)
-
-    def test_range(self):
-        bearing = initial_bearing_deg(GeoPoint(10, 10), GeoPoint(-20, -30))
-        assert 0.0 <= bearing < 360.0
-
-
 class TestDestinationPoint:
     def test_zero_distance_is_identity(self):
         origin = GeoPoint(45.0, 45.0)
@@ -109,20 +92,3 @@ class TestDestinationPoint:
         origin = GeoPoint(0.0, 179.0)
         out = destination_point(origin, 90.0, 300.0)
         assert -180.0 <= out.lon <= 180.0
-
-
-class TestMidpoint:
-    def test_midpoint_equidistant(self):
-        a = GeoPoint(52.37, 4.90)
-        b = GeoPoint(40.71, -74.01)
-        mid = midpoint(a, b)
-        assert great_circle_km(a, mid) == pytest.approx(
-            great_circle_km(b, mid), rel=1e-6
-        )
-
-    def test_midpoint_on_path(self):
-        a = GeoPoint(0.0, 0.0)
-        b = GeoPoint(0.0, 90.0)
-        mid = midpoint(a, b)
-        assert mid.lat == pytest.approx(0.0, abs=1e-9)
-        assert mid.lon == pytest.approx(45.0)

@@ -6,7 +6,6 @@ import pytest
 from repro.geo.coords import GeoPoint
 from repro.geo.errors import (
     CountryCentroidError,
-    MissingEntryError,
     RandomNoiseError,
     StaleWhoisError,
     apply_error_models,
@@ -93,13 +92,6 @@ class TestRandomNoise:
             RandomNoiseError(mean_km=-1.0)
 
 
-class TestMissingEntry:
-    def test_drops_entries(self):
-        db = make_db()
-        MissingEntryError(fraction=0.25).apply(db, np.random.default_rng(0))
-        assert len(db) == 15
-
-
 class TestComposition:
     def test_apply_error_models_report(self):
         db = make_db()
@@ -114,4 +106,4 @@ class TestComposition:
     def test_invalid_fraction(self):
         db = make_db()
         with pytest.raises(ValueError):
-            MissingEntryError(fraction=1.5).apply(db, np.random.default_rng(0))
+            RandomNoiseError(fraction=1.5).apply(db, np.random.default_rng(0))

@@ -60,19 +60,9 @@ class TestQueries:
     def test_prefixes_in_country(self, db):
         assert db.prefixes_in_country("SG") == (Prefix.parse("10.1.0.0/16"),)
 
-    def test_remove(self, db):
-        db.remove(Prefix.parse("10.0.0.0/16"))
-        assert len(db) == 1
-
     def test_mean_error_starts_zero(self, db):
         assert db.mean_error_km() == 0.0
-
-    def test_fraction_within(self, db):
-        assert db.fraction_within_km(1.0) == 1.0
-        db.override(Prefix.parse("10.0.0.0/16"), location=GeoPoint(0, 0))
-        assert db.fraction_within_km(1.0) == 0.5
 
     def test_empty_database_stats(self):
         empty = GeoIPDatabase()
         assert empty.mean_error_km() == 0.0
-        assert empty.fraction_within_km(10.0) == 1.0

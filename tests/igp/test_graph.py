@@ -51,9 +51,3 @@ class TestIgpGraph:
         assert g.is_connected()
         g.add_node("island")
         assert not g.is_connected()
-
-    def test_num_links(self):
-        g = IgpGraph()
-        g.add_link("a", "b", 1.0)
-        g.add_link("b", "c", 1.0)
-        assert g.num_links() == 2

@@ -12,14 +12,12 @@ class TestPopRttMeasurement:
         m = PopRttMeasurement(prefix=Prefix.parse("10.0.0.0/20"))
         m.rtt_ms_by_pop = {"AMS": 20.0, "LON": 12.0, "SIN": 200.0}
         assert m.best_pop == "LON"
-        assert m.best_rtt_ms == 12.0
         assert m.rtt_from("SIN") == 200.0
         assert m.rtt_from("SYD") is None
 
     def test_empty(self):
         m = PopRttMeasurement(prefix=Prefix.parse("10.0.0.0/20"))
         assert m.best_pop is None
-        assert m.best_rtt_ms is None
 
 
 class TestPingCampaign:
@@ -57,13 +55,6 @@ class TestPingCampaign:
                 break
         assert count > 5
         assert eu_wins / count > 0.7
-
-    def test_probe_all_skips_unreachable(self, small_world):
-        campaign = PingCampaign(small_world.service, np.random.default_rng(0))
-        prefixes = small_world.topology.prefixes()[:5]
-        results = campaign.probe_all(prefixes)
-        assert set(results) <= set(prefixes)
-        assert len(results) >= 4
 
     def test_invalid_packets(self, small_world):
         with pytest.raises(ValueError):

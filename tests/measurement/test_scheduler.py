@@ -4,8 +4,6 @@ import pytest
 
 from repro.measurement.scheduler import (
     Round,
-    half_hourly_rounds,
-    hourly_rounds,
     rounds_every,
     rounds_per_day,
 )
@@ -13,11 +11,12 @@ from repro.measurement.scheduler import (
 
 class TestRounds:
     def test_half_hourly_counts(self):
-        rounds = half_hourly_rounds(days=2)
+        # Sec. 5.1: streams every half hour => 48 rounds/day.
+        rounds = rounds_every(30.0, days=2)
         assert len(rounds) == 2 * 48
 
     def test_hourly_counts(self):
-        assert len(hourly_rounds(days=1)) == 24
+        assert len(rounds_every(60.0, days=1)) == 24
 
     def test_hours_wrap(self):
         rounds = rounds_every(90.0, days=1)
@@ -27,10 +26,6 @@ class TestRounds:
         rounds = rounds_every(60.0, days=2)
         absolute = [r.absolute_hours for r in rounds]
         assert absolute == sorted(absolute)
-
-    def test_start_offset(self):
-        rounds = rounds_every(60.0, days=1, start_hour=6.0)
-        assert rounds[0].hour_cet == 6.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,6 +40,12 @@ class TestRounds:
     def test_round_dataclass(self):
         r = Round(day=2, hour_cet=3.0)
         assert r.absolute_hours == 51.0
+
+    def test_non_divisible_round_count_pinned(self):
+        assert len(rounds_every(100.0, days=2)) == 2 * 15
+        assert [r.hour_cet for r in rounds_every(100.0, days=1)][-1] == pytest.approx(
+            23.0 + 20.0 / 60.0
+        )
 
 
 class TestRoundsPerDay:
@@ -69,33 +70,3 @@ class TestRoundsPerDay:
             rounds_per_day(0.0)
         with pytest.raises(ValueError):
             rounds_per_day(-30.0)
-
-
-class TestStartHourWrap:
-    def test_wrapped_rounds_attributed_to_next_day(self):
-        # Anchored at 22:00, a 90-minute period crosses midnight within
-        # the first day's slots; post-midnight rounds belong to day 1.
-        rounds = rounds_every(90.0, days=1, start_hour=22.0)
-        assert len(rounds) == 16
-        assert rounds[0] == Round(day=0, hour_cet=22.0)
-        assert rounds[1] == Round(day=0, hour_cet=23.5)
-        assert rounds[2] == Round(day=1, hour_cet=1.0)
-
-    def test_absolute_hours_monotone_with_start_hour(self):
-        # The regression: hour % 24 without the day bump made
-        # absolute_hours jump backwards at every midnight wrap.
-        rounds = rounds_every(100.0, days=3, start_hour=18.0)
-        absolute = [r.absolute_hours for r in rounds]
-        assert absolute == sorted(absolute)
-
-    def test_non_divisible_round_count_pinned(self):
-        assert len(rounds_every(100.0, days=2)) == 2 * 15
-        assert [r.hour_cet for r in rounds_every(100.0, days=1)][-1] == pytest.approx(
-            23.0 + 20.0 / 60.0
-        )
-
-    def test_start_hour_validation(self):
-        with pytest.raises(ValueError):
-            rounds_every(60.0, days=1, start_hour=24.0)
-        with pytest.raises(ValueError):
-            rounds_every(60.0, days=1, start_hour=-0.5)

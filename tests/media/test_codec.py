@@ -18,16 +18,6 @@ class TestProfiles:
         assert not AUDIO_OPUS.is_video
         assert PROFILE_1080P.is_video
 
-    def test_packets_in_duration(self):
-        assert PROFILE_1080P.packets_in(120.0) == pytest.approx(
-            PROFILE_1080P.packets_per_second * 120, abs=1
-        )
-        assert PROFILE_1080P.packets_in(0.0) == 0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            PROFILE_1080P.packets_in(-1.0)
-
     def test_invalid_profile(self):
         with pytest.raises(ValueError):
             VideoProfile(name="bad", bitrate_bps=0, packet_bytes=100)

@@ -12,19 +12,13 @@ class TestTurnRelay:
         allocation = relay.allocate("alice")
         assert allocation is not None
         assert allocation.relayed_port >= 49152
-        assert relay.allocation_count == 1
+        assert len(relay.allocations) == 1
 
     def test_port_pairs(self):
         relay = TurnRelay("AMS")
         a = relay.allocate("alice")
         b = relay.allocate("bob")
         assert b.relayed_port == a.relayed_port + 2
-
-    def test_credentialed_relay(self):
-        relay = TurnRelay("AMS", credentials={"alice"})
-        assert relay.allocate("alice") is not None
-        assert relay.allocate("mallory") is None
-        assert relay.auth_failures == 1
 
 
 class TestTurnService:
@@ -42,5 +36,4 @@ class TestTurnService:
         assert pop is not None
         assert allocation is not None
         assert allocation.relay.pop_code == pop.code
-        counts = service.requests_by_pop()
-        assert counts[pop.code] == 1
+        assert len(service.relays[pop.code].allocations) == 1

@@ -34,25 +34,12 @@ class TestAutonomousSystem:
         )
         assert system.presence == [home]
 
-    def test_transit_flags(self):
-        assert make_system().is_transit
-        assert not make_system().is_stub
-        home = PresencePoint(
-            city=city_by_name("Oslo"), location=city_by_name("Oslo").location
-        )
-        stub = AutonomousSystem(asn=2, name="S", as_type=ASType.EC, home=home)
-        assert stub.is_stub
-
     def test_nearest_presence(self):
         system = make_system(cities=("Amsterdam", "Tokyo"))
         near_eu = city_by_name("London").location
         assert system.nearest_presence(near_eu).city.name == "Amsterdam"
         near_ap = city_by_name("Seoul").location
         assert system.nearest_presence(near_ap).city.name == "Tokyo"
-
-    def test_presence_cities(self):
-        system = make_system()
-        assert [c.name for c in system.presence_cities()] == ["Amsterdam", "Frankfurt"]
 
     def test_hash_by_asn(self):
         assert hash(make_system(asn=7)) == hash(make_system(asn=7, cities=("Oslo",)))

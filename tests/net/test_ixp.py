@@ -1,7 +1,7 @@
 """Unit tests for IXPs."""
 
 from repro.geo.cities import city_by_name
-from repro.net.ixp import IXP, ixp_for_city
+from repro.net.ixp import ixp_for_city
 
 
 class TestIXP:
@@ -19,8 +19,3 @@ class TestIXP:
         ixp.add_member(64512)  # idempotent
         assert 64512 in ixp
         assert len(ixp.members) == 1
-
-    def test_common_members(self):
-        a = IXP(name="A", city=city_by_name("London"), members={1, 2, 3})
-        b = IXP(name="B", city=city_by_name("Paris"), members={2, 3, 4})
-        assert a.common_members(b) == {2, 3}

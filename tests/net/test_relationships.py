@@ -39,9 +39,6 @@ class TestEdges:
         with pytest.raises(KeyError):
             graph.relationship(1, 4)
 
-    def test_num_links(self, graph):
-        assert graph.num_links() == 5
-
 
 class TestQueries:
     def test_customers_of(self, graph):

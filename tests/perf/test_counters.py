@@ -80,17 +80,6 @@ class TestWiring:
         snap = perf.snapshot()
         assert "bgp.engine.run" in snap.timers
 
-    def test_radix_longest_match_is_counted(self):
-        from repro.net.addressing import IPv4Address, Prefix
-        from repro.net.radix import RadixTree
-
-        tree = RadixTree()
-        tree.insert(Prefix.parse("203.0.113.0/24"), "x")
-        perf.enable()
-        tree.longest_match(IPv4Address.parse("203.0.113.7"))
-        tree.longest_match(IPv4Address.parse("198.51.100.1"))
-        assert perf.counter("net.radix.longest_match") == 2
-
     def test_geo_assign_counts_memo_hits(self):
         from repro.bgp.attributes import AsPath, Route
         from repro.geo.coords import GeoPoint

@@ -10,7 +10,6 @@ from repro.geo.coords import (
     GeoPoint,
     destination_point,
     great_circle_km,
-    midpoint,
 )
 
 latitudes = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
@@ -61,20 +60,3 @@ class TestDestinationProperties:
         out = destination_point(origin, bearing, distance)
         assert -90.0 <= out.lat <= 90.0
         assert -180.0 <= out.lon <= 180.0
-
-
-class TestMidpointProperties:
-    @given(points, points)
-    @settings(max_examples=200)
-    def test_equidistant(self, a, b):
-        mid = midpoint(a, b)
-        da = great_circle_km(a, mid)
-        db = great_circle_km(b, mid)
-        assert abs(da - db) < max(1e-3, 1e-6 * (da + db))
-
-    @given(points, points)
-    def test_on_segment(self, a, b):
-        mid = midpoint(a, b)
-        total = great_circle_km(a, b)
-        via = great_circle_km(a, mid) + great_circle_km(mid, b)
-        assert via <= total + 1e-3

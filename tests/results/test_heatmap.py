@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.results import (
     RunKey,
     heatmap_from_pairs,
-    heatmap_from_report,
     heatmap_from_store,
 )
 
@@ -45,10 +44,6 @@ class TestGrid:
             "AS,,95.25",
             "EU,90.00,18.50",
         ]
-
-    def test_from_report_dict(self):
-        grid = heatmap_from_report({"pairs": PAIRS}, metric="delay_ms.p50")
-        assert grid.value("AS", "EU") == 95.25
 
 
 class TestStoreRoundTrip:

@@ -46,9 +46,9 @@ class TestDeployment:
     def test_relationships(self, deployment):
         dep, _ = deployment
         for asn in dep.upstreams:
-            assert dep.relationship_of(asn) is Relationship.PROVIDER
+            assert dep.network.relationships[asn] is Relationship.PROVIDER
         for asn in dep.peers:
-            assert dep.relationship_of(asn) is Relationship.PEER
+            assert dep.network.relationships[asn] is Relationship.PEER
 
     def test_vns_registered_in_graph(self, deployment):
         dep, topology = deployment

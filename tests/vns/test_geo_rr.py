@@ -157,27 +157,6 @@ class TestOptimisedHotPath:
         rr.geoip.register(PFX, GeoPoint(51.9, 4.5), "NL")
         assert rr.assign_geo_preference(ibgp_route("A")).local_pref > 1000
 
-    def test_memo_eviction_keeps_decisions_correct(self):
-        rr = make_reflector()
-        rr._memo_size = 1
-        for prefix_text in ("198.51.100.0/24", "192.0.2.0/24"):
-            rr.geoip.register(
-                Prefix.parse(prefix_text), GeoPoint(51.9, 4.5), "NL"
-            )
-        routes = [ibgp_route("A")]
-        for prefix_text in ("198.51.100.0/24", "192.0.2.0/24"):
-            routes.append(
-                Route(
-                    prefix=Prefix.parse(prefix_text),
-                    as_path=AsPath((100, 9)),
-                    next_hop="A",
-                )
-            )
-        expected = [rr.assign_geo_preference(r).local_pref for r in routes]
-        evicted = [rr.assign_geo_preference(r).local_pref for r in routes]
-        assert evicted == expected
-        assert len(rr._lp_memo) == 1
-
 
 class TestStatsCounters:
     """All five counters, including the management-hook paths."""

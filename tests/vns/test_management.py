@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.bgp.attributes import NO_EXPORT, AsPath, Route
+from repro.bgp.attributes import AsPath, Route
 from repro.geo.coords import GeoPoint
 from repro.geo.geoip import GeoIPDatabase
 from repro.net.addressing import Prefix
 from repro.vns.geo_rr import GeoRouteReflector
-from repro.vns.management import FORCED_EXIT_LP, ManagementInterface, tag_no_export
+from repro.vns.management import FORCED_EXIT_LP, ManagementInterface
 
 ASN = 65000
 PFX = Prefix.parse("203.0.113.0/24")
@@ -64,31 +64,3 @@ class TestExemption:
         handled = management.transform(rr, original)
         assert handled is original
         assert rr.stats["exempt"] == 1
-
-    def test_clear_exemption(self):
-        management, rr = make_pair()
-        management.exempt_from_geo(PFX)
-        management.clear_exemption(PFX)
-        assert management.transform(rr, route("AMS-r1")) is None
-
-
-class TestStaticMoreSpecifics:
-    def test_registration(self):
-        management, _ = make_pair()
-        sub = Prefix.parse("203.0.113.0/25")
-        management.add_static_more_specific(sub, "SIN")
-        assert management.static_more_specifics() == {sub: "SIN"}
-
-    def test_overrides_count(self):
-        management, _ = make_pair()
-        assert management.overrides_count() == 0
-        management.force_exit(PFX, "SIN")
-        management.exempt_from_geo(Prefix.parse("198.51.100.0/24"))
-        management.add_static_more_specific(Prefix.parse("203.0.113.0/25"), "SIN")
-        assert management.overrides_count() == 3
-
-
-class TestTagNoExport:
-    def test_tagging(self):
-        tagged = tag_no_export(route("AMS-r1"))
-        assert NO_EXPORT in tagged.communities

@@ -7,9 +7,7 @@ from repro.vns.pop import (
     POPS,
     nearest_pop,
     pop_by_code,
-    pop_by_id,
     pops_in_region,
-    total_border_routers,
 )
 from repro.geo.cities import city_by_name
 
@@ -23,15 +21,16 @@ class TestFootprint:
 
     def test_over_twenty_border_routers(self):
         # Sec. 3.2: "over 20 routers in 11 PoPs".
-        assert total_border_routers() > 20
+        assert sum(pop.n_border_routers for pop in POPS) > 20
 
     def test_fig4_constraints(self):
         # PoP 10 is London; 3 and 5 US east coast; 7 AP; 9 EU.
-        assert pop_by_id(10).code == "LON"
-        assert pop_by_id(3).region is PopRegion.NA
-        assert pop_by_id(5).region is PopRegion.NA
-        assert pop_by_id(7).region is PopRegion.AP
-        assert pop_by_id(9).region is PopRegion.EU
+        by_id = {pop.pop_id: pop for pop in POPS}
+        assert by_id[10].code == "LON"
+        assert by_id[3].region is PopRegion.NA
+        assert by_id[5].region is PopRegion.NA
+        assert by_id[7].region is PopRegion.AP
+        assert by_id[9].region is PopRegion.EU
 
     def test_unique_ids_and_codes(self):
         assert len({pop.pop_id for pop in POPS}) == 11
@@ -39,12 +38,9 @@ class TestFootprint:
 
     def test_lookup_roundtrip(self):
         for pop in POPS:
-            assert pop_by_id(pop.pop_id) is pop
             assert pop_by_code(pop.code) is pop
 
     def test_unknown_lookups(self):
-        with pytest.raises(KeyError):
-            pop_by_id(99)
         with pytest.raises(KeyError):
             pop_by_code("XXX")
 

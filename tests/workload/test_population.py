@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.geo.cities import region_of_point
 from repro.geo.regions import WorldRegion
 from repro.workload.population import DEFAULT_REGION_WEIGHTS, UserPopulation
 
@@ -28,24 +29,16 @@ class TestSampling:
         assert set(DEFAULT_REGION_WEIGHTS) == set(WorldRegion)
         assert sum(DEFAULT_REGION_WEIGHTS.values()) == pytest.approx(1.0)
 
-    def test_region_weights_respected(self, small_world):
-        population = UserPopulation.sample(
-            small_world.topology,
-            50,
-            seed=3,
-            region_weights={WorldRegion.EUROPE: 1.0},
-        )
-        assert len(population) == 50
-        assert all(user.region is WorldRegion.EUROPE for user in population)
-
-    def test_dominant_weight_dominates(self, small_world):
-        weights = {region: 0.01 for region in WorldRegion}
-        weights[WorldRegion.ASIA_PACIFIC] = 10.0
-        population = UserPopulation.sample(
-            small_world.topology, 200, seed=3, region_weights=weights
-        )
+    def test_large_sample_follows_default_weights(self, small_world):
+        topology = small_world.topology
+        population = UserPopulation.sample(topology, 4000, seed=3)
+        covered = {region_of_point(location) for location in topology.prefix_location.values()}
+        total = sum(DEFAULT_REGION_WEIGHTS[region] for region in covered)
         counts = population.by_region()
-        assert counts[WorldRegion.ASIA_PACIFIC] > 150
+        assert set(counts) == covered
+        for region in covered:
+            expected = DEFAULT_REGION_WEIGHTS[region] / total
+            assert counts[region] / 4000 == pytest.approx(expected, abs=0.03)
 
     def test_accessors(self, small_world):
         population = UserPopulation.sample(small_world.topology, 60, seed=9)
@@ -58,10 +51,3 @@ class TestSampling:
     def test_invalid_inputs(self, small_world):
         with pytest.raises(ValueError):
             UserPopulation.sample(small_world.topology, 0, seed=1)
-        with pytest.raises(ValueError):
-            UserPopulation.sample(
-                small_world.topology,
-                10,
-                seed=1,
-                region_weights={region: 0.0 for region in WorldRegion},
-            )
