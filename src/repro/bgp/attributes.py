@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.addressing import Prefix
 
@@ -80,7 +80,7 @@ class Route:
     origin: Origin = Origin.IGP
     med: int = 0
     local_pref: int = DEFAULT_LOCAL_PREF
-    communities: frozenset[str] = field(default_factory=frozenset)
+    communities: frozenset[str] = frozenset()  # one shared empty set
     originator_id: str | None = None
     cluster_list: tuple[str, ...] = ()
     learned_from: str | None = None
@@ -117,6 +117,17 @@ class Route:
             self.prefix, self.as_path, self.next_hop, self.origin, self.med,
             local_pref, self.communities, self.originator_id,
             self.cluster_list, self.learned_from, self.ebgp,
+        )
+
+    def imported(
+        self, local_pref: int, communities: frozenset[str], learned_from: str, ebgp: bool
+    ) -> "Route":
+        """The Adj-RIB-In form: LOCAL_PREF and communities as import decided
+        them, stamped with reception metadata — the one copy an import makes."""
+        return Route(
+            self.prefix, self.as_path, self.next_hop, self.origin, self.med,
+            local_pref, communities, self.originator_id,
+            self.cluster_list, learned_from, ebgp,
         )
 
     def received(self, learned_from: str, ebgp: bool) -> "Route":

@@ -37,11 +37,20 @@ RELATIONSHIP_LOCAL_PREF = {
 
 
 class ImportPolicy(abc.ABC):
-    """Transforms (or rejects) a route received over a session."""
+    """Decides what a route received over a session is stored with."""
 
     @abc.abstractmethod
-    def apply(self, route: Route, session: Session) -> Route | None:
-        """The transformed route, or ``None`` to reject it."""
+    def apply(
+        self, route: Route, session: Session, local_pref: int
+    ) -> tuple[int, frozenset[str]] | None:
+        """``(local_pref, communities)`` to store ``route`` with, or ``None``
+        to reject it.
+
+        ``local_pref`` is what the session delivers: the route's own over
+        iBGP, the default over eBGP (LOCAL_PREF does not cross an AS
+        boundary).  The router builds the stored route from the answer in
+        one copy, so a policy constructs no route.
+        """
 
 
 class ExportPolicy(abc.ABC):
@@ -51,12 +60,23 @@ class ExportPolicy(abc.ABC):
     def apply(self, route: Route, session: Session) -> Route | None:
         """The route to send, or ``None`` to suppress the advertisement."""
 
+    def exports_to_ebgp(self, route: Route) -> bool:
+        """Whether :meth:`apply` may let ``route`` through to any eBGP session.
+
+        ``False`` is a promise that :meth:`apply` returns ``None`` for every
+        eBGP session, and lets the router skip them for this best route; a
+        policy that cannot tell answers ``True``.
+        """
+        return True
+
 
 class AcceptAll(ImportPolicy):
     """Accept everything unchanged."""
 
-    def apply(self, route: Route, session: Session) -> Route | None:
-        return route
+    def apply(
+        self, route: Route, session: Session, local_pref: int
+    ) -> tuple[int, frozenset[str]] | None:
+        return local_pref, route.communities
 
 
 class ExportAll(ExportPolicy):
@@ -84,15 +104,21 @@ class RelationshipImportPolicy(ImportPolicy):
     ) -> None:
         self._relationships = dict(relationships)
         self._local_pref = dict(local_pref or RELATIONSHIP_LOCAL_PREF)
+        #: One set object per distinct tagged value.  A set is an object the
+        #: cyclic collector tracks, and a converged border holds a route
+        #: per (eBGP peer, prefix): routes with equal tags share one.
+        self._tagged: dict[frozenset[str], frozenset[str]] = {}
 
-    def apply(self, route: Route, session: Session) -> Route | None:
+    def apply(
+        self, route: Route, session: Session, local_pref: int
+    ) -> tuple[int, frozenset[str]] | None:
         if not session.is_ebgp:
-            return route
+            return local_pref, route.communities
         relationship = self._relationships.get(session.peer_asn)
         if relationship is None:
             return None  # no business relationship, reject
-        tagged = route.with_communities(RELATIONSHIP_COMMUNITY[relationship])
-        return tagged.with_local_pref(self._local_pref[relationship])
+        tagged = route.communities.union((RELATIONSHIP_COMMUNITY[relationship],))
+        return self._local_pref[relationship], self._tagged.setdefault(tagged, tagged)
 
 
 class RelationshipExportPolicy(ExportPolicy):
@@ -106,6 +132,22 @@ class RelationshipExportPolicy(ExportPolicy):
 
     def __init__(self, relationships: dict[int, Relationship]) -> None:
         self._relationships = dict(relationships)
+        self._has_customers = Relationship.CUSTOMER in self._relationships.values()
+
+    def exports_to_ebgp(self, route: Route) -> bool:
+        """``no-export`` goes nowhere; with a customer, everything else goes
+        to it; without one, only what :meth:`apply` lets through to anyone."""
+        if NO_EXPORT in route.communities:
+            return False
+        return self._has_customers or self._to_anyone(route)
+
+    @staticmethod
+    def _to_anyone(route: Route) -> bool:
+        """Originated here (empty AS path) or learned from a customer."""
+        return (
+            not route.as_path.asns
+            or RELATIONSHIP_COMMUNITY[Relationship.CUSTOMER] in route.communities
+        )
 
     def apply(self, route: Route, session: Session) -> Route | None:
         if not session.is_ebgp:
@@ -115,11 +157,7 @@ class RelationshipExportPolicy(ExportPolicy):
         peer_rel = self._relationships.get(session.peer_asn)
         if peer_rel is None:
             return None
-        if peer_rel is Relationship.CUSTOMER:
-            return route
-        originated = len(route.as_path) == 0
-        from_customer = RELATIONSHIP_COMMUNITY[Relationship.CUSTOMER] in route.communities
-        if originated or from_customer:
+        if peer_rel is Relationship.CUSTOMER or self._to_anyone(route):
             return route
         return None
 

@@ -7,6 +7,8 @@ from collections.abc import Iterator, Set
 from repro.bgp.attributes import Route
 from repro.net.addressing import Prefix
 
+_NO_PEERS: frozenset[str] = frozenset()
+
 
 class AdjRib:
     """Per-peer routes, either received (In) or advertised (Out).
@@ -47,6 +49,11 @@ class AdjRib:
         """All per-peer routes for ``prefix`` (a new list)."""
         peers = self._routes.get(prefix)
         return [] if peers is None else list(peers.values())
+
+    def peers(self, prefix: Prefix) -> Set[str]:
+        """The peers with a route for ``prefix`` (a live view, not a copy)."""
+        peers = self._routes.get(prefix)
+        return _NO_PEERS if peers is None else peers.keys()
 
     def routes_from(self, peer: str) -> dict[Prefix, Route]:
         """All routes from/to one peer (a copy)."""

@@ -84,10 +84,13 @@ class BgpRouter:
         self.loc_rib = LocRib()
         self.originated: dict[Prefix, Route] = {}
         self._igp_metric = igp_metric or _no_igp_metric
-        #: Per prefix, the ``(best, iBGP source route)`` outcome Adj-RIB-Out
+        #: Per prefix, the best route and the iBGP source route Adj-RIB-Out
         #: was last synchronised to; lets :meth:`_decide` skip the
         #: advertisement diff when a message did not change the outcome.
-        self._advertised: dict[Prefix, tuple[Route | None, Route | None]] = {}
+        #: A prefix is synchronised while it is a key of ``_advertised``
+        #: (two dicts, so no pair object is kept per prefix).
+        self._advertised: dict[Prefix, Route | None] = {}
+        self._advertised_source: dict[Prefix, Route | None] = {}
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -106,7 +109,7 @@ class BgpRouter:
                 f"{self.router_id} already has a session to {session.peer_id}"
             )
         self.sessions[session.peer_id] = session
-        self._advertised.clear()
+        self._forget_advertised()
 
     def session_to(self, peer_id: str) -> Session:
         """The configured session to ``peer_id``.
@@ -139,7 +142,7 @@ class BgpRouter:
         self.down_sessions.add(peer_id)
         snapshot = self.adj_rib_in.drop_peer(peer_id)
         self.adj_rib_out.drop_peer(peer_id)
-        self._advertised.clear()
+        self._forget_advertised()
         return snapshot, self._decide_each(snapshot)
 
     def restore_session(
@@ -269,7 +272,7 @@ class BgpRouter:
         scanner (:meth:`refresh_advertisements`).
         """
         if changed is None:
-            self._advertised.clear()
+            self._forget_advertised()
             return self._table()
         if perf.enabled:
             perf.incr("bgp.nht.notifications")
@@ -293,21 +296,35 @@ class BgpRouter:
         return True
 
     def _import(self, route: Route, session: Session) -> Route | None:
-        """Apply import policy and stamp reception metadata."""
-        if session.is_ebgp:
-            # LOCAL_PREF is not carried over eBGP.
-            route = route.with_local_pref(DEFAULT_LOCAL_PREF)
-        imported = self.import_policy.apply(route, session)
-        if imported is None:
-            return None
-        imported = imported.received(
-            learned_from=session.peer_id, ebgp=session.is_ebgp
-        )
-        return self.transform_imported(imported, session)
+        """The Adj-RIB-In form of ``route``, or ``None`` when policy rejects it.
 
-    def transform_imported(self, route: Route, session: Session) -> Route | None:
-        """Hook for subclasses (the geo reflector rewrites LOCAL_PREF here)."""
-        return route
+        LOCAL_PREF is not carried over eBGP, so the session delivers the
+        default there; import policy decides LOCAL_PREF and communities,
+        and :meth:`import_local_pref` may rewrite the former.  The stored
+        route is then built in one copy, stamped with reception metadata.
+        """
+        ebgp = session.is_ebgp
+        verdict = self.import_policy.apply(
+            route, session, DEFAULT_LOCAL_PREF if ebgp else route.local_pref
+        )
+        if verdict is None:
+            return None
+        local_pref, communities = verdict
+        return route.imported(
+            self.import_local_pref(route, session, local_pref),
+            communities,
+            session.peer_id,
+            ebgp,
+        )
+
+    def import_local_pref(self, route: Route, session: Session, local_pref: int) -> int:
+        """The LOCAL_PREF ``route`` is stored with, given what policy assigned.
+
+        Hook for subclasses (the geo reflector assigns its own here); it
+        may read ``route``'s prefix and next hop, which import leaves as
+        received.
+        """
+        return local_pref
 
     # ------------------------------------------------------------------ #
     # decision and advertisement
@@ -333,6 +350,9 @@ class BgpRouter:
         (origination, session failure/restore, :meth:`refresh_advertisements`)
         drop the remembered pair first and so always take the full path;
         an IGP event (:meth:`_revalidate`) changes neither and keeps it.
+        Whether any eBGP session may receive ``best`` is asked once: when
+        none may, an eBGP session is visited only if its Adj-RIB-Out holds
+        ``prefix``, to withdraw it.
         """
         candidates = self._candidates(prefix)
         best = best_route(candidates, self._igp_metric)
@@ -344,22 +364,42 @@ class BgpRouter:
         else:
             self.loc_rib.set_best(best)
             source = self._ibgp_source(best, candidates)
-        if self._advertised.get(prefix) == (best, source):
+        if (
+            prefix in self._advertised
+            and _same(self._advertised[prefix], best)
+            and _same(self._advertised_source[prefix], source)
+        ):
             if perf.enabled:
                 perf.incr("bgp.decide.unchanged")
             return []
-        self._advertised[prefix] = (best, source)
+        self._advertised[prefix] = best
+        self._advertised_source[prefix] = source
         # The iBGP payload is identical for every iBGP session (modulo
         # split horizon / reflection gating), so prepare it once.
         payload, source_peer, from_client = self._ibgp_payload(source)
+        exportable = (
+            best is not None
+            and NO_EXPORT not in best.communities
+            and self.export_policy.exports_to_ebgp(best)
+        )
+        held = self.adj_rib_out.peers(prefix)
         messages: list[Message] = []
         for peer_id, session in self.sessions.items():
-            if session.is_ebgp:
-                desired = None if best is None else self._ebgp_advertisement(session, best)
-            else:
+            if not session.is_ebgp:
                 desired = self._ibgp_desired(session, payload, source_peer, from_client)
+            elif exportable:
+                desired = self._ebgp_advertisement(session, best)
+            elif peer_id in held:
+                desired = None  # withdraw what is no longer exportable
+            else:
+                continue  # nothing to send, nothing to withdraw
             self._emit(peer_id, prefix, desired, messages)
         return messages
+
+    def _forget_advertised(self) -> None:
+        """Drop every remembered outcome: the next decisions diff in full."""
+        self._advertised.clear()
+        self._advertised_source.clear()
 
     def _table(self) -> set[Prefix]:
         """Every prefix this speaker holds a candidate or a best route for."""
@@ -368,13 +408,13 @@ class BgpRouter:
     def _decide_each(self, prefixes: Iterable[Prefix]) -> list[Message]:
         """:meth:`_decide` once per prefix, in sorted order."""
         messages: list[Message] = []
-        for prefix in sorted(prefixes):
+        for prefix in sorted(prefixes, key=_prefix_order):
             messages.extend(self._decide(prefix))
         return messages
 
     def refresh_advertisements(self) -> list[Message]:
         """Recompute every advertisement (e.g. after a policy change)."""
-        self._advertised.clear()
+        self._forget_advertised()
         return self._decide_each(self._table())
 
     def _emit(
@@ -400,10 +440,9 @@ class BgpRouter:
         messages.append(Update(sender=self.router_id, receiver=peer_id, route=desired))
 
     def _ebgp_advertisement(self, session: Session, best: Route) -> Route | None:
+        """What ``session`` is sent for an exportable (never ``no-export``) best."""
         if best.learned_from == session.peer_id:
             return None  # split horizon
-        if NO_EXPORT in best.communities:
-            return None
         exported = self.export_policy.apply(best, session)
         if exported is None:
             return None
@@ -448,3 +487,13 @@ class BgpRouter:
 
     def __repr__(self) -> str:
         return f"<BgpRouter {self.router_id} AS{self.asn}>"
+
+
+def _same(remembered: Route | None, route: Route | None) -> bool:
+    """Value equality, without building the field tuples for one object."""
+    return remembered is route or remembered == route
+
+
+def _prefix_order(prefix: Prefix) -> int:
+    """An int ordering prefixes as ``Prefix.__lt__`` does (network, then length)."""
+    return prefix.network << 6 | prefix.length

@@ -11,7 +11,7 @@ from repro.measurement.stats import (
     Cdf,
     fraction_at_most,
     fraction_exceeding,
-    percentile,
+    percentiles,
 )
 from repro.measurement.scheduler import (
     rounds_every,
@@ -27,7 +27,7 @@ from repro.measurement.probes import (
 __all__ = [
     "Cdf",
     "Ccdf",
-    "percentile",
+    "percentiles",
     "fraction_at_most",
     "fraction_exceeding",
     "rounds_every",

@@ -95,19 +95,24 @@ class Ccdf:
         return int(self.xs.size)
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The q-th percentile (0..100) of ``values``.
+def percentiles(values: Sequence[float], qs: Sequence[float]) -> tuple[float, ...]:
+    """The ``qs``-th percentiles (each 0..100) of ``values``, in ``qs`` order.
+
+    One ``np.percentile`` call for all of them: a campaign report asks for
+    two per sample list, and the call's fixed cost dominates its small
+    lists.  Each value equals a one-``q`` call's.
 
     Raises
     ------
     ValueError
-        For empty input or q outside [0, 100].
+        For empty input or a q outside [0, 100].
     """
     if not values:
         raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q!r}")
-    return float(np.percentile(np.asarray(values, dtype=float), q))
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {q!r}")
+    return tuple(float(v) for v in np.percentile(np.asarray(values, dtype=float), qs))
 
 
 def fraction_exceeding(values: Sequence[float], threshold: float) -> float:

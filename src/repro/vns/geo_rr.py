@@ -29,6 +29,7 @@ from repro.geo.coords import (
     trig_terms,
 )
 from repro.geo.geoip import GeoIPDatabase
+from repro.net.addressing import Prefix
 from repro.perf import counters as perf
 
 #: ``lp = f(d)`` signature: great-circle km → LOCAL_PREF.
@@ -103,14 +104,15 @@ class GeoRouteReflector(RouteReflector):
         self._egress_trig: dict[str, TrigTerms] = {
             rid: trig_terms(loc) for rid, loc in self.router_locations.items()
         }
-        # Memo of computed LOCAL_PREFs keyed on (next_hop, prefix).
+        # Memo of computed LOCAL_PREFs: next hop -> prefix -> lp.
         # During convergence the same (egress, prefix) pair is re-imported
         # many times (reflection, refreshes, IGP notifications); the f(d)
         # result cannot change unless the GeoIP database does, which the
         # database version stamp detects.  The key space is bounded by
         # border routers x prefixes (21 x 2,126 = 44,646 entries at LARGE),
-        # so the memo needs no eviction.
-        self._lp_memo: dict[tuple[str, object], int] = {}
+        # so the memo needs no eviction; nesting it by egress keeps no
+        # (next hop, prefix) key object per entry.
+        self._lp_memo: dict[str, dict[Prefix, int]] = {}
         self._memo_version = geoip.version
 
     def invalidate_geo_cache(self) -> None:
@@ -125,7 +127,7 @@ class GeoRouteReflector(RouteReflector):
             rid: trig_terms(loc) for rid, loc in self.router_locations.items()
         }
 
-    def transform_imported(self, route: Route, session: Session) -> Route | None:
+    def import_local_pref(self, route: Route, session: Session, local_pref: int) -> int:
         """Assign the geo LOCAL_PREF to routes arriving over iBGP.
 
         Routes from egress routers carry the egress as BGP next hop
@@ -133,53 +135,60 @@ class GeoRouteReflector(RouteReflector):
         the next hop's location even for routes relayed by another
         reflector.
         """
-        route = super().transform_imported(route, session)
-        if route is None or not session.is_ibgp:
-            return route
+        if not session.is_ibgp:
+            return local_pref
         if self.management is not None:
-            handled = self.management.transform(self, route)
-            if handled is not None:
-                return handled
-        return self.assign_geo_preference(route)
+            override = self.management.override_local_pref(self, route, local_pref)
+            if override is not None:
+                return override
+        return self.geo_local_pref(route, local_pref)
 
     def assign_geo_preference(self, route: Route) -> Route:
+        """``route`` with the geo LOCAL_PREF (:meth:`geo_local_pref`);
+        ``route`` itself when that is the LOCAL_PREF it already has."""
+        return route.with_local_pref(self.geo_local_pref(route, route.local_pref))
+
+    def geo_local_pref(self, route: Route, local_pref: int) -> int:
         """The core rewrite: ``lp = f(great_circle(egress, geoip(p)))``.
 
-        Hot path: runs once per imported route during convergence.  Three
-        optimisations over :meth:`assign_geo_preference_reference`, all
-        decision-identical: per-egress trig terms are precomputed, the
-        ``(next_hop, prefix) -> lp`` result is memoized (invalidated by
-        GeoIP mutation), and the route is only copied when the computed
-        preference actually differs from its current value.
+        Reads ``route``'s next hop and prefix; returns ``local_pref``
+        unchanged when the egress location or the prefix's GeoIP entry is
+        unknown.  Hot path: runs once per route imported over iBGP during
+        convergence.  Two optimisations over
+        :meth:`assign_geo_preference_reference`, both decision-identical:
+        per-egress trig terms are precomputed, and the ``(next_hop,
+        prefix) -> lp`` result is memoized (invalidated by GeoIP mutation).
         """
         if perf.enabled:
             perf.incr("geo.assign.calls")
         if self._memo_version != self.geoip.version:
             self._lp_memo.clear()
             self._memo_version = self.geoip.version
-        key = (route.next_hop, route.prefix)
-        memo = self._lp_memo
-        lp = memo.get(key)
+        next_hop = route.next_hop
+        memo = self._lp_memo.get(next_hop)
+        lp = None if memo is None else memo.get(route.prefix)
         if lp is not None:
             if perf.enabled:
                 perf.incr("geo.assign.memo_hits")
         else:
-            trig = self._egress_trig.get(route.next_hop)
+            trig = self._egress_trig.get(next_hop)
             if trig is None:
-                egress = self.router_locations.get(route.next_hop)
+                egress = self.router_locations.get(next_hop)
                 if egress is None:
                     self.stats["no_location"] += 1
-                    return route
-                trig = self._egress_trig[route.next_hop] = trig_terms(egress)
+                    return local_pref
+                trig = self._egress_trig[next_hop] = trig_terms(egress)
             entry = self.geoip.lookup(route.prefix)
             if entry is None:
                 # Database miss: fall back to default BGP behaviour.
                 self.stats["no_geoip"] += 1
-                return route
+                return local_pref
             lp = self.lp_function(great_circle_km_fast(trig, entry.location))
-            memo[key] = lp
+            if memo is None:
+                memo = self._lp_memo[next_hop] = {}
+            memo[route.prefix] = lp
         self.stats["assigned"] += 1
-        return route.with_local_pref(lp)
+        return lp
 
     def assign_geo_preference_reference(self, route: Route) -> Route:
         """The pre-optimisation implementation, preserved verbatim.
@@ -209,6 +218,9 @@ class ManagementHook:
     without the management module.
     """
 
-    def transform(self, reflector: GeoRouteReflector, route: Route) -> Route | None:
-        """Return a fully handled route, or ``None`` to let geo proceed."""
+    def override_local_pref(
+        self, reflector: GeoRouteReflector, route: Route, local_pref: int
+    ) -> int | None:
+        """The LOCAL_PREF to import ``route`` with (``local_pref`` is what
+        policy assigned), or ``None`` to let geo proceed."""
         raise NotImplementedError

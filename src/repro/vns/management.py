@@ -17,8 +17,6 @@ supports:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.bgp.attributes import Route
 from repro.net.addressing import Prefix
 from repro.vns.geo_rr import GeoRouteReflector, ManagementHook
@@ -58,21 +56,24 @@ class ManagementInterface(ManagementHook):
     # reflector hook
     # ----------------------------------------------------------------- #
 
-    def transform(self, reflector: GeoRouteReflector, route: Route) -> Route | None:
+    def override_local_pref(
+        self, reflector: GeoRouteReflector, route: Route, local_pref: int
+    ) -> int | None:
         """Apply overrides during reflector import.
 
-        Returns the fully handled route, or ``None`` when geo-routing
-        should proceed normally.
+        Returns the LOCAL_PREF to import ``route`` with (``local_pref`` is
+        the one policy assigned), or ``None`` when geo-routing should
+        proceed normally.
         """
         if route.prefix in self._geo_exempt:
             reflector.stats["exempt"] += 1
-            return route  # leave LOCAL_PREF as imported: default behaviour
+            return local_pref  # leave LOCAL_PREF as imported: default behaviour
         pop_code = self._forced_exit.get(route.prefix)
         if pop_code is not None:
             reflector.stats["forced"] += 1
             if route.next_hop.startswith(f"{pop_code}-"):
-                return replace(route, local_pref=FORCED_EXIT_LP)
+                return FORCED_EXIT_LP
             # Candidate egresses at other PoPs keep (low) geo preference so
             # they remain usable if the forced PoP loses the route.
-            return reflector.assign_geo_preference(route)
+            return reflector.geo_local_pref(route, local_pref)
         return None

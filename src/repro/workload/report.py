@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.geo.regions import REGION_CODE
-from repro.measurement.stats import percentile
+from repro.measurement.stats import percentiles
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.workload.engine import CallResult, CallResults
@@ -140,16 +140,18 @@ class PairAccumulator:
             lossy: int,
             slots: int,
         ) -> dict:
+            delay_p50, delay_p95 = percentiles(delay_samples, (50, 95))
+            loss_p50, loss_p95 = percentiles(loss_samples, (50, 95))
             return {
                 "delay_ms": {
                     "mean": round(_stable_mean(delay_samples), 4),
-                    "p50": round(percentile(delay_samples, 50), 4),
-                    "p95": round(percentile(delay_samples, 95), 4),
+                    "p50": round(delay_p50, 4),
+                    "p95": round(delay_p95, 4),
                 },
                 "loss_pct": {
                     "mean": round(_stable_mean(loss_samples), 6),
-                    "p50": round(percentile(loss_samples, 50), 6),
-                    "p95": round(percentile(loss_samples, 95), 6),
+                    "p50": round(loss_p50, 6),
+                    "p95": round(loss_p95, 6),
                 },
                 "lossy_slot_fraction": round(lossy / slots, 6) if slots else 0.0,
             }
@@ -175,6 +177,8 @@ class PairAccumulator:
         if self.steered_calls:
             # Reports without steering keep their exact historical shape;
             # the block appears only when a steering engine decided calls.
+            delay_p50, delay_p95 = percentiles(self.steered_delay_samples, (50, 95))
+            loss_p50, loss_p95 = percentiles(self.steered_loss_samples, (50, 95))
             summary["steering"] = {
                 "steered_calls": self.steered_calls,
                 "offloaded_calls": self.offloaded_calls,
@@ -185,13 +189,13 @@ class PairAccumulator:
                 "steered": {
                     "delay_ms": {
                         "mean": round(_stable_mean(self.steered_delay_samples), 4),
-                        "p50": round(percentile(self.steered_delay_samples, 50), 4),
-                        "p95": round(percentile(self.steered_delay_samples, 95), 4),
+                        "p50": round(delay_p50, 4),
+                        "p95": round(delay_p95, 4),
                     },
                     "loss_pct": {
                         "mean": round(_stable_mean(self.steered_loss_samples), 6),
-                        "p50": round(percentile(self.steered_loss_samples, 50), 6),
-                        "p95": round(percentile(self.steered_loss_samples, 95), 6),
+                        "p50": round(loss_p50, 6),
+                        "p95": round(loss_p95, 6),
                     },
                 },
                 "qoe_delta_vs_vns": {

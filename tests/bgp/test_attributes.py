@@ -1,12 +1,25 @@
 """Unit tests for BGP path attributes."""
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.bgp.attributes import NO_EXPORT, AsPath, Origin, Route
+from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, AsPath, Origin, Route
+from repro.bgp.policy import (
+    RELATIONSHIP_COMMUNITY,
+    RELATIONSHIP_LOCAL_PREF,
+    AcceptAll,
+    RelationshipImportPolicy,
+)
+from repro.bgp.router import BgpRouter
+from repro.bgp.session import Session, SessionType
+from repro.geo.coords import GeoPoint
+from repro.geo.geoip import GeoIPDatabase
 from repro.net.addressing import Prefix
+from repro.net.relationships import Relationship
+from repro.vns.geo_rr import GeoRouteReflector
+from repro.vns.management import FORCED_EXIT_LP, ManagementInterface
 
 PFX = Prefix.parse("203.0.113.0/24")
 
@@ -129,3 +142,144 @@ class TestRoute:
         route = self.make()
         with pytest.raises(AttributeError):
             route.local_pref = 500  # type: ignore[misc]
+
+
+#: Every field set to a non-default, pairwise distinct value.
+DISTINCT = Route(
+    prefix=Prefix.parse("198.51.100.0/24"),
+    as_path=AsPath((7, 8)),
+    next_hop="AMS-r1",
+    origin=Origin.EGP,
+    med=5,
+    local_pref=250,
+    communities=frozenset({"c"}),
+    originator_id="orig",
+    cluster_list=("k1",),
+    learned_from="peer",
+    ebgp=True,
+)
+LOCAL_ASN = 65000
+RELATIONSHIPS = {
+    100: Relationship.PROVIDER,
+    200: Relationship.PEER,
+    300: Relationship.CUSTOMER,
+}
+
+
+def old_chain(route: Route, session: Session, relationships, reflector=None) -> Route | None:
+    """Import as a copy per step: ``with_local_pref``, the relationship
+    policy (``with_communities`` then ``with_local_pref``), ``received``,
+    then the geo rewrite and its management overrides."""
+    if session.is_ebgp:
+        route = route.with_local_pref(DEFAULT_LOCAL_PREF)
+        if relationships is not None:
+            relationship = relationships.get(session.peer_asn)
+            if relationship is None:
+                return None
+            route = route.with_communities(RELATIONSHIP_COMMUNITY[relationship])
+            route = route.with_local_pref(RELATIONSHIP_LOCAL_PREF[relationship])
+    route = route.received(learned_from=session.peer_id, ebgp=session.is_ebgp)
+    if reflector is None or not session.is_ibgp:
+        return route
+    management = reflector.management
+    if management is not None:
+        if route.prefix in management._geo_exempt:
+            return route
+        pop_code = management._forced_exit.get(route.prefix)
+        if pop_code is not None and route.next_hop.startswith(f"{pop_code}-"):
+            return replace(route, local_pref=FORCED_EXIT_LP)
+    return reflector.assign_geo_preference_reference(route)
+
+
+def field_values(route: Route | None) -> list | None:
+    return None if route is None else [getattr(route, f.name) for f in fields(Route)]
+
+
+def count_constructions(monkeypatch) -> list[int]:
+    built = [0]
+    init = Route.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Route, "__init__", counting)
+    return built
+
+
+def geo_reflector(management=None) -> GeoRouteReflector:
+    geoip = GeoIPDatabase()
+    geoip.register(DISTINCT.prefix, GeoPoint(51.9, 4.5), "NL")
+    geoip.register(Prefix.parse("192.0.2.0/24"), GeoPoint(1.3, 103.8), "SG")
+    return GeoRouteReflector(
+        "RR",
+        LOCAL_ASN,
+        geoip=geoip,
+        router_locations={"AMS-r1": GeoPoint(52.37, 4.90), "SIN-r1": GeoPoint(1.35, 103.82)},
+        management=management,
+    )
+
+
+class TestOneCopyImport:
+    """``BgpRouter._import`` builds the Adj-RIB-In route in one construction,
+    equal field for field to the copy-per-step chain it replaced."""
+
+    EBGP = [
+        Session("x100", SessionType.EBGP, 100),
+        Session("x200", SessionType.EBGP, 200),
+        Session("x300", SessionType.EBGP, 300),
+        Session("x999", SessionType.EBGP, 999),  # no relationship: rejected
+    ]
+    IBGP = Session("AMS-r1", SessionType.IBGP, LOCAL_ASN, rr_client=True)
+
+    @pytest.mark.parametrize("session", EBGP + [IBGP], ids=lambda s: s.peer_id)
+    @pytest.mark.parametrize("policy", ["relationship", "accept-all"])
+    def test_border_import_equals_the_chain(self, session, policy, monkeypatch):
+        relationships = RELATIONSHIPS if policy == "relationship" else None
+        router = BgpRouter(
+            "r1",
+            LOCAL_ASN,
+            import_policy=(
+                RelationshipImportPolicy(RELATIONSHIPS) if relationships else AcceptAll()
+            ),
+        )
+        expected = old_chain(DISTINCT, session, relationships)
+        built = count_constructions(monkeypatch)
+        imported = router._import(DISTINCT, session)
+        assert field_values(imported) == field_values(expected)
+        assert built[0] == (0 if expected is None else 1)
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            DISTINCT,  # geo LOCAL_PREF assigned
+            replace(DISTINCT, next_hop="nowhere"),  # egress location unknown
+            replace(DISTINCT, prefix=Prefix.parse("10.9.0.0/16")),  # GeoIP miss
+        ],
+        ids=["assigned", "no-location", "no-geoip"],
+    )
+    def test_geo_reflector_import_equals_the_chain(self, wire, monkeypatch):
+        reflector, oracle = geo_reflector(), geo_reflector()
+        expected = old_chain(wire, self.IBGP, None, oracle)
+        built = count_constructions(monkeypatch)
+        imported = reflector._import(wire, self.IBGP)
+        assert field_values(imported) == field_values(expected)
+        assert built[0] == 1
+        assert reflector.stats == oracle.stats
+
+    @pytest.mark.parametrize("override", ["forced-here", "forced-elsewhere", "exempt"])
+    def test_management_overrides_equal_the_chain(self, override, monkeypatch):
+        managements = ManagementInterface(), ManagementInterface()
+        for management in managements:
+            if override == "forced-here":
+                management.force_exit(DISTINCT.prefix, "AMS")
+            elif override == "forced-elsewhere":
+                management.force_exit(DISTINCT.prefix, "SIN")
+            else:
+                management.exempt_from_geo(DISTINCT.prefix)
+        reflector, oracle = geo_reflector(managements[0]), geo_reflector(managements[1])
+        expected = old_chain(DISTINCT, self.IBGP, None, oracle)
+        built = count_constructions(monkeypatch)
+        imported = reflector._import(DISTINCT, self.IBGP)
+        assert field_values(imported) == field_values(expected)
+        assert built[0] == 1

@@ -36,31 +36,45 @@ def route(**kwargs) -> Route:
 
 
 class TestRelationshipImport:
+    """The policy answers ``(local_pref, communities)``; the router builds the route."""
+
     def test_provider_gets_low_pref(self):
         policy = RelationshipImportPolicy(RELATIONSHIPS)
-        imported = policy.apply(route(), ebgp_session(100))
-        assert imported.local_pref == 100
-        assert "rel:provider" in imported.communities
+        local_pref, communities = policy.apply(route(), ebgp_session(100), 100)
+        assert local_pref == 100
+        assert "rel:provider" in communities
 
     def test_peer_and_customer_prefs(self):
         policy = RelationshipImportPolicy(RELATIONSHIPS)
-        assert policy.apply(route(), ebgp_session(200)).local_pref == 200
-        assert policy.apply(route(), ebgp_session(300)).local_pref == 300
+        assert policy.apply(route(), ebgp_session(200), 100)[0] == 200
+        assert policy.apply(route(), ebgp_session(300), 100)[0] == 300
 
     def test_unknown_neighbor_rejected(self):
         policy = RelationshipImportPolicy(RELATIONSHIPS)
-        assert policy.apply(route(), ebgp_session(999)) is None
+        assert policy.apply(route(), ebgp_session(999), 100) is None
 
     def test_ibgp_passthrough(self):
         policy = RelationshipImportPolicy(RELATIONSHIPS)
-        original = route(local_pref=2345)
-        assert policy.apply(original, ibgp_session()) is original
+        original = route(local_pref=2345, communities=frozenset({"rel:peer"}))
+        local_pref, communities = policy.apply(original, ibgp_session(), 2345)
+        assert local_pref == 2345
+        assert communities is original.communities
 
     def test_custom_pref_ladder(self):
         policy = RelationshipImportPolicy(
             RELATIONSHIPS, local_pref={r: 50 for r in Relationship}
         )
-        assert policy.apply(route(), ebgp_session(300)).local_pref == 50
+        assert policy.apply(route(), ebgp_session(300), 100)[0] == 50
+
+    def test_equal_tags_share_one_set(self):
+        policy = RelationshipImportPolicy(RELATIONSHIPS)
+        first = policy.apply(route(), ebgp_session(200), 100)[1]
+        again = policy.apply(route(next_hop="other"), ebgp_session(200), 100)[1]
+        assert first == frozenset({"rel:peer"})
+        assert again is first
+        # Already tagged: the same value, still the shared set.
+        already = route(communities=frozenset({"rel:peer"}))
+        assert policy.apply(already, ebgp_session(200), 100)[1] is first
 
 
 class TestRelationshipExport:
@@ -104,6 +118,42 @@ class TestRelationshipExport:
         policy = RelationshipExportPolicy(RELATIONSHIPS)
         original = route(communities=frozenset({"rel:provider"}))
         assert policy.apply(original, ibgp_session()) is original
+
+
+class TestExportsToEbgp:
+    """``exports_to_ebgp`` is False only where ``apply`` refuses every eBGP session."""
+
+    ROUTES = {
+        "provider": route(communities=frozenset({"rel:provider"})),
+        "peer": route(communities=frozenset({"rel:peer"})),
+        "customer": route(communities=frozenset({"rel:customer"})),
+        "originated": route(as_path=AsPath()),
+        "no-export": route(as_path=AsPath(), communities=frozenset({NO_EXPORT})),
+    }
+
+    @pytest.mark.parametrize("with_customer", [True, False])
+    def test_agrees_with_apply_per_session(self, with_customer):
+        relationships = {
+            asn: rel
+            for asn, rel in RELATIONSHIPS.items()
+            if with_customer or rel is not Relationship.CUSTOMER
+        }
+        policy = RelationshipExportPolicy(relationships)
+        for name, candidate in self.ROUTES.items():
+            passes = [
+                policy.apply(candidate, ebgp_session(asn)) is not None
+                for asn in (*relationships, 999)
+            ]
+            assert policy.exports_to_ebgp(candidate) == any(passes), name
+
+    def test_without_customers_only_originated_and_customer_routes(self):
+        policy = RelationshipExportPolicy(
+            {100: Relationship.PROVIDER, 200: Relationship.PEER}
+        )
+        exportable = {
+            name for name, candidate in self.ROUTES.items() if policy.exports_to_ebgp(candidate)
+        }
+        assert exportable == {"customer", "originated"}
 
 
 class TestHelpers:

@@ -6,9 +6,15 @@ import pytest
 
 from repro.bgp.attributes import NO_EXPORT, AsPath, Route
 from repro.bgp.messages import IgpNotification, Update, Withdraw
+from repro.bgp.policy import (
+    RelationshipExportPolicy,
+    RelationshipImportPolicy,
+    strip_ibgp_only_attributes,
+)
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session, SessionType
 from repro.net.addressing import Prefix
+from repro.net.relationships import Relationship
 from repro.perf import counters as perf
 
 PFX = Prefix.parse("203.0.113.0/24")
@@ -181,6 +187,111 @@ class TestAdvertise:
         sent = router.adj_rib_out.route("ext2", PFX)
         assert sent.local_pref == 100
         assert sent.cluster_list == ()
+
+
+class TestGaoRexfordExport:
+    """The eBGP branch no built world takes: VNS has no customers.
+
+    A hand-built speaker with a provider, an iBGP peer, a peer and a
+    customer session (in that configuration order).  Every message must
+    be what ``export_policy.apply`` predicts per session, and a best route
+    no eBGP session may receive visits only the eBGP sessions that hold
+    the prefix.
+    """
+
+    RELATIONSHIPS = {100: Relationship.PROVIDER, 200: Relationship.PEER, 300: Relationship.CUSTOMER}
+
+    def make(self) -> BgpRouter:
+        router = make_router(
+            import_policy=RelationshipImportPolicy(self.RELATIONSHIPS),
+            export_policy=RelationshipExportPolicy(self.RELATIONSHIPS),
+        )
+        wire(router, "prov", SessionType.EBGP, peer_asn=100)
+        wire(router, "rr", SessionType.IBGP, peer_asn=LOCAL_ASN)
+        wire(router, "peer", SessionType.EBGP, peer_asn=200)
+        wire(router, "cust", SessionType.EBGP, peer_asn=300)
+        return router
+
+    def predicted(self, router: BgpRouter, held: set[str]) -> list:
+        """The eBGP messages ``export_policy.apply`` implies for the current best."""
+        best = router.best(PFX)
+        messages = []
+        for peer_id, session in router.sessions.items():
+            if not session.is_ebgp:
+                continue
+            exported = None
+            if best is not None and best.learned_from != peer_id and NO_EXPORT not in best.communities:
+                exported = router.export_policy.apply(best, session)
+            if exported is not None:
+                cleaned = strip_ibgp_only_attributes(exported)
+                route = cleaned.sent("r1", cleaned.as_path.prepend(LOCAL_ASN))
+                messages.append(Update(sender="r1", receiver=peer_id, route=route))
+            elif peer_id in held:
+                messages.append(Withdraw(sender="r1", receiver=peer_id, prefix=PFX))
+        return messages
+
+    def ebgp_part(self, router: BgpRouter, out: list) -> list:
+        return [m for m in out if router.sessions[m.receiver].is_ebgp]
+
+    def visited(self, router: BgpRouter, monkeypatch) -> list[str]:
+        seen: list[str] = []
+        emit = BgpRouter._emit
+
+        def recording(self, peer_id, prefix, desired, messages):
+            seen.append(peer_id)
+            emit(self, peer_id, prefix, desired, messages)
+
+        monkeypatch.setattr(BgpRouter, "_emit", recording)
+        return seen
+
+    def test_peer_learned_best_goes_to_the_customer_only(self, monkeypatch):
+        router = self.make()
+        seen = self.visited(router, monkeypatch)
+        out = router.process(ext_update("r1", sender="peer", asns=(200, 9)))
+        assert self.ebgp_part(router, out) == self.predicted(router, held=set())
+        assert [m.receiver for m in self.ebgp_part(router, out)] == ["cust"]
+        assert seen == ["prov", "rr", "peer", "cust"]  # exportable: every session
+
+    def test_no_export_best_goes_to_nobody(self, monkeypatch):
+        router = self.make()
+        seen = self.visited(router, monkeypatch)
+        out = router.originate(PFX, communities=frozenset({NO_EXPORT}))
+        assert self.ebgp_part(router, out) == self.predicted(router, held=set()) == []
+        assert [m.receiver for m in out] == ["rr"]
+        assert seen == ["rr"]  # no eBGP session holds the prefix: none visited
+
+    def test_withdrawal_reaches_exactly_the_sessions_that_held_it(self, monkeypatch):
+        router = self.make()
+        out = router.process(ext_update("r1", sender="cust", asns=(300, 9)))
+        assert self.ebgp_part(router, out) == self.predicted(router, held=set())
+        assert [m.receiver for m in self.ebgp_part(router, out)] == ["prov", "peer"]
+        held = set(router.adj_rib_out.peers(PFX)) - {"rr"}
+        assert held == {"prov", "peer"}
+        # A no-export origination loses to the customer route (LOCAL_PREF
+        # 300 > 100) until the customer withdraws; then no eBGP session may
+        # receive the best, and only the two that held the prefix are visited.
+        router.originate(PFX, communities=frozenset({NO_EXPORT}))
+        seen = self.visited(router, monkeypatch)
+        out = router.process(Withdraw(sender="cust", receiver="r1", prefix=PFX))
+        assert self.ebgp_part(router, out) == self.predicted(router, held=held)
+        assert [(type(m), m.receiver) for m in self.ebgp_part(router, out)] == [
+            (Withdraw, "prov"),
+            (Withdraw, "peer"),
+        ]
+        assert seen == ["prov", "rr", "peer"]
+        seen.clear()
+        out = router.withdraw_origination(PFX)
+        assert self.ebgp_part(router, out) == []
+        assert seen == ["rr"]
+
+    def test_withdrawal_of_a_customer_only_route(self, monkeypatch):
+        router = self.make()
+        router.process(ext_update("r1", sender="peer", asns=(200, 9)))
+        seen = self.visited(router, monkeypatch)
+        out = router.process(Withdraw(sender="peer", receiver="r1", prefix=PFX))
+        assert self.ebgp_part(router, out) == self.predicted(router, held={"cust"})
+        assert [(type(m), m.receiver) for m in out] == [(Withdraw, "rr"), (Withdraw, "cust")]
+        assert seen == ["rr", "cust"]
 
 
 class TestBestExternal:

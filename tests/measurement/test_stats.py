@@ -1,5 +1,6 @@
 """Unit tests for measurement statistics."""
 
+import numpy as np
 import pytest
 
 from repro.measurement.stats import (
@@ -7,7 +8,7 @@ from repro.measurement.stats import (
     Cdf,
     fraction_at_most,
     fraction_exceeding,
-    percentile,
+    percentiles,
 )
 
 
@@ -108,11 +109,20 @@ class TestFractions:
 
 class TestPercentile:
     def test_median(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == 3.0
+        assert percentiles([1, 2, 3, 4, 5], (50,)) == (3.0,)
+        assert percentiles([1, 2, 3, 4, 5], (50, 95, 0)) == (3.0, 4.8, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            percentile([], 50)
+            percentiles([], (50,))
         with pytest.raises(ValueError):
-            percentile([1], 101)
+            percentiles([1], (50, 101))
+
+    def test_one_call_equals_one_call_per_q(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3, 7, 30, 101):
+            values = rng.exponential(3.0, size=n).tolist()
+            together = percentiles(values, (50, 95))
+            alone = tuple(float(np.percentile(np.asarray(values), q)) for q in (50, 95))
+            assert together == alone
 

@@ -36,6 +36,8 @@ KEPT_FOR_TESTS: dict[str, str] = {
     "events_from_json": "tests/property/test_props_hostile_json.py feeds damaged JSON to FIELD_RULES",
     "heatmap_from_pairs": "tests/results/test_heatmap.py: the grid heatmap_from_store must equal",
     "ExperimentResult": "tests/experiments/test_result_contract.py: the protocol every run() result meets",
+    "with_communities": "tests/bgp/test_attributes.py: the copy-per-step import chain the one-copy import must equal",
+    "received": "tests/bgp/test_attributes.py: the copy-per-step import chain the one-copy import must equal",
     # Readers of another layer's state.
     "queue": "tests/faults/test_injector.py reads the messages a fault queued",
     "routes_from": "tests/integration/test_bgp_incremental.py reads Adj-RIBs against a recomputation",

@@ -88,10 +88,7 @@ class TestGeoAssignment:
     def test_transform_applies_on_ibgp_import(self):
         rr = make_reflector()
         session = rr.session_to("A")
-        imported = rr.transform_imported(
-            ibgp_route("A").received("A", ebgp=False), session
-        )
-        assert imported.local_pref > 1000
+        assert rr.import_local_pref(ibgp_route("A"), session, 100) > 1000
         assert rr.stats["assigned"] == 1
 
     def test_reflection_prefers_geo_closest(self):
@@ -186,10 +183,8 @@ class TestStatsCounters:
         rr = make_reflector()
         rr.management = management
         session = rr.session_to("A")
-        imported = rr.transform_imported(
-            ibgp_route("A").received("A", ebgp=False), session
-        )
-        assert imported.local_pref == 100  # untouched: default behaviour
+        # untouched: default behaviour
+        assert rr.import_local_pref(ibgp_route("A"), session, 100) == 100
         assert rr.stats["exempt"] == 1
         assert rr.stats["assigned"] == 0
 
@@ -202,19 +197,13 @@ class TestStatsCounters:
         rr.management = management
         session = rr.session_to("A")
         # Matching egress: pinned at the forced preference.
-        pinned = rr.transform_imported(
-            Route(prefix=PFX, as_path=AsPath((100, 9)), next_hop="A-r1").received(
-                "A", ebgp=False
-            ),
-            session,
+        pinned = rr.import_local_pref(
+            Route(prefix=PFX, as_path=AsPath((100, 9)), next_hop="A-r1"), session, 100
         )
-        assert pinned.local_pref == FORCED_EXIT_LP
+        assert pinned == FORCED_EXIT_LP
         assert rr.stats["forced"] == 1
         # Non-matching egress: falls through to the geo assignment.
-        fallback = rr.transform_imported(
-            ibgp_route("B").received("A", ebgp=False), session
-        )
-        assert fallback.local_pref > 1000
+        assert rr.import_local_pref(ibgp_route("B"), session, 100) > 1000
         assert rr.stats["forced"] == 2
         assert rr.stats["assigned"] == 1
 

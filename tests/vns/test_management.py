@@ -38,21 +38,20 @@ class TestForceExit:
     def test_forced_pop_gets_pinned_pref(self):
         management, rr = make_pair()
         management.force_exit(PFX, "SIN")
-        handled = management.transform(rr, route("SIN-r1"))
-        assert handled.local_pref == FORCED_EXIT_LP
+        assert management.override_local_pref(rr, route("SIN-r1"), 100) == FORCED_EXIT_LP
 
     def test_other_pops_keep_geo_pref(self):
         management, rr = make_pair()
         management.force_exit(PFX, "SIN")
-        handled = management.transform(rr, route("AMS-r1"))
-        assert 1000 < handled.local_pref < FORCED_EXIT_LP
+        handled = management.override_local_pref(rr, route("AMS-r1"), 100)
+        assert 1000 < handled < FORCED_EXIT_LP
         assert rr.stats["forced"] >= 1
 
     def test_clear_forced_exit(self):
         management, rr = make_pair()
         management.force_exit(PFX, "SIN")
         management.clear_forced_exit(PFX)
-        assert management.transform(rr, route("AMS-r1")) is None
+        assert management.override_local_pref(rr, route("AMS-r1"), 100) is None
         management.clear_forced_exit(PFX)  # idempotent
 
 
@@ -60,7 +59,5 @@ class TestExemption:
     def test_exempt_keeps_imported_pref(self):
         management, rr = make_pair()
         management.exempt_from_geo(PFX)
-        original = route("AMS-r1")
-        handled = management.transform(rr, original)
-        assert handled is original
+        assert management.override_local_pref(rr, route("AMS-r1"), 250) == 250
         assert rr.stats["exempt"] == 1
