@@ -40,11 +40,9 @@ class AsPath:
     def __iter__(self):
         return iter(self.asns)
 
-    def prepend(self, asn: int, count: int = 1) -> "AsPath":
-        """A new path with ``asn`` prepended ``count`` times."""
-        if count < 1:
-            raise ValueError(f"prepend count must be >= 1, got {count!r}")
-        return AsPath(asns=(asn,) * count + self.asns)
+    def prepend(self, asn: int) -> "AsPath":
+        """A new path with ``asn`` prepended."""
+        return AsPath(asns=(asn,) + self.asns)
 
     @property
     def first_hop(self) -> int | None:

@@ -14,6 +14,7 @@ stale forwarding decisions after a fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.bgp.attributes import Route
 from repro.net.addressing import Prefix
@@ -57,7 +58,7 @@ class IgpNotification:
     """
 
     receiver: str
-    sender: str = "igp"
+    sender: ClassVar[str] = "igp"
     changed: frozenset[str] | None = None
 
     def __str__(self) -> str:

@@ -92,18 +92,12 @@ class RelationshipImportPolicy(ImportPolicy):
     Parameters
     ----------
     relationships:
-        Relationship of each neighbouring AS, seen from the local AS.
-    local_pref:
-        LOCAL_PREF per relationship; defaults to the conventional ladder.
+        Relationship of each neighbouring AS, seen from the local AS.  Its
+        LOCAL_PREF is :data:`RELATIONSHIP_LOCAL_PREF`'s.
     """
 
-    def __init__(
-        self,
-        relationships: dict[int, Relationship],
-        local_pref: dict[Relationship, int] | None = None,
-    ) -> None:
+    def __init__(self, relationships: dict[int, Relationship]) -> None:
         self._relationships = dict(relationships)
-        self._local_pref = dict(local_pref or RELATIONSHIP_LOCAL_PREF)
         #: One set object per distinct tagged value.  A set is an object the
         #: cyclic collector tracks, and a converged border holds a route
         #: per (eBGP peer, prefix): routes with equal tags share one.
@@ -118,7 +112,7 @@ class RelationshipImportPolicy(ImportPolicy):
         if relationship is None:
             return None  # no business relationship, reject
         tagged = route.communities.union((RELATIONSHIP_COMMUNITY[relationship],))
-        return self._local_pref[relationship], self._tagged.setdefault(tagged, tagged)
+        return RELATIONSHIP_LOCAL_PREF[relationship], self._tagged.setdefault(tagged, tagged)
 
 
 class RelationshipExportPolicy(ExportPolicy):

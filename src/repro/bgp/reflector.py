@@ -18,24 +18,13 @@ from repro.bgp.session import Session
 
 
 class RouteReflector(BgpRouter):
-    """A route reflector.
-
-    Parameters
-    ----------
-    cluster_id:
-        RFC 4456 cluster identifier; defaults to the router id.  Deploying
-        multiple reflectors with distinct cluster ids (as the paper's
-        footnote describes for operational stability) is supported.
-    """
-
-    def __init__(self, router_id: str, asn: int, *, cluster_id: str | None = None, **kwargs) -> None:
-        super().__init__(router_id, asn, **kwargs)
-        self.cluster_id = cluster_id or router_id
+    """A route reflector; its RFC 4456 cluster id is its router id, so
+    every reflector is a cluster of its own."""
 
     def _acceptable(self, route: Route, session: Session) -> bool:
         if not super()._acceptable(route, session):
             return False
-        if session.is_ibgp and self.cluster_id in route.cluster_list:
+        if session.is_ibgp and self.router_id in route.cluster_list:
             return False  # cluster loop
         return True
 
@@ -58,7 +47,7 @@ class RouteReflector(BgpRouter):
         learned_session = self.sessions.get(best.learned_from)
         from_client = learned_session is not None and learned_session.rr_client
         originator = best.originator_id or best.learned_from or self.router_id
-        reflected = best.reflected(originator=originator, cluster_id=self.cluster_id)
+        reflected = best.reflected(originator=originator, cluster_id=self.router_id)
         return reflected.sent(), best.learned_from, from_client
 
     def _ibgp_desired(

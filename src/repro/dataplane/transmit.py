@@ -30,6 +30,9 @@ from repro.dataplane.path import DataPath
 #: Fig. 9 slot accounting).
 LOSSY_SLOT_THRESHOLD = 0.02
 
+#: Loss-accounting slot length (s) of every stream.
+SLOT_S = 5.0
+
 
 @dataclass(slots=True)
 class StreamResult:
@@ -186,7 +189,7 @@ def simulate_stream(
     *,
     duration_s: float = 120.0,
     packets_per_second: float = 420.0,
-    slot_s: float = 5.0,
+    slot_s: float = SLOT_S,
     hour_cet: float = 12.0,
     rng: np.random.Generator,
 ) -> StreamResult:

@@ -208,6 +208,6 @@ class ExperimentResult(Protocol):
         """
         ...
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON (sorted keys): the archivable payload."""
         ...

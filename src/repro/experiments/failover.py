@@ -113,7 +113,7 @@ class FailoverResult:
             row["failover_window_s_max"] = window_cdf.quantile(1.0)
         return row
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON: per-drill blocks plus the flat row."""
         scenarios = {}
         for drill in self.drills:
@@ -132,7 +132,7 @@ class FailoverResult:
                 },
             }
         payload = {"scenarios": scenarios, "row": self.to_row()}
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def run(world: World, drills: tuple[Drill, ...] | None = None) -> FailoverResult:

@@ -36,9 +36,19 @@ class LossClass(enum.Enum):
         return self.value
 
 
-def classify(loss_percent: float, lossy_slots: int, n_slots: int = 24) -> LossClass:
-    """Map one session onto a Fig. 10 population."""
-    return list(LossClass)[int(_class_codes(loss_percent, lossy_slots, n_slots))]
+#: Slots in one of the paper's sessions (120 s in 5 s slots).
+SESSION_SLOTS = 24
+
+#: A session whose loss spans at least this many slots is multi-slot loss.
+MULTI_SLOT_MIN = 4
+
+#: The Amsterdam client the figure plots.
+CLIENT_POP = "AMS"
+
+
+def classify(loss_percent: float, lossy_slots: int) -> LossClass:
+    """Map one :data:`SESSION_SLOTS`-slot session onto a Fig. 10 population."""
+    return list(LossClass)[int(_class_codes(loss_percent, lossy_slots, SESSION_SLOTS))]
 
 
 def _class_codes(loss_percent, lossy_slots, n_slots) -> np.ndarray:
@@ -72,19 +82,20 @@ class Fig10Result:
     def sessions(self, transport: str) -> int:
         return sum(self.counts.get(transport, {}).values())
 
-    def multi_slot_loss_fraction(self, transport: str, min_slots: int = 4) -> float:
-        """Fraction of sessions with loss spanning many slots."""
+    def multi_slot_loss_fraction(self, transport: str) -> float:
+        """Fraction of sessions whose loss spans :data:`MULTI_SLOT_MIN` slots
+        or more."""
         pts = self.points.get(transport, [])
         if not pts:
             return 0.0
-        return sum(1 for slots, _ in pts if slots >= min_slots) / len(pts)
+        return sum(1 for slots, _ in pts if slots >= MULTI_SLOT_MIN) / len(pts)
 
 
-def analyze(campaign: VideoCampaignResult, *, client_pop: str = "AMS") -> Fig10Result:
+def analyze(campaign: VideoCampaignResult) -> Fig10Result:
     """Build the Fig. 10 panels from an existing campaign run."""
     result = Fig10Result()
     for transport in ("T", "I"):
-        rows = campaign.mask(client_pop=client_pop, transport=transport, profile=PROFILE_1080P)
+        rows = campaign.mask(client_pop=CLIENT_POP, transport=transport, profile=PROFILE_1080P)
         slots, loss = campaign.lossy_slots[rows], campaign.loss_percent[rows]
         codes = _class_codes(loss, slots, campaign.n_slots[rows])
         result.points[transport] = list(zip(slots.tolist(), loss.tolist()))
@@ -94,21 +105,15 @@ def analyze(campaign: VideoCampaignResult, *, client_pop: str = "AMS") -> Fig10R
     return result
 
 
-def run(
-    world: World,
-    *,
-    days: int = 1,
-    minutes_between_rounds: float = 60.0,
-    client_pop: str = "AMS",
-) -> Fig10Result:
+def run(world: World, *, days: int = 1, minutes_between_rounds: float = 60.0) -> Fig10Result:
     """Run a campaign for the Amsterdam client and analyse loss nature."""
     campaign = run_video_campaign(
         world,
         days=days,
         minutes_between_rounds=minutes_between_rounds,
-        client_pops=(client_pop,),
+        client_pops=(CLIENT_POP,),
     )
-    return analyze(campaign, client_pop=client_pop)
+    return analyze(campaign)
 
 
 def render(result: Fig10Result) -> str:

@@ -59,7 +59,6 @@ class Fig11Result:
 def run(
     world: World,
     *,
-    hosts_per_type_per_region: int = 8,
     days: int = 1,
     minutes_between_rounds: float = 60.0,
     data: LastMileData | None = None,
@@ -68,7 +67,6 @@ def run(
     if data is None:
         data = run_lastmile_campaign(
             world,
-            hosts_per_type_per_region=hosts_per_type_per_region,
             days=days,
             minutes_between_rounds=minutes_between_rounds,
         )

@@ -25,6 +25,9 @@ from repro.geo.regions import (
 )
 from repro.net.asn import ASType
 
+#: A destination's local waking hours, 8:00 to 23:00.
+LOCAL_BUSY_HOURS = (8.0, 23.0)
+
 
 @dataclass(slots=True)
 class Fig12Result:
@@ -51,27 +54,24 @@ class Fig12Result:
             return float(peak) if peak else 1.0
         return peak / trough
 
-    def peak_within_local_window(
-        self,
-        as_type: ASType,
-        region: WorldRegion,
-        start_local: float = 8.0,
-        end_local: float = 23.0,
-    ) -> bool:
-        """Whether the peak falls in the destination's local busy window."""
+    def peak_within_local_window(self, as_type: ASType, region: WorldRegion) -> bool:
+        """Whether the peak falls in the destination's local busy window
+        (:data:`LOCAL_BUSY_HOURS`)."""
         peak = self.peak_hour_cet(as_type, region)
-        start_cet = local_hour_to_cet(start_local, region)
-        end_cet = local_hour_to_cet(end_local, region)
+        start_cet = local_hour_to_cet(LOCAL_BUSY_HOURS[0], region)
+        end_cet = local_hour_to_cet(LOCAL_BUSY_HOURS[1], region)
         if start_cet <= end_cet:
             return start_cet <= peak <= end_cet
         return peak >= start_cet or peak <= end_cet
 
 
+#: The PoP the figure probes from (San Jose).
+VANTAGE = "SJS"
+
+
 def run(
     world: World,
     *,
-    vantage: str = "SJS",
-    hosts_per_type_per_region: int = 8,
     days: int = 2,
     minutes_between_rounds: float = 60.0,
     data: LastMileData | None = None,
@@ -80,16 +80,15 @@ def run(
     if data is None:
         data = run_lastmile_campaign(
             world,
-            hosts_per_type_per_region=hosts_per_type_per_region,
             days=days,
             minutes_between_rounds=minutes_between_rounds,
         )
-    result = Fig12Result(vantage=vantage)
+    result = Fig12Result(vantage=VANTAGE)
     for as_type in ASType:
         for region in LAST_MILE_STUDY_REGIONS:
             counts = [
                 data.loss_round_count(
-                    pop_code=vantage,
+                    pop_code=VANTAGE,
                     dest_region=region,
                     as_type=as_type,
                     hour_cet=hour,

@@ -77,18 +77,16 @@ def _reported_region(world: World, prefix: Prefix) -> PopRegion | None:
     return nearest_pop(location).region
 
 
-def run(
-    world: World,
-    *,
-    max_prefixes: int | None = None,
-    hour_cet: float = 12.0,
-    entry_pop: str = "AMS",
-) -> Fig3Result:
-    """Probe every prefix from every PoP and compare egress choices.
+#: Whose Loc-RIB is read: the geo-chosen egress is a network-wide
+#: property, so any entry PoP gives the same answer.
+ENTRY_POP = "AMS"
 
-    ``entry_pop`` only selects whose Loc-RIB is read; the geo-chosen
-    egress is a network-wide property.
-    """
+#: Probes go out at noon CET.
+PROBE_HOUR_CET = 12.0
+
+
+def run(world: World, *, max_prefixes: int | None = None) -> Fig3Result:
+    """Probe every prefix from every PoP and compare egress choices."""
     rng = experiment_rng(world, salt=3)
     campaign = PingCampaign(world.service, rng)
     prefixes = world.topology.prefixes()
@@ -96,13 +94,13 @@ def run(
         prefixes = prefixes[:max_prefixes]
     result = Fig3Result()
     for prefix in prefixes:
-        decision = world.service.egress_decision(entry_pop, prefix)
+        decision = world.service.egress_decision(ENTRY_POP, prefix)
         if decision is None:
             continue
         reported = _reported_region(world, prefix)
         if reported is None:
             continue
-        measurement = campaign.probe_prefix(prefix, hour_cet)
+        measurement = campaign.probe_prefix(prefix, PROBE_HOUR_CET)
         # The geo-based RTT follows the route VNS actually selected (the
         # egress router's best), not a locally forced probe: Fig. 3 rates
         # the routing decision, not each PoP's probe plumbing.
@@ -113,7 +111,7 @@ def run(
         )
         geo_rtt = None
         if via_vns is not None:
-            ping = simulate_ping(via_vns, count=5, hour_cet=hour_cet, rng=rng)
+            ping = simulate_ping(via_vns, count=5, hour_cet=PROBE_HOUR_CET, rng=rng)
             geo_rtt = ping.min_rtt_ms
         if geo_rtt is None:
             geo_rtt = measurement.rtt_from(decision.egress_pop)

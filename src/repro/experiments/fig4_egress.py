@@ -61,13 +61,17 @@ def _egress_distribution(
     return {pop_id: 100.0 * count / total for pop_id, count in counts.items()}, total
 
 
-def run(world: World, *, entry_pop: str = "LON") -> Fig4Result:
+#: The PoP whose egress choices Fig. 4 plots.
+ENTRY_POP = "LON"
+
+
+def run(world: World) -> Fig4Result:
     """Compute the Fig. 4 distributions on a world (builds the "before"
     deployment if it is not present yet)."""
     before = world.require_before()
-    result = Fig4Result(entry_pop=entry_pop)
-    result.before_pct, count_before = _egress_distribution(before, entry_pop)
-    result.after_pct, count_after = _egress_distribution(world.service, entry_pop)
+    result = Fig4Result(entry_pop=ENTRY_POP)
+    result.before_pct, count_before = _egress_distribution(before, ENTRY_POP)
+    result.after_pct, count_after = _egress_distribution(world.service, ENTRY_POP)
     result.routes_counted = min(count_before, count_after)
     return result
 

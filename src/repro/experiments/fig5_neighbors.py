@@ -61,11 +61,16 @@ def _neighbor_counts(
     return counts, total
 
 
-def run(world: World, *, entry_pop: str = "LON", top_n: int = 20) -> Fig5Result:
+#: The PoP whose routes Fig. 5 counts, and how many neighbours it plots.
+ENTRY_POP = "LON"
+TOP_N = 20
+
+
+def run(world: World) -> Fig5Result:
     """Count per-neighbour route shares in both deployments."""
     before_service = world.require_before()
-    after_counts, after_total = _neighbor_counts(world.service, entry_pop)
-    before_counts, before_total = _neighbor_counts(before_service, entry_pop)
+    after_counts, after_total = _neighbor_counts(world.service, ENTRY_POP)
+    before_counts, before_total = _neighbor_counts(before_service, ENTRY_POP)
     upstreams = world.service.deployment.upstreams
     upstream_set = set(upstreams)
 
@@ -85,7 +90,7 @@ def run(world: World, *, entry_pop: str = "LON", top_n: int = 20) -> Fig5Result:
         key=lambda asn: (-after_counts[asn], asn),
     )
     ordered = list(upstreams) + peer_order
-    for rank, asn in enumerate(ordered[:top_n], start=1):
+    for rank, asn in enumerate(ordered[:TOP_N], start=1):
         result.neighbors.append(
             NeighborUsage(
                 rank=rank,

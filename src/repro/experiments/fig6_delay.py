@@ -55,38 +55,32 @@ class Fig6Result:
             row[f"{code}.frac_within_50ms"] = self.fraction_within(code, 50.0)
         return row
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON: the per-PoP difference samples plus the row."""
         payload = {"diffs_by_pop": self.diffs_by_pop, "row": self.to_row()}
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 #: The three vantage points Fig. 6 plots.
-DEFAULT_VANTAGES = ("SIN", "AMS", "SJS")
+VANTAGES = ("SIN", "AMS", "SJS")
+
+#: Pings per address and transport (the minimum RTT is kept), at noon CET.
+PROBES_PER_ADDRESS = 5
+PROBE_HOUR_CET = 12.0
 
 
-def run(
-    world: World,
-    *,
-    vantage_pops: tuple[str, ...] = DEFAULT_VANTAGES,
-    probes_per_address: int = 5,
-    hour_cet: float = 12.0,
-    max_origins: int | None = None,
-) -> Fig6Result:
+def run(world: World) -> Fig6Result:
     """Probe one prefix per origin AS via both transports."""
     rng = experiment_rng(world, salt=6)
     service = world.service
-    result = Fig6Result(diffs_by_pop={code: [] for code in vantage_pops})
-    origins = sorted(world.topology.ases)
-    if max_origins is not None:
-        origins = origins[:max_origins]
-    for origin in origins:
+    result = Fig6Result(diffs_by_pop={code: [] for code in VANTAGES})
+    for origin in sorted(world.topology.ases):
         system = world.topology.autonomous_system(origin)
         if not system.prefixes:
             continue
         prefix = system.prefixes[0]
         destination = world.topology.prefix_location[prefix]
-        for code in vantage_pops:
+        for code in VANTAGES:
             via_vns = service.path_via_vns(code, prefix, destination)
             via_upstream = service.path_local_exit(
                 code, prefix, destination, upstreams_only=True
@@ -94,10 +88,10 @@ def run(
             if via_vns is None or via_upstream is None:
                 continue
             ping_vns = simulate_ping(
-                via_vns, count=probes_per_address, hour_cet=hour_cet, rng=rng
+                via_vns, count=PROBES_PER_ADDRESS, hour_cet=PROBE_HOUR_CET, rng=rng
             )
             ping_up = simulate_ping(
-                via_upstream, count=probes_per_address, hour_cet=hour_cet, rng=rng
+                via_upstream, count=PROBES_PER_ADDRESS, hour_cet=PROBE_HOUR_CET, rng=rng
             )
             if ping_vns.min_rtt_ms is None or ping_up.min_rtt_ms is None:
                 continue

@@ -49,12 +49,11 @@ class Fig9Result:
         client_pop: str,
         dest_region: PopRegion,
         transport: str,
-        threshold_pct: float = COMPLAINT_THRESHOLD_PCT,
     ) -> float:
-        """Fraction of streams losing more than ``threshold_pct``."""
+        """Fraction of streams losing more than :data:`COMPLAINT_THRESHOLD_PCT`."""
         return fraction_exceeding(
             self.campaign.loss_values(client_pop, dest_region, transport),
-            threshold_pct,
+            COMPLAINT_THRESHOLD_PCT,
         )
 
     def jitter_fraction_below(self, profile: VideoProfile, ms: float = 10.0) -> float:

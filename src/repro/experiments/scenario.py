@@ -1,10 +1,10 @@
 """Scenario experiment: run one declarative scenario over a world.
 
 The experiment-shaped bridge into :mod:`repro.scenarios`: pick a canned
-scenario by registry name or hand in a spec's JSON, and run it on an
+scenario by registry name or hand in a spec, and run it on an
 already-built world —
 
-    scenario.run(world, name="geo_satellite").render()
+    scenario.run(world, "geo_satellite").render()
 
 The spec's world *recipe* (seed, GeoIP errors) is ignored in favour of
 the world actually passed in; its world *restrictions* (PoPs down,
@@ -50,7 +50,7 @@ class ScenarioRun:
             for name, value in self.campaign.to_row().items()
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON: the spec, the campaign report, the flat row."""
         payload = {
             "spec": self.spec.to_dict(),
@@ -58,29 +58,25 @@ class ScenarioRun:
             "report": self.campaign.report.to_dict(),
             "row": self.to_row(),
         }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def run(
     world: World,
+    scenario: str | ScenarioSpec,
     *,
-    name: str = "",
-    spec_json: str = "",
     seed: int | None = None,
     workers: int = 1,
 ) -> ScenarioRun:
     """Run one scenario on ``world`` (restoring any faults afterwards).
 
-    Exactly one of ``name`` (a registry name, see
-    :func:`repro.scenarios.registry.canned_names`) and ``spec_json``
-    (a serialised :class:`ScenarioSpec`) selects the scenario; ``seed``
+    ``scenario`` is a registry name (see
+    :func:`repro.scenarios.registry.canned_names`) or a spec; ``seed``
     optionally overrides the spec's campaign seed.  ``workers > 1``
     runs the campaign on ``world``'s pool, which serves the world as the
     scenario's faults left it.
     """
-    if bool(name) == bool(spec_json):
-        raise ValueError("pass exactly one of name= and spec_json=")
-    spec = canned_scenario(name) if name else ScenarioSpec.from_json(spec_json)
+    spec = canned_scenario(scenario) if isinstance(scenario, str) else scenario
     if spec.world.scale != world.scale.value:
         spec = replace(spec, world=replace(spec.world, scale=world.scale.value))
     if seed is not None:

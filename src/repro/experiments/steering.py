@@ -35,8 +35,8 @@ from repro.scenarios.loader import (
 from repro.steering import PathHealthTable
 from repro.workload import CampaignRun
 
-#: The comparison's default policy line-up.
-DEFAULT_POLICIES: tuple[str, ...] = (
+#: The comparison's policy line-up.
+POLICIES: tuple[str, ...] = (
     "always_vns",
     "threshold_offload",
     "cost_budgeted",
@@ -58,7 +58,7 @@ class SteeringComparison:
         assert steering is not None  # every run here carries an engine
         return steering
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Stable serialisation: one full campaign report per policy."""
         payload = {
             "seed": self.seed,
@@ -67,7 +67,7 @@ class SteeringComparison:
                 name: run.report.to_dict() for name, run in self.runs.items()
             },
         }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_row(self) -> dict:
         """Flat scalar summary: each policy's steering outcomes."""
@@ -112,10 +112,9 @@ def run(
     days: int = 1,
     multiparty_fraction: float = 0.15,
     seed: int = 0,
-    policies: tuple[str, ...] = DEFAULT_POLICIES,
     workers: int = 1,
 ) -> SteeringComparison:
-    """Compare steering policies over one seeded campaign.
+    """Compare the :data:`POLICIES` over one seeded campaign.
 
     One integer reproduces everything: the campaign as in
     :func:`repro.experiments.campaign.run`, the probe telemetry on
@@ -141,7 +140,7 @@ def run(
             corridor_payload_bytes(loaded.calls, loaded.config)
         ),
     )
-    for name in policies:
+    for name in POLICIES:
         engine = scenario_steering(name, health, loaded.calls, loaded.config)
         comparison.runs[name] = replace(loaded, steering=engine).run(workers=workers)
     return comparison

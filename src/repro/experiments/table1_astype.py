@@ -66,11 +66,13 @@ class Table1Result:
         return max(values) / min(values)
 
 
+#: The PoP the table probes from (Amsterdam).
+VANTAGE = "AMS"
+
+
 def run(
     world: World,
     *,
-    vantage: str = "AMS",
-    hosts_per_type_per_region: int = 8,
     days: int = 1,
     minutes_between_rounds: float = 60.0,
     data: LastMileData | None = None,
@@ -79,15 +81,14 @@ def run(
     if data is None:
         data = run_lastmile_campaign(
             world,
-            hosts_per_type_per_region=hosts_per_type_per_region,
             days=days,
             minutes_between_rounds=minutes_between_rounds,
         )
-    result = Table1Result(vantage=vantage)
+    result = Table1Result(vantage=VANTAGE)
     for region in PAPER_TABLE1:
         for as_type in ASType:
             result.cells[(region, as_type)] = data.mean_loss_percent(
-                pop_code=vantage, dest_region=region, as_type=as_type
+                pop_code=VANTAGE, dest_region=region, as_type=as_type
             )
     return result
 

@@ -25,6 +25,9 @@ from repro.media.codec import PROFILE_1080P, VideoProfile
 #: The four client sites (Sydney, Hong Kong, Amsterdam, San Jose).
 CLIENT_POPS = ("SYD", "HK", "AMS", "SJS")
 
+#: Every session streams the paper's two-minute video.
+SESSION_S = 120.0
+
 #: Two echo servers per region, hosted at these PoPs.
 ECHO_POPS: dict[PopRegion, tuple[str, str]] = {
     PopRegion.EU: ("AMS", "FRA"),
@@ -93,10 +96,9 @@ class VideoCampaignResult:
         client_pop: str,
         dest_region: PopRegion,
         transport: str,
-        profile: VideoProfile = PROFILE_1080P,
     ) -> list[float]:
-        """Loss percentages for one Fig. 9 curve (one profile's streams)."""
-        rows = self.mask(client_pop, dest_region, transport, profile)
+        """Loss percentages for one Fig. 9 curve (its 1080p streams)."""
+        rows = self.mask(client_pop, dest_region, transport, PROFILE_1080P)
         return self.loss_percent[rows].tolist()
 
     def jitter_values(self, profile: VideoProfile) -> list[float]:
@@ -111,7 +113,6 @@ def run_video_campaign(
     minutes_between_rounds: float = 120.0,
     profiles: tuple[VideoProfile, ...] = (PROFILE_1080P,),
     client_pops: tuple[str, ...] = CLIENT_POPS,
-    duration_s: float = 120.0,
 ) -> VideoCampaignResult:
     """Run the campaign: one :func:`simulate_columns` call per profile.
 
@@ -152,7 +153,7 @@ def run_video_campaign(
         ]
         columns = simulate_columns(
             [
-                StreamColumnSpec(path, days, duration_s, h, digest, salt)
+                StreamColumnSpec(path, days, SESSION_S, h, digest, salt)
                 for salt, paths in enumerate((forward, echoed))
                 for path, h, digest in zip(paths, hour, digests)
             ],

@@ -258,10 +258,10 @@ def event_from_dict(payload: dict) -> FaultEvent:
         raise ValueError(f"bad {name} payload: {exc}") from None
 
 
-def events_to_json(events: Iterable[FaultEvent], *, indent: int | None = 2) -> str:
+def events_to_json(events: Iterable[FaultEvent]) -> str:
     """A byte-stable JSON array of events (sorted keys, fixed order)."""
     return json.dumps(
-        [event_to_dict(event) for event in events], indent=indent, sort_keys=True
+        [event_to_dict(event) for event in events], indent=2, sort_keys=True
     )
 
 

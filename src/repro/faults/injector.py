@@ -37,7 +37,7 @@ from repro.faults.events import (
     TransitRestore,
 )
 from repro.net.addressing import Prefix
-from repro.vns.network import external_peer_id
+from repro.vns.network import CONVERGE_BUDGET, external_peer_id
 from repro.vns.service import VideoNetworkService
 
 
@@ -188,8 +188,9 @@ class FaultInjector:
             if event.pop not in known:
                 raise ValueError(f"unknown PoP {event.pop!r} (known: {known})")
 
-    def converge(self, max_messages: int = 10_000_000) -> int:
-        """Run BGP to convergence; return messages delivered.
+    def converge(self) -> int:
+        """Run BGP to convergence within :data:`~repro.vns.network.CONVERGE_BUDGET`
+        messages; return messages delivered.
 
         Raises
         ------
@@ -197,7 +198,7 @@ class FaultInjector:
             If the engine exceeds its budget (diagnosable from the
             exception's queue snapshot).
         """
-        return self.service.network.engine.run(max_messages=max_messages)
+        return self.service.network.engine.run(max_messages=CONVERGE_BUDGET)
 
     def apply(self, event: FaultEvent) -> int:
         """Perturb and immediately converge; return messages delivered."""

@@ -31,6 +31,7 @@ from typing import Iterable, TypeVar
 import numpy as np
 
 from repro.dataplane.transmit import (
+    SLOT_S,
     StreamResult,
     _stream_shape,
     count_heavy_loss_slots,
@@ -48,6 +49,9 @@ DRILL_STREAM_PPS = 420.0
 
 #: User ASes sampled for the anycast entry-PoP observation.
 ENTRY_SAMPLE = 24
+
+#: Destination prefixes sampled for a drill's blackhole / egress census.
+PREFIX_SAMPLE = 32
 
 T = TypeVar("T")
 
@@ -214,42 +218,39 @@ def failover_window_s(messages: int) -> float:
     return DETECTION_S + PER_MESSAGE_S * messages
 
 
-def overlay_outage(
-    result: StreamResult, window_s: float, *, slot_s: float = 5.0
-) -> StreamResult:
+def overlay_outage(result: StreamResult, window_s: float) -> StreamResult:
     """``result`` with the first ``window_s`` seconds fully blacked out.
 
     Models a stream in flight when the fault hits: until reconvergence
     every packet is lost, after which the stream rides the (already
     rerouted) path whose loss process ``result`` sampled.  A blanked slot
     loses what *it* carried — a partial final slot carries fewer packets
-    than the others.  ``slot_s`` is the one the stream was simulated
-    with, at :data:`DRILL_STREAM_PPS`.  Loss-free by construction if
-    ``window_s`` is 0.
+    than the others.  The stream was simulated in
+    :data:`~repro.dataplane.transmit.SLOT_S` slots at
+    :data:`DRILL_STREAM_PPS`.  Loss-free by construction if ``window_s``
+    is 0.
 
     Raises
     ------
     ValueError
-        For a negative window, a non-positive slot length, or a
-        ``result`` that is not shaped like a stream at that rate.
+        For a negative window, or a ``result`` that is not shaped like a
+        stream at that rate.
     """
     if window_s < 0:
         raise ValueError(f"window_s must be non-negative, got {window_s!r}")
-    if slot_s <= 0:
-        raise ValueError(f"slot_s must be positive, got {slot_s!r}")
     if result.n_slots == 0 or window_s == 0:
         return result
     n_slots, packets_per_slot, final_packets = _stream_shape(
-        result.packets_sent / DRILL_STREAM_PPS, DRILL_STREAM_PPS, slot_s
+        result.packets_sent / DRILL_STREAM_PPS, DRILL_STREAM_PPS, SLOT_S
     )
     if n_slots != result.n_slots:
         raise ValueError(
             f"{result.packets_sent} packets in {result.n_slots} slots is not a "
-            f"{DRILL_STREAM_PPS:g} pps stream with {slot_s:g} s slots"
+            f"{DRILL_STREAM_PPS:g} pps stream with {SLOT_S:g} s slots"
         )
     slot_packets = np.full(n_slots, packets_per_slot)
     slot_packets[-1] = final_packets
-    blanked = min(n_slots, math.ceil(window_s / slot_s))
+    blanked = min(n_slots, math.ceil(window_s / SLOT_S))
     slot_losses = result.slot_losses.copy()
     slot_losses[:blanked] = slot_packets[:blanked]
     return StreamResult(
@@ -383,8 +384,6 @@ def run_drill(
     service: VideoNetworkService,
     rng: np.random.Generator,
     drill: Drill,
-    *,
-    prefix_limit: int = 32,
 ) -> DrillResult:
     """Replay ``drill`` on ``service`` and measure what it cost.
 
@@ -415,7 +414,7 @@ def run_drill(
         raise ValueError(f"drill {drill.name!r} never repairs what it breaks")
     injector = FaultInjector(service)
     meter = ImpactMeter(
-        service, prefix_sample(service.topology.prefix_location, limit=prefix_limit)
+        service, prefix_sample(service.topology.prefix_location, limit=PREFIX_SAMPLE)
     )
     users = {
         asn: service.topology.autonomous_system(asn).home.location

@@ -22,7 +22,7 @@ from collections.abc import Hashable, Sequence
 import numpy as np
 
 from repro.geo.cities import COUNTRY_CENTROIDS
-from repro.geo.coords import GeoPoint, destination_point
+from repro.geo.coords import destination_point
 from repro.geo.geoip import GeoIPDatabase
 
 
@@ -48,39 +48,18 @@ def _sample_fraction(
 
 
 class CountryCentroidError(GeoIPErrorModel):
-    """Collapse a country's prefixes onto its geographic centroid.
+    """Collapse all of a country's prefixes onto its gazetteer centroid
+    (the paper saw every Russian record collapsed)."""
 
-    Parameters
-    ----------
-    country:
-        Country code whose records to collapse.
-    fraction:
-        Fraction of that country's records affected (default: all, which is
-        what the paper observed for Russia).
-    centroid:
-        Override the centroid; defaults to the gazetteer's entry for the
-        country.
-    """
-
-    def __init__(
-        self,
-        country: str,
-        fraction: float = 1.0,
-        centroid: GeoPoint | None = None,
-    ) -> None:
-        if centroid is None:
-            if country not in COUNTRY_CENTROIDS:
-                raise ValueError(
-                    f"no known centroid for {country!r}; pass centroid= explicitly"
-                )
-            centroid = COUNTRY_CENTROIDS[country]
+    def __init__(self, country: str) -> None:
+        if country not in COUNTRY_CENTROIDS:
+            raise ValueError(f"no known centroid for {country!r}")
         self.country = country
-        self.fraction = fraction
-        self.centroid = centroid
+        self.centroid = COUNTRY_CENTROIDS[country]
 
     def apply(self, db: GeoIPDatabase, rng: np.random.Generator) -> list[Hashable]:
         candidates = db.prefixes_in_country(self.country)
-        affected = _sample_fraction(candidates, self.fraction, rng)
+        affected = _sample_fraction(candidates, 1.0, rng)
         for prefix in affected:
             db.override(prefix, location=self.centroid)
         return affected
@@ -90,31 +69,20 @@ class StaleWhoisError(GeoIPErrorModel):
     """Relocate prefixes to a stale registrant country after an M&A.
 
     Models the paper's Indian-prefixes-in-Canada cluster: records whose
-    *true* country is ``true_country`` get reported at ``stale_location``
-    with ``stale_country``.
+    *true* country is ``true_country`` all get reported at
+    ``stale_country``'s gazetteer centroid.
     """
 
-    def __init__(
-        self,
-        true_country: str,
-        stale_country: str,
-        stale_location: GeoPoint | None = None,
-        fraction: float = 1.0,
-    ) -> None:
-        if stale_location is None:
-            if stale_country not in COUNTRY_CENTROIDS:
-                raise ValueError(
-                    f"no known centroid for {stale_country!r}; pass stale_location="
-                )
-            stale_location = COUNTRY_CENTROIDS[stale_country]
+    def __init__(self, true_country: str, stale_country: str) -> None:
+        if stale_country not in COUNTRY_CENTROIDS:
+            raise ValueError(f"no known centroid for {stale_country!r}")
         self.true_country = true_country
         self.stale_country = stale_country
-        self.stale_location = stale_location
-        self.fraction = fraction
+        self.stale_location = COUNTRY_CENTROIDS[stale_country]
 
     def apply(self, db: GeoIPDatabase, rng: np.random.Generator) -> list[Hashable]:
         candidates = db.prefixes_in_country(self.true_country)
-        affected = _sample_fraction(candidates, self.fraction, rng)
+        affected = _sample_fraction(candidates, 1.0, rng)
         for prefix in affected:
             db.override(prefix, location=self.stale_location, country=self.stale_country)
         return affected

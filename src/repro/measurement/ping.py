@@ -36,34 +36,27 @@ class PopRttMeasurement:
         return self.rtt_ms_by_pop.get(pop_code)
 
 
-class PingCampaign:
-    """Probes prefixes from all (or selected) PoPs, locally forced out."""
+#: Pings per probe; the minimum RTT is kept.
+PACKETS_PER_PROBE = 5
 
-    def __init__(
-        self,
-        service: VideoNetworkService,
-        rng: np.random.Generator,
-        *,
-        packets_per_probe: int = 5,
-        pop_codes: list[str] | None = None,
-    ) -> None:
-        if packets_per_probe <= 0:
-            raise ValueError("packets_per_probe must be positive")
+
+class PingCampaign:
+    """Probes prefixes from every PoP, locally forced out."""
+
+    def __init__(self, service: VideoNetworkService, rng: np.random.Generator) -> None:
         self.service = service
         self.rng = rng
-        self.packets_per_probe = packets_per_probe
-        self.pop_codes = pop_codes or [pop.code for pop in POPS]
 
     def probe_prefix(self, prefix: Prefix, hour_cet: float = 12.0) -> PopRttMeasurement:
         """Probe one prefix's first host address from every campaign PoP."""
         result = PopRttMeasurement(prefix=prefix)
         destination = self.service.topology.prefix_location[prefix]
-        for code in self.pop_codes:
+        for code in (pop.code for pop in POPS):
             path = self.service.path_local_exit(code, prefix, destination)
             if path is None:
                 continue
             ping = simulate_ping(
-                path, count=self.packets_per_probe, hour_cet=hour_cet, rng=self.rng
+                path, count=PACKETS_PER_PROBE, hour_cet=hour_cet, rng=self.rng
             )
             if ping.min_rtt_ms is not None:
                 result.rtt_ms_by_pop[code] = ping.min_rtt_ms

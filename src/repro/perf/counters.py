@@ -78,10 +78,9 @@ def incr(name: str, n: int = 1) -> None:
         _counts[name] = _counts.get(name, 0) + n
 
 
-def add_time(
-    name: str, seconds: float, calls: int = 1, cpu_seconds: float | None = None
-) -> None:
-    """Credit ``seconds`` of wall time (and optionally CPU time) to ``name``.
+def add_time(name: str, seconds: float, cpu_seconds: float | None = None) -> None:
+    """Credit one call of ``seconds`` wall time (and optionally CPU time) to
+    ``name``.
 
     Callers that only measure wall clock leave ``cpu_seconds`` unset; the
     CPU column then mirrors the wall column, which is exact for the
@@ -91,9 +90,9 @@ def add_time(
         cpu = seconds if cpu_seconds is None else cpu_seconds
         entry = _timings.get(name)
         if entry is None:
-            _timings[name] = [calls, seconds, cpu]
+            _timings[name] = [1, seconds, cpu]
         else:
-            entry[0] += calls
+            entry[0] += 1
             entry[1] += seconds
             entry[2] += cpu
 

@@ -153,35 +153,25 @@ def record(
     bench: str,
     payload: dict,
     *,
-    store: str | os.PathLike | None = None,
-    scenario: str = "",
     scale: str = "",
     seed: int = 0,
-    policy: str = "",
-    rev: str | None = None,
-    recorded_at: str | None = None,
     reports: Mapping[str, Mapping] | None = None,
     perf: Mapping | None = None,
 ) -> RecordedRun:
-    """Record one result as one store row.
+    """Record one result as one store row, keyed by :func:`git_rev` and
+    the time now.
 
-    ``payload`` must be JSON-ready.  ``store`` is a store path, or
-    ``None`` for the default store (skipped entirely when
+    ``payload`` must be JSON-ready.  The row goes to
+    :func:`default_store_path` (skipped entirely when
     ``REPRO_RESULTS_STORE=off``).  ``reports`` maps labels to
     CampaignReport-shaped dicts for the per-region-pair QoE view;
     ``perf`` is a ``PerfSnapshot`` (or its ``to_dict()``) for the
     counter/timer view.
     """
     key = RunKey(
-        bench=bench,
-        scenario=scenario,
-        scale=scale,
-        seed=seed,
-        policy=policy,
-        git_rev=rev if rev is not None else git_rev(),
-        recorded_at=recorded_at if recorded_at is not None else utc_now_iso(),
+        bench=bench, scale=scale, seed=seed, git_rev=git_rev(), recorded_at=utc_now_iso()
     )
-    path = Path(store) if store is not None else default_store_path()
+    path = default_store_path()
     run_id: int | None = None
     if path is not None:
         with ResultsStore(path) as opened:
@@ -192,8 +182,6 @@ def record(
 def record_experiment(
     bench: str,
     result: object,
-    *,
-    extra: Mapping[str, object] | None = None,
     **key_fields: object,
 ) -> RecordedRun:
     """Record any uniform-API experiment result through :func:`record`.
@@ -207,8 +195,6 @@ def record_experiment(
     payload = json.loads(result.to_json())  # type: ignore[attr-defined]
     if "row" not in payload:
         payload["row"] = dict(result.to_row())  # type: ignore[attr-defined]
-    if extra:
-        payload.update(extra)
     reports = None
     report = payload.get("report")
     if isinstance(report, dict) and "pairs" in report:

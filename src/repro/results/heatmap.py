@@ -18,6 +18,9 @@ from repro.results.store import ResultsStore, flatten_metrics
 #: Cells with no recorded calls render as this.
 EMPTY_CELL = "-"
 
+#: Width of one rendered grid cell.
+CELL_WIDTH = 9
+
 
 @dataclass(slots=True)
 class HeatmapGrid:
@@ -32,12 +35,13 @@ class HeatmapGrid:
     def value(self, src: str, dst: str) -> float | None:
         return self.values.get((src, dst))
 
-    def render(self, *, width: int = 9, digits: int = 2) -> str:
-        """An aligned text grid, sources down, destinations across."""
+    def render(self) -> str:
+        """An aligned text grid, sources down, destinations across:
+        :data:`CELL_WIDTH`-wide cells, two decimals."""
         label = self.transport or "pair"
         lines = [f"QoE heatmap — {self.metric} ({label}), src \\ dst"]
         header = "  " + "src".ljust(6) + "".join(
-            dst.rjust(width) for dst in self.dsts
+            dst.rjust(CELL_WIDTH) for dst in self.dsts
         )
         lines.append(header)
         for src in self.srcs:
@@ -45,30 +49,28 @@ class HeatmapGrid:
             for dst in self.dsts:
                 value = self.values.get((src, dst))
                 cells.append(
-                    EMPTY_CELL.rjust(width)
+                    EMPTY_CELL.rjust(CELL_WIDTH)
                     if value is None
-                    else f"{value:.{digits}f}".rjust(width)
+                    else f"{value:.2f}".rjust(CELL_WIDTH)
                 )
             lines.append("  " + src.ljust(6) + "".join(cells))
         return "\n".join(lines)
 
-    def to_csv(self, *, digits: int = 6) -> str:
-        """CSV with a ``src`` first column and one column per destination."""
+    def to_csv(self) -> str:
+        """CSV with a ``src`` first column and one column per destination,
+        six decimals."""
         lines = [",".join(["src", *self.dsts])]
         for src in self.srcs:
             row = [src]
             for dst in self.dsts:
                 value = self.values.get((src, dst))
-                row.append("" if value is None else f"{value:.{digits}f}")
+                row.append("" if value is None else f"{value:.6f}")
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
 
 def heatmap_from_pairs(
-    pairs: Mapping[str, Mapping],
-    *,
-    metric: str = "delay_ms.p50",
-    transport: str = "vns",
+    pairs: Mapping[str, Mapping], metric: str, transport: str
 ) -> HeatmapGrid:
     """Build the grid from a report's ``pairs`` mapping (``"SRC->DST"``)."""
     values: dict[tuple[str, str], float] = {}

@@ -45,7 +45,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from repro.tolerance import DEFAULT_ATOL, ToleranceDiff, diff_reports
+from repro.tolerance import ToleranceDiff, diff_reports
 
 #: Default relative tolerance for cross-commit regression checks.
 #: Looser than the golden differ's 5%: trajectory rows cross hosts and
@@ -141,13 +141,12 @@ class Gate:
 
     ``metric`` may carry a direction prefix: ``+name`` tolerates any
     improvement and gates only a drop (higher is better), ``-name`` the
-    reverse; a bare name is two-sided.  ``rtol``/``atol`` follow the
-    shared differ's semantics.
+    reverse; a bare name is two-sided.  ``rtol`` follows the shared
+    differ's semantics (at its default ``atol``).
     """
 
     metric: str
     rtol: float = REGRESSION_RTOL
-    atol: float = DEFAULT_ATOL
 
     @property
     def direction(self) -> str:
@@ -186,14 +185,14 @@ class RegressionReport:
         return self.diff.render()
 
 
-def flatten_metrics(payload: object, prefix: str = "") -> dict[str, int | float]:
+def flatten_metrics(payload: object) -> dict[str, int | float]:
     """Every numeric leaf of ``payload`` as ``dotted.path -> value``.
 
     Bools, strings and ``None`` are skipped (they live in the payload
     itself); list elements are indexed ``name[i]``.
     """
     flat: dict[str, int | float] = {}
-    _flatten_into(payload, prefix, flat)
+    _flatten_into(payload, "", flat)
     return flat
 
 
@@ -331,39 +330,19 @@ class ResultsStore:
         rows = self._db.execute("SELECT DISTINCT bench FROM runs ORDER BY bench")
         return tuple(name for (name,) in rows)
 
-    def runs(
-        self,
-        bench: str | None = None,
-        *,
-        scenario: str | None = None,
-        scale: str | None = None,
-        seed: int | None = None,
-        policy: str | None = None,
-        git_rev: str | None = None,
-    ) -> list[RunRow]:
-        """Matching runs, oldest first (``recorded_at`` then insert id)."""
-        clauses, params = ["1=1"], []
-        for column, value in (
-            ("bench", bench),
-            ("scenario", scenario),
-            ("scale", scale),
-            ("seed", seed),
-            ("policy", policy),
-            ("git_rev", git_rev),
-        ):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
+    def runs(self, bench: str | None = None) -> list[RunRow]:
+        """``bench``'s runs (every run if ``None``), oldest first
+        (``recorded_at`` then insert id)."""
+        where, params = ("WHERE bench = ?", (bench,)) if bench is not None else ("", ())
         rows = self._db.execute(
-            f"SELECT id, {_RUN_COLUMNS} FROM runs WHERE {' AND '.join(clauses)}"
-            " ORDER BY recorded_at, id",
+            f"SELECT id, {_RUN_COLUMNS} FROM runs {where} ORDER BY recorded_at, id",
             params,
         )
         return [_run_row(row) for row in rows]
 
-    def latest(self, bench: str, **filters: object) -> RunRow | None:
+    def latest(self, bench: str) -> RunRow | None:
         """The most recently recorded run of ``bench`` (or ``None``)."""
-        rows = self.runs(bench, **filters)  # type: ignore[arg-type]
+        rows = self.runs(bench)
         return rows[-1] if rows else None
 
     def run(self, run_id: int) -> RunRow:
@@ -408,10 +387,7 @@ class ResultsStore:
         bench: str,
         *,
         metrics: Iterable[str | Gate] | None = None,
-        rtol: float = REGRESSION_RTOL,
-        atol: float = DEFAULT_ATOL,
         baseline_rev: str | None = None,
-        **filters: object,
     ) -> RegressionReport:
         """Check the latest ``bench`` run against its baseline.
 
@@ -422,13 +398,13 @@ class ResultsStore:
         gated columns — strings with an optional ``+``/``-`` direction
         prefix, or :class:`Gate` values carrying their own tolerance.
         ``None`` gates every metric the two runs share, two-sided at
-        ``rtol`` (ints exact, the differ's contract).
+        :data:`REGRESSION_RTOL` (ints exact, the differ's contract).
 
         Directional gates never fail on improvement: when the latest
         value is at least as good as the baseline the comparison is
         satisfied before the differ runs.
         """
-        rows = self.runs(bench, **filters)  # type: ignore[arg-type]
+        rows = self.runs(bench)
         if not rows:
             return RegressionReport(
                 bench, None, None, ToleranceDiff(key=bench, missing=True)
@@ -450,7 +426,7 @@ class ResultsStore:
             metrics = sorted(base_metrics.keys() & new_metrics.keys())
         for gate in metrics:
             if isinstance(gate, str):
-                gate = Gate(gate, rtol=rtol, atol=atol)
+                gate = Gate(gate)
             name = gate.name
             missing = name not in base_metrics, name not in new_metrics
             if all(missing):
@@ -463,7 +439,7 @@ class ResultsStore:
                 )}
             diff.mismatches.extend(
                 diff_reports(
-                    golden, actual, key=key, rtol=gate.rtol, atol=gate.atol
+                    golden, actual, key=key, rtol=gate.rtol
                 ).mismatches
             )
         return RegressionReport(bench, latest, baseline, diff)

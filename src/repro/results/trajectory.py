@@ -44,10 +44,9 @@ def perf_trajectory(
     bench: str,
     *,
     metrics: Iterable[str | Gate] | None = None,
-    **filters: object,
 ) -> str:
     """The trajectory table for one bench, oldest run first."""
-    rows = store.runs(bench, **filters)  # type: ignore[arg-type]
+    rows = store.runs(bench)
     if not rows:
         return f"perf trajectory — bench '{bench}': no runs recorded"
     names = trajectory_metrics(store, bench, metrics)

@@ -67,10 +67,9 @@ class GoldenStore:
         report: dict,
         *,
         update: bool = False,
-        rtol: float = DEFAULT_RTOL,
-        atol: float = DEFAULT_ATOL,
     ) -> ToleranceDiff:
-        """Compare ``report`` against the committed golden for ``key``.
+        """Compare ``report`` against the committed golden for ``key``, at
+        the differ's default tolerances.
 
         ``update=True`` (or ``GOLDEN_REGEN=1`` in the environment)
         rewrites the golden and reports a clean diff — the regeneration
@@ -82,4 +81,4 @@ class GoldenStore:
         golden = self.load(key)
         if golden is None:
             return ToleranceDiff(key=key, missing=True)
-        return diff_reports(golden, report, key=key, rtol=rtol, atol=atol)
+        return diff_reports(golden, report, key=key)

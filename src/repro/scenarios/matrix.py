@@ -1,6 +1,6 @@
-"""The scenario-matrix runner: grid of (spec x scale x seed) cells.
+"""The scenario-matrix runner: grid of (spec x seed) cells at SMALL scale.
 
-A matrix expands scenario specs over world scales and campaign seeds,
+A matrix expands scenario specs over campaign seeds on SMALL worlds,
 runs every cell through the sharded campaign machinery, and checks each
 cell's byte-stable report against a committed golden.  It is the repo's
 regression harness for the paper's claims: one command re-runs the
@@ -19,7 +19,7 @@ all share a single pool per world.
 **Determinism.**  Cell reports are byte-identical whether the group ran
 sequentially or sharded, at any worker count — the engine's contract.
 Output cells come back in grid-expansion order (scenario-major, then
-scale, then seed) regardless of the grouped execution order.
+seed) regardless of the grouped execution order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.experiments.common import World
 from repro.faults.events import event_to_dict
-from repro.scenarios.golden import DEFAULT_ATOL, DEFAULT_RTOL, GoldenStore
+from repro.scenarios.golden import GoldenStore
 from repro.scenarios.loader import (
     apply_scenario_faults,
     build_spec_world,
@@ -40,6 +40,9 @@ from repro.scenarios.loader import (
 from repro.scenarios.registry import canned_scenario
 from repro.scenarios.spec import ScenarioSpec, WorldSpec
 from repro.tolerance import ToleranceDiff
+
+#: Every matrix cell runs on a SMALL world.
+MATRIX_SCALE = "small"
 
 
 @dataclass(slots=True)
@@ -128,8 +131,8 @@ class MatrixResult:
             "golden_failed": sum(1 for cell in checked if not cell.ok),
         }
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.summary(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.summary(), indent=2, sort_keys=True)
 
     def render(self) -> str:
         """The matrix as an aligned table plus any golden diffs."""
@@ -190,24 +193,21 @@ def _fault_signature(spec: ScenarioSpec) -> tuple:
 def run_matrix(
     scenarios: "list[ScenarioSpec | str]",
     *,
-    scales: tuple[str, ...] = ("small",),
     seeds: tuple[int, ...] = (0,),
     workers: int = 2,
     golden: "GoldenStore | str | Path | None" = None,
     update_golden: bool = False,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> MatrixResult:
-    """Run the full (scenario x scale x seed) grid.
+    """Run the full (scenario x seed) grid at :data:`MATRIX_SCALE`.
 
     Parameters
     ----------
     scenarios:
         Specs, or canned-registry names resolved via
         :func:`~repro.scenarios.registry.canned_scenario`.
-    scales / seeds:
-        Grid axes; each scenario is re-targeted per cell with
-        ``dataclasses.replace`` (the spec's own scale/seed are
+    seeds:
+        The grid's seed axis; each scenario is re-targeted per cell with
+        ``dataclasses.replace`` (the spec's own scale and seed are
         overridden).
     workers:
         More than one runs each fault group on its world's persistent
@@ -215,7 +215,8 @@ def run_matrix(
         sequentially in-process (byte-identical reports either way).
     golden:
         A :class:`GoldenStore` (or a directory for one); each cell's
-        report is checked against ``<dir>/<cell key>.json``.
+        report is checked against ``<dir>/<cell key>.json`` at the
+        differ's default tolerances.
         ``update_golden=True`` (or ``GOLDEN_REGEN=1``) rewrites the
         goldens instead.
     """
@@ -223,11 +224,10 @@ def run_matrix(
     grid: list[ScenarioSpec] = []
     for scenario in scenarios:
         spec = _resolve(scenario)
-        for scale in scales:
-            for seed in seeds:
-                grid.append(
-                    replace(spec, seed=seed, world=replace(spec.world, scale=scale))
-                )
+        for seed in seeds:
+            grid.append(
+                replace(spec, seed=seed, world=replace(spec.world, scale=MATRIX_SCALE))
+            )
     store = (
         golden
         if isinstance(golden, GoldenStore) or golden is None
@@ -263,9 +263,7 @@ def run_matrix(
             elapsed_s=time.perf_counter() - cell_started,
         )
         if store is not None:
-            cell.golden = store.check(
-                cell.key, report, update=update_golden, rtol=rtol, atol=atol
-            )
+            cell.golden = store.check(cell.key, report, update=update_golden)
         return cell
 
     cells: list[MatrixCell | None] = [None] * len(grid)

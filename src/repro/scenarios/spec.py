@@ -189,9 +189,9 @@ class WorldSpec:
     def from_dict(cls, payload: object) -> "WorldSpec":
         return cls(**_require_object(cls, payload))
 
-    def to_json(self, *, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Byte-stable: sorted keys, exact float round-trip."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "WorldSpec":
@@ -326,9 +326,9 @@ class ScenarioSpec:
             )
         return cls(**data)
 
-    def to_json(self, *, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Byte-stable: sorted keys, exact float round-trip."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

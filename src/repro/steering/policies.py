@@ -30,7 +30,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Protocol, runtime_checkable
+from typing import ClassVar, Protocol, runtime_checkable
 
 from repro.dataplane.transmit import _stream_shape
 from repro.steering.health import HealthEntry
@@ -153,7 +153,7 @@ def _better_offload(candidates: PathCandidates | None) -> tuple[PathChoice, str 
 class AlwaysVnsPolicy:
     """The paper's baseline: every call cold-potato through VNS."""
 
-    name: str = "always_vns"
+    name: ClassVar[str] = "always_vns"
 
     @property
     def call_sensitive(self) -> bool:
@@ -172,8 +172,8 @@ class ThresholdOffloadPolicy:
     * telemetry exists, is fresh and confident for both transports on the
       corridor (else: VNS, the safe default);
     * the probed loss penalty ``internet - vns`` is within
-      ``loss_delta_pct`` percentage points;
-    * the probed corridor RTT penalty is within ``rtt_delta_ms``;
+      ``loss_delta_pct`` (0.25) percentage points;
+    * the probed corridor RTT penalty is within ``rtt_delta_ms`` (15 ms);
     * the *call's own* resolved Internet path RTT is within
       ``rtt_delta_ms`` of its VNS path RTT (corridor averages hide
       per-prefix spread; this gate bounds every offloaded call's RTT
@@ -183,13 +183,9 @@ class ThresholdOffloadPolicy:
     passes them, the call takes the detour — still zero backbone bytes.
     """
 
-    rtt_delta_ms: float = 15.0
-    loss_delta_pct: float = 0.25
-    name: str = "threshold_offload"
-
-    def __post_init__(self) -> None:
-        if self.rtt_delta_ms < 0 or self.loss_delta_pct < 0:
-            raise ValueError("thresholds must be non-negative")
+    rtt_delta_ms: ClassVar[float] = 15.0
+    loss_delta_pct: ClassVar[float] = 0.25
+    name: ClassVar[str] = "threshold_offload"
 
     @property
     def call_sensitive(self) -> bool:
@@ -244,7 +240,7 @@ class CostBudgetedPolicy:
 
     budget_bytes: int = 0
     loss_weight_ms_per_pct: float = 40.0
-    name: str = "cost_budgeted"
+    name: ClassVar[str] = "cost_budgeted"
     #: corridor -> offload fraction in [0, 1]; ``None`` until prepared.
     plan: dict[tuple[str, str], float] | None = field(default=None)
 
@@ -271,15 +267,14 @@ class CostBudgetedPolicy:
         self,
         corridor_bytes: dict[tuple[str, str], int],
         health,
-        *,
-        t_hours: float = 0.0,
     ) -> dict[tuple[str, str], float]:
         """Compute (and install) the greedy offload plan.
 
         ``corridor_bytes`` is the projected backbone payload per directed
         region pair; ``health`` a
-        :class:`~repro.steering.health.PathHealthTable` (its all-day
-        aggregates price each corridor at ``t_hours``).
+        :class:`~repro.steering.health.PathHealthTable` read at hour 0
+        (a corridor's midnight bucket where it is confident, else its
+        all-day aggregate).
         """
         from repro.steering.health import Transport
 
@@ -291,10 +286,8 @@ class CostBudgetedPolicy:
                 corridor_bytes.items(),
                 key=lambda item: (
                     self.offload_penalty(
-                        health.lookup(item[0][0], item[0][1], Transport.VNS, t_hours=t_hours),
-                        health.lookup(
-                            item[0][0], item[0][1], Transport.INTERNET, t_hours=t_hours
-                        ),
+                        health.lookup(item[0][0], item[0][1], Transport.VNS, t_hours=0.0),
+                        health.lookup(item[0][0], item[0][1], Transport.INTERNET, t_hours=0.0),
                     ),
                     item[0],
                 ),

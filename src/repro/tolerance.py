@@ -9,7 +9,7 @@ Within one run, sequential-vs-sharded byte-identity is asserted exactly.
 *Committed* reference values cross machine and library versions, where
 float arithmetic may differ in the low bits — so the differ compares
 structure, strings, bools and integer counts exactly, and floats within
-``rtol``/``atol``.  Every mismatch is reported with its dotted path into
+``rtol`` plus :data:`DEFAULT_ATOL`.  Every mismatch is reported with its dotted path into
 the structure and both values, so a regression reads like a diff, not a
 boolean.
 """
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 #: Relative float tolerance for committed references (QoE percentiles
 #: move in the 4th digit across numpy builds, never by 5%).
 DEFAULT_RTOL = 0.05
+#: Absolute float tolerance, added to every relative one.
 DEFAULT_ATOL = 1e-9
 
 
@@ -53,7 +54,6 @@ def diff_values(
     actual: object,
     mismatches: list[str],
     rtol: float,
-    atol: float,
 ) -> None:
     """Recursively diff ``actual`` against ``golden``, appending mismatches."""
     # bool is an int subclass — compare it exactly, as itself.
@@ -62,10 +62,10 @@ def diff_values(
             mismatches.append(f"{path}: golden {golden!r}, got {actual!r}")
         return
     if isinstance(golden, float) and isinstance(actual, (int, float)):
-        if abs(actual - golden) > atol + rtol * abs(golden):
+        if abs(actual - golden) > DEFAULT_ATOL + rtol * abs(golden):
             mismatches.append(
                 f"{path}: golden {golden!r}, got {actual!r} "
-                f"(tolerance rtol={rtol}, atol={atol})"
+                f"(tolerance rtol={rtol}, atol={DEFAULT_ATOL})"
             )
         return
     if type(golden) is not type(actual):
@@ -82,7 +82,7 @@ def diff_values(
             elif key not in golden:
                 mismatches.append(f"{child}: unexpected key (not in golden)")
             else:
-                diff_values(child, golden[key], actual[key], mismatches, rtol, atol)
+                diff_values(child, golden[key], actual[key], mismatches, rtol)
         return
     if isinstance(golden, list):
         if len(golden) != len(actual):
@@ -91,7 +91,7 @@ def diff_values(
             )
             return
         for index, (g, a) in enumerate(zip(golden, actual)):
-            diff_values(f"{path}[{index}]", g, a, mismatches, rtol, atol)
+            diff_values(f"{path}[{index}]", g, a, mismatches, rtol)
         return
     if golden != actual:
         mismatches.append(f"{path}: golden {golden!r}, got {actual!r}")
@@ -103,14 +103,13 @@ def diff_reports(
     *,
     key: str = "",
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> ToleranceDiff:
     """Compare a report dict against its reference, tolerance-aware.
 
     Ints, strings and bools must match exactly (counts are seed-stable);
-    floats within ``atol + rtol * |golden|``.  Structural drift (keys,
+    floats within ``DEFAULT_ATOL + rtol * |golden|``.  Structural drift (keys,
     list lengths, types) always mismatches.
     """
     diff = ToleranceDiff(key=key)
-    diff_values("", golden, actual, diff.mismatches, rtol, atol)
+    diff_values("", golden, actual, diff.mismatches, rtol)
     return diff

@@ -128,7 +128,7 @@ class FrozenNetwork:
     def set_pop_state(self, code: str, up: bool) -> bool:
         raise self._read_only(f"set PoP state {code}")
 
-    def converge(self, max_messages: int = 0) -> int:
+    def converge(self) -> int:
         raise self._read_only("run BGP convergence")
 
 

@@ -43,6 +43,9 @@ VNS_ASN = 65000
 #: Where the two reflectors are hosted.
 REFLECTOR_POPS = ("AMS", "ASH")
 
+#: Messages a convergence may deliver before it raises ``ConvergenceError``.
+CONVERGE_BUDGET = 10_000_000
+
 
 @dataclass(slots=True)
 class EgressDecision:
@@ -493,9 +496,9 @@ class VnsNetwork:
             return None
         return min(candidates, key=lambda r: (len(r.as_path), r.learned_from or ""))
 
-    def converge(self, max_messages: int = 10_000_000) -> int:
+    def converge(self) -> int:
         """Run the BGP engine to convergence; return messages delivered."""
-        return self.engine.run(max_messages=max_messages)
+        return self.engine.run(max_messages=CONVERGE_BUDGET)
 
     def total_loc_rib_size(self) -> int:
         """Sum of Loc-RIB sizes over all border routers."""

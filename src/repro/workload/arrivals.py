@@ -237,17 +237,17 @@ def _choice_cdf(probs: np.ndarray) -> np.ndarray:
 
 _DURATION_CDF = _choice_cdf(np.array(DURATION_WEIGHTS) / sum(DURATION_WEIGHTS))
 
+#: Every flash-crowd call is a ten-minute multiparty leg.
+WEBINAR_CALL_S = 600.0
+
 
 def flash_crowd_calls(
     population: UserPopulation,
     *,
     attendees: int,
     hosts: int = 2,
-    day: int = 0,
     start_hour_cet: float = 18.0,
     window_h: float = 0.5,
-    duration_s: float = 600.0,
-    multiparty: bool = True,
     seed: int = 0,
     first_call_id: int = 0,
 ) -> list[CallSpec]:
@@ -255,10 +255,10 @@ def flash_crowd_calls(
 
     The anti-diurnal workload: instead of demand spread over each
     region's business day, every attendee dials one of ``hosts`` popular
-    users inside a single ``window_h``-hour window, concentrating load on
-    the hosts' corridors and (for ``multiparty`` legs) the entry PoPs'
-    TURN relays.  Callers are drawn uniformly world-wide — a webinar
-    audience ignores local time.
+    users inside a single ``window_h``-hour window on day 0, concentrating
+    load on the hosts' corridors and, every call being a multiparty leg of
+    :data:`WEBINAR_CALL_S`, the entry PoPs' TURN relays.  Callers are drawn
+    uniformly world-wide — a webinar audience ignores local time.
 
     Deterministic in ``seed``; returned calls are ordered by start time
     with sequential ids from ``first_call_id`` (pass the length of an
@@ -267,8 +267,8 @@ def flash_crowd_calls(
     Raises
     ------
     ValueError
-        For a non-positive attendee count/window/duration, or a host
-        count that is not in ``[1, len(population) - 1]``.
+        For a non-positive attendee count or window, or a host count
+        that is not in ``[1, len(population) - 1]``.
     """
     if attendees <= 0:
         raise ValueError(f"attendees must be positive, got {attendees!r}")
@@ -278,8 +278,6 @@ def flash_crowd_calls(
         )
     if window_h <= 0:
         raise ValueError(f"window_h must be positive, got {window_h!r}")
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s!r}")
     rng = np.random.default_rng(seed ^ 0xF1A5C0DE)
     users = population.users
     host_indices = rng.choice(len(users), size=hosts, replace=False)
@@ -293,7 +291,7 @@ def flash_crowd_calls(
         caller_index = int(caller_index)
         while caller_index in host_set:  # hosts don't dial in
             caller_index = (caller_index + 1) % len(users)
-        absolute = day * 24.0 + start_hour_cet + float(offset)
+        absolute = start_hour_cet + float(offset)
         specs.append(
             CallSpec(
                 call_id=first_call_id + slot,
@@ -301,8 +299,8 @@ def flash_crowd_calls(
                 callee=callee,
                 day=int(absolute // 24.0),
                 start_hour_cet=absolute % 24.0,
-                duration_s=duration_s,
-                multiparty=multiparty,
+                duration_s=WEBINAR_CALL_S,
+                multiparty=True,
             )
         )
     return specs

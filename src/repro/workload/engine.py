@@ -47,14 +47,14 @@ import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, ClassVar, Protocol
 
 import numpy as np
 
 from repro import perf
 from repro.dataplane.columnar import StreamColumns, simulate_table, spec_digest
 from repro.dataplane.path import DataPath
-from repro.dataplane.transmit import StreamResult
+from repro.dataplane.transmit import SLOT_S, StreamResult
 from repro.net.addressing import Prefix
 from repro.vns.network import EgressDecision
 from repro.vns.service import VideoNetworkService
@@ -103,18 +103,15 @@ class CampaignConfig:
         Drives all simulation draws, via per-group keying (see the
         module docstring; arrival randomness lives in the
         :class:`~repro.workload.arrivals.CallArrivalProcess`).
-    packets_per_second / slot_s:
-        Stream shape, as for
-        :func:`~repro.dataplane.transmit.simulate_stream`.
+
+    Every call's stream has the same shape, as for
+    :func:`~repro.dataplane.transmit.simulate_stream`: the class constants
+    ``packets_per_second`` (1080p video) and ``slot_s``.
     """
 
     seed: int = 0
-    packets_per_second: float = 420.0
-    slot_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.packets_per_second <= 0 or self.slot_s <= 0:
-            raise ValueError("packets_per_second and slot_s must be positive")
+    packets_per_second: ClassVar[float] = 420.0
+    slot_s: ClassVar[float] = SLOT_S
 
 
 #: A simulation-group signature: calls sharing one are exchangeable and
@@ -459,10 +456,10 @@ class CampaignRun:
             ]
         return row
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON: the full report plus the flat summary row."""
         payload = {"report": self.report.to_dict(), "row": self.to_row()}
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 @dataclass(slots=True)

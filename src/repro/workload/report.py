@@ -430,6 +430,6 @@ class CampaignReport:
             payload["steering"] = self.steering
         return payload
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """A stable serialisation: sorted keys, rounded floats."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -72,6 +72,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import perf
+from repro.dataplane.transmit import SLOT_S
 from repro.net.addressing import Prefix
 from repro.vns.frozen import is_frozen
 from repro.vns.service import VideoNetworkService
@@ -99,12 +100,11 @@ PHASES = ("resolve", "simulate", "aggregate")
 OVERHEAD_COLUMNS = ("warmup_s", "world_ship_s", "queue_wait_s")
 
 # Predicted-work model for shard balancing, in slot-equivalents (one
-# unit = simulating one 5 s slot).  Calibrated from the ``workload`` bench
+# unit = simulating one ``SLOT_S`` slot).  Calibrated from the ``workload`` bench
 # row on the medium world: a cold resolve_pair miss costs ~0.44 ms, a
 # simulated slot ~6.7 us, and per-call fixed work ~0.03 ms.
 COST_RESOLVE_MISS = 65.0
 COST_PER_CALL = 4.5
-DEFAULT_SLOT_S = 5.0
 
 #: Predicted campaign cost (slot-equivalents, ~6.7 us each) below which
 #: the auto shard count stays at one slice per worker: oversplitting a
@@ -335,19 +335,17 @@ class ShardedCampaignRun(CampaignRun):
 # --------------------------------------------------------------------- #
 
 
-def predicted_group_cost(
-    n_calls: int, total_duration_s: float, *, slot_s: float = DEFAULT_SLOT_S
-) -> float:
+def predicted_group_cost(n_calls: int, total_duration_s: float) -> float:
     """Predicted work of one pair group, in slot-equivalents.
 
     One cache-miss resolve per unique pair (``COST_RESOLVE_MISS``), a
     fixed per-call cost (``COST_PER_CALL``), and one unit per simulated
-    slot (``duration / slot_s``).  This — not raw duration — is what
+    slot (``duration / SLOT_S``).  This — not raw duration — is what
     :func:`partition_calls` balances; duration-only balancing left the
     2-worker medium run split 4.13 s / 2.28 s because resolve misses
     concentrate on whichever shard drew the most *unique* pairs.
     """
-    return COST_RESOLVE_MISS + COST_PER_CALL * n_calls + total_duration_s / slot_s
+    return COST_RESOLVE_MISS + COST_PER_CALL * n_calls + total_duration_s / SLOT_S
 
 
 @dataclass(slots=True)
@@ -386,14 +384,14 @@ class _PairIndex:
             durations[slot] += spec.duration_s
         return cls(keys, prefixes, positions, durations)
 
-    def costs(self, slot_s: float) -> list[float]:
+    def costs(self) -> list[float]:
         """:func:`predicted_group_cost` of each pair."""
         return [
-            predicted_group_cost(len(positions), duration, slot_s=slot_s)
+            predicted_group_cost(len(positions), duration)
             for positions, duration in zip(self.positions, self.durations)
         ]
 
-    def partition(self, n_shards: int, slot_s: float) -> list[list[int]]:
+    def partition(self, n_shards: int) -> list[list[int]]:
         """The pairs of each shard: at most ``n_shards`` non-empty lists.
 
         Greedy, largest predicted cost first, ties broken by the pair's
@@ -401,7 +399,7 @@ class _PairIndex:
         """
         if n_shards <= 1:
             return [list(range(len(self.keys)))] if self.keys else []
-        costs = self.costs(slot_s)
+        costs = self.costs()
         loads = [0.0] * n_shards
         members: list[list[int]] = [[] for _ in range(n_shards)]
         for pair in sorted(range(len(costs)), key=lambda i: (-costs[i], self.keys[i])):
@@ -428,9 +426,7 @@ def _warm_digest(pairs: "Iterable[tuple[object, object]]") -> str:
     return blake2b(text.encode("ascii"), digest_size=8).hexdigest()
 
 
-def partition_calls(
-    calls: list[CallSpec], n_shards: int, *, slot_s: float = DEFAULT_SLOT_S
-) -> list[list[CallSpec]]:
+def partition_calls(calls: list[CallSpec], n_shards: int) -> list[list[CallSpec]]:
     """Cut ``calls`` into at most ``n_shards`` group-preserving slices.
 
     All calls of one ``(src_prefix, dst_prefix)`` pair stay together —
@@ -444,14 +440,12 @@ def partition_calls(
     if n_shards <= 1 or len(calls) <= 1:
         return [list(calls)] if calls else []
     index = _PairIndex.of(calls)
-    return [index.slice_of(pairs, calls) for pairs in index.partition(n_shards, slot_s)]
+    return [index.slice_of(pairs, calls) for pairs in index.partition(n_shards)]
 
 
-def predicted_shard_cost(
-    calls: list[CallSpec], *, slot_s: float = DEFAULT_SLOT_S
-) -> float:
+def predicted_shard_cost(calls: list[CallSpec]) -> float:
     """Predicted work of one shard slice (sum over its pair groups)."""
-    return sum(_PairIndex.of(calls).costs(slot_s))
+    return sum(_PairIndex.of(calls).costs())
 
 
 def warmup_manifest(calls: list[CallSpec]) -> list[tuple[Prefix, Prefix]]:
@@ -804,16 +798,15 @@ class ShardedCampaignRunner:
             # One walk of the call list serves the shard count, the cut
             # and (on a pool) the warm-up manifest and its digest.
             pair_index = _PairIndex.of(calls)
-            slot_s = self.config.slot_s
             if (
                 self.plan.n_shards is None
                 and n_shards > self.plan.effective_workers
-                and sum(pair_index.costs(slot_s)) < STREAM_MIN_COST
+                and sum(pair_index.costs()) < STREAM_MIN_COST
             ):
                 # Auto-streaming clamp: oversplit only campaigns big
                 # enough to amortise the per-shard fixed costs.
                 n_shards = self.plan.effective_workers
-            shard_pairs = pair_index.partition(n_shards, slot_s)
+            shard_pairs = pair_index.partition(n_shards)
             slices = [pair_index.slice_of(pairs, calls) for pairs in shard_pairs]
         tasks = [
             ShardTask(

@@ -31,12 +31,8 @@ class TestAsPath:
         assert len(path) == 3
 
     def test_prepend_multiple(self):
-        path = AsPath((2,)).prepend(1, count=3)
+        path = AsPath((2,)).prepend(1).prepend(1).prepend(1)
         assert path.asns == (1, 1, 1, 2)
-
-    def test_prepend_zero_rejected(self):
-        with pytest.raises(ValueError):
-            AsPath().prepend(1, count=0)
 
     def test_first_hop_and_origin(self):
         path = AsPath((10, 20, 30))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bgp.attributes import NO_EXPORT, AsPath, Route
 from repro.bgp.policy import (
+    RELATIONSHIP_LOCAL_PREF,
     RelationshipExportPolicy,
     RelationshipImportPolicy,
     strip_ibgp_only_attributes,
@@ -61,10 +62,13 @@ class TestRelationshipImport:
         assert communities is original.communities
 
     def test_custom_pref_ladder(self):
-        policy = RelationshipImportPolicy(
-            RELATIONSHIPS, local_pref={r: 50 for r in Relationship}
-        )
-        assert policy.apply(route(), ebgp_session(300), 100)[0] == 50
+        # The ladder is RELATIONSHIP_LOCAL_PREF's, whatever the route carried.
+        policy = RelationshipImportPolicy(RELATIONSHIPS)
+        for asn, relationship in RELATIONSHIPS.items():
+            assert (
+                policy.apply(route(), ebgp_session(asn), 50)[0]
+                == RELATIONSHIP_LOCAL_PREF[relationship]
+            )
 
     def test_equal_tags_share_one_set(self):
         policy = RelationshipImportPolicy(RELATIONSHIPS)

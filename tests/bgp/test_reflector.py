@@ -65,13 +65,13 @@ class TestReflection:
         assert {m.receiver for m in out if isinstance(m, Update)} == {"rA"}
 
     def test_reflection_attributes_set(self):
-        rr = make_rr(cluster_id="cluster-1")
+        rr = make_rr()
         rr.add_session(client_session("rA"))
         rr.add_session(client_session("rB"))
         out = rr.process(update_from("rA", "rr1"))
         route = next(m.route for m in out if isinstance(m, Update))
         assert route.originator_id == "rA"
-        assert route.cluster_list == ("cluster-1",)
+        assert route.cluster_list == ("rr1",)  # the cluster id is the router id
 
     def test_next_hop_preserved(self):
         # A reflector must NOT set next-hop-self: clients need the real
@@ -85,7 +85,7 @@ class TestReflection:
         assert route.next_hop == "rA"
 
     def test_cluster_loop_rejected(self):
-        rr = make_rr(cluster_id="cluster-1")
+        rr = make_rr()
         rr.add_session(nonclient_session("rr2"))
         looped = Update(
             sender="rr2",
@@ -94,7 +94,7 @@ class TestReflection:
                 prefix=PFX,
                 as_path=AsPath((100,)),
                 next_hop="rX",
-                cluster_list=("cluster-1",),
+                cluster_list=("rr1",),
             ),
         )
         rr.process(looped)

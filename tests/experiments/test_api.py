@@ -11,7 +11,7 @@ class TestRunDispatch:
         assert isinstance(result, ExperimentResult)
 
     def test_fig6_through_the_api(self, small_world):
-        result = fig6_delay.run(small_world, max_origins=8)
+        result = fig6_delay.run(small_world)
         assert isinstance(result, ExperimentResult)
         assert result.render().startswith("Fig 6")
 
@@ -20,7 +20,7 @@ class TestRenderDelegation:
     def test_module_render_matches_result_render(self, small_world):
         result = campaign.run(small_world, n_users=40, days=1, seed=3)
         assert campaign.render(result) == result.render()
-        fig6 = fig6_delay.run(small_world, max_origins=8)
+        fig6 = fig6_delay.run(small_world)
         assert fig6_delay.render(fig6) == fig6.render()
 
     def test_failover_result_renders(self):

@@ -6,6 +6,7 @@ from repro.experiments import fig10_loss_nature, fig9_video_loss
 from repro.experiments.fig10_loss_nature import LossClass, classify
 from repro.experiments.fig9_video_loss import Fig9Result
 from repro.geo.regions import PopRegion
+from repro.measurement.stats import fraction_exceeding
 from repro.media.codec import PROFILE_1080P, PROFILE_720P
 
 
@@ -44,7 +45,8 @@ class TestFig9:
     def test_vns_nearly_never_above_1pct(self, fig9):
         for client in ("AMS", "SJS", "SYD"):
             for region in PopRegion:
-                assert fig9.fraction_over(client, region, "I", 1.0) < 0.02
+                values = fig9.campaign.loss_values(client, region, "I")
+                assert fraction_exceeding(values, 1.0) < 0.02
 
     def test_ccdf_accessor(self, fig9):
         ccdf = fig9.ccdf("AMS", PopRegion.AP, "T")

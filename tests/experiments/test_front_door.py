@@ -78,7 +78,7 @@ class TestPinnedDigests:
         assert digest(plain.report.to_json()) == DIGESTS[world.seed, "campaign"]
 
     def test_steering(self, world, comparison):
-        assert tuple(comparison.runs) == steering.DEFAULT_POLICIES
+        assert tuple(comparison.runs) == steering.POLICIES
         assert digest(comparison.to_json()) == DIGESTS[world.seed, "steering"]
 
     @pytest.mark.parametrize("name", canned_names())
@@ -110,7 +110,7 @@ class TestOneCampaignThroughEveryDoor:
         assert unsteered == plain.report.to_dict()
 
     def test_each_policy_is_the_spec_with_that_policy(self, world, comparison):
-        for name in steering.DEFAULT_POLICIES:
+        for name in steering.POLICIES:
             spec = ScenarioSpec(name="front-door", steering_policy=name, **FIELDS)
             through_spec = run_scenario(spec, base_world=world)
             assert (
@@ -120,7 +120,9 @@ class TestOneCampaignThroughEveryDoor:
 
 
 class TestBytesAreConserved:
-    """Projected corridor bytes == what the always-VNS campaign carried."""
+    """Projected corridor bytes == what the always-VNS campaign carried,
+    and every policy's report accounts for the bytes its calls were
+    offered and the bytes its offloads saved."""
 
     def test_projection_equals_backbone_bytes_under_always_vns(self, comparison):
         run = comparison.runs["always_vns"]
@@ -136,3 +138,32 @@ class TestBytesAreConserved:
         for (src, dst), planned in projected.items():
             pair = run.report.pairs[f"{src}->{dst}"]["steering"]
             assert pair["backbone_bytes"] == planned, (src, dst)
+
+    @pytest.mark.parametrize("policy", steering.POLICIES)
+    def test_offered_bytes_do_not_depend_on_the_policy(self, comparison, policy):
+        run = comparison.runs[policy]
+        projected = corridor_payload_bytes(list(run.results.specs), CampaignConfig())
+        assert run.report.steering["backbone_bytes"] == sum(projected.values())
+        assert int(run.results.backbone_bytes.sum()) == sum(projected.values())
+        for key, pair in run.report.pairs.items():
+            src, dst = key.split("->")
+            assert pair["steering"]["backbone_bytes"] == projected.get((src, dst), 0), key
+
+    @pytest.mark.parametrize("policy", steering.POLICIES)
+    def test_saved_bytes_are_the_offloaded_calls_bytes(self, comparison, policy):
+        run = comparison.runs[policy]
+        results = run.results
+        offloaded = [decision.offloaded for decision in results.decisions]
+        block = run.report.steering
+        assert block["offloaded_calls"] == sum(offloaded)
+        assert block["backbone_bytes_saved"] == int(results.backbone_bytes[offloaded].sum())
+        assert (block["backbone_bytes_saved"] == 0) == (block["offloaded_calls"] == 0)
+        # Per pair: the projection of the offloaded calls alone.
+        saved = corridor_payload_bytes(
+            [spec for spec, off in zip(results.specs, offloaded) if off], CampaignConfig()
+        )
+        for key, pair in run.report.pairs.items():
+            src, dst = key.split("->")
+            block = pair["steering"]
+            assert block["backbone_bytes_saved"] == saved.get((src, dst), 0), key
+            assert (block["backbone_bytes_saved"] == 0) == (block["offloaded_calls"] == 0), key

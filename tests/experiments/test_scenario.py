@@ -8,7 +8,7 @@ from repro.scenarios import ScenarioSpec
 
 class TestScenarioExperiment:
     def test_canned_scenario_by_name(self, small_world):
-        result = run(small_world, name="baseline", seed=5)
+        result = run(small_world, "baseline", seed=5)
         assert result.spec.name == "baseline"
         assert result.spec.seed == 5
         assert result.campaign.report.n_calls > 0
@@ -17,21 +17,19 @@ class TestScenarioExperiment:
 
     def test_spec_json_selects_the_scenario(self, small_world):
         spec = ScenarioSpec(name="adhoc", n_users=20, calls_per_user_day=1.0)
-        result = run(small_world, spec_json=spec.to_json())
+        result = run(small_world, ScenarioSpec.from_json(spec.to_json()))
         assert result.spec.name == "adhoc"
 
     def test_spec_scale_is_overridden_by_the_world(self, small_world):
         spec = ScenarioSpec(name="adhoc", n_users=20, calls_per_user_day=1.0)
         spec_json = spec.to_json().replace('"small"', '"large"')
-        result = run(small_world, spec_json=spec_json)
+        result = run(small_world, ScenarioSpec.from_json(spec_json))
         assert result.spec.world.scale == "small"
 
     def test_exactly_one_selector_required(self, small_world):
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(TypeError):
             run(small_world)
-        with pytest.raises(ValueError, match="exactly one"):
-            run(small_world, name="baseline", spec_json="{}")
 
     def test_unknown_name_lists_registry(self, small_world):
         with pytest.raises(KeyError, match="baseline"):
-            run(small_world, name="nope")
+            run(small_world, "nope")

@@ -21,7 +21,7 @@ def comparison(small_world):
 
 class TestSteeringExperiment:
     def test_runs_every_policy(self, comparison):
-        assert set(comparison.runs) == set(steering.DEFAULT_POLICIES)
+        assert set(comparison.runs) == set(steering.POLICIES)
         for name, campaign_run in comparison.runs.items():
             assert campaign_run.report.steering is not None
             assert campaign_run.report.steering["policy"] == name
@@ -59,12 +59,7 @@ class TestSteeringExperiment:
 
     @pytest.mark.slow
     def test_sharded_matches_sequential(self, small_world, comparison):
-        sharded = steering.run(
-            small_world,
-            **KWARGS,
-            policies=("threshold_offload",),
-            workers=2,
-        )
+        sharded = steering.run(small_world, **KWARGS, workers=2)
         assert (
             sharded.runs["threshold_offload"].report.to_json()
             == comparison.runs["threshold_offload"].report.to_json()
@@ -73,20 +68,19 @@ class TestSteeringExperiment:
     def test_to_json_is_stable_and_parseable(self, comparison):
         payload = json.loads(comparison.to_json())
         assert payload["seed"] == KWARGS["seed"]
-        assert set(payload["policies"]) == set(steering.DEFAULT_POLICIES)
+        assert set(payload["policies"]) == set(steering.POLICIES)
 
     def test_render_has_policy_rows(self, comparison):
         text = steering.render(comparison)
         assert "Steering policies" in text
-        for name in steering.DEFAULT_POLICIES:
+        for name in steering.POLICIES:
             assert name in text
         assert len(text.splitlines()) == 2 + len(comparison.runs)
 
-    def test_uniform_api_entry(self, small_world):
-        result = steering.run(small_world, policies=("always_vns",), **KWARGS)
-        assert isinstance(result, ExperimentResult)
-        assert result.report("always_vns")["offload_rate"] == 0.0
-        assert "Steering policies" in result.render()
+    def test_uniform_api_entry(self, comparison):
+        assert isinstance(comparison, ExperimentResult)
+        assert comparison.report("always_vns")["offload_rate"] == 0.0
+        assert "Steering policies" in comparison.render()
 
 
 @pytest.mark.slow
@@ -99,9 +93,9 @@ class TestSteeringPoolReuse:
         pool = small_world.campaign_pool()
         try:
             assert pool.workers == 2 and pool.started
-            assert pool.stats.runs == len(steering.DEFAULT_POLICIES) == 3
+            assert pool.stats.runs == len(steering.POLICIES) == 3
             assert not [w for w in recwarn if w.category is DeprecationWarning]
-            for name in steering.DEFAULT_POLICIES:
+            for name in steering.POLICIES:
                 assert (
                     pooled.runs[name].report.to_json()
                     == comparison.runs[name].report.to_json()

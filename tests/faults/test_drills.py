@@ -11,8 +11,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.recovery import DETECTION_S, DRILL_STREAM_S, Drill, run_drill
 from repro.scenarios.registry import canned_scenario
 
-LIMIT = 8
-
 #: Positions in :func:`canned_drills` (six long-haul cuts come first).
 SIN_SYD_CUT, POP_FAILURE, REGIONAL, FLAPPING, DEGRADATION = 5, 6, 7, 8, 9
 
@@ -27,7 +25,7 @@ def canned(fault_world):
 
 
 def run(world, drill):
-    return run_drill(world.service, drill_rng(), drill, prefix_limit=LIMIT)
+    return run_drill(world.service, drill_rng(), drill)
 
 
 class TestResolveCorridor:

@@ -58,5 +58,3 @@ class TestOverlayOutage:
         stream = clean_stream(120.0)
         with pytest.raises(ValueError):
             overlay_outage(stream, -1.0)
-        with pytest.raises(ValueError):
-            overlay_outage(stream, 1.0, slot_s=0.0)

@@ -39,21 +39,15 @@ class TestCountryCentroid:
             assert entry.error_km > 3000
 
     def test_fraction(self):
+        # The whole country collapses, whatever its size.
         db = make_db(n_ru=10)
-        affected = CountryCentroidError("RU", fraction=0.5).apply(
-            db, np.random.default_rng(0)
-        )
-        assert len(affected) == 5
+        russian = set(db.prefixes_in_country("RU"))
+        affected = CountryCentroidError("RU").apply(db, np.random.default_rng(0))
+        assert len(affected) == 10 and set(affected) == russian
 
     def test_unknown_country_needs_centroid(self):
         with pytest.raises(ValueError):
             CountryCentroidError("ZZ")
-
-    def test_explicit_centroid(self):
-        model = CountryCentroidError("ZZ", centroid=GeoPoint(0, 0))
-        db = make_db()
-        assert model.apply(db, np.random.default_rng(0)) == []
-
 
 class TestStaleWhois:
     def test_indian_prefixes_move_to_canada(self):

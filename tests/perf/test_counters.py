@@ -113,7 +113,8 @@ class TestPerfSnapshot:
     def _populated(self) -> perf.PerfSnapshot:
         perf.enable()
         perf.incr("events.seen", 3)
-        perf.add_time("phase.run", 2.0, calls=4, cpu_seconds=1.5)
+        for _ in range(4):
+            perf.add_time("phase.run", 0.5, cpu_seconds=0.375)
         return perf.snapshot()
 
     def test_snapshot_shape(self):

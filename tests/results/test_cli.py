@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import json
 
-from repro.results import ResultsStore, RunKey, record
+from repro.results import ResultsStore, RunKey
 from repro.results.__main__ import main
+
+
+def record_at(path, bench, payload, rev, stamp, *, seed=0, reports=None):
+    """One row in the store at ``path``, keyed by an explicit rev and time."""
+    key = RunKey(bench=bench, seed=seed, git_rev=rev, recorded_at=stamp)
+    with ResultsStore(path) as store:
+        store.record_run(key, payload, reports=reports)
 
 
 def record_rate(path, value, rev, stamp, extra=None):
     payload = {"scales": {"small": {"campaign": {"calls": value}}}}
     if extra:
         payload.update(extra)
-    record(
-        "workload", payload, store=path, rev=rev, recorded_at=stamp, seed=7
-    )
+    record_at(path, "workload", payload, rev, stamp, seed=7)
 
 
 class TestCheck:
@@ -40,8 +45,7 @@ class TestCheck:
             ("rev0", "2026-01-01T00:00:00Z", 100.0),
             ("rev1", "2026-01-02T00:00:00Z", 94.0),
         ):
-            record("demo", {"rate": value}, store=path, rev=rev,
-                   recorded_at=stamp)
+            record_at(path, "demo", {"rate": value}, rev, stamp)
         args = ["check", "--store", str(path), "--bench", "demo"]
         assert main([*args, "--metric", "+rate:0.1"]) == 0  # 6% drop < 10%
         assert main([*args, "--metric", "+rate:0.05"]) == 2
@@ -122,8 +126,8 @@ class TestHistoryCommands:
         """The CI store (seeded by import) answers like the recording one."""
         src, dst = tmp_path / "src.sqlite", tmp_path / "dst.sqlite"
         pairs = {"EU->NA": {"vns": {"delay_ms": {"p50": 80.0}}}}
-        record("workload", {"seed": 7}, store=src, rev="rev0",
-               recorded_at="2026-01-01T00:00:00Z", reports={"": {"pairs": pairs}})
+        record_at(src, "workload", {"seed": 7}, "rev0", "2026-01-01T00:00:00Z",
+                  reports={"": {"pairs": pairs}})
         history = tmp_path / "history.jsonl"
         assert main(["export", "--store", str(src), "--out", str(history)]) == 0
         assert main(["import", "--store", str(dst), str(history)]) == 0

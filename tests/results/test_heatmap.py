@@ -17,18 +17,18 @@ PAIRS = {
 
 class TestGrid:
     def test_values_and_axes(self):
-        grid = heatmap_from_pairs(PAIRS, metric="delay_ms.p50", transport="vns")
+        grid = heatmap_from_pairs(PAIRS, "delay_ms.p50", "vns")
         assert grid.srcs == ("AS", "EU")
         assert grid.dsts == ("AS", "EU")
         assert grid.value("EU", "EU") == 18.5
         assert grid.value("AS", "AS") is None  # sparse corridor
 
     def test_pair_level_metric_uses_empty_transport(self):
-        grid = heatmap_from_pairs(PAIRS, metric="calls", transport="")
+        grid = heatmap_from_pairs(PAIRS, "calls", "")
         assert grid.value("EU", "AS") == 3.0
 
     def test_render_text_grid(self):
-        grid = heatmap_from_pairs(PAIRS, metric="delay_ms.p50", transport="vns")
+        grid = heatmap_from_pairs(PAIRS, "delay_ms.p50", "vns")
         text = grid.render()
         lines = text.splitlines()
         assert "delay_ms.p50 (vns)" in lines[0]
@@ -37,12 +37,11 @@ class TestGrid:
         assert lines[3].split() == ["EU", "90.00", "18.50"]
 
     def test_csv_has_empty_cells_for_missing_corridors(self):
-        grid = heatmap_from_pairs(PAIRS, metric="delay_ms.p50", transport="vns")
-        csv = grid.to_csv(digits=2)
-        assert csv.splitlines() == [
+        grid = heatmap_from_pairs(PAIRS, "delay_ms.p50", "vns")
+        assert grid.to_csv().splitlines() == [
             "src,AS,EU",
-            "AS,,95.25",
-            "EU,90.00,18.50",
+            "AS,,95.250000",
+            "EU,90.000000,18.500000",
         ]
 
 
@@ -53,7 +52,7 @@ class TestStoreRoundTrip:
             {"seed": 0},
             reports={"": {"pairs": PAIRS}},
         )
-        direct = heatmap_from_pairs(PAIRS, metric="delay_ms.p50", transport="vns")
+        direct = heatmap_from_pairs(PAIRS, "delay_ms.p50", "vns")
         stored = heatmap_from_store(
             store, run_id, metric="delay_ms.p50", transport="vns"
         )

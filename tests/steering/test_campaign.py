@@ -56,9 +56,8 @@ def config():
 
 
 def _threshold_engine(health_table, config):
-    policy = make_policy(
-        "threshold_offload", rtt_delta_ms=RTT_DELTA_MS, loss_delta_pct=LOSS_DELTA_PCT
-    )
+    policy = make_policy("threshold_offload")
+    assert (policy.rtt_delta_ms, policy.loss_delta_pct) == (RTT_DELTA_MS, LOSS_DELTA_PCT)
     return SteeringEngine(health=health_table, policy=policy, seed=config.seed)
 
 

@@ -70,7 +70,7 @@ class TestHelpers:
 
     def test_make_policy_registry(self):
         assert make_policy("always_vns").name == "always_vns"
-        assert make_policy("threshold_offload", rtt_delta_ms=5.0).rtt_delta_ms == 5.0
+        assert make_policy("threshold_offload").rtt_delta_ms == 15.0
         with pytest.raises(KeyError):
             make_policy("nope")
 
@@ -89,10 +89,6 @@ class TestAlwaysVns:
 
 
 class TestThresholdOffload:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdOffloadPolicy(rtt_delta_ms=-1.0)
-
     def test_no_telemetry_stays_on_vns(self):
         decision = ThresholdOffloadPolicy().decide(_ctx(PathHealthTable()))
         assert decision.choice is PathChoice.VNS
@@ -100,12 +96,12 @@ class TestThresholdOffload:
 
     def test_loss_gate(self):
         table = _healthy_table(inet_loss=0.02)  # +1.9pp over VNS
-        decision = ThresholdOffloadPolicy(loss_delta_pct=0.25).decide(_ctx(table))
+        decision = ThresholdOffloadPolicy().decide(_ctx(table))
         assert decision.reason == "loss_gate"
 
     def test_probed_rtt_gate(self):
         table = _healthy_table(inet_rtt=140.0)
-        decision = ThresholdOffloadPolicy(rtt_delta_ms=15.0).decide(_ctx(table))
+        decision = ThresholdOffloadPolicy().decide(_ctx(table))
         assert decision.reason == "probed_rtt_gate"
 
     def test_offloads_comparable_call(self):
@@ -120,7 +116,7 @@ class TestThresholdOffload:
         # Corridor telemetry passes, but this call's own Internet path is
         # 40 ms worse — the per-call gate keeps it on VNS.
         candidates = PathCandidates(vns_rtt_ms=80.0, internet_rtt_ms=120.0)
-        decision = ThresholdOffloadPolicy(rtt_delta_ms=15.0).decide(
+        decision = ThresholdOffloadPolicy().decide(
             _ctx(_healthy_table(), candidates=candidates)
         )
         assert decision.choice is PathChoice.VNS
@@ -133,7 +129,7 @@ class TestThresholdOffload:
             detour_rtt_ms=90.0,
             detour_pop="AMS",
         )
-        decision = ThresholdOffloadPolicy(rtt_delta_ms=15.0).decide(
+        decision = ThresholdOffloadPolicy().decide(
             _ctx(_healthy_table(), candidates=candidates)
         )
         assert decision.choice is PathChoice.POP_DETOUR

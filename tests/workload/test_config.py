@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dataplane.transmit import SLOT_S
 from repro.workload import CampaignConfig, CampaignEngine
 from repro.workload.engine import group_digest, group_key
 
@@ -11,9 +12,11 @@ class TestCampaignConfig:
         config = CampaignConfig(seed=3)
         with pytest.raises(AttributeError):
             config.seed = 4
-        with pytest.raises(ValueError):
+        # The stream shape is a class constant, not a field.
+        assert (config.packets_per_second, config.slot_s) == (420.0, SLOT_S)
+        with pytest.raises(TypeError):
             CampaignConfig(packets_per_second=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             CampaignConfig(slot_s=-1.0)
 
     def test_engine_accepts_config(self, small_world):

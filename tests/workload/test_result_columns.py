@@ -70,8 +70,6 @@ def steering_engine(name, health_table, calls):
         matrix = corridor_payload_bytes(calls, CONFIG)
         policy = make_policy(name, budget_bytes=int(sum(matrix.values()) * 0.4))
         policy.prepare(matrix, health_table)
-    elif name == "threshold_offload":
-        policy = make_policy(name, rtt_delta_ms=15.0, loss_delta_pct=0.25)
     else:
         policy = make_policy(name)
     return SteeringEngine(health=health_table, policy=policy, seed=CONFIG.seed)

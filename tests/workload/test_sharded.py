@@ -141,7 +141,7 @@ class TestPairIndex:
     manifest and its digest; each must equal its per-call derivation."""
 
     @staticmethod
-    def reference_partition(calls, n_shards, slot_s=5.0):
+    def reference_partition(calls, n_shards):
         """The cut, derived call by call with text keys (the oracle)."""
         from repro.workload.sharded import predicted_group_cost
 
@@ -151,7 +151,7 @@ class TestPairIndex:
             buckets.setdefault(key, []).append(position)
             durations[key] = durations.get(key, 0.0) + spec.duration_s
         weights = {
-            key: predicted_group_cost(len(at), durations[key], slot_s=slot_s)
+            key: predicted_group_cost(len(at), durations[key])
             for key, at in buckets.items()
         }
         loads, members = [0.0] * n_shards, [[] for _ in range(n_shards)]
@@ -171,10 +171,10 @@ class TestPairIndex:
         index = _PairIndex.of(calls)
         for n_shards in (2, 3, 5):
             slices, weights = self.reference_partition(calls, n_shards)
-            shard_pairs = index.partition(n_shards, 5.0)
+            shard_pairs = index.partition(n_shards)
             assert [index.slice_of(pairs, calls) for pairs in shard_pairs] == slices
             assert partition_calls(calls, n_shards) == slices
-            assert sum(index.costs(5.0)) == sum(weights.values())
+            assert sum(index.costs()) == sum(weights.values())
             for pairs, slice_ in zip(shard_pairs, slices):
                 # A shard's manifest: its slice's unique pairs, sorted by text.
                 manifest, digest = index.manifest(pairs)
