@@ -53,7 +53,7 @@ def failover_world() -> World:
 def test_bench_failover_suite(benchmark, failover_world, show):
     # Zero ConvergenceError: run() raising would fail the test here.
     result = run_once(benchmark, failover.run, failover_world)
-    show(failover.render(result))
+    show(result.render())
 
     # --- shape assertions (ISSUE acceptance criteria) --------------------
     assert result.drills, "suite ran no drills"

@@ -32,8 +32,8 @@ def campaign(medium_world):
     )
 
 
-def test_bench_fig11_lastmile(benchmark, medium_world, campaign, show):
-    result = run_once(benchmark, fig11_lastmile.run, medium_world, data=campaign)
+def test_bench_fig11_lastmile(benchmark, campaign, show):
+    result = run_once(benchmark, fig11_lastmile.run, campaign)
     show(fig11_lastmile.render(result))
 
     # --- shape assertions -----------------------------------------------

@@ -33,8 +33,8 @@ def campaign(medium_world):
     )
 
 
-def test_bench_fig12_diurnal(benchmark, medium_world, campaign, show):
-    result = run_once(benchmark, fig12_diurnal.run, medium_world, data=campaign)
+def test_bench_fig12_diurnal(benchmark, campaign, show):
+    result = run_once(benchmark, fig12_diurnal.run, campaign)
     show(fig12_diurnal.render(result))
 
     # --- shape assertions -----------------------------------------------

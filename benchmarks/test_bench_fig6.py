@@ -12,7 +12,7 @@ from .conftest import record_row, run_once
 
 def test_bench_fig6_delay(benchmark, medium_world, show):
     result = run_once(benchmark, fig6_delay.run, medium_world)
-    show(fig6_delay.render(result))
+    show(result.render())
     record_row("fig6", **result.to_row())
 
     # --- shape assertions -----------------------------------------------

@@ -37,8 +37,8 @@ def campaign(medium_world):
     )
 
 
-def test_bench_table1_as_types(benchmark, medium_world, campaign, show):
-    result = run_once(benchmark, table1_astype.run, medium_world, data=campaign)
+def test_bench_table1_as_types(benchmark, campaign, show):
+    result = run_once(benchmark, table1_astype.run, campaign)
     show(table1_astype.render(result))
 
     # --- shape assertions -----------------------------------------------

@@ -45,7 +45,7 @@ def main() -> None:
         seed=7,
         workers=args.workers,
     )
-    print(campaign.render(run))
+    print(run.render())
     shards = getattr(run, "shards", None)
     if shards:
         # Calls per shard only: a wall clock would make the output differ

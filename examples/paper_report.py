@@ -4,7 +4,7 @@
 The full reproduction harness, end to end: builds the world(s), runs all
 ten figure experiments (Figs. 3-7, 9-12, Table 1) plus the sharded
 population campaign and the failover suite, and prints each one's rows
-(every module: ``run(world, ...)`` then ``render``).  This is
+(each module's ``run`` then its ``render``).  This is
 the same code the benchmarks time — here it runs at a smaller scale by
 default so the whole report takes a few minutes.
 
@@ -89,11 +89,11 @@ def main() -> None:
     )
     print(f"  observations: {len(data.observations)}")
     print()
-    print(fig11_lastmile.render(fig11_lastmile.run(world, data=data)))
+    print(fig11_lastmile.render(fig11_lastmile.run(data)))
     print()
-    print(table1_astype.render(table1_astype.run(world, data=data)))
+    print(table1_astype.render(table1_astype.run(data)))
     print()
-    print(fig12_diurnal.render(fig12_diurnal.run(world, data=data)))
+    print(fig12_diurnal.render(fig12_diurnal.run(data)))
 
     banner("Section 5 at scale — population campaign (sharded, 2 workers)")
     print(campaign.run(world, n_users=120, seed=7, workers=2).render())

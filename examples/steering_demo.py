@@ -45,7 +45,7 @@ def main() -> None:
         seed=7,
         workers=args.workers,
     )
-    print(steering.render(comparison))
+    print(comparison.render())
 
     # The telemetry the decisions ran on: per-corridor EWMAs on both
     # transports (all-day aggregates; the table also keeps 4 h buckets).

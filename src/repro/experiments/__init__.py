@@ -1,16 +1,18 @@
 """Experiment harness: one module per paper figure/table.
 
 Every module exposes a ``run(...)`` returning a structured result object
-holding exactly the series the corresponding figure plots, plus a
-``render(result)`` producing the rows as text.  ``repro.experiments.common``
-builds the shared simulation world at ``small`` (tests), ``medium``
-(benchmarks) or ``large`` scale.
+holding exactly the series the corresponding figure plots.
+``repro.experiments.common`` builds the shared simulation world at
+``small`` (tests), ``medium`` (benchmarks) or ``large`` scale.
 
-Call a module's ``run(world, ...)`` directly.  The campaign-style results
-(campaign, steering, scenario, failover, fig6) also implement
+Call a module's ``run(world, ...)`` directly; Fig. 11, Table 1 and
+Fig. 12 take the shared last-mile campaign instead
+(``run(run_lastmile_campaign(world, ...))``).  The campaign-style results
+(campaign, steering, failover, fig6) implement
 :class:`~repro.experiments.common.ExperimentResult` — ``render()`` /
 ``to_row()`` / ``to_json()``, the shape
-:func:`repro.results.record_experiment` ingests.
+:func:`repro.results.record_experiment` ingests; every other module
+renders its result with its own ``render(result)``.
 
 Experiment index (see DESIGN.md for the full mapping):
 

@@ -56,8 +56,3 @@ def run(
         multiparty_fraction=multiparty_fraction,
     )
     return compose_scenario(spec, world).run(workers=workers)
-
-
-def render(campaign: CampaignRun) -> str:
-    """The campaign summary as rows (one per directed region pair)."""
-    return campaign.render()

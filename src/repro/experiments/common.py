@@ -184,16 +184,21 @@ def experiment_rng(world: World, salt: int) -> np.random.Generator:
 
 @runtime_checkable
 class ExperimentResult(Protocol):
-    """What every experiment ``run`` returns: render, row, JSON.
+    """What ``run`` returns in campaign, steering, failover and Fig. 6:
+    render, row, JSON.
 
     Structurally typed — a result participates by growing the three
-    methods, no inheritance required.  The per-experiment result classes
+    methods, no inheritance required.  Those result classes
     (:class:`~repro.workload.engine.CampaignRun`,
-    :class:`~repro.experiments.failover.FailoverResult`, ...) keep their
+    :class:`~repro.experiments.steering.SteeringComparison`,
+    :class:`~repro.experiments.failover.FailoverResult`,
+    :class:`~repro.experiments.fig6_delay.Fig6Result`) keep their
     figure-specific accessors; these are the shapes shared drivers rely
     on: ``render()`` for ``examples/paper_report.py``, ``to_row()`` /
     ``to_json()`` for :func:`repro.results.record_experiment` (the row
-    becomes store metrics, the JSON the archived payload).
+    becomes store metrics, the JSON the archived payload).  The other
+    figure modules return plain series and render them with their
+    module's ``render(result)``.
     """
 
     def render(self) -> str:

@@ -147,8 +147,3 @@ def run(world: World, drills: tuple[Drill, ...] | None = None) -> FailoverResult
     return FailoverResult(
         [run_drill(service, rng, drill) for drill in drills or canned_drills(service)]
     )
-
-
-def render(result: FailoverResult) -> str:
-    """The failover summary as rows (delegates to the result)."""
-    return result.render()

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import World
-from repro.experiments.lastmile import (
-    LASTMILE_POPS,
-    LastMileData,
-    run_lastmile_campaign,
-)
+from repro.experiments.lastmile import LASTMILE_POPS, LastMileData
 from repro.geo.regions import LAST_MILE_STUDY_REGIONS, WorldRegion
 
 #: PoPs per probing region, in Fig. 11's x-axis order.
@@ -56,20 +51,8 @@ class Fig11Result:
         return self.loss("LON", WorldRegion.EUROPE) / other
 
 
-def run(
-    world: World,
-    *,
-    days: int = 1,
-    minutes_between_rounds: float = 60.0,
-    data: LastMileData | None = None,
-) -> Fig11Result:
-    """Run (or reuse) the campaign and aggregate the Fig. 11 averages."""
-    if data is None:
-        data = run_lastmile_campaign(
-            world,
-            days=days,
-            minutes_between_rounds=minutes_between_rounds,
-        )
+def run(data: LastMileData) -> Fig11Result:
+    """Aggregate the campaign's Fig. 11 averages."""
     result = Fig11Result(data=data)
     for pop_code in LASTMILE_POPS:
         for region in LAST_MILE_STUDY_REGIONS:

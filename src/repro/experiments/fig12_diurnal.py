@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.common import World
-from repro.experiments.lastmile import LastMileData, run_lastmile_campaign
+from repro.experiments.lastmile import LastMileData
 from repro.geo.regions import (
     LAST_MILE_STUDY_REGIONS,
     REGION_CODE,
@@ -69,20 +68,8 @@ class Fig12Result:
 VANTAGE = "SJS"
 
 
-def run(
-    world: World,
-    *,
-    days: int = 2,
-    minutes_between_rounds: float = 60.0,
-    data: LastMileData | None = None,
-) -> Fig12Result:
+def run(data: LastMileData) -> Fig12Result:
     """Aggregate lossy rounds per hour from the campaign data."""
-    if data is None:
-        data = run_lastmile_campaign(
-            world,
-            days=days,
-            minutes_between_rounds=minutes_between_rounds,
-        )
     result = Fig12Result(vantage=VANTAGE)
     for as_type in ASType:
         for region in LAST_MILE_STUDY_REGIONS:

@@ -99,8 +99,3 @@ def run(world: World) -> Fig6Result:
                 ping_vns.min_rtt_ms - ping_up.min_rtt_ms
             )
     return result
-
-
-def render(result: Fig6Result) -> str:
-    """Fig. 6 as rows (delegates to the result)."""
-    return result.render()

@@ -110,7 +110,6 @@ def run(
     n_users: int = 200,
     calls_per_user_day: float = 4.0,
     days: int = 1,
-    multiparty_fraction: float = 0.15,
     seed: int = 0,
     workers: int = 1,
 ) -> SteeringComparison:
@@ -129,7 +128,6 @@ def run(
         n_users=n_users,
         calls_per_user_day=calls_per_user_day,
         days=days,
-        multiparty_fraction=multiparty_fraction,
     )
     loaded = compose_scenario(spec, world)
     health = scenario_telemetry(world, seed)
@@ -144,8 +142,3 @@ def run(
         engine = scenario_steering(name, health, loaded.calls, loaded.config)
         comparison.runs[name] = replace(loaded, steering=engine).run(workers=workers)
     return comparison
-
-
-def render(comparison: SteeringComparison) -> str:
-    """The policy comparison as rows (one per policy)."""
-    return comparison.render()

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import World
-from repro.experiments.lastmile import LastMileData, run_lastmile_campaign
+from repro.experiments.lastmile import LastMileData
 from repro.geo.regions import REGION_CODE, WorldRegion
 from repro.net.asn import ASType
 
@@ -70,20 +69,8 @@ class Table1Result:
 VANTAGE = "AMS"
 
 
-def run(
-    world: World,
-    *,
-    days: int = 1,
-    minutes_between_rounds: float = 60.0,
-    data: LastMileData | None = None,
-) -> Table1Result:
+def run(data: LastMileData) -> Table1Result:
     """Aggregate the campaign's Amsterdam observations into Table 1."""
-    if data is None:
-        data = run_lastmile_campaign(
-            world,
-            days=days,
-            minutes_between_rounds=minutes_between_rounds,
-        )
     result = Table1Result(vantage=VANTAGE)
     for region in PAPER_TABLE1:
         for as_type in ASType:

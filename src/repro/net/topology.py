@@ -89,18 +89,13 @@ class PrefixAllocator:
         # Each block is a /20: 4096 of them per /8.
         self._next = FIRST_BLOCK << 4
 
-    def allocate(self, length: int = 20) -> Prefix:
-        """Allocate the next free prefix of the given length (>= /20)."""
-        if length < 20:
-            raise ValueError("allocator hands out /20 or longer prefixes")
+    def allocate(self) -> Prefix:
+        """Allocate the next free /20."""
         network = self._next << 12
         if network > 0xFFFFFFFF:
             raise RuntimeError("prefix space exhausted")
         self._next += 1
-        base = Prefix(network=network, length=20)
-        if length == 20:
-            return base
-        return base.subnets(length)[0]
+        return Prefix(network=network, length=20)
 
 
 @dataclass(slots=True)

@@ -13,7 +13,6 @@ from repro.perf.counters import (
     enable,
     incr,
     is_enabled,
-    report,
     reset,
     restore,
     snapshot,
@@ -28,7 +27,6 @@ __all__ = [
     "enable",
     "incr",
     "is_enabled",
-    "report",
     "reset",
     "restore",
     "snapshot",

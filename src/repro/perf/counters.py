@@ -8,7 +8,7 @@ test.  Enable around a region of interest, read a snapshot, and reset:
 
     perf.enable()
     world = build_world("medium")
-    print(perf.report())
+    print(perf.snapshot())
     perf.disable()
 
 Two probe flavours:
@@ -188,22 +188,3 @@ def restore(snap: PerfSnapshot) -> None:
     for name, entry in snap.timers.items():
         _timings[name] = [entry["calls"], entry["total_s"], entry["cpu_s"]]
 
-
-def report() -> str:
-    """A human-readable dump, counters then timers, sorted by name."""
-    lines = ["perf counters:"]
-    for name in sorted(_counts):
-        lines.append(f"  {name:<40} {_counts[name]:>12}")
-    if not _counts:
-        lines.append("  (none)")
-    lines.append("perf timers:")
-    for name in sorted(_timings):
-        calls, total, _cpu = _timings[name]
-        per_call = total / calls if calls else 0.0
-        lines.append(
-            f"  {name:<40} {int(calls):>8} calls  {total:>9.4f}s total"
-            f"  {per_call * 1e6:>9.1f}us/call"
-        )
-    if not _timings:
-        lines.append("  (none)")
-    return "\n".join(lines)

@@ -4,9 +4,9 @@ Every campaign, steering comparison and bench run lands in one sqlite
 store so numbers compare across commits, seeds, scales and scenarios:
 
 * :func:`record` — the single write path: one call, one store row
-  keyed by ``(git_rev, bench, scenario, scale, seed, policy,
-  recorded_at)``, holding the payload plus any per-pair ``reports`` and
-  ``perf`` snapshot as canonical JSON;
+  keyed by ``(git_rev, bench, scale, seed, recorded_at)``, holding the
+  payload plus any per-pair ``reports`` and ``perf`` snapshot as
+  canonical JSON;
 * :class:`ResultsStore` — the store itself: :meth:`~ResultsStore.metrics`,
   :meth:`~ResultsStore.pair_metrics` and :meth:`~ResultsStore.perf_rows`
   are views computed from the row on read,

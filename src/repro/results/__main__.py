@@ -134,12 +134,7 @@ def cmd_list(args: argparse.Namespace) -> int:
             key = row.key
             detail = ", ".join(
                 f"{name}={value}"
-                for name, value in (
-                    ("scenario", key.scenario),
-                    ("scale", key.scale),
-                    ("seed", key.seed),
-                    ("policy", key.policy),
-                )
+                for name, value in (("scale", key.scale), ("seed", key.seed))
                 if value not in ("", 0)
             )
             print(

@@ -2,9 +2,9 @@
 
 Every bench module and experiment driver records through here: one
 call writes one row in the persistent sqlite store, keyed by
-``(git_rev, bench, scenario, scale, seed, policy, recorded_at)``.  The
-row is the only form a result is written in; the committed baseline is
-the store's JSONL export (``benchmarks/results/history.jsonl``).
+``(git_rev, bench, scale, seed, recorded_at)``.  The row is the only
+form a result is written in; the committed baseline is the store's JSONL
+export (``benchmarks/results/history.jsonl``).
 
 The default store lives at the repo root (``BENCH_results.sqlite``,
 gitignored; CI uploads it as an artifact) and can be redirected with
@@ -190,7 +190,7 @@ def record_experiment(
     its ``to_json()`` becomes the payload (so the stored row re-exports
     byte-stably) and its flat ``to_row()`` columns are merged in under
     ``"row"`` if the payload does not already carry them.  ``key_fields``
-    pass through to :func:`record` (``scenario=``, ``scale=``, ...).
+    pass through to :func:`record` (``scale=``, ``seed=``).
     """
     payload = json.loads(result.to_json())  # type: ignore[attr-defined]
     if "row" not in payload:

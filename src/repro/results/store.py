@@ -1,8 +1,8 @@
 """The sqlite-backed persistent results store.
 
 One store file accumulates every bench, campaign and experiment row the
-repo produces, keyed by ``(git_rev, bench, scenario, scale, seed,
-policy, recorded_at)``.  Stdlib-only (``sqlite3`` + ``json``).
+repo produces, keyed by ``(git_rev, bench, scale, seed, recorded_at)``.
+Stdlib-only (``sqlite3`` + ``json``).
 
 The row is the record
 ---------------------
@@ -54,7 +54,7 @@ REGRESSION_RTOL = 0.25
 
 #: Bumped with every table-layout change; a store file carrying another
 #: version refuses to open (:class:`StoreSchemaError`).
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 #: One transaction, so a concurrent opener sees no tables or all of it.
 _SCHEMA = f"""
@@ -66,10 +66,8 @@ CREATE TABLE IF NOT EXISTS meta (
 CREATE TABLE IF NOT EXISTS runs (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,
     bench       TEXT NOT NULL,
-    scenario    TEXT NOT NULL DEFAULT '',
     scale       TEXT NOT NULL DEFAULT '',
     seed        INTEGER NOT NULL DEFAULT 0,
-    policy      TEXT NOT NULL DEFAULT '',
     git_rev     TEXT NOT NULL,
     recorded_at TEXT NOT NULL,
     payload     TEXT NOT NULL,
@@ -92,10 +90,8 @@ class RunKey:
     """The identity of one recorded run."""
 
     bench: str
-    scenario: str = ""
     scale: str = ""
     seed: int = 0
-    policy: str = ""
     git_rev: str = "unknown"
     recorded_at: str = ""
 
@@ -109,7 +105,7 @@ class RunKey:
 _RUN_COLUMNS = ", ".join(
     [*(field.name for field in fields(RunKey)), "payload", "reports", "perf"]
 )
-_INSERT_RUN = f"INSERT INTO runs ({_RUN_COLUMNS}) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+_INSERT_RUN = f"INSERT INTO runs ({_RUN_COLUMNS}) VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
 
 
 @dataclass(frozen=True, slots=True)

@@ -443,13 +443,11 @@ def compose_scenario(
     )
 
 
-def run_scenario(
-    spec: ScenarioSpec, *, base_world: World | None = None, workers: int = 1
-) -> CampaignRun:
-    """Load, run, and restore in one call (the common case)."""
+def run_scenario(spec: ScenarioSpec, *, base_world: World | None = None) -> CampaignRun:
+    """Load, run in this process, and restore in one call (the common case)."""
     loaded = load_scenario(spec, base_world=base_world)
     try:
-        return loaded.run(workers=workers)
+        return loaded.run()
     finally:
         loaded.restore()
         if base_world is None:

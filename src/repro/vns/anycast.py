@@ -77,7 +77,3 @@ class AnycastResolver:
         """Just the entry PoP (see :meth:`entry_path`)."""
         resolved = self.entry_path(user_asn, user_location)
         return None if resolved is None else resolved[0]
-
-    def nearest_pop(self, location: GeoPoint) -> PoP:
-        """The geographically ideal entry (for catchment comparisons)."""
-        return nearest_pop(location)

@@ -17,16 +17,8 @@ class TestRunDispatch:
 
 
 class TestRenderDelegation:
-    def test_module_render_matches_result_render(self, small_world):
-        result = campaign.run(small_world, n_users=40, days=1, seed=3)
-        assert campaign.render(result) == result.render()
-        fig6 = fig6_delay.run(small_world)
-        assert fig6_delay.render(fig6) == fig6.render()
-
     def test_failover_result_renders(self):
         # Render path only: an empty suite still produces the header rows.
-        from repro.experiments.failover import FailoverResult, render
+        from repro.experiments.failover import FailoverResult
 
-        result = FailoverResult()
-        assert render(result) == result.render()
-        assert result.render().startswith("Failover")
+        assert FailoverResult().render().startswith("Failover")

@@ -24,7 +24,7 @@ class TestCampaignExperiment:
         assert again.report.to_json() == result.report.to_json()
 
     def test_render_has_corridor_rows(self, result):
-        text = campaign.render(result)
+        text = result.render()
         assert "Campaign" in text
         assert "path-cache hit rate" in text
         # One row per directed region pair present in the report.

@@ -43,7 +43,7 @@ class TestFig6:
         assert sin >= ams - 0.05
 
     def test_render(self, fig6):
-        assert "SIN" in fig6_delay.render(fig6)
+        assert "SIN" in fig6.render()
 
 
 class TestFig7:

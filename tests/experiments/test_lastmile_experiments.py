@@ -12,18 +12,18 @@ NA = WorldRegion.NORTH_CENTRAL_AMERICA
 
 
 @pytest.fixture(scope="module")
-def fig11(small_world, lastmile_data):
-    return fig11_lastmile.run(small_world, data=lastmile_data)
+def fig11(lastmile_data):
+    return fig11_lastmile.run(lastmile_data)
 
 
 @pytest.fixture(scope="module")
-def table1(small_world, lastmile_data):
-    return table1_astype.run(small_world, data=lastmile_data)
+def table1(lastmile_data):
+    return table1_astype.run(lastmile_data)
 
 
 @pytest.fixture(scope="module")
-def fig12(small_world, lastmile_data):
-    return fig12_diurnal.run(small_world, data=lastmile_data)
+def fig12(lastmile_data):
+    return fig12_diurnal.run(lastmile_data)
 
 
 class TestFig11:

@@ -25,7 +25,6 @@ class TestProtocol:
     def test_known_result_classes_carry_the_contract(self):
         from repro.experiments.failover import FailoverResult
         from repro.experiments.fig6_delay import Fig6Result
-        from repro.experiments.scenario import ScenarioRun
         from repro.experiments.steering import SteeringComparison
         from repro.workload.sharded import ShardedCampaignRun
 
@@ -34,7 +33,6 @@ class TestProtocol:
             ShardedCampaignRun,
             FailoverResult,
             Fig6Result,
-            ScenarioRun,
             SteeringComparison,
         ):
             for method in ("render", "to_row", "to_json"):

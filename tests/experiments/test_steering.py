@@ -71,7 +71,7 @@ class TestSteeringExperiment:
         assert set(payload["policies"]) == set(steering.POLICIES)
 
     def test_render_has_policy_rows(self, comparison):
-        text = steering.render(comparison)
+        text = comparison.render()
         assert "Steering policies" in text
         for name in steering.POLICIES:
             assert name in text

@@ -1,7 +1,6 @@
 """Unit tests for the synthetic Internet generator."""
 
 import numpy as np
-import pytest
 
 from repro.geo.regions import WorldRegion
 from repro.net.asn import ASType
@@ -19,14 +18,6 @@ class TestPrefixAllocator:
 
     def test_length_default_20(self):
         assert PrefixAllocator().allocate().length == 20
-
-    def test_longer_allocation(self):
-        prefix = PrefixAllocator().allocate(24)
-        assert prefix.length == 24
-
-    def test_shorter_rejected(self):
-        with pytest.raises(ValueError):
-            PrefixAllocator().allocate(16)
 
 
 class TestGeneration:

@@ -100,14 +100,6 @@ class TestWiring:
         assert perf.counter("geo.assign.calls") == 2
         assert perf.counter("geo.assign.memo_hits") == 1
 
-    def test_report_renders(self):
-        perf.enable()
-        perf.incr("a.b", 3)
-        with perf.timer("c.d"):
-            pass
-        text = perf.report()
-        assert "a.b" in text and "c.d" in text
-
 
 class TestPerfSnapshot:
     def _populated(self) -> perf.PerfSnapshot:

@@ -53,10 +53,8 @@ class TestRecordRun:
     def test_round_trip_key_and_payload(self, store):
         key = RunKey(
             bench="demo",
-            scenario="baseline",
             scale="small",
             seed=7,
-            policy="threshold",
             git_rev="abc1234",
             recorded_at="2026-08-07T00:00:00Z",
         )

@@ -3,13 +3,21 @@ outside ``tests/``.
 
 The scan parses the package with :mod:`ast` and lists each public
 (non-underscore, non-dunder) function, class, method and property.  A
-definition is reached when its name is referenced by program code: a
-``Name``, an ``Attribute``, an import alias or a name inside a string
-annotation, anywhere in ``src/`` (outside its own definition and the
-package ``__init__`` re-exports), ``examples/``, ``benchmarks/`` or
-``bench_e2e/``.  Matching is by name, so a method counts as reached when
-any attribute of that name is read: the check catches what nothing could
-call, not what nothing happens to call.
+definition is reached when program code references it: a ``Name``, an
+``Attribute``, an import or a name inside a string annotation, anywhere
+in ``src/`` (outside its own definition and the package ``__init__``
+re-exports), ``examples/``, ``benchmarks/`` or ``bench_e2e/``.
+
+A module-level function or class is reached only through its own module:
+the scan resolves each file's imports, ``module.name`` chains and package
+re-exports, so ``from repro.experiments import steering;
+steering.run(...)`` reaches ``experiments.steering:run`` and no other
+``run``, and a function parameter or local named like an import shadows
+it.  Everything else — a method, an attribute of an instance, ``cls``,
+``super().__init__``, a module-level alias of a method — is matched by
+name, so a method counts as reached when any attribute of that name is
+read: the check catches what nothing could call, not what nothing happens
+to call.
 
 A definition that only tests reach is dead code unless a test uses it to
 check *other* code (an oracle, or a reader of another layer's state):
@@ -20,7 +28,7 @@ constructor, or a defaulted field of a public frozen dataclass (a
 ``ClassVar`` is a constant, not a field).  Mutable dataclasses that
 accumulate state (``CampaignStats``, ``PairAccumulator``, ...) are out of
 scope: their defaults are starting values, not settings.  The same program
-code, matched by callee name, must set each option — by keyword, by
+code, resolved the same way, must set each option — by keyword, by
 position, through an import or module-level alias
 (``intern_segment = LOSS_TABLE.intern``), after a function reference it
 hands on (``run_once(benchmark, fig3_precision.run, world,
@@ -35,6 +43,7 @@ the second value.
 from __future__ import annotations
 
 import ast
+from collections.abc import Collection
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +73,7 @@ KEPT_FOR_TESTS: dict[str, str] = {
     "link_is_up": "tests/faults/test_injector.py and tests/vns/test_frozen.py read link state",
     "corridors": "tests/steering/test_telemetry.py reads what the probe rounds filled",
     "perf_rows": "tests/results/test_store.py reads back the perf snapshot record_run wrote",
+    "counter": "tests/integration/test_bgp_incremental.py reads the decision counts a converge made",
     "ccdf": "tests/experiments/test_fig9_fig10.py reads Fig. 9's per-corridor loss CCDF",
 }
 
@@ -80,6 +90,12 @@ KEPT_OPTIONS: dict[str, str] = {
         "tests/workload/test_sharded.py: k in-process shards must reduce to the sequential report"
     ),
     "results.__main__:main(argv=)": "tests/results/test_cli.py drives the CLI in-process",
+    "scenarios.loader:run_scenario(base_world=)": (
+        "tests/experiments/test_front_door.py: a spec run on the experiment's world equals its door"
+    ),
+    "experiments.failover:run(drills=)": (
+        "tests/faults/test_drills.py: the suite runs the drills it is given, in order"
+    ),
 }
 
 
@@ -89,6 +105,19 @@ def _py_files(root: Path) -> list[Path]:
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), str(path))
+
+
+def _label(path: Path) -> str:
+    """A package file's module name relative to the package
+    (``experiments.steering``)."""
+    return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+
+
+def _program() -> tuple[dict[str, str], list[str]]:
+    """The package's sources by module name, and every caller's source."""
+    package = {_label(path): path.read_text() for path in _py_files(PACKAGE)}
+    callers = [path.read_text() for folder in CALLER_DIRS for path in _py_files(ROOT / folder)]
+    return package, callers
 
 
 def _definitions(tree: ast.Module) -> list[ast.AST]:
@@ -104,92 +133,95 @@ def _definitions(tree: ast.Module) -> list[ast.AST]:
     return found
 
 
-def _annotation_names(annotation: ast.AST | None) -> list[str]:
-    """Names inside the string parts of an annotation."""
-    names: list[str] = []
-    for node in ast.walk(annotation) if annotation is not None else ():
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                parsed = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            names.extend(name for name, _ in _references(parsed))
+def _name_of(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+# -- resolving names -------------------------------------------------------
+
+
+class _Bindings:
+    """What one file's names are bound to: an import's dotted target
+    (``steering`` -> ``repro.experiments.steering``), the file's own
+    module-level definitions, and module-level ``alias = module.function``."""
+
+    def __init__(self, dotted: str, tree: ast.Module) -> None:
+        self.targets: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    head = alias.name.partition(".")[0]
+                    self.targets[alias.asname or head] = alias.name if alias.asname else head
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                for alias in node.names:
+                    self.targets[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        self.defined = {node.name for node in tree.body if isinstance(node, _DEFS)}
+        self.targets.update((name, f"{dotted}.{name}") for name in self.defined)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], self.dotted(node.value)
+                if isinstance(target, ast.Name) and value is not None:
+                    self.targets[target.id] = value
+
+    def dotted(self, node: ast.AST, local: Collection[str] = ()) -> str | None:
+        """The dotted target of a name or attribute chain; None when it
+        starts from a name ``local`` to the enclosing function, or from one
+        the file never binds."""
+        if isinstance(node, ast.Attribute):
+            base = self.dotted(node.value, local)
+            return None if base is None else f"{base}.{node.attr}"
+        if isinstance(node, ast.Name) and node.id not in local:
+            return self.targets.get(node.id)
+        return None
+
+
+class _Package:
+    """The scanned files by module name; finds the module-level definition
+    a dotted target names, through package re-exports
+    (``repro.experiments.build_world`` is ``experiments.common:build_world``)."""
+
+    def __init__(self, trees: dict[str, ast.Module]) -> None:
+        self.modules: dict[str, str] = {}  # importable dotted name -> module
+        self.bindings: dict[str, _Bindings] = {}
+        for label, tree in trees.items():
+            stem = label.removesuffix("__init__").rstrip(".")
+            dotted = f"{PACKAGE.name}.{stem}".rstrip(".")
+            self.modules[dotted] = self.modules[stem or dotted] = label
+            self.bindings[label] = _Bindings(dotted, tree)
+
+    def definition(self, target: str | None) -> str | None:
+        """``module:name`` when ``target`` names a module-level definition."""
+        for _ in self.modules:  # a chain of re-exports, never a cycle
+            module, _, name = (target or "").rpartition(".")
+            label = self.modules.get(module)
+            if label is None:
+                return None
+            if name in self.bindings[label].defined:
+                return f"{label}:{name}"
+            target = self.bindings[label].targets.get(name)
+        return None
+
+
+def _local_names(function: ast.FunctionDef) -> set[str]:
+    """A function's parameters and the names it (or what it nests) assigns."""
+    args = function.args
+    every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+    names = {arg.arg for arg in every if arg is not None}
+    names.update(
+        node.id
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+    )
     return names
 
 
-def _references(tree: ast.AST) -> list[tuple[str, frozenset[int]]]:
-    """``(name, ids of the definitions enclosing the reference)`` for every
-    name ``tree`` references."""
-    refs: list[tuple[str, frozenset[int]]] = []
-    stack: list[tuple[ast.AST, frozenset[int]]] = [(tree, frozenset())]
-    while stack:
-        node, inside = stack.pop()
-        names: list[str] = []
-        if isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.alias):
-            names = [node.name.rsplit(".", 1)[-1]]
-        elif isinstance(node, (ast.arg, ast.AnnAssign)):
-            names = _annotation_names(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names = _annotation_names(node.returns)
-        refs.extend((name, inside) for name in names)
-        if isinstance(node, _DEFS):
-            inside = inside | {id(node)}
-        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
-    return refs
-
-
-def _src_references(path: Path, tree: ast.Module) -> list[tuple[str, frozenset[int]]]:
-    """A source file's references; a package ``__init__``'s imports are
-    re-exports, not callers."""
-    if path.name == "__init__.py":
-        body = [n for n in tree.body if not isinstance(n, (ast.Import, ast.ImportFrom))]
-        tree = ast.Module(body=body, type_ignores=[])
-    return _references(tree)
-
-
-def uncalled_public_names() -> list[str]:
-    """``module:name (line n)`` for each public definition nothing outside
-    tests references, sorted."""
-    reached = {
-        name
-        for folder in CALLER_DIRS
-        for path in _py_files(ROOT / folder)
-        for name, _ in _references(_parse(path))
-    }
-    trees = {path: _parse(path) for path in _py_files(PACKAGE)}
-    refs = {path: _src_references(path, tree) for path, tree in trees.items()}
-    # name -> the source files referencing it
-    files_naming: dict[str, set[Path]] = {}
-    for path, file_refs in refs.items():
-        for name, _ in file_refs:
-            files_naming.setdefault(name, set()).add(path)
-
-    missing: list[str] = []
-    for path, tree in trees.items():
-        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
-        for definition in _definitions(tree):
-            name = definition.name  # type: ignore[attr-defined]
-            if name in reached or name in KEPT_FOR_TESTS:
-                continue
-            if files_naming.get(name, set()) - {path}:
-                continue
-            # Only this file names it: a reference outside its own body.
-            if any(n == name and id(definition) not in inside for n, inside in refs[path]):
-                continue
-            missing.append(f"{module}:{name} (line {definition.lineno})")
-    return sorted(missing)
-
-
-# -- keyword options -------------------------------------------------------
-
-
 class _Passed:
-    """What program code passes to each callable, keyed by the callee's name
-    (a function or method name, or a class name for its constructor)."""
+    """What program code passes to each callable, keyed as :class:`_FileScan`
+    keys a callee (``module:name``, or a method's or alias's bare name)."""
 
     def __init__(self) -> None:
         self.keywords: dict[str, set[str]] = {}
@@ -238,47 +270,104 @@ class _Passed:
                 changed |= before != after
 
 
-def _name_of(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+#: The function a scan is inside: (node, its key, (owner class, its key)).
+_Scope = tuple[ast.FunctionDef, str, "tuple[ast.ClassDef, str] | None"]
 
 
-def _owner_key(function: ast.FunctionDef, owner: ast.ClassDef | None) -> str:
-    """The name a caller of ``function`` calls it by."""
-    if function.name == "__init__" and owner is not None:
-        return owner.name
-    return function.name
+class _FileScan(ast.NodeVisitor):
+    """One file's references and calls, each keyed as its target's
+    definition and options are: ``module:name`` when the expression
+    resolves to a module-level definition, the bare name otherwise (a
+    method, an instance's attribute, a local, another package's name)."""
 
-
-class _CallScan(ast.NodeVisitor):
-    """Records every call's arguments into a :class:`_Passed`."""
-
-    def __init__(self, passed: _Passed) -> None:
+    def __init__(self, package: _Package, label: str, passed: _Passed) -> None:
+        self.package = package
+        self.label = label
+        self.bindings = package.bindings[label]
         self.passed = passed
-        self.scopes: list[tuple[ast.FunctionDef, ast.ClassDef | None]] = []
-        self.classes: list[ast.ClassDef] = []
+        #: (key, ids of the definitions enclosing the reference)
+        self.references: list[tuple[str, frozenset[int]]] = []
+        self.inside: frozenset[int] = frozenset()
+        self.local: frozenset[str] = frozenset()
+        self.function: _Scope | None = None
+        self.classes: list[tuple[ast.ClassDef, str]] = []
+
+    def key(self, node: ast.AST) -> str | None:
+        definition = self.package.definition(self.bindings.dotted(node, self.local))
+        return definition or _name_of(node)
+
+    def own_key(self, node: ast.FunctionDef | ast.ClassDef) -> str:
+        if self.function is None and not self.classes:
+            return f"{self.label}:{node.name}"
+        return node.name
+
+    def refer(self, key: str | None) -> None:
+        if key is not None:
+            self.references.append((key, self.inside))
+
+    def annotate(self, annotation: ast.AST | None) -> None:
+        """Refer to the names inside the string parts of an annotation."""
+        for node in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                for inner in ast.walk(parsed):
+                    if isinstance(inner, (ast.Name, ast.Attribute)):
+                        self.refer(self.key(inner))
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.refer(self.key(node))
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.refer(self.key(node))
+        self.generic_visit(node)
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            self.refer(alias.name.rpartition(".")[2])
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            target = f"{node.module}.{alias.name}" if node.module and not node.level else None
+            self.refer(self.package.definition(target) or alias.name)
+
+    def visit_arg(self, node: ast.arg | ast.AnnAssign) -> None:
+        self.annotate(node.annotation)
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_arg  # type: ignore[assignment]
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.classes.append(node)
+        key = self.own_key(node)
+        if not any(isinstance(n, ast.FunctionDef) and n.name == "__init__" for n in node.body):
+            for base in node.bases:
+                if (base_key := self.key(base)) is not None:
+                    self.passed.inherits.add((key, base_key))
+        self.classes.append((node, key))
+        saved, self.inside = self.inside, self.inside | {id(node)}
         self.generic_visit(node)
+        self.inside = saved
         self.classes.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.scopes.append((node, self.classes[-1] if self.classes else None))
-        saved, self.classes = self.classes, []
+        owner = self.classes[-1] if self.classes else None
+        key = owner[1] if owner and node.name == "__init__" else self.own_key(node)
+        self.annotate(node.returns)
+        saved = (self.function, self.classes, self.local, self.inside)
+        self.function, self.classes = (node, key, owner), []
+        self.local = self.local | _local_names(node)
+        self.inside = self.inside | {id(node)}
         self.generic_visit(node)
-        self.classes = saved
-        self.scopes.pop()
+        self.function, self.classes, self.local, self.inside = saved
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
     def _callees(self, func: ast.AST) -> list[str]:
-        function, owner = self.scopes[-1] if self.scopes else (None, None)
+        owner = self.function[2] if self.function else None
         if isinstance(func, ast.Name) and func.id == "cls" and owner is not None:
-            return [owner.name]  # ``cls(**kwargs)`` builds the owner
+            return [owner[1]]  # ``cls(**kwargs)`` builds the owner
         if (
             isinstance(func, ast.Attribute)
             and func.attr == "__init__"
@@ -286,13 +375,13 @@ class _CallScan(ast.NodeVisitor):
             and _name_of(func.value.func) == "super"
             and owner is not None
         ):
-            return [name for base in owner.bases if (name := _name_of(base))]
-        name = _name_of(func)
-        return [name] if name is not None else []
+            return [key for base in owner[0].bases if (key := self.key(base))]
+        key = self.key(func)
+        return [key] if key is not None else []
 
     def visit_Call(self, node: ast.Call) -> None:
         self.generic_visit(node)
-        function, owner = self.scopes[-1] if self.scopes else (None, None)
+        function, function_key, _ = self.function or (None, "", None)
         own_kwarg = function.args.kwarg.arg if function and function.args.kwarg else None
         own_vararg = function.args.vararg.arg if function and function.args.vararg else None
         keywords = [k.arg for k in node.keywords if k.arg is not None]
@@ -308,15 +397,66 @@ class _CallScan(ast.NodeVisitor):
             self.passed.add(callee, n_positional, keywords)
             for mapping in (k.value for k in node.keywords if k.arg is None):
                 if isinstance(mapping, ast.Name) and mapping.id == own_kwarg and function:
-                    self.passed.keyword_forwards.add((_owner_key(function, owner), callee))
+                    self.passed.keyword_forwards.add((function_key, callee))
                 else:
                     self.passed.everything.add(callee)
         # ``run_once(benchmark, fig3_precision.run, world, max_prefixes=400)``:
         # what follows a function reference is passed to that function.
         for index, arg in enumerate(node.args):
-            referenced = _name_of(arg)
+            referenced = self.key(arg)
             if referenced is not None:
                 self.passed.add(referenced, max(n_positional - index - 1, 0), keywords)
+
+
+def _scan(
+    package: dict[str, ast.Module], callers: list[ast.Module], passed: _Passed
+) -> dict[str, _FileScan]:
+    """Scan the package's modules (by module name) and the callers
+    (``<caller i>``) against one another.  A package ``__init__``'s imports
+    are re-exports: names resolve through them, but they reference nothing."""
+    trees = {**package, **{f"<caller {i}>": tree for i, tree in enumerate(callers)}}
+    resolver = _Package(trees)
+    scans: dict[str, _FileScan] = {}
+    for label, tree in trees.items():
+        if label.endswith("__init__"):
+            body = [n for n in tree.body if not isinstance(n, (ast.Import, ast.ImportFrom))]
+            tree = ast.Module(body=body, type_ignores=[])
+        scans[label] = _FileScan(resolver, label, passed)
+        scans[label].visit(tree)
+    return scans
+
+
+def uncalled_public_names_in(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``module:name (line n)`` for each public definition in ``package``
+    (module name -> source) that no code in ``package`` or ``callers``
+    (sources) references outside the definition's own body, sorted."""
+    trees = {label: ast.parse(source) for label, source in package.items()}
+    scans = _scan(trees, [ast.parse(source) for source in callers], _Passed())
+    naming: dict[str, set[str]] = {}  # key -> the files referencing it
+    for label, scan in scans.items():
+        for key, _ in scan.references:
+            naming.setdefault(key, set()).add(label)
+    missing: list[str] = []
+    for label, tree in trees.items():
+        module_level = {id(node) for node in tree.body}
+        for definition in _definitions(tree):
+            name = definition.name  # type: ignore[attr-defined]
+            key = f"{label}:{name}" if id(definition) in module_level else name
+            if name in KEPT_FOR_TESTS or naming.get(key, set()) - {label}:
+                continue
+            # Only this file names it: a reference outside its own body.
+            if any(k == key and id(definition) not in inside for k, inside in scans[label].references):
+                continue
+            missing.append(f"{label}:{name} (line {definition.lineno})")  # type: ignore[attr-defined]
+    return sorted(missing)
+
+
+def uncalled_public_names() -> list[str]:
+    """:func:`uncalled_public_names_in` over ``src/repro`` with the program's callers."""
+    return uncalled_public_names_in(*_program())
+
+
+# -- keyword options -------------------------------------------------------
 
 
 def _decorator_is_frozen_dataclass(node: ast.ClassDef) -> bool:
@@ -382,20 +522,24 @@ def _parameter_options(function: ast.FunctionDef, is_method: bool) -> list[tuple
 _Option = tuple[str, str, str, str, float, int]
 
 
-def _options(module: str, tree: ast.Module, passed: _Passed) -> list[_Option]:
+def _options(module: str, tree: ast.Module) -> list[_Option]:
     """Every defaulted parameter of a public function, method or constructor
-    and every defaulted field of a public frozen dataclass in ``tree``.
-    Registers inherited constructors in ``passed``."""
+    and every defaulted field of a public frozen dataclass in ``tree``."""
     found: list[_Option] = []
     stack: list[tuple[ast.stmt, ast.ClassDef | None, str]] = [(n, None, "") for n in tree.body]
     while stack:
         node, owner, prefix = stack.pop()
+        if not isinstance(node, _DEFS):
+            continue
+        # What a caller reaches it by: a module-level name per module, a
+        # method or nested class by its name.
+        key = node.name if prefix else f"{module}:{node.name}"
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.name.startswith("_"):
                 continue
             for option, position in _parameter_options(node, owner is not None):
-                found.append((module, prefix + node.name, node.name, option, position, node.lineno))
-        elif isinstance(node, ast.ClassDef):
+                found.append((module, prefix + node.name, key, option, position, node.lineno))
+        else:
             stack.extend((child, node, f"{prefix}{node.name}.") for child in node.body)
             if node.name.startswith("_"):
                 continue
@@ -407,19 +551,15 @@ def _options(module: str, tree: ast.Module, passed: _Passed) -> list[_Option]:
             if _decorator_is_frozen_dataclass(node):
                 fields = _field_options(node)
                 found.extend(
-                    (module, qualname, node.name, name, position, node.lineno)
+                    (module, qualname, key, name, position, node.lineno)
                     for name, position, has_default in fields
                     if has_default
                 )
             elif init is not None:
                 found.extend(
-                    (module, qualname, node.name, option, position, init.lineno)
+                    (module, qualname, key, option, position, init.lineno)
                     for option, position in _parameter_options(init, True)
                 )
-            if init is None:
-                for base in node.bases:
-                    if (name := _name_of(base)) is not None:
-                        passed.inherits.add((node.name, name))
     return found
 
 
@@ -429,11 +569,11 @@ def unset_options_in(package: dict[str, str], callers: list[str]) -> list[str]:
     (sources) sets, sorted."""
     passed = _Passed()
     trees = {module: ast.parse(source) for module, source in package.items()}
-    options = [o for module, tree in trees.items() for o in _options(module, tree, passed)]
-    everything = [*trees.values(), *map(ast.parse, callers)]
+    options = [o for module, tree in trees.items() for o in _options(module, tree)]
+    caller_trees = [ast.parse(source) for source in callers]
     # Aliases first, so a call written above its alias still counts: import
     # aliases, and module-level ``intern_segment = LOSS_TABLE.intern``.
-    for tree in everything:
+    for tree in [*trees.values(), *caller_trees]:
         for node in ast.walk(tree):
             if isinstance(node, ast.alias) and node.asname:
                 passed.aliases[node.asname] = node.name.rsplit(".", 1)[-1]
@@ -442,9 +582,7 @@ def unset_options_in(package: dict[str, str], callers: list[str]) -> list[str]:
                 target, source = node.targets[0], _name_of(node.value)
                 if isinstance(target, ast.Name) and source not in (None, target.id):
                     passed.aliases[target.id] = source
-    scan = _CallScan(passed)
-    for tree in everything:
-        scan.visit(tree)
+    _scan(trees, caller_trees, passed)
     passed.resolve()
     unset = []
     for module, qualname, key, option, position, line in options:
@@ -459,12 +597,7 @@ def unset_options_in(package: dict[str, str], callers: list[str]) -> list[str]:
 
 def unset_options() -> list[str]:
     """:func:`unset_options_in` over ``src/repro`` with the program's callers."""
-    package = {
-        ".".join(path.relative_to(PACKAGE).with_suffix("").parts): path.read_text()
-        for path in _py_files(PACKAGE)
-    }
-    callers = [path.read_text() for folder in CALLER_DIRS for path in _py_files(ROOT / folder)]
-    return unset_options_in(package, callers)
+    return unset_options_in(*_program())
 
 
 def test_every_public_name_has_a_caller_outside_tests():
@@ -498,9 +631,7 @@ def test_kept_options_are_still_options():
     labels = {
         f"{module}:{qualname}({option}=)"
         for path in _py_files(PACKAGE)
-        for module, qualname, _, option, _, _ in _options(
-            ".".join(path.relative_to(PACKAGE).with_suffix("").parts), _parse(path), _Passed()
-        )
+        for module, qualname, _, option, _, _ in _options(_label(path), _parse(path))
     }
     assert set(KEPT_OPTIONS) <= labels, set(KEPT_OPTIONS) - labels
 
@@ -521,15 +652,15 @@ class TestOptionScanner:
                 "    slot_s: ClassVar[float] = 5.0\n"
             )
         }
-        assert unset_options_in(package, ["f(1)", "Config()"]) == [
+        assert unset_options_in(package, ["from m import Config, f\nf(1)\nConfig()"]) == [
             "m:Config(seed=) (line 6)",
             "m:f(y=) (line 3)",
         ]
 
     def test_keyword_or_position_sets_it(self):
         package = {"m": "def f(x, y=1):\n    return x + y\n"}
-        assert unset_options_in(package, ["f(1, y=2)"]) == []
-        assert unset_options_in(package, ["f(1, 2)"]) == []
+        assert unset_options_in(package, ["from m import f\nf(1, y=2)"]) == []
+        assert unset_options_in(package, ["import m\nm.f(1, 2)"]) == []
 
     def test_an_alias_called_positionally(self):
         package = {
@@ -548,7 +679,7 @@ class TestOptionScanner:
 
     def test_a_function_reference_forwarded_with_keywords(self):
         package = {"m": "def run(world, *, max_prefixes=None):\n    return world\n"}
-        caller = "run_once(benchmark, m.run, world, max_prefixes=400)"
+        caller = "import m\nrun_once(benchmark, m.run, world, max_prefixes=400)"
         assert unset_options_in(package, [caller]) == []
 
     def test_cls_built_from_parsed_data(self):
@@ -576,7 +707,54 @@ class TestOptionScanner:
                 "        super().__init__(rid, **kwargs)\n"
             )
         }
-        assert unset_options_in(package, ["Reflector('r1', mrai=5.0)"]) == []
-        assert unset_options_in(package, ["Reflector('r1')"]) == [
+        assert unset_options_in(package, ["from m import Reflector\nReflector('r1', mrai=5.0)"]) == []
+        assert unset_options_in(package, ["from m import Reflector\nReflector('r1')"]) == [
             "m:Router(mrai=) (line 2)"
+        ]
+
+
+class TestPerModuleResolution:
+    """A module-level callee is credited only in the module it resolves to;
+    two modules each define ``run(x=0)``."""
+
+    PACKAGE = {"m": "def run(x=0):\n    return x\n", "n": "def run(x=0):\n    return x\n"}
+
+    def test_module_attribute_call_sets_only_that_module(self):
+        caller = "from repro import m\nm.run(x=1)"
+        assert unset_options_in(self.PACKAGE, [caller]) == ["n:run(x=) (line 1)"]
+
+    def test_imported_function_sets_only_its_module(self):
+        for caller in ("from m import run\nrun(x=1)", "from m import run as go\ngo(x=1)"):
+            assert unset_options_in(self.PACKAGE, [caller]) == ["n:run(x=) (line 1)"], caller
+
+    def test_forwarded_reference_sets_only_its_module(self):
+        caller = "import m\nrun_once(benchmark, m.run, world, x=1)"
+        assert unset_options_in(self.PACKAGE, [caller]) == ["n:run(x=) (line 1)"]
+
+    def test_reexport_resolves_to_the_defining_module(self):
+        package = {"p.__init__": "from p.impl import run\n", "p.impl": "def run(x=0):\n    return x\n"}
+        assert unset_options_in(package, ["from p import run\nrun(x=1)"]) == []
+
+    def test_instance_method_stays_name_matched(self):
+        package = {
+            "m": (
+                "class Table:\n"
+                "    def run(self, x=0):\n"
+                "        return x\n"
+                "def run(x=0):\n"
+                "    return x\n"
+            )
+        }
+        assert unset_options_in(package, ["table.run(x=1)"]) == ["m:run(x=) (line 4)"]
+
+    def test_a_parameter_shadows_the_module_it_is_named_after(self):
+        caller = "import m\ndef drive(m):\n    m.run(x=1)\n"
+        assert unset_options_in(self.PACKAGE, [caller]) == [
+            "m:run(x=) (line 1)",
+            "n:run(x=) (line 1)",
+        ]
+
+    def test_a_name_reference_reaches_only_its_module(self):
+        assert uncalled_public_names_in(self.PACKAGE, ["from repro import m\nm.run"]) == [
+            "n:run (line 1)"
         ]

@@ -3,6 +3,7 @@
 from repro.geo.regions import PopRegion
 from repro.net.asn import ASType
 from repro.vns.network import VNS_ASN
+from repro.vns.pop import nearest_pop
 
 
 class TestAnycast:
@@ -51,5 +52,4 @@ class TestAnycast:
     def test_nearest_pop_ideal(self, small_world):
         from repro.geo.cities import city_by_name
 
-        resolver = small_world.service.anycast
-        assert resolver.nearest_pop(city_by_name("Paris").location).region is PopRegion.EU
+        assert nearest_pop(city_by_name("Paris").location).region is PopRegion.EU
