@@ -65,7 +65,6 @@ from repro.dataplane.link import KIND_CODE, LOSS_TABLE, SegmentKind, SegmentLoss
 from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import (
     StreamResult,
-    _jitter_base_ms,
     _jitter_rate_factor,
     _stream_shape,
     count_heavy_loss_slots,
@@ -73,12 +72,16 @@ from repro.dataplane.transmit import (
 from repro.perf import counters as perf
 
 __all__ = [
+    "PathView",
     "StreamColumnSpec",
     "StreamColumns",
+    "ids_view",
+    "path_view",
     "simulate_columns",
     "simulate_stream_columns",
     "simulate_table",
     "spec_digest",
+    "view_path",
 ]
 
 
@@ -371,28 +374,51 @@ def spec_digest(text: str) -> tuple[int, int]:
     )
 
 
-class _PathView(NamedTuple):
-    """What the kernel needs of a path, kept on the path (``_kernel_view``)."""
+#: What the kernel needs of a path: the :data:`LOSS_TABLE` id of each
+#: segment in order, its round-trip time and its jitter scale before the
+#: packet-rate factor.  A plain tuple of ids and floats, so the cyclic
+#: collector untracks it and never walks it again.
+PathView = tuple[tuple[int, ...], float, float]
 
-    sids: tuple[int, ...]  #: :data:`LOSS_TABLE` id of each segment, in order
-    rtt_ms: float
-    jitter_base_ms: float
 
-
-def _path_view(path: DataPath) -> _PathView:
-    """``path``'s view, built the first time the kernel meets the path:
-    :data:`LOSS_TABLE` ids and sums over its per-id scalars, summed in the
-    order of :meth:`DataPath.rtt_ms` and :func:`_jitter_base_ms` (same bits)."""
+def path_view(path: DataPath) -> PathView:
+    """``path``'s view, built the first time it is asked for and kept on
+    the path (``_kernel_view``)."""
     view = path._kernel_view
     if view is None:
-        segments = path.segments
-        sids = tuple(map(LOSS_TABLE.segment_id, segments))
-        view = path._kernel_view = _PathView(
-            sids,
-            2.0 * sum(map(LOSS_TABLE.delay_ms.__getitem__, sids)),
-            _jitter_base_ms(segments),
-        )
+        sids = tuple(map(LOSS_TABLE.segment_id, path.segments))
+        view = path._kernel_view = ids_view(sids)
     return view
+
+
+def view_path(view: PathView, description: str) -> DataPath:
+    """The path ``view`` was taken of: its ids' segments (the interned
+    value of each, from :data:`LOSS_TABLE`), with the view kept on it."""
+    path = DataPath(
+        segments=list(map(LOSS_TABLE.segments.__getitem__, view[0])),
+        description=description,
+    )
+    path._kernel_view = view
+    return path
+
+
+def ids_view(sids: tuple[int, ...]) -> PathView:
+    """The view of a path whose segments have the ids ``sids``.
+
+    Sums over the table's per-id scalars: the delays in the order of
+    :meth:`DataPath.rtt_ms`, the jitter terms left to right as
+    :func:`~repro.dataplane.transmit._jitter_base_ms` adds them, so the
+    view carries the path's own bits.
+    """
+    terms = LOSS_TABLE.jitter_term
+    congestion_terms = 0.0
+    for sid in sids:
+        congestion_terms += terms[sid]
+    return (
+        sids,
+        2.0 * sum(map(LOSS_TABLE.delay_ms.__getitem__, sids)),
+        cal.JITTER_BASE_SCALE_MS * (1.0 + congestion_terms),
+    )
 
 
 @dataclass(slots=True, eq=False)
@@ -513,7 +539,7 @@ def simulate_columns(
     paths, n_streams, durations, hours, digests, salts = tuple(zip(*specs)) or ((),) * 6
     mask64 = 0xFFFFFFFFFFFFFFFF
     return simulate_table(
-        list(paths),
+        list(map(path_view, paths)),
         np.asarray(n_streams, dtype=np.int64),
         np.asarray(durations, dtype=float),
         np.asarray(hours, dtype=float),
@@ -526,7 +552,7 @@ def simulate_columns(
 
 
 def simulate_table(
-    paths: list[DataPath],
+    views: list[PathView],
     n_streams: np.ndarray,
     duration_s: np.ndarray,
     hour_cet: np.ndarray,
@@ -539,8 +565,9 @@ def simulate_table(
 ) -> StreamColumns:
     """Simulate a spec table given as columns into :class:`StreamColumns`.
 
-    Spec ``i`` is ``paths[i]`` with the fields of a
-    :class:`StreamColumnSpec` at ``[i]`` of the arrays; ``digest`` is
+    Spec ``i`` is the path of view ``views[i]`` (:func:`path_view`) with
+    the fields of a :class:`StreamColumnSpec` at ``[i]`` of the arrays;
+    one view per distinct path.  ``digest`` is
     ``(specs, 2)`` uint64 words and ``salt`` uint64.  The table stays
     columnar inside too: a ``(specs, layers)`` matrix of
     :data:`LOSS_TABLE` parameter rows, and per pass one row-to-spec
@@ -560,11 +587,11 @@ def simulate_table(
         raise ValueError("packet rate and slot length must be positive")
     if max_rows_per_pass < 1:
         raise ValueError(f"max_rows_per_pass must be >= 1, got {max_rows_per_pass!r}")
-    if not paths:
+    if not views:
         return _unfilled_columns(np.zeros(1, dtype=np.int64))
     with perf.timer("dataplane.kernel.prelude"):
         table = _spec_table(
-            paths, n_streams, duration_s, hour_cet, digest, salt, packets_per_second, slot_s
+            views, n_streams, duration_s, hour_cet, digest, salt, packets_per_second, slot_s
         )
     spec_start = np.concatenate(([0], np.cumsum(table.n_streams)))
     out = _unfilled_columns(spec_start)
@@ -620,7 +647,7 @@ class _SpecTable(NamedTuple):
 
 
 def _spec_table(
-    paths: list[DataPath],
+    views: list[PathView],
     n_streams: np.ndarray,
     durations: np.ndarray,
     hours: np.ndarray,
@@ -643,24 +670,23 @@ def _spec_table(
     n_slots, final_packets = shapes[which, 0], shapes[which, 2]
     packets_per_slot = int(shapes[0, 1])
 
-    path_sids, rtt_ms, jitter_base_ms = zip(*map(_path_view, paths))
-    layers = np.array(list(map(len, path_sids)), dtype=np.int64)
+    layers = np.array([len(view[0]) for view in views], dtype=np.int64)
     flat_rows: list[int] = []  # one flat list: nothing per spec outlives its turn
-    for sids, hour in zip(path_sids, hours.tolist()):
-        flat_rows += LOSS_TABLE.rows(sids, hour)
-    param_rows = np.zeros((len(paths), max(int(layers.max()), 1)), dtype=np.int64)
+    for view, hour in zip(views, hours.tolist()):
+        flat_rows += LOSS_TABLE.rows(view[0], hour)
+    param_rows = np.zeros((len(views), max(int(layers.max()), 1)), dtype=np.int64)
     param_rows[
-        np.repeat(np.arange(len(paths)), layers), _group_rows(np.zeros_like(layers), layers)
+        np.repeat(np.arange(len(views)), layers), _group_rows(np.zeros_like(layers), layers)
     ] = flat_rows
 
     with np.errstate(over="ignore"):
         key_base = _mix64(digest[:, 0] + salt * _GOLDEN)
 
     if perf.enabled:
-        perf.incr("dataplane.kernel.specs", len(paths))
+        perf.incr("dataplane.kernel.specs", len(views))
         perf.incr("dataplane.kernel.rows", int(n_streams.sum()))
         perf.incr("dataplane.kernel.cells", int((n_streams * n_slots).sum()))
-        perf.incr("dataplane.kernel.paths_unique", len(set(map(id, paths))))
+        perf.incr("dataplane.kernel.paths_unique", len(set(map(id, views))))
         perf.incr("dataplane.kernel.param_rows", np.unique(flat_rows).size)
     return _SpecTable(
         n_streams=n_streams,
@@ -668,8 +694,9 @@ def _spec_table(
         packets_per_slot=packets_per_slot,
         final_packets=final_packets,
         packets_sent=packets_per_slot * (n_slots - 1) + final_packets,
-        rtt_ms=np.array(rtt_ms),
-        jitter_scale=np.array(jitter_base_ms) * _jitter_rate_factor(packets_per_second),
+        rtt_ms=np.array([view[1] for view in views]),
+        jitter_scale=np.array([view[2] for view in views])
+        * _jitter_rate_factor(packets_per_second),
         key_base=key_base,
         key_word=digest[:, 1],
         param_rows=param_rows,

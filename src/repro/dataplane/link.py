@@ -29,18 +29,6 @@ from repro.net.asn import ASType
 
 
 @lru_cache(maxsize=None)
-def _segment_distance_km(start: GeoPoint, end: GeoPoint) -> float:
-    """Memoised great-circle distance between segment endpoints.
-
-    Segment endpoints are a small, heavily-reused set (PoPs, cities,
-    prefix locations), and every delay/loss parameter derivation starts
-    from this distance — the haversine was a top-3 campaign hotspot
-    before caching.
-    """
-    return great_circle_km(start, end)
-
-
-@lru_cache(maxsize=None)
 def _transit_diurnal(region: WorldRegion, hour_cet: float) -> float:
     """Memoised transit diurnal factor — tiny (region, hour-bin) keyspace."""
     return transit_profile(region).factor_cet(hour_cet, region)
@@ -76,13 +64,6 @@ _PATH_INFLATION: dict[SegmentKind, float] = {
     SegmentKind.VNS_L2: cal.VNS_PATH_INFLATION,
     SegmentKind.PEERING: cal.TRANSIT_PATH_INFLATION,
 }
-
-
-@lru_cache(maxsize=None)
-def _segment_delay_ms(segment: "PathSegment") -> float:
-    """Base (impairment-free) one-way delay of a segment, memoised by value."""
-    inflation = _PATH_INFLATION[segment.kind]
-    return propagation_delay_ms(segment.distance_km, inflation) + cal.PER_HOP_DELAY_MS
 
 
 class SegmentLossParams(NamedTuple):
@@ -184,10 +165,11 @@ class _SegmentStatic(NamedTuple):
     Everything in :meth:`PathSegment._derive_loss_params` that does not
     depend on the hour — geography, corridor spread, rate multipliers, the static
     congestion mean, and the access base-loss table entry — resolved once
-    per segment (memoised by :func:`_segment_static`).  The hour-dependent
-    remainder is just a couple of memoised diurnal-factor lookups and
-    scalar arithmetic, which is what keeps parameter resolution off the
-    campaign profile.
+    per segment id, when the id is handed out, into the columns of
+    :attr:`SegmentLossTable.static` (one list per field, indexed by id).
+    The hour-dependent remainder is just a couple of memoised
+    diurnal-factor lookups and scalar arithmetic, which is what keeps
+    parameter resolution off the campaign profile.
     """
 
     long_haul: bool
@@ -199,9 +181,8 @@ class _SegmentStatic(NamedTuple):
     access_base: float
 
 
-@lru_cache(maxsize=None)
 def _segment_static(segment: "PathSegment") -> _SegmentStatic:
-    """The hour-independent constants of ``segment`` (memoised)."""
+    """The hour-independent constants of ``segment``."""
     start_region = region_of_point(segment.start)
     end_region = region_of_point(segment.end)
     regions = (start_region, end_region)
@@ -252,9 +233,9 @@ class PathSegment:
     as_type: ASType | None = None
     owner_type: ASType | None = None
     label: str = ""
-    #: value hash, precomputed once — segments key the loss-param and
-    #: delay memo caches, and the generated dataclass hash (two points
-    #: plus three enum members, all Python-level) dominated those lookups.
+    #: value hash, precomputed once — :data:`LOSS_TABLE` interns segments
+    #: by value, and the generated dataclass hash (two points plus three
+    #: enum members, all Python-level) dominated those lookups.
     _hash: int = field(init=False, repr=False, compare=False, default=0)
     #: this value's id in :data:`LOSS_TABLE` (-1 until first asked for).
     _sid: int = field(init=False, repr=False, compare=False, default=-1)
@@ -283,7 +264,7 @@ class PathSegment:
 
     @property
     def distance_km(self) -> float:
-        return _segment_distance_km(self.start, self.end)
+        return LOSS_TABLE.distance_km[LOSS_TABLE.segment_id(self)]
 
     @property
     def is_long_haul(self) -> bool:
@@ -298,8 +279,9 @@ class PathSegment:
         return region_of_point(self.end)
 
     def delay_ms(self) -> float:
-        """One-way delay contribution, including a per-hop constant."""
-        return _segment_delay_ms(self)
+        """One-way delay contribution, including a per-hop constant (and
+        a :class:`DegradedSegment`'s extra delay)."""
+        return LOSS_TABLE.delay_ms[LOSS_TABLE.segment_id(self)]
 
     def jitter_term(self) -> float:
         """This segment's congestion term in its path's jitter scale
@@ -361,16 +343,18 @@ class PathSegment:
         (:meth:`sample_slot_rates`, the distribution oracle) call this
         directly, the columnar kernel (:mod:`repro.dataplane.columnar`)
         through the rows of :data:`LOSS_TABLE`.  Geography and AS-class
-        constants come from the memoised :func:`_segment_static`, so one
-        call is a couple of diurnal-factor lookups and scalar arithmetic.
+        constants are the id's entries in :attr:`SegmentLossTable.static`,
+        so one call is a couple of diurnal-factor lookups and scalar
+        arithmetic.
         """
         extra = self.extra_loss
-        static = _segment_static(self)
-        long_haul = static.long_haul
+        sid = LOSS_TABLE.segment_id(self)
+        static = LOSS_TABLE.static
+        long_haul = static.long_haul[sid]
         if self.kind is SegmentKind.ACCESS:
             as_type = self.as_type or ASType.EC
             weight = cal.ACCESS_DIURNAL_WEIGHT[as_type]
-            diurnal = _access_diurnal(static.end_region, as_type, hour_cet)
+            diurnal = _access_diurnal(static.end_region[sid], as_type, hour_cet)
             factor = (1.0 - weight) + weight * diurnal
             occurrence = min(0.9, cal.ACCESS_OCCURRENCE[as_type] * factor)
             return SegmentLossParams(
@@ -378,19 +362,19 @@ class PathSegment:
                 long_haul=long_haul,
                 extra_loss=extra,
                 occurrence=occurrence,
-                mean_rate=static.access_base * factor / max(occurrence, 1e-9),
+                mean_rate=static.access_base[sid] * factor / max(occurrence, 1e-9),
             )
         if self.kind is SegmentKind.TRANSIT:
-            diurnal = _transit_diurnal(static.anchor, hour_cet)
-            congestion = static.congestion_static * diurnal
+            diurnal = _transit_diurnal(static.anchor[sid], hour_cet)
+            congestion = static.congestion_static[sid] * diurnal
             return SegmentLossParams(
                 kind=self.kind,
                 long_haul=long_haul,
                 extra_loss=extra,
                 spread_prob=(
-                    min(0.95, static.corridor_prob * diurnal) if long_haul else 0.0
+                    min(0.95, static.corridor_prob[sid] * diurnal) if long_haul else 0.0
                 ),
-                rate_mult=static.rate_mult if long_haul else 0.0,
+                rate_mult=static.rate_mult[sid] if long_haul else 0.0,
                 burst_scale_120s=congestion if long_haul else 0.3 * congestion,
             )
         if self.kind is SegmentKind.VNS_L2:
@@ -468,9 +452,6 @@ class DegradedSegment(PathSegment):
     def _value(self) -> tuple:
         return PathSegment._value(self) + (self.extra_loss, self.extra_delay_ms)
 
-    def delay_ms(self) -> float:
-        return PathSegment.delay_ms(self) + self.extra_delay_ms
-
     def sample_slot_rates(
         self,
         n_slots: int,
@@ -502,7 +483,10 @@ class SegmentLossTable:
     distinct ``(id, hour)`` one row of :attr:`columns`, a
     :class:`SegmentLossParams` whose fields are arrays, filled lazily by
     the one :meth:`PathSegment._derive_loss_params`.  A value's
-    ``delay_ms()`` and ``jitter_term()`` are taken once, when it gets its id.
+    distance, delay, jitter term and hour-independent loss constants
+    are derived once, when it gets its id, into per-id lists: the
+    segment methods read them there, so no memo holds a key object per
+    segment.
 
     Ids and rows are keyed by segment **value** and parameters are a pure
     function of ``(value, hour)``, so no event can stale a row: an
@@ -517,9 +501,13 @@ class SegmentLossTable:
         self._canonical: dict[tuple, PathSegment] = {}
         #: id -> the canonical segment of that value.
         self.segments: list[PathSegment] = []
-        #: id -> that value's ``delay_ms()`` and ``jitter_term()``.
+        #: id -> that value's great-circle length, one-way delay (its
+        #: impairment included) and ``jitter_term()``.
+        self.distance_km: list[float] = []
         self.delay_ms: list[float] = []
         self.jitter_term: list[float] = []
+        #: id -> that value's hour-independent loss constants, a column per field.
+        self.static = _SegmentStatic(*([] for _ in _SegmentStatic._fields))
         self._row_at: dict[float, dict[int, int]] = {}  # hour -> id -> row
         # Row 0 is the all-zero padding row.
         self._columns = SegmentLossParams(*(np.zeros(1, dtype) for dtype in self._DTYPES))
@@ -558,8 +546,17 @@ class SegmentLossTable:
     def _register(self, value: tuple, segment: PathSegment) -> PathSegment:
         object.__setattr__(segment, "_sid", len(self.segments))
         self.segments.append(segment)
-        self.delay_ms.append(segment.delay_ms())
+        distance = great_circle_km(segment.start, segment.end)
+        self.distance_km.append(distance)
+        inflation = _PATH_INFLATION[segment.kind]
+        self.delay_ms.append(
+            propagation_delay_ms(distance, inflation)
+            + cal.PER_HOP_DELAY_MS
+            + segment.extra_delay_ms
+        )
         self.jitter_term.append(segment.jitter_term())
+        for column, constant in zip(self.static, _segment_static(segment)):
+            column.append(constant)
         self._canonical[value] = segment
         return segment
 
@@ -585,10 +582,14 @@ class SegmentLossTable:
     def columns(self) -> SegmentLossParams:
         """The parameter rows as a :class:`SegmentLossParams` of arrays."""
         if self._unwritten:  # one block append per batch of new rows
+            # One float block, cut into columns: every field is a float or
+            # a small int / bool, so the casts are exact — and no iterator
+            # per row lives through the transpose.
+            block = np.array(self._unwritten, dtype=np.float64)
             self._columns = SegmentLossParams(
                 *(
-                    np.concatenate((column, np.array(values, dtype=column.dtype)))
-                    for column, values in zip(self._columns, zip(*self._unwritten))
+                    np.concatenate((column, block[:, field].astype(column.dtype)))
+                    for field, column in enumerate(self._columns)
                 )
             )
             self._unwritten.clear()

@@ -69,21 +69,21 @@ VANTAGE = "SJS"
 
 
 def run(data: LastMileData) -> Fig12Result:
-    """Aggregate lossy rounds per hour from the campaign data."""
-    result = Fig12Result(vantage=VANTAGE)
-    for as_type in ASType:
-        for region in LAST_MILE_STUDY_REGIONS:
-            counts = [
-                data.loss_round_count(
-                    pop_code=VANTAGE,
-                    dest_region=region,
-                    as_type=as_type,
-                    hour_cet=hour,
-                )
-                for hour in range(24)
-            ]
-            result.series[(as_type, region)] = counts
-    return result
+    """Count lossy rounds per (AS type, region, CET hour) from the
+    campaign data, in one pass over the observations."""
+    series = {
+        (as_type, region): [0] * 24
+        for as_type in ASType
+        for region in LAST_MILE_STUDY_REGIONS
+    }
+    for observation in data.observations:
+        if observation.pop_code != VANTAGE or not observation.had_loss:
+            continue
+        counts = series.get((observation.host.as_type, observation.host.region))
+        hour = int(observation.round.hour_cet)
+        if counts is not None and 0 <= hour < 24:
+            counts[hour] += 1
+    return Fig12Result(vantage=VANTAGE, series=series)
 
 
 def render(result: Fig12Result) -> str:

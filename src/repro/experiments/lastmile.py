@@ -68,27 +68,6 @@ class LastMileData:
             count += 1
         return total / count if count else 0.0
 
-    def loss_round_count(
-        self,
-        *,
-        pop_code: str,
-        dest_region: WorldRegion,
-        as_type: ASType,
-        hour_cet: int,
-    ) -> int:
-        """Number of lossy rounds in one CET-hour bucket (Fig. 12 metric)."""
-        count = 0
-        for observation in self.observations:
-            if (
-                observation.pop_code == pop_code
-                and observation.host.region is dest_region
-                and observation.host.as_type is as_type
-                and int(observation.round.hour_cet) == hour_cet
-                and observation.had_loss
-            ):
-                count += 1
-        return count
-
 
 def run_lastmile_campaign(
     world: World,

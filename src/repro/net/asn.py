@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.geo.cities import City
 from repro.geo.coords import GeoPoint
@@ -77,6 +76,10 @@ class AutonomousSystem:
     #: lazily-built per-presence haversine terms (lat_rad, cos_lat, lon,
     #: point), computed on the first nearest-presence query.
     _presence_trig: list | None = field(default=None, repr=False, compare=False)
+    #: target -> :meth:`nearest_presence`, this process's memo (never pickled).
+    _nearest: dict[GeoPoint, PresencePoint] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.asn <= 0:
@@ -84,19 +87,40 @@ class AutonomousSystem:
         if not self.presence:
             self.presence = [self.home]
 
-    @lru_cache(maxsize=None)
+    def __getstate__(self) -> tuple[None, dict]:
+        # The default slot state, less the memo: a shipped world pickles
+        # to the same bytes however many paths this process assembled.
+        slots = self.__slots__
+        return None, {name: getattr(self, name) for name in slots if name != "_nearest"}
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._nearest = None
+
     def nearest_presence(self, target: GeoPoint) -> PresencePoint:
         """The presence point geographically nearest to ``target``.
 
         Models hot-potato waypoint selection inside a transit AS when
-        assembling data-plane paths.  Memoised per ``(AS, target)``: path
-        assembly asks the same transit ASes about the same prefix and
-        PoP locations for every pair that crosses them.  On a miss the
-        scan compares raw haversine terms (monotone in distance) with the
-        per-presence trigonometry hoisted — same argmin as ranking by
-        :func:`~repro.geo.coords.great_circle_km`, at a fraction of the
-        per-candidate cost.
+        assembling data-plane paths.  Memoised in this AS's dict keyed
+        by target (no key object per entry): path assembly asks the same
+        transit ASes about the same prefix and PoP locations for every
+        pair that crosses them.
         """
+        memo = self._nearest
+        if memo is None:
+            memo = self._nearest = {}
+        point = memo.get(target)
+        if point is None:
+            point = memo[target] = self._scan_nearest(target)
+        return point
+
+    def _scan_nearest(self, target: GeoPoint) -> PresencePoint:
+        """:meth:`nearest_presence` unmemoised: the scan compares raw
+        haversine terms (monotone in distance) with the per-presence
+        trigonometry hoisted — same argmin as ranking by
+        :func:`~repro.geo.coords.great_circle_km`, at a fraction of the
+        per-candidate cost."""
         trig = self._presence_trig
         if trig is None:
             trig = self._presence_trig = [

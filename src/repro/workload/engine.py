@@ -52,11 +52,18 @@ from typing import TYPE_CHECKING, ClassVar, Protocol
 import numpy as np
 
 from repro import perf
-from repro.dataplane.columnar import StreamColumns, simulate_table, spec_digest
+from repro.dataplane.columnar import (
+    PathView,
+    StreamColumns,
+    ids_view,
+    path_view,
+    simulate_table,
+    spec_digest,
+    view_path,
+)
 from repro.dataplane.path import DataPath
 from repro.dataplane.transmit import SLOT_S, StreamResult
 from repro.net.addressing import Prefix
-from repro.vns.network import EgressDecision
 from repro.vns.service import VideoNetworkService
 from repro.workload.arrivals import CallSpec
 from repro.workload.report import REGION_CODE, CampaignAggregator, CampaignReport
@@ -464,12 +471,55 @@ class CampaignRun:
 
 @dataclass(slots=True)
 class _ResolvedPair:
-    """Cached end-to-end paths for one (src_prefix, dst_prefix) pair."""
+    """Cached end-to-end paths for one (src_prefix, dst_prefix) pair.
 
+    Each transport is kept as the kernel's view of it (segment ids, RTT,
+    jitter scale: a plain tuple the cyclic collector untracks).  Its
+    :class:`~repro.dataplane.path.DataPath` is built only when something
+    reads :attr:`via_vns` / :attr:`via_internet` — a path model, or a
+    caller inspecting the paths.
+    """
+
+    key: tuple[Prefix, Prefix]  #: the resolver's cache key for the pair
     entry_pop: str
     egress_pop: str
-    via_vns: DataPath
-    via_internet: DataPath
+    vns_view: PathView  #: last mile to ``entry_pop``, then the onward leg
+    internet_view: PathView
+    _via_vns: DataPath | None = None
+    _via_internet: DataPath | None = None
+
+    @property
+    def via_vns(self) -> DataPath:
+        if self._via_vns is None:
+            src_prefix, dst_prefix = self.key
+            self._via_vns = view_path(self.vns_view, f"call-vns:{src_prefix}->{dst_prefix}")
+        return self._via_vns
+
+    @property
+    def via_internet(self) -> DataPath:
+        if self._via_internet is None:
+            src_prefix, dst_prefix = self.key
+            self._via_internet = view_path(
+                self.internet_view, f"call-inet:{src_prefix}->{dst_prefix}"
+            )
+        return self._via_internet
+
+
+@dataclass(frozen=True, slots=True)
+class _Unresolved:
+    """A cached failed resolution: which leg caches its miss consulted.
+
+    One shared instance per failure kind (below), so the pair cache
+    holds nothing of its own for a failed pair.
+    """
+
+    counted_onward: bool
+    counted_internet: bool
+
+
+_NO_ENTRY = _Unresolved(counted_onward=False, counted_internet=False)
+_NO_ONWARD = _Unresolved(counted_onward=True, counted_internet=False)
+_NO_INTERNET = _Unresolved(counted_onward=True, counted_internet=True)
 
 
 class PathResolver:
@@ -488,14 +538,17 @@ class PathResolver:
         self.service = service
         self._entry: dict[Prefix, str | None] = {}
         self._lastmile: dict[tuple[Prefix, str], DataPath] = {}
-        self._onward: dict[tuple[str, Prefix], tuple[DataPath, EgressDecision] | None] = {}
-        self._internet: dict[tuple[Prefix, Prefix], DataPath | None] = {}
-        # Pair cache values carry which per-leg caches the original miss
-        # actually consulted, so cache hits only re-count those legs (an
-        # entry-PoP failure short-circuits before either leg).
-        self._pairs: dict[
-            tuple[Prefix, Prefix], tuple[_ResolvedPair | None, bool, bool]
-        ] = {}
+        # The onward leg and its egress PoP share one key per (PoP, prefix).
+        self._onward: dict[tuple[str, Prefix], DataPath | None] = {}
+        self._egress_pop: dict[tuple[str, Prefix], str] = {}
+        # ``_pairs`` and ``_internet`` share one key tuple per pair, and
+        # the Internet leg is kept as its view.  A resolved pair is stored
+        # bare; a failure as the shared ``_Unresolved`` of its kind, which
+        # says which per-leg caches the original miss consulted, so cache
+        # hits only re-count those legs (an entry-PoP failure
+        # short-circuits before either leg).
+        self._internet: dict[tuple[Prefix, Prefix], PathView | None] = {}
+        self._pairs: dict[tuple[Prefix, Prefix], _ResolvedPair | _Unresolved] = {}
         # Steering-only caches: the forced local exit at a PoP, the full
         # per-pair detour path and the per-pair candidate RTTs.
         self._local_exit: dict[tuple[str, Prefix], DataPath | None] = {}
@@ -533,7 +586,7 @@ class PathResolver:
 
     def _onward_leg(
         self, entry_pop: str, dst_prefix: Prefix, stats: CampaignStats
-    ) -> tuple[DataPath, EgressDecision] | None:
+    ) -> DataPath | None:
         key = (entry_pop, dst_prefix)
         cached = self._onward.get(key, _MISS)
         if cached is not _MISS:
@@ -546,9 +599,9 @@ class PathResolver:
             return None
         path = self.service.path_via_vns(entry_pop, dst_prefix, decision=decision)
         assert path is not None  # decision already resolved
-        resolved = (path, decision)
-        self._onward[key] = resolved
-        return resolved
+        self._onward[key] = path
+        self._egress_pop[key] = decision.egress_pop
+        return path
 
     def _lastmile_leg(self, src_prefix: Prefix, entry_pop: str) -> DataPath:
         key = (src_prefix, entry_pop)
@@ -560,20 +613,20 @@ class PathResolver:
         return path
 
     def _internet_leg(
-        self, src_prefix: Prefix, dst_prefix: Prefix, stats: CampaignStats
-    ) -> DataPath | None:
-        key = (src_prefix, dst_prefix)
+        self, key: tuple[Prefix, Prefix], stats: CampaignStats
+    ) -> PathView | None:
         cached = self._internet.get(key, _MISS)
         if cached is not _MISS:
             stats.internet_hits += 1
             return cached
         stats.internet_misses += 1
+        src_prefix, dst_prefix = key
         location = self.service.topology.prefix_location
         path = self.service.path_via_internet(
             src_prefix, location[src_prefix], dst_prefix, location[dst_prefix]
         )
-        self._internet[key] = path
-        return path
+        view = self._internet[key] = None if path is None else path_view(path)
+        return view
 
     def resolve_pair(
         self, src_prefix: Prefix, dst_prefix: Prefix, stats: CampaignStats | None = None
@@ -587,40 +640,40 @@ class PathResolver:
         if stats is None:
             stats = CampaignStats()
         key = (src_prefix, dst_prefix)
-        cached = self._pairs.get(key, _MISS)
-        if cached is not _MISS:
+        cached = self._pairs.get(key)
+        if cached is not None:
             # The pair cache short-circuits the per-leg caches; re-count
             # exactly the lookups the original miss performed, so hit
             # rates reflect reuse without inflating legs a failed
             # resolution never consulted.
-            pair, counted_onward, counted_internet = cached
-            if counted_onward:
+            if type(cached) is _ResolvedPair:
                 stats.onward_hits += 1
-            if counted_internet:
                 stats.internet_hits += 1
-            return pair
+                return cached
+            stats.onward_hits += cached.counted_onward
+            stats.internet_hits += cached.counted_internet
+            return None
         entry = self._entry_pop(src_prefix)
         if entry is None:
-            self._pairs[key] = (None, False, False)
+            self._pairs[key] = _NO_ENTRY
             return None
         onward = self._onward_leg(entry, dst_prefix, stats)
         if onward is None:
-            self._pairs[key] = (None, True, False)
+            self._pairs[key] = _NO_ONWARD
             return None
-        onward_path, decision = onward
-        via_internet = self._internet_leg(src_prefix, dst_prefix, stats)
-        if via_internet is None:
-            self._pairs[key] = (None, True, True)
+        internet_view = self._internet_leg(key, stats)
+        if internet_view is None:
+            self._pairs[key] = _NO_INTERNET
             return None
-        via_vns = self._lastmile_leg(src_prefix, entry).concat(onward_path)
-        via_vns.description = f"call-vns:{src_prefix}->{dst_prefix}"
+        lastmile = self._lastmile_leg(src_prefix, entry)
         pair = _ResolvedPair(
+            key=key,
             entry_pop=entry,
-            egress_pop=decision.egress_pop,
-            via_vns=via_vns,
-            via_internet=via_internet,
+            egress_pop=self._egress_pop[entry, dst_prefix],
+            vns_view=ids_view(path_view(lastmile)[0] + path_view(onward)[0]),
+            internet_view=internet_view,
         )
-        self._pairs[key] = (pair, True, True)
+        self._pairs[key] = pair
         return pair
 
     def _detour_exit(self, entry_pop: str, dst_prefix: Prefix) -> DataPath | None:
@@ -657,8 +710,8 @@ class PathResolver:
                 via_detour.description = f"call-detour:{src_prefix}->{dst_prefix}"
             self._detour_paths[key] = via_detour
             candidates = self._candidates[key] = PathCandidates(
-                vns_rtt_ms=pair.via_vns.rtt_ms(),
-                internet_rtt_ms=pair.via_internet.rtt_ms(),
+                vns_rtt_ms=pair.vns_view[1],
+                internet_rtt_ms=pair.internet_view[1],
                 detour_rtt_ms=None if via_detour is None else via_detour.rtt_ms(),
                 detour_pop=None if via_detour is None else pair.entry_pop,
             )
@@ -735,10 +788,9 @@ class CampaignEngine:
     # phase 2: the simulation kernel
     # ------------------------------------------------------------------ #
 
-    def _modeled_path(
-        self, path: DataPath, transport: str, entry_pop: str
-    ) -> DataPath:
-        """``path`` through the path model (identity without one).
+    def _modeled_view(self, path: DataPath, transport: str, entry_pop: str) -> PathView:
+        """The kernel's view of ``path`` through the path model (of
+        ``path`` itself without one).
 
         Memoised per cached-path object: the path caches pin each
         resolved path for the engine's lifetime, so ``(transport,
@@ -747,13 +799,13 @@ class CampaignEngine:
         """
         model = self.path_model
         if model is None:
-            return path
+            return path_view(path)
         key = (transport, id(path))
         modeled = self._modeled.get(key)
         if modeled is None:
             modeled = model.transform(path, transport, entry_pop=entry_pop)
             self._modeled[key] = modeled
-        return modeled
+        return path_view(modeled)
 
     def _simulate_columnar(
         self,
@@ -798,12 +850,18 @@ class CampaignEngine:
             np.cumsum(sizes) - sizes, sizes
         )
 
-        # Per pair, salt by salt: the (modelled) path its groups simulate.
+        # Per pair, salt by salt: the view of the (modelled) path its
+        # groups simulate — the pair's own views when nothing models them.
         group_pair = pair[first]
-        paths: list[DataPath | None] = [
-            self._modeled_path(p.via_vns, "vns", p.entry_pop) for p in pairs
-        ] + [self._modeled_path(p.via_internet, "internet", p.entry_pop) for p in pairs]
-        paths += [None] * n_pairs
+        views: list[PathView | None]
+        if self.path_model is None:
+            views = [p.vns_view for p in pairs] + [p.internet_view for p in pairs]
+        else:
+            views = [self._modeled_view(p.via_vns, "vns", p.entry_pop) for p in pairs]
+            views += [
+                self._modeled_view(p.via_internet, "internet", p.entry_pop) for p in pairs
+            ]
+        views += [None] * n_pairs
         detour = np.zeros(first.size, dtype=bool)
         if self.steering is not None:
             from repro.steering.policies import PathChoice
@@ -819,7 +877,7 @@ class CampaignEngine:
                 path = self.resolver.detour_path(spec.caller.prefix, spec.callee.prefix)
                 if path is not None:
                     has_path[p] = True
-                    paths[2 * n_pairs + p] = self._modeled_path(
+                    views[2 * n_pairs + p] = self._modeled_view(
                         path, "detour", pairs[p].entry_pop
                     )
             detour &= has_path[group_pair]
@@ -833,7 +891,7 @@ class CampaignEngine:
         for call in first.tolist():
             digest += group_digest(self.config.seed, group_key(resolved[call]))
         streams = simulate_table(
-            list(map(paths.__getitem__, (salt * n_pairs + group_pair[spec_group]).tolist())),
+            list(map(views.__getitem__, (salt * n_pairs + group_pair[spec_group]).tolist())),
             sizes[spec_group],
             durations[duration[first]][spec_group],
             hour_bins[hour[first]][spec_group] + 0.5,

@@ -13,8 +13,8 @@ import pytest
 from repro.dataplane.columnar import (
     StreamColumnSpec,
     _binom_quantile,
-    _path_view,
     _group_rows,
+    path_view,
     simulate_columns,
     simulate_stream_columns,
 )
@@ -570,8 +570,10 @@ class TestPathView:
         path = mixed_path()
         columnar_batch(path, 2)
         view = path._kernel_view
-        assert view is not None and len(view.sids) == len(path.segments)
-        assert view.rtt_ms == path.rtt_ms()
+        assert view is not None
+        sids, rtt_ms, _ = view
+        assert len(sids) == len(path.segments)
+        assert rtt_ms == path.rtt_ms()
         columnar_batch(path, 2, hour_cet=3.5)
         assert path._kernel_view is view
         clone = pickle.loads(pickle.dumps(path))
@@ -594,13 +596,14 @@ class TestPathView:
             healthy[3],
         ]
         path = DataPath(segments=segments, description="mixed-impaired")
-        view = _path_view(path)
+        view = path_view(path)
         assert view == (
             tuple(LOSS_TABLE.segment_id(s) for s in segments),
             2.0 * sum(s.delay_ms() for s in segments),
             _jitter_base_ms(segments),
         )
-        assert view.rtt_ms == path.rtt_ms()
+        _, rtt_ms, jitter_base_ms = view
+        assert rtt_ms == path.rtt_ms()
         # The per-segment term, derived here from kinds and distances.
         terms = 0.0
         for s in segments:
@@ -610,6 +613,6 @@ class TestPathView:
                 terms += 0.5
             elif s.kind is SegmentKind.VNS_L2 and s.is_long_haul:
                 terms += 0.1
-        assert view.jitter_base_ms == cal.JITTER_BASE_SCALE_MS * (1.0 + terms)
+        assert jitter_base_ms == cal.JITTER_BASE_SCALE_MS * (1.0 + terms)
         # An impairment's extra delay is in its segment's delay.
         assert segments[0].delay_ms() == healthy[0].delay_ms() + segments[0].extra_delay_ms

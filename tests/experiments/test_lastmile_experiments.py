@@ -94,7 +94,43 @@ class TestTable1:
         assert "LTP" in text and "CAHP" in text
 
 
+def loss_round_count(data, *, pop_code, dest_region, as_type, hour_cet) -> int:
+    """Lossy rounds in one CET-hour bucket, one full scan per bucket: the
+    oracle for :func:`fig12_diurnal.run`'s single bucketing pass."""
+    count = 0
+    for observation in data.observations:
+        if (
+            observation.pop_code == pop_code
+            and observation.host.region is dest_region
+            and observation.host.as_type is as_type
+            and int(observation.round.hour_cet) == hour_cet
+            and observation.had_loss
+        ):
+            count += 1
+    return count
+
+
 class TestFig12:
+    def test_series_match_per_bucket_scan(self, fig12, lastmile_data):
+        from repro.geo.regions import LAST_MILE_STUDY_REGIONS
+
+        expected = {
+            (as_type, region): [
+                loss_round_count(
+                    lastmile_data,
+                    pop_code=fig12_diurnal.VANTAGE,
+                    dest_region=region,
+                    as_type=as_type,
+                    hour_cet=hour,
+                )
+                for hour in range(24)
+            ]
+            for as_type in ASType
+            for region in LAST_MILE_STUDY_REGIONS
+        }
+        assert list(fig12.series.items()) == list(expected.items())
+        assert sum(map(sum, expected.values())) > 0
+
     def test_series_shape(self, fig12):
         for as_type in ASType:
             for region in (AP, EU, NA):

@@ -41,6 +41,18 @@ class TestCdfProperties:
         ) == 1.0
 
 
+class TestCcdfProperties:
+    @given(samples)
+    def test_ccdf_non_increasing_and_zero_at_the_max(self, values):
+        ccdf = Ccdf.of(values)
+        assert (np.diff(ccdf.xs) >= 0.0).all()
+        assert (np.diff(ccdf.ps) <= 0.0).all()
+        assert ccdf.ps[0] <= 1.0
+        assert ccdf.ps[-1] == 0.0
+        assert ccdf.at(max(values)) == 0.0
+        assert ccdf.series()[-1] == (max(values), 0.0)
+
+
 class TestCombineRatesProperties:
     rate_vectors = st.lists(
         st.lists(

@@ -88,6 +88,34 @@ class TestPathFidelity:
             )
 
 
+    def test_pair_paths_are_the_service_paths(self, small_world, campaign_inputs):
+        """A resolved pair's views, and the paths built from them on first
+        read, are those of the uncached facade at the prefixes' true
+        locations — value for value, view bit for bit."""
+        from repro.dataplane.columnar import path_view
+
+        _, calls = campaign_inputs
+        engine = CampaignEngine(small_world.service, CampaignConfig(seed=8))
+        service = small_world.service
+        location = service.topology.prefix_location
+        checked = 0
+        for spec in calls[:40]:
+            src, dst = spec.caller.prefix, spec.callee.prefix
+            pair = engine.resolve_pair(src, dst)
+            reference = service.call_paths(src, location[src], dst, location[dst])
+            assert (pair is None) == (reference is None)
+            if pair is None:
+                continue
+            assert (pair.entry_pop, pair.egress_pop) == (reference.entry_pop, reference.exit_pop)
+            assert pair.vns_view == path_view(reference.via_vns)
+            assert pair.internet_view == path_view(reference.via_internet)
+            assert pair.via_vns == reference.via_vns
+            assert pair.via_internet == reference.via_internet
+            assert engine.resolve_pair(src, dst).via_vns is pair.via_vns
+            checked += 1
+        assert checked > 20
+
+
 class TestBatchedConsistency:
     def test_batch_matches_scalar_distribution(self, small_world, campaign_inputs):
         """One big batch must be statistically consistent with a loop of
@@ -195,6 +223,23 @@ class TestResolveAccounting:
             assert engine.resolve_pair(caller.prefix, callee.prefix, stats) is None
             assert (stats.onward_hits, stats.onward_misses) == (1, 0)
             assert (stats.internet_hits, stats.internet_misses) == (0, 0)
+
+    def test_internet_failure_repeat_counts_both_legs(self, small_world, campaign_inputs):
+        """The one failure whose leg flags equal a success's: its repeat
+        re-counts both legs and still resolves to nothing."""
+        population, _ = campaign_inputs
+        caller, callee = population.users[6], population.users[7]
+        engine = self.make_engine(small_world)
+        # Make the Internet leg unroutable (cached negative resolution).
+        engine.resolver._internet[(caller.prefix, callee.prefix)] = None
+        first = CampaignStats()
+        assert engine.resolve_pair(caller.prefix, callee.prefix, first) is None
+        assert (first.onward_hits, first.onward_misses) == (0, 1)
+        assert (first.internet_hits, first.internet_misses) == (1, 0)
+        again = CampaignStats()
+        assert engine.resolve_pair(caller.prefix, callee.prefix, again) is None
+        assert (again.onward_hits, again.onward_misses) == (1, 0)
+        assert (again.internet_hits, again.internet_misses) == (1, 0)
 
     def test_internet_cache_counted_in_campaign(self, small_world, campaign_inputs):
         _, calls = campaign_inputs
