@@ -265,7 +265,7 @@ def generate_topology(
         have = {point.city.name for point in system.presence}
         for hub in hub_cities:
             if hub.name not in have and rng.random() < 0.8:
-                system.presence.append(PresencePoint(city=hub, location=hub.location))
+                system.add_presence(PresencePoint(city=hub, location=hub.location))
                 have.add(hub.name)
         ltps.append(system)
     for i, a in enumerate(ltps):

@@ -189,9 +189,7 @@ def _upstream_sessions(
         """Transit delivered to the PoP: the provider builds a PNI there."""
         system = systems[asn]
         if pop.city.name not in _presence_city_names(system):
-            system.presence.append(
-                PresencePoint(city=pop.city, location=pop.city.location)
-            )
+            system.add_presence(PresencePoint(city=pop.city, location=pop.city.location))
 
     regional_for_region: dict[object, list[int]] = {}
     for asn in upstreams:

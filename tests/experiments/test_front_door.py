@@ -34,20 +34,20 @@ FIELDS = dict(n_users=120, calls_per_user_day=4.0, days=1, seed=5)
 
 #: ``(world seed, what)`` -> first 16 hex digits of the report's sha256.
 DIGESTS = {
-    (7, "campaign"): "fc712541d5f65c83",
-    (7, "steering"): "d2ffb313826d6274",
-    (7, "baseline"): "1a0cf548c7dd997f",
-    (7, "geo_satellite"): "90b2f45a589a42e4",
-    (7, "flash_crowd"): "75a0f1b3b98277e5",
-    (7, "regional_outage"): "a595c803c65c43f1",
-    (7, "pop_exhaustion"): "5ab7687e228c8c65",
-    (42, "campaign"): "9b24520fd3e21582",
-    (42, "steering"): "09ff8475ed03dde1",
-    (42, "baseline"): "26fadb167b700667",
-    (42, "geo_satellite"): "df673d2d4c5dd430",
-    (42, "flash_crowd"): "78eb21c350454862",
-    (42, "regional_outage"): "f04da1c776977a92",
-    (42, "pop_exhaustion"): "fc0d18d61640e6f3",
+    (7, "campaign"): "c0ff6e45bfd3fa0b",
+    (7, "steering"): "b86a14cd29d2de98",
+    (7, "baseline"): "9a3d7311a78849eb",
+    (7, "geo_satellite"): "9ed71ec8b084d0a5",
+    (7, "flash_crowd"): "29c363e9a9f88983",
+    (7, "regional_outage"): "a8b6cfce1b4a8bd3",
+    (7, "pop_exhaustion"): "6f0797d831468503",
+    (42, "campaign"): "a34acdbfde6a496c",
+    (42, "steering"): "8cf0da54955b63e4",
+    (42, "baseline"): "8fb55a27514f8c82",
+    (42, "geo_satellite"): "74daf07734baddf8",
+    (42, "flash_crowd"): "37adcb777afc8f49",
+    (42, "regional_outage"): "d7dea88075367f64",
+    (42, "pop_exhaustion"): "be8f0dec80bb5bd0",
 }
 
 

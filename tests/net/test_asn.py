@@ -32,7 +32,7 @@ class TestAutonomousSystem:
         system = AutonomousSystem(
             asn=1, name="X", as_type=ASType.EC, home=home, presence=[]
         )
-        assert system.presence == [home]
+        assert system.presence == (home,)
 
     def test_nearest_presence(self):
         system = make_system(cities=("Amsterdam", "Tokyo"))
@@ -40,6 +40,19 @@ class TestAutonomousSystem:
         assert system.nearest_presence(near_eu).city.name == "Amsterdam"
         near_ap = city_by_name("Seoul").location
         assert system.nearest_presence(near_ap).city.name == "Tokyo"
+
+    def test_add_presence_drops_the_memo(self):
+        system = make_system(cities=("Amsterdam", "Tokyo"))
+        target = city_by_name("London").location
+        assert system.nearest_presence(target).city.name == "Amsterdam"
+        london = city_by_name("London")
+        system.add_presence(PresencePoint(city=london, location=london.location))
+        assert system.nearest_presence(target).city.name == "London"
+
+    def test_presence_is_immutable(self):
+        system = make_system()
+        with pytest.raises(AttributeError):
+            system.presence.append(system.home)
 
     def test_hash_by_asn(self):
         assert hash(make_system(asn=7)) == hash(make_system(asn=7, cities=("Oslo",)))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bgp.propagation import AsLevelRouting
+from repro.experiments.common import build_world
+from repro.geo.coords import great_circle_km
 from repro.net.asn import ASType
 from repro.net.relationships import Relationship
 from repro.vns.builder import VnsConfig, build_vns
@@ -112,3 +114,32 @@ class TestDeployment:
         dep, _ = deployment
         combined = dep.neighbor_asns
         assert combined[: len(dep.upstreams)] == dep.upstreams
+
+
+class TestNearestPresenceAfterBuild:
+    """The builder adds presence points (the PNI circuits it delivers) to
+    ASes whose nearest presence it has already asked about: every answer
+    afterwards, memoised or not, must see the delivered circuits."""
+
+    @staticmethod
+    def first_argmin(system, target):
+        presence = system.presence
+        return presence[
+            min(
+                range(len(presence)),
+                key=lambda i: great_circle_km(presence[i].location, target),
+            )
+        ]
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_every_answer_is_the_nearest_point(self, seed):
+        world = build_world("small", seed=seed)
+        checked = 0
+        for system in world.topology.ases.values():
+            targets = list(system._nearest or ()) + [pop.location for pop in POPS]
+            for target in targets:
+                assert system.nearest_presence(target) is self.first_argmin(
+                    system, target
+                ), (system.asn, target)
+                checked += 1
+        assert checked > len(world.topology.ases) * len(POPS)
