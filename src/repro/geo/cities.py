@@ -10,11 +10,10 @@ everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.geo.coords import GeoPoint
+from repro.geo.coords import GeoPoint, nearest
 from repro.geo.regions import POP_REGION_FOR_WORLD_REGION, PopRegion, WorldRegion
 
 
@@ -189,48 +188,17 @@ def city_by_name(name: str) -> City:
         raise KeyError(f"unknown city {name!r}") from None
 
 
-#: Per-city haversine terms ``(lat_rad, cos_lat, lon, city)``, built on
-#: the first reverse-geocoding miss.
-_CITY_TRIG: list[tuple[float, float, float, City]] | None = None
-
-
 @lru_cache(maxsize=None)
 def nearest_city(point: GeoPoint) -> City:
     """The gazetteer city closest to ``point`` (coarse reverse geocoding).
 
     Memoised: the function is pure, ``GeoPoint`` is frozen/hashable, and
     real workloads reverse-geocode the same prefix/PoP/city locations
-    millions of times — the linear gazetteer scan was the campaign
-    engine's single hottest call before caching.  Misses compare raw
-    haversine terms (monotone in distance) with per-city trigonometry
-    hoisted; the argmin matches ranking by
-    :func:`~repro.geo.coords.great_circle_km`.
+    millions of times — the linear gazetteer scan
+    (:func:`~repro.geo.coords.nearest`) was the campaign engine's single
+    hottest call before caching.
     """
-    global _CITY_TRIG
-    trig = _CITY_TRIG
-    if trig is None:
-        trig = _CITY_TRIG = [
-            (
-                math.radians(city.location.lat),
-                math.cos(math.radians(city.location.lat)),
-                city.location.lon,
-                city,
-            )
-            for city in CITIES
-        ]
-    lat2 = math.radians(point.lat)
-    cos_lat2 = math.cos(lat2)
-    lon2 = point.lon
-    best = trig[0][3]
-    best_h = math.inf
-    for lat1, cos_lat1, lon1, city in trig:
-        dlat = lat2 - lat1
-        dlon = math.radians(lon2 - lon1)
-        h = math.sin(dlat / 2.0) ** 2 + cos_lat1 * cos_lat2 * math.sin(dlon / 2.0) ** 2
-        if h < best_h:
-            best_h = h
-            best = city
-    return best
+    return CITIES[nearest((city.location for city in CITIES), point)]
 
 
 def region_of_point(point: GeoPoint) -> WorldRegion:

@@ -10,6 +10,7 @@ that matter most for egress tie-breaking.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 #: Mean Earth radius in kilometres (IUGG).
@@ -70,36 +71,34 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
 
 
-#: Precomputed trig terms of a point: ``(lat_rad, cos_lat, lon_rad)``.
-TrigTerms = tuple[float, float, float]
+def nearest(points: Iterable[GeoPoint], target: GeoPoint) -> int:
+    """Index of the point of ``points`` nearest to ``target`` (the first
+    such point on a tie).
 
+    The one nearest-point scan: the nearest gazetteer city, an AS's
+    nearest presence point and the nearest PoP are all this scan over
+    different sets.  It compares the haversine term of
+    :func:`great_circle_km` (monotone in distance) instead of the
+    distance, skipping the square root and arcsine per candidate.
 
-def trig_terms(point: GeoPoint) -> TrigTerms:
-    """Precompute the per-point haversine terms ``(lat_rad, cos_lat, lon_rad)``.
-
-    A caller that measures many distances *from* a fixed set of points
-    (the 11 PoPs, the ~22 egress routers) computes these once and feeds
-    them to :func:`great_circle_km_fast`, skipping the degree→radian
-    conversions and the cosine on every call.
+    Raises
+    ------
+    ValueError
+        If ``points`` is empty.
     """
-    lat_rad = math.radians(point.lat)
-    return (lat_rad, math.cos(lat_rad), math.radians(point.lon))
-
-
-def great_circle_km_fast(terms: TrigTerms, b: GeoPoint) -> float:
-    """Haversine distance from a precomputed point to ``b``, in km.
-
-    Same formulation as :func:`great_circle_km` — only the fixed point's
-    trigonometry is hoisted — so distances agree to floating-point noise
-    (≪ the 10 km LOCAL_PREF resolution the route reflector quantises to).
-    """
-    lat1, cos_lat1, lon1 = terms
-    lat2 = math.radians(b.lat)
-    dlat = lat2 - lat1
-    dlon = math.radians(b.lon) - lon1
-    h = math.sin(dlat / 2.0) ** 2 + cos_lat1 * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    h = min(1.0, max(0.0, h))
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    lat2 = math.radians(target.lat)
+    cos_lat2 = math.cos(lat2)
+    best, best_h = -1, math.inf
+    for index, point in enumerate(points):
+        lat1 = math.radians(point.lat)
+        dlat = lat2 - lat1
+        dlon = math.radians(target.lon - point.lon)
+        h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * cos_lat2 * math.sin(dlon / 2.0) ** 2
+        if h < best_h:
+            best, best_h = index, h
+    if best < 0:
+        raise ValueError("nearest needs at least one point")
+    return best
 
 
 def destination_point(origin: GeoPoint, bearing_deg: float, distance_km: float) -> GeoPoint:

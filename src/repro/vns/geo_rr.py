@@ -21,13 +21,7 @@ from dataclasses import replace
 from repro.bgp.attributes import Route
 from repro.bgp.reflector import RouteReflector
 from repro.bgp.session import Session
-from repro.geo.coords import (
-    GeoPoint,
-    TrigTerms,
-    great_circle_km,
-    great_circle_km_fast,
-    trig_terms,
-)
+from repro.geo.coords import GeoPoint, great_circle_km
 from repro.geo.geoip import GeoIPDatabase
 from repro.net.addressing import Prefix
 from repro.perf import counters as perf
@@ -99,11 +93,6 @@ class GeoRouteReflector(RouteReflector):
         self.management = management
         #: Counters for observability/tests.
         self.stats = {"assigned": 0, "no_geoip": 0, "no_location": 0, "exempt": 0, "forced": 0}
-        # The egress set is small and fixed (the ~22 border routers), so
-        # each egress's haversine trig terms are computed exactly once.
-        self._egress_trig: dict[str, TrigTerms] = {
-            rid: trig_terms(loc) for rid, loc in self.router_locations.items()
-        }
         # Memo of computed LOCAL_PREFs: next hop -> prefix -> lp.
         # During convergence the same (egress, prefix) pair is re-imported
         # many times (reflection, refreshes, IGP notifications); the f(d)
@@ -116,16 +105,13 @@ class GeoRouteReflector(RouteReflector):
         self._memo_version = geoip.version
 
     def invalidate_geo_cache(self) -> None:
-        """Drop all memoized LOCAL_PREFs and re-read egress locations.
+        """Drop all memoized LOCAL_PREFs.
 
         GeoIP mutations are detected automatically via the database
         version; call this only after mutating :attr:`router_locations`
         or :attr:`lp_function` in place.
         """
         self._lp_memo.clear()
-        self._egress_trig = {
-            rid: trig_terms(loc) for rid, loc in self.router_locations.items()
-        }
 
     def import_local_pref(self, route: Route, session: Session, local_pref: int) -> int:
         """Assign the geo LOCAL_PREF to routes arriving over iBGP.
@@ -154,10 +140,10 @@ class GeoRouteReflector(RouteReflector):
         Reads ``route``'s next hop and prefix; returns ``local_pref``
         unchanged when the egress location or the prefix's GeoIP entry is
         unknown.  Hot path: runs once per route imported over iBGP during
-        convergence.  Two optimisations over
-        :meth:`assign_geo_preference_reference`, both decision-identical:
-        per-egress trig terms are precomputed, and the ``(next_hop,
-        prefix) -> lp`` result is memoized (invalidated by GeoIP mutation).
+        convergence.  The one optimisation over
+        :meth:`assign_geo_preference_reference` is the ``(next_hop,
+        prefix) -> lp`` memo (invalidated by GeoIP mutation); a miss
+        computes the same :func:`~repro.geo.coords.great_circle_km`.
         """
         if perf.enabled:
             perf.incr("geo.assign.calls")
@@ -171,19 +157,16 @@ class GeoRouteReflector(RouteReflector):
             if perf.enabled:
                 perf.incr("geo.assign.memo_hits")
         else:
-            trig = self._egress_trig.get(next_hop)
-            if trig is None:
-                egress = self.router_locations.get(next_hop)
-                if egress is None:
-                    self.stats["no_location"] += 1
-                    return local_pref
-                trig = self._egress_trig[next_hop] = trig_terms(egress)
+            egress = self.router_locations.get(next_hop)
+            if egress is None:
+                self.stats["no_location"] += 1
+                return local_pref
             entry = self.geoip.lookup(route.prefix)
             if entry is None:
                 # Database miss: fall back to default BGP behaviour.
                 self.stats["no_geoip"] += 1
                 return local_pref
-            lp = self.lp_function(great_circle_km_fast(trig, entry.location))
+            lp = self.lp_function(great_circle_km(egress, entry.location))
             if memo is None:
                 memo = self._lp_memo[next_hop] = {}
             memo[route.prefix] = lp

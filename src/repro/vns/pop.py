@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.geo.cities import City, city_by_name
-from repro.geo.coords import GeoPoint, TrigTerms, great_circle_km_fast, trig_terms
+from repro.geo.coords import GeoPoint, nearest
 from repro.geo.regions import PopRegion
 
 
@@ -83,10 +83,6 @@ POPS: tuple[PoP, ...] = (
 
 _BY_CODE = {pop.code: pop for pop in POPS}
 
-#: The footprint is fixed, so each PoP's haversine trig terms are
-#: computed once at import; every nearest-PoP query reuses them.
-_POP_TRIG: dict[str, TrigTerms] = {pop.code: trig_terms(pop.location) for pop in POPS}
-
 
 def pop_by_code(code: str) -> PoP:
     """Look up a PoP by short code (e.g. ``"AMS"``).
@@ -108,9 +104,9 @@ def nearest_pop(location: GeoPoint, among: Iterable[PoP] | None = None) -> PoP:
     """The PoP geographically nearest to ``location``.
 
     ``among`` restricts the candidates (e.g. the PoPs still holding a
-    session after a fault); default is the full footprint.  This is the
-    single nearest-PoP implementation — anycast catchment and experiment
-    code route through it so they all share the precomputed trig terms.
+    session after a fault); default is the full footprint.  Anycast
+    catchment and experiment code route through it; the scan is
+    :func:`~repro.geo.coords.nearest` (the first PoP on a tie).
 
     Raises
     ------
@@ -118,6 +114,4 @@ def nearest_pop(location: GeoPoint, among: Iterable[PoP] | None = None) -> PoP:
         If ``among`` is given but empty.
     """
     candidates = POPS if among is None else tuple(among)
-    if not candidates:
-        raise ValueError("nearest_pop needs at least one candidate PoP")
-    return min(candidates, key=lambda pop: great_circle_km_fast(_POP_TRIG[pop.code], location))
+    return candidates[nearest((pop.location for pop in candidates), location)]

@@ -3,12 +3,24 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.geo.coords import (
     EARTH_RADIUS_KM,
     GeoPoint,
     destination_point,
     great_circle_km,
+    nearest,
+)
+
+#: Points on a 1e-4 degree grid (~11 m): distinct points are never a
+#: rounding error apart, so the haversine term and the distance rank
+#: them alike and "the first argmin" is one well-defined index.
+grid_points = st.builds(
+    GeoPoint,
+    lat=st.integers(-900_000, 900_000).map(lambda v: v / 10_000),
+    lon=st.integers(-1_800_000, 1_800_000).map(lambda v: v / 10_000),
 )
 
 
@@ -69,6 +81,28 @@ class TestGreatCircle:
         west = GeoPoint(0.0, 179.5)
         east = GeoPoint(0.0, -179.5)
         assert great_circle_km(west, east) < 120.0
+
+
+class TestNearest:
+    @given(
+        st.lists(grid_points, min_size=1, max_size=12),
+        st.lists(st.integers(0, 11), max_size=6),
+        grid_points,
+    )
+    def test_first_argmin_of_great_circle_km(self, points, copies, target):
+        # Duplicates (copies of earlier points, appended) tie exactly.
+        points = points + [points[i % len(points)] for i in copies]
+        distances = [great_circle_km(point, target) for point in points]
+        assert nearest(points, target) == distances.index(min(distances))
+
+    def test_tie_goes_to_the_first(self):
+        east, west = GeoPoint(0.0, 10.0), GeoPoint(0.0, -10.0)
+        assert nearest([east, west], GeoPoint(0.0, 0.0)) == 0
+        assert nearest([west, east], GeoPoint(0.0, 0.0)) == 0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            nearest([], GeoPoint(0.0, 0.0))
 
 
 class TestDestinationPoint:

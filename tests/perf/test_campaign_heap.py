@@ -15,11 +15,13 @@ These are invariants of the layout, not pinned counts.
 from __future__ import annotations
 
 import gc
+import pickle
 
 import pytest
 
 from repro.dataplane.link import PathSegment
 from repro.dataplane.path import DataPath
+from repro.experiments.common import build_world
 from repro.net.asn import AutonomousSystem
 from repro.workload.arrivals import CallArrivalProcess
 from repro.workload.engine import CampaignConfig, CampaignEngine, _ResolvedPair
@@ -116,3 +118,16 @@ def test_no_as_target_keyed_lru_cache(resolver):
         type(key) is tuple and key and isinstance(key[0], AutonomousSystem)
         for key in lru_cache_keys()
     )
+
+
+def test_a_campaign_leaves_every_as_the_same_bytes():
+    """A shipped world's bytes must not depend on what the sending
+    process computed: the nearest-presence memos stay out of the pickle."""
+    world = build_world("small", seed=7)
+    ases = world.topology.ases
+    before = {asn: pickle.dumps(system) for asn, system in ases.items()}
+    population = UserPopulation.sample(world.topology, 120, seed=5)
+    calls = CallArrivalProcess(population, calls_per_user_day=4.0, seed=5).generate(days=1)
+    assert CampaignEngine(world.service, CampaignConfig(seed=5)).run(calls).stats.calls_resolved
+    assert sum(system._nearest is not None for system in ases.values()) > len(ases) // 2
+    assert {asn: pickle.dumps(system) for asn, system in ases.items()} == before

@@ -121,13 +121,35 @@ class TestGeoAssignment:
 class TestOptimisedHotPath:
     """The memoized fast path must be invisible except for speed."""
 
-    def test_matches_reference_implementation(self):
+    def test_matches_reference_implementation(self, small_world):
         rr = make_reflector()
         ref = make_reflector()
         for next_hop in ("A", "B"):
             fast = rr.assign_geo_preference(ibgp_route(next_hop))
             slow = ref.assign_geo_preference_reference(ibgp_route(next_hop))
             assert fast.local_pref == slow.local_pref
+        # Every reflector x egress x GeoIP entry of a built world, under
+        # both f(d): fresh reflectors over its database and egress map.
+        checked = 0
+        for world_rr in small_world.service.deployment.network.reflectors.values():
+            for lp_function in (linear_lp, stepped_lp):
+                rr, ref = (
+                    GeoRouteReflector(
+                        world_rr.router_id,
+                        ASN,
+                        geoip=world_rr.geoip,
+                        router_locations=world_rr.router_locations,
+                        lp_function=lp_function,
+                    )
+                    for _ in range(2)
+                )
+                for next_hop in world_rr.router_locations:
+                    for prefix in world_rr.geoip.prefixes():
+                        route = Route(prefix=prefix, as_path=AsPath((100, 9)), next_hop=next_hop)
+                        slow = ref.assign_geo_preference_reference(route).local_pref
+                        assert rr.geo_local_pref(route, 100) == slow
+                        checked += 1
+        assert checked > 2 * 2 * 20 * 200
 
     def test_memo_hit_returns_same_decision(self):
         rr = make_reflector()
