@@ -62,7 +62,7 @@ from scipy import special as _special
 
 from repro.dataplane import calibration as cal
 from repro.dataplane.link import KIND_CODE, LOSS_TABLE, SegmentKind, SegmentLossParams
-from repro.dataplane.path import DataPath
+from repro.dataplane.path import DataPath, PathView, path_view
 from repro.dataplane.transmit import (
     StreamResult,
     _jitter_rate_factor,
@@ -72,16 +72,12 @@ from repro.dataplane.transmit import (
 from repro.perf import counters as perf
 
 __all__ = [
-    "PathView",
     "StreamColumnSpec",
     "StreamColumns",
-    "ids_view",
-    "path_view",
     "simulate_columns",
     "simulate_stream_columns",
     "simulate_table",
     "spec_digest",
-    "view_path",
 ]
 
 
@@ -371,53 +367,6 @@ def spec_digest(text: str) -> tuple[int, int]:
     return (
         int.from_bytes(digest[0:8], "little"),
         int.from_bytes(digest[8:16], "little"),
-    )
-
-
-#: What the kernel needs of a path: the :data:`LOSS_TABLE` id of each
-#: segment in order, its round-trip time and its jitter scale before the
-#: packet-rate factor.  A plain tuple of ids and floats, so the cyclic
-#: collector untracks it and never walks it again.
-PathView = tuple[tuple[int, ...], float, float]
-
-
-def path_view(path: DataPath) -> PathView:
-    """``path``'s view, built the first time it is asked for and kept on
-    the path (``_kernel_view``)."""
-    view = path._kernel_view
-    if view is None:
-        sids = tuple(map(LOSS_TABLE.segment_id, path.segments))
-        view = path._kernel_view = ids_view(sids)
-    return view
-
-
-def view_path(view: PathView, description: str) -> DataPath:
-    """The path ``view`` was taken of: its ids' segments (the interned
-    value of each, from :data:`LOSS_TABLE`), with the view kept on it."""
-    path = DataPath(
-        segments=list(map(LOSS_TABLE.segments.__getitem__, view[0])),
-        description=description,
-    )
-    path._kernel_view = view
-    return path
-
-
-def ids_view(sids: tuple[int, ...]) -> PathView:
-    """The view of a path whose segments have the ids ``sids``.
-
-    Sums over the table's per-id scalars: the delays in the order of
-    :meth:`DataPath.rtt_ms`, the jitter terms left to right as
-    :func:`~repro.dataplane.transmit._jitter_base_ms` adds them, so the
-    view carries the path's own bits.
-    """
-    terms = LOSS_TABLE.jitter_term
-    congestion_terms = 0.0
-    for sid in sids:
-        congestion_terms += terms[sid]
-    return (
-        sids,
-        2.0 * sum(map(LOSS_TABLE.delay_ms.__getitem__, sids)),
-        cal.JITTER_BASE_SCALE_MS * (1.0 + congestion_terms),
     )
 
 

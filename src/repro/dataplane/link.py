@@ -285,7 +285,7 @@ class PathSegment:
 
     def jitter_term(self) -> float:
         """This segment's congestion term in its path's jitter scale
-        (:func:`repro.dataplane.transmit._jitter_base_ms`)."""
+        (:func:`repro.dataplane.path.ids_view`)."""
         kind = self.kind
         if kind is SegmentKind.ACCESS:
             return 0.3

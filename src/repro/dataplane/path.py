@@ -15,10 +15,18 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.dataplane.link import PathSegment, SegmentKind, intern_segment
+from repro.dataplane import calibration as cal
+from repro.dataplane.link import LOSS_TABLE, PathSegment, SegmentKind, intern_segment
 from repro.geo.coords import GeoPoint
 from repro.net.asn import ASType
 from repro.net.topology import InternetTopology
+
+
+#: What the kernel needs of a path: the :data:`LOSS_TABLE` id of each
+#: segment in order, its round-trip time and its jitter scale before the
+#: packet-rate factor.  A plain tuple of ids and floats, so the cyclic
+#: collector untracks it and never walks it again.
+PathView = tuple[tuple[int, ...], float, float]
 
 
 @dataclass(slots=True)
@@ -27,29 +35,20 @@ class DataPath:
 
     segments: list[PathSegment]
     description: str = ""
-    #: lazily-computed RTT (segments are fixed after construction; both
-    #: the resolve and simulate phases ask for the same path's RTT).
-    _rtt_ms: float | None = field(default=None, repr=False, compare=False)
-    #: the columnar kernel's view of this path (segment ids, RTT, jitter
-    #: base), built by the kernel the first time it simulates the path.
-    _kernel_view: tuple | None = field(
+    #: the path's one memo, its view (:func:`path_view`): segments are
+    #: fixed after construction, and the resolve, simulate and scalar
+    #: phases all read the same path's RTT and jitter base off it.
+    _kernel_view: PathView | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __reduce__(self):
-        # Pickle the value, not the memos: segment ids are per process.
+        # Pickle the value, not the memo: segment ids are per process.
         return (DataPath, (self.segments, self.description))
 
-    def one_way_delay_ms(self) -> float:
-        """Total one-way delay."""
-        return sum(segment.delay_ms() for segment in self.segments)
-
     def rtt_ms(self) -> float:
-        """Round-trip time assuming a symmetric reverse path (memoised)."""
-        rtt = self._rtt_ms
-        if rtt is None:
-            rtt = self._rtt_ms = 2.0 * self.one_way_delay_ms()
-        return rtt
+        """Round-trip time assuming a symmetric reverse path (its view's)."""
+        return path_view(self)[1]
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -75,6 +74,45 @@ class DataPath:
     def __str__(self) -> str:
         inner = " | ".join(str(segment) for segment in self.segments)
         return f"DataPath({self.description}: {inner})"
+
+
+def path_view(path: DataPath) -> PathView:
+    """``path``'s view, built the first time it is asked for and kept on
+    the path (``_kernel_view``)."""
+    view = path._kernel_view
+    if view is None:
+        sids = tuple(map(LOSS_TABLE.segment_id, path.segments))
+        view = path._kernel_view = ids_view(sids)
+    return view
+
+
+def view_path(view: PathView, description: str) -> DataPath:
+    """The path ``view`` was taken of: its ids' segments (the interned
+    value of each, from :data:`LOSS_TABLE`), with the view kept on it."""
+    path = DataPath(
+        segments=list(map(LOSS_TABLE.segments.__getitem__, view[0])),
+        description=description,
+    )
+    path._kernel_view = view
+    return path
+
+
+def ids_view(sids: tuple[int, ...]) -> PathView:
+    """The view of a path whose segments have the ids ``sids``.
+
+    Sums over the table's per-id scalars: twice the one-way delays, and
+    the jitter terms (:meth:`~repro.dataplane.link.PathSegment.jitter_term`:
+    the scale grows with congested hops) left to right.
+    """
+    terms = LOSS_TABLE.jitter_term
+    congestion_terms = 0.0
+    for sid in sids:
+        congestion_terms += terms[sid]
+    return (
+        sids,
+        2.0 * sum(map(LOSS_TABLE.delay_ms.__getitem__, sids)),
+        cal.JITTER_BASE_SCALE_MS * (1.0 + congestion_terms),
+    )
 
 
 @lru_cache(maxsize=None)

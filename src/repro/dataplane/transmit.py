@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from repro.dataplane import calibration as cal
-from repro.dataplane.link import LOSS_TABLE, PathSegment, SegmentKind
-from repro.dataplane.path import DataPath
+from repro.dataplane.link import PathSegment, SegmentKind
+from repro.dataplane.path import DataPath, path_view
 
 
 #: A slot is "lossy" for QoE accounting when it loses at least this
@@ -138,28 +138,6 @@ def _jitter_rate_factor(pps: float) -> float:
     return float(np.sqrt(cal.JITTER_REFERENCE_PPS / max(pps, 1.0)))
 
 
-def _jitter_base_ms(segments) -> float:
-    """A path's jitter scale before the packet-rate factor.
-
-    Grows with congested hops: the segments' terms
-    (:meth:`~repro.dataplane.link.PathSegment.jitter_term`, kept per
-    segment id in :data:`~repro.dataplane.link.LOSS_TABLE`) summed left
-    to right.  Hour- and rate-independent, so the columnar kernel keeps
-    it on the path; the scalar path and the kernel both multiply it by
-    :func:`_jitter_rate_factor`, so the two cannot drift apart.
-    """
-    terms = LOSS_TABLE.jitter_term
-    congestion_terms = 0.0
-    for sid in map(LOSS_TABLE.segment_id, segments):
-        congestion_terms += terms[sid]
-    return cal.JITTER_BASE_SCALE_MS * (1.0 + congestion_terms)
-
-
-def _jitter_scale(path: DataPath, hour_cet: float, pps: float) -> float:
-    """Jitter scale: grows with congested transit hops, shrinks with pps."""
-    return _jitter_base_ms(path.segments) * _jitter_rate_factor(pps)
-
-
 def _stream_shape(
     duration_s: float, packets_per_second: float, slot_s: float
 ) -> tuple[int, int, int]:
@@ -221,7 +199,7 @@ def simulate_stream(
     slot_losses = rng.binomial(slot_packets, rates)
     jitter_samples = rng.gamma(
         cal.JITTER_GAMMA_SHAPE,
-        _jitter_scale(path, hour_cet, packets_per_second),
+        path_view(path)[2] * _jitter_rate_factor(packets_per_second),
         size=n_slots,
     )
     # Congestion inflates jitter: couple it to the slot loss rates.

@@ -52,16 +52,8 @@ from typing import TYPE_CHECKING, ClassVar, Protocol
 import numpy as np
 
 from repro import perf
-from repro.dataplane.columnar import (
-    PathView,
-    StreamColumns,
-    ids_view,
-    path_view,
-    simulate_table,
-    spec_digest,
-    view_path,
-)
-from repro.dataplane.path import DataPath
+from repro.dataplane.columnar import StreamColumns, simulate_table, spec_digest
+from repro.dataplane.path import DataPath, PathView, ids_view, path_view, view_path
 from repro.dataplane.transmit import SLOT_S, StreamResult
 from repro.net.addressing import Prefix
 from repro.vns.service import VideoNetworkService

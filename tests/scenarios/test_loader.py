@@ -64,9 +64,7 @@ class TestScenarioPathModel:
         # The transit leg and the far-end access leg stay terrestrial.
         assert not isinstance(out.segments[1], DegradedSegment)
         assert not isinstance(out.segments[2], DegradedSegment)
-        assert out.one_way_delay_ms() == pytest.approx(
-            path.one_way_delay_ms() + 270.0
-        )
+        assert out.rtt_ms() == pytest.approx(path.rtt_ms() + 2 * 270.0)
 
     def test_degradation_hits_matching_transit_corridor(self):
         model = ScenarioPathModel(

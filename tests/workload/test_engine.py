@@ -92,7 +92,7 @@ class TestPathFidelity:
         """A resolved pair's views, and the paths built from them on first
         read, are those of the uncached facade at the prefixes' true
         locations — value for value, view bit for bit."""
-        from repro.dataplane.columnar import path_view
+        from repro.dataplane.path import path_view
 
         _, calls = campaign_inputs
         engine = CampaignEngine(small_world.service, CampaignConfig(seed=8))
