@@ -15,7 +15,8 @@ The run summary (per-cell calls/golden verdicts/timing) is recorded as
 one ``scenario_matrix`` row in the results store — the CI artifact.
 
 The grid can be restricted for smoke runs with
-``BENCH_SCENARIO_GRID=NxM`` (N scenarios, M seeds), e.g. ``2x2`` in CI.
+``BENCH_SCENARIO_GRID=NxM`` (N scenarios, M seeds), e.g. ``2x2``; CI
+runs the full grid, so every committed golden is checked.
 """
 
 from __future__ import annotations
