@@ -64,7 +64,8 @@ class SteeringTelemetry:
         minutes_between_rounds: float,
         hosts_per_type_per_region: int,
     ) -> PathHealthTable:
-        """Probe the schedule from every PoP and return the filled table.
+        """Probe the schedule from every PoP that is up and return the
+        filled table (a PoP that is down has no path to probe from).
 
         The schedule has no defaults here: the one a steered scenario
         uses is ``scenarios.loader.TELEMETRY_*``.
@@ -77,6 +78,7 @@ class SteeringTelemetry:
         pop_region = {
             pop.code: REGION_CODE[region_of_point(pop.location)]
             for pop in self.service.pops()
+            if self.service.network.pop_is_up(pop.code)
         }
         # Both campaigns draw from the one generator, Internet first.
         campaigns = (

@@ -1,6 +1,7 @@
 """Loader tests: the path model, fault application, and world hygiene."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.faults.events import (
 from repro.geo.coords import GeoPoint
 from repro.net.asn import ASType
 from repro.scenarios import (
+    STEERING_POLICIES,
     ScenarioPathModel,
     ScenarioSpec,
     WorldSpec,
@@ -25,6 +27,7 @@ from repro.scenarios import (
     canned_scenario,
     compose_scenario,
     load_scenario,
+    run_scenario,
     scenario_calls,
 )
 
@@ -289,3 +292,14 @@ class TestComposition:
         assert loaded.steering is not None
         run = loaded.run()
         assert run.report.steering is not None
+
+
+class TestSteeredPopDown:
+    """A steered scenario with a PoP down probes only the PoPs still up."""
+
+    @pytest.mark.parametrize("policy", [p for p in STEERING_POLICIES if p])
+    def test_runs_under_every_policy(self, policy):
+        spec = replace(canned_scenario("regional_outage"), steering_policy=policy)
+        run = run_scenario(spec)
+        assert run.report.steering is not None
+        assert run.report.n_calls > 0
