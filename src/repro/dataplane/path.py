@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.dataplane import calibration as cal
 from repro.dataplane.link import LOSS_TABLE, PathSegment, SegmentKind, intern_segment
@@ -115,12 +114,6 @@ def ids_view(sids: tuple[int, ...]) -> PathView:
     )
 
 
-@lru_cache(maxsize=None)
-def _as_at(asn: int, city_name: str) -> str:
-    """Memoised ``AS<n>@<city>`` waypoint label — a tiny, heavily reused set."""
-    return f"AS{asn}@{city_name}"
-
-
 def assemble_as_path_waypoints(
     topology: InternetTopology,
     as_path: Sequence[int],
@@ -144,11 +137,11 @@ def assemble_as_path_waypoints(
     for asn in as_path:
         system = topology.autonomous_system(asn)
         entry = system.nearest_presence(current)
-        waypoints.append((entry.location, _as_at(asn, entry.city.name), system.as_type))
+        waypoints.append((entry.location, f"AS{asn}@{entry.city.name}", system.as_type))
         exit_point = system.nearest_presence(destination)
         if exit_point.city.name != entry.city.name:
             waypoints.append(
-                (exit_point.location, _as_at(asn, exit_point.city.name), system.as_type)
+                (exit_point.location, f"AS{asn}@{exit_point.city.name}", system.as_type)
             )
         current = exit_point.location
     return waypoints

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -132,9 +131,8 @@ def combine_rates(per_segment: list[np.ndarray], n_slots: int | None = None) -> 
     return 1.0 - survival
 
 
-@lru_cache(maxsize=None)
 def _jitter_rate_factor(pps: float) -> float:
-    """Memoised packet-rate jitter factor (one sqrt per distinct rate)."""
+    """The packet-rate jitter factor: jitter scales as ``1/sqrt(rate)``."""
     return float(np.sqrt(cal.JITTER_REFERENCE_PPS / max(pps, 1.0)))
 
 

@@ -7,19 +7,19 @@ which one carries it.  The engine reads the corridor's
 and delegates the verdict to its pluggable policy.
 
 Decisions are pure in ``(call identity, corridor health, candidates)``
-— the engine itself holds no evolving state beyond an optional memo for
-policies whose verdicts are constant per (corridor, diurnal bucket).
-That purity is what lets a sharded campaign reproduce the sequential
-decision stream exactly, and it makes the engine picklable (plain data:
-table and policy).
+and the engine holds no evolving state: every call asks the policy, and
+nothing is memoised in front of it.  That purity is what lets a sharded
+campaign reproduce the sequential decision stream exactly, and it makes
+the engine plain picklable data (table, policy and seed) whose bytes a
+campaign does not change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import perf
-from repro.steering.health import PathHealthTable, Transport, bucket_of
+from repro.steering.health import PathHealthTable, Transport
 from repro.steering.policies import (
     PathCandidates,
     SteeringContext,
@@ -45,7 +45,6 @@ class SteeringEngine:
     health: PathHealthTable
     policy: SteeringPolicy
     seed: int = 0
-    _memo: dict[tuple[str, str, int], SteeringDecision] = field(default_factory=dict)
 
     def decide_for_regions(
         self,
@@ -66,13 +65,6 @@ class SteeringEngine:
         them policies fall back to corridor telemetry alone.
         """
         perf.incr("steering.decide")
-        memo_key = None
-        if not self.policy.call_sensitive:
-            memo_key = (src_region, dst_region, bucket_of(t_hours))
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                perf.incr("steering.memo_hit")
-                return cached
         ctx = SteeringContext(
             src_region=src_region,
             dst_region=dst_region,
@@ -90,6 +82,4 @@ class SteeringEngine:
         )
         decision = self.policy.decide(ctx)
         perf.incr(f"steering.choice.{decision.choice.value}")
-        if memo_key is not None:
-            self._memo[memo_key] = decision
         return decision

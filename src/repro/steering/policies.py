@@ -65,7 +65,7 @@ class SteeringDecision:
         return self.choice is not PathChoice.VNS
 
 
-#: Decisions the engine can mint without consulting a policy.
+#: The baseline policy's one verdict, shared by every call it decides.
 ALWAYS_VNS = SteeringDecision(choice=PathChoice.VNS, reason="always_vns")
 
 
@@ -103,15 +103,6 @@ class SteeringPolicy(Protocol):
 
     def decide(self, ctx: SteeringContext) -> SteeringDecision:
         """The verdict for one call (pure: no cross-call state)."""
-        ...
-
-    @property
-    def call_sensitive(self) -> bool:
-        """Whether decisions vary *within* a (corridor, bucket) cell.
-
-        Policies that decide purely per corridor and diurnal bucket can be
-        memoised by the engine; per-call splits cannot.
-        """
         ...
 
 
@@ -155,10 +146,6 @@ class AlwaysVnsPolicy:
 
     name: ClassVar[str] = "always_vns"
 
-    @property
-    def call_sensitive(self) -> bool:
-        return False
-
     def decide(self, ctx: SteeringContext) -> SteeringDecision:
         return ALWAYS_VNS
 
@@ -186,12 +173,6 @@ class ThresholdOffloadPolicy:
     rtt_delta_ms: ClassVar[float] = 15.0
     loss_delta_pct: ClassVar[float] = 0.25
     name: ClassVar[str] = "threshold_offload"
-
-    @property
-    def call_sensitive(self) -> bool:
-        # Corridor health is bucket-level, but the per-call RTT gate reads
-        # the call's own candidates, which vary per prefix pair.
-        return True
 
     def decide(self, ctx: SteeringContext) -> SteeringDecision:
         vns, inet = ctx.vns_health, ctx.internet_health
@@ -247,10 +228,6 @@ class CostBudgetedPolicy:
     def __post_init__(self) -> None:
         if self.budget_bytes < 0:
             raise ValueError(f"budget_bytes must be >= 0, got {self.budget_bytes!r}")
-
-    @property
-    def call_sensitive(self) -> bool:
-        return True
 
     def offload_penalty(
         self, vns: HealthEntry | None, inet: HealthEntry | None

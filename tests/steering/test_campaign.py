@@ -11,10 +11,12 @@ The load-bearing guarantees:
 """
 
 import json
+import pickle
 
 import pytest
 
 from repro.dataplane.link import SegmentKind
+from repro.scenarios.loader import scenario_steering
 from repro.steering import (
     PathChoice,
     SteeringEngine,
@@ -176,6 +178,19 @@ class TestSteeredCampaign:
         # expectation, and failed calls drop out of the projection).
         assert 0.4 <= steering["backbone_saved_fraction"] <= 0.8
         assert steering["offload_rate"] > 0.0
+
+
+class TestEngineState:
+    @pytest.mark.parametrize("policy", ["always_vns", "threshold_offload", "cost_budgeted"])
+    def test_a_campaign_leaves_the_engine_the_same_bytes(
+        self, small_world, campaign_calls, health_table, config, policy
+    ):
+        """Decisions are pure per call: a steered campaign leaves nothing
+        behind in the engine that a pool worker would be shipped."""
+        engine = scenario_steering(policy, health_table, campaign_calls, config)
+        before = pickle.dumps(engine)
+        CampaignEngine(small_world.service, config, steering=engine).run(campaign_calls)
+        assert pickle.dumps(engine) == before
 
 
 class TestDetourComposition:

@@ -85,7 +85,6 @@ class TestAlwaysVns:
         decision = policy.decide(_ctx(_healthy_table()))
         assert decision.choice is PathChoice.VNS
         assert not decision.offloaded
-        assert not policy.call_sensitive
 
 
 class TestThresholdOffload:
@@ -191,20 +190,6 @@ class TestCostBudgeted:
 
 
 class TestSteeringEngine:
-    def test_memoises_call_insensitive_policies(self):
-        engine = SteeringEngine(health=_healthy_table(), policy=AlwaysVnsPolicy())
-        first = engine.decide_for_regions("EU", "NA", 1.0)
-        second = engine.decide_for_regions("EU", "NA", 2.0)  # same 4 h bucket
-        assert first is second
-        assert len(engine._memo) == 1
-
-    def test_no_memo_for_call_sensitive_policies(self):
-        engine = SteeringEngine(
-            health=_healthy_table(), policy=ThresholdOffloadPolicy()
-        )
-        engine.decide_for_regions("EU", "NA", 1.0)
-        assert engine._memo == {}
-
     def test_unknown_prefix_decides_as_vns(self):
         engine = SteeringEngine(health=_healthy_table(), policy=ThresholdOffloadPolicy())
         # A corridor nobody probed has no telemetry.
