@@ -165,7 +165,18 @@ class AsLevelRouting:
 
     def __init__(self, graph: ASGraph) -> None:
         self._graph = graph
+        #: origin -> :meth:`table_for_origin`, this process's memo (never
+        #: pickled: a receiver recomputes the same tables from the graph).
         self._tables: dict[int, dict[int, AsLevelRoute]] = {}
+
+    def __getstate__(self) -> dict:
+        # The graph, less the memo: a shipped world pickles to the same
+        # bytes however many origins this process resolved.
+        return {"_graph": self._graph}
+
+    def __setstate__(self, state: dict) -> None:
+        self._graph = state["_graph"]
+        self._tables = {}
 
     @property
     def graph(self) -> ASGraph:

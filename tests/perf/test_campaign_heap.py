@@ -131,3 +131,16 @@ def test_a_campaign_leaves_every_as_the_same_bytes():
     assert CampaignEngine(world.service, CampaignConfig(seed=5)).run(calls).stats.calls_resolved
     assert sum(system._nearest is not None for system in ases.values()) > len(ases) // 2
     assert {asn: pickle.dumps(system) for asn, system in ases.items()} == before
+
+
+def test_a_campaign_leaves_the_frozen_service_the_same_bytes():
+    """What a pool worker is shipped must not depend on what the sending
+    process resolved first: the AS-level route tables stay out of the
+    pickle, as the nearest-presence memos do."""
+    world = build_world("small", seed=7)
+    before = pickle.dumps(world.service.freeze())
+    population = UserPopulation.sample(world.topology, 900, seed=5)
+    calls = CallArrivalProcess(population, calls_per_user_day=4.0, seed=5).generate(days=1)
+    assert len(calls) > 3000
+    assert CampaignEngine(world.service, CampaignConfig(seed=5)).run(calls).stats.calls_resolved
+    assert pickle.dumps(world.service.freeze()) == before
