@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 #: Mean Earth radius in kilometres (IUGG).
 EARTH_RADIUS_KM = 6371.0088
 
+#: The largest haversine term :func:`great_circle_km` turns into an angle
+#: with ``asin``: below it ``asin(sqrt(h))`` is within 1e-9 km; above it
+#: (points within ~13 km of antipodal) the distance takes the atan2 form.
+_ASIN_EXACT_UP_TO = 1.0 - 1e-6
+
 
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
@@ -65,10 +70,15 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
     lat2 = math.radians(b.lat)
     dlat = lat2 - lat1
     dlon = math.radians(b.lon - a.lon)
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    # Clamp against floating point drift before the sqrt/asin.
-    h = min(1.0, max(0.0, h))
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    cos_product = math.cos(lat1) * math.cos(lat2)
+    h = math.sin(dlat / 2.0) ** 2 + cos_product * math.sin(dlon / 2.0) ** 2
+    if h <= _ASIN_EXACT_UP_TO:
+        return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    # Near the antipode h rounds towards 1 and asin(sqrt(h)) loses up to
+    # ~1e-5 km.  1 - h is the haversine term towards b's antipode, a sum
+    # of squares that keeps its precision, and the angle is their atan2.
+    h_antipode = math.sin((lat1 + lat2) / 2.0) ** 2 + cos_product * math.cos(dlon / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * math.atan2(math.sqrt(h), math.sqrt(h_antipode))
 
 
 def nearest(points: Iterable[GeoPoint], target: GeoPoint) -> int:
