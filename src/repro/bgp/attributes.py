@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.net.addressing import Prefix
 
@@ -15,6 +16,10 @@ DEFAULT_LOCAL_PREF = 100
 #: interface tags statically advertised more-specifics with it "to ensure
 #: that they never leak outside VNS network".
 NO_EXPORT = "no-export"
+
+#: Builds a tuple subclass from a full field tuple, without the generated
+#: Python ``__new__``: the copy methods below pass every field.
+_new = tuple.__new__
 
 
 class Origin(enum.IntEnum):
@@ -62,14 +67,18 @@ class AsPath:
         return " ".join(str(a) for a in self.asns) if self.asns else "(empty)"
 
 
-@dataclass(frozen=True, slots=True)
-class Route:
+class Route(NamedTuple):
     """A route to a prefix, as stored in RIBs and carried in updates.
 
     Transmission attributes (``as_path``, ``next_hop``, ``origin``, ``med``,
     ``local_pref``, ``communities``, ``originator_id``, ``cluster_list``)
     travel on the wire; reception metadata (``learned_from``, ``ebgp``) is
     stamped by the receiving speaker and never transmitted.
+
+    A tuple: the control plane builds one per import and per advertisement,
+    so construction, field reads, equality and hashing all run in C.  It
+    hashes like the tuple of its fields (as the frozen dataclass it
+    replaced did), iterates over them and equals a plain tuple of them.
     """
 
     prefix: Prefix
@@ -90,17 +99,17 @@ class Route:
         return self.as_path.first_hop
 
     # The copies below run once per message during convergence, so they
-    # construct positionally: half the cost of ``dataclasses.replace``.
+    # build the tuple directly: no Python-level ``__new__`` frame.
 
     def with_communities(self, *extra: str) -> "Route":
         """A copy with additional communities — or ``self`` when all are present."""
         if self.communities.issuperset(extra):
             return self
-        return Route(
+        return _new(Route, (
             self.prefix, self.as_path, self.next_hop, self.origin, self.med,
             self.local_pref, self.communities.union(extra), self.originator_id,
             self.cluster_list, self.learned_from, self.ebgp,
-        )
+        ))
 
     def with_local_pref(self, local_pref: int) -> "Route":
         """A copy with LOCAL_PREF replaced — or ``self`` when unchanged.
@@ -111,47 +120,48 @@ class Route:
         """
         if local_pref == self.local_pref:
             return self
-        return Route(
+        return _new(Route, (
             self.prefix, self.as_path, self.next_hop, self.origin, self.med,
             local_pref, self.communities, self.originator_id,
             self.cluster_list, self.learned_from, self.ebgp,
-        )
+        ))
 
     def imported(
         self, local_pref: int, communities: frozenset[str], learned_from: str, ebgp: bool
     ) -> "Route":
         """The Adj-RIB-In form: LOCAL_PREF and communities as import decided
         them, stamped with reception metadata — the one copy an import makes."""
-        return Route(
+        return _new(Route, (
             self.prefix, self.as_path, self.next_hop, self.origin, self.med,
             local_pref, communities, self.originator_id,
             self.cluster_list, learned_from, ebgp,
-        )
+        ))
 
     def received(self, learned_from: str, ebgp: bool) -> "Route":
         """A copy stamped with reception metadata."""
-        return Route(
+        return _new(Route, (
             self.prefix, self.as_path, self.next_hop, self.origin, self.med,
             self.local_pref, self.communities, self.originator_id,
             self.cluster_list, learned_from, ebgp,
-        )
+        ))
 
     def sent(self, next_hop: str | None = None, as_path: AsPath | None = None) -> "Route":
         """The wire form a speaker sends: reception metadata dropped, next
         hop and AS path rewritten when given."""
-        return Route(
+        return _new(Route, (
             self.prefix, self.as_path if as_path is None else as_path,
             self.next_hop if next_hop is None else next_hop, self.origin, self.med,
             self.local_pref, self.communities, self.originator_id, self.cluster_list,
-        )
+            None, False,
+        ))
 
     def reflected(self, originator: str, cluster_id: str) -> "Route":
         """A copy with RFC 4456 reflection attributes updated."""
-        return Route(
+        return _new(Route, (
             self.prefix, self.as_path, self.next_hop, self.origin, self.med,
             self.local_pref, self.communities, self.originator_id or originator,
             (cluster_id,) + self.cluster_list, self.learned_from, self.ebgp,
-        )
+        ))
 
     def __str__(self) -> str:
         return (

@@ -11,16 +11,15 @@ irrelevant whenever geography discriminates.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from types import MappingProxyType
 
 from repro.bgp.attributes import Route
 
 _UNREACHABLE = float("inf")
 
-
-def _no_igp_metric(next_hop: str) -> float:
-    """Default IGP metric when the speaker has no IGP view (flat cost)."""
-    return 0.0
+#: The IGP view of a speaker that has none: every next hop costs 0.0.
+_NO_IGP: Mapping[str, float] = MappingProxyType({})
 
 
 def _stage_max(routes: list[Route], key: Callable[[Route], float]) -> list[Route]:
@@ -44,14 +43,16 @@ def _med_stage(routes: list[Route]) -> list[Route]:
 
 
 def decision_order(
-    routes: Sequence[Route], igp_metric: Callable[[str], float] = _no_igp_metric
+    routes: Sequence[Route], igp_metric: Mapping[str, float] = _NO_IGP
 ) -> list[Route]:
     """All candidates that survive the decision process, best first.
 
     The first element is the best route; remaining elements are the other
     survivors of the last discriminating stage, in deterministic order.
-    ``igp_metric`` is the speaker's metric to a BGP next hop; it drives
-    hot-potato (here and in :func:`best_route` / :func:`best_external`).
+    ``igp_metric`` is the speaker's IGP view, next hop -> metric; it drives
+    hot-potato (here and in :func:`best_route` / :func:`best_external`).  A
+    next hop it does not name is external, resolved over the local
+    session: it costs 0.0.
     """
     if not routes:
         return []
@@ -63,7 +64,9 @@ def decision_order(
     #    (an out-of-band reflector at a failed PoP) keeps its table rather
     #    than withdrawing the world, and a prefix whose every egress is
     #    stranded stays visibly routed-but-blackholed instead of vanishing.
-    reachable = [r for r in survivors if igp_metric(r.next_hop) != _UNREACHABLE]
+    reachable = [
+        r for r in survivors if igp_metric.get(r.next_hop, 0.0) != _UNREACHABLE
+    ]
     if reachable:
         survivors = reachable
 
@@ -79,7 +82,7 @@ def decision_order(
     if any(r.ebgp for r in survivors):
         survivors = [r for r in survivors if r.ebgp]
     # 6. Lowest IGP metric to the BGP next hop (hot potato).
-    survivors = _stage_min(survivors, lambda r: igp_metric(r.next_hop))
+    survivors = _stage_min(survivors, lambda r: igp_metric.get(r.next_hop, 0.0))
     # 7. Shortest CLUSTER_LIST (RFC 4456 §9).
     survivors = _stage_min(survivors, lambda r: len(r.cluster_list))
     # 8. Lowest originator router id, then lowest peer id.  The AS path
@@ -98,7 +101,7 @@ def decision_order(
 
 
 def best_route(
-    routes: Sequence[Route], igp_metric: Callable[[str], float] = _no_igp_metric
+    routes: Sequence[Route], igp_metric: Mapping[str, float] = _NO_IGP
 ) -> Route | None:
     """The single best route among ``routes`` (``None`` if empty).
 
@@ -108,36 +111,53 @@ def best_route(
     per-neighbour-AS MED stage is not a total order and the staged
     process — the reference, and that stage's only implementation —
     decides.
+
+    The key is short — reachability, LOCAL_PREF, AS-path length, ORIGIN,
+    eBGP over iBGP, IGP metric (the equal MED drops out) — and its tail
+    (:func:`_tail`) is built only for a candidate that ties the best so
+    far on it.
     """
     if not routes:
         return None
     med = routes[0].med
-    best = best_key = None
+    best = best_key = best_tail = None
     for r in routes:
         if r.med != med:
             return decision_order(routes, igp_metric)[0]
-        metric = igp_metric(r.next_hop)
+        metric = igp_metric.get(r.next_hop, 0.0)
         key = (
             metric == _UNREACHABLE,  # ranked only when nothing is reachable
             -r.local_pref,
             len(r.as_path.asns),
             r.origin,
-            r.med,
             not r.ebgp,
             metric,
-            len(r.cluster_list),
-            r.originator_id or r.learned_from or "",
-            r.learned_from or "",
-            r.next_hop,
-            r.as_path.asns,
         )
         if best_key is None or key < best_key:
-            best, best_key = r, key
+            best, best_key, best_tail = r, key, None
+        elif key == best_key:
+            if best_tail is None:
+                best_tail = _tail(best)
+            tail = _tail(r)
+            if tail < best_tail:
+                best, best_tail = r, tail
     return best
 
 
+def _tail(r: Route) -> tuple:
+    """The rest of :func:`best_route`'s key: stages 7 and 8 of
+    :func:`decision_order`, closed by the AS path."""
+    return (
+        len(r.cluster_list),
+        r.originator_id or r.learned_from or "",
+        r.learned_from or "",
+        r.next_hop,
+        r.as_path.asns,
+    )
+
+
 def best_external(
-    routes: Sequence[Route], igp_metric: Callable[[str], float] = _no_igp_metric
+    routes: Sequence[Route], igp_metric: Mapping[str, float] = _NO_IGP
 ) -> Route | None:
     """The best route among the eBGP-learned candidates only.
 

@@ -14,15 +14,18 @@ stale forwarding decisions after a fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from repro.bgp.attributes import Route
 from repro.net.addressing import Prefix
 
 
-@dataclass(frozen=True, slots=True)
-class Update:
-    """An announcement of a route, addressed between two speakers."""
+class Update(NamedTuple):
+    """An announcement of a route, addressed between two speakers.
+
+    A tuple, like :class:`~repro.bgp.attributes.Route`: one is built per
+    message, so construction and field reads run in C.
+    """
 
     sender: str
     receiver: str
@@ -36,9 +39,8 @@ class Update:
         return f"UPDATE {self.sender}->{self.receiver}: {self.route}"
 
 
-@dataclass(frozen=True, slots=True)
-class Withdraw:
-    """A withdrawal of a previously announced prefix."""
+class Withdraw(NamedTuple):
+    """A withdrawal of a previously announced prefix (a tuple, as :class:`Update`)."""
 
     sender: str
     receiver: str

@@ -15,7 +15,6 @@ AS — exactly how real networks implement valley-free export.
 from __future__ import annotations
 
 import abc
-from dataclasses import replace
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, Route
 from repro.bgp.session import Session
@@ -27,6 +26,10 @@ RELATIONSHIP_COMMUNITY = {
     Relationship.PEER: "rel:peer",
     Relationship.PROVIDER: "rel:provider",
 }
+
+#: Read once per eBGP export decision: a constant, not a lookup keyed by
+#: an enum member (``Enum.__hash__`` runs in Python).
+_CUSTOMER_COMMUNITY = RELATIONSHIP_COMMUNITY[Relationship.CUSTOMER]
 
 #: Conventional LOCAL_PREF ladder: prefer customer, then peer, then provider.
 RELATIONSHIP_LOCAL_PREF = {
@@ -138,10 +141,7 @@ class RelationshipExportPolicy(ExportPolicy):
     @staticmethod
     def _to_anyone(route: Route) -> bool:
         """Originated here (empty AS path) or learned from a customer."""
-        return (
-            not route.as_path.asns
-            or RELATIONSHIP_COMMUNITY[Relationship.CUSTOMER] in route.communities
-        )
+        return not route.as_path.asns or _CUSTOMER_COMMUNITY in route.communities
 
     def apply(self, route: Route, session: Session) -> Route | None:
         if not session.is_ebgp:
@@ -169,9 +169,4 @@ def strip_ibgp_only_attributes(route: Route) -> Route:
         and not route.cluster_list
     ):
         return route
-    return replace(
-        route,
-        local_pref=DEFAULT_LOCAL_PREF,
-        originator_id=None,
-        cluster_list=(),
-    )
+    return route._replace(local_pref=DEFAULT_LOCAL_PREF, originator_id=None, cluster_list=())

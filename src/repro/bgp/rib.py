@@ -67,11 +67,13 @@ class AdjRib:
 
     def prefixes_via(self, next_hops: Set[str]) -> set[Prefix]:
         """Every prefix with a route whose next hop is one of ``next_hops``."""
-        return {
-            prefix
-            for prefix, peers in self._routes.items()
-            if any(route.next_hop in next_hops for route in peers.values())
-        }
+        found: set[Prefix] = set()
+        for prefix, peers in self._routes.items():
+            for route in peers.values():
+                if route.next_hop in next_hops:
+                    found.add(prefix)
+                    break
+        return found
 
     def drop_peer(self, peer: str) -> dict[Prefix, Route]:
         """Remove all state for a peer (session teardown); return it."""

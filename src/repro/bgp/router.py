@@ -16,10 +16,10 @@ The speaker implements the mechanics the paper's setup relies on:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Collection, Iterable, Mapping
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, AsPath, Origin, Route
-from repro.bgp.decision import _no_igp_metric, best_external, best_route
+from repro.bgp.decision import best_external, best_route
 from repro.bgp.messages import IgpNotification, Message, Update, Withdraw
 from repro.bgp.policy import (
     AcceptAll,
@@ -51,8 +51,10 @@ class BgpRouter:
     import_policy / export_policy:
         Policy hooks; default accept/export-all.
     igp_metric:
-        Metric from this router to a BGP next hop (router id); drives the
-        hot-potato tie-break.  Defaults to a flat metric.
+        This router's IGP view, BGP next hop (router id) -> metric; drives
+        the hot-potato tie-break.  Read at every decision, so the owner
+        updates it in place when the IGP moves; a next hop it does not
+        name costs 0.0 (external).  Defaults to no view: a flat metric.
     enable_best_external:
         Advertise the best eBGP-learned route into iBGP when the overall
         best is iBGP-learned.
@@ -66,7 +68,7 @@ class BgpRouter:
         location: GeoPoint | None = None,
         import_policy: ImportPolicy | None = None,
         export_policy: ExportPolicy | None = None,
-        igp_metric: Callable[[str], float] | None = None,
+        igp_metric: Mapping[str, float] | None = None,
         enable_best_external: bool = False,
     ) -> None:
         self.router_id = router_id
@@ -83,7 +85,7 @@ class BgpRouter:
         self.adj_rib_out = AdjRib()
         self.loc_rib = LocRib()
         self.originated: dict[Prefix, Route] = {}
-        self._igp_metric = igp_metric or _no_igp_metric
+        self._igp_metric = {} if igp_metric is None else igp_metric
         #: Per prefix, the best route and the iBGP source route Adj-RIB-Out
         #: was last synchronised to; lets :meth:`_decide` skip the
         #: advertisement diff when a message did not change the outcome.
@@ -248,14 +250,18 @@ class BgpRouter:
                 continue  # in flight from a session that has failed
             received = None
             if isinstance(message, Update):
+                route = message.route
+                prefix = route.prefix
                 session = self.sessions[sender]
-                if self._acceptable(message.route, session):
-                    received = self._import(message.route, session)
+                if self._acceptable(route, session):
+                    received = self._import(route, session)
+            else:
+                prefix = message.prefix
             if received is not None:
                 self.adj_rib_in.update(sender, received)
-            elif self.adj_rib_in.withdraw(sender, message.prefix) is None:
+            elif self.adj_rib_in.withdraw(sender, prefix) is None:
                 continue  # nothing was held, nothing to re-decide
-            touched.add(message.prefix)
+            touched.add(prefix)
         return touched
 
     def _revalidate(self, changed: frozenset[str] | None) -> set[Prefix]:
@@ -430,14 +436,14 @@ class BgpRouter:
         if desired is None:
             if current is not None:
                 self.adj_rib_out.withdraw(peer_id, prefix)
-                messages.append(
-                    Withdraw(sender=self.router_id, receiver=peer_id, prefix=prefix)
-                )
+                # One message per advertisement change: built as the tuple
+                # it is, without the generated ``__new__``'s Python frame.
+                messages.append(tuple.__new__(Withdraw, (self.router_id, peer_id, prefix)))
             return
         if current == desired:
             return
         self.adj_rib_out.update(peer_id, desired)
-        messages.append(Update(sender=self.router_id, receiver=peer_id, route=desired))
+        messages.append(tuple.__new__(Update, (self.router_id, peer_id, desired)))
 
     def _ebgp_advertisement(self, session: Session, best: Route) -> Route | None:
         """What ``session`` is sent for an exportable (never ``no-export``) best."""

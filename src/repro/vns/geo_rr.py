@@ -16,7 +16,6 @@ geo-exempt) hook in before the distance computation.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import replace
 
 from repro.bgp.attributes import Route
 from repro.bgp.reflector import RouteReflector
@@ -190,7 +189,7 @@ class GeoRouteReflector(RouteReflector):
             return route
         distance = great_circle_km(egress, entry.location)
         self.stats["assigned"] += 1
-        return replace(route, local_pref=self.lp_function(distance))
+        return route._replace(local_pref=self.lp_function(distance))
 
 
 class ManagementHook:

@@ -11,7 +11,7 @@ reflectors: the border routers form a classic iBGP full mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.bgp.attributes import Route
@@ -58,25 +58,6 @@ class EgressDecision:
     neighbor_asn: int
     as_path: tuple[int, ...]
     local_pref: int
-
-
-@dataclass(slots=True)
-class IgpMetricFromRouter:
-    """IGP metric from one router to a BGP next hop (0 for external).
-
-    A picklable callable (campaign shards ship whole worlds to worker
-    processes) that looks the network's metric table up per call rather
-    than capturing it, so the metric tracks IGP reconvergence after
-    link/PoP faults: a next hop at an unreachable or failed router costs
-    ``inf``.  A next hop the table does not name is external, resolved
-    over the local session.
-    """
-
-    network: "VnsNetwork"
-    router_id: str
-
-    def __call__(self, next_hop: str) -> float:
-        return self.network._igp_table[self.router_id].get(next_hop, 0.0)
 
 
 def external_peer_id(asn: int, router_id: str) -> str:
@@ -201,32 +182,34 @@ class VnsNetwork:
         #: Per border router, the internal next hops whose metric moved in
         #: the last :meth:`_rebuild_igp` (see :meth:`igp_notifications`).
         self._igp_moved: dict[str, frozenset[str]] = {}
+        #: Border router -> {internal next hop: metric}: the mapping its
+        #: speaker decides by (a reflector: its anchor's), the same dict
+        #: for the network's lifetime.  Written in place from
+        #: ``_router_spf`` whenever SPF re-runs; a next hop it does not
+        #: name is external and costs 0.0.
+        self._igp_table: dict[str, dict[str, float]] = {}
         self._build_routers()
-        #: Border router -> {internal next hop: metric}, what the speakers
-        #: decide by; re-derived from ``_router_spf`` whenever SPF re-runs.
-        self._igp_table = self._igp_metrics()
+        for router_id, metrics in self._igp_metrics().items():
+            self._igp_table[router_id].update(metrics)
         self._build_ibgp()
 
     # ----------------------------------------------------------------- #
     # construction
     # ----------------------------------------------------------------- #
 
-    def _igp_metric_fn(self, router_id: str) -> IgpMetricFromRouter:
-        """Metric callable from ``router_id``; see :class:`IgpMetricFromRouter`."""
-        return IgpMetricFromRouter(self, router_id)
-
     def _build_routers(self) -> None:
         import_policy = RelationshipImportPolicy(self.relationships)
         export_policy = RelationshipExportPolicy(self.relationships)
         for pop in POPS:
             for router_id in pop.router_ids():
+                self._igp_table[router_id] = {}
                 router = BgpRouter(
                     router_id,
                     VNS_ASN,
                     location=pop.location,
                     import_policy=import_policy,
                     export_policy=export_policy,
-                    igp_metric=self._igp_metric_fn(router_id),
+                    igp_metric=self._igp_table[router_id],
                     enable_best_external=self.enable_best_external,
                 )
                 self.border_routers[router_id] = router
@@ -247,7 +230,7 @@ class VnsNetwork:
                 lp_function=self.lp_function,
                 management=self.management,
                 location=pop.location,
-                igp_metric=self._igp_metric_fn(anchor),
+                igp_metric=self._igp_table[anchor],
             )
             self.reflectors[rr_id] = reflector
             self.reflector_anchor[rr_id] = anchor
@@ -314,9 +297,9 @@ class VnsNetwork:
         Models instantaneous IGP reconvergence (link-state protocols
         reconverge in milliseconds; BGP, which this engine does model
         message-by-message, is the slow part), and records which next-hop
-        metrics the rebuild moved for :meth:`igp_notifications`.
+        metrics the rebuild moved for :meth:`igp_notifications` before it
+        writes the new ones into the speakers' mappings.
         """
-        before = self._igp_table
         self.pop_igp, _ = build_l2_topology(
             excluded_links=frozenset(self.down_links),
             excluded_pops=frozenset(self.down_pops),
@@ -325,23 +308,25 @@ class VnsNetwork:
         self.router_igp = router_level_igp(self.pop_igp, require_connected=False)
         self._pop_spf = all_pairs_spf(self.pop_igp)
         self._router_spf = all_pairs_spf(self.router_igp)
-        self._igp_table = self._igp_metrics()
+        fresh = self._igp_metrics()
         self._igp_moved = {
             router_id: frozenset(
                 next_hop
                 for next_hop, metric in metrics.items()
-                if metric != before[router_id][next_hop]
+                if metric != self._igp_table[router_id][next_hop]
             )
-            for router_id, metrics in self._igp_table.items()
+            for router_id, metrics in fresh.items()
         }
+        for router_id, metrics in fresh.items():
+            self._igp_table[router_id].update(metrics)
 
     def _igp_metrics(self) -> dict[str, dict[str, float]]:
         """Each border router's metric to every internal BGP next hop.
 
-        The one derivation of what the speakers decide by
-        (:class:`IgpMetricFromRouter` reads it), so a difference between
-        two of these tables is exactly what selection can observe — an
-        unreachable next hop and own-PoP-down (everything) cost ``inf``.
+        The one derivation of what the speakers decide by (written into
+        ``_igp_table``), so a difference between two of these tables is
+        exactly what selection can observe — an unreachable next hop and
+        own-PoP-down (everything) cost ``inf``.
         """
         metrics: dict[str, dict[str, float]] = {}
         for router_id in self.border_routers:

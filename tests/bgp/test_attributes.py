@@ -1,11 +1,12 @@
 """Unit tests for BGP path attributes."""
 
 import pickle
-from dataclasses import fields, replace
 
 import pytest
 
+from repro.bgp import attributes
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, AsPath, Origin, Route
+from repro.bgp.messages import Update, Withdraw
 from repro.bgp.policy import (
     RELATIONSHIP_COMMUNITY,
     RELATIONSHIP_LOCAL_PREF,
@@ -83,7 +84,7 @@ class TestRoute:
         assert tagged.with_communities() is tagged
         assert tagged.with_communities("rel:peer", NO_EXPORT) is not tagged
 
-    def test_positional_copies_equal_dataclasses_replace(self):
+    def test_positional_copies_equal_replace(self):
         # Every field set to a non-default, pairwise distinct value, so a
         # transposed positional argument cannot go unnoticed.
         route = Route(
@@ -99,22 +100,31 @@ class TestRoute:
             learned_from="peer",
             ebgp=True,
         )
-        assert route.with_local_pref(9) == replace(route, local_pref=9)
-        assert route.with_communities("d") == replace(
-            route, communities=frozenset({"c", "d"})
+
+        def same(a: Route, b: Route) -> bool:
+            # Pickle bytes, not ``==``: they also see the class and every field.
+            return pickle.dumps(a) == pickle.dumps(b)
+
+        assert same(route.with_local_pref(9), route._replace(local_pref=9))
+        assert same(route.with_communities("d"), route._replace(communities=frozenset({"c", "d"})))
+        assert same(
+            route.with_communities("d", "e"),
+            route._replace(communities=route.communities.union(("d", "e"))),
         )
-        assert pickle.dumps(route.with_communities("d", "e")) == pickle.dumps(
-            replace(route, communities=route.communities.union(("d", "e")))
+        assert same(route.received("p2", False), route._replace(learned_from="p2", ebgp=False))
+        assert same(route.reflected("other", "k2"), route._replace(cluster_list=("k2", "k1")))
+        assert same(
+            route.imported(9, frozenset({"d"}), "p2", False),
+            route._replace(
+                local_pref=9, communities=frozenset({"d"}), learned_from="p2", ebgp=False
+            ),
         )
-        assert route.received("p2", False) == replace(
-            route, learned_from="p2", ebgp=False
-        )
-        assert route.reflected("other", "k2") == replace(
-            route, cluster_list=("k2", "k1")
-        )
-        assert route.sent() == replace(route, learned_from=None, ebgp=False)
-        assert route.sent("me", AsPath((1, 7, 8))) == replace(
-            route, next_hop="me", as_path=AsPath((1, 7, 8)), learned_from=None, ebgp=False
+        assert same(route.sent(), route._replace(learned_from=None, ebgp=False))
+        assert same(
+            route.sent("me", AsPath((1, 7, 8))),
+            route._replace(
+                next_hop="me", as_path=AsPath((1, 7, 8)), learned_from=None, ebgp=False
+            ),
         )
 
     def test_received_stamps_metadata(self):
@@ -138,6 +148,57 @@ class TestRoute:
         route = self.make()
         with pytest.raises(AttributeError):
             route.local_pref = 500  # type: ignore[misc]
+
+
+#: One of each per-message value type, every field set.
+VALUES = (
+    Route(
+        prefix=Prefix.parse("198.51.100.0/24"),
+        as_path=AsPath((7, 8)),
+        next_hop="nh",
+        origin=Origin.EGP,
+        med=5,
+        local_pref=250,
+        communities=frozenset({"c"}),
+        originator_id="orig",
+        cluster_list=("k1",),
+        learned_from="peer",
+        ebgp=True,
+    ),
+    Update(sender="a", receiver="b", route=Route(PFX, AsPath((1,)), "a")),
+    Withdraw(sender="a", receiver="b", prefix=PFX),
+)
+
+
+class TestValueTypes:
+    """``Route``, ``Update`` and ``Withdraw`` are tuples: immutable,
+    picklable, hashed as the tuple of their fields."""
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_rejects_attribute_assignment(self, value):
+        for name in (*value._fields, "anything"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, "x")
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_pickle_round_trip(self, value):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+        assert [getattr(copy, n) for n in value._fields] == list(value)
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_hash_is_the_field_tuples(self, value):
+        assert isinstance(value, tuple)
+        assert hash(value) == hash(tuple(value))
+        assert value == tuple(value)
+
+    def test_repr_is_pinned(self):
+        assert repr(Route(PFX, AsPath((1, 2)), "r1")) == (
+            "Route(prefix=Prefix(network=3405803776, length=24), "
+            "as_path=AsPath(asns=(1, 2)), next_hop='r1', origin=<Origin.IGP: 0>, "
+            "med=0, local_pref=100, communities=frozenset(), originator_id=None, "
+            "cluster_list=(), learned_from=None, ebgp=False)"
+        )
 
 
 #: Every field set to a non-default, pairwise distinct value.
@@ -183,23 +244,36 @@ def old_chain(route: Route, session: Session, relationships, reflector=None) -> 
             return route
         pop_code = management._forced_exit.get(route.prefix)
         if pop_code is not None and route.next_hop.startswith(f"{pop_code}-"):
-            return replace(route, local_pref=FORCED_EXIT_LP)
+            return route._replace(local_pref=FORCED_EXIT_LP)
     return reflector.assign_geo_preference_reference(route)
 
 
 def field_values(route: Route | None) -> list | None:
-    return None if route is None else [getattr(route, f.name) for f in fields(Route)]
+    return None if route is None else [getattr(route, name) for name in Route._fields]
 
 
 def count_constructions(monkeypatch) -> list[int]:
+    """Count every ``Route`` built from here on, by each way there is to
+    build one: the class, ``_make`` (which ``_replace`` calls) and the
+    copy methods' direct tuple construction."""
     built = [0]
-    init = Route.__init__
+    new, make, direct = Route.__new__, Route._make.__func__, attributes._new
 
-    def counting(self, *args, **kwargs):
+    def counting_new(cls, *args, **kwargs):
         built[0] += 1
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Route, "__init__", counting)
+    def counting_make(cls, iterable):
+        built[0] += 1
+        return make(cls, iterable)
+
+    def counting_direct(cls, values):
+        built[0] += cls is Route
+        return direct(cls, values)
+
+    monkeypatch.setattr(Route, "__new__", counting_new)
+    monkeypatch.setattr(Route, "_make", classmethod(counting_make))
+    monkeypatch.setattr(attributes, "_new", counting_direct)
     return built
 
 
@@ -249,8 +323,8 @@ class TestOneCopyImport:
         "wire",
         [
             DISTINCT,  # geo LOCAL_PREF assigned
-            replace(DISTINCT, next_hop="nowhere"),  # egress location unknown
-            replace(DISTINCT, prefix=Prefix.parse("10.9.0.0/16")),  # GeoIP miss
+            DISTINCT._replace(next_hop="nowhere"),  # egress location unknown
+            DISTINCT._replace(prefix=Prefix.parse("10.9.0.0/16")),  # GeoIP miss
         ],
         ids=["assigned", "no-location", "no-geoip"],
     )

@@ -51,7 +51,7 @@ class TestStages:
         # stage then ties, and IGP metric decides.
         from_as1 = route(as_path=AsPath((1, 9)), med=50, learned_from="a", next_hop="n1")
         from_as2 = route(as_path=AsPath((2, 9)), med=5, learned_from="b", next_hop="n2")
-        igp_metric = {"n1": 1.0, "n2": 9.0}.__getitem__
+        igp_metric = {"n1": 1.0, "n2": 9.0}
         assert best_route([from_as1, from_as2], igp_metric) is from_as1
 
     def test_ebgp_over_ibgp(self):
@@ -62,7 +62,7 @@ class TestStages:
     def test_igp_metric_hot_potato(self):
         near = route(next_hop="close", learned_from="a")
         far = route(next_hop="far", learned_from="b")
-        igp_metric = {"close": 1.0, "far": 100.0}.__getitem__
+        igp_metric = {"close": 1.0, "far": 100.0}
         assert best_route([far, near], igp_metric) is near
 
     def test_cluster_list_length(self):

@@ -111,6 +111,17 @@ class TestEngine:
         assert engine.delivered >= 1
 
 
+    def test_inject_queues_one_tuple_message_as_one(self):
+        # An Update is a tuple of three fields, and so an iterable: inject
+        # must queue it whole, not its fields.
+        engine, a, b = build_pair()
+        update = ext_update()
+        engine.inject(update)
+        assert engine.queue == [update]
+        engine.inject((ext_update(), ext_update()))
+        assert len(engine.queue) == 3
+        assert all(type(message) is Update for message in engine.queue)
+
     def test_inject_accepts_any_iterable_of_messages(self):
         engine, a, b = build_pair()
         engine.inject(ext_update() for _ in range(2))

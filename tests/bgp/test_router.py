@@ -399,7 +399,7 @@ class TestNextHopTracking:
     def _router(self, metrics: dict[str, float]):
         """``r1`` with PFX via e1 and e2, one prefix via each alone, one
         originated; returns the router and the prefixes it re-decides."""
-        router = make_router(igp_metric=lambda next_hop: metrics.get(next_hop, 0.0))
+        router = make_router(igp_metric=metrics)
         wire(router, "rr1", SessionType.IBGP, peer_asn=LOCAL_ASN)
         wire(router, "rr2", SessionType.IBGP, peer_asn=LOCAL_ASN)
         wire(router, "ext1", SessionType.EBGP, peer_asn=100)

@@ -1,15 +1,17 @@
 """Oracle for the IGP metric table the speakers decide by.
 
-``IgpMetricFromRouter`` reads one precomputed table per border router;
-after every IGP change it must still answer what SPF says: ``inf`` when
-the router's own PoP is down, the shortest-path distance (``inf`` when
-unreachable) to an internal next hop otherwise, and 0 for an external
-next hop resolved over the local session.
+Each border router decides by one mapping, next hop -> metric, that
+``VnsNetwork`` owns and rewrites in place after every IGP change; a
+reflector decides by its anchor border router's.  After every step of a
+fault timeline that mapping must still be the network's dict and answer
+what SPF says: ``inf`` when the router's own PoP is down, the
+shortest-path distance (``inf`` when unreachable) to an internal next hop
+otherwise, and 0.0 for an external next hop resolved over the local
+session, which the mapping does not name.
 """
 
 from repro.faults.events import LinkDown, LinkUp, PopDown, PopUp
 from repro.faults.injector import FaultInjector
-from repro.vns.network import IgpMetricFromRouter
 
 TIMELINE = (
     LinkDown(time_s=10.0, a="LON", b="ASH"),
@@ -37,18 +39,24 @@ def test_metric_table_matches_spf_through_a_timeline(fault_world):
         if session.is_ebgp
     )
     next_hops = (*network.pop_of_router, external)
+    vantage = {
+        **{router_id: router_id for router_id in network.border_routers},
+        **network.reflector_anchor,
+    }
+    assert set(vantage) == set(network.engine.routers)
     seen_inf = set()
     for event in (None, *TIMELINE):
         if event is not None:
             injector.apply(event)
-        for router_id in network.border_routers:
-            metric = IgpMetricFromRouter(network, router_id)
+        for speaker_id, router_id in vantage.items():
+            metrics = network.engine.router(speaker_id)._igp_metric
+            assert metrics is network._igp_table[router_id], (event, speaker_id)
+            assert external not in metrics
             for next_hop in next_hops:
                 expected = spf_metric(network, router_id, next_hop)
-                assert metric(next_hop) == expected, (event, router_id, next_hop)
+                assert metrics.get(next_hop, 0.0) == expected, (event, speaker_id, next_hop)
                 if expected == float("inf") and next_hop in network.border_routers:
                     seen_inf.add(type(event).__name__)
     # The timeline really exercised the own-PoP-down case.
     assert "PopDown" in seen_inf
     assert not network.down_links and not network.down_pops
-

@@ -215,7 +215,7 @@ def test_skip_is_sound_across_a_fault_timeline():
 def build_with_reference_decisions(scale: str, monkeypatch: pytest.MonkeyPatch):
     """A world converged by the staged process with the skip disabled."""
 
-    def staged_best_route(routes, igp_metric=decision._no_igp_metric):
+    def staged_best_route(routes, igp_metric):
         ordered = decision.decision_order(routes, igp_metric)
         return ordered[0] if ordered else None
 

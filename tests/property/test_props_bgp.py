@@ -31,7 +31,7 @@ def routes(draw):
     )
 
 
-IGP_METRIC = {"n1": 1.0, "n2": 5.0, "n3": 9.0}.__getitem__
+IGP_METRIC = {"n1": 1.0, "n2": 5.0, "n3": 9.0}
 
 
 class TestDecisionProperties:
@@ -79,12 +79,14 @@ class TestDecisionProperties:
 
 INF = float("inf")
 
-#: IGP views with no / some / all next hops unreachable, and with ties.
+#: IGP views with no / some / all next hops unreachable, with ties, and
+#: one that does not name ``n2`` (external: it costs 0.0).
 IGP_VIEWS = (
     {"n1": 1.0, "n2": 5.0, "n3": 9.0},
     {"n1": 2.0, "n2": 2.0, "n3": INF},
     {"n1": INF, "n2": 3.0, "n3": INF},
     {"n1": INF, "n2": INF, "n3": INF},
+    {"n1": 1.0, "n3": INF},
 )
 
 
@@ -120,15 +122,30 @@ candidate_lists = st.one_of(
     st.lists(tie_prone_routes(st.sampled_from([0, 10])), min_size=1, max_size=7),
 )
 
-igp_metrics = st.sampled_from(IGP_VIEWS).map(lambda view: view.__getitem__)
+igp_metrics = st.sampled_from(IGP_VIEWS)
+
+
+def short_key(route: Route, igp_metric) -> tuple:
+    """What ``best_route`` ranks by before it builds a tail."""
+    metric = igp_metric.get(route.next_hop, 0.0)
+    return (
+        metric == INF,
+        -route.local_pref,
+        len(route.as_path),
+        route.origin,
+        not route.ebgp,
+        metric,
+    )
 
 
 def test_keyed_selection_is_the_head_of_the_staged_order(monkeypatch):
     """``best_route`` / ``best_external`` pick exactly the staged winner.
 
     ``decision_order`` is the reference; ``best_route`` may only call it
-    for the non-transitive per-neighbour-AS MED stage.  Both ways through
-    ``best_route`` must be exercised, which the counter checks.
+    for the non-transitive per-neighbour-AS MED stage.  Every way through
+    ``best_route`` must be exercised, which the counter checks: the staged
+    fallback, a winner alone on the short key, and a short-key tie broken
+    by the tail.
     """
     reference = decision_order
     staged_calls = []
@@ -145,10 +162,14 @@ def test_keyed_selection_is_the_head_of_the_staged_order(monkeypatch):
     def check(candidates, igp_metric):
         before = len(staged_calls)
         assert best_route(candidates, igp_metric) is reference(candidates, igp_metric)[0]
-        taken["staged" if len(staged_calls) > before else "keyed"] += 1
+        if len(staged_calls) > before:
+            taken["staged"] += 1
+        else:
+            keys = [short_key(r, igp_metric) for r in candidates]
+            taken["tail" if keys.count(min(keys)) > 1 else "short"] += 1
         externals = [r for r in candidates if r.ebgp]
         expected = reference(externals, igp_metric)[0] if externals else None
         assert best_external(candidates, igp_metric) is expected
 
     check()
-    assert taken["staged"] > 20 and taken["keyed"] > 20, taken
+    assert min(taken["staged"], taken["short"], taken["tail"]) > 20, taken

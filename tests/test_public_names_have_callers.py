@@ -177,6 +177,9 @@ MEMOS: dict[str, str] = {
     "perf.counters:_timings": "state: the timers",
     "steering.health:PathHealthTable._entries": "state: the probe-fed corridor health",
     "vns.management:ManagementInterface._forced_exit": "state: the operator's exit overrides",
+    "vns.network:VnsNetwork._igp_table": (
+        "state: each border router's IGP metrics, the mapping its speaker decides by"
+    ),
     "vns.network:VnsNetwork._igp_moved": "state: the prefixes an IGP change re-decides",
 }
 

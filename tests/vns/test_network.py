@@ -76,14 +76,12 @@ class TestIgpNotifications:
 
     def test_delta_is_exactly_the_metrics_that_moved(self):
         net = VnsNetwork(geoip=GeoIPDatabase())
-        metric = {rid: net._igp_metric_fn(rid) for rid in net.border_routers}
-        before = {
-            rid: {nh: fn(nh) for nh in net.pop_of_router} for rid, fn in metric.items()
-        }
+        metric = {rid: net.border_routers[rid]._igp_metric for rid in net.border_routers}
+        before = {rid: dict(metrics) for rid, metrics in metric.items()}
         assert net.set_link_state("SIN", "SYD", up=False)
         deltas = self._deltas(net)
-        for rid, fn in metric.items():
-            moved = {nh for nh in net.pop_of_router if fn(nh) != before[rid][nh]}
+        for rid, metrics in metric.items():
+            moved = {nh for nh in net.pop_of_router if metrics[nh] != before[rid][nh]}
             assert deltas[rid] == moved, rid
         # SYD hangs off SIN alone: the cut strands it from everyone else.
         assert deltas["LON-r1"] == {"SYD-r1", "SYD-r2"}
