@@ -34,7 +34,7 @@ import time
 import pytest
 
 from repro import perf
-from repro.bgp.attributes import AsPath, Route
+from repro.bgp.attributes import Route
 from repro.experiments.common import World, build_world
 from repro.results import record
 from repro.vns.geo_rr import GeoRouteReflector
@@ -75,7 +75,7 @@ def geo_reflector(world: World) -> GeoRouteReflector:
 
 def assignment_workload(reflector: GeoRouteReflector) -> list[Route]:
     """One route per (egress router, prefix) pair known to the reflector."""
-    path = AsPath((64500,))
+    path = (64500,)
     return [
         Route(prefix=prefix, as_path=path, next_hop=router_id)
         for router_id in sorted(reflector.router_locations)
@@ -167,7 +167,7 @@ def test_geo_decisions_identical_on_medium_world() -> None:
     world = build_world("medium", seed=BENCH_SEED)
     reflector = geo_reflector(world)
     egresses = sorted(reflector.router_locations)
-    path = AsPath((64500,))
+    path = (64500,)
     checked = 0
     for prefix in reflector.geoip.prefixes():
         fast_lps = {}

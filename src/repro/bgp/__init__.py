@@ -16,14 +16,13 @@ implements real BGP machinery:
 
 from repro.bgp.attributes import (
     NO_EXPORT,
-    AsPath,
     Origin,
     Route,
 )
 from repro.bgp.messages import Update, Withdraw
 from repro.bgp.decision import best_route, decision_order
 from repro.bgp.policy import ExportPolicy, ImportPolicy, RelationshipExportPolicy
-from repro.bgp.rib import AdjRib, LocRib
+from repro.bgp.rib import AdjRib
 from repro.bgp.session import Session, SessionType
 from repro.bgp.router import BgpRouter
 from repro.bgp.reflector import RouteReflector
@@ -32,7 +31,6 @@ from repro.bgp.propagation import AsLevelRoute, AsLevelRouting, compute_routes_t
 
 __all__ = [
     "Origin",
-    "AsPath",
     "Route",
     "NO_EXPORT",
     "Update",
@@ -43,7 +41,6 @@ __all__ = [
     "ExportPolicy",
     "RelationshipExportPolicy",
     "AdjRib",
-    "LocRib",
     "Session",
     "SessionType",
     "BgpRouter",

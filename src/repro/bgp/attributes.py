@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.net.addressing import Prefix
@@ -30,43 +29,6 @@ class Origin(enum.IntEnum):
     INCOMPLETE = 2
 
 
-@dataclass(frozen=True, slots=True)
-class AsPath:
-    """The AS_PATH attribute as a flat sequence (no AS_SETs needed here)."""
-
-    asns: tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.asns)
-
-    def __contains__(self, asn: int) -> bool:
-        return asn in self.asns
-
-    def __iter__(self):
-        return iter(self.asns)
-
-    def prepend(self, asn: int) -> "AsPath":
-        """A new path with ``asn`` prepended."""
-        return AsPath(asns=(asn,) + self.asns)
-
-    @property
-    def first_hop(self) -> int | None:
-        """The neighbouring AS the route was learned from (path head)."""
-        return self.asns[0] if self.asns else None
-
-    @property
-    def origin_as(self) -> int | None:
-        """The AS originating the prefix (path tail)."""
-        return self.asns[-1] if self.asns else None
-
-    def has_loop(self, local_asn: int) -> bool:
-        """Loop detection: does the path already contain ``local_asn``?"""
-        return local_asn in self.asns
-
-    def __str__(self) -> str:
-        return " ".join(str(a) for a in self.asns) if self.asns else "(empty)"
-
-
 class Route(NamedTuple):
     """A route to a prefix, as stored in RIBs and carried in updates.
 
@@ -82,7 +44,7 @@ class Route(NamedTuple):
     """
 
     prefix: Prefix
-    as_path: AsPath
+    as_path: tuple[int, ...]  # flat (no AS_SETs needed here); head = neighbour
     next_hop: str
     origin: Origin = Origin.IGP
     med: int = 0
@@ -95,8 +57,9 @@ class Route(NamedTuple):
 
     @property
     def neighbor_as(self) -> int | None:
-        """The neighbouring AS this route points at."""
-        return self.as_path.first_hop
+        """The neighbouring AS this route points at (the AS path's head)."""
+        path = self.as_path
+        return path[0] if path else None
 
     # The copies below run once per message during convergence, so they
     # build the tuple directly: no Python-level ``__new__`` frame.
@@ -145,7 +108,9 @@ class Route(NamedTuple):
             self.cluster_list, learned_from, ebgp,
         ))
 
-    def sent(self, next_hop: str | None = None, as_path: AsPath | None = None) -> "Route":
+    def sent(
+        self, next_hop: str | None = None, as_path: tuple[int, ...] | None = None
+    ) -> "Route":
         """The wire form a speaker sends: reception metadata dropped, next
         hop and AS path rewritten when given."""
         return _new(Route, (
@@ -164,7 +129,5 @@ class Route(NamedTuple):
         ))
 
     def __str__(self) -> str:
-        return (
-            f"{self.prefix} via {self.next_hop} lp={self.local_pref} "
-            f"path=[{self.as_path}]"
-        )
+        path = " ".join(map(str, self.as_path)) if self.as_path else "(empty)"
+        return f"{self.prefix} via {self.next_hop} lp={self.local_pref} path=[{path}]"

@@ -93,7 +93,7 @@ def decision_order(
             r.originator_id or r.learned_from or "",
             r.learned_from or "",
             str(r.next_hop),
-            r.as_path.asns,
+            r.as_path,
             r.med,
         )
     )
@@ -128,7 +128,7 @@ def best_route(
         key = (
             metric == _UNREACHABLE,  # ranked only when nothing is reachable
             -r.local_pref,
-            len(r.as_path.asns),
+            len(r.as_path),
             r.origin,
             not r.ebgp,
             metric,
@@ -152,7 +152,7 @@ def _tail(r: Route) -> tuple:
         r.originator_id or r.learned_from or "",
         r.learned_from or "",
         r.next_hop,
-        r.as_path.asns,
+        r.as_path,
     )
 
 

@@ -141,7 +141,7 @@ class RelationshipExportPolicy(ExportPolicy):
     @staticmethod
     def _to_anyone(route: Route) -> bool:
         """Originated here (empty AS path) or learned from a customer."""
-        return not route.as_path.asns or _CUSTOMER_COMMUNITY in route.communities
+        return not route.as_path or _CUSTOMER_COMMUNITY in route.communities
 
     def apply(self, route: Route, session: Session) -> Route | None:
         if not session.is_ebgp:

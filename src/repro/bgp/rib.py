@@ -1,8 +1,8 @@
-"""Routing information bases: Adj-RIB-In/Out and Loc-RIB."""
+"""Routing information bases: Adj-RIB-In and Adj-RIB-Out."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Set
+from collections.abc import Set
 
 from repro.bgp.attributes import Route
 from repro.net.addressing import Prefix
@@ -89,30 +89,3 @@ class AdjRib:
     def __len__(self) -> int:
         return sum(len(peers) for peers in self._routes.values())
 
-
-class LocRib:
-    """The selected best route per prefix."""
-
-    def __init__(self) -> None:
-        self._best: dict[Prefix, Route] = {}
-
-    def set_best(self, route: Route) -> None:
-        self._best[route.prefix] = route
-
-    def clear(self, prefix: Prefix) -> Route | None:
-        return self._best.pop(prefix, None)
-
-    def best(self, prefix: Prefix) -> Route | None:
-        return self._best.get(prefix)
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._best
-
-    def __len__(self) -> int:
-        return len(self._best)
-
-    def items(self) -> Iterator[tuple[Prefix, Route]]:
-        return iter(self._best.items())
-
-    def prefixes(self) -> list[Prefix]:
-        return list(self._best)

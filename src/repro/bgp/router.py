@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Mapping
 
-from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, AsPath, Origin, Route
+from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, Origin, Route
 from repro.bgp.decision import best_external, best_route
 from repro.bgp.messages import IgpNotification, Message, Update, Withdraw
 from repro.bgp.policy import (
@@ -28,7 +28,7 @@ from repro.bgp.policy import (
     ImportPolicy,
     strip_ibgp_only_attributes,
 )
-from repro.bgp.rib import AdjRib, LocRib
+from repro.bgp.rib import AdjRib
 from repro.bgp.session import Session, SessionType
 from repro.geo.coords import GeoPoint
 from repro.net.addressing import Prefix
@@ -83,16 +83,17 @@ class BgpRouter:
         self.down_sessions: set[str] = set()
         self.adj_rib_in = AdjRib()
         self.adj_rib_out = AdjRib()
-        self.loc_rib = LocRib()
+        #: The Loc-RIB, prefix -> selected best route; written by
+        #: :meth:`_decide` only.
+        self.loc_rib: dict[Prefix, Route] = {}
         self.originated: dict[Prefix, Route] = {}
         self._igp_metric = {} if igp_metric is None else igp_metric
-        #: Per prefix, the best route and the iBGP source route Adj-RIB-Out
-        #: was last synchronised to; lets :meth:`_decide` skip the
-        #: advertisement diff when a message did not change the outcome.
-        #: A prefix is synchronised while it is a key of ``_advertised``
-        #: (two dicts, so no pair object is kept per prefix).
-        self._advertised: dict[Prefix, Route | None] = {}
-        self._advertised_source: dict[Prefix, Route | None] = {}
+        #: Per synchronised prefix, the iBGP source route Adj-RIB-Out was
+        #: last synchronised to — ``True`` when that was the best itself
+        #: (always, on a reflector), which the Loc-RIB holds; lets
+        #: :meth:`_decide` skip the advertisement diff when a message did
+        #: not change the outcome.
+        self._advertised_source: dict[Prefix, Route | bool | None] = {}
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -177,21 +178,21 @@ class BgpRouter:
         """Originate ``prefix`` locally and return the resulting updates."""
         route = Route(
             prefix=prefix,
-            as_path=AsPath(),
+            as_path=(),
             next_hop=self.router_id,
             origin=Origin.IGP,
             local_pref=DEFAULT_LOCAL_PREF,
             communities=communities,
         )
         self.originated[prefix] = route
-        self._advertised.pop(prefix, None)
+        self._advertised_source.pop(prefix, None)
         return self._decide(prefix)
 
     def withdraw_origination(self, prefix: Prefix) -> list[Message]:
         """Stop originating ``prefix``; return the resulting updates."""
         if prefix in self.originated:
             del self.originated[prefix]
-        self._advertised.pop(prefix, None)
+        self._advertised_source.pop(prefix, None)
         return self._decide(prefix)
 
     def bulk_receive(self, messages: Collection[Message]) -> None:
@@ -271,7 +272,7 @@ class BgpRouter:
         from this speaker moved.  Selection reads the IGP only through
         its candidates' next hops, so a prefix with no candidate (learned
         or originated) through one of them keeps its outcome and is not
-        visited.  The :attr:`_advertised` memo stays: an IGP event changes
+        visited.  The synchronised outcomes stay: an IGP event changes
         neither sessions nor policy, so an unchanged ``(best, source)``
         still has nothing to send.  Without a set, SPF moved and the IGP
         did not say where: the whole table, memo dropped, like the BGP
@@ -295,7 +296,7 @@ class BgpRouter:
 
     def _acceptable(self, route: Route, session: Session) -> bool:
         """Wire-level sanity checks (loop prevention)."""
-        if session.is_ebgp and route.as_path.has_loop(self.asn):
+        if session.is_ebgp and self.asn in route.as_path:
             return False
         if session.is_ibgp and route.originator_id == self.router_id:
             return False
@@ -344,7 +345,7 @@ class BgpRouter:
 
     def best(self, prefix: Prefix) -> Route | None:
         """The currently selected best route for ``prefix``."""
-        return self.loc_rib.best(prefix)
+        return self.loc_rib.get(prefix)
 
     def _decide(self, prefix: Prefix) -> list[Message]:
         """Re-run selection for ``prefix`` and diff the advertisements.
@@ -352,9 +353,12 @@ class BgpRouter:
         Every advertisement is a function of ``(best, iBGP source)`` and
         the session/policy configuration, so when that pair equals the one
         Adj-RIB-Out was last synchronised to there is nothing to send and
-        the diff is skipped.  Entry points that re-synchronise Adj-RIB-Out
-        (origination, session failure/restore, :meth:`refresh_advertisements`)
-        drop the remembered pair first and so always take the full path;
+        the diff is skipped.  The remembered best is the Loc-RIB's: only
+        this method writes it, and each run either re-synchronises the
+        prefix or finds the same outcome.  Entry points that re-synchronise
+        Adj-RIB-Out (origination, session failure/restore,
+        :meth:`refresh_advertisements`) forget the prefix first and so
+        always take the full path;
         an IGP event (:meth:`_revalidate`) changes neither and keeps it.
         Whether any eBGP session may receive ``best`` is asked once: when
         none may, an eBGP session is visited only if its Adj-RIB-Out holds
@@ -365,21 +369,19 @@ class BgpRouter:
         if perf.enabled:
             perf.incr("bgp.decide.calls")
         if best is None:
-            self.loc_rib.clear(prefix)
+            previous = self.loc_rib.pop(prefix, None)
             source = None
         else:
-            self.loc_rib.set_best(best)
+            previous = self.loc_rib.get(prefix)
+            self.loc_rib[prefix] = best
             source = self._ibgp_source(best, candidates)
-        if (
-            prefix in self._advertised
-            and _same(self._advertised[prefix], best)
-            and _same(self._advertised_source[prefix], source)
-        ):
-            if perf.enabled:
-                perf.incr("bgp.decide.unchanged")
-            return []
-        self._advertised[prefix] = best
-        self._advertised_source[prefix] = source
+        if prefix in self._advertised_source and previous == best:
+            remembered = self._advertised_source[prefix]
+            if (best if remembered is True else remembered) == source:
+                if perf.enabled:
+                    perf.incr("bgp.decide.unchanged")
+                return []
+        self._advertised_source[prefix] = True if source is best else source
         # The iBGP payload is identical for every iBGP session (modulo
         # split horizon / reflection gating), so prepare it once.
         payload, source_peer, from_client = self._ibgp_payload(source)
@@ -404,12 +406,11 @@ class BgpRouter:
 
     def _forget_advertised(self) -> None:
         """Drop every remembered outcome: the next decisions diff in full."""
-        self._advertised.clear()
         self._advertised_source.clear()
 
     def _table(self) -> set[Prefix]:
         """Every prefix this speaker holds a candidate or a best route for."""
-        return self.adj_rib_in.prefixes() | set(self.originated) | set(self.loc_rib.prefixes())
+        return self.adj_rib_in.prefixes() | set(self.originated) | set(self.loc_rib)
 
     def _decide_each(self, prefixes: Iterable[Prefix]) -> list[Message]:
         """:meth:`_decide` once per prefix, in sorted order."""
@@ -453,7 +454,7 @@ class BgpRouter:
         if exported is None:
             return None
         cleaned = strip_ibgp_only_attributes(exported)
-        return cleaned.sent(self.router_id, cleaned.as_path.prepend(self.asn))
+        return cleaned.sent(self.router_id, (self.asn,) + cleaned.as_path)
 
     def _ibgp_source(self, best: Route, candidates: list[Route]) -> Route | None:
         """Which of its routes this speaker offers into iBGP, if any."""
@@ -493,11 +494,6 @@ class BgpRouter:
 
     def __repr__(self) -> str:
         return f"<BgpRouter {self.router_id} AS{self.asn}>"
-
-
-def _same(remembered: Route | None, route: Route | None) -> bool:
-    """Value equality, without building the field tuples for one object."""
-    return remembered is route or remembered == route
 
 
 def _prefix_order(prefix: Prefix) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bgp.attributes import AsPath, Origin, Route
+from repro.bgp.attributes import Origin, Route
 from repro.bgp.messages import Update
 from repro.bgp.propagation import AsLevelRouting
 from repro.geo.geoip import GeoIPDatabase
@@ -265,7 +265,7 @@ def _inject_external_routes(
             as_route = routing.exported_to_neighbor(asn, relationship, origin)
             if as_route is None:
                 continue
-            as_path = AsPath((asn,) + as_route.path)
+            as_path = (asn,) + as_route.path
             for prefix in topology.autonomous_system(origin).prefixes:
                 for router_id in sessions[asn]:
                     peer_id = external_peer_id(asn, router_id)

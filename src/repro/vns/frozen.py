@@ -144,7 +144,7 @@ def freeze_network(network: VnsNetwork) -> FrozenNetwork:
     routers_at: dict[str, list[str]] = {}
     pop_of_router: dict[str, str] = {}
     for router_id, router in network.border_routers.items():
-        best_by_router[router_id] = dict(router.loc_rib.items())
+        best_by_router[router_id] = dict(router.loc_rib)
         pop_code = network.pop_of_router[router_id]
         routers_at.setdefault(pop_code, []).append(router_id)
         pop_of_router[router_id] = pop_code

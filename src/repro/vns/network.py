@@ -114,14 +114,14 @@ def resolve_egress(
     if neighbor_peer is not None:
         neighbor_asn, _ = parse_external_peer_id(neighbor_peer)
     else:
-        neighbor_asn = best.as_path.first_hop or 0
+        neighbor_asn = best.neighbor_as or 0
     return EgressDecision(
         prefix=prefix,
         entry_pop=entry_pop,
         egress_pop=network.pop_of_router[egress_router],
         egress_router=egress_router,
         neighbor_asn=neighbor_asn,
-        as_path=best.as_path.asns,
+        as_path=best.as_path,
         local_pref=best.local_pref,
     )
 

@@ -192,10 +192,8 @@ class VideoNetworkService:
         origin = self.topology.origin_of.get(prefix)
         if not upstreams_only:
             route = self.network.local_external_route(pop_code, prefix)
-            if route is not None and route.as_path.first_hop is not None:
-                asn = route.as_path.first_hop
-                if asn in self.deployment.peers:
-                    return asn, route.as_path.asns
+            if route is not None and route.neighbor_as in self.deployment.peers:
+                return route.neighbor_as, route.as_path
         if origin is None:
             return None
         main = self.deployment.main_upstream_at.get(pop_code)
@@ -440,7 +438,7 @@ class VideoNetworkService:
         router = self.network.border_routers[pop_by_code(pop_code).router_ids()[0]]
         covering = [
             known
-            for known in router.loc_rib.prefixes()
+            for known in router.loc_rib
             if known.length < prefix.length and known.contains_prefix(prefix)
         ]
         if not covering:

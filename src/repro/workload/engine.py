@@ -521,16 +521,14 @@ class PathResolver:
         self.service = service
         self._entry: dict[Prefix, str | None] = {}
         self._lastmile: dict[tuple[Prefix, str], DataPath] = {}
-        # The onward leg and its egress PoP share one key per (PoP, prefix).
-        self._onward: dict[tuple[str, Prefix], DataPath | None] = {}
-        self._egress_pop: dict[tuple[str, Prefix], str] = {}
-        # ``_pairs`` and ``_internet`` share one key tuple per pair, and
-        # the Internet leg is kept as its view.  A resolved pair is stored
-        # bare; a failure as the shared ``_Unresolved`` of its kind, which
-        # says which per-leg caches the original miss consulted, so cache
-        # hits only re-count those legs (an entry-PoP failure
-        # short-circuits before either leg).
-        self._internet: dict[tuple[Prefix, Prefix], PathView | None] = {}
+        # Per (PoP, prefix), the onward leg with its egress PoP.
+        self._onward: dict[tuple[str, Prefix], tuple[DataPath, str] | None] = {}
+        # The Internet leg is resolved once per pair, so it lives only in
+        # the pair cache, as its view.  A resolved pair is stored bare; a
+        # failure as the shared ``_Unresolved`` of its kind, which says
+        # which legs the original miss consulted, so cache hits only
+        # re-count those legs (an entry-PoP failure short-circuits before
+        # either leg).
         self._pairs: dict[tuple[Prefix, Prefix], _ResolvedPair | _Unresolved] = {}
         # Steering-only caches: the forced local exit at a PoP, the full
         # per-pair detour path and the per-pair candidate RTTs.
@@ -569,7 +567,8 @@ class PathResolver:
 
     def _onward_leg(
         self, entry_pop: str, dst_prefix: Prefix, stats: CampaignStats
-    ) -> DataPath | None:
+    ) -> tuple[DataPath, str] | None:
+        """The onward leg from ``entry_pop`` and its egress PoP."""
         key = (entry_pop, dst_prefix)
         cached = self._onward.get(key, _MISS)
         if cached is not _MISS:
@@ -582,9 +581,8 @@ class PathResolver:
             return None
         path = self.service.path_via_vns(entry_pop, dst_prefix, decision=decision)
         assert path is not None  # decision already resolved
-        self._onward[key] = path
-        self._egress_pop[key] = decision.egress_pop
-        return path
+        leg = self._onward[key] = (path, decision.egress_pop)
+        return leg
 
     def _lastmile_leg(self, src_prefix: Prefix, entry_pop: str) -> DataPath:
         key = (src_prefix, entry_pop)
@@ -598,18 +596,14 @@ class PathResolver:
     def _internet_leg(
         self, key: tuple[Prefix, Prefix], stats: CampaignStats
     ) -> PathView | None:
-        cached = self._internet.get(key, _MISS)
-        if cached is not _MISS:
-            stats.internet_hits += 1
-            return cached
+        """The Internet leg's view; asked once per pair, on a pair-cache miss."""
         stats.internet_misses += 1
         src_prefix, dst_prefix = key
         location = self.service.topology.prefix_location
         path = self.service.path_via_internet(
             src_prefix, location[src_prefix], dst_prefix, location[dst_prefix]
         )
-        view = self._internet[key] = None if path is None else path_view(path)
-        return view
+        return None if path is None else path_view(path)
 
     def resolve_pair(
         self, src_prefix: Prefix, dst_prefix: Prefix, stats: CampaignStats | None = None
@@ -640,8 +634,8 @@ class PathResolver:
         if entry is None:
             self._pairs[key] = _NO_ENTRY
             return None
-        onward = self._onward_leg(entry, dst_prefix, stats)
-        if onward is None:
+        leg = self._onward_leg(entry, dst_prefix, stats)
+        if leg is None:
             self._pairs[key] = _NO_ONWARD
             return None
         internet_view = self._internet_leg(key, stats)
@@ -649,10 +643,11 @@ class PathResolver:
             self._pairs[key] = _NO_INTERNET
             return None
         lastmile = self._lastmile_leg(src_prefix, entry)
+        onward, egress_pop = leg
         pair = _ResolvedPair(
             key=key,
             entry_pop=entry,
-            egress_pop=self._egress_pop[entry, dst_prefix],
+            egress_pop=egress_pop,
             vns_view=ids_view(path_view(lastmile)[0] + path_view(onward)[0]),
             internet_view=internet_view,
         )

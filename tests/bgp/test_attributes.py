@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.bgp import attributes
-from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, AsPath, Origin, Route
+from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, Origin, Route
 from repro.bgp.messages import Update, Withdraw
 from repro.bgp.policy import (
     RELATIONSHIP_COMMUNITY,
@@ -21,44 +21,75 @@ from repro.net.addressing import Prefix
 from repro.net.relationships import Relationship
 from repro.vns.geo_rr import GeoRouteReflector
 from repro.vns.management import FORCED_EXIT_LP, ManagementInterface
+from repro.vns.network import parse_external_peer_id
 
 PFX = Prefix.parse("203.0.113.0/24")
 
 
 class TestAsPath:
+    """The AS_PATH attribute is a plain tuple of ASNs, the neighbour first:
+    a speaker prepends its AS on eBGP export and rejects a path that
+    already holds it."""
+
     def test_prepend(self):
-        path = AsPath((2, 3)).prepend(1)
-        assert path.asns == (1, 2, 3)
-        assert len(path) == 3
+        router = BgpRouter("r1", 1)
+        session = Session("x2", SessionType.EBGP, 2)
+        router.add_session(session)
+        best = Route(PFX, (5, 3), "x5", learned_from="x5", ebgp=True)
+        sent = router._ebgp_advertisement(session, best)
+        assert sent.as_path == (1, 5, 3)
+        assert type(sent.as_path) is tuple
 
     def test_prepend_multiple(self):
-        path = AsPath((2,)).prepend(1).prepend(1).prepend(1)
-        assert path.asns == (1, 1, 1, 2)
+        # Each eBGP hop prepends its own AS: AS 1 originates, 2 and 3 relay.
+        routers = [BgpRouter(f"r{asn}", asn) for asn in (1, 2, 3, 4)]
+        for a, b in zip(routers, routers[1:]):
+            a.add_session(Session(b.router_id, SessionType.EBGP, b.asn))
+            b.add_session(Session(a.router_id, SessionType.EBGP, a.asn))
+        messages = routers[0].originate(PFX)
+        for router in routers[1:]:
+            messages = router.process_batch(
+                [m for m in messages if m.receiver == router.router_id]
+            )
+        assert routers[-1].best(PFX).as_path == (3, 2, 1)
 
-    def test_first_hop_and_origin(self):
-        path = AsPath((10, 20, 30))
-        assert path.first_hop == 10
-        assert path.origin_as == 30
+    def test_first_hop_and_origin(self, small_world):
+        # On a built world every eBGP-learned best names the neighbour it
+        # came from at its head and the prefix's origin AS at its tail.
+        topology = small_world.service.topology
+        checked = 0
+        for router in small_world.service.network.border_routers.values():
+            for route in router.loc_rib.values():
+                if route.ebgp:
+                    assert route.neighbor_as == parse_external_peer_id(route.learned_from)[0]
+                    assert route.as_path[-1] == topology.origin_of[route.prefix]
+                    checked += 1
+        assert checked > 100
 
     def test_empty_path(self):
-        path = AsPath()
-        assert path.first_hop is None
-        assert path.origin_as is None
-        assert str(path) == "(empty)"
+        router = BgpRouter("r1", 1)
+        router.originate(PFX)
+        originated = router.best(PFX)
+        assert originated.as_path == ()
+        assert originated.neighbor_as is None
+        assert str(originated) == "203.0.113.0/24 via r1 lp=100 path=[(empty)]"
 
     def test_loop_detection(self):
-        assert AsPath((1, 2, 3)).has_loop(2)
-        assert not AsPath((1, 2, 3)).has_loop(4)
+        router = BgpRouter("r2", 2)
+        router.add_session(Session("x1", SessionType.EBGP, 1))
+        router.process(Update("x1", "r2", Route(PFX, (1, 2, 3), "x1")))
+        assert router.best(PFX) is None
+        router.process(Update("x1", "r2", Route(PFX, (1, 4), "x1")))
+        assert router.best(PFX).as_path == (1, 4)
 
     def test_iteration_and_contains(self):
-        path = AsPath((5, 6))
-        assert list(path) == [5, 6]
-        assert 5 in path
+        # ``Route.__str__`` renders the path in order, space-separated.
+        assert str(Route(PFX, (5, 6), "r1")) == "203.0.113.0/24 via r1 lp=100 path=[5 6]"
 
 
 class TestRoute:
     def make(self, **kwargs) -> Route:
-        defaults = dict(prefix=PFX, as_path=AsPath((1, 2)), next_hop="r1")
+        defaults = dict(prefix=PFX, as_path=(1, 2), next_hop="r1")
         defaults.update(kwargs)
         return Route(**defaults)
 
@@ -89,7 +120,7 @@ class TestRoute:
         # transposed positional argument cannot go unnoticed.
         route = Route(
             prefix=Prefix.parse("198.51.100.0/24"),
-            as_path=AsPath((7, 8)),
+            as_path=(7, 8),
             next_hop="nh",
             origin=Origin.EGP,
             med=5,
@@ -121,9 +152,9 @@ class TestRoute:
         )
         assert same(route.sent(), route._replace(learned_from=None, ebgp=False))
         assert same(
-            route.sent("me", AsPath((1, 7, 8))),
+            route.sent("me", (1, 7, 8)),
             route._replace(
-                next_hop="me", as_path=AsPath((1, 7, 8)), learned_from=None, ebgp=False
+                next_hop="me", as_path=(1, 7, 8), learned_from=None, ebgp=False
             ),
         )
 
@@ -154,7 +185,7 @@ class TestRoute:
 VALUES = (
     Route(
         prefix=Prefix.parse("198.51.100.0/24"),
-        as_path=AsPath((7, 8)),
+        as_path=(7, 8),
         next_hop="nh",
         origin=Origin.EGP,
         med=5,
@@ -165,7 +196,7 @@ VALUES = (
         learned_from="peer",
         ebgp=True,
     ),
-    Update(sender="a", receiver="b", route=Route(PFX, AsPath((1,)), "a")),
+    Update(sender="a", receiver="b", route=Route(PFX, (1,), "a")),
     Withdraw(sender="a", receiver="b", prefix=PFX),
 )
 
@@ -193,18 +224,35 @@ class TestValueTypes:
         assert value == tuple(value)
 
     def test_repr_is_pinned(self):
-        assert repr(Route(PFX, AsPath((1, 2)), "r1")) == (
+        assert repr(Route(PFX, (1, 2), "r1")) == (
             "Route(prefix=Prefix(network=3405803776, length=24), "
-            "as_path=AsPath(asns=(1, 2)), next_hop='r1', origin=<Origin.IGP: 0>, "
+            "as_path=(1, 2), next_hop='r1', origin=<Origin.IGP: 0>, "
             "med=0, local_pref=100, communities=frozenset(), originator_id=None, "
             "cluster_list=(), learned_from=None, ebgp=False)"
         )
+
+    def test_converged_ribs_hold_plain_tuple_paths(self, small_world):
+        routers = small_world.service.network.engine.routers.values()
+        routes = [route for router in routers for route in router.loc_rib.values()]
+        for router in routers:
+            for rib in (router.adj_rib_in, router.adj_rib_out):
+                routes += [r for peers in rib._routes.values() for r in peers.values()]
+        assert len(routes) > 1000
+        for route in routes:
+            assert type(route.as_path) is tuple
+            assert all(type(asn) is int for asn in route.as_path)
+            assert hash(route) == hash(tuple(route))
+
+    def test_frozen_service_pickle_names_no_path_wrapper(self, small_world):
+        blob = pickle.dumps(small_world.service.freeze(), protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"Route" in blob
+        assert b"AsPath" not in blob
 
 
 #: Every field set to a non-default, pairwise distinct value.
 DISTINCT = Route(
     prefix=Prefix.parse("198.51.100.0/24"),
-    as_path=AsPath((7, 8)),
+    as_path=(7, 8),
     next_hop="AMS-r1",
     origin=Origin.EGP,
     med=5,

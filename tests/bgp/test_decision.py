@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.attributes import AsPath, Origin, Route
+from repro.bgp.attributes import Origin, Route
 from repro.bgp.decision import best_external, best_route, decision_order
 from repro.net.addressing import Prefix
 
@@ -12,7 +12,7 @@ PFX = Prefix.parse("203.0.113.0/24")
 def route(**kwargs) -> Route:
     defaults = dict(
         prefix=PFX,
-        as_path=AsPath((1, 2)),
+        as_path=(1, 2),
         next_hop="nh",
         learned_from="peer",
     )
@@ -26,13 +26,13 @@ class TestStages:
         assert decision_order([]) == []
 
     def test_local_pref_wins_over_shorter_path(self):
-        low = route(local_pref=100, as_path=AsPath((1,)), learned_from="a")
-        high = route(local_pref=200, as_path=AsPath((1, 2, 3)), learned_from="b")
+        low = route(local_pref=100, as_path=(1,), learned_from="a")
+        high = route(local_pref=200, as_path=(1, 2, 3), learned_from="b")
         assert best_route([low, high]) is high
 
     def test_shorter_as_path(self):
-        short = route(as_path=AsPath((1, 2)), learned_from="a")
-        long = route(as_path=AsPath((1, 2, 3)), learned_from="b")
+        short = route(as_path=(1, 2), learned_from="a")
+        long = route(as_path=(1, 2, 3), learned_from="b")
         assert best_route([long, short]) is short
 
     def test_origin_tiebreak(self):
@@ -49,8 +49,8 @@ class TestStages:
     def test_med_not_compared_across_neighbor_as(self):
         # Different first-hop AS: MED must not discriminate; the eBGP
         # stage then ties, and IGP metric decides.
-        from_as1 = route(as_path=AsPath((1, 9)), med=50, learned_from="a", next_hop="n1")
-        from_as2 = route(as_path=AsPath((2, 9)), med=5, learned_from="b", next_hop="n2")
+        from_as1 = route(as_path=(1, 9), med=50, learned_from="a", next_hop="n1")
+        from_as2 = route(as_path=(2, 9), med=5, learned_from="b", next_hop="n2")
         igp_metric = {"n1": 1.0, "n2": 9.0}
         assert best_route([from_as1, from_as2], igp_metric) is from_as1
 
@@ -86,8 +86,8 @@ class TestStages:
 
 class TestBestExternal:
     def test_picks_best_among_ebgp_only(self):
-        ext_long = route(ebgp=True, as_path=AsPath((1, 2, 3)), learned_from="e1")
-        ext_short = route(ebgp=True, as_path=AsPath((1, 2)), learned_from="e2")
+        ext_long = route(ebgp=True, as_path=(1, 2, 3), learned_from="e1")
+        ext_short = route(ebgp=True, as_path=(1, 2), learned_from="e2")
         internal = route(ebgp=False, local_pref=9999, learned_from="rr")
         assert best_external([ext_long, internal, ext_short]) is ext_short
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.attributes import AsPath, Route
+from repro.bgp.attributes import Route
 from repro.bgp.engine import BgpEngine, ConvergenceError
 from repro.bgp.messages import IgpNotification, Update
 from repro.bgp.router import BgpRouter
@@ -29,7 +29,7 @@ def ext_update() -> Update:
     return Update(
         sender="ext",
         receiver="a",
-        route=Route(prefix=PFX, as_path=AsPath((100, 9)), next_hop="ext"),
+        route=Route(prefix=PFX, as_path=(100, 9), next_hop="ext"),
     )
 
 
@@ -222,7 +222,7 @@ class TestDiagnostics:
                 receiver="a",
                 route=Route(
                     prefix=Prefix.parse("198.51.100.0/24"),
-                    as_path=AsPath((100, 9)),
+                    as_path=(100, 9),
                     next_hop="ext",
                 ),
             )

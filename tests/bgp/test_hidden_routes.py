@@ -14,7 +14,7 @@ delivery schedule, not to the network (DESIGN.md section 10).
 
 import pytest
 
-from repro.bgp.attributes import AsPath, Route
+from repro.bgp.attributes import Route
 from repro.bgp.engine import BgpEngine, ConvergenceError
 from repro.bgp.messages import Update
 from repro.bgp.router import BgpRouter
@@ -82,7 +82,7 @@ def inject_external(engine: BgpEngine, router_id: str) -> None:
             sender=f"ext-{router_id}",
             receiver=router_id,
             route=Route(
-                prefix=PFX, as_path=AsPath((100, 9)), next_hop=f"ext-{router_id}"
+                prefix=PFX, as_path=(100, 9), next_hop=f"ext-{router_id}"
             ),
         )
     )

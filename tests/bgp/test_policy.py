@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.attributes import NO_EXPORT, AsPath, Route
+from repro.bgp.attributes import NO_EXPORT, Route
 from repro.bgp.policy import (
     RELATIONSHIP_LOCAL_PREF,
     RelationshipExportPolicy,
@@ -31,7 +31,7 @@ def ibgp_session() -> Session:
 
 
 def route(**kwargs) -> Route:
-    defaults = dict(prefix=PFX, as_path=AsPath((100, 9)), next_hop="nh")
+    defaults = dict(prefix=PFX, as_path=(100, 9), next_hop="nh")
     defaults.update(kwargs)
     return Route(**defaults)
 
@@ -105,18 +105,18 @@ class TestRelationshipExport:
 
     def test_originated_to_everyone(self):
         policy = RelationshipExportPolicy(RELATIONSHIPS)
-        originated = route(as_path=AsPath())
+        originated = route(as_path=())
         for asn in (100, 200, 300):
             assert policy.apply(originated, ebgp_session(asn)) is not None
 
     def test_no_export_always_blocked(self):
         policy = RelationshipExportPolicy(RELATIONSHIPS)
-        tagged = route(as_path=AsPath(), communities=frozenset({NO_EXPORT}))
+        tagged = route(as_path=(), communities=frozenset({NO_EXPORT}))
         assert policy.apply(tagged, ebgp_session(300)) is None
 
     def test_unknown_peer_blocked(self):
         policy = RelationshipExportPolicy(RELATIONSHIPS)
-        assert policy.apply(route(as_path=AsPath()), ebgp_session(999)) is None
+        assert policy.apply(route(as_path=()), ebgp_session(999)) is None
 
     def test_ibgp_passthrough(self):
         policy = RelationshipExportPolicy(RELATIONSHIPS)
@@ -131,8 +131,8 @@ class TestExportsToEbgp:
         "provider": route(communities=frozenset({"rel:provider"})),
         "peer": route(communities=frozenset({"rel:peer"})),
         "customer": route(communities=frozenset({"rel:customer"})),
-        "originated": route(as_path=AsPath()),
-        "no-export": route(as_path=AsPath(), communities=frozenset({NO_EXPORT})),
+        "originated": route(as_path=()),
+        "no-export": route(as_path=(), communities=frozenset({NO_EXPORT})),
     }
 
     @pytest.mark.parametrize("with_customer", [True, False])

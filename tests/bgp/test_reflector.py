@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.attributes import AsPath, Route
+from repro.bgp.attributes import Route
 from repro.bgp.messages import Update, Withdraw
 from repro.bgp.reflector import RouteReflector
 from repro.bgp.session import Session, SessionType
@@ -32,7 +32,7 @@ def update_from(sender: str, receiver: str, next_hop=None, lp=100) -> Update:
         receiver=receiver,
         route=Route(
             prefix=PFX,
-            as_path=AsPath((100, 9)),
+            as_path=(100, 9),
             next_hop=next_hop or sender,
             local_pref=lp,
         ),
@@ -92,7 +92,7 @@ class TestReflection:
             receiver="rr1",
             route=Route(
                 prefix=PFX,
-                as_path=AsPath((100,)),
+                as_path=(100,),
                 next_hop="rX",
                 cluster_list=("rr1",),
             ),

@@ -5,8 +5,9 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.attributes import AsPath, Route
-from repro.bgp.rib import AdjRib, LocRib
+from repro.bgp.attributes import Route
+from repro.bgp.rib import AdjRib
+from repro.bgp.router import BgpRouter
 from repro.net.addressing import Prefix
 
 P1 = Prefix.parse("203.0.113.0/24")
@@ -14,7 +15,7 @@ P2 = Prefix.parse("198.51.100.0/24")
 
 
 def route(prefix=P1, peer="a") -> Route:
-    return Route(prefix=prefix, as_path=AsPath((1,)), next_hop=peer)
+    return Route(prefix=prefix, as_path=(1,), next_hop=peer)
 
 
 class TestAdjRib:
@@ -133,7 +134,7 @@ class TestAdjRibModel:
         for op, peer, *args in ops:
             if op == "update":
                 prefix, next_hop, path_len = args
-                r = Route(prefix=prefix, as_path=AsPath((1,) * path_len), next_hop=next_hop)
+                r = Route(prefix=prefix, as_path=(1,) * path_len, next_hop=next_hop)
                 rib.update(peer, r)
                 model.update(peer, r)
             elif op == "withdraw":
@@ -144,23 +145,26 @@ class TestAdjRibModel:
 
 
 class TestLocRib:
+    """A speaker's Loc-RIB is a plain dict, prefix -> best route, written
+    only by its decision process."""
+
     def test_set_and_get(self):
-        rib = LocRib()
-        rib.set_best(route())
-        assert rib.best(P1) is not None
-        assert P1 in rib
-        assert len(rib) == 1
+        router = BgpRouter("r1", 1)
+        router.originate(P1)
+        assert type(router.loc_rib) is dict
+        assert router.loc_rib[P1] is router.best(P1) is router.originated[P1]
+        assert len(router.loc_rib) == 1
 
     def test_clear(self):
-        rib = LocRib()
-        rib.set_best(route())
-        assert rib.clear(P1) is not None
-        assert rib.clear(P1) is None
-        assert P1 not in rib
+        router = BgpRouter("r1", 1)
+        router.originate(P1)
+        router.withdraw_origination(P1)
+        assert P1 not in router.loc_rib
+        assert router.best(P1) is None
 
     def test_items_and_prefixes(self):
-        rib = LocRib()
-        rib.set_best(route())
-        rib.set_best(route(prefix=P2))
-        assert set(rib.prefixes()) == {P1, P2}
-        assert len(list(rib.items())) == 2
+        router = BgpRouter("r1", 1)
+        router.originate(P1)
+        router.originate(P2)
+        assert set(router.loc_rib) == {P1, P2}
+        assert dict(router.loc_rib.items()) == router.originated

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.bgp.attributes import NO_EXPORT, AsPath, Route
+from repro.bgp.attributes import NO_EXPORT, Route
 from repro.bgp.messages import IgpNotification, Update, Withdraw
 from repro.bgp.policy import (
     RelationshipExportPolicy,
@@ -29,7 +29,7 @@ def ext_update(receiver: str, sender="ext1", asns=(100, 9), next_hop=None) -> Up
     return Update(
         sender=sender,
         receiver=receiver,
-        route=Route(prefix=PFX, as_path=AsPath(asns), next_hop=next_hop or sender),
+        route=Route(prefix=PFX, as_path=asns, next_hop=next_hop or sender),
     )
 
 
@@ -76,7 +76,7 @@ class TestReceive:
             receiver="r1",
             route=Route(
                 prefix=PFX,
-                as_path=AsPath((100,)),
+                as_path=(100,),
                 next_hop="r9",
                 originator_id="r1",
             ),
@@ -91,7 +91,7 @@ class TestReceive:
             sender="ext1",
             receiver="r1",
             route=Route(
-                prefix=PFX, as_path=AsPath((100,)), next_hop="ext1", local_pref=9999
+                prefix=PFX, as_path=(100,), next_hop="ext1", local_pref=9999
             ),
         )
         router.process(update)
@@ -102,7 +102,7 @@ class TestReceive:
         wire(router, "ext1", SessionType.EBGP)
         router.process(ext_update("r1", asns=(100, 9)))
         router.process(ext_update("r1", asns=(100, 55, 9)))
-        assert router.best(PFX).as_path.asns == (100, 55, 9)
+        assert router.best(PFX).as_path == (100, 55, 9)
         assert len(router.adj_rib_in.routes_for(PFX)) == 1
 
     def test_withdraw_clears_route(self):
@@ -135,7 +135,7 @@ class TestAdvertise:
         out = router.process(ext_update("r1"))
         ebgp = [m for m in out if isinstance(m, Update) and m.receiver == "ext2"]
         assert len(ebgp) == 1
-        assert ebgp[0].route.as_path.asns[0] == LOCAL_ASN
+        assert ebgp[0].route.as_path[0] == LOCAL_ASN
 
     def test_split_horizon_ebgp(self):
         router = make_router()
@@ -168,7 +168,7 @@ class TestAdvertise:
         update = Update(
             sender="rr1",
             receiver="r1",
-            route=Route(prefix=PFX, as_path=AsPath((100,)), next_hop="r9"),
+            route=Route(prefix=PFX, as_path=(100,), next_hop="r9"),
         )
         out = router.process(update)
         assert not [m for m in out if m.receiver == "rr2"]
@@ -224,7 +224,7 @@ class TestGaoRexfordExport:
                 exported = router.export_policy.apply(best, session)
             if exported is not None:
                 cleaned = strip_ibgp_only_attributes(exported)
-                route = cleaned.sent("r1", cleaned.as_path.prepend(LOCAL_ASN))
+                route = cleaned.sent("r1", (LOCAL_ASN,) + cleaned.as_path)
                 messages.append(Update(sender="r1", receiver=peer_id, route=route))
             elif peer_id in held:
                 messages.append(Withdraw(sender="r1", receiver=peer_id, prefix=PFX))
@@ -309,7 +309,7 @@ class TestBestExternal:
             receiver="r1",
             route=Route(
                 prefix=PFX,
-                as_path=AsPath((200, 9)),
+                as_path=(200, 9),
                 next_hop="r9",
                 local_pref=3000,
                 originator_id="r9",
@@ -331,7 +331,7 @@ class TestBestExternal:
         assert not router.best(PFX).ebgp
         sent = router.adj_rib_out.route("rr", PFX)
         assert sent is not None
-        assert sent.as_path.asns == (100, 9)
+        assert sent.as_path == (100, 9)
 
 
     def test_better_external_is_advertised_while_best_stays_put(self):
@@ -340,7 +340,7 @@ class TestBestExternal:
         router, _ = self._setup(enable=True, second_upstream=True)
         out = router.process(ext_update("r1", sender="ext2", asns=(300,)))
         assert not router.best(PFX).ebgp
-        assert [m.route.as_path.asns for m in out if m.receiver == "rr"] == [(300,)]
+        assert [m.route.as_path for m in out if m.receiver == "rr"] == [(300,)]
 
 
 class TestOrigination:
@@ -405,7 +405,7 @@ class TestNextHopTracking:
         wire(router, "ext1", SessionType.EBGP, peer_asn=100)
         for sender, next_hop, asn in (("rr1", "e1", 300), ("rr2", "e2", 400)):
             for prefix in (PFX, self.PREFIXES[next_hop]):
-                route = Route(prefix=prefix, as_path=AsPath((asn, 9)), next_hop=next_hop)
+                route = Route(prefix=prefix, as_path=(asn, 9), next_hop=next_hop)
                 router.process(Update(sender=sender, receiver="r1", route=route))
         router.originate(self.OWN)
         decided: list[Prefix] = []
@@ -514,7 +514,7 @@ class TestBatch:
 
     def test_touched_prefixes_are_decided_once_in_sorted_order(self):
         router = self._router()
-        other = Route(prefix=self.OTHER, as_path=AsPath((100, 9)), next_hop="ext1")
+        other = Route(prefix=self.OTHER, as_path=(100, 9), next_hop="ext1")
         out = router.process_batch(
             [
                 ext_update("r1", sender="ext1"),
@@ -545,7 +545,7 @@ class TestBatch:
         decided: list[Prefix] = []
         decide = router._decide
         router._decide = lambda prefix: decided.append(prefix) or decide(prefix)
-        other = Route(prefix=self.OTHER, as_path=AsPath((200, 9)), next_hop="ext2")
+        other = Route(prefix=self.OTHER, as_path=(200, 9), next_hop="ext2")
         out = router.process_batch(
             [
                 IgpNotification(receiver="r1"),

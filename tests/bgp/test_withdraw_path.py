@@ -38,7 +38,7 @@ def build_mesh(n: int = 3, externals: tuple[str, ...] = ("ext-a",)):
 
 
 def ribs_clean(router: BgpRouter) -> bool:
-    return router.best(PFX) is None and not list(router.loc_rib.prefixes())
+    return router.best(PFX) is None and not router.loc_rib
 
 
 class TestWithdrawPath:

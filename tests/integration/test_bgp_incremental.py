@@ -222,7 +222,7 @@ def build_with_reference_decisions(scale: str, monkeypatch: pytest.MonkeyPatch):
     full_decide = BgpRouter._decide
 
     def decide_without_skip(self, prefix):
-        self._advertised.pop(prefix, None)
+        self._advertised_source.pop(prefix, None)
         return full_decide(self, prefix)
 
     with monkeypatch.context() as patch:

@@ -6,8 +6,8 @@ promoted since the last full pass exceed a quarter of those it left
 alive — so a cold campaign must not leave a tracked object behind per
 resolved pair, per path view or per segment-keyed memo entry.  A path's
 kernel view is a plain tuple of ids and floats (the collector untracks
-it), the resolver's pair cache shares its key tuples with the Internet
-leg cache and stores a failure as a shared sentinel, and the segment
+it), the resolver's pair cache shares its key tuples with the pairs it
+holds and stores a failure as a shared sentinel, and the segment
 memos are per-id lists, not ``lru_cache`` entries keyed by a segment.
 These are invariants of the layout, not pinned counts.
 """
@@ -86,11 +86,10 @@ def test_every_path_view_is_untracked(resolver):
     assert [view for view in views if gc.is_tracked(view)] == []
 
 
-def test_pair_and_internet_caches_share_their_keys(resolver):
-    internet_key = {key: key for key in resolver._internet}
-    shared = [key for key in resolver._pairs if key in internet_key]
+def test_pair_cache_and_its_pairs_share_their_keys(resolver):
+    shared = [key for key, pair in resolver._pairs.items() if type(pair) is _ResolvedPair]
     assert len(shared) > 100
-    assert all(internet_key[key] is key for key in shared)
+    assert all(resolver._pairs[key].key is key for key in shared)
 
 
 def test_no_pair_flag_tuples(resolver):

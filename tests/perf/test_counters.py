@@ -81,7 +81,7 @@ class TestWiring:
         assert "bgp.engine.run" in snap.timers
 
     def test_geo_assign_counts_memo_hits(self):
-        from repro.bgp.attributes import AsPath, Route
+        from repro.bgp.attributes import Route
         from repro.geo.coords import GeoPoint
         from repro.geo.geoip import GeoIPDatabase
         from repro.net.addressing import Prefix
@@ -93,7 +93,7 @@ class TestWiring:
         rr = GeoRouteReflector(
             "RR", 65000, geoip=geoip, router_locations={"A": GeoPoint(52.37, 4.90)}
         )
-        route = Route(prefix=prefix, as_path=AsPath((100,)), next_hop="A")
+        route = Route(prefix=prefix, as_path=(100,), next_hop="A")
         perf.enable()
         rr.assign_geo_preference(route)
         rr.assign_geo_preference(route)

@@ -5,9 +5,10 @@ generation-2 passes, and a cold process makes several while it builds a
 world.  So bookkeeping the speakers keep per (speaker, prefix) must not
 be one tracked object each: the geo reflector's LOCAL_PREF memo is
 nested by egress instead of keyed on ``(next_hop, prefix)`` tuples, the
-unchanged-outcome skip keeps two dicts instead of a ``(best, source)``
-pair per prefix, and routes with equal communities share one set.  These
-are invariants of the layout, not pinned counts.
+unchanged-outcome skip keeps one dict of iBGP sources beside the Loc-RIB
+instead of a ``(best, source)`` pair per prefix, the Loc-RIB is the only
+record of a speaker's best routes, and routes with equal communities
+share one set.  These are invariants of the layout, not pinned counts.
 """
 
 from __future__ import annotations
@@ -57,7 +58,28 @@ def test_the_walk_reaches_the_bookkeeping(routers):
     objects = reachable(routers)
     kinds = {type(obj).__name__ for obj in objects}
     assert {"Route", "Prefix", "AdjRib", "GeoRouteReflector"} <= kinds
-    assert any(obj is routers[0]._advertised for obj in objects)
+    assert type(routers[0].loc_rib) is dict
+    assert any(obj is routers[0].loc_rib for obj in objects)
+    assert any(obj is routers[0]._advertised_source for obj in objects)
+
+
+def test_the_loc_rib_is_the_only_record_of_the_best_routes(routers):
+    # A learned best is an Adj-RIB-In route; no prefix-keyed dict but the
+    # Loc-RIB maps a prefix to it.  (An originated best is also the
+    # speaker's ``originated`` entry: a decision input, not a copy.)
+    loc_ribs = {id(router.loc_rib): router.loc_rib for router in routers}
+    learned = {
+        id(r) for rib in loc_ribs.values() for r in rib.values() if r.learned_from is not None
+    }
+    assert len(learned) > 1000
+    copies = [
+        prefix
+        for obj in reachable(routers)
+        if type(obj) is dict and id(obj) not in loc_ribs
+        for prefix, value in obj.items()
+        if type(prefix) is Prefix and id(value) in learned
+    ]
+    assert copies == []
 
 
 def test_no_next_hop_prefix_keys(routers):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import decision
-from repro.bgp.attributes import AsPath, Origin, Route
+from repro.bgp.attributes import Origin, Route
 from repro.bgp.decision import best_external, best_route, decision_order
 from repro.net.addressing import Prefix
 
@@ -16,9 +16,7 @@ PFX = Prefix.parse("203.0.113.0/24")
 @st.composite
 def routes(draw):
     path_length = draw(st.integers(min_value=1, max_value=5))
-    as_path = AsPath(
-        tuple(draw(st.integers(min_value=1, max_value=20)) for _ in range(path_length))
-    )
+    as_path = tuple(draw(st.integers(min_value=1, max_value=20)) for _ in range(path_length))
     return Route(
         prefix=PFX,
         as_path=as_path,
@@ -98,7 +96,7 @@ def tie_prone_routes(draw, meds):
     locally originated routes (``learned_from=None``) and — through the
     IGP views above — unreachable next hops.
     """
-    as_path = AsPath(tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))))
+    as_path = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=2)))
     return Route(
         prefix=PFX,
         as_path=as_path,

@@ -121,7 +121,7 @@ def test_every_selected_as_path_is_valley_free(default_world):
     checked = 0
     for router in default_world.network.engine.routers.values():
         for _, route in router.loc_rib.items():
-            asns = route.as_path.asns
+            asns = route.as_path
             if not asns:
                 continue  # originated here (the anycast prefix)
             assert len(set(asns)) == len(asns) and VNS_ASN not in asns, route

@@ -123,8 +123,6 @@ MEMOS: dict[str, str] = {
             "workload.engine:PathResolver._entry",
             "workload.engine:PathResolver._lastmile",
             "workload.engine:PathResolver._onward",
-            "workload.engine:PathResolver._egress_pop",
-            "workload.engine:PathResolver._internet",
             "workload.engine:PathResolver._pairs",
             "workload.engine:PathResolver._local_exit",
             "workload.engine:PathResolver._detour_paths",
@@ -162,9 +160,10 @@ MEMOS: dict[str, str] = {
     # State, not memos.
     "bgp.engine:BgpEngine._inboxes": "state: the messages queued for each speaker",
     "bgp.rib:AdjRib._routes": "state: the Adj-RIB",
-    "bgp.rib:LocRib._best": "state: the Loc-RIB",
-    "bgp.router:BgpRouter._advertised": "state: the Adj-RIB-Out",
-    "bgp.router:BgpRouter._advertised_source": "state: the Adj-RIB-Out's source routes",
+    "bgp.router:BgpRouter._advertised_source": (
+        "state: the iBGP source each synchronised prefix was last advertised from; "
+        "its keys are the synchronised prefixes"
+    ),
     "faults.injector:FaultInjector._session_snapshots": "state: what a session fault restores",
     "faults.injector:FaultInjector._pop_snapshots": "state: what a PoP fault restores",
     "geo.geoip:GeoIPDatabase._entries": "state: the database",

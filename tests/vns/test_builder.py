@@ -108,7 +108,7 @@ class TestDeployment:
             route = getattr(message, "route", None)
             if route is None:
                 continue
-            assert route.as_path.origin_as == VNS_ASN
+            assert route.as_path[-1] == VNS_ASN
 
     def test_neighbor_asns_ordering(self, deployment):
         dep, _ = deployment

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.attributes import AsPath, Route
+from repro.bgp.attributes import Route
 from repro.bgp.session import Session, SessionType
 from repro.geo.coords import GeoPoint
 from repro.geo.geoip import GeoIPDatabase
@@ -43,7 +43,7 @@ def make_reflector(geoip=None) -> GeoRouteReflector:
 
 
 def ibgp_route(next_hop: str) -> Route:
-    return Route(prefix=PFX, as_path=AsPath((100, 9)), next_hop=next_hop)
+    return Route(prefix=PFX, as_path=(100, 9), next_hop=next_hop)
 
 
 class TestLpFunctions:
@@ -145,7 +145,7 @@ class TestOptimisedHotPath:
                 )
                 for next_hop in world_rr.router_locations:
                     for prefix in world_rr.geoip.prefixes():
-                        route = Route(prefix=prefix, as_path=AsPath((100, 9)), next_hop=next_hop)
+                        route = Route(prefix=prefix, as_path=(100, 9), next_hop=next_hop)
                         slow = ref.assign_geo_preference_reference(route).local_pref
                         assert rr.geo_local_pref(route, 100) == slow
                         checked += 1
@@ -220,7 +220,7 @@ class TestStatsCounters:
         session = rr.session_to("A")
         # Matching egress: pinned at the forced preference.
         pinned = rr.import_local_pref(
-            Route(prefix=PFX, as_path=AsPath((100, 9)), next_hop="A-r1"), session, 100
+            Route(prefix=PFX, as_path=(100, 9), next_hop="A-r1"), session, 100
         )
         assert pinned == FORCED_EXIT_LP
         assert rr.stats["forced"] == 1
@@ -241,7 +241,7 @@ class TestStatsCounters:
         assert rr.stats["no_location"] == 3
         missing = Route(
             prefix=Prefix.parse("198.51.100.0/24"),
-            as_path=AsPath((100, 9)),
+            as_path=(100, 9),
             next_hop="A",
         )
         for _ in range(2):

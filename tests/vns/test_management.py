@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.attributes import AsPath, Route
+from repro.bgp.attributes import Route
 from repro.geo.coords import GeoPoint
 from repro.geo.geoip import GeoIPDatabase
 from repro.net.addressing import Prefix
@@ -31,7 +31,7 @@ def make_pair() -> tuple[ManagementInterface, GeoRouteReflector]:
 
 
 def route(next_hop: str) -> Route:
-    return Route(prefix=PFX, as_path=AsPath((100, 9)), next_hop=next_hop)
+    return Route(prefix=PFX, as_path=(100, 9), next_hop=next_hop)
 
 
 class TestForceExit:

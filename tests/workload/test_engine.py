@@ -224,18 +224,20 @@ class TestResolveAccounting:
             assert (stats.onward_hits, stats.onward_misses) == (1, 0)
             assert (stats.internet_hits, stats.internet_misses) == (0, 0)
 
-    def test_internet_failure_repeat_counts_both_legs(self, small_world, campaign_inputs):
+    def test_internet_failure_repeat_counts_both_legs(
+        self, small_world, campaign_inputs, monkeypatch
+    ):
         """The one failure whose leg flags equal a success's: its repeat
         re-counts both legs and still resolves to nothing."""
         population, _ = campaign_inputs
         caller, callee = population.users[6], population.users[7]
         engine = self.make_engine(small_world)
-        # Make the Internet leg unroutable (cached negative resolution).
-        engine.resolver._internet[(caller.prefix, callee.prefix)] = None
+        # Make the Internet leg unroutable for this test only.
+        monkeypatch.setattr(engine.resolver.service, "path_via_internet", lambda *_: None)
         first = CampaignStats()
         assert engine.resolve_pair(caller.prefix, callee.prefix, first) is None
         assert (first.onward_hits, first.onward_misses) == (0, 1)
-        assert (first.internet_hits, first.internet_misses) == (1, 0)
+        assert (first.internet_hits, first.internet_misses) == (0, 1)
         again = CampaignStats()
         assert engine.resolve_pair(caller.prefix, callee.prefix, again) is None
         assert (again.onward_hits, again.onward_misses) == (1, 0)
