@@ -1,15 +1,10 @@
 """Scenario-matrix benchmark: the canned-regime regression gate.
 
 Runs the scenario matrix — canned operating regimes x campaign seeds —
-sharded over the world's persistent 2-worker campaign pool, and
-holds the results to two bars:
-
-* **Golden regression** — every cell's ``CampaignReport`` must match
-  its committed golden under ``benchmarks/goldens/scenario_matrix/``
-  (floats within 5%, counts and strings exact).  Regenerate after an
-  intentional behaviour change with ``GOLDEN_REGEN=1``.
-* **Determinism** — a sequential in-process re-run of the same grid
-  must reproduce every sharded cell byte for byte.
+in this process, and holds every cell's ``CampaignReport`` to its
+committed golden under ``benchmarks/goldens/scenario_matrix/`` (floats
+within 5%, counts and strings exact).  Regenerate after an intentional
+behaviour change with ``GOLDEN_REGEN=1``.
 
 The run summary (per-cell calls/golden verdicts/timing) is recorded as
 one ``scenario_matrix`` row in the results store — the CI artifact.
@@ -40,8 +35,6 @@ SEEDS = (0, 1)
 #: contract: changing these knobs means regenerating the goldens.
 CELL_KNOBS = dict(n_users=60, calls_per_user_day=2.0)
 
-WORKERS = 2
-
 
 def grid_axes() -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The full grid, or the ``BENCH_SCENARIO_GRID=NxM`` smoke cut."""
@@ -67,24 +60,16 @@ def test_bench_scenario_matrix(show):
     grid = [replace(canned_scenario(name), **CELL_KNOBS) for name in names]
     store = GoldenStore(GOLDEN_DIR)
 
-    sharded = run_matrix(grid, seeds=seeds, workers=WORKERS, golden=store)
-    show(sharded.render())
-    assert len(sharded.cells) == len(names) * len(seeds)
-    assert all(cell.n_calls > 0 for cell in sharded.cells)
+    result = run_matrix(grid, seeds=seeds, golden=store)
+    show(result.render())
+    assert len(result.cells) == len(names) * len(seeds)
+    assert all(cell.n_calls > 0 for cell in result.cells)
 
-    # Determinism: the sequential grid reproduces every cell byte for byte.
-    sequential = run_matrix(grid, seeds=seeds, workers=1)
-    for cell, reference in zip(sharded.cells, sequential.cells):
-        assert cell.key == reference.key
-        assert json.dumps(cell.report, sort_keys=True) == json.dumps(
-            reference.report, sort_keys=True
-        ), f"{cell.key}: sharded report differs from sequential"
-
-    recorded = record("scenario_matrix", json.loads(sharded.to_json()))
+    recorded = record("scenario_matrix", json.loads(result.to_json()))
     show(f"recorded scenario_matrix run {recorded.run_id} in {recorded.store_path}")
 
     # Golden gate last, so the summary row exists even on failure.
-    regressions = sharded.regressions()
+    regressions = result.regressions()
     assert not regressions, "golden regressions:\n" + "\n".join(
         cell.golden.render() for cell in regressions
     )

@@ -5,17 +5,13 @@ Samples a geo-weighted user population from the synthetic Internet,
 draws a day of diurnally modulated call arrivals (with a TURN-relayed
 multiparty share), runs them through the batched campaign engine, and
 prints the per-corridor QoE table plus the engine's cache/batching
-numbers.  Everything is seeded: re-running prints the same report —
-including with ``--workers N``, which shards the campaign across a
-process pool (the report is byte-identical to the sequential run).
+numbers.  Everything is seeded: re-running prints the same report.
 
 Run:
-    python examples/campaign_demo.py [--workers N]
+    python examples/campaign_demo.py
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro.experiments import build_world
 from repro.experiments import campaign
@@ -23,16 +19,6 @@ from repro.workload import REGION_CODE
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the campaign across N worker processes (default: in-process)",
-    )
-    args = parser.parse_args()
-
     world = build_world("small", seed=42)
     print("World built; sampling a population and a day of calls...\n")
 
@@ -43,15 +29,8 @@ def main() -> None:
         days=1,
         multiparty_fraction=0.15,
         seed=7,
-        workers=args.workers,
     )
     print(run.render())
-    shards = getattr(run, "shards", None)
-    if shards:
-        # Calls per shard only: a wall clock would make the output differ
-        # from run to run.
-        detail = ", ".join(f"#{o.index}: {o.n_calls} calls" for o in shards)
-        print(f"  shards ({len(shards)} x {args.workers} workers): {detail}")
 
     # Where did multiparty traffic land?  The TURN relays sit at every
     # PoP behind one anycast address; allocations follow the callers.

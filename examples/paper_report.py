@@ -2,7 +2,7 @@
 """Regenerate every paper figure/table in one run and print the report.
 
 The full reproduction harness, end to end: builds the world(s), runs all
-ten figure experiments (Figs. 3-7, 9-12, Table 1) plus the sharded
+ten figure experiments (Figs. 3-7, 9-12, Table 1) plus the
 population campaign and the failover suite, and prints each one's rows
 (each module's ``run`` then its ``render``).  This is
 the same code the benchmarks time — here it runs at a smaller scale by
@@ -95,9 +95,8 @@ def main() -> None:
     print()
     print(fig12_diurnal.render(fig12_diurnal.run(data)))
 
-    banner("Section 5 at scale — population campaign (sharded, 2 workers)")
-    print(campaign.run(world, n_users=120, seed=7, workers=2).render())
-    world.close_pool()  # the failover suite below faults this world
+    banner("Section 5 at scale — population campaign")
+    print(campaign.run(world, n_users=120, seed=7).render())
 
     banner("Beyond the paper — failover under injected faults")
     print(failover.run(world).render())

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Declarative scenarios and the sharded scenario matrix.
+"""Declarative scenarios and the scenario matrix.
 
 A scenario is a frozen, JSON-round-trippable spec: which world, what
 arrival profile, which faults, which last-mile model, which steering
@@ -8,17 +8,16 @@ policy.  This demo
 1. prints a canned spec's JSON (the committed-file format),
 2. runs one scenario end to end (faults applied through the real BGP
    machinery, impairments applied at simulate time, world restored),
-3. runs a (scenario x seed) matrix sharded over a persistent 2-worker
-   pool, writes golden reports to a temp dir, perturbs one, and shows
-   the regression diff the golden gate produces.
+3. runs a (scenario x seed) matrix, writes golden reports to a temp
+   dir, perturbs one, and shows the regression diff the golden gate
+   produces.
 
 Run:
-    python examples/scenario_matrix_demo.py [--workers N]
+    python examples/scenario_matrix_demo.py
 """
 
 from __future__ import annotations
 
-import argparse
 import tempfile
 from dataclasses import replace
 
@@ -32,16 +31,6 @@ from repro.scenarios import (
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes for the sharded matrix run",
-    )
-    args = parser.parse_args()
-
     print("Canned scenarios:", ", ".join(canned_names()))
     spec = canned_scenario("regional_outage")
     print("\nThe committed-file format (regional_outage):")
@@ -56,21 +45,17 @@ def main() -> None:
         f"{run.stats.calls_failed} unroutable"
     )
 
-    # --- the matrix, sharded, with a golden gate ---------------------
+    # --- the matrix, with a golden gate -------------------------------
     grid = [
         replace(canned_scenario(name), n_users=60, calls_per_user_day=2.0)
         for name in ("baseline", "geo_satellite", "pop_exhaustion")
     ]
     with tempfile.TemporaryDirectory() as tmp:
         store = GoldenStore(tmp)
-        print(
-            f"\nMatrix: {len(grid)} scenarios x 2 seeds, "
-            f"sharded over a {args.workers}-worker pool..."
-        )
+        print(f"\nMatrix: {len(grid)} scenarios x 2 seeds...")
         result = run_matrix(
             grid,
             seeds=(0, 1),
-            workers=args.workers,
             golden=store,
             update_golden=True,  # first run commits the goldens
         )
@@ -83,7 +68,7 @@ def main() -> None:
         golden["pairs"][pair]["vns"]["delay_ms"]["p50"] *= 1.5
         store.save(key, golden)
         print(f"\nPerturbed {key}'s golden by +50% on one QoE float; re-checking...")
-        recheck = run_matrix(grid, seeds=(0, 1), workers=1, golden=store)
+        recheck = run_matrix(grid, seeds=(0, 1), golden=store)
         for cell in recheck.regressions():
             print(cell.golden.render())
 

@@ -8,32 +8,19 @@ transports (the Sec. 5 measurement machinery feeding a
 three steering stances — always-VNS, QoE-threshold offload, and a
 backbone-byte budget — and prints what each one trades: offload rate,
 backbone bytes saved, and the mean QoE delta against the paper's
-stance.  Everything is seeded; with ``--workers N`` each campaign runs
-sharded and the reports stay byte-identical.
+stance.  Everything is seeded: re-running prints the same tables.
 
 Run:
-    python examples/steering_demo.py [--workers N]
+    python examples/steering_demo.py
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro.experiments import build_world
 from repro.experiments import steering
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard each policy's campaign across N worker processes",
-    )
-    args = parser.parse_args()
-
     world = build_world("small", seed=42)
     print("World built; probing corridors and running one campaign per policy...\n")
 
@@ -43,7 +30,6 @@ def main() -> None:
         calls_per_user_day=4.0,
         days=1,
         seed=7,
-        workers=args.workers,
     )
     print(comparison.render())
 

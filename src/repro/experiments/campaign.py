@@ -9,9 +9,9 @@ the per-corridor QoE table — delay/loss percentiles, lossy-slot fractions
 
 The campaign is a bare :class:`~repro.scenarios.spec.ScenarioSpec` — no
 faults, no steering, terrestrial last miles — composed and run by
-:mod:`repro.scenarios.loader`, the one front door.  The returned
-:class:`~repro.workload.engine.CampaignRun` implements
-:class:`~repro.experiments.common.ExperimentResult`.
+:mod:`repro.scenarios.loader`, the one front door, in the calling
+process.  The returned :class:`~repro.workload.engine.CampaignRun`
+implements :class:`~repro.experiments.common.ExperimentResult`.
 """
 
 from __future__ import annotations
@@ -35,16 +35,11 @@ def run(
     days: int = 1,
     multiparty_fraction: float = 0.15,
     seed: int = 0,
-    workers: int = 1,
 ) -> CampaignRun:
-    """Run one seeded campaign over ``world`` as it stands.
+    """Run one seeded campaign over ``world`` as it stands, in this process.
 
     One integer reproduces the whole campaign
     (:func:`~repro.scenarios.loader.scenario_calls` has the derivation).
-    ``workers > 1`` runs the same calls on ``world``'s persistent
-    :meth:`~repro.experiments.common.World.campaign_pool` —
-    byte-identical report, already-spawned and already-warm workers on
-    the next run.
     """
     spec = campaign_spec(
         world,
@@ -55,4 +50,4 @@ def run(
         days=days,
         multiparty_fraction=multiparty_fraction,
     )
-    return compose_scenario(spec, world).run(workers=workers)
+    return compose_scenario(spec, world).run()

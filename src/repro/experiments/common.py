@@ -10,7 +10,7 @@ scale and reports the same shapes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -76,9 +76,6 @@ class World:
     service: VideoNetworkService
     before: VideoNetworkService | None = None
     rng: np.random.Generator | None = None
-    #: Lazily created persistent campaign worker pool (see
-    #: :meth:`campaign_pool`); excluded from repr/equality on purpose.
-    _campaign_pool: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def topology(self):
@@ -100,43 +97,6 @@ class World:
                 routing=self.service.routing,
             )
         return self.before
-
-    def campaign_pool(self, *, workers: int | None = None):
-        """This world's persistent campaign worker pool, created lazily.
-
-        The pool ships a frozen snapshot of ``service`` to each worker
-        once and keeps workers (and their warm path caches) alive across
-        every pooled campaign over this world, so repeated runs pay
-        spawn and world shipping once.  This is the one place that
-        decides whether a pool is still good: a cached pool is handed
-        back only while it is open, unbroken, of the requested size and
-        still :meth:`~repro.workload.sharded.CampaignWorkerPool.serves`
-        the service — a fault or a repair since it froze the world
-        replaces it (a restored world gets a fresh pool too: the state
-        is back, the pool cannot know).
-        """
-        from repro.workload.sharded import CampaignWorkerPool
-
-        pool = self._campaign_pool
-        if (
-            pool is not None
-            and not pool.closed
-            and not pool.broken
-            and (workers is None or pool.workers == workers)
-            and pool.serves(self.service)
-        ):
-            return pool
-        self.close_pool()
-        pool = CampaignWorkerPool(self.service, workers=workers)
-        self._campaign_pool = pool
-        return pool
-
-    def close_pool(self) -> None:
-        """Shut down the cached campaign pool, if one was created."""
-        pool = self._campaign_pool
-        if pool is not None:
-            pool.shutdown(wait=True)
-            self._campaign_pool = None
 
 
 def build_world(

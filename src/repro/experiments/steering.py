@@ -13,9 +13,7 @@ Each policy's run is the bare campaign scenario with that policy's
 prepared engine swapped in (:mod:`repro.scenarios.loader` says what a
 policy name, the telemetry size and the budget mean), so a policy here
 *is* ``ScenarioSpec(steering_policy=name)`` — collected once instead of
-once per policy.  With ``workers > 1`` every policy's campaign runs on
-the world's one persistent worker pool; reports stay byte-identical to
-``workers=1``.
+once per policy.  Every policy's campaign runs in the calling process.
 """
 
 from __future__ import annotations
@@ -111,7 +109,6 @@ def run(
     calls_per_user_day: float = 4.0,
     days: int = 1,
     seed: int = 0,
-    workers: int = 1,
 ) -> SteeringComparison:
     """Compare the :data:`POLICIES` over one seeded campaign.
 
@@ -140,5 +137,5 @@ def run(
     )
     for name in POLICIES:
         engine = scenario_steering(name, health, loaded.calls, loaded.config)
-        comparison.runs[name] = replace(loaded, steering=engine).run(workers=workers)
+        comparison.runs[name] = replace(loaded, steering=engine).run()
     return comparison

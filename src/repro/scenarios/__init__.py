@@ -1,4 +1,4 @@
-"""Declarative scenarios and the sharded scenario-matrix harness.
+"""Declarative scenarios and the scenario-matrix harness.
 
 The declarative layer on top of the whole stack:
 
@@ -12,7 +12,7 @@ The declarative layer on top of the whole stack:
   campaign: faulted world, call list, steering engine, and the pure
   :class:`ScenarioPathModel` applied at simulate time;
 * :mod:`~repro.scenarios.matrix` — the (spec x scale x seed) grid
-  runner, sharded over persistent worker pools;
+  runner, one faulted world per fault group, every cell in-process;
 * :mod:`~repro.scenarios.golden` — tolerance-aware golden-report
   regression checks for matrix cells.
 """

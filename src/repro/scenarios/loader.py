@@ -20,9 +20,13 @@ propagates.
 **Cache purity.**  All scenario impairments (GEO-satellite last mile,
 active transit degradations, PoP congestion) live in the path model and
 are applied in the engine's simulate phase only — the shared path caches
-keep depending exclusively on the service's converged state, and
-sequential-vs-sharded byte-identity holds because the model is a pure
-function of the path value.
+keep depending exclusively on the service's converged state, and the
+report does not depend on how the calls are cut into shards because the
+model is a pure function of the path value.
+
+**Where it runs.**  :meth:`LoadedScenario.run` runs the campaign in the
+calling process on a plain :class:`~repro.workload.engine.CampaignEngine`
+over the world as it stands; no front door starts a worker pool.
 """
 
 from __future__ import annotations
@@ -44,10 +48,9 @@ from repro.steering import (
     stream_payload_bytes,
 )
 from repro.workload.arrivals import CallArrivalProcess, CallSpec, flash_crowd_calls
-from repro.workload.engine import CampaignConfig, CampaignRun
+from repro.workload.engine import CampaignConfig, CampaignEngine, CampaignRun
 from repro.workload.population import UserPopulation
 from repro.workload.report import REGION_CODE
-from repro.workload.sharded import ShardedCampaignRunner, ShardPlan
 
 #: PoP congestion per unit of overload (offered/capacity - 1), applied
 #: to the first segment of VNS-entering transports.  Queueing delay and
@@ -75,8 +78,8 @@ class ScenarioPathModel:
     """A scenario's data-plane conditions as a pure path transform.
 
     Implements the :class:`~repro.workload.engine.PathModel` protocol.
-    Frozen and built only from value types, so it pickles to shard
-    workers and transforms identically everywhere.
+    Frozen and built only from value types, so it pickles (to a
+    workload-layer pool's workers) and transforms identically everywhere.
     """
 
     last_mile: str = "terrestrial"
@@ -221,8 +224,8 @@ def _pop_overload(
     seconds over the campaign span — attributed to each caller's anycast
     entry PoP *after* the spec's faults (re-catchment counts).  Computed
     up-front from the whole call list (like
-    ``CostBudgetedPolicy.prepare``), so shard workers see the same
-    congestion regardless of which calls they run.
+    ``CostBudgetedPolicy.prepare``), so every shard of the campaign sees
+    the same congestion regardless of which calls it runs.
     """
     capacities = dict(spec.world.pop_capacity)
     if not capacities:
@@ -348,22 +351,13 @@ class LoadedScenario:
     path_model: ScenarioPathModel | None
     applied: FaultInjector | None
 
-    def run(self, *, workers: int = 1) -> CampaignRun:
-        """Run the campaign; byte-identical at every worker count.
-
-        One worker runs it in this process; more run it on the world's
-        :meth:`~repro.experiments.common.World.campaign_pool`, which
-        serves the world as it stands now (faults included) and stays
-        up for the next run.
-        """
-        pool = self.world.campaign_pool(workers=workers) if workers > 1 else None
-        return ShardedCampaignRunner(
+    def run(self) -> CampaignRun:
+        """Run the campaign in this process on the world as it stands."""
+        return CampaignEngine(
             self.world.service,
             self.config,
-            ShardPlan(n_workers=workers),
             steering=self.steering,
             path_model=self.path_model,
-            pool=pool,
         ).run(self.calls)
 
     def restore(self) -> None:
@@ -450,5 +444,3 @@ def run_scenario(spec: ScenarioSpec, *, base_world: World | None = None) -> Camp
         return loaded.run()
     finally:
         loaded.restore()
-        if base_world is None:
-            loaded.world.close_pool()

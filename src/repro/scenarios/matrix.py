@@ -1,23 +1,21 @@
 """The scenario-matrix runner: grid of (spec x seed) cells at SMALL scale.
 
 A matrix expands scenario specs over campaign seeds on SMALL worlds,
-runs every cell through the sharded campaign machinery, and checks each
-cell's byte-stable report against a committed golden.  It is the repo's
+runs every cell in this process, and checks each cell's byte-stable
+report against a committed golden.  It is the repo's
 regression harness for the paper's claims: one command re-runs the
 canned operating regimes and diffs them against known-good reports.
 
-**Pool reuse.**  Cells are grouped by their *fault signature* — the
+**Fault groups.**  Cells are grouped by their *fault signature* — the
 world-mutating part of the spec (scale, world seed, GeoIP errors,
 PoPs down, control-plane fault timeline).  Each group applies its
-faults once, streams every cell through the pool its world hands out
-(:meth:`~repro.experiments.common.World.campaign_pool` — one pool per
-faulted state, replaced when the state moves), then restores the
+faults once, runs every cell on the faulted world, then restores the
 world.  Unfaulted scenarios (baseline, GEO satellite, flash crowd, PoP
 exhaustion — whose impairments live in the path model, not the world)
-all share a single pool per world.
+all share one group per world.
 
-**Determinism.**  Cell reports are byte-identical whether the group ran
-sequentially or sharded, at any worker count — the engine's contract.
+**Determinism.**  A cell's report is the one its scenario gives through
+:func:`~repro.scenarios.loader.run_scenario`, whatever group it ran in.
 Output cells come back in grid-expansion order (scenario-major, then
 seed) regardless of the grouped execution order.
 """
@@ -75,13 +73,7 @@ class MatrixResult:
     """Every cell of a matrix run, in grid-expansion order."""
 
     cells: list[MatrixCell] = field(default_factory=list)
-    workers: int = 1
     elapsed_s: float = 0.0
-
-    @property
-    def sharded(self) -> bool:
-        """Whether the cells ran on worker pools (``workers > 1``)."""
-        return self.workers > 1
 
     def cell(self, key: str) -> MatrixCell:
         for cell in self.cells:
@@ -103,8 +95,6 @@ class MatrixResult:
         """A JSON-ready run summary (the CI artifact payload)."""
         checked = [cell for cell in self.cells if cell.golden is not None]
         return {
-            "workers": self.workers,
-            "sharded": self.sharded,
             "elapsed_s": round(self.elapsed_s, 3),
             "cells": [
                 {
@@ -136,10 +126,8 @@ class MatrixResult:
 
     def render(self) -> str:
         """The matrix as an aligned table plus any golden diffs."""
-        mode = f"sharded x{self.workers}" if self.sharded else "sequential"
         lines = [
-            f"Scenario matrix — {len(self.cells)} cell(s), {mode}, "
-            f"{self.elapsed_s:.1f}s"
+            f"Scenario matrix — {len(self.cells)} cell(s), {self.elapsed_s:.1f}s"
         ]
         header = f"  {'cell':<34} {'calls':>7} {'failed':>7} {'golden':>8}"
         lines.append(header)
@@ -175,8 +163,8 @@ def _resolve(scenario: ScenarioSpec | str) -> ScenarioSpec:
 def _fault_signature(spec: ScenarioSpec) -> tuple:
     """What a cell does to the *world* (not the path model).
 
-    Cells with equal signatures can share one faulted world and one
-    worker pool: the world-mutating inputs are the build recipe plus the
+    Cells with equal signatures can share one faulted world: the
+    world-mutating inputs are the build recipe plus the
     control-plane timeline.  ``pop_capacity`` and the last-mile model
     are excluded on purpose — they act at simulate time only.
     """
@@ -194,7 +182,6 @@ def run_matrix(
     scenarios: "list[ScenarioSpec | str]",
     *,
     seeds: tuple[int, ...] = (0,),
-    workers: int = 2,
     golden: "GoldenStore | str | Path | None" = None,
     update_golden: bool = False,
 ) -> MatrixResult:
@@ -209,10 +196,6 @@ def run_matrix(
         The grid's seed axis; each scenario is re-targeted per cell with
         ``dataclasses.replace`` (the spec's own scale and seed are
         overridden).
-    workers:
-        More than one runs each fault group on its world's persistent
-        pool of that many processes; ``workers=1`` runs every cell
-        sequentially in-process (byte-identical reports either way).
     golden:
         A :class:`GoldenStore` (or a directory for one); each cell's
         report is checked against ``<dir>/<cell key>.json`` at the
@@ -234,8 +217,8 @@ def run_matrix(
         else GoldenStore(golden)
     )
 
-    # Group cells by fault signature so a faulted world (and its pool)
-    # is built once per group, preserving each cell's expansion index.
+    # Group cells by fault signature so a faulted world is set up once
+    # per group, preserving each cell's expansion index.
     groups: dict[tuple, list[tuple[int, ScenarioSpec]]] = {}
     for index, spec in enumerate(grid):
         groups.setdefault(_fault_signature(spec), []).append((index, spec))
@@ -251,7 +234,7 @@ def run_matrix(
 
     def _run_cell(spec: ScenarioSpec, world: World, degradations) -> MatrixCell:
         cell_started = time.perf_counter()
-        run = compose_scenario(spec, world, degradations).run(workers=workers)
+        run = compose_scenario(spec, world, degradations).run()
         report = run.report.to_dict()
         cell = MatrixCell(
             scenario=spec.name,
@@ -267,21 +250,16 @@ def run_matrix(
         return cell
 
     cells: list[MatrixCell | None] = [None] * len(grid)
-    try:
-        for members in groups.values():
-            world = _world_for(members[0][1])
-            applied = apply_scenario_faults(world.service, members[0][1])
-            try:
-                for index, spec in members:
-                    cells[index] = _run_cell(spec, world, applied.degradations)
-            finally:
-                applied.restore()
-    finally:
-        for world in worlds.values():
-            world.close_pool()
+    for members in groups.values():
+        world = _world_for(members[0][1])
+        applied = apply_scenario_faults(world.service, members[0][1])
+        try:
+            for index, spec in members:
+                cells[index] = _run_cell(spec, world, applied.degradations)
+        finally:
+            applied.restore()
 
     return MatrixResult(
         cells=[cell for cell in cells if cell is not None],
-        workers=workers,
         elapsed_s=time.perf_counter() - started,
     )

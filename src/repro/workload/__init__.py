@@ -8,10 +8,11 @@ subpackage is that campaign's synthetic counterpart:
   from the topology's prefixes;
 * :mod:`~repro.workload.arrivals` — diurnally modulated Poisson call
   arrivals with Zipf callee popularity;
-* :mod:`~repro.workload.engine` — the cached/batched campaign runner;
-* :mod:`~repro.workload.sharded` — the one campaign execution path:
-  shard-and-reduce over a persistent worker pool, or the same slices
-  in-process (one shard by default) — byte-identical either way;
+* :mod:`~repro.workload.engine` — the cached/batched campaign runner
+  every front door runs in its own process;
+* :mod:`~repro.workload.sharded` — shard-and-reduce over a persistent
+  worker pool, or the same slices in-process — byte-identical to the
+  bare engine either way (the benchmarks drive it);
 * :mod:`~repro.workload.report` — per-region-pair QoE aggregation with a
   byte-stable JSON report.
 """

@@ -1,10 +1,14 @@
-"""The one campaign execution path: partition, execute, reduce.
+"""Sharded campaigns: partition, execute, reduce.
 
 The paper's evaluation aggregates two weeks of production traffic across
-11 PoPs; replaying that at population scale needs more than one core.
-Every campaign — one core or many — runs through
-:class:`ShardedCampaignRunner` with the shard-and-reduce shape of a
-data-parallel training loop:
+11 PoPs.  Every front door (``campaign.run``, ``steering.run``, the
+scenarios and the matrix) runs its campaign in the calling process on a
+plain :class:`~repro.workload.engine.CampaignEngine`: measured end to
+end on a 2-vCPU host, a worker pool never paid for its spawn, world
+shipping and warm-up there (DESIGN.md §8).  This module is the
+workload-layer tool the benchmarks drive — :class:`ShardedCampaignRunner`
+runs a campaign with the shard-and-reduce shape of a data-parallel
+training loop:
 
 1. **Partition** the call list into cost-balanced per-shard slices
    (:func:`partition_calls`) that never split a simulation group — all
@@ -24,7 +28,7 @@ data-parallel training loop:
    **stream** (more slices than workers, collected as they finish), so
    the resolve and simulate phases of different shards overlap.
    Without a pool: the same slices run in this process, one shard by
-   default — the sequential campaign *is* the one-shard run.
+   default — the bare engine's campaign *is* the one-shard run.
 3. **Reduce** by merging the shards'
    :class:`~repro.workload.report.CampaignAggregator`\\ s and
    :class:`~repro.workload.engine.CampaignStats` into one
@@ -132,9 +136,8 @@ class StalePoolError(RuntimeError):
 
     A pool freezes the service when it starts; a fault (or a repair)
     applied afterwards is invisible to its workers, so running on it
-    would return the earlier world's report.  Ask
-    :meth:`repro.experiments.common.World.campaign_pool` for the pool —
-    it replaces a stale one.
+    would return the earlier world's report.  Start a new pool on the
+    service as it stands now.
     """
 
 
@@ -161,9 +164,7 @@ class ShardPlan:
     Parameters
     ----------
     n_workers:
-        The worker count shard-count defaults are sized for (and the
-        pool size callers such as :mod:`repro.experiments.campaign`
-        request).  ``None`` (the default) resolves to
+        The worker count shard-count defaults are sized for.  ``None`` (the default) resolves to
         :func:`default_workers` — ``min(4, os.cpu_count())``.  It never
         decides *where* shards run: that is the runner's ``pool=``.
     n_shards:
@@ -568,9 +569,8 @@ class CampaignWorkerPool:
     """A persistent pool of campaign workers with the world pre-installed.
 
     Create one, run many campaigns through it (via
-    ``ShardedCampaignRunner(pool=...)`` or
-    :meth:`repro.experiments.common.World.campaign_pool`), and every
-    campaign after the first skips the spawn, the world shipping and —
+    ``ShardedCampaignRunner(pool=...)``), and every campaign after the
+    first skips the spawn, the world shipping and —
     thanks to worker-side persistent path caches — most of the resolve
     work.  The pool is lazy: workers spawn on :meth:`start` (implicitly
     on first submit), each installing the world exactly once via
@@ -608,15 +608,6 @@ class CampaignWorkerPool:
     @property
     def started(self) -> bool:
         return self._executor is not None
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def broken(self) -> bool:
-        """Whether the underlying executor can no longer run tasks."""
-        return bool(getattr(self._executor, "_broken", False))
 
     def serves(self, service: VideoNetworkService) -> bool:
         """Whether the workers hold (or will freeze) ``service`` as it is now."""
@@ -785,7 +776,7 @@ class ShardedCampaignRunner:
         if pool is not None and not pool.serves(self._resolver.service):
             raise StalePoolError(
                 "the pool froze this service before its last control-plane "
-                "change; take the pool from World.campaign_pool()"
+                "change; start a new pool on the service as it stands"
             )
         if self.plan.n_shards is not None:
             n_shards = self.plan.n_shards

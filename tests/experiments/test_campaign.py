@@ -30,26 +30,3 @@ class TestCampaignExperiment:
         # One row per directed region pair present in the report.
         assert len(text.splitlines()) == 4 + len(result.report.pairs)
 
-
-@pytest.mark.slow
-class TestCampaignPoolReuse:
-    """``workers > 1`` rides the world's persistent pool across runs."""
-
-    def test_two_sharded_runs_reuse_one_pool(self, small_world, result):
-        first = campaign.run(
-            small_world, n_users=60, calls_per_user_day=3.0, days=1, seed=5,
-            workers=2,
-        )
-        pool = small_world.campaign_pool()
-        assert pool.started and not pool.closed
-        second = campaign.run(
-            small_world, n_users=60, calls_per_user_day=3.0, days=1, seed=5,
-            workers=2,
-        )
-        assert small_world.campaign_pool() is pool
-        assert pool.stats.runs == 2
-        sequential = result.report.to_json()
-        assert first.report.to_json() == sequential
-        assert second.report.to_json() == sequential
-        small_world.close_pool()
-        assert pool.closed

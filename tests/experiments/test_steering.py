@@ -57,14 +57,6 @@ class TestSteeringExperiment:
         again = steering.run(small_world, **KWARGS)
         assert again.to_json() == comparison.to_json()
 
-    @pytest.mark.slow
-    def test_sharded_matches_sequential(self, small_world, comparison):
-        sharded = steering.run(small_world, **KWARGS, workers=2)
-        assert (
-            sharded.runs["threshold_offload"].report.to_json()
-            == comparison.runs["threshold_offload"].report.to_json()
-        )
-
     def test_to_json_is_stable_and_parseable(self, comparison):
         payload = json.loads(comparison.to_json())
         assert payload["seed"] == KWARGS["seed"]
@@ -82,24 +74,3 @@ class TestSteeringExperiment:
         assert comparison.report("always_vns")["offload_rate"] == 0.0
         assert "Steering policies" in comparison.render()
 
-
-@pytest.mark.slow
-class TestSteeringPoolReuse:
-    """``workers > 1`` runs every policy on the world's one persistent pool."""
-
-    def test_three_policies_share_one_pool(self, small_world, comparison, recwarn):
-        small_world.close_pool()
-        pooled = steering.run(small_world, workers=2, **KWARGS)
-        pool = small_world.campaign_pool()
-        try:
-            assert pool.workers == 2 and pool.started
-            assert pool.stats.runs == len(steering.POLICIES) == 3
-            assert not [w for w in recwarn if w.category is DeprecationWarning]
-            for name in steering.POLICIES:
-                assert (
-                    pooled.runs[name].report.to_json()
-                    == comparison.runs[name].report.to_json()
-                ), name
-        finally:
-            small_world.close_pool()
-        assert pool.closed

@@ -5,13 +5,14 @@ just change.  So one lifecycle is run twice in this process: once as the
 program runs it, and once with every memo of the registry
 (``MEMOS`` in ``tests/test_public_names_have_callers.py``, the entries
 not marked state) cleared at each boundary — after the build, after each
-fault event and after the restore.  The lifecycle: a SMALL world (seed 7,
-exact GeoIP; seed 11, the paper's GeoIP errors), a campaign day, a
-24-event fault timeline (long-haul circuits, PoPs and upstream sessions
-going down and up, in a seeded order) and the restore.  After every event
-the egress digest and a fixed sample of ``call_paths`` views must be
-equal, and so must the campaign report before the faults and after the
-restore.
+fault event and after the restore; a steering probe campaign's path memo
+lives for one telemetry collection, so it is cleared before every probe.
+The lifecycle: a SMALL world (seed 7, exact GeoIP; seed 11, the paper's
+GeoIP errors), a campaign day and a steered one, a 24-event fault
+timeline (long-haul circuits, PoPs and upstream sessions going down and
+up, in a seeded order) and the restore.  After every event the egress
+digest and a fixed sample of ``call_paths`` views must be equal, and so
+must both campaign reports before the faults and after the restore.
 
 :func:`clear_memos` is the one place memos are cleared, by name; the
 program has no switch for it.
@@ -20,6 +21,8 @@ program has no switch for it.
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,7 +32,9 @@ from repro.dataplane.path import path_view
 from repro.experiments.common import build_world
 from repro.faults import FaultInjector, LinkDown, LinkUp, PopDown, PopUp, SessionDown, SessionUp
 from repro.geo import cities
+from repro.measurement.probes import LossProbeCampaign
 from repro.net import addressing
+from repro.steering import SteeringEngine, SteeringTelemetry, make_policy, telemetry
 from repro.vns.links import VNS_LONG_HAUL_LINKS
 from repro.workload.arrivals import CallArrivalProcess
 from repro.workload.engine import CampaignConfig, CampaignEngine
@@ -42,9 +47,6 @@ INTERNED = {
     "dataplane.link:SegmentLossTable._canonical",
     "bgp.policy:RelationshipImportPolicy._tagged",
 }
-#: Memos whose owner this lifecycle never builds.
-NOT_BUILT = {"measurement.probes:LossProbeCampaign._path_cache"}
-
 RESOLVER_MEMOS = (
     "_entry", "_lastmile", "_onward", "_pairs", "_local_exit", "_detour_paths", "_candidates",
 )
@@ -60,12 +62,22 @@ CLEARED = {
     "geo.cities:nearest_city",
     "dataplane.link:_transit_diurnal",
     "dataplane.link:_access_diurnal",
+    "measurement.probes:LossProbeCampaign._path_cache",
 }
+
+
+class ClearedProbeCampaign(LossProbeCampaign):
+    """A probe campaign whose path memo is cleared before every probe."""
+
+    def probe(self, pop_code, host, round_):
+        self._path_cache.clear()
+        return super().probe(pop_code, host, round_)
 
 
 def clear_memos(service, engines: list[CampaignEngine]) -> None:
     """Clear every memo in :data:`CLEARED` that ``service`` and the
-    campaign ``engines`` built on it hold."""
+    campaign ``engines`` built on it hold (a probe campaign's is cleared
+    by :class:`ClearedProbeCampaign`: it lives for one collection)."""
     for system in service.topology.ases.values():
         system._nearest = None
     for reflector in service.network.reflectors.values():
@@ -88,8 +100,8 @@ def clear_memos(service, engines: list[CampaignEngine]) -> None:
 
 def test_the_helper_clears_every_registered_memo():
     memos = {label for label, why in MEMOS.items() if not why.startswith("state:")}
-    assert CLEARED | INTERNED | NOT_BUILT == memos
-    assert not CLEARED & (INTERNED | NOT_BUILT)
+    assert CLEARED | INTERNED == memos
+    assert not CLEARED & INTERNED
 
 
 def fault_timeline(service, seed: int) -> list:
@@ -144,12 +156,24 @@ def lifecycle(seed: int, geoip_errors: bool, cleared: bool) -> list:
         engines.append(CampaignEngine(service, CampaignConfig(seed=seed)))
         return engines[-1].run(calls).report.to_json()
 
+    def steered_campaign() -> str:
+        probes = patch.object(telemetry, "LossProbeCampaign", ClearedProbeCampaign)
+        with probes if cleared else nullcontext():
+            health = SteeringTelemetry(service, seed=seed + 3).collect(
+                days=1, minutes_between_rounds=240.0, hosts_per_type_per_region=2
+            )
+        steering = SteeringEngine(
+            health=health, policy=make_policy("threshold_offload"), seed=seed
+        )
+        engines.append(CampaignEngine(service, CampaignConfig(seed=seed), steering=steering))
+        return engines[-1].run(calls).report.to_json()
+
     def boundary() -> None:
         if cleared:
             clear_memos(service, engines)
 
     boundary()
-    seen = [campaign()]
+    seen = [campaign(), steered_campaign()]
     injector = FaultInjector(service)
     for event in fault_timeline(service, seed):
         injector.apply(event)
@@ -159,6 +183,7 @@ def lifecycle(seed: int, geoip_errors: bool, cleared: bool) -> list:
     boundary()
     seen.append(observe(service, sample))
     seen.append(campaign())
+    seen.append(steered_campaign())
     return seen
 
 
@@ -168,6 +193,6 @@ def lifecycle(seed: int, geoip_errors: bool, cleared: bool) -> list:
 def test_cleared_memos_change_nothing(seed, geoip_errors):
     kept = lifecycle(seed, geoip_errors, cleared=False)
     cleared = lifecycle(seed, geoip_errors, cleared=True)
-    assert len(kept) == 27
+    assert len(kept) == 29
     for got, expected in zip(cleared, kept):
         assert got == expected

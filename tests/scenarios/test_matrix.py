@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.scenarios import GoldenStore, canned_scenario, run_matrix
+from repro.scenarios import GoldenStore, canned_scenario, run_matrix, run_scenario
 from repro.scenarios.matrix import _fault_signature
 
 
@@ -21,7 +21,6 @@ class TestGrid:
         result = run_matrix(
             [small("baseline"), small("geo_satellite")],
             seeds=(0, 1),
-            workers=1,
         )
         assert [cell.key for cell in result.cells] == [
             "baseline-small-seed0",
@@ -35,7 +34,7 @@ class TestGrid:
             run_matrix(["no_such_scenario"])
 
     def test_cell_lookup_by_key(self):
-        result = run_matrix([small("baseline")], workers=1)
+        result = run_matrix([small("baseline")])
         assert result.cell("baseline-small-seed0").scenario == "baseline"
         with pytest.raises(KeyError):
             result.cell("nope")
@@ -55,7 +54,6 @@ class TestGrid:
         result = run_matrix(
             [small("baseline")],
             seeds=(0, 1),
-            workers=1,
             golden=tmp_path,
             update_golden=True,
         )
@@ -68,31 +66,32 @@ class TestGrid:
 
 
 class TestDeterminism:
-    def test_sharded_cells_match_sequential_byte_for_byte(self):
-        """The acceptance criterion: pool-sharded == sequential, per cell.
+    def test_cells_match_their_scenario_run_byte_for_byte(self):
+        """A cell's report is its spec's own ``run_scenario`` report.
 
-        Two unfaulted scenarios and a faulted one, so both the shared
-        pool and the dedicated per-group pool paths are exercised
-        against their sequential reruns.
+        Two unfaulted scenarios share one world and a faulted one runs
+        on its own fault group: grouping cells on one world, faulted
+        once per group, changes no cell.
         """
         grid = [
             small("baseline"),
             small("pop_exhaustion"),
             small("regional_outage"),
         ]
-        sharded = run_matrix(grid, seeds=(0,), workers=2)
-        sequential = run_matrix(grid, seeds=(0,), workers=1)
-        assert [c.key for c in sharded.cells] == [c.key for c in sequential.cells]
-        assert sharded.sharded and not sequential.sharded
-        for a, b in zip(sharded.cells, sequential.cells):
-            assert json.dumps(a.report, sort_keys=True) == json.dumps(
-                b.report, sort_keys=True
-            ), a.key
+        result = run_matrix(grid, seeds=(0,))
+        assert [c.key for c in result.cells] == [
+            f"{spec.name}-small-seed0" for spec in grid
+        ]
+        for cell, spec in zip(result.cells, grid):
+            alone = run_scenario(replace(spec, seed=0))
+            assert json.dumps(cell.report, sort_keys=True) == json.dumps(
+                alone.report.to_dict(), sort_keys=True
+            ), cell.key
 
     def test_repeat_run_is_byte_identical(self):
         grid = [small("geo_satellite")]
-        first = run_matrix(grid, workers=1)
-        second = run_matrix(grid, workers=1)
+        first = run_matrix(grid)
+        second = run_matrix(grid)
         assert json.dumps(first.cells[0].report, sort_keys=True) == json.dumps(
             second.cells[0].report, sort_keys=True
         )
@@ -102,16 +101,16 @@ class TestGoldenRegression:
     def test_injected_perturbation_is_caught_with_a_path(self, tmp_path):
         grid = [small("baseline")]
         store = GoldenStore(tmp_path)
-        assert run_matrix(grid, workers=1, golden=store, update_golden=True).ok
+        assert run_matrix(grid, golden=store, update_golden=True).ok
         # A clean re-run passes against the committed goldens.
-        assert run_matrix(grid, workers=1, golden=store).ok
+        assert run_matrix(grid, golden=store).ok
         # Perturb one QoE float by 50% — far past rtol.
         key = "baseline-small-seed0"
         golden = store.load(key)
         pair = next(iter(golden["pairs"]))
         golden["pairs"][pair]["internet"]["delay_ms"]["p50"] *= 1.5
         store.save(key, golden)
-        result = run_matrix(grid, workers=1, golden=store)
+        result = run_matrix(grid, golden=store)
         assert not result.ok
         (bad,) = result.regressions()
         assert bad.key == key
@@ -120,7 +119,7 @@ class TestGoldenRegression:
 
     def test_missing_golden_is_a_regression(self, tmp_path):
         result = run_matrix(
-            [small("baseline")], workers=1, golden=GoldenStore(tmp_path)
+            [small("baseline")], golden=GoldenStore(tmp_path)
         )
         assert not result.ok
         assert result.regressions()[0].golden.missing
@@ -128,10 +127,10 @@ class TestGoldenRegression:
     def test_structural_drift_is_caught(self, tmp_path):
         store = GoldenStore(tmp_path)
         grid = [small("baseline")]
-        run_matrix(grid, workers=1, golden=store, update_golden=True)
+        run_matrix(grid, golden=store, update_golden=True)
         key = "baseline-small-seed0"
         golden = store.load(key)
         golden["pairs"]["XX->XX"] = {"calls": 1}
         store.save(key, golden)
-        result = run_matrix(grid, workers=1, golden=store)
+        result = run_matrix(grid, golden=store)
         assert "missing from report" in result.cells[0].golden.mismatches[0]

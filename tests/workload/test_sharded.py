@@ -10,7 +10,9 @@ one-shard run), so one parametrised invariant pins it.
 
 Recovery is drilled with real faults: path models that kill or raise in
 a pool worker (and only there, so a salvaged report must still equal the
-bare engine's) or raise in every process.
+bare engine's) or raise in every process.  A pool freezes the service
+when it starts, so the runner refuses a pool started before the world's
+last fault or repair (:class:`TestStalePool`).
 """
 
 import os
@@ -21,18 +23,22 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.experiments.common import build_world
+from repro.faults import FaultInjector, LinkDown, PopDown
 from repro.workload import (
     CallArrivalProcess,
     CampaignConfig,
     CampaignEngine,
+    CampaignWorkerPool,
     ShardedCampaignRunner,
     ShardExecutionError,
     ShardPlan,
+    StalePoolError,
     UserPopulation,
     group_key,
     partition_calls,
 )
-from repro.workload.sharded import PHASES
+from repro.workload.sharded import PHASES, converged_state
 
 
 class _WorkerFault:
@@ -199,8 +205,6 @@ class TestPlanValidation:
         # World transports, the rebuild recipe, force_inprocess and the
         # retry knobs were deleted outright (no shim): plain TypeError,
         # like any unknown keyword.
-        from repro.workload import CampaignWorkerPool
-
         with pytest.raises(TypeError):
             ShardPlan(world_transport="pickle")
         with pytest.raises(TypeError):
@@ -295,8 +299,6 @@ class TestSpawnPool:
     def test_pool_run_byte_identical(
         self, small_world, campaign_inputs, sequential_json
     ):
-        from repro.workload import CampaignWorkerPool
-
         _, calls = campaign_inputs
         # n_shards pinned to 4: the auto 2x-workers streaming default
         # clamps back to one slice per worker for a campaign this small.
@@ -331,8 +333,6 @@ class TestPersistentPool:
     def test_reuse_across_runs_and_salvage(
         self, small_world, campaign_inputs, sequential_json
     ):
-        from repro.workload import CampaignWorkerPool
-
         _, calls = campaign_inputs
         with CampaignWorkerPool(small_world.service, workers=2) as pool:
             plan = ShardPlan(n_workers=2)
@@ -376,22 +376,20 @@ class TestPersistentPool:
             assert salvaged.to_row()["shard_retries"] == len(salvaged.shards)
             # A shard that raised does not break the pool: the next run
             # is pooled through.
-            assert not pool.broken
             clean = ShardedCampaignRunner(
                 small_world.service, CampaignConfig(seed=7), plan, pool=pool
             ).run(calls)
             assert all(not o.in_process and o.attempts == 1 for o in clean.shards)
             assert clean.report.to_json() == sequential_json
-        assert pool.closed
+        assert not pool.started
+        with pytest.raises(RuntimeError, match="shut down"):
+            pool.start()
 
     def test_context_manager_shuts_down_on_exception(self, small_world):
-        from repro.workload import CampaignWorkerPool
-
         pool = CampaignWorkerPool(small_world.service, workers=2)
         with pytest.raises(RuntimeError, match="boom"):
             with pool:
                 raise RuntimeError("boom")
-        assert pool.closed
         with pytest.raises(RuntimeError, match="shut down"):
             pool.start()
 
@@ -403,8 +401,6 @@ class TestRecovery:
     def test_worker_death_breaks_the_pool_not_the_run(
         self, small_world, campaign_inputs, sequential_json
     ):
-        from repro.workload import CampaignWorkerPool
-
         _, calls = campaign_inputs
         plan = ShardPlan(n_workers=2, n_shards=4)
         with CampaignWorkerPool(small_world.service, workers=2) as pool:
@@ -415,7 +411,6 @@ class TestRecovery:
                 path_model=DiesInWorker(),
                 pool=pool,
             ).run(calls)
-            assert pool.broken
             # The broken pool (already warm for these pairs) refuses the
             # next run's shards at submit: each runs here instead.
             refused = ShardedCampaignRunner(
@@ -433,8 +428,6 @@ class TestRecovery:
     def test_raising_everywhere_carries_both_failures(
         self, small_world, campaign_inputs, pooled
     ):
-        from repro.workload import CampaignWorkerPool
-
         _, calls = campaign_inputs
         pool = CampaignWorkerPool(small_world.service, workers=2) if pooled else None
         try:
@@ -589,6 +582,29 @@ class TestOneExecutionPath:
         assert all(o.in_process and o.attempts == 1 for o in run.shards)
         assert every_shard_has_every_phase(run)
 
+    @pytest.mark.slow
+    def test_pooled_with_steering_and_model_equals_engine(
+        self, small_world, campaign_inputs, cells
+    ):
+        """A real 2-worker pool ships the threshold steering engine and the
+        GEO-satellite path model to its workers; the report is still the
+        bare engine's, byte for byte."""
+        _, calls = campaign_inputs
+        steering, path_model, bare_json = cells[True, True]
+        assert bare_json != cells[False, False][2]  # both change the report
+        with CampaignWorkerPool(small_world.service, workers=2) as pool:
+            run = ShardedCampaignRunner(
+                small_world.service,
+                CampaignConfig(seed=7),
+                ShardPlan(n_workers=2, n_shards=4),
+                steering=steering,
+                path_model=path_model,
+                pool=pool,
+            ).run(calls)
+        assert len(run.shards) == 4
+        assert all(not o.in_process and o.attempts == 1 for o in run.shards)
+        assert run.report.to_json() == bare_json
+
     def test_default_plan_is_one_inprocess_shard(
         self, small_world, campaign_inputs, sequential_json
     ):
@@ -602,3 +618,87 @@ class TestOneExecutionPath:
         assert outcome.n_calls == len(calls)
         assert run.pool_stats is None
         assert every_shard_has_every_phase(run)
+
+
+@pytest.fixture(scope="module")
+def private_world():
+    """A world these tests fault (and restore); the shared one stays clean."""
+    return build_world("small", seed=42)
+
+
+@pytest.fixture(scope="module")
+def private_calls(private_world):
+    population = UserPopulation.sample(private_world.topology, 120, seed=3)
+    return CallArrivalProcess(population, calls_per_user_day=4.0, seed=4).generate(days=1)
+
+
+class TestStalePool:
+    """A pool serves the world as it was when the pool started.
+
+    The failure this guards against is silent: a pool started before a
+    fault would return the healthy world's report.
+    """
+
+    @pytest.mark.slow
+    def test_runner_refuses_a_pool_started_before_the_fault(
+        self, private_world, private_calls
+    ):
+        service = private_world.service
+        with CampaignWorkerPool(service, workers=2) as pool:
+            runner = ShardedCampaignRunner(
+                service, CampaignConfig(), ShardPlan(n_workers=2), pool=pool
+            )
+            runner.run(private_calls)  # starts the pool: the healthy world is frozen
+            before = converged_state(service)
+            injector = FaultInjector(service)
+            injector.apply(PopDown(time_s=0.0, pop="SIN"))
+            try:
+                assert converged_state(service) != before
+                with pytest.raises(StalePoolError):
+                    runner.run(private_calls)
+            finally:
+                injector.restore()
+            # Restored is not un-faulted as far as a pool can tell.
+            with pytest.raises(StalePoolError):
+                runner.run(private_calls)
+
+    @pytest.mark.slow
+    def test_a_fresh_pool_on_a_faulted_world_gives_the_faulted_report(
+        self, private_world, private_calls
+    ):
+        service = private_world.service
+        config = CampaignConfig(seed=7)
+        healthy = CampaignEngine(service, config).run(private_calls).report.to_json()
+        injector = FaultInjector(service)
+        injector.apply(PopDown(time_s=0.0, pop="SIN"))
+        try:
+            faulted = CampaignEngine(service, config).run(private_calls).report.to_json()
+            with CampaignWorkerPool(service, workers=2) as pool:
+                run = ShardedCampaignRunner(
+                    service, config, ShardPlan(n_workers=2), pool=pool
+                ).run(private_calls)
+        finally:
+            injector.restore()
+        assert faulted != healthy
+        assert all(not o.in_process for o in run.shards)
+        assert run.report.to_json() == faulted
+
+    def test_an_unstarted_pool_serves_whatever_it_will_freeze(self, private_world):
+        service = private_world.service
+        pool = CampaignWorkerPool(service, workers=2)
+        assert not pool.started and pool.serves(service)
+        injector = FaultInjector(service)
+        injector.apply(LinkDown(time_s=0.0, a="SJS", b="HK"))
+        try:
+            assert pool.serves(service)
+        finally:
+            injector.restore()
+            pool.shutdown()
+
+    def test_a_frozen_service_matches_the_pool_built_from_it(self, private_world):
+        frozen = private_world.service.freeze()
+        assert converged_state(frozen) is None
+        with CampaignWorkerPool(frozen, workers=2) as pool:
+            pool.start()  # freezes (workers spawn on first submit: none here)
+            assert pool.started and pool.serves(frozen)
+            assert not pool.serves(private_world.service)
