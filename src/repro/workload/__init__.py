@@ -59,7 +59,6 @@ from repro.workload.sharded import (
     ShardPlan,
     ShardTask,
     StalePoolError,
-    default_workers,
     partition_calls,
     predicted_shard_cost,
     warmup_manifest,
@@ -97,7 +96,6 @@ __all__ = [
     "User",
     "UserPopulation",
     "call_rate_profile",
-    "default_workers",
     "flash_crowd_calls",
     "group_key",
     "partition_calls",

@@ -513,8 +513,8 @@ class PathResolver:
     depend only on the service's converged state — never on a campaign's
     config, seed or steering policy — so one resolver serves every
     engine run over the *same* service: the engine, each pool worker and
-    the in-process shard runner each hold one, and warm caches change
-    *when* resolution work happens, never what is resolved.
+    each in-process run of the shard runner hold one, and warm caches
+    change *when* resolution work happens, never what is resolved.
     """
 
     def __init__(self, service: VideoNetworkService) -> None:

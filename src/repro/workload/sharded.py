@@ -22,13 +22,14 @@ training loop:
    *Where* is decided by one thing only — the ``pool=`` the runner was
    given.  With a :class:`CampaignWorkerPool`: spawn-safe workers that
    each receive the world exactly **once** (a compact
-   :mod:`frozen <repro.vns.frozen>` snapshot), pre-warm their path
-   caches from the campaign's :func:`warmup_manifest`, and keep both
-   world and caches alive across shards *and across campaigns*; shards
-   **stream** (more slices than workers, collected as they finish), so
-   the resolve and simulate phases of different shards overlap.
-   Without a pool: the same slices run in this process, one shard by
-   default — the bare engine's campaign *is* the one-shard run.
+   :mod:`frozen <repro.vns.frozen>` snapshot), warm their path caches
+   from the first run's :func:`warmup_manifest` when the pool starts,
+   and keep both world and caches alive across shards *and across
+   runs*; a started pool is never re-warmed.  Shards **stream** (more
+   slices than workers, collected as they finish), so the resolve and
+   simulate phases of different shards overlap.  Without a pool: the
+   same slices run in this process over one resolver per run, one shard
+   by default — the bare engine's campaign *is* the one-shard run.
 3. **Reduce** by merging the shards'
    :class:`~repro.workload.report.CampaignAggregator`\\ s and
    :class:`~repro.workload.engine.CampaignStats` into one
@@ -40,7 +41,11 @@ and every float in a report summary is permutation-invariant, so a run
 is *byte-identical* in :meth:`CampaignReport.to_json` to a bare
 ``CampaignEngine`` over the whole list under the same seed — for any
 pool, worker count, shard count, scheduling order, salvage or cache
-warmth.  Nothing shard-local feeds the simulation draws.
+warmth.  Nothing shard-local feeds the simulation draws.  An in-process
+run's :class:`~repro.workload.engine.CampaignStats` equal the bare
+engine's too (``elapsed_s`` aside): each run starts from cold caches.
+A pooled run's cache counters measure how warm its workers were, and
+are outside the contract.
 
 **Robustness.**  A shard runs where it was sent.  If the pool cannot
 finish it — its worker died, the pool was already broken, or the shard
@@ -56,22 +61,19 @@ columns, the fan-out's own costs (:data:`OVERHEAD_COLUMNS`):
 ``warmup_s`` (cache pre-warming), ``world_ship_s`` (world unpickle in
 the worker) and ``queue_wait_s`` (time the shard sat in the work
 queue).  The pool's own costs — spawn, world dump and size, warmed
-pairs — are its :class:`PoolStats`.  The ``workload`` bench row and
-``bench_e2e`` read these two records instead of letting the overheads
-hide inside the simulate phase.
+pairs — are its :class:`PoolStats` (``pool.stats``).  The ``workload``
+bench row and ``bench_e2e`` read these two records instead of letting
+the overheads hide inside the simulate phase.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from multiprocessing import get_context
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -92,9 +94,6 @@ from repro.workload.engine import (
     PathResolver,
 )
 from repro.workload.report import CampaignAggregator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (steering imports us back)
-    from repro.steering.engine import SteeringEngine
 
 #: The engine phases whose per-shard timings shards report.
 PHASES = ("resolve", "simulate", "aggregate")
@@ -152,11 +151,6 @@ def converged_state(service: VideoNetworkService) -> int | None:
     return None if is_frozen(service) else service.network.engine.delivered
 
 
-def default_workers() -> int:
-    """The default pool size: ``min(4, os.cpu_count())``."""
-    return min(4, os.cpu_count() or 1)
-
-
 @dataclass(frozen=True, slots=True)
 class ShardPlan:
     """How to cut and execute a campaign.
@@ -164,14 +158,14 @@ class ShardPlan:
     Parameters
     ----------
     n_workers:
-        The worker count shard-count defaults are sized for.  ``None`` (the default) resolves to
-        :func:`default_workers` — ``min(4, os.cpu_count())``.  It never
+        The worker count a pool's shard-count default is sized for.
+        ``None`` (the default) means the pool's ``workers``.  It never
         decides *where* shards run: that is the runner's ``pool=``.
     n_shards:
         Number of slices.  ``None`` defaults, on a pool, to ``2 ×
         workers`` (so shards stream through the queue and phases of
-        different shards overlap), clamped back to one slice per worker
-        for campaigns whose predicted cost is under
+        different shards overlap) — or to one slice per worker when
+        there is one worker or the campaign's predicted cost is under
         :data:`STREAM_MIN_COST` (oversplitting tiny campaigns costs
         more than streaming recovers); with no pool it defaults to one
         in-process shard.
@@ -196,31 +190,11 @@ class ShardPlan:
         if self.n_shards is not None and self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards!r}")
 
-    @property
-    def effective_workers(self) -> int:
-        return self.n_workers if self.n_workers is not None else default_workers()
-
-    @property
-    def effective_shards(self) -> int:
-        """The slice count on a pool (before the small-campaign clamp)."""
-        if self.n_shards is not None:
-            return self.n_shards
-        workers = self.effective_workers
-        if workers <= 1:
-            return 1
-        # Streaming default: twice as many slices as workers, so a
-        # finished worker always has another shard to pull and phases of
-        # different shards overlap.
-        return 2 * workers
-
 
 @dataclass(slots=True)
 class ShardTask:
     """One shard's work order (pickled to a worker).
 
-    ``steering`` rides along as plain data (health table, policy,
-    prefix-region map); every worker gets its own copy, which is safe
-    because decisions are pure per call — no cross-shard state.
     ``submitted_at`` is stamped (``time.time()``) just before the task
     enters the pool queue so the worker can report ``queue_wait_s``.
     """
@@ -229,7 +203,6 @@ class ShardTask:
     calls: list[CallSpec]
     config: CampaignConfig
     keep_results: bool = True
-    steering: "SteeringEngine | None" = None
     #: Optional :class:`~repro.workload.engine.PathModel` (picklable,
     #: pure), applied by every worker at simulate time — never written
     #: into the shared path caches.
@@ -239,13 +212,14 @@ class ShardTask:
 
 @dataclass(slots=True)
 class ShardOutcome:
-    """Observability record for one executed shard."""
+    """Observability record for one executed shard (it travels with the run)."""
 
     index: int
     n_calls: int
     #: 1, or 2 for a shard the pool could not finish and this process
     #: ran again (``failures`` then holds the pool's failure).
     attempts: int
+    #: ``True`` for a shard run here; a pool worker clears it.
     in_process: bool
     elapsed_s: float
     #: ``phase -> {"total_s": wall, "cpu_s": cpu}`` for every one of
@@ -260,17 +234,6 @@ class ShardOutcome:
 
 
 @dataclass(slots=True)
-class _ShardResult:
-    """What a worker sends back for one shard."""
-
-    index: int
-    run: CampaignRun
-    #: :attr:`ShardOutcome.phase_s`, filled where it is measured.
-    phase_s: dict[str, dict[str, float]]
-    elapsed_s: float
-
-
-@dataclass(slots=True)
 class PoolStats:
     """Parent-side accounting for one :class:`CampaignWorkerPool`."""
 
@@ -281,7 +244,7 @@ class PoolStats:
     world_dump_s: float = 0.0
     #: Seconds from :meth:`CampaignWorkerPool.start` entry to executor up.
     setup_s: float = 0.0
-    #: Unique prefix pairs covered by warmup manifests so far.
+    #: Unique prefix pairs of the manifest the workers warmed at start.
     warmed_pairs: int = 0
     #: Campaign runs served (incremented by the runner).
     runs: int = 0
@@ -293,11 +256,12 @@ class ShardedCampaignRun(CampaignRun):
 
     ``stats.elapsed_s`` is the reducer's wall clock; per-shard busy time
     and the fan-out's overheads live in each :class:`ShardOutcome`'s
-    ``phase_s``, the pool's own costs in ``pool_stats``.
+    ``phase_s``, the pool's own costs in its ``pool.stats``.  On a pool,
+    the ``stats`` cache counters measure how warm the workers were, not
+    the campaign: they are outside the determinism contract.
     """
 
     shards: list[ShardOutcome] = field(default_factory=list)
-    pool_stats: PoolStats | None = None
 
     def simulate_critical_path_s(self, *, cpu: bool = True) -> float:
         """The slowest shard's simulate-phase seconds.
@@ -318,17 +282,6 @@ class ShardedCampaignRun(CampaignRun):
             outcome.phase_s.get(column, {}).get("total_s", 0.0)
             for outcome in self.shards
         )
-
-    def to_row(self) -> dict:
-        """The campaign row plus the fan-out's deterministic shape."""
-        # Explicit parent call: ``slots=True`` dataclasses are re-created
-        # by the decorator, which breaks zero-argument ``super()``.
-        row = CampaignRun.to_row(self)
-        row["shards"] = len(self.shards)
-        row["shard_retries"] = sum(
-            outcome.attempts for outcome in self.shards
-        ) - len(self.shards)
-        return row
 
 
 # --------------------------------------------------------------------- #
@@ -354,8 +307,8 @@ class _PairIndex:
     """A call list grouped by ``(src, dst)`` prefix pair.
 
     One walk of the calls and one rendering of each distinct pair; the
-    partition, the predicted costs, the warm-up manifest and its digest
-    are all read off it.  Pairs are in first-seen order and every
+    partition, the predicted costs and the warm-up manifest are all read
+    off it.  Pairs are in first-seen order and every
     per-pair list is parallel to ``keys``.
     """
 
@@ -414,17 +367,10 @@ class _PairIndex:
         positions = sorted(p for pair in pairs for p in self.positions[pair])
         return [calls[position] for position in positions]
 
-    def manifest(self, pairs: list[int]) -> tuple[list[tuple[Prefix, Prefix]], str]:
-        """``pairs`` sorted by text as prefix objects, and their warm digest."""
-        ordered = sorted(pairs, key=self.keys.__getitem__)
-        digest = _warm_digest(self.keys[pair] for pair in ordered)
-        return [self.prefixes[pair] for pair in ordered], digest
-
-
-def _warm_digest(pairs: "Iterable[tuple[object, object]]") -> str:
-    """Digest of a warm-up manifest, its pairs as prefixes or as their text."""
-    text = "|".join(f"{a}>{b}" for a, b in pairs)
-    return blake2b(text.encode("ascii"), digest_size=8).hexdigest()
+    def manifest(self) -> list[tuple[Prefix, Prefix]]:
+        """Every pair as prefix objects, sorted by text."""
+        ordered = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        return [self.prefixes[pair] for pair in ordered]
 
 
 def partition_calls(calls: list[CallSpec], n_shards: int) -> list[list[CallSpec]]:
@@ -457,8 +403,7 @@ def warmup_manifest(calls: list[CallSpec]) -> list[tuple[Prefix, Prefix]]:
     so covering the manifest up front turns shard resolves into pure
     cache hits.
     """
-    index = _PairIndex.of(calls)
-    return index.manifest(list(range(len(index.keys))))[0]
+    return _PairIndex.of(calls).manifest()
 
 
 # --------------------------------------------------------------------- #
@@ -467,7 +412,7 @@ def warmup_manifest(calls: list[CallSpec]) -> list[tuple[Prefix, Prefix]]:
 
 #: The worker's resolver over its installed world, created once per
 #: process by :func:`_init_worker` and handed to every engine the worker
-#: runs — path caches stay warm across shards *and* campaigns.
+#: runs — path caches stay warm across shards *and* runs.
 _WORKER_RESOLVER: PathResolver | None = None
 #: Install-time costs, reported to the parent once (first shard result).
 _WORKER_INIT: dict = {"world_ship_s": 0.0, "warmup_s": 0.0, "reported": True}
@@ -490,38 +435,25 @@ def _init_worker(
     _WORKER_INIT = {"world_ship_s": ship_s, "warmup_s": warm_s, "reported": False}
 
 
-def _warm_worker(pairs: list[tuple[Prefix, Prefix]]) -> None:
-    """Warm this worker's persistent caches.
-
-    Best-effort: the pool cannot target a specific worker, so duplicate
-    deliveries land on already-warm caches and cost nearly nothing.
-    """
-    if _WORKER_RESOLVER is None:
-        raise RuntimeError("warm task reached a worker with no installed world")
-    _WORKER_RESOLVER.warm_pairs(pairs)
-
-
-def _execute_shard(resolver: PathResolver, task: ShardTask) -> _ShardResult:
+def _execute_shard(
+    resolver: PathResolver, task: ShardTask
+) -> tuple[CampaignRun, ShardOutcome]:
     """Run one shard over ``resolver``'s service (in a worker or in-process).
 
-    Reads the engine's :data:`PHASES` timers off a delta against the
-    process's registry and leaves the registry exactly as found when
-    perf was off (:func:`repro.perf.counters.restore`), so in-process
-    shards do not leak timings into a caller that never enabled
-    instrumentation.  The engine resolves through ``resolver``, whose
-    caches outlive it and so stay warm for the next shard.
+    Returns the shard's run and its :class:`ShardOutcome` (one attempt,
+    in process).  Reads the engine's :data:`PHASES` timers off a delta
+    against the process's registry and leaves the registry exactly as
+    found when perf was off (:func:`repro.perf.counters.restore`), so
+    in-process shards do not leak timings into a caller that never
+    enabled instrumentation.  The engine resolves through ``resolver``,
+    whose caches outlive it and so stay warm for the next shard.
     """
     started = time.perf_counter()
     was_enabled = perf.is_enabled()
     before = perf.snapshot()
     perf.enable()
     try:
-        engine = CampaignEngine(
-            resolver.service,
-            task.config,
-            steering=task.steering,
-            path_model=task.path_model,
-        )
+        engine = CampaignEngine(resolver.service, task.config, path_model=task.path_model)
         engine.resolver = resolver
         run = engine.run(task.calls)
     finally:
@@ -536,28 +468,46 @@ def _execute_shard(resolver: PathResolver, task: ShardTask) -> _ShardResult:
         phase_s[phase] = {"total_s": entry["total_s"], "cpu_s": entry["cpu_s"]}
     if not task.keep_results:
         run.results = []  # dropped here, before the result is pickled
-    return _ShardResult(
+    return run, ShardOutcome(
         index=task.index,
-        run=run,
-        phase_s=phase_s,
+        n_calls=len(task.calls),
+        attempts=1,
+        in_process=True,
         elapsed_s=time.perf_counter() - started,
+        phase_s=phase_s,
     )
 
 
-def _run_shard_worker(task: ShardTask) -> _ShardResult:
+def _run_shard_worker(task: ShardTask) -> tuple[CampaignRun, ShardOutcome]:
     if _WORKER_RESOLVER is None:
         raise RuntimeError("shard worker used before _init_worker installed a world")
     picked_up = time.time()
-    result = _execute_shard(_WORKER_RESOLVER, task)
+    run, outcome = _execute_shard(_WORKER_RESOLVER, task)
+    outcome.in_process = False
     # The OVERHEAD_COLUMNS: wall clock spent installing or waiting, no CPU.
     if not _WORKER_INIT.get("reported", True):
         _WORKER_INIT["reported"] = True
         for column in ("warmup_s", "world_ship_s"):
-            result.phase_s[column] = {"total_s": _WORKER_INIT[column], "cpu_s": 0.0}
+            outcome.phase_s[column] = {"total_s": _WORKER_INIT[column], "cpu_s": 0.0}
     if task.submitted_at is not None:
         queue_wait_s = max(0.0, picked_up - task.submitted_at)
-        result.phase_s["queue_wait_s"] = {"total_s": queue_wait_s, "cpu_s": 0.0}
-    return result
+        outcome.phase_s["queue_wait_s"] = {"total_s": queue_wait_s, "cpu_s": 0.0}
+    return run, outcome
+
+
+def _run_here(
+    resolver: PathResolver, task: ShardTask, failures: Sequence[str] = ()
+) -> tuple[CampaignRun, ShardOutcome]:
+    """Run one shard in this process: its only run, or its last after a pool failure."""
+    failures = list(failures)
+    try:
+        run, outcome = _execute_shard(resolver, task)
+    except Exception as exc:  # noqa: BLE001 - reported with the pool's failure
+        failures.append(f"in-process: {type(exc).__name__}: {exc}")
+        raise ShardExecutionError(task.index, failures) from exc
+    outcome.attempts += len(failures)
+    outcome.failures = failures
+    return run, outcome
 
 
 # --------------------------------------------------------------------- #
@@ -569,12 +519,12 @@ class CampaignWorkerPool:
     """A persistent pool of campaign workers with the world pre-installed.
 
     Create one, run many campaigns through it (via
-    ``ShardedCampaignRunner(pool=...)``), and every campaign after the
-    first skips the spawn, the world shipping and —
-    thanks to worker-side persistent path caches — most of the resolve
-    work.  The pool is lazy: workers spawn on :meth:`start` (implicitly
-    on first submit), each installing the world exactly once via
-    :func:`_init_worker`.
+    ``ShardedCampaignRunner(pool=...)``), and every run after the first
+    skips the spawn, the world shipping and the cache warm-up.  The pool
+    is lazy: workers spawn on :meth:`start` (the runner's first run
+    starts it with that run's :func:`warmup_manifest`; a submit starts it
+    bare), each installing the world and warming its caches exactly once
+    via :func:`_init_worker`.  A started pool is never re-warmed.
 
     Parameters
     ----------
@@ -584,24 +534,19 @@ class CampaignWorkerPool:
         — a read-only snapshot a fraction of the full pickle's size —
         taken when the pool starts.
     workers:
-        Pool size; ``None`` resolves to :func:`default_workers`.
+        Pool size.
     """
 
-    def __init__(
-        self, service: VideoNetworkService, *, workers: int | None = None
-    ) -> None:
+    def __init__(self, service: VideoNetworkService, *, workers: int) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers!r}")
         self._service = service
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
-        #: Digests of warmup manifests already delivered to the workers;
-        #: a repeat campaign over the same pairs skips the broadcast.
-        self._warm_digests: set[str] = set()
         #: :func:`converged_state` of the service when it was frozen.
         self._frozen_at: int | None = None
-        self.workers = workers if workers is not None else default_workers()
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
-        self.stats = PoolStats(workers=self.workers)
+        self.workers = workers
+        self.stats = PoolStats(workers=workers)
 
     # ------------------------------------------------------------------ #
 
@@ -628,7 +573,8 @@ class CampaignWorkerPool:
         """Create the executor (idempotent); workers spawn on demand.
 
         ``warm_pairs`` rides in the init payload so each worker warms
-        its caches right after installing the world — no extra IPC.
+        its caches right after installing the world — no extra IPC.  A
+        started pool ignores it.
         """
         if self._closed:
             raise RuntimeError("pool has been shut down")
@@ -639,14 +585,10 @@ class CampaignWorkerPool:
             max_workers=self.workers,
             mp_context=get_context("spawn"),
             initializer=_init_worker,
-            initargs=(
-                self._frozen_world(),
-                list(warm_pairs) if warm_pairs else None,
-            ),
+            initargs=(self._frozen_world(), list(warm_pairs) if warm_pairs else None),
         )
         self.stats.setup_s += time.perf_counter() - started
-        if warm_pairs:
-            self.stats.warmed_pairs = max(self.stats.warmed_pairs, len(warm_pairs))
+        self.stats.warmed_pairs = len(warm_pairs) if warm_pairs else 0
         return self
 
     def submit_task(self, task: ShardTask) -> Future:
@@ -655,40 +597,6 @@ class CampaignWorkerPool:
             self.start()
         assert self._executor is not None
         return self._executor.submit(_run_shard_worker, task)
-
-    def warm(
-        self, pairs: list[tuple[Prefix, Prefix]], *, digest: str | None = None
-    ) -> None:
-        """Best-effort cache warmup across workers.
-
-        A fresh pool folds ``pairs`` into the worker init payload (zero
-        extra IPC).  A running pool broadcasts one warm task per worker
-        and waits; workers that draw a duplicate hit warm caches and
-        return almost immediately.  Warmth never affects reports, so
-        failures here are swallowed.  ``digest`` is the pairs' digest
-        when the caller has already rendered them (the runner has).
-        """
-        if not pairs:
-            return
-        if digest is None:
-            digest = _warm_digest(pairs)
-        if digest in self._warm_digests:
-            return
-        if self._executor is None:
-            self.start(warm_pairs=pairs)
-            self._warm_digests.add(digest)
-            return
-        futures = [
-            self._executor.submit(_warm_worker, list(pairs))
-            for _ in range(self.workers)
-        ]
-        for future in futures:
-            try:
-                future.result()
-            except Exception:  # noqa: BLE001 - warmth is best-effort
-                break
-        self._warm_digests.add(digest)
-        self.stats.warmed_pairs = max(self.stats.warmed_pairs, len(pairs))
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the workers; the pool cannot be restarted afterwards."""
@@ -715,16 +623,13 @@ class ShardedCampaignRunner:
     Parameters
     ----------
     service:
-        The live world; in-process shards (and salvage) run on it
-        directly.
+        The live world.  In-process shards (and salvage) run on it over
+        a :class:`~repro.workload.engine.PathResolver` built for each
+        run, so a run after a fault sees the faulted world.
     config:
         The campaign's :class:`CampaignConfig` (defaults to seed 0).
     plan:
         The :class:`ShardPlan` (how to cut).
-    steering:
-        Optional :class:`~repro.steering.engine.SteeringEngine`, shipped
-        to every shard; the reduced report carries the same steering
-        columns, byte-identical to a bare engine's.
     path_model:
         Optional :class:`~repro.workload.engine.PathModel`, shipped to
         every shard and applied at simulate time only.  Must be pure and
@@ -732,10 +637,12 @@ class ShardedCampaignRunner:
         engine run with the same model.
     pool:
         The :class:`CampaignWorkerPool` to run on; sharing one amortises
-        worker spawn, world shipping and cache warmup across every
-        campaign.  Without one the shards run in this process — one
-        shard unless ``plan.n_shards`` says otherwise, which is the
-        sequential campaign.  Nothing else decides where shards run.
+        worker spawn, world shipping and cache warmup across every run.
+        A run on a pool not yet started starts it, its workers warming
+        that run's manifest.  Without one the shards run in this
+        process — one shard unless ``plan.n_shards`` says otherwise,
+        which is the sequential campaign.  Nothing else decides where
+        shards run.
     """
 
     def __init__(
@@ -744,19 +651,14 @@ class ShardedCampaignRunner:
         config: CampaignConfig | None = None,
         plan: ShardPlan | None = None,
         *,
-        steering: "SteeringEngine | None" = None,
         path_model: "PathModel | None" = None,
         pool: CampaignWorkerPool | None = None,
     ) -> None:
+        self.service = service
         self.config = config if config is not None else CampaignConfig()
         self.plan = plan if plan is not None else ShardPlan()
-        self.steering = steering
         self.path_model = path_model
         self.pool = pool
-        #: The resolver for in-process shards (and salvage); its caches
-        #: stay warm across every run of this runner.
-        self._resolver = PathResolver(service)
-        self._pool_stats: PoolStats | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -771,120 +673,76 @@ class ShardedCampaignRunner:
             change (its workers would simulate the earlier world).
         """
         started = time.perf_counter()
-        self._pool_stats = None
         pool = self.pool
-        if pool is not None and not pool.serves(self._resolver.service):
+        if pool is not None and not pool.serves(self.service):
             raise StalePoolError(
                 "the pool froze this service before its last control-plane "
                 "change; start a new pool on the service as it stands"
             )
-        if self.plan.n_shards is not None:
-            n_shards = self.plan.n_shards
-        else:
-            n_shards = 1 if pool is None else self.plan.effective_shards
-        if pool is None and n_shards <= 1:
+        n_shards = self.plan.n_shards
+        if pool is None and (n_shards is None or n_shards == 1):
             # The sequential campaign: nothing to cut, nothing to warm.
+            index = None
             slices = [list(calls)] if calls else []
         else:
             # One walk of the call list serves the shard count, the cut
-            # and (on a pool) the warm-up manifest and its digest.
-            pair_index = _PairIndex.of(calls)
-            if (
-                self.plan.n_shards is None
-                and n_shards > self.plan.effective_workers
-                and sum(pair_index.costs()) < STREAM_MIN_COST
-            ):
-                # Auto-streaming clamp: oversplit only campaigns big
+            # and (on a pool not yet started) the warm-up manifest.
+            index = _PairIndex.of(calls)
+            if n_shards is None:
+                # On a pool: twice as many slices as workers, so a
+                # finished worker always has another shard to pull and
+                # phases of different shards overlap — for campaigns big
                 # enough to amortise the per-shard fixed costs.
-                n_shards = self.plan.effective_workers
-            shard_pairs = pair_index.partition(n_shards)
-            slices = [pair_index.slice_of(pairs, calls) for pairs in shard_pairs]
+                workers = self.plan.n_workers or pool.workers
+                streamed = workers > 1 and sum(index.costs()) >= STREAM_MIN_COST
+                n_shards = 2 * workers if streamed else workers
+            slices = [index.slice_of(pairs, calls) for pairs in index.partition(n_shards)]
         tasks = [
             ShardTask(
                 index=shard,
                 calls=slice_,
                 config=self.config,
                 keep_results=self.plan.keep_results,
-                steering=self.steering,
                 path_model=self.path_model,
             )
             for shard, slice_ in enumerate(slices)
         ]
+        resolver = PathResolver(self.service)
         if pool is not None and tasks:
-            manifest, digest = pair_index.manifest(
-                [pair for task in tasks for pair in shard_pairs[task.index]]
-            )
-            executed = self._run_pool(pool, tasks, manifest, digest)
+            executed = self._run_pool(pool, tasks, index, resolver)
         else:
-            executed = [self._run_task_inprocess(task) for task in tasks]
+            executed = [_run_here(resolver, task) for task in tasks]
         return self._reduce(executed, time.perf_counter() - started)
 
     # ------------------------------------------------------------------ #
-    # execution paths
+    # on a pool
     # ------------------------------------------------------------------ #
-
-    def _completed(
-        self,
-        result: _ShardResult,
-        task: ShardTask,
-        *,
-        in_process: bool,
-        failures: list[str],
-    ) -> tuple[_ShardResult, ShardOutcome]:
-        """The shard's result and its outcome record."""
-        return result, ShardOutcome(
-            index=result.index,
-            n_calls=len(task.calls),
-            attempts=1 + len(failures),
-            in_process=in_process,
-            elapsed_s=result.elapsed_s,
-            phase_s=result.phase_s,
-            failures=failures,
-        )
-
-    def _run_task_inprocess(
-        self, task: ShardTask, failures: list[str] | None = None
-    ) -> tuple[_ShardResult, ShardOutcome]:
-        """Run one shard here: its only run, or its last after a pool failure."""
-        failures = list(failures or [])
-        try:
-            result = _execute_shard(self._resolver, task)
-        except Exception as exc:  # noqa: BLE001 - reported with the pool's failure
-            failures.append(f"in-process: {type(exc).__name__}: {exc}")
-            raise ShardExecutionError(task.index, failures) from exc
-        return self._completed(result, task, in_process=True, failures=failures)
 
     def _run_pool(
         self,
         pool: CampaignWorkerPool,
         tasks: list[ShardTask],
-        manifest: list[tuple[Prefix, Prefix]],
-        digest: str,
-    ) -> list[tuple[_ShardResult, ShardOutcome]]:
-        # ``manifest`` is the tasks' warm-up manifest (``digest`` its
-        # digest).  Slices are never empty, so neither is it: ``warm``
-        # starts a fresh pool with it.  Warmth never changes a report —
-        # only when resolution work happens.
-        try:
-            pool.warm(manifest, digest=digest)
-        except Exception:  # noqa: BLE001 - pool genuinely unavailable
-            return [self._run_task_inprocess(task) for task in tasks]
-        pool.stats.runs += 1
-        self._pool_stats = pool.stats
-        return self._stream(pool, tasks)
+        index: _PairIndex,
+        resolver: PathResolver,
+    ) -> list[tuple[CampaignRun, ShardOutcome]]:
+        """Start the pool if it is not, then stream the shards through it.
 
-    def _stream(
-        self, pool: CampaignWorkerPool, tasks: list[ShardTask]
-    ) -> list[tuple[_ShardResult, ShardOutcome]]:
-        """Collect shards as they finish; run here any the pool could not finish.
-
-        Shards stream: with more shards than workers, a worker that
-        finishes its slice immediately pulls the next one off the queue,
-        so the resolve phase of one shard overlaps the simulate phase of
-        another.  A shard whose worker died, that a broken pool refused,
-        or that raised on the pool runs once more in this process; a
-        shard that finished before its pool broke keeps its pool result.
+        Workers warm the manifest of the run that starts the pool; a
+        started pool keeps what it warmed.  Warmth never changes a
+        report — only when resolution work happens.
         """
+        if not pool.started:
+            try:
+                pool.start(warm_pairs=index.manifest())
+            except Exception:  # noqa: BLE001 - pool genuinely unavailable
+                return [_run_here(resolver, task) for task in tasks]
+        pool.stats.runs += 1
+        # Shards stream: with more shards than workers, a worker that
+        # finishes its slice immediately pulls the next one off the
+        # queue, so the resolve phase of one shard overlaps the simulate
+        # phase of another.  A shard whose worker died, that a broken
+        # pool refused, or that raised on the pool runs once more here; a
+        # shard that finished before its pool broke keeps its pool result.
         pending: dict[Future, ShardTask] = {}
         for task in tasks:
             task.submitted_at = time.time()
@@ -898,14 +756,10 @@ class ShardedCampaignRunner:
         for future in as_completed(pending):
             task = pending[future]
             try:
-                result = future.result()
+                executed.append(future.result())
             except Exception as exc:  # noqa: BLE001 - worker died or shard raised
                 failure = f"pool: {type(exc).__name__}: {exc}"
-                executed.append(self._run_task_inprocess(task, [failure]))
-            else:
-                executed.append(
-                    self._completed(result, task, in_process=False, failures=[])
-                )
+                executed.append(_run_here(resolver, task, [failure]))
         return executed
 
     # ------------------------------------------------------------------ #
@@ -913,18 +767,18 @@ class ShardedCampaignRunner:
     # ------------------------------------------------------------------ #
 
     def _reduce(
-        self, executed: list[tuple[_ShardResult, ShardOutcome]], wall_s: float
+        self, executed: list[tuple[CampaignRun, ShardOutcome]], wall_s: float
     ) -> ShardedCampaignRun:
-        executed.sort(key=lambda pair: pair[0].index)
+        executed.sort(key=lambda shard: shard[1].index)
         aggregator = CampaignAggregator()
         stats = CampaignStats()
         kept = []
         outcomes = []
-        for result, outcome in executed:
-            aggregator.merge(result.run.aggregator)
-            stats.merge(result.run.stats)
-            if len(result.run.results):
-                kept.append(result.run.results)
+        for run, outcome in executed:
+            aggregator.merge(run.aggregator)
+            stats.merge(run.stats)
+            if len(run.results):
+                kept.append(run.results)
             outcomes.append(outcome)
         stats.elapsed_s = wall_s
         # Per-call results: the shards' columns end to end, read in call-id
@@ -948,7 +802,5 @@ class ShardedCampaignRunner:
             stats=stats,
             aggregator=aggregator,
             seed=self.config.seed,
-            steering_policy=None if self.steering is None else self.steering.policy.name,
             shards=outcomes,
-            pool_stats=self._pool_stats,
         )

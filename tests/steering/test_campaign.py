@@ -4,8 +4,9 @@ The load-bearing guarantees:
 
 * adding a steering engine never perturbs the baseline vns/internet
   report columns (the detour batch draws strictly after them);
-* a sharded steered campaign reproduces the sequential report byte for
-  byte (decisions are pure per call);
+* a steered campaign cut into group-preserving slices, each run on its
+  own engine, merges to the sequential report byte for byte (decisions
+  are pure per call);
 * the threshold policy's mean QoE regression stays within its configured
   deltas (the per-call RTT gate bounds it by construction).
 """
@@ -25,12 +26,12 @@ from repro.steering import (
 )
 from repro.workload import (
     CallArrivalProcess,
+    CampaignAggregator,
     CampaignConfig,
     CampaignEngine,
     PathResolver,
-    ShardedCampaignRunner,
-    ShardPlan,
     UserPopulation,
+    partition_calls,
 )
 
 RTT_DELTA_MS = 15.0
@@ -151,13 +152,25 @@ class TestSteeredCampaign:
             config,
             steering=_threshold_engine(health_table, config),
         ).run(campaign_calls)
-        sharded = ShardedCampaignRunner(
-            small_world.service,
-            config,
-            ShardPlan(n_shards=3),
-            steering=_threshold_engine(health_table, config),
-        ).run(campaign_calls)
-        assert sharded.report.to_json() == sequential.report.to_json()
+        shards = [
+            CampaignEngine(
+                small_world.service,
+                config,
+                steering=_threshold_engine(health_table, config),
+            ).run(slice_)
+            for slice_ in partition_calls(campaign_calls, 3)
+        ]
+        assert len(shards) == 3
+        merged = CampaignAggregator()
+        for shard in shards:
+            merged.merge(shard.aggregator)
+        report = merged.report(
+            seed=config.seed,
+            n_failed=sum(shard.stats.calls_failed for shard in shards),
+            turn_allocations=sum(shard.stats.turn_allocations for shard in shards),
+            steering_policy="threshold_offload",
+        )
+        assert report.to_json() == sequential.report.to_json()
 
     def test_cost_budget_is_respected(
         self, small_world, campaign_calls, health_table, config

@@ -96,13 +96,9 @@ KEPT_OPTIONS: dict[str, str] = {
     "workload.sharded:ShardPlan(n_shards=)": (
         "tests/workload/test_sharded.py: k in-process shards must reduce to the sequential report"
     ),
-    **dict.fromkeys(
-        (
-            "workload.sharded:ShardedCampaignRunner(steering=)",
-            "workload.sharded:ShardedCampaignRunner(path_model=)",
-        ),
-        "tests/workload/test_sharded.py: k shards and a 2-worker pool, shipped a steering "
-        "engine and a path model, must reduce to the bare engine's report",
+    "workload.sharded:ShardedCampaignRunner(path_model=)": (
+        "tests/workload/test_sharded.py: k shards and a 2-worker pool, shipped a path model, "
+        "must reduce to the bare engine's report; worker death and errors are injected through it"
     ),
     "results.__main__:main(argv=)": "tests/results/test_cli.py drives the CLI in-process",
     "scenarios.loader:run_scenario(base_world=)": (
@@ -136,8 +132,9 @@ MEMOS: dict[str, str] = {
             "workload.engine:PathResolver._detour_paths",
             "workload.engine:PathResolver._candidates",
         ),
-        "a resolver serves one converged service state: each engine builds its own, "
-        "and a pool's die with the pool, which the runner refuses after a fault or restore",
+        "a resolver serves one converged service state: each engine and each runner run "
+        "builds its own, and a pool's die with the pool, which the runner refuses after a "
+        "fault or restore",
     ),
     "measurement.probes:LossProbeCampaign._path_cache": (
         "one probe campaign per collection, over the service state it is built on"

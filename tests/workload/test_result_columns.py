@@ -30,6 +30,7 @@ from repro.workload import (
     ShardTask,
     UserPopulation,
     group_key,
+    partition_calls,
 )
 from repro.workload.engine import PathResolver, group_digest
 from repro.workload.sharded import _execute_shard
@@ -138,18 +139,30 @@ class TestColumnFold:
         sequential = CampaignEngine(small_world.service, CONFIG, steering=steering()).run(
             calls
         )
-        sharded = ShardedCampaignRunner(
-            small_world.service, CONFIG, ShardPlan(n_shards=4), steering=steering()
-        ).run(calls)
-        assert len(sharded.shards) == 4
-        assert sharded.report.to_json() == sequential.report.to_json()
+        shards = [
+            CampaignEngine(small_world.service, CONFIG, steering=steering()).run(slice_)
+            for slice_ in partition_calls(calls, 4)
+        ]
+        assert len(shards) == 4
+        merged = CampaignAggregator()
+        for shard in shards:
+            merged.merge(shard.aggregator)
+        columns = CallResults.concat([shard.results for shard in shards])
+
+        def report(aggregator):
+            return aggregator.report(
+                seed=CONFIG.seed,
+                n_failed=sum(shard.stats.calls_failed for shard in shards),
+                turn_allocations=sum(shard.stats.turn_allocations for shard in shards),
+                steering_policy="threshold_offload",
+            ).to_json()
+
+        assert report(merged) == sequential.report.to_json()
         # The merged columns re-fold, per call, to the merged report.
-        assert refold(sharded).report(
-            seed=CONFIG.seed,
-            n_failed=sharded.stats.calls_failed,
-            turn_allocations=sharded.stats.turn_allocations,
-            steering_policy="threshold_offload",
-        ).to_json() == sequential.report.to_json()
+        oracle = CampaignAggregator()
+        for result in columns:
+            oracle.add(result)
+        assert report(oracle) == sequential.report.to_json()
 
     def test_empty_columns_fold_to_nothing(self, small_world):
         run = CampaignEngine(small_world.service, CONFIG).run([])
@@ -251,25 +264,27 @@ class TestLazyResults:
 
     def test_keep_results_off_leaves_nothing_behind(self, small_world, calls):
         resolver = PathResolver(small_world.service)
+        # What a shard sends to the parent: its run and its outcome.
         kept = _execute_shard(resolver, ShardTask(index=0, calls=calls, config=CONFIG))
         dropped = _execute_shard(
             resolver, ShardTask(index=0, calls=calls, config=CONFIG, keep_results=False)
         )
-        assert len(kept.run.results) > 0 and dropped.run.results == []
+        (kept_run, _), (dropped_run, _) = kept, dropped
+        assert len(kept_run.results) > 0 and dropped_run.results == []
         # What goes to the parent holds no column and no call.
         blob = pickle.dumps(dropped)
         assert b"StreamColumns" not in blob and b"CallSpec" not in blob
         assert b"StreamColumns" in pickle.dumps(kept)
-        assert dropped.run.report.to_json() == kept.run.report.to_json()
+        assert dropped_run.report.to_json() == kept_run.report.to_json()
         run = ShardedCampaignRunner(
             small_world.service, CONFIG, ShardPlan(n_shards=3, keep_results=False)
         ).run(calls)
-        assert run.results == [] and run.report.to_json() == kept.run.report.to_json()
+        assert run.results == [] and run.report.to_json() == kept_run.report.to_json()
 
     def test_a_shard_never_freezes_a_report(self, small_world, calls):
-        result = _execute_shard(
+        run, _ = _execute_shard(
             PathResolver(small_world.service), ShardTask(index=0, calls=calls, config=CONFIG)
         )
-        assert result.run._report is None
-        report = result.run.report
-        assert result.run.report is report  # frozen once, then the same object
+        assert run._report is None
+        report = run.report
+        assert run.report is report  # frozen once, then the same object

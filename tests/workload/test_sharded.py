@@ -12,9 +12,11 @@ Recovery is drilled with real faults: path models that kill or raise in
 a pool worker (and only there, so a salvaged report must still equal the
 bare engine's) or raise in every process.  A pool freezes the service
 when it starts, so the runner refuses a pool started before the world's
-last fault or repair (:class:`TestStalePool`).
+last fault or repair; a runner with no pool resolves each run afresh and
+so follows the fault (:class:`TestStalePool`).
 """
 
+import dataclasses
 import os
 import pickle
 from multiprocessing import parent_process
@@ -143,8 +145,8 @@ class TestPartition:
 
 
 class TestPairIndex:
-    """One walk of the call list serves the cut, the costs, the warm-up
-    manifest and its digest; each must equal its per-call derivation."""
+    """One walk of the call list serves the cut, the costs and the warm-up
+    manifest; each must equal its per-call derivation."""
 
     @staticmethod
     def reference_partition(calls, n_shards):
@@ -167,30 +169,26 @@ class TestPairIndex:
             loads[target] += weights[key]
         return [[calls[i] for i in sorted(at)] for at in members if at], weights
 
-    def test_cut_costs_manifest_and_digest(self, campaign_inputs):
-        from hashlib import blake2b
-
+    def test_cut_costs_and_manifest(self, campaign_inputs):
         from repro.workload import predicted_shard_cost, warmup_manifest
         from repro.workload.sharded import _PairIndex
 
         _, calls = campaign_inputs
         index = _PairIndex.of(calls)
+        # The manifest: the call list's unique pairs, sorted by text.
+        texts = sorted({(str(s.caller.prefix), str(s.callee.prefix)) for s in calls})
+        assert [(str(a), str(b)) for a, b in index.manifest()] == texts
+        assert index.manifest() == warmup_manifest(calls)
         for n_shards in (2, 3, 5):
             slices, weights = self.reference_partition(calls, n_shards)
             shard_pairs = index.partition(n_shards)
             assert [index.slice_of(pairs, calls) for pairs in shard_pairs] == slices
             assert partition_calls(calls, n_shards) == slices
             assert sum(index.costs()) == sum(weights.values())
-            for pairs, slice_ in zip(shard_pairs, slices):
-                # A shard's manifest: its slice's unique pairs, sorted by text.
-                manifest, digest = index.manifest(pairs)
-                texts = sorted({(str(s.caller.prefix), str(s.callee.prefix)) for s in slice_})
-                assert [(str(a), str(b)) for a, b in manifest] == texts
-                assert manifest == warmup_manifest(slice_)
-                joined = "|".join(f"{a}>{b}" for a, b in texts)
-                assert digest == blake2b(joined.encode("ascii"), digest_size=8).hexdigest()
+            for slice_ in slices:
+                keys = {(str(s.caller.prefix), str(s.callee.prefix)) for s in slice_}
                 assert predicted_shard_cost(slice_) == pytest.approx(
-                    sum(weights[key] for key in texts)  # summed in another order
+                    sum(weights[key] for key in keys)  # summed in another order
                 )
 
 
@@ -223,6 +221,11 @@ class TestPlanValidation:
             CampaignWorkerPool(small_world.service, world_transport="frozen")
         with pytest.raises(TypeError):
             CampaignWorkerPool(small_world.service, world_spec=object())
+        # The runner ships no steering engine, and a pool is sized by its builder.
+        with pytest.raises(TypeError):
+            ShardedCampaignRunner(small_world.service, CampaignConfig(), steering=object())
+        with pytest.raises(TypeError):
+            CampaignWorkerPool(small_world.service)
 
 
 class TestInProcessEquivalence:
@@ -261,6 +264,22 @@ class TestInProcessEquivalence:
         ).run(calls)
         assert run.results == []
         assert run.report.to_json() == sequential_json
+
+    def test_stats_equal_the_engines_on_every_run(self, small_world, campaign_inputs):
+        """Each run resolves over cold caches, as the bare engine does, so
+        its cache counters are the engine's on the second run too."""
+        _, calls = campaign_inputs
+        config = CampaignConfig(seed=7)
+
+        def counts(stats):
+            return {**dataclasses.asdict(stats), "elapsed_s": None}
+
+        bare = counts(CampaignEngine(small_world.service, config).run(calls).stats)
+        runner = ShardedCampaignRunner(small_world.service, config, ShardPlan(n_shards=3))
+        for _ in range(2):
+            run = runner.run(calls)
+            assert len(run.shards) == 3
+            assert counts(run.stats) == bare
 
     def test_does_not_leak_perf_state(self, small_world, campaign_inputs):
         _, calls = campaign_inputs
@@ -322,8 +341,7 @@ class TestSpawnPool:
         assert all("warmup_s" in o.phase_s for o in shipped)
         assert run.overhead_s("world_ship_s") > 0.0
         assert every_shard_has_every_phase(run)
-        assert run.pool_stats is not None
-        assert run.pool_stats.world_bytes > 0
+        assert pool.stats.world_bytes > 0
 
 
 @pytest.mark.slow
@@ -373,7 +391,6 @@ class TestPersistentPool:
                 for o in salvaged.shards
             )
             assert salvaged.report.to_json() == sequential_json
-            assert salvaged.to_row()["shard_retries"] == len(salvaged.shards)
             # A shard that raised does not break the pool: the next run
             # is pooled through.
             clean = ShardedCampaignRunner(
@@ -384,6 +401,31 @@ class TestPersistentPool:
         assert not pool.started
         with pytest.raises(RuntimeError, match="shut down"):
             pool.start()
+
+    def test_a_started_pool_is_never_rewarmed(
+        self, small_world, campaign_inputs, sequential_json
+    ):
+        """A second, different call list on a started pool: its workers keep
+        the first manifest's caches and resolve the new pairs as they come."""
+        from repro.workload import warmup_manifest
+
+        _, calls = campaign_inputs
+        population = UserPopulation.sample(small_world.topology, 60, seed=21)
+        other = CallArrivalProcess(population, calls_per_user_day=2.0, seed=22).generate(days=1)
+        assert set(warmup_manifest(other)) - set(warmup_manifest(calls))
+        config = CampaignConfig(seed=7)
+        other_json = CampaignEngine(small_world.service, config).run(other).report.to_json()
+        plan = ShardPlan(n_workers=2)
+        with CampaignWorkerPool(small_world.service, workers=2) as pool:
+            first = ShardedCampaignRunner(small_world.service, config, plan, pool=pool).run(calls)
+            assert first.report.to_json() == sequential_json
+            warmed, dumped = pool.stats.warmed_pairs, pool.stats.world_dump_s
+            assert warmed == len(warmup_manifest(calls))
+            second = ShardedCampaignRunner(small_world.service, config, plan, pool=pool).run(other)
+            assert all(not o.in_process and o.attempts == 1 for o in second.shards)
+            assert second.report.to_json() == other_json
+            assert pool.stats.warmed_pairs == warmed
+            assert pool.stats.world_dump_s == dumped
 
     def test_context_manager_shuts_down_on_exception(self, small_world):
         pool = CampaignWorkerPool(small_world.service, workers=2)
@@ -424,6 +466,22 @@ class TestRecovery:
                 assert failure.startswith("pool: BrokenProcessPool: ")
             assert salvaged.report.to_json() == sequential_json
 
+    def test_a_pool_that_cannot_start_sends_every_shard_here(
+        self, small_world, campaign_inputs, sequential_json
+    ):
+        """A shut-down pool still sizes the cut (``n_workers=None`` is its
+        ``workers``), and every shard runs here at its first attempt."""
+        _, calls = campaign_inputs
+        pool = CampaignWorkerPool(small_world.service, workers=3)
+        pool.shutdown()
+        run = ShardedCampaignRunner(
+            small_world.service, CampaignConfig(seed=7), pool=pool
+        ).run(calls)
+        assert len(run.shards) == 3  # a small campaign: one slice per worker
+        assert all(o.in_process and o.attempts == 1 for o in run.shards)
+        assert run.report.to_json() == sequential_json
+        assert not pool.started and pool.stats.runs == 0
+
     @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no-pool"])
     def test_raising_everywhere_carries_both_failures(
         self, small_world, campaign_inputs, pooled
@@ -449,18 +507,17 @@ class TestRecovery:
         assert error.failures == ([there, here] if pooled else [here])
 
 
-def _tamper_pairs(result) -> None:
-    pair = next(iter(result.run.aggregator.pairs.values()))
+def _tamper_pairs(run) -> None:
+    pair = next(iter(run.aggregator.pairs.values()))
     pair.calls += 1
 
 
-def _tamper_results(result) -> None:
-    results = result.run.results
-    result.run.results = results.take(np.arange(len(results) - 1))
+def _tamper_results(run) -> None:
+    run.results = run.results.take(np.arange(len(run.results) - 1))
 
 
-def _tamper_stats(result) -> None:
-    result.run.stats.calls_total += 1
+def _tamper_stats(run) -> None:
+    run.stats.calls_total += 1
 
 
 class TestReduceConservation:
@@ -477,10 +534,10 @@ class TestReduceConservation:
         execute = sharded._execute_shard
 
         def tampering_execute(resolver, task):
-            result = execute(resolver, task)
+            run, outcome = execute(resolver, task)
             if task.index == 1:
-                tamper(result)
-            return result
+                tamper(run)
+            return run, outcome
 
         monkeypatch.setattr(sharded, "_execute_shard", tampering_execute)
         _, calls = campaign_inputs
@@ -525,23 +582,18 @@ class TestOneExecutionPath:
 
     Each shard is a plain ``CampaignEngine`` over a group-preserving
     slice and draws are keyed per group, so the identity holds for any
-    cut, with or without steering and a path model; the sequential
-    campaign is simply ``k = 1``.
+    cut, with or without a path model; the sequential campaign is simply
+    ``k = 1``.  (That a steered campaign's slices merge to its report is
+    ``tests/steering/test_campaign.py::TestSteeredCampaign::
+    test_sharded_report_byte_identical``: the runner ships no steering.)
     """
 
     @pytest.fixture(scope="class")
     def cells(self, small_world, campaign_inputs):
-        """``(steered, modelled) -> (steering, path_model, bare-engine JSON)``."""
+        """``cell -> (path_model, bare-engine JSON)``."""
         from repro.scenarios import ScenarioPathModel
-        from repro.steering import SteeringEngine, SteeringTelemetry, make_policy
 
         _, calls = campaign_inputs
-        health = SteeringTelemetry(small_world.service, seed=11).collect(
-            days=1, minutes_between_rounds=480.0, hosts_per_type_per_region=1
-        )
-        engine = SteeringEngine(
-            health=health, policy=make_policy("threshold_offload"), seed=7
-        )
         model = ScenarioPathModel(
             last_mile="geo_satellite",
             satellite_delay_ms=270.0,
@@ -549,32 +601,22 @@ class TestOneExecutionPath:
             pop_overload=(("LON", 2.0),),
         )
         cells = {}
-        for steered in (False, True):
-            for modelled in (False, True):
-                steering = engine if steered else None
-                path_model = model if modelled else None
-                bare = CampaignEngine(
-                    small_world.service,
-                    CampaignConfig(seed=7),
-                    steering=steering,
-                    path_model=path_model,
-                ).run(calls)
-                cells[steered, modelled] = (steering, path_model, bare.report.to_json())
+        for cell, path_model in (("unsteered-plain", None), ("unsteered-model", model)):
+            bare = CampaignEngine(
+                small_world.service, CampaignConfig(seed=7), path_model=path_model
+            ).run(calls)
+            cells[cell] = (path_model, bare.report.to_json())
         return cells
 
-    @pytest.mark.parametrize("modelled", [False, True], ids=["plain", "model"])
-    @pytest.mark.parametrize("steered", [False, True], ids=["unsteered", "threshold"])
+    @pytest.mark.parametrize("cell", ["unsteered-plain", "unsteered-model"])
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
-    def test_k_shards_equal_engine(
-        self, small_world, campaign_inputs, cells, k, steered, modelled
-    ):
+    def test_k_shards_equal_engine(self, small_world, campaign_inputs, cells, k, cell):
         _, calls = campaign_inputs
-        steering, path_model, bare_json = cells[steered, modelled]
+        path_model, bare_json = cells[cell]
         run = ShardedCampaignRunner(
             small_world.service,
             CampaignConfig(seed=7),
             ShardPlan(n_shards=k),
-            steering=steering,
             path_model=path_model,
         ).run(calls)
         assert run.report.to_json() == bare_json
@@ -583,21 +625,17 @@ class TestOneExecutionPath:
         assert every_shard_has_every_phase(run)
 
     @pytest.mark.slow
-    def test_pooled_with_steering_and_model_equals_engine(
-        self, small_world, campaign_inputs, cells
-    ):
-        """A real 2-worker pool ships the threshold steering engine and the
-        GEO-satellite path model to its workers; the report is still the
-        bare engine's, byte for byte."""
+    def test_pooled_with_a_path_model_equals_engine(self, small_world, campaign_inputs, cells):
+        """A real 2-worker pool ships the GEO-satellite path model to its
+        workers; the report is still the bare engine's, byte for byte."""
         _, calls = campaign_inputs
-        steering, path_model, bare_json = cells[True, True]
-        assert bare_json != cells[False, False][2]  # both change the report
+        path_model, bare_json = cells["unsteered-model"]
+        assert bare_json != cells["unsteered-plain"][1]  # the model changes the report
         with CampaignWorkerPool(small_world.service, workers=2) as pool:
             run = ShardedCampaignRunner(
                 small_world.service,
                 CampaignConfig(seed=7),
                 ShardPlan(n_workers=2, n_shards=4),
-                steering=steering,
                 path_model=path_model,
                 pool=pool,
             ).run(calls)
@@ -616,7 +654,6 @@ class TestOneExecutionPath:
         [outcome] = run.shards
         assert outcome.in_process and outcome.attempts == 1
         assert outcome.n_calls == len(calls)
-        assert run.pool_stats is None
         assert every_shard_has_every_phase(run)
 
 
@@ -682,6 +719,23 @@ class TestStalePool:
         assert faulted != healthy
         assert all(not o.in_process for o in run.shards)
         assert run.report.to_json() == faulted
+
+    def test_a_runner_without_a_pool_follows_a_fault(self, private_world, private_calls):
+        """With no pool there is nothing frozen: each run resolves the world
+        as it stands, so the run after a fault gives the faulted report."""
+        service = private_world.service
+        config = CampaignConfig(seed=7)
+        runner = ShardedCampaignRunner(service, config)
+        healthy = runner.run(private_calls).report.to_json()
+        injector = FaultInjector(service)
+        injector.apply(PopDown(time_s=0.0, pop="SIN"))
+        try:
+            after = runner.run(private_calls).report.to_json()
+            faulted = CampaignEngine(service, config).run(private_calls).report.to_json()
+        finally:
+            injector.restore()
+        assert after == faulted
+        assert after != healthy
 
     def test_an_unstarted_pool_serves_whatever_it_will_freeze(self, private_world):
         service = private_world.service
