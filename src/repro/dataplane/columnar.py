@@ -42,12 +42,17 @@ through dense interpolation tables over the body of the distribution
 (exact scipy evaluations for the outer 1/256 tails), with grid error
 orders of magnitude below what any campaign statistic can resolve.
 
-Requires scipy (a declared dependency): the ``scipy.special`` import
-below fails loudly when it is missing — a campaign never runs on a
-substitute kernel.  ``scipy.special`` is all of scipy the kernel uses:
-the binomial quantile is searched against ``bdtr`` from its definition
-(:func:`_binom_quantile`), so no campaign process imports scipy's much
-heavier statistics package.
+Requires scipy (a declared dependency), but imports it only where the
+kernel first needs it: the ``ndtri`` and gamma quantile-table builds
+(:func:`_ndtri`, :func:`_gamma_quantile`) and the binomial search
+(:func:`_binom_search`, :func:`_binom_bisect`).  A process that builds a
+world, plays faults or reads egress decisions without simulating a
+stream never loads scipy; one that runs a campaign pays the import once,
+inside its first kernel call.  A missing scipy still fails loudly there
+— a campaign never runs on a substitute kernel.  ``scipy.special`` is
+all of scipy the kernel uses: the binomial quantile is searched against
+``bdtr`` from its definition (:func:`_binom_quantile`), so no campaign
+process imports scipy's much heavier statistics package.
 """
 
 from __future__ import annotations
@@ -57,8 +62,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from scipy import special as _special
 
 from repro.dataplane import calibration as cal
 from repro.dataplane.link import KIND_CODE, LOSS_TABLE, SegmentKind, SegmentLossParams
@@ -194,7 +197,9 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     """Standard-normal quantile (body via table, tails exact)."""
     table = _tables.get("ndtri")
     if table is None:
-        table = _tables["ndtri"] = _QuantileTable(_special.ndtri)
+        from scipy import special
+
+        table = _tables["ndtri"] = _QuantileTable(special.ndtri)
     return table(u)
 
 
@@ -203,9 +208,9 @@ def _gamma_quantile(u: np.ndarray, shape: float) -> np.ndarray:
     key = ("gamma", shape)
     table = _tables.get(key)
     if table is None:
-        table = _tables[key] = _QuantileTable(
-            lambda grid: _special.gammaincinv(shape, grid)
-        )
+        from scipy import special
+
+        table = _tables[key] = _QuantileTable(lambda grid: special.gammaincinv(shape, grid))
     return table(u)
 
 
@@ -262,19 +267,21 @@ def _binom_search(
     :data:`_BINOM_WALK_MAX_STEPS`, or whose ``u`` lies within rounding of
     a CDF step are bisected on ``bdtr`` instead.
     """
+    from scipy import special
+
     nf = n.astype(np.float64)
     q = 1.0 - p
     mean = nf * p
     sd = np.sqrt(mean * q)
-    z = _special.ndtri(u)
+    z = special.ndtri(u)
     k = np.floor(mean + sd * z + (q - p) * (z * z - 1.0) / 6.0 + 0.5)
     np.clip(k, 0.0, nf, out=k)
-    cdf = _special.bdtr(k, n, p)
+    cdf = special.bdtr(k, n, p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pmf = np.exp(
-            _special.gammaln(nf + 1.0)
-            - _special.gammaln(k + 1.0)
-            - _special.gammaln(nf - k + 1.0)
+            special.gammaln(nf + 1.0)
+            - special.gammaln(k + 1.0)
+            - special.gammaln(nf - k + 1.0)
             + k * np.log(p)
             + (nf - k) * log_q
         )
@@ -322,12 +329,14 @@ def _binom_search(
 
 def _binom_bisect(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``min {k : bdtr(k, n, p) >= u}`` by bisection over ``[0, n]``."""
+    from scipy import special
+
     lo = np.full(u.shape, -1.0)  # cdf(lo) < u
     hi = n.astype(np.float64)  # cdf(hi) = 1 >= u
     active = np.flatnonzero(hi - lo > 1.0)
     while active.size:
         mid = np.floor((lo[active] + hi[active]) / 2.0)
-        covers = _special.bdtr(mid, n[active], p[active]) >= u[active]
+        covers = special.bdtr(mid, n[active], p[active]) >= u[active]
         hi[active[covers]] = mid[covers]
         lo[active[~covers]] = mid[~covers]
         active = active[hi[active] - lo[active] > 1.0]
