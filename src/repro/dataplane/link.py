@@ -470,6 +470,12 @@ KIND_CODE: dict[SegmentKind, int] = {
     kind: code for code, kind in enumerate(SegmentKind, start=1)
 }
 
+#: Integer code of each AS type in :data:`LOSS_TABLE`'s keys (0: none).
+_TYPE_CODE: dict[ASType | None, int] = {
+    None: 0,
+    **{as_type: code for code, as_type in enumerate(ASType, start=1)},
+}
+
 
 class SegmentLossTable:
     """Segment ids and loss-parameter rows, interned for the process.
@@ -498,6 +504,7 @@ class SegmentLossTable:
     _DTYPES = (np.int8, np.bool_) + (np.float64,) * (len(SegmentLossParams._fields) - 2)
 
     def __init__(self) -> None:
+        #: flat value key (:meth:`_key`) -> the canonical segment.
         self._canonical: dict[tuple, PathSegment] = {}
         #: id -> the canonical segment of that value.
         self.segments: list[PathSegment] = []
@@ -523,27 +530,57 @@ class SegmentLossTable:
         label: str = "",
     ) -> PathSegment:
         """The one shared :class:`PathSegment` of this value."""
-        value = (kind, start, end, as_type, owner_type, label)
-        segment = self._canonical.get(value)
+        key = self._key(kind, start, end, as_type, owner_type, label)
+        segment = self._canonical.get(key)
         if segment is None:
-            segment = self._register(value, PathSegment(*value))
+            segment = self._register(
+                key, PathSegment(kind, start, end, as_type, owner_type, label)
+            )
         return segment
 
     def segment_id(self, segment: PathSegment) -> int:
         """``segment``'s id: equal for equal values, cached on the object."""
         sid = segment._sid
         if sid < 0:
-            # A DegradedSegment's value is two fields longer, so it can
-            # never collide with its healthy twin's.
+            # A DegradedSegment's value is two fields longer, so its key
+            # (the atoms of the first six, then its two floats) can never
+            # collide with its healthy twin's.
             value = segment._value()
-            canonical = self._canonical.get(value)
+            key = self._key(*value[:6]) + value[6:]
+            canonical = self._canonical.get(key)
             if canonical is None:
-                canonical = self._register(value, segment)
+                canonical = self._register(key, segment)
             sid = canonical._sid
             object.__setattr__(segment, "_sid", sid)
         return sid
 
-    def _register(self, value: tuple, segment: PathSegment) -> PathSegment:
+    @staticmethod
+    def _key(
+        kind: SegmentKind,
+        start: GeoPoint,
+        end: GeoPoint,
+        as_type: ASType | None,
+        owner_type: ASType | None,
+        label: str,
+    ) -> tuple:
+        """A segment value as a tuple of atoms (codes, coordinates, label).
+
+        Equal exactly when the values are equal, and holding no object
+        the collector tracks, so the collector untracks the key itself:
+        a table of thousands of keys adds nothing to a full pass.
+        """
+        return (
+            KIND_CODE[kind],
+            start.lat,
+            start.lon,
+            end.lat,
+            end.lon,
+            _TYPE_CODE[as_type],
+            _TYPE_CODE[owner_type],
+            label,
+        )
+
+    def _register(self, key: tuple, segment: PathSegment) -> PathSegment:
         object.__setattr__(segment, "_sid", len(self.segments))
         self.segments.append(segment)
         distance = great_circle_km(segment.start, segment.end)
@@ -557,7 +594,7 @@ class SegmentLossTable:
         self.jitter_term.append(segment.jitter_term())
         for column, constant in zip(self.static, _segment_static(segment)):
             column.append(constant)
-        self._canonical[value] = segment
+        self._canonical[key] = segment
         return segment
 
     def rows(self, sids: tuple[int, ...], hour_cet: float) -> list[int]:
