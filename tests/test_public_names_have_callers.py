@@ -119,7 +119,10 @@ MEMOS: dict[str, str] = {
     ),
     "vns.geo_rr:GeoRouteReflector._lp_memo": (
         "dropped when the GeoIP version changes, and by invalidate_geo_cache after "
-        "router_locations or lp_function change in place"
+        "router_locations or lp_function change in place; hits 420 of 9,264 lookups "
+        "(4.5%) in a SMALL seed-7 build and 20,852 of 20,862 (99.95%) over its "
+        "24-event fault timeline, whose restores re-import the same (egress, prefix) "
+        "pairs"
     ),
     # Over one converged service state: their owner is built per run or per pool.
     **dict.fromkeys(
@@ -152,7 +155,8 @@ MEMOS: dict[str, str] = {
         "interns tagged community sets: each key is its own value"
     ),
     "dataplane.link:SegmentLossTable._canonical": (
-        "interns segment values (immutable): each id keeps its one segment"
+        "interns segment values (immutable), keyed by atoms the collector does not "
+        "track: each id keeps its one segment"
     ),
     "dataplane.link:SegmentLossTable._row_at": (
         "a parameter row is a pure function of (segment value, hour)"
