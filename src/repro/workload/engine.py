@@ -5,9 +5,10 @@ calls; per-call path resolution and per-stream scalar simulation do not
 get anywhere near that volume.  The engine exploits the two kinds of
 redundancy a real campaign has:
 
-* **Paths repeat.**  Anycast entry depends only on the caller's prefix;
-  the VNS onward leg only on ``(entry_pop, dst_prefix)``; the Internet
-  leg only on the prefix pair.  Each is memoised, so a campaign touching
+* **Paths repeat.**  Anycast entry and the last mile depend only on the
+  caller's prefix; the VNS onward leg only on ``(entry_pop,
+  dst_prefix)``; the Internet leg only on the prefix pair.
+  :class:`PathResolver` keeps one cache per key, so a campaign touching
   P prefixes resolves O(P²) paths once for O(calls) uses — the
   ``(entry_pop, dst_prefix)`` cache hit rate is the headline number in
   the recorded ``workload`` bench row.
@@ -460,7 +461,9 @@ class _ResolvedPair:
     jitter scale: a plain tuple the cyclic collector untracks).  Its
     :class:`~repro.dataplane.path.DataPath` is built only when something
     reads :attr:`via_vns` / :attr:`via_internet` — a path model, or a
-    caller inspecting the paths.
+    caller inspecting the paths.  ``candidates`` and ``via_detour`` are
+    filled by :meth:`PathResolver.candidates_for` on the first steered
+    resolve.
     """
 
     key: tuple[Prefix, Prefix]  #: the resolver's cache key for the pair
@@ -470,6 +473,8 @@ class _ResolvedPair:
     internet_view: PathView
     _via_vns: DataPath | None = None
     _via_internet: DataPath | None = None
+    candidates: "PathCandidates | None" = None
+    via_detour: DataPath | None = None  #: the one-hop PoP detour, if any
 
     @property
     def via_vns(self) -> DataPath:
@@ -508,20 +513,23 @@ _NO_INTERNET = _Unresolved(counted_onward=True, counted_internet=True)
 class PathResolver:
     """Resolves prefix pairs to call paths over one service, memoised.
 
-    Owns the layered path caches, each keyed at the coarsest granularity
-    that is still exact (see the module docstring).  Cache contents
-    depend only on the service's converged state — never on a campaign's
-    config, seed or steering policy — so one resolver serves every
-    engine run over the *same* service: the engine, each pool worker and
-    each in-process run of the shard runner hold one, and warm caches
-    change *when* resolution work happens, never what is resolved.
+    One cache per key a call's path depends on: ``_entry`` per source
+    prefix (the anycast entry PoP and the last mile to it, paper Fig. 7),
+    ``_onward`` per ``(entry_pop, dst_prefix)`` (the geo-LP onward leg and
+    its egress PoP, Sec. 3.2) and ``_pairs`` per prefix pair (the
+    :class:`_ResolvedPair`: the Internet leg and, once steered, the
+    candidate RTTs and the PoP detour); ``_local_exit`` is the one
+    steering-only memo.  Cache contents depend only on the service's
+    converged state — never on a campaign's config, seed or steering
+    policy — so one resolver serves every engine run over the *same*
+    service: the engine, each pool worker and each in-process run of the
+    shard runner hold one, and warm caches change *when* resolution work
+    happens, never what is resolved.
     """
 
     def __init__(self, service: VideoNetworkService) -> None:
         self.service = service
-        self._entry: dict[Prefix, str | None] = {}
-        self._lastmile: dict[tuple[Prefix, str], DataPath] = {}
-        # Per (PoP, prefix), the onward leg with its egress PoP.
+        self._entry: dict[Prefix, tuple[str, DataPath] | None] = {}
         self._onward: dict[tuple[str, Prefix], tuple[DataPath, str] | None] = {}
         # The Internet leg is resolved once per pair, so it lives only in
         # the pair cache, as its view.  A resolved pair is stored bare; a
@@ -530,11 +538,9 @@ class PathResolver:
         # re-count those legs (an entry-PoP failure short-circuits before
         # either leg).
         self._pairs: dict[tuple[Prefix, Prefix], _ResolvedPair | _Unresolved] = {}
-        # Steering-only caches: the forced local exit at a PoP, the full
-        # per-pair detour path and the per-pair candidate RTTs.
+        # A detour's exit depends on (entry PoP, dst prefix), not the pair:
+        # per pair it would ask the service about four times as often.
         self._local_exit: dict[tuple[str, Prefix], DataPath | None] = {}
-        self._detour_paths: dict[tuple[Prefix, Prefix], DataPath | None] = {}
-        self._candidates: dict[tuple[Prefix, Prefix], "PathCandidates"] = {}
 
     def warm_pairs(self, pairs: "Iterable[tuple[Prefix, Prefix]]") -> int:
         """Pre-resolve prefix pairs into the path caches.
@@ -554,16 +560,19 @@ class PathResolver:
                     resolved += 1
         return resolved
 
-    def _entry_pop(self, prefix: Prefix) -> str | None:
+    def _entry_leg(self, prefix: Prefix) -> tuple[str, DataPath] | None:
+        """The prefix's anycast entry PoP and the last mile to it."""
         entry = self._entry.get(prefix, _MISS)
-        if entry is not _MISS:
-            return entry
-        asn = self.service.topology.origin_of[prefix]
-        location = self.service.topology.prefix_location[prefix]
-        pop = self.service.anycast.entry_pop(asn, location)
-        code = None if pop is None else pop.code
-        self._entry[prefix] = code
-        return code
+        if entry is _MISS:
+            location = self.service.topology.prefix_location[prefix]
+            asn = self.service.topology.origin_of[prefix]
+            pop = self.service.anycast.entry_pop(asn, location)
+            entry = self._entry[prefix] = (
+                None
+                if pop is None
+                else (pop.code, self.service.last_mile_path(prefix, location, pop.code))
+            )
+        return entry
 
     def _onward_leg(
         self, entry_pop: str, dst_prefix: Prefix, stats: CampaignStats
@@ -583,15 +592,6 @@ class PathResolver:
         assert path is not None  # decision already resolved
         leg = self._onward[key] = (path, decision.egress_pop)
         return leg
-
-    def _lastmile_leg(self, src_prefix: Prefix, entry_pop: str) -> DataPath:
-        key = (src_prefix, entry_pop)
-        path = self._lastmile.get(key)
-        if path is None:
-            location = self.service.topology.prefix_location[src_prefix]
-            path = self.service.last_mile_path(src_prefix, location, entry_pop)
-            self._lastmile[key] = path
-        return path
 
     def _internet_leg(
         self, key: tuple[Prefix, Prefix], stats: CampaignStats
@@ -630,11 +630,12 @@ class PathResolver:
             stats.onward_hits += cached.counted_onward
             stats.internet_hits += cached.counted_internet
             return None
-        entry = self._entry_pop(src_prefix)
+        entry = self._entry_leg(src_prefix)
         if entry is None:
             self._pairs[key] = _NO_ENTRY
             return None
-        leg = self._onward_leg(entry, dst_prefix, stats)
+        entry_pop, lastmile = entry
+        leg = self._onward_leg(entry_pop, dst_prefix, stats)
         if leg is None:
             self._pairs[key] = _NO_ONWARD
             return None
@@ -642,11 +643,10 @@ class PathResolver:
         if internet_view is None:
             self._pairs[key] = _NO_INTERNET
             return None
-        lastmile = self._lastmile_leg(src_prefix, entry)
         onward, egress_pop = leg
         pair = _ResolvedPair(
             key=key,
-            entry_pop=entry,
+            entry_pop=entry_pop,
             egress_pop=egress_pop,
             vns_view=ids_view(path_view(lastmile)[0] + path_view(onward)[0]),
             internet_view=internet_view,
@@ -654,50 +654,37 @@ class PathResolver:
         self._pairs[key] = pair
         return pair
 
-    def _detour_exit(self, entry_pop: str, dst_prefix: Prefix) -> DataPath | None:
-        key = (entry_pop, dst_prefix)
-        cached = self._local_exit.get(key, _MISS)
-        if cached is not _MISS:
-            return cached
-        path = self.service.path_local_exit(entry_pop, dst_prefix)
-        self._local_exit[key] = path
-        return path
-
-    def candidates_for(
-        self, src_prefix: Prefix, dst_prefix: Prefix, pair: _ResolvedPair
-    ) -> "PathCandidates":
+    def candidates_for(self, pair: _ResolvedPair) -> "PathCandidates":
         """The pair's candidate-transport RTTs (path delay is exact).
 
         The one-hop PoP detour is the cached last mile to the pair's
         entry PoP followed by the cached forced local exit there
         (:meth:`VideoNetworkService.path_local_exit`; Sec. 4.1) — zero
-        backbone circuits; none when the PoP has no external route.  It
-        is cached too: the simulate phase reads it back through
-        :meth:`detour_path` for detoured streams.
+        backbone circuits; none when the PoP has no external route.  Both
+        are kept on the pair: the simulate phase reads the detour back
+        from :attr:`_ResolvedPair.via_detour` for detoured streams.
         """
-        key = (src_prefix, dst_prefix)
-        candidates = self._candidates.get(key)
+        candidates = pair.candidates
         if candidates is None:
             from repro.steering.policies import PathCandidates
 
+            src_prefix, dst_prefix = pair.key
+            key = (pair.entry_pop, dst_prefix)
+            exit_leg = self._local_exit.get(key, _MISS)
+            if exit_leg is _MISS:
+                exit_leg = self._local_exit[key] = self.service.path_local_exit(*key)
             via_detour = None
-            exit_leg = self._detour_exit(pair.entry_pop, dst_prefix)
             if exit_leg is not None:
-                inbound = self._lastmile_leg(src_prefix, pair.entry_pop)
-                via_detour = inbound.concat(exit_leg)
+                via_detour = self._entry_leg(src_prefix)[1].concat(exit_leg)
                 via_detour.description = f"call-detour:{src_prefix}->{dst_prefix}"
-            self._detour_paths[key] = via_detour
-            candidates = self._candidates[key] = PathCandidates(
+            pair.via_detour = via_detour
+            candidates = pair.candidates = PathCandidates(
                 vns_rtt_ms=pair.vns_view[1],
                 internet_rtt_ms=pair.internet_view[1],
                 detour_rtt_ms=None if via_detour is None else via_detour.rtt_ms(),
                 detour_pop=None if via_detour is None else pair.entry_pop,
             )
         return candidates
-
-    def detour_path(self, src_prefix: Prefix, dst_prefix: Prefix) -> DataPath | None:
-        """The detour :meth:`candidates_for` composed for the pair, if any."""
-        return self._detour_paths.get((src_prefix, dst_prefix))
 
 
 class CampaignEngine:
@@ -740,8 +727,9 @@ class CampaignEngine:
         self.steering = steering
         self.path_model = path_model
         #: Resolves prefix pairs to paths and owns the path caches.  A
-        #: shard runner replaces it with its long-lived resolver over the
-        #: same service, so caches stay warm across shards and campaigns.
+        #: shard runner's engine resolves through the resolver it was
+        #: handed: one built for that run, or a pool worker's, which stays
+        #: warm across the shards and runs the pool serves.
         self.resolver = PathResolver(service)
 
     # ------------------------------------------------------------------ #
@@ -836,10 +824,8 @@ class CampaignEngine:
             )
             detour = np.bincount(group, on_detour) > 0
             has_path = np.zeros(n_pairs, dtype=bool)
-            pair_first = np.unique(pair, return_index=True)[1].tolist()
             for p in np.unique(group_pair[detour]).tolist():
-                spec = resolved[pair_first[p]]
-                path = self.resolver.detour_path(spec.caller.prefix, spec.callee.prefix)
+                path = pairs[p].via_detour
                 if path is not None:
                     has_path[p] = True
                     views[2 * n_pairs + p] = self._modeled_view(
@@ -943,9 +929,7 @@ class CampaignEngine:
                             REGION_CODE[spec.caller.region],
                             REGION_CODE[spec.callee.region],
                             spec.day * 24.0 + spec.start_hour_cet,
-                            candidates=resolver.candidates_for(
-                                spec.caller.prefix, spec.callee.prefix, pair
-                            ),
+                            candidates=resolver.candidates_for(pair),
                             call_id=spec.call_id,
                             payload_bytes=stream_payload_bytes(
                                 spec.duration_s,

@@ -47,9 +47,7 @@ INTERNED = {
     "dataplane.link:SegmentLossTable._canonical",
     "bgp.policy:RelationshipImportPolicy._tagged",
 }
-RESOLVER_MEMOS = (
-    "_entry", "_lastmile", "_onward", "_pairs", "_local_exit", "_detour_paths", "_candidates",
-)
+RESOLVER_MEMOS = ("_entry", "_onward", "_pairs", "_local_exit")
 CLEARED = {
     "net.asn:AutonomousSystem._nearest",
     "vns.geo_rr:GeoRouteReflector._lp_memo",

@@ -8,11 +8,14 @@ The load-bearing guarantees:
   own engine, merges to the sequential report byte for byte (decisions
   are pure per call);
 * the threshold policy's mean QoE regression stays within its configured
-  deltas (the per-call RTT gate bounds it by construction).
+  deltas (the per-call RTT gate bounds it by construction);
+* the resolver's caches never depend on steering, though a resolved pair
+  carries its steering candidates and detour.
 """
 
 import json
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -33,6 +36,7 @@ from repro.workload import (
     UserPopulation,
     partition_calls,
 )
+from repro.workload.engine import _ResolvedPair
 
 RTT_DELTA_MS = 15.0
 LOSS_DELTA_PCT = 0.25
@@ -206,6 +210,60 @@ class TestEngineState:
         assert pickle.dumps(engine) == before
 
 
+class TestSharedResolver:
+    """A pair carries steering-only fields once a steered run resolved it,
+    yet what a shared resolver serves never depends on steering."""
+
+    @pytest.mark.parametrize(
+        "first, second", [("steered", "bare"), ("bare", "steered")], ids=lambda kind: kind
+    )
+    def test_a_shared_resolver_reports_as_a_fresh_engine(
+        self, small_world, campaign_calls, health_table, config, first, second
+    ):
+        def engine(kind: str) -> CampaignEngine:
+            steering = _threshold_engine(health_table, config) if kind == "steered" else None
+            return CampaignEngine(small_world.service, config, steering=steering)
+
+        shared = PathResolver(small_world.service)
+        for kind in (first, second):
+            warm = engine(kind)
+            warm.resolver = shared
+            run = warm.run(campaign_calls)
+            assert run.report.to_json() == engine(kind).run(campaign_calls).report.to_json()
+        assert run.stats.onward_misses == 0  # the second day ran on the warm caches
+
+
+class TestSteeringMemos:
+    """The steered resolve asks the service for a forced local exit once
+    per (entry PoP, dst prefix), and keeps each pair's candidates."""
+
+    def test_each_local_exit_is_asked_once_and_candidates_are_kept(
+        self, small_world, campaign_calls, health_table, config, monkeypatch
+    ):
+        service = small_world.service
+        asked: Counter = Counter()
+        path_local_exit = service.path_local_exit
+
+        def counted(entry_pop, dst_prefix):
+            asked[entry_pop, dst_prefix] += 1
+            return path_local_exit(entry_pop, dst_prefix)
+
+        monkeypatch.setattr(service, "path_local_exit", counted)
+        engine = CampaignEngine(
+            service, config, steering=_threshold_engine(health_table, config)
+        )
+        engine.run(campaign_calls)
+        assert asked and max(asked.values()) == 1
+        resolver = engine.resolver
+        pairs = [pair for pair in resolver._pairs.values() if isinstance(pair, _ResolvedPair)]
+        assert pairs
+        for pair in pairs:
+            candidates = pair.candidates
+            assert candidates is not None
+            assert resolver.candidates_for(pair) is candidates
+        assert max(asked.values()) == 1  # the repeats asked the service nothing
+
+
 class TestDetourComposition:
     def test_detour_leaves_at_the_entry_pop(self, small_world):
         """The resolver's cached detour is the service's last mile to the
@@ -219,8 +277,8 @@ class TestDetourComposition:
             pair = resolver.resolve_pair(src, dst)
             if pair is None:
                 continue
-            candidates = resolver.candidates_for(src, dst, pair)
-            detour = resolver.detour_path(src, dst)
+            candidates = resolver.candidates_for(pair)
+            detour = pair.via_detour
             exit_leg = service.path_local_exit(pair.entry_pop, dst)
             if exit_leg is None:
                 assert detour is None and candidates.detour_rtt_ms is None

@@ -109,13 +109,29 @@ KEPT_OPTIONS: dict[str, str] = {
     ),
 }
 
+#: What the resolver's caches are valid for: their owner is built per run
+#: or per pool.
+_PER_RESOLVER = (
+    "a resolver serves one converged service state: each engine and each runner run "
+    "builds its own, and a pool's die with the pool, which the runner refuses after a "
+    "fault or restore"
+)
+
 #: Every memo under ``src/repro`` (``module:Owner.attribute``, a module
 #: global or an ``lru_cache``d function) -> what drops it, or why what it
-#: caches never changes; a dict that is state, not a memo, says so.
+#: caches never changes; a dict that is state, not a memo, says so.  Each
+#: memo's entry ends with its hits out of lookups at SMALL seed 7, over
+#: the workloads that drive it: the build; "the day", 1,200 users x 9
+#: calls (``campaign.run``, 10,800 calls); "the comparison",
+#: ``steering.run`` with its defaults (probe telemetry, then three policy
+#: runs on fresh engines); "the last-mile campaign",
+#: ``lastmile.run_lastmile_campaign`` with its defaults.  Every memo pays.
 MEMOS: dict[str, str] = {
     # Dropped when what they cache changes.
     "net.asn:AutonomousSystem._nearest": (
-        "dropped by add_presence, the only way presence changes; left out of the pickle"
+        "dropped by add_presence, the only way presence changes; left out of the pickle; "
+        "hits 6 of 13 lookups in the build, 26,404 of 28,308 (93.3%) in the day, "
+        "18,914 of 19,150 (98.8%) in the comparison"
     ),
     "vns.geo_rr:GeoRouteReflector._lp_memo": (
         "dropped when the GeoIP version changes, and by invalidate_geo_cache after "
@@ -125,47 +141,71 @@ MEMOS: dict[str, str] = {
         "pairs"
     ),
     # Over one converged service state: their owner is built per run or per pool.
-    **dict.fromkeys(
-        (
-            "workload.engine:PathResolver._entry",
-            "workload.engine:PathResolver._lastmile",
-            "workload.engine:PathResolver._onward",
-            "workload.engine:PathResolver._pairs",
-            "workload.engine:PathResolver._local_exit",
-            "workload.engine:PathResolver._detour_paths",
-            "workload.engine:PathResolver._candidates",
-        ),
-        "a resolver serves one converged service state: each engine and each runner run "
-        "builds its own, and a pool's die with the pool, which the runner refuses after a "
-        "fault or restore",
+    "workload.engine:PathResolver._entry": (
+        f"{_PER_RESOLVER}; hits 5,490 of 5,693 lookups (96.4%) in the day, "
+        "3,507 of 3,870 (90.6%) in the comparison"
+    ),
+    "workload.engine:PathResolver._onward": (
+        f"{_PER_RESOLVER}; hits 4,391 of 5,693 lookups (77.1%) in the day, "
+        "1,047 of 1,935 (54.1%) in the comparison"
+    ),
+    "workload.engine:PathResolver._pairs": (
+        f"{_PER_RESOLVER}; hits 5,107 of 10,800 lookups (47.3%) in the day, "
+        "546 of 2,481 (22.0%) in the comparison"
+    ),
+    "workload.engine:PathResolver._local_exit": (
+        f"{_PER_RESOLVER}; hits 1,047 of 1,935 lookups (54.1%) in the comparison; "
+        "keyed per pair instead, a 1,200-user x 9-call comparison asks path_local_exit "
+        "17,343 times, not 4,170"
     ),
     "measurement.probes:LossProbeCampaign._path_cache": (
-        "one probe campaign per collection, over the service state it is built on"
+        "one probe campaign per collection, over the service state it is built on; "
+        "hits 2,640 of 3,168 lookups (83.3%) in the comparison's telemetry, "
+        "20,240 of 21,120 (95.8%) in the last-mile campaign"
     ),
     # What they cache never changes once asked for.
     "bgp.propagation:AsLevelRouting._tables": (
         "the AS graph is complete (build_vns joins VNS to it) before any table is asked "
-        "for, and nothing changes it after; left out of the pickle"
+        "for, and nothing changes it after; left out of the pickle; hits 432 of 486 "
+        "lookups (88.9%) in the build, 6,098 of 6,099 in the day"
     ),
     "vns.builder:VnsDeployment._session_pops": (
         "the session map is fixed once built (a SessionDown takes a session down, "
-        "not out of the map); freeze copies it whole"
+        "not out of the map); freeze copies it whole; hits 194 of 203 lookups (95.6%) "
+        "in the day, all 7,239 in the comparison"
     ),
     "bgp.policy:RelationshipImportPolicy._tagged": (
-        "interns tagged community sets: each key is its own value"
+        "interns tagged community sets: each key is its own value; 7,991 of 7,993 "
+        "imports in the build share a set"
     ),
     "dataplane.link:SegmentLossTable._canonical": (
         "interns segment values (immutable), keyed by atoms the collector does not "
-        "track: each id keeps its one segment"
+        "track: each id keeps its one segment; hits 28,418 of 31,407 lookups (90.5%) "
+        "in the day"
     ),
     "dataplane.link:SegmentLossTable._row_at": (
-        "a parameter row is a pure function of (segment value, hour)"
+        "a parameter row is a pure function of (segment value, hour); hits 106,330 of "
+        "133,524 (segment, hour) lookups (79.6%) in the day"
     ),
-    "dataplane.columnar:_tables": "a quantile table is a pure function of its distribution",
-    "net.addressing:_render_prefix": "pure in (network, length)",
-    "geo.cities:nearest_city": "pure: the gazetteer is a module constant",
-    "dataplane.link:_transit_diurnal": "pure in (region, hour): calibration constants",
-    "dataplane.link:_access_diurnal": "pure in (region, AS type, hour): calibration constants",
+    "dataplane.columnar:_tables": (
+        "a quantile table is a pure function of its distribution; hits 95 of 97 "
+        "lookups in the day"
+    ),
+    "net.addressing:_render_prefix": (
+        "pure in (network, length); hits 33,491 of 33,694 lookups (99.4%) in the day"
+    ),
+    "geo.cities:nearest_city": (
+        "pure: the gazetteer is a module constant; hits 12,121 of 12,392 lookups "
+        "(97.8%) in the day"
+    ),
+    "dataplane.link:_transit_diurnal": (
+        "pure in (region, hour): calibration constants; hits 12,745 of 12,913 lookups "
+        "(98.7%) in the day, 57,324 of 57,432 in the last-mile campaign"
+    ),
+    "dataplane.link:_access_diurnal": (
+        "pure in (region, AS type, hour): calibration constants; hits 12,181 of 12,826 "
+        "lookups (95.0%) in the day"
+    ),
     # State, not memos.
     "bgp.engine:BgpEngine._inboxes": "state: the messages queued for each speaker",
     "bgp.rib:AdjRib._routes": "state: the Adj-RIB",

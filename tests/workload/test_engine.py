@@ -214,8 +214,7 @@ class TestResolveAccounting:
         population, _ = campaign_inputs
         caller, callee = population.users[4], population.users[5]
         engine = self.make_engine(small_world)
-        entry = engine.resolver._entry_pop(caller.prefix)
-        assert entry is not None
+        entry, _ = engine.resolver._entry_leg(caller.prefix)
         # Make the onward leg unroutable (cached negative resolution).
         engine.resolver._onward[(entry, callee.prefix)] = None
         for _ in range(2):  # via the onward cache, then via the pair cache
