@@ -4,18 +4,21 @@ A realistic campaign has ~1 call per path signature (``largest_batch:
 3`` in the recorded ``workload`` bench row), so batching streams one
 signature at a time leaves one Python round-trip per group.  This
 module simulates **every stream of every group in one shot**: calls are
-gathered into per-``n_slots`` buckets and pushed through a handful of
-wide numpy passes over ``(streams, slots)`` arrays — per-segment-kind
-rate sampling, survival-product combination, binomial slot losses, and
-gamma jitter with its p95 reduction.  It is the campaign engine's only
-simulation kernel.  Both sides are columnar: specs go in as one table
-of arrays (:func:`simulate_table`; :func:`simulate_columns` unzips a
-list of :class:`StreamColumnSpec` into it), and every stream's
-measurements come out as :class:`StreamColumns` — flat arrays a
-campaign folds without building an object per stream
-(:func:`simulate_stream_columns` materialises them as
-:class:`~repro.dataplane.transmit.StreamResult` lists for the tests and
-probes that want objects).
+gathered into per-``n_slots`` buckets and pushed through wide numpy
+passes over ``(streams, slots)`` arrays — per-segment-kind rate
+sampling, survival-product combination, binomial slot losses, and gamma
+jitter with its p95 reduction.  A pass holds at most a fixed budget of
+cells (streams x slots, :func:`simulate_table`'s
+``max_cells_per_pass``), so the kernel's working set is bounded by the
+budget, not by the campaign: a SMALL day runs in about a dozen passes.
+It is the campaign engine's only simulation kernel.  Both sides are
+columnar: specs go in as one table of arrays (:func:`simulate_table`;
+:func:`simulate_columns` unzips a list of :class:`StreamColumnSpec`
+into it), and every stream's measurements come out as
+:class:`StreamColumns` — flat arrays a campaign folds without building
+an object per stream (:func:`simulate_stream_columns` materialises them
+as :class:`~repro.dataplane.transmit.StreamResult` lists for the tests
+and probes that want objects).
 
 Two properties make this safe to drop into the campaign engine:
 
@@ -465,7 +468,7 @@ def simulate_stream_columns(
     *,
     packets_per_second: float = 420.0,
     slot_s: float = 5.0,
-    max_rows_per_pass: int = 65536,
+    max_cells_per_pass: int = 65536,
 ) -> list[list[StreamResult]]:
     """Simulate every stream of every spec; one result list per spec.
 
@@ -476,7 +479,7 @@ def simulate_stream_columns(
         specs,
         packets_per_second=packets_per_second,
         slot_s=slot_s,
-        max_rows_per_pass=max_rows_per_pass,
+        max_cells_per_pass=max_cells_per_pass,
     )
     streams = columns.results()
     cuts = columns.spec_start.tolist()
@@ -488,7 +491,7 @@ def simulate_columns(
     *,
     packets_per_second: float = 420.0,
     slot_s: float = 5.0,
-    max_rows_per_pass: int = 65536,
+    max_cells_per_pass: int = 65536,
 ) -> StreamColumns:
     """Simulate every stream of every spec into :class:`StreamColumns`.
 
@@ -505,7 +508,7 @@ def simulate_columns(
         np.array([salt & 0xFFFFFFFF for salt in salts], dtype=np.uint64),
         packets_per_second=packets_per_second,
         slot_s=slot_s,
-        max_rows_per_pass=max_rows_per_pass,
+        max_cells_per_pass=max_cells_per_pass,
     )
 
 
@@ -519,7 +522,7 @@ def simulate_table(
     *,
     packets_per_second: float = 420.0,
     slot_s: float = 5.0,
-    max_rows_per_pass: int = 65536,
+    max_cells_per_pass: int = 65536,
 ) -> StreamColumns:
     """Simulate a spec table given as columns into :class:`StreamColumns`.
 
@@ -531,9 +534,12 @@ def simulate_table(
     :data:`LOSS_TABLE` parameter rows, and per pass one row-to-spec
     index through which everything else is gathered.  Specs are bucketed
     by slot count (the campaign's quantized durations make these buckets
-    huge) and processed in passes of at most ``max_rows_per_pass``
-    streams; neither the bucketing nor the pass boundary affects any
-    result (counter-based draws).
+    huge) and each bucket is processed in passes of at most
+    ``max_cells_per_pass`` cells (streams x slots; a stream longer than
+    the budget gets a pass of its own), so a pass's temporaries — and
+    with them the kernel's working set — do not grow with the campaign.
+    Neither the bucketing nor the pass boundary affects any result
+    (counter-based draws).
 
     Raises
     ------
@@ -543,8 +549,8 @@ def simulate_table(
     """
     if packets_per_second <= 0 or slot_s <= 0:
         raise ValueError("packet rate and slot length must be positive")
-    if max_rows_per_pass < 1:
-        raise ValueError(f"max_rows_per_pass must be >= 1, got {max_rows_per_pass!r}")
+    if max_cells_per_pass < 1:
+        raise ValueError(f"max_cells_per_pass must be >= 1, got {max_cells_per_pass!r}")
     if not views:
         return _unfilled_columns(np.zeros(1, dtype=np.int64))
     with perf.timer("dataplane.kernel.prelude"):
@@ -561,8 +567,9 @@ def simulate_table(
             # within the spec (a spec larger than a pass spans several).
             row_spec = np.repeat(bucket, counts)
             row_stream = _group_rows(np.zeros_like(counts), counts)
-            for start in range(0, row_spec.size, max_rows_per_pass):
-                rows = slice(start, start + max_rows_per_pass)
+            pass_rows = max(1, max_cells_per_pass // n_slots)
+            for start in range(0, row_spec.size, pass_rows):
+                rows = slice(start, start + pass_rows)
                 _simulate_pass(table, n_slots, row_spec[rows], row_stream[rows], out)
     return out
 
@@ -681,6 +688,11 @@ def _simulate_pass(
 ) -> None:
     """Simulate one ``(rows, n_slots)`` pass into the rows' result columns."""
     m = row_spec.size
+    if perf.enabled:
+        perf.incr("dataplane.kernel.passes")
+        # A running maximum since the last reset: raised to this pass's cells.
+        largest = perf.counter("dataplane.kernel.pass_cells_max")
+        perf.incr("dataplane.kernel.pass_cells_max", max(0, m * n_slots - largest))
     # One pseudo-random 64-bit key per stream: a function of the spec's
     # digest (its caller's keying, e.g. (seed, group signature)), its
     # transport salt and the stream's absolute index alone, so a spec cut

@@ -139,7 +139,8 @@ class TestDeterminism:
     def test_chunking_does_not_change_results(self):
         path = transit_long_path()
         whole = columnar_batch(path, 50)
-        chunked = columnar_batch(path, 50, max_rows_per_pass=7)
+        # 120 s streams are 24 slots: 100 cells cut the spec into 4-row passes.
+        chunked = columnar_batch(path, 50, max_cells_per_pass=100)
         assert_identical(whole, chunked)
 
     def test_spec_order_does_not_change_results(self):
@@ -209,12 +210,13 @@ class TestAccounting:
         assert all(r.n_slots == 12 for r in rb)
 
     def test_lossy_slots_column_matches_results(self):
-        # Two slot counts and 7-row passes: rows spread over many matrices.
+        # Two slot counts and 168-cell passes (7 and 14 rows): rows
+        # spread over many matrices.
         specs = [
             StreamColumnSpec(degraded_transit_path(), 20, 120.0, 20.0, DIGEST),
             StreamColumnSpec(transit_long_path(), 20, 60.0, 20.0, OTHER_DIGEST),
         ]
-        columns = simulate_columns(specs, max_rows_per_pass=7)
+        columns = simulate_columns(specs, max_cells_per_pass=168)
         lossy = columns.lossy_slots()
         assert lossy.tolist() == [r.lossy_slots for r in columns.results()]
         assert lossy.any()
@@ -305,8 +307,93 @@ class TestGuards:
 
     def test_bad_chunk_size(self):
         spec = StreamColumnSpec(transit_long_path(), 4, 120.0, 20.0, DIGEST)
-        with pytest.raises(ValueError, match="max_rows_per_pass"):
-            simulate_stream_columns([spec], max_rows_per_pass=0)
+        with pytest.raises(ValueError, match="max_cells_per_pass"):
+            simulate_stream_columns([spec], max_cells_per_pass=0)
+
+
+class TestCellBudget:
+    """Passes hold at most ``max_cells_per_pass`` cells, and no result moves."""
+
+    def test_passes_hold_the_budget(self):
+        # 60 s streams are 12 slots: 100 cells are passes of 8 rows.
+        specs = [
+            StreamColumnSpec(transit_long_path(), 20, 60.0, 20.0, DIGEST),
+            StreamColumnSpec(mixed_path(), 30, 60.0, 20.0, OTHER_DIGEST),
+        ]
+        columns = simulate_columns(specs, max_cells_per_pass=100)
+        assert [m.shape for m in columns.losses] == [(8, 12)] * 6 + [(2, 12)]
+        assert_identical(columns.results(), simulate_columns(specs).results())
+
+    def test_stream_longer_than_budget_gets_a_pass_of_its_own(self):
+        path = transit_long_path()
+        columns = simulate_columns(
+            [StreamColumnSpec(path, 3, 120.0, 20.0, DIGEST)], max_cells_per_pass=10
+        )
+        assert [m.shape for m in columns.losses] == [(1, 24)] * 3
+        assert_identical(columns.results(), columnar_batch(path, 3))
+
+
+@pytest.fixture(scope="module")
+def day_of_calls():
+    """The SMALL seed-7 day: 1,200 users at 9 calls a day on the seed-7 world."""
+    from repro.experiments.common import build_world
+    from repro.workload import CallArrivalProcess, UserPopulation
+
+    service = build_world("small", seed=7).service
+    population = UserPopulation.sample(service.topology, 1200, seed=7)
+    calls = CallArrivalProcess(population, calls_per_user_day=9.0, seed=7).generate(days=1)
+    return service, calls
+
+
+class TestCampaignPassLayout:
+    """The engine passes no budget; the kernel's default decides the passes."""
+
+    @staticmethod
+    def run_day(service, calls, monkeypatch, budget=None):
+        """The campaign's report JSON and kernel counts at ``budget`` cells."""
+        from repro import perf
+        from repro.dataplane import columnar
+        from repro.workload import CampaignConfig, CampaignEngine
+
+        # pass_cells_max is a running maximum, so count from a reset.
+        perf.reset()
+        perf.enable()
+        try:
+            with monkeypatch.context() as patch:
+                if budget is not None:
+                    patch.setitem(
+                        columnar.simulate_table.__kwdefaults__, "max_cells_per_pass", budget
+                    )
+                report = CampaignEngine(service, CampaignConfig(seed=7)).run(calls).report
+            counted = perf.snapshot().counters
+        finally:
+            perf.disable()
+            perf.reset()
+        count = {
+            name: counted.get(f"dataplane.kernel.{name}", 0)
+            for name in ("cells", "passes", "pass_cells_max")
+        }
+        return report.to_json(), count
+
+    def test_day_report_is_independent_of_the_budget(self, day_of_calls, monkeypatch):
+        service, calls = day_of_calls
+        default, count = self.run_day(service, calls, monkeypatch)
+        # 785,088 cells over four slot counts: 13 passes of <= 65,536.
+        assert count == {"cells": 785_088, "passes": 13, "pass_cells_max": 65_532}
+        small, count = self.run_day(service, calls, monkeypatch, budget=4096)
+        assert count == {"cells": 785_088, "passes": 195, "pass_cells_max": 4092}
+        assert small == default
+
+    def test_budget_below_one_stream(self, day_of_calls, monkeypatch):
+        # 100 cells is below a 300 s or 600 s stream's 60 or 120 slots, so
+        # each of those streams is a pass of its own.  The day's first
+        # tenth keeps that to 936 passes (the whole day is 9,256, ~10 s).
+        service, calls = day_of_calls
+        calls = calls[: len(calls) // 10]
+        default, _ = self.run_day(service, calls, monkeypatch)
+        below, count = self.run_day(service, calls, monkeypatch, budget=100)
+        assert count["passes"] == 936 and count["pass_cells_max"] == 120
+        assert below == default
 
 
 class TestInternals:
@@ -500,9 +587,9 @@ def kernel_sha256(columns) -> str:
 
 class TestPinnedBits:
     def test_kernel_digest_pinned(self):
-        # max_rows_per_pass=7: 50-stream specs straddle many passes and
-        # passes mix specs, hours and layer shapes.
-        columns = simulate_stream_columns(pinned_specs(), max_rows_per_pass=7)
+        # max_cells_per_pass=420 (7 rows of 60 slots): 50-stream specs
+        # straddle many passes and passes mix specs, hours and layer shapes.
+        columns = simulate_stream_columns(pinned_specs(), max_cells_per_pass=420)
         assert sum(len(column) for column in columns) == sum(
             spec.n_streams for spec in pinned_specs()
         )
@@ -524,7 +611,7 @@ class TestWorkCounts:
         was_enabled = perf.is_enabled()
         perf.enable()
         try:
-            simulate_stream_columns(specs, max_rows_per_pass=7)
+            simulate_stream_columns(specs, max_cells_per_pass=420)
             counted = perf.snapshot().diff(before).counters
             timed = perf.snapshot().diff(before).timers
         finally:
@@ -550,6 +637,14 @@ class TestWorkCounts:
         }
         assert count["param_rows"] == len(distinct)
         assert count["cells_zero"] + count["cells_inverted"] == cells
+        # Per slot-count bucket, passes of max(1, 420 // slots) rows.
+        bucket_rows: dict[int, int] = {}
+        for spec in specs:
+            slots = 3 if spec.duration_s == 12.0 else int(spec.duration_s / 5.0)
+            bucket_rows[slots] = bucket_rows.get(slots, 0) + spec.n_streams
+        assert count["passes"] == sum(
+            -(-n // max(1, 420 // slots)) for slots, n in bucket_rows.items()
+        )
         assert count["cells_zero"] > 0 and count["cells_inverted"] > 0
         assert {"dataplane.kernel.prelude", "dataplane.kernel.chunks"} <= set(timed)
 

@@ -87,8 +87,8 @@ KEPT_FOR_TESTS: dict[str, str] = {
 #: Defaulted options no program path sets, kept because a test needs a
 #: second value: ``module:Name(option=)`` -> the test that sets it.
 KEPT_OPTIONS: dict[str, str] = {
-    "dataplane.columnar:simulate_stream_columns(max_rows_per_pass=)": (
-        "tests/dataplane/test_columnar.py: 7-row passes must give the pinned kernel digest"
+    "dataplane.columnar:simulate_stream_columns(max_cells_per_pass=)": (
+        "tests/dataplane/test_columnar.py: 420-cell passes must give the pinned kernel digest"
     ),
     "dataplane.transmit:simulate_stream(slot_s=)": (
         "tests/steering/test_payload_accounting.py: planner = simulator at 2 s slots"
