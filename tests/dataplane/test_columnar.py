@@ -602,6 +602,112 @@ class TestPinnedBits:
         )
 
 
+#: sha256 over every stream of :func:`burst_specs` at a budget of 6,000
+#: cells, recorded on the kernel that built every layer as a full
+#: ``(rows, slots)`` rate matrix.
+BURST_KERNEL_SHA256 = "8bbb6ae531c56535edb8e2b4cdbccc8b30c3c3bf5fcd18c31e6e87f38f6868ec"
+
+
+def burst_paths() -> list[DataPath]:
+    """Two long-haul corridors that burst often, impaired on every kind.
+
+    The first ends in a satellite last mile (an access layer with an
+    impairment) and runs an impaired long-haul trunk, an impaired
+    dedicated link and an impaired hand-off after a healthy trunk; the
+    second is one layer shorter and healthy but for its hand-off, so
+    its last layer is padding where the first has an access layer.
+    """
+    from repro.dataplane.link import satellite_segment
+
+    return [
+        DataPath(
+            segments=[
+                PathSegment(kind=SegmentKind.ACCESS, start=AMS, end=AMS, as_type=ASType.EC),
+                PathSegment(kind=SegmentKind.TRANSIT, start=AMS, end=SIN, owner_type=ASType.STP),
+                degrade_segment(
+                    PathSegment(
+                        kind=SegmentKind.TRANSIT, start=SIN, end=AMS, owner_type=ASType.LTP
+                    ),
+                    extra_loss=0.03,
+                ),
+                degrade_segment(
+                    PathSegment(kind=SegmentKind.VNS_L2, start=AMS, end=SIN), extra_loss=0.01
+                ),
+                degrade_segment(
+                    PathSegment(kind=SegmentKind.PEERING, start=SIN, end=SIN), extra_loss=0.005
+                ),
+                satellite_segment(
+                    PathSegment(
+                        kind=SegmentKind.ACCESS, start=SIN, end=SIN, as_type=ASType.CAHP
+                    )
+                ),
+            ],
+            description="burst-impaired",
+        ),
+        DataPath(
+            segments=[
+                PathSegment(kind=SegmentKind.ACCESS, start=SIN, end=SIN, as_type=ASType.CAHP),
+                PathSegment(kind=SegmentKind.VNS_L2, start=SIN, end=AMS),
+                PathSegment(kind=SegmentKind.TRANSIT, start=AMS, end=SIN, owner_type=ASType.STP),
+                degrade_segment(
+                    PathSegment(kind=SegmentKind.PEERING, start=SIN, end=SIN), extra_loss=0.02
+                ),
+                PathSegment(kind=SegmentKind.TRANSIT, start=SIN, end=SIN, owner_type=ASType.STP),
+            ],
+            description="burst-healthy",
+        ),
+    ]
+
+
+def burst_specs() -> list[StreamColumnSpec]:
+    """Specs sized so every case the kernel's layer path special-cases occurs.
+
+    Counted on the full-matrix kernel, over the transit layers (two per
+    path, so a stream is counted per trunk; ``short`` is a short burst):
+    4,400 1-slot streams, 8,800 trunk draws: 18 short (on 1 slot), 5
+    long, none both; 3,000 2-slot streams, 6,000 trunk draws: 22 short,
+    9 of them on 2 slots, 7 long; 460 120-slot streams, 920 trunk draws:
+    175 short, 87 on 2 slots, 35 long, 6 short and long on one trunk, 65
+    short on the impaired trunk.  At 6,000 cells a pass the specs run in 12
+    passes: 3 mix the two paths (their last layer covers a subset of the
+    rows, padding the rest) and 9 hold one path; in all 12 the first
+    layer covers every row.
+    """
+    first, second = burst_paths()
+    specs = []
+    for k, (path, n, duration_s, hour) in enumerate(
+        [
+            (first, 230, 600.0, 12.5),
+            (second, 230, 600.0, 20.5),
+            (first, 1500, 10.0, 12.5),
+            (second, 1500, 10.0, 4.5),
+            (first, 2200, 5.0, 12.5),
+            (second, 2200, 3.0, 20.5),
+        ]
+    ):
+        specs.append(
+            StreamColumnSpec(
+                path=path,
+                n_streams=n,
+                duration_s=duration_s,
+                hour_cet=hour,
+                digest=(DIGEST[0] ^ (k << 40), DIGEST[1] + 31 * k),
+                salt=k % 2,
+            )
+        )
+    return specs
+
+
+class TestPinnedBursts:
+    def test_burst_digest_pinned(self):
+        columns = simulate_stream_columns(burst_specs(), max_cells_per_pass=6000)
+        assert [len(column) for column in columns] == [s.n_streams for s in burst_specs()]
+        assert kernel_sha256(columns) == BURST_KERNEL_SHA256
+
+    def test_burst_digest_independent_of_pass_size(self):
+        assert kernel_sha256(simulate_stream_columns(burst_specs())) == BURST_KERNEL_SHA256
+
+
 class TestWorkCounts:
     def test_kernel_counters(self):
         from repro import perf
