@@ -7,7 +7,13 @@ module simulates **every stream of every group in one shot**: calls are
 gathered into per-``n_slots`` buckets and pushed through wide numpy
 passes over ``(streams, slots)`` arrays — per-segment-kind rate
 sampling, survival-product combination, binomial slot losses, and gamma
-jitter with its p95 reduction.  A pass holds at most a fixed budget of
+jitter with its p95 reduction.  Work that is the same in every slot of
+a stream is done once per stream: each call derives one loss-parameter
+row per distinct (segment, hour) pair it simulates, as arrays
+(:meth:`~repro.dataplane.link.SegmentLossTable.param_columns`), and a
+layer's rate is one number per stream plus the few cells that differ
+from it (short bursts, access episodes), multiplied into the cells'
+survival in layer order (:func:`_survival`).  A pass holds at most a fixed budget of
 cells (streams x slots, :func:`simulate_table`'s
 ``max_cells_per_pass``), so the kernel's working set is bounded by the
 budget, not by the campaign: a SMALL day runs in about a dozen passes.
@@ -62,12 +68,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.dataplane import calibration as cal
-from repro.dataplane.link import KIND_CODE, LOSS_TABLE, SegmentKind, SegmentLossParams
+from repro.dataplane.link import (
+    KIND_CODE,
+    LOSS_TABLE,
+    SegmentKind,
+    SegmentLossParams,
+)
 from repro.dataplane.path import DataPath, PathView, path_view
 from repro.dataplane.transmit import (
     StreamResult,
@@ -134,19 +146,37 @@ def _to_unit(z: np.ndarray) -> np.ndarray:
     return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
 
 
-def _draw(keys: np.ndarray, layer: int, purpose: int) -> np.ndarray:
+def _counter(layer: int | np.ndarray, purpose: int) -> np.ndarray:
+    """A draw site's counter base, ``(layer·32 + purpose) << 32``: layer
+    by layer when ``layer`` is an array (one entry per key)."""
+    site = np.asarray(layer, dtype=np.uint64) * np.uint64(_PURPOSE_SPAN) + np.uint64(purpose)
+    return site << np.uint64(32)
+
+
+def _draw(keys: np.ndarray, layer: int | np.ndarray, purpose: int) -> np.ndarray:
     """One per-stream uniform: shape ``(len(keys),)``."""
-    counter = np.uint64((layer * _PURPOSE_SPAN + purpose) << 32)
     with np.errstate(over="ignore"):
-        return _to_unit(_mix64(keys + counter * _GOLDEN))
+        return _to_unit(_mix64(keys + _counter(layer, purpose) * _GOLDEN))
 
 
-def _draw_slots(keys: np.ndarray, layer: int, purpose: int, n_slots: int) -> np.ndarray:
+def _draw_slots(
+    keys: np.ndarray, layer: int | np.ndarray, purpose: int, n_slots: int
+) -> np.ndarray:
     """Per-cell uniforms: shape ``(len(keys), n_slots)``."""
-    base = (layer * _PURPOSE_SPAN + purpose) << 32
-    counters = np.uint64(base) + np.arange(n_slots, dtype=np.uint64)
+    counters = _counter(layer, purpose)[..., None] + np.arange(n_slots, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _to_unit(_mix64(keys[:, None] + counters[None, :] * _GOLDEN))
+        return _to_unit(_mix64(keys[:, None] + counters * _GOLDEN))
+
+
+def _draw_cells(
+    keys: np.ndarray, layer: np.ndarray, purpose: int, slots: np.ndarray
+) -> np.ndarray:
+    """The uniforms of chosen cells: entry ``i`` is the slot ``slots[i]``
+    draw of the stream keyed ``keys[i]``, bit for bit the entry
+    :func:`_draw_slots` gives that cell."""
+    counters = _counter(layer, purpose) + slots.astype(np.uint64)
+    with np.errstate(over="ignore"):
+        return _to_unit(_mix64(keys + counters * _GOLDEN))
 
 
 # --------------------------------------------------------------------- #
@@ -530,9 +560,10 @@ def simulate_table(
     the fields of a :class:`StreamColumnSpec` at ``[i]`` of the arrays;
     one view per distinct path.  ``digest`` is
     ``(specs, 2)`` uint64 words and ``salt`` uint64.  The table stays
-    columnar inside too: a ``(specs, layers)`` matrix of
-    :data:`LOSS_TABLE` parameter rows, and per pass one row-to-spec
-    index through which everything else is gathered.  Specs are bucketed
+    columnar inside too: the call's loss parameters, one row per
+    distinct (segment id, hour) pair, a ``(specs, layers)`` matrix of
+    those rows, and per pass one row-to-spec index through which
+    everything else is gathered.  Specs are bucketed
     by slot count (the campaign's quantized durations make these buckets
     huge) and each bucket is processed in passes of at most
     ``max_cells_per_pass`` cells (streams x slots; a stream longer than
@@ -607,7 +638,10 @@ class _SpecTable(NamedTuple):
     jitter_scale: np.ndarray
     key_base: np.ndarray  #: uint64 mix of (digest word 0, salt)
     key_word: np.ndarray  #: uint64 digest word 1
-    #: ``(specs, layers)`` LOSS_TABLE rows, 0-padded past a path's length.
+    #: one row per distinct (segment id, hour) pair of the call, after the
+    #: all-zero padding row 0 (``LOSS_TABLE.param_columns``).
+    params: SegmentLossParams
+    #: ``(specs, layers)`` rows of ``params``, 0-padded past a path's length.
     param_rows: np.ndarray
 
 
@@ -635,14 +669,28 @@ def _spec_table(
     n_slots, final_packets = shapes[which, 0], shapes[which, 2]
     packets_per_slot = int(shapes[0, 1])
 
-    layers = np.array([len(view[0]) for view in views], dtype=np.int64)
-    flat_rows: list[int] = []  # one flat list: nothing per spec outlives its turn
-    for view, hour in zip(views, hours.tolist()):
-        flat_rows += LOSS_TABLE.rows(view[0], hour)
+    # The (specs, layers) segment ids, flat, and each entry's hour bin.
+    path_ids, rtt_ms, jitter_base_ms = zip(*views)
+    layers = np.fromiter(map(len, path_ids), np.int64, len(views))
+    sids = np.fromiter(chain.from_iterable(path_ids), np.intp, int(layers.sum()))
+    hour_bins, hour_of = np.unique(hours, return_inverse=True)
+    # The distinct (id, hour) pairs, by a presence mask over id x hour bin
+    # (ids from the smallest the call holds): a pair's row is its rank.
+    first_sid = int(sids.min()) if sids.size else 0
+    codes = (sids - first_sid) * hour_bins.size + np.repeat(hour_of, layers)
+    present = np.zeros((len(LOSS_TABLE.segments) - first_sid) * hour_bins.size, dtype=bool)
+    present[codes] = True
+    pairs = np.flatnonzero(present)
+    derived = LOSS_TABLE.param_columns(
+        first_sid + pairs // hour_bins.size, pairs % hour_bins.size, hour_bins
+    )
+    params = SegmentLossParams(  # row 0 is the padding row
+        *(np.concatenate((np.zeros(1, column.dtype), column)) for column in derived)
+    )
     param_rows = np.zeros((len(views), max(int(layers.max()), 1)), dtype=np.int64)
     param_rows[
         np.repeat(np.arange(len(views)), layers), _group_rows(np.zeros_like(layers), layers)
-    ] = flat_rows
+    ] = np.cumsum(present)[codes]
 
     with np.errstate(over="ignore"):
         key_base = _mix64(digest[:, 0] + salt * _GOLDEN)
@@ -652,18 +700,18 @@ def _spec_table(
         perf.incr("dataplane.kernel.rows", int(n_streams.sum()))
         perf.incr("dataplane.kernel.cells", int((n_streams * n_slots).sum()))
         perf.incr("dataplane.kernel.paths_unique", len(set(map(id, views))))
-        perf.incr("dataplane.kernel.param_rows", np.unique(flat_rows).size)
+        perf.incr("dataplane.kernel.param_rows", pairs.size)
     return _SpecTable(
         n_streams=n_streams,
         n_slots=n_slots,
         packets_per_slot=packets_per_slot,
         final_packets=final_packets,
         packets_sent=packets_per_slot * (n_slots - 1) + final_packets,
-        rtt_ms=np.array([view[1] for view in views]),
-        jitter_scale=np.array([view[2] for view in views])
-        * _jitter_rate_factor(packets_per_second),
+        rtt_ms=np.array(rtt_ms),
+        jitter_scale=np.array(jitter_base_ms) * _jitter_rate_factor(packets_per_second),
         key_base=key_base,
         key_word=digest[:, 1],
+        params=params,
         param_rows=param_rows,
     )
 
@@ -703,22 +751,7 @@ def _simulate_pass(
             _mix64(row_stream.astype(np.uint64) * _GOLDEN + table.key_word[row_spec])
             ^ table.key_base[row_spec]
         )
-    columns = LOSS_TABLE.columns
-    param_rows = table.param_rows[row_spec]
-    survival = np.ones((m, n_slots))
-    for layer in range(param_rows.shape[1]):
-        ids = param_rows[:, layer]
-        kinds = columns.kind[ids]
-        extra = columns.extra_loss[ids]
-        for kind, sampler in _RATE_SAMPLERS.items():
-            wanted = kinds == kind
-            if sampler is _lossless_rates:
-                wanted &= extra > 0.0  # an unimpaired hand-off changes nothing
-            rows = np.flatnonzero(wanted)
-            if rows.size:
-                rates = sampler(keys[rows], layer, n_slots, columns, ids[rows])
-                survival[rows] *= 1.0 - _apply_extra(rates, extra[rows])
-    rates = 1.0 - survival
+    rates = 1.0 - _pass_survival(table, row_spec, keys, n_slots)
 
     packets = np.full((m, n_slots), table.packets_per_slot, dtype=np.int64)
     packets[:, -1] = table.final_packets[row_spec]
@@ -745,12 +778,90 @@ def _simulate_pass(
     out.losses.append(losses)
 
 
+def _pass_survival(
+    table: _SpecTable, row_spec: np.ndarray, keys: np.ndarray, n_slots: int
+) -> np.ndarray:
+    """Each cell's survival over its path's layers, ``(rows, n_slots)``.
+
+    A cell's survival is the product of (1 - rate) over the layers, in
+    layer order.  Each kind's sampler answers all of the pass's
+    (stream, layer) entries of that kind at once: one rate per entry,
+    the same in every slot, plus the few cells that differ from it.
+    """
+    params = table.params
+    ids = table.param_rows[row_spec]
+    kinds = params.kind[ids]
+    extra = params.extra_loss[ids]
+    factor = np.ones(ids.shape[::-1])  # (layers, rows): 1 - the entry's rate
+    cells = []  # per kind: (row, layer, slot, 1 - the cell's rate)
+    for kind, sampler in _RATE_SAMPLERS.items():
+        wanted = kinds == kind
+        if sampler is _lossless_rates:
+            wanted &= extra > 0.0  # an unimpaired hand-off changes nothing
+        row, layer = np.nonzero(wanted)
+        if not row.size:
+            continue
+        rates = sampler(keys[row], layer, n_slots, params, ids[row, layer])
+        entry_extra = extra[row, layer]
+        factor[layer, row] = 1.0 - _apply_extra(rates.stream, entry_extra)
+        at = rates.cell_entry
+        if at.size:
+            cell_factor = 1.0 - _apply_extra(rates.cell, entry_extra[at])
+            cells.append((row[at], layer[at], rates.cell_slot, cell_factor))
+    return _survival(factor, n_slots, cells)
+
+
+class _LayerRates(NamedTuple):
+    """A kind's loss rates over (stream, layer) entries: one per entry,
+    except at the listed cells (``cell_entry`` indexes the entries)."""
+
+    stream: np.ndarray
+    cell_entry: np.ndarray
+    cell_slot: np.ndarray
+    cell: np.ndarray
+
+
+_NO_CELLS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+
+
+def _survival(factor: np.ndarray, n_slots: int, cells: list[tuple]) -> np.ndarray:
+    """Each cell's survival over the layers, ``(rows, n_slots)``.
+
+    ``factor[layer, row]`` is the entry's survival factor in every slot
+    but the listed ``(row, layer, slot, factor)`` cells.  A cell nothing
+    lists is its row's product ``((1 * f0) * f1) * ...``, formed once per
+    stream; a listed cell is the same product, in the same order, with
+    its own factor at the layers that list it.  Multiplying by an exact
+    1.0 changes no bit, so these are the products of a full
+    ``(rows, slots)`` rate matrix per layer.
+    """
+    m = factor.shape[1]
+    stream = np.ones(m)
+    for layer_factor in factor:
+        stream *= layer_factor
+    survival = np.repeat(stream[:, None], n_slots, axis=1)
+    if cells:
+        row, layer, slot, cell_factor = map(np.concatenate, zip(*cells))
+        flat = row * n_slots + slot
+        listed = np.zeros(m * n_slots, dtype=bool)
+        listed[flat] = True
+        cell = np.flatnonzero(listed)
+        # Per distinct listed cell: its row's factors, then its own.
+        own = factor[:, cell // n_slots]
+        own[layer, np.cumsum(listed)[flat] - 1] = cell_factor
+        product = np.ones(cell.size)
+        for layer_factor in own:
+            product *= layer_factor
+        survival.reshape(-1)[cell] = product
+    return survival
+
+
 def _apply_extra(rates: np.ndarray, extras: np.ndarray) -> np.ndarray:
-    """Degraded-segment impairment: add after the stochastic draw, clip."""
+    """Degraded-segment impairment: add after the stochastic draw, clip
+    (``rates[i]`` is impaired by ``extras[i]``)."""
     if not np.any(extras > 0.0):
         return rates
-    e = extras[:, None]
-    return np.where(e > 0.0, np.clip(rates + e, 0.0, 0.95), rates)
+    return np.where(extras > 0.0, np.clip(rates + extras, 0.0, 0.95), rates)
 
 
 # --------------------------------------------------------------------- #
@@ -760,111 +871,122 @@ def _apply_extra(rates: np.ndarray, extras: np.ndarray) -> np.ndarray:
 
 def _access_rates(
     keys: np.ndarray,
-    layer: int,
+    layer: np.ndarray,
     n_slots: int,
-    columns: SegmentLossParams,
+    params: SegmentLossParams,
     ids: np.ndarray,
-) -> np.ndarray:
-    """Episodic access loss — mirrors ``link._access_rates``."""
-    occurrence = columns.occurrence[ids][:, None]
+) -> _LayerRates:
+    """Episodic access loss — mirrors ``link._access_rates``.
+
+    Clean outside an episode, so an entry's rate is 0 and its episode
+    cells are the listed ones; only they draw a rate uniform.
+    """
+    occurrence = params.occurrence[ids][:, None]
     episodes = _draw_slots(keys, layer, _P_ACCESS_EPISODE, n_slots) < occurrence
-    rates = np.zeros(episodes.shape)
-    if episodes.any():
-        sigma = cal.ACCESS_EPISODE_SIGMA
-        u = _draw_slots(keys, layer, _P_ACCESS_RATE, n_slots)[episodes]
-        draws = np.exp(-0.5 * sigma * sigma + sigma * _ndtri(u))
-        mean_rate = columns.mean_rate[ids][:, None]
-        rates[episodes] = np.clip(
-            np.broadcast_to(mean_rate, episodes.shape)[episodes] * draws, 0.0, 0.5
-        )
-    return rates
+    entry, slot = np.nonzero(episodes)
+    sigma = cal.ACCESS_EPISODE_SIGMA
+    u = _draw_cells(keys[entry], layer[entry], _P_ACCESS_RATE, slot)
+    draws = np.exp(-0.5 * sigma * sigma + sigma * _ndtri(u))
+    rates = np.clip(params.mean_rate[ids[entry]] * draws, 0.0, 0.5)
+    return _LayerRates(np.zeros(keys.size), entry, slot, rates)
 
 
 def _transit_rates(
     keys: np.ndarray,
-    layer: int,
+    layer: np.ndarray,
     n_slots: int,
-    columns: SegmentLossParams,
+    params: SegmentLossParams,
     ids: np.ndarray,
-) -> np.ndarray:
+) -> _LayerRates:
     """Floor + spread + bursts — mirrors ``link._transit_rates``.
 
-    Burst exposure matches the scalar default observation window of
-    ``5.0 * n_slots`` seconds (the samplers' calibration window, not the
-    call's wall-clock duration).
+    An entry's rate is ``(floor + spread) + long burst`` in every slot
+    but its short-burst ones (at most 2), which are
+    ``((floor + spread) + short burst) + long burst``: the scalar
+    sampler's additions in its order, each then clipped.  Burst exposure
+    matches the scalar default observation window of ``5.0 * n_slots``
+    seconds (the samplers' calibration window, not the call's wall-clock
+    duration).
     """
-    rates = np.full((keys.size, n_slots), cal.TRANSIT_FLOOR_RATE)
-    lh_rows = np.flatnonzero(columns.long_haul[ids])
+    base = np.full(keys.size, cal.TRANSIT_FLOOR_RATE)
+    lh_rows = np.flatnonzero(params.long_haul[ids])
     if lh_rows.size:
-        occ = _draw(keys[lh_rows], layer, _P_SPREAD_OCC) < columns.spread_prob[ids[lh_rows]]
+        u = _draw(keys[lh_rows], layer[lh_rows], _P_SPREAD_OCC)
+        occ = u < params.spread_prob[ids[lh_rows]]
         if occ.any():
             hit = lh_rows[occ]
-            u = _draw(keys[hit], layer, _P_SPREAD_RATE)
+            u = _draw(keys[hit], layer[hit], _P_SPREAD_RATE)
             draws = np.exp(
                 cal.TRANSIT_SPREAD_LOG_MEAN + cal.TRANSIT_SPREAD_LOG_SIGMA * _ndtri(u)
             )
-            rates[hit] += np.minimum(draws * columns.rate_mult[ids[hit]], 0.05)[:, None]
+            base[hit] += np.minimum(draws * params.rate_mult[ids[hit]], 0.05)
     exposure = (5.0 * n_slots) / 120.0
-    burst_scale = columns.burst_scale_120s[ids] * exposure
+    burst_scale = params.burst_scale_120s[ids] * exposure
+
+    long_burst = np.zeros(keys.size)
+    long = _draw(keys, layer, _P_LONG_OCC) < cal.TRANSIT_LONG_BURST_PROB * burst_scale
+    if long.any():
+        at = np.flatnonzero(long)
+        lo, hi = cal.TRANSIT_LONG_BURST_RATE
+        long_burst[at] = lo + (hi - lo) * _draw(keys[at], layer[at], _P_LONG_RATE)
+    stream = np.clip(base + long_burst, 0.0, 0.95)
 
     short = (
         _draw(keys, layer, _P_SHORT_OCC) < cal.TRANSIT_SHORT_BURST_PROB * burst_scale
     )
-    if short.any():
-        rows = np.nonzero(short)[0]
-        lo, hi = cal.TRANSIT_SHORT_BURST_RATE
-        burst_rate = lo + (hi - lo) * _draw(keys[rows], layer, _P_SHORT_RATE)
-        # rng.integers(1, 3) slots, placed without replacement: the second
-        # slot is uniform over the n_slots - 1 others (shift past the first).
-        n_burst = 1 + (2.0 * _draw(keys[rows], layer, _P_SHORT_COUNT)).astype(np.int64)
-        first = (n_slots * _draw(keys[rows], layer, _P_SHORT_SLOT_A)).astype(np.int64)
-        np.minimum(first, n_slots - 1, out=first)
-        rates[rows, first] += burst_rate
-        if n_slots >= 2:
-            two = n_burst >= 2
-            if two.any():
-                rows2 = rows[two]
-                second = (
-                    (n_slots - 1) * _draw(keys[rows2], layer, _P_SHORT_SLOT_B)
-                ).astype(np.int64)
-                np.minimum(second, n_slots - 2, out=second)
-                second += second >= first[two]
-                rates[rows2, second] += burst_rate[two]
-
-    long = _draw(keys, layer, _P_LONG_OCC) < cal.TRANSIT_LONG_BURST_PROB * burst_scale
-    if long.any():
-        rows = np.nonzero(long)[0]
-        lo, hi = cal.TRANSIT_LONG_BURST_RATE
-        rates[rows] += (lo + (hi - lo) * _draw(keys[rows], layer, _P_LONG_RATE))[:, None]
-    return np.clip(rates, 0.0, 0.95)
+    if not short.any():
+        return _LayerRates(stream, *_NO_CELLS)
+    at = np.flatnonzero(short)
+    keys, layer = keys[at], layer[at]
+    lo, hi = cal.TRANSIT_SHORT_BURST_RATE
+    burst_rate = lo + (hi - lo) * _draw(keys, layer, _P_SHORT_RATE)
+    # rng.integers(1, 3) slots, placed without replacement: the second
+    # slot is uniform over the n_slots - 1 others (shift past the first).
+    n_burst = 1 + (2.0 * _draw(keys, layer, _P_SHORT_COUNT)).astype(np.int64)
+    first = (n_slots * _draw(keys, layer, _P_SHORT_SLOT_A)).astype(np.int64)
+    np.minimum(first, n_slots - 1, out=first)
+    cell_entry, cell_slot, cell_burst = at, first, burst_rate
+    if n_slots >= 2:
+        two = np.flatnonzero(n_burst >= 2)
+        if two.size:
+            second = (
+                (n_slots - 1) * _draw(keys[two], layer[two], _P_SHORT_SLOT_B)
+            ).astype(np.int64)
+            np.minimum(second, n_slots - 2, out=second)
+            second += second >= first[two]
+            cell_entry = np.concatenate((at, at[two]))
+            cell_slot = np.concatenate((first, second))
+            cell_burst = np.concatenate((burst_rate, burst_rate[two]))
+    cell = np.clip((base[cell_entry] + cell_burst) + long_burst[cell_entry], 0.0, 0.95)
+    return _LayerRates(stream, cell_entry, cell_slot, cell)
 
 
 def _vns_rates(
     keys: np.ndarray,
-    layer: int,
+    layer: np.ndarray,
     n_slots: int,
-    columns: SegmentLossParams,
+    params: SegmentLossParams,
     ids: np.ndarray,
-) -> np.ndarray:
-    """Dedicated-L2 spread loss — mirrors ``link._vns_rates``."""
-    rates = np.zeros((keys.size, n_slots))
-    rows = np.flatnonzero(_draw(keys, layer, _P_VNS_OCC) < columns.spread_prob[ids])
-    if rows.size:
-        lo = columns.uniform_lo[ids[rows]]
-        hi = columns.uniform_hi[ids[rows]]
-        rates[rows] += (lo + (hi - lo) * _draw(keys[rows], layer, _P_VNS_RATE))[:, None]
-    return rates
+) -> _LayerRates:
+    """Dedicated-L2 spread loss — mirrors ``link._vns_rates`` (flat per entry)."""
+    rates = np.zeros(keys.size)
+    at = np.flatnonzero(_draw(keys, layer, _P_VNS_OCC) < params.spread_prob[ids])
+    if at.size:
+        lo = params.uniform_lo[ids[at]]
+        hi = params.uniform_hi[ids[at]]
+        rates[at] += lo + (hi - lo) * _draw(keys[at], layer[at], _P_VNS_RATE)
+    return _LayerRates(rates, *_NO_CELLS)
 
 
 def _lossless_rates(
     keys: np.ndarray,
-    layer: int,
+    layer: np.ndarray,
     n_slots: int,
-    columns: SegmentLossParams,
+    params: SegmentLossParams,
     ids: np.ndarray,
-) -> np.ndarray:
+) -> _LayerRates:
     """PEERING hand-offs are loss-free (an impairment is added on top)."""
-    return np.zeros((keys.size, n_slots))
+    return _LayerRates(np.zeros(keys.size), *_NO_CELLS)
 
 
 #: The rate sampler of each ``kind`` column code.

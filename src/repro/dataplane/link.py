@@ -73,8 +73,9 @@ class SegmentLossParams(NamedTuple):
     classes and diurnal profiles already folded in.  Produced by
     :meth:`PathSegment._derive_loss_params`; the scalar samplers read one
     directly, the columnar kernel (:mod:`repro.dataplane.columnar`)
-    reads the same fields as *columns* of :data:`LOSS_TABLE` — one row
-    per distinct ``(segment, hour)`` — and samples the same
+    reads the same fields as *columns*
+    (:meth:`SegmentLossTable.param_columns`, one row per distinct
+    ``(segment, hour)`` of a kernel call) and samples the same
     distributions from those numbers alone.
 
     Field use by kind:
@@ -163,22 +164,35 @@ class _SegmentStatic(NamedTuple):
     """Hour-independent loss-model constants of one segment.
 
     Everything in :meth:`PathSegment._derive_loss_params` that does not
-    depend on the hour — geography, corridor spread, rate multipliers, the static
-    congestion mean, and the access base-loss table entry — resolved once
-    per segment id, when the id is handed out, into the columns of
-    :attr:`SegmentLossTable.static` (one list per field, indexed by id).
-    The hour-dependent remainder is just a couple of memoised
-    diurnal-factor lookups and scalar arithmetic, which is what keeps
-    parameter resolution off the campaign profile.
+    depend on the hour — kind, impairment, geography, corridor spread,
+    rate multipliers, the static congestion mean, and the access
+    base-loss table entry — resolved once per segment id, when the id is
+    handed out, into the columns of :attr:`SegmentLossTable.static` (one
+    list per field, indexed by id; :meth:`SegmentLossTable.static_arrays`
+    is the same columns as arrays).  Enum members are stored as codes
+    (:data:`KIND_CODE`, positions in :data:`_AS_TYPES` and
+    :data:`_REGIONS`), so numpy can gather every field.  The
+    hour-dependent remainder is a couple of memoised diurnal-factor
+    lookups and scalar arithmetic.
     """
 
+    kind: int
     long_haul: bool
-    end_region: WorldRegion
+    extra_loss: float
+    as_type: int  #: access type (``as_type or EC``) as a position in _AS_TYPES
+    end_region: int  #: a position in _REGIONS
+    anchor: int  #: the more congested end's region, a position in _REGIONS
     congestion_static: float
-    anchor: WorldRegion
     corridor_prob: float
     rate_mult: float
     access_base: float
+
+
+_AS_TYPES = tuple(ASType)
+_REGIONS = tuple(WorldRegion)
+_STATIC_DTYPES = _SegmentStatic(
+    np.int8, np.bool_, np.float64, np.intp, np.intp, np.intp, *(np.float64,) * 4
+)
 
 
 def _segment_static(segment: "PathSegment") -> _SegmentStatic:
@@ -198,10 +212,13 @@ def _segment_static(segment: "PathSegment") -> _SegmentStatic:
     as_type = segment.as_type or ASType.EC
     base_table = cal.ACCESS_BASE_LOSS.get(end_region, cal.ACCESS_BASE_LOSS_DEFAULT)
     return _SegmentStatic(
+        kind=KIND_CODE[segment.kind],
         long_haul=segment.distance_km > cal.LONG_HAUL_KM,
-        end_region=end_region,
+        extra_loss=segment.extra_loss,
+        as_type=_AS_TYPES.index(as_type),
+        end_region=_REGIONS.index(end_region),
+        anchor=_REGIONS.index(anchor),
         congestion_static=static,
-        anchor=anchor,
         corridor_prob=corridor_prob,
         rate_mult=corridor_mult * distance_mult * owner_mult,
         access_base=base_table[as_type],
@@ -341,11 +358,12 @@ class PathSegment:
 
         The one parameterisation of the loss model: the scalar samplers
         (:meth:`sample_slot_rates`, the distribution oracle) call this
-        directly, the columnar kernel (:mod:`repro.dataplane.columnar`)
-        through the rows of :data:`LOSS_TABLE`.  Geography and AS-class
-        constants are the id's entries in :attr:`SegmentLossTable.static`,
-        so one call is a couple of diurnal-factor lookups and scalar
-        arithmetic.
+        directly; the columnar kernel derives the same fields for many
+        ``(segment, hour)`` pairs at once with the same operations in the
+        same order (:meth:`SegmentLossTable.param_columns`).  Geography
+        and AS-class constants are the id's entries in
+        :attr:`SegmentLossTable.static`, so one call is a couple of
+        diurnal-factor lookups and scalar arithmetic.
         """
         extra = self.extra_loss
         sid = LOSS_TABLE.segment_id(self)
@@ -354,7 +372,7 @@ class PathSegment:
         if self.kind is SegmentKind.ACCESS:
             as_type = self.as_type or ASType.EC
             weight = cal.ACCESS_DIURNAL_WEIGHT[as_type]
-            diurnal = _access_diurnal(static.end_region[sid], as_type, hour_cet)
+            diurnal = _access_diurnal(_REGIONS[static.end_region[sid]], as_type, hour_cet)
             factor = (1.0 - weight) + weight * diurnal
             occurrence = min(0.9, cal.ACCESS_OCCURRENCE[as_type] * factor)
             return SegmentLossParams(
@@ -365,7 +383,7 @@ class PathSegment:
                 mean_rate=static.access_base[sid] * factor / max(occurrence, 1e-9),
             )
         if self.kind is SegmentKind.TRANSIT:
-            diurnal = _transit_diurnal(static.anchor[sid], hour_cet)
+            diurnal = _transit_diurnal(_REGIONS[static.anchor[sid]], hour_cet)
             congestion = static.congestion_static[sid] * diurnal
             return SegmentLossParams(
                 kind=self.kind,
@@ -463,9 +481,9 @@ class DegradedSegment(PathSegment):
         return np.clip(base + self.extra_loss, 0.0, 0.95)
 
 
-
-#: Integer code of each kind in :data:`LOSS_TABLE`'s ``kind`` column
-#: (0 is the padding row: no segment at that layer).
+#: Integer code of each kind in the ``kind`` columns of the per-id
+#: constants and of the kernel's parameters (0 is the padding row: no
+#: segment at that layer).
 KIND_CODE: dict[SegmentKind, int] = {
     kind: code for code, kind in enumerate(SegmentKind, start=1)
 }
@@ -476,32 +494,33 @@ _TYPE_CODE: dict[ASType | None, int] = {
     **{as_type: code for code, as_type in enumerate(ASType, start=1)},
 }
 
+#: The access calibration per AS type, by position in :data:`_AS_TYPES`.
+_ACCESS_WEIGHT = np.array([cal.ACCESS_DIURNAL_WEIGHT[t] for t in _AS_TYPES], dtype=float)
+_ACCESS_OCCURRENCE = np.array([cal.ACCESS_OCCURRENCE[t] for t in _AS_TYPES], dtype=float)
+
 
 class SegmentLossTable:
-    """Segment ids and loss-parameter rows, interned for the process.
+    """Segment ids and their hour-independent constants, interned for the process.
 
     Campaign paths are assembled from a small set of segment *values*
     (a few thousand) over and over (tens of thousands of constructions
-    a day), and the columnar kernel needs each value's parameters at a
-    handful of whole-hour bins.  This table gives every distinct value a
-    small integer id — :meth:`intern` where paths are assembled,
-    :meth:`segment_id` for a segment built any other way — and every
-    distinct ``(id, hour)`` one row of :attr:`columns`, a
-    :class:`SegmentLossParams` whose fields are arrays, filled lazily by
-    the one :meth:`PathSegment._derive_loss_params`.  A value's
-    distance, delay, jitter term and hour-independent loss constants
-    are derived once, when it gets its id, into per-id lists: the
-    segment methods read them there, so no memo holds a key object per
-    segment.
+    a day).  This table gives every distinct value a small integer id —
+    :meth:`intern` where paths are assembled, :meth:`segment_id` for a
+    segment built any other way.  A value's distance, delay, jitter term
+    and hour-independent loss constants (:attr:`static`) are derived
+    once, when it gets its id, into per-id lists: the segment methods
+    read them there, so no memo holds a key object per segment.  The
+    columnar kernel gathers the constants as arrays
+    (:meth:`static_arrays`) and derives each ``(id, hour)`` pair's
+    parameters from them per call (:meth:`param_columns`); nothing is
+    kept per hour.
 
-    Ids and rows are keyed by segment **value** and parameters are a pure
-    function of ``(value, hour)``, so no event can stale a row: an
+    Ids are keyed by segment **value** and parameters are a pure
+    function of ``(value, hour)``, so no event can stale an entry: an
     impaired segment (:class:`DegradedSegment`) is a different value
     with its own id, and repairing the fault brings back the healthy
-    value and its old rows.
+    value and its old id.
     """
-
-    _DTYPES = (np.int8, np.bool_) + (np.float64,) * (len(SegmentLossParams._fields) - 2)
 
     def __init__(self) -> None:
         #: flat value key (:meth:`_key`) -> the canonical segment.
@@ -515,10 +534,10 @@ class SegmentLossTable:
         self.jitter_term: list[float] = []
         #: id -> that value's hour-independent loss constants, a column per field.
         self.static = _SegmentStatic(*([] for _ in _SegmentStatic._fields))
-        self._row_at: dict[float, dict[int, int]] = {}  # hour -> id -> row
-        # Row 0 is the all-zero padding row.
-        self._columns = SegmentLossParams(*(np.zeros(1, dtype) for dtype in self._DTYPES))
-        self._unwritten: list[tuple] = []  # rows handed out, not yet in the arrays
+        #: :attr:`static` as arrays, for the ids handed out when last asked for.
+        self._static_arrays = _SegmentStatic(
+            *(np.zeros(0, dtype) for dtype in _STATIC_DTYPES)
+        )
 
     def intern(
         self,
@@ -597,46 +616,88 @@ class SegmentLossTable:
         self._canonical[key] = segment
         return segment
 
-    def rows(self, sids: tuple[int, ...], hour_cet: float) -> list[int]:
-        """The parameter-row index of each id at ``hour_cet``."""
-        at_hour = self._row_at.get(hour_cet)
-        if at_hour is None:
-            at_hour = self._row_at[hour_cet] = {}
-        try:
-            return [at_hour[sid] for sid in sids]
-        except KeyError:  # first sight of some (id, hour); real rows are >= 1
-            return [
-                at_hour.get(sid) or self._add_row(at_hour, sid, hour_cet) for sid in sids
-            ]
-
-    def _add_row(self, at_hour: dict[int, int], sid: int, hour_cet: float) -> int:
-        params = self.segments[sid]._derive_loss_params(hour_cet)
-        row = at_hour[sid] = len(self._columns.kind) + len(self._unwritten)
-        self._unwritten.append((KIND_CODE[params.kind], *params[1:]))
-        return row
-
-    @property
-    def columns(self) -> SegmentLossParams:
-        """The parameter rows as a :class:`SegmentLossParams` of arrays."""
-        if self._unwritten:  # one block append per batch of new rows
-            # One float block, cut into columns: every field is a float or
-            # a small int / bool, so the casts are exact — and no iterator
-            # per row lives through the transpose.
-            block = np.array(self._unwritten, dtype=np.float64)
-            self._columns = SegmentLossParams(
+    def static_arrays(self) -> _SegmentStatic:
+        """:attr:`static` as one array per field, indexed by id."""
+        arrays = self._static_arrays
+        known = arrays.kind.size
+        if known < len(self.segments):  # append the ids handed out since
+            arrays = self._static_arrays = _SegmentStatic(
                 *(
-                    np.concatenate((column, block[:, field].astype(column.dtype)))
-                    for field, column in enumerate(self._columns)
+                    np.concatenate((array, np.array(column[known:], array.dtype)))
+                    for array, column in zip(arrays, self.static)
                 )
             )
-            self._unwritten.clear()
-        return self._columns
+        return arrays
+
+    def param_columns(
+        self, sids: np.ndarray, hour_of: np.ndarray, hours: np.ndarray
+    ) -> SegmentLossParams:
+        """:meth:`PathSegment._derive_loss_params` of many pairs, as columns.
+
+        Pair ``i`` is segment id ``sids[i]`` at ``hours[hour_of[i]]``; field
+        ``f`` of the result holds each pair's ``f`` (``kind`` as its
+        :data:`KIND_CODE`).  The same IEEE operations in the same order as
+        the scalar derivation, on the ids' :meth:`static_arrays` and
+        diurnal factors taken from ``(hour, region[, AS type])`` tables
+        filled through the scalar derivation's own memoised lookups, so
+        every field equals the scalar one bit for bit.
+        """
+        static = self.static_arrays()
+        hour_list = hours.tolist()
+        access_diurnal = np.array(
+            [
+                _access_diurnal(region, as_type, hour)
+                for hour in hour_list
+                for region in _REGIONS
+                for as_type in _AS_TYPES
+            ]
+        ).reshape(len(hour_list), len(_REGIONS), len(_AS_TYPES))
+        transit_diurnal = np.array(
+            [_transit_diurnal(region, hour) for hour in hour_list for region in _REGIONS]
+        ).reshape(len(hour_list), len(_REGIONS))
+
+        kind = static.kind[sids]
+        long_haul = static.long_haul[sids]
+        access = kind == KIND_CODE[SegmentKind.ACCESS]
+        transit = kind == KIND_CODE[SegmentKind.TRANSIT]
+        vns = kind == KIND_CODE[SegmentKind.VNS_L2]
+
+        as_type = static.as_type[sids]
+        weight = _ACCESS_WEIGHT[as_type]
+        diurnal = access_diurnal[hour_of, static.end_region[sids], as_type]
+        factor = (1.0 - weight) + weight * diurnal
+        occurrence = np.minimum(0.9, _ACCESS_OCCURRENCE[as_type] * factor)
+        mean_rate = static.access_base[sids] * factor / np.maximum(occurrence, 1e-9)
+
+        diurnal = transit_diurnal[hour_of, static.anchor[sids]]
+        congestion = static.congestion_static[sids] * diurnal
+        transit_spread = np.where(
+            long_haul, np.minimum(0.95, static.corridor_prob[sids] * diurnal), 0.0
+        )
+        vns_spread = np.where(
+            long_haul, cal.VNS_L2_LONG_SPREAD_PROB, cal.VNS_L2_INTRA_SPREAD_PROB
+        )
+        lo = np.where(long_haul, cal.VNS_L2_LONG_RATE[0], cal.VNS_L2_INTRA_RATE[0])
+        hi = np.where(long_haul, cal.VNS_L2_LONG_RATE[1], cal.VNS_L2_INTRA_RATE[1])
+        return SegmentLossParams(
+            kind=kind,
+            long_haul=long_haul,
+            extra_loss=static.extra_loss[sids],
+            occurrence=np.where(access, occurrence, 0.0),
+            mean_rate=np.where(access, mean_rate, 0.0),
+            spread_prob=np.where(transit, transit_spread, np.where(vns, vns_spread, 0.0)),
+            rate_mult=np.where(transit & long_haul, static.rate_mult[sids], 0.0),
+            burst_scale_120s=np.where(
+                transit, np.where(long_haul, congestion, 0.3 * congestion), 0.0
+            ),
+            uniform_lo=np.where(vns, lo, 0.0),
+            uniform_hi=np.where(vns, hi, 0.0),
+        )
 
 
 #: The process's table (worker processes each fill their own).
 LOSS_TABLE = SegmentLossTable()
 intern_segment = LOSS_TABLE.intern
-
 
 def degrade_segment(
     segment: PathSegment, *, extra_loss: float = 0.0, extra_delay_ms: float = 0.0

@@ -8,8 +8,10 @@ from repro.dataplane.link import (
     LOSS_TABLE,
     PathSegment,
     SegmentKind,
+    SegmentLossParams,
     degrade_segment,
     intern_segment,
+    satellite_segment,
 )
 from repro.geo.cities import city_by_name
 from repro.geo.regions import WorldRegion
@@ -25,6 +27,23 @@ HK = city_by_name("Hong Kong").location
 
 def seg(kind=SegmentKind.TRANSIT, start=AMS, end=SIN, **kwargs) -> PathSegment:
     return PathSegment(kind=kind, start=start, end=end, **kwargs)
+
+
+def param_columns(sids: np.ndarray, hours: tuple[float, ...]):
+    """The columns of every id at every hour, hour-major."""
+    return LOSS_TABLE.param_columns(
+        np.tile(sids, len(hours)), np.repeat(np.arange(len(hours)), len(sids)), np.array(hours)
+    )
+
+
+def assert_columns_are_the_derivation(segments, hours) -> None:
+    """Every field of ``segments``' columns at ``hours`` is the scalar one."""
+    sids = np.array([LOSS_TABLE.segment_id(s) for s in segments], dtype=np.intp)
+    derived = param_columns(sids, hours)
+    scalar = [s._derive_loss_params(h) for h in hours for s in segments]
+    assert derived.kind.tolist() == [KIND_CODE[p.kind] for p in scalar]
+    for name in SegmentLossParams._fields[1:]:
+        assert getattr(derived, name).tolist() == [getattr(p, name) for p in scalar], name
 
 
 class TestGeometry:
@@ -144,7 +163,7 @@ class TestSampling:
 
 
 class TestLossTable:
-    """Segment ids and parameter rows are keyed by segment *value*."""
+    """Segment ids, and with them parameters, are keyed by segment *value*."""
 
     def test_equal_values_intern_to_one_id(self):
         a, b = seg(owner_type=ASType.LTP), seg(owner_type=ASType.LTP)
@@ -159,50 +178,50 @@ class TestLossTable:
         assert LOSS_TABLE.segment_id(twin) == LOSS_TABLE.segment_id(a)
         assert LOSS_TABLE.segments[LOSS_TABLE.segment_id(a)] is a
 
-    def test_degraded_never_shares_a_row_with_its_healthy_twin(self):
+    def test_degraded_never_shares_parameters_with_its_healthy_twin(self):
         healthy = seg(owner_type=ASType.LTP)
         degraded = degrade_segment(healthy, extra_loss=0.04)
         # Even a zero impairment is its own value: repairing a fault goes
-        # back to the healthy segment, never through a shared row.
+        # back to the healthy segment, never through a shared id.
         nominal = degrade_segment(healthy)
-        sids = tuple(map(LOSS_TABLE.segment_id, (healthy, degraded, nominal)))
-        assert len(set(sids)) == 3
-        rows = LOSS_TABLE.rows(sids, 20.5)
-        assert len(set(rows)) == 3 and min(rows) >= 1
-        assert LOSS_TABLE.rows(sids, 20.5) == rows  # rows are stable
-        assert set(LOSS_TABLE.rows(sids, 4.5)).isdisjoint(rows)  # per hour
-        columns = LOSS_TABLE.columns
-        assert list(columns.extra_loss[rows]) == [0.0, 0.04, 0.0]
-        assert columns.spread_prob[rows[0]] == columns.spread_prob[rows[1]]
+        sids = np.array([LOSS_TABLE.segment_id(s) for s in (healthy, degraded, nominal)])
+        assert len(set(sids.tolist())) == 3
+        evening = param_columns(sids, (20.5,))
+        assert list(evening.extra_loss) == [0.0, 0.04, 0.0]
+        assert evening.spread_prob[0] == evening.spread_prob[1]
+        assert all(  # a pure function of (value, hour)
+            np.array_equal(a, b) for a, b in zip(param_columns(sids, (20.5,)), evening)
+        )
+        night = param_columns(sids, (4.5,))  # per hour
+        assert (night.burst_scale_120s != evening.burst_scale_120s).all()
 
-    def test_rows_hold_the_one_derivation(self):
+    def test_columns_hold_the_one_derivation(self):
         segments = [
             seg(kind=SegmentKind.ACCESS, start=SIN, end=SIN, as_type=ASType.CAHP),
+            seg(kind=SegmentKind.ACCESS, start=AMS, end=AMS),  # untyped: EC
             seg(owner_type=ASType.STP),
             seg(end=FRA),
             seg(kind=SegmentKind.VNS_L2),
+            seg(kind=SegmentKind.VNS_L2, end=FRA),
             seg(kind=SegmentKind.PEERING, end=AMS),
         ]
-        sids = tuple(map(LOSS_TABLE.segment_id, segments))
-        columns_of = lambda: LOSS_TABLE.columns  # noqa: E731 - re-read after growth
-        for hour in (3.5, 12.5, 21.5):
-            for segment, row in zip(segments, LOSS_TABLE.rows(sids, hour)):
-                params = segment._derive_loss_params(hour)
-                stored = [column[row] for column in columns_of()]
-                assert stored[0] == KIND_CODE[params.kind]
-                assert stored[1:] == list(params[1:])
+        assert_columns_are_the_derivation(segments, (3.5, 12.5, 21.5))
 
-    def test_table_grows_past_its_first_allocation(self):
-        segment = seg(label="grows")
-        sid = LOSS_TABLE.segment_id(segment)
-        hours = [0.001 * k for k in range(600)]
-        rows = [LOSS_TABLE.rows((sid,), hour)[0] for hour in hours]
-        assert rows == list(range(rows[0], rows[0] + 600))
-        columns = LOSS_TABLE.columns
-        assert columns.kind[0] == 0  # the padding row
-        assert (columns.kind[rows] == KIND_CODE[SegmentKind.TRANSIT]).all()
-        expected = [segment._derive_loss_params(hour).burst_scale_120s for hour in hours]
-        assert list(columns.burst_scale_120s[rows]) == expected
+    def test_static_arrays_grow_with_the_ids(self):
+        first = LOSS_TABLE.static_arrays()
+        assert first.kind.size == len(LOSS_TABLE.segments)
+        segments = [seg(label=f"grows-{k}") for k in range(600)]
+        sids = np.array([LOSS_TABLE.segment_id(s) for s in segments])
+        arrays = LOSS_TABLE.static_arrays()
+        assert arrays.kind.size == len(LOSS_TABLE.segments) >= first.kind.size + 600
+        assert LOSS_TABLE.static_arrays() is arrays  # nothing new: no copy
+        for array, column in zip(arrays, LOSS_TABLE.static):
+            assert array.tolist() == column
+        hours = tuple(0.001 * k for k in range(600))
+        derived = LOSS_TABLE.param_columns(sids, np.arange(600), np.array(hours))
+        expected = [s._derive_loss_params(h).burst_scale_120s for s, h in zip(segments, hours)]
+        assert derived.burst_scale_120s.tolist() == expected
+        assert (derived.kind == KIND_CODE[SegmentKind.TRANSIT]).all()
 
     def test_pickle_carries_the_value_not_the_process_ids(self):
         import pickle
@@ -213,3 +232,50 @@ class TestLossTable:
             assert clone == original and type(clone) is type(original)
             assert clone._sid == -1 and hash(clone) == hash(original)
             assert LOSS_TABLE.segment_id(clone) == LOSS_TABLE.segment_id(original)
+
+
+class TestCampaignColumns:
+    """A day's kernel parameters are the scalar derivation, and cost no call of it."""
+
+    @staticmethod
+    def day_segments(scale: str, monkeypatch) -> tuple[list[PathSegment], int]:
+        """The segments a fresh seed-7 day simulates, and how many times
+        :meth:`PathSegment._derive_loss_params` was called during it."""
+        from repro.experiments.common import build_world
+        from repro.workload import CallArrivalProcess, CampaignConfig, CampaignEngine
+        from repro.workload import UserPopulation, engine
+
+        service = build_world(scale, seed=7).service
+        population = UserPopulation.sample(service.topology, 1200, seed=7)
+        calls = CallArrivalProcess(population, calls_per_user_day=9.0, seed=7).generate(days=1)
+        sids: set[int] = set()
+        derivations = []
+        simulate_table, derive = engine.simulate_table, PathSegment._derive_loss_params
+
+        def spy_table(views, *args, **kwargs):
+            for view in views:
+                sids.update(view[0])
+            return simulate_table(views, *args, **kwargs)
+
+        def spy_derive(self, hour_cet):
+            derivations.append(hour_cet)
+            return derive(self, hour_cet)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "simulate_table", spy_table)
+            patch.setattr(PathSegment, "_derive_loss_params", spy_derive)
+            CampaignEngine(service, CampaignConfig(seed=7)).run(calls)
+        return [LOSS_TABLE.segments[sid] for sid in sorted(sids)], len(derivations)
+
+    @pytest.mark.parametrize("scale", ["small", pytest.param("medium", marks=pytest.mark.slow)])
+    def test_every_id_of_a_day_at_every_hour_bin(self, scale, monkeypatch):
+        segments, derivations = self.day_segments(scale, monkeypatch)
+        assert derivations == 0  # the kernel derives its rows as columns
+        assert len(segments) > 1000
+        variants = [degrade_segment(s, extra_loss=0.03, extra_delay_ms=2.0) for s in segments]
+        variants += [satellite_segment(s) for s in segments]
+        kinds = {s.kind for s in segments}
+        assert kinds == set(SegmentKind)
+        assert_columns_are_the_derivation(
+            segments + variants, tuple(h + 0.5 for h in range(24))
+        )

@@ -54,7 +54,6 @@ CLEARED = {
     *(f"workload.engine:PathResolver.{name}" for name in RESOLVER_MEMOS),
     "bgp.propagation:AsLevelRouting._tables",
     "vns.builder:VnsDeployment._session_pops",
-    "dataplane.link:SegmentLossTable._row_at",
     "dataplane.columnar:_tables",
     "net.addressing:_render_prefix",
     "geo.cities:nearest_city",
@@ -85,7 +84,6 @@ def clear_memos(service, engines: list[CampaignEngine]) -> None:
             getattr(engine.resolver, name).clear()
     service.routing._tables.clear()
     service.deployment._session_pops.clear()
-    link.LOSS_TABLE._row_at.clear()
     columnar._tables.clear()
     for cached in (
         addressing._render_prefix,
