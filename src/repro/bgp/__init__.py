@@ -6,7 +6,8 @@ the hidden-routes pathology and the best-external fix — this subpackage
 implements real BGP machinery:
 
 * RFC 4271 path attributes and the full decision process,
-* import/export policy (Gao-Rexford semantics, communities, ``no-export``),
+* the eBGP business policy (relationship LOCAL_PREF and tags on import,
+  Gao-Rexford export, ``no-export``), read off one relationship table,
 * speakers with Adj-RIB-In / Loc-RIB / Adj-RIB-Out and incremental updates,
 * RFC 4456 route reflection with ``ORIGINATOR_ID`` / ``CLUSTER_LIST``,
 * the "best external" advertisement feature (Sec. 3.2, "Hidden routes"),
@@ -21,7 +22,6 @@ from repro.bgp.attributes import (
 )
 from repro.bgp.messages import Update, Withdraw
 from repro.bgp.decision import best_route, decision_order
-from repro.bgp.policy import ExportPolicy, ImportPolicy, RelationshipExportPolicy
 from repro.bgp.rib import AdjRib
 from repro.bgp.session import Session, SessionType
 from repro.bgp.router import BgpRouter
@@ -37,9 +37,6 @@ __all__ = [
     "Withdraw",
     "best_route",
     "decision_order",
-    "ImportPolicy",
-    "ExportPolicy",
-    "RelationshipExportPolicy",
     "AdjRib",
     "Session",
     "SessionType",

@@ -41,10 +41,6 @@ class AsLevelRoute:
     kind: RouteKind
     path: tuple[int, ...]
 
-    @property
-    def first_hop(self) -> int | None:
-        return self.path[0] if self.path else None
-
     def __len__(self) -> int:
         return len(self.path)
 

@@ -49,22 +49,3 @@ class RouteReflector(BgpRouter):
         originator = best.originator_id or best.learned_from or self.router_id
         reflected = best.reflected(originator=originator, cluster_id=self.router_id)
         return reflected.sent(), best.learned_from, from_client
-
-    def _ibgp_desired(
-        self,
-        session: Session,
-        payload: Route | None,
-        source_peer: str | None,
-        from_client: bool,
-    ) -> Route | None:
-        if payload is None:
-            return None
-        if source_peer is not None and source_peer == session.peer_id:
-            return None  # never reflect back to the sender ("except A")
-        if not from_client and not session.rr_client:
-            return None  # non-client -> non-client is not reflected
-        return self.export_policy.apply(payload, session)
-
-    def clients(self) -> list[str]:
-        """Peer ids of all configured reflection clients."""
-        return [s.peer_id for s in self.sessions.values() if s.rr_client]

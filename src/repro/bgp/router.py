@@ -22,16 +22,15 @@ from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, Origin, Route
 from repro.bgp.decision import best_external, best_route
 from repro.bgp.messages import IgpNotification, Message, Update, Withdraw
 from repro.bgp.policy import (
-    AcceptAll,
-    ExportAll,
-    ExportPolicy,
-    ImportPolicy,
+    exports_to,
+    exports_to_ebgp,
+    import_verdict,
     strip_ibgp_only_attributes,
 )
 from repro.bgp.rib import AdjRib
-from repro.bgp.session import Session, SessionType
-from repro.geo.coords import GeoPoint
+from repro.bgp.session import Session
 from repro.net.addressing import Prefix
+from repro.net.relationships import Relationship
 from repro.perf import counters as perf
 
 
@@ -45,11 +44,11 @@ class BgpRouter:
         when applying next-hop-self.
     asn:
         The local AS number.
-    location:
-        Where the router physically sits (used by geo-aware reflectors and
-        by the data plane).
-    import_policy / export_policy:
-        Policy hooks; default accept/export-all.
+    relationships:
+        The business relationship of each eBGP neighbour's ASN, which
+        :mod:`repro.bgp.policy`'s rules read on eBGP sessions (the owner's
+        table, read in place).  With ``None``, the default, routes are
+        accepted and exported as received.
     igp_metric:
         This router's IGP view, BGP next hop (router id) -> metric; drives
         the hot-potato tie-break.  Read at every decision, so the owner
@@ -65,17 +64,13 @@ class BgpRouter:
         router_id: str,
         asn: int,
         *,
-        location: GeoPoint | None = None,
-        import_policy: ImportPolicy | None = None,
-        export_policy: ExportPolicy | None = None,
+        relationships: Mapping[int, Relationship] | None = None,
         igp_metric: Mapping[str, float] | None = None,
         enable_best_external: bool = False,
     ) -> None:
         self.router_id = router_id
         self.asn = asn
-        self.location = location
-        self.import_policy = import_policy or AcceptAll()
-        self.export_policy = export_policy or ExportAll()
+        self.relationships = relationships
         self.enable_best_external = enable_best_external
         self.sessions: dict[str, Session] = {}
         #: Sessions administratively/operationally down (fault injection);
@@ -305,18 +300,19 @@ class BgpRouter:
     def _import(self, route: Route, session: Session) -> Route | None:
         """The Adj-RIB-In form of ``route``, or ``None`` when policy rejects it.
 
-        LOCAL_PREF is not carried over eBGP, so the session delivers the
-        default there; import policy decides LOCAL_PREF and communities,
-        and :meth:`import_local_pref` may rewrite the former.  The stored
+        Over iBGP a route keeps its LOCAL_PREF and communities; over eBGP,
+        which does not carry LOCAL_PREF, the import rule decides both.
+        :meth:`import_local_pref` may rewrite the LOCAL_PREF; the stored
         route is then built in one copy, stamped with reception metadata.
         """
         ebgp = session.is_ebgp
-        verdict = self.import_policy.apply(
-            route, session, DEFAULT_LOCAL_PREF if ebgp else route.local_pref
-        )
-        if verdict is None:
-            return None
-        local_pref, communities = verdict
+        if ebgp:
+            verdict = import_verdict(route, session.peer_asn, self.relationships)
+            if verdict is None:
+                return None
+            local_pref, communities = verdict
+        else:
+            local_pref, communities = route.local_pref, route.communities
         return route.imported(
             self.import_local_pref(route, session, local_pref),
             communities,
@@ -325,7 +321,7 @@ class BgpRouter:
         )
 
     def import_local_pref(self, route: Route, session: Session, local_pref: int) -> int:
-        """The LOCAL_PREF ``route`` is stored with, given what policy assigned.
+        """The LOCAL_PREF ``route`` is stored with, given what import assigned.
 
         Hook for subclasses (the geo reflector assigns its own here); it
         may read ``route``'s prefix and next hop, which import leaves as
@@ -351,9 +347,9 @@ class BgpRouter:
         """Re-run selection for ``prefix`` and diff the advertisements.
 
         Every advertisement is a function of ``(best, iBGP source)`` and
-        the session/policy configuration, so when that pair equals the one
-        Adj-RIB-Out was last synchronised to there is nothing to send and
-        the diff is skipped.  The remembered best is the Loc-RIB's: only
+        the session and relationship configuration, so when that pair
+        equals the one Adj-RIB-Out was last synchronised to there is
+        nothing to send and the diff is skipped.  The remembered best is the Loc-RIB's: only
         this method writes it, and each run either re-synchronises the
         prefix or finds the same outcome.  Entry points that re-synchronise
         Adj-RIB-Out (origination, session failure/restore,
@@ -388,13 +384,19 @@ class BgpRouter:
         exportable = (
             best is not None
             and NO_EXPORT not in best.communities
-            and self.export_policy.exports_to_ebgp(best)
+            and exports_to_ebgp(best, self.relationships)
         )
         held = self.adj_rib_out.peers(prefix)
         messages: list[Message] = []
         for peer_id, session in self.sessions.items():
             if not session.is_ebgp:
-                desired = self._ibgp_desired(session, payload, source_peer, from_client)
+                # Split horizon; RFC 4456: a route from a non-client is not
+                # reflected to another non-client (``from_client`` is always
+                # true on a border router).
+                if peer_id == source_peer or not (from_client or session.rr_client):
+                    desired = None
+                else:
+                    desired = payload
             elif exportable:
                 desired = self._ebgp_advertisement(session, best)
             elif peer_id in held:
@@ -450,10 +452,9 @@ class BgpRouter:
         """What ``session`` is sent for an exportable (never ``no-export``) best."""
         if best.learned_from == session.peer_id:
             return None  # split horizon
-        exported = self.export_policy.apply(best, session)
-        if exported is None:
+        if not exports_to(best, session.peer_asn, self.relationships):
             return None
-        cleaned = strip_ibgp_only_attributes(exported)
+        cleaned = strip_ibgp_only_attributes(best)
         return cleaned.sent(self.router_id, (self.asn,) + cleaned.as_path)
 
     def _ibgp_source(self, best: Route, candidates: list[Route]) -> Route | None:
@@ -477,20 +478,6 @@ class BgpRouter:
             return None, None, True
         # Border routers apply next-hop-self toward iBGP.
         return source.sent(self.router_id), source.learned_from, True
-
-    def _ibgp_desired(
-        self,
-        session: Session,
-        payload: Route | None,
-        source_peer: str | None,
-        from_client: bool,
-    ) -> Route | None:
-        """Gate the shared iBGP payload for one session."""
-        if payload is None:
-            return None
-        if source_peer is not None and source_peer == session.peer_id:
-            return None  # split horizon
-        return self.export_policy.apply(payload, session)
 
     def __repr__(self) -> str:
         return f"<BgpRouter {self.router_id} AS{self.asn}>"

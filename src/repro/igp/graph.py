@@ -28,20 +28,6 @@ class IgpLink:
         if self.metric <= 0:
             raise ValueError(f"IGP metric must be positive, got {self.metric!r}")
 
-    def other(self, node: str) -> str:
-        """The far end of the link as seen from ``node``.
-
-        Raises
-        ------
-        ValueError
-            If ``node`` is not an endpoint.
-        """
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise ValueError(f"{node!r} is not an endpoint of {self.a!r}-{self.b!r}")
-
 
 class IgpGraph:
     """A weighted undirected graph of one AS's interior."""

@@ -24,9 +24,6 @@ class ShortestPaths:
         """Metric from the source to ``node`` (``inf`` if unreachable)."""
         return self.distance.get(node, float("inf"))
 
-    def reachable(self, node: str) -> bool:
-        return node in self.distance
-
     def path_to(self, node: str) -> list[str] | None:
         """The node sequence source..node, or ``None`` if unreachable."""
         if node not in self.distance:

@@ -16,6 +16,7 @@ geo-exempt) hook in before the distance computation.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from repro.bgp.attributes import Route
 from repro.bgp.reflector import RouteReflector
@@ -24,6 +25,9 @@ from repro.geo.coords import GeoPoint, great_circle_km
 from repro.geo.geoip import GeoIPDatabase
 from repro.net.addressing import Prefix
 from repro.perf import counters as perf
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (management imports us back)
+    from repro.vns.management import ManagementInterface
 
 #: ``lp = f(d)`` signature: great-circle km → LOCAL_PREF.
 LocalPrefFunction = Callable[[float], int]
@@ -82,7 +86,7 @@ class GeoRouteReflector(RouteReflector):
         geoip: GeoIPDatabase,
         router_locations: dict[str, GeoPoint],
         lp_function: LocalPrefFunction = linear_lp,
-        management: "ManagementHook | None" = None,
+        management: "ManagementInterface | None" = None,
         **kwargs,
     ) -> None:
         super().__init__(router_id, asn, **kwargs)
@@ -190,19 +194,3 @@ class GeoRouteReflector(RouteReflector):
         distance = great_circle_km(egress, entry.location)
         self.stats["assigned"] += 1
         return route._replace(local_pref=self.lp_function(distance))
-
-
-class ManagementHook:
-    """Interface the management system implements to override geo-routing.
-
-    See :class:`repro.vns.management.ManagementInterface` for the concrete
-    implementation; this indirection keeps the reflector importable
-    without the management module.
-    """
-
-    def override_local_pref(
-        self, reflector: GeoRouteReflector, route: Route, local_pref: int
-    ) -> int | None:
-        """The LOCAL_PREF to import ``route`` with (``local_pref`` is what
-        policy assigned), or ``None`` to let geo proceed."""
-        raise NotImplementedError

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from repro.bgp.attributes import Route
 from repro.net.addressing import Prefix
-from repro.vns.geo_rr import GeoRouteReflector, ManagementHook
+from repro.vns.geo_rr import GeoRouteReflector
 
 #: Preference used to pin forced exits; above any geo-assigned value.
 FORCED_EXIT_LP = 100_000
 
 
-class ManagementInterface(ManagementHook):
+class ManagementInterface:
     """Concrete override store, shared by all reflectors of the AS.
 
     The interface "communicates with the Quagga-RR and border routers";
@@ -62,7 +62,7 @@ class ManagementInterface(ManagementHook):
         """Apply overrides during reflector import.
 
         Returns the LOCAL_PREF to import ``route`` with (``local_pref`` is
-        the one policy assigned), or ``None`` when geo-routing should
+        the one import assigned), or ``None`` when geo-routing should
         proceed normally.
         """
         if route.prefix in self._geo_exempt:

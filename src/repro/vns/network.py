@@ -17,10 +17,6 @@ from typing import TYPE_CHECKING
 from repro.bgp.attributes import Route
 from repro.bgp.engine import BgpEngine
 from repro.bgp.messages import IgpNotification
-from repro.bgp.policy import (
-    RelationshipExportPolicy,
-    RelationshipImportPolicy,
-)
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session, SessionType
 from repro.geo.coords import GeoPoint
@@ -143,7 +139,8 @@ class VnsNetwork:
         The ``f(d)`` used by geo reflectors.
     relationships:
         Relationship of each external neighbour ASN (PROVIDER for
-        upstreams, PEER for peers), used by import/export policy.
+        upstreams, PEER for peers): the table every border router's eBGP
+        import and export rules read, this dict itself, not a copy.
     """
 
     def __init__(
@@ -198,17 +195,13 @@ class VnsNetwork:
     # ----------------------------------------------------------------- #
 
     def _build_routers(self) -> None:
-        import_policy = RelationshipImportPolicy(self.relationships)
-        export_policy = RelationshipExportPolicy(self.relationships)
         for pop in POPS:
             for router_id in pop.router_ids():
                 self._igp_table[router_id] = {}
                 router = BgpRouter(
                     router_id,
                     VNS_ASN,
-                    location=pop.location,
-                    import_policy=import_policy,
-                    export_policy=export_policy,
+                    relationships=self.relationships,
                     igp_metric=self._igp_table[router_id],
                     enable_best_external=self.enable_best_external,
                 )
@@ -229,7 +222,6 @@ class VnsNetwork:
                 router_locations=self.router_locations,
                 lp_function=self.lp_function,
                 management=self.management,
-                location=pop.location,
                 igp_metric=self._igp_table[anchor],
             )
             self.reflectors[rr_id] = reflector

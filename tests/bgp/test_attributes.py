@@ -7,12 +7,7 @@ import pytest
 from repro.bgp import attributes
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, NO_EXPORT, Origin, Route
 from repro.bgp.messages import Update, Withdraw
-from repro.bgp.policy import (
-    RELATIONSHIP_COMMUNITY,
-    RELATIONSHIP_LOCAL_PREF,
-    AcceptAll,
-    RelationshipImportPolicy,
-)
+from repro.bgp.policy import RELATIONSHIP_COMMUNITY, RELATIONSHIP_LOCAL_PREF
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session, SessionType
 from repro.geo.coords import GeoPoint
@@ -354,13 +349,7 @@ class TestOneCopyImport:
     @pytest.mark.parametrize("policy", ["relationship", "accept-all"])
     def test_border_import_equals_the_chain(self, session, policy, monkeypatch):
         relationships = RELATIONSHIPS if policy == "relationship" else None
-        router = BgpRouter(
-            "r1",
-            LOCAL_ASN,
-            import_policy=(
-                RelationshipImportPolicy(RELATIONSHIPS) if relationships else AcceptAll()
-            ),
-        )
+        router = BgpRouter("r1", LOCAL_ASN, relationships=relationships)
         expected = old_chain(DISTINCT, session, relationships)
         built = count_constructions(monkeypatch)
         imported = router._import(DISTINCT, session)

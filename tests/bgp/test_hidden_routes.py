@@ -40,12 +40,8 @@ def build(enable_best_external: bool) -> tuple[BgpEngine, BgpRouter, BgpRouter]:
     geoip = GeoIPDatabase()
     geoip.register(PFX, NEAR_AMSTERDAM, "NL")
     engine = BgpEngine()
-    router_a = BgpRouter(
-        "A", ASN, location=AMSTERDAM, enable_best_external=enable_best_external
-    )
-    router_b = BgpRouter(
-        "B", ASN, location=SINGAPORE, enable_best_external=enable_best_external
-    )
+    router_a = BgpRouter("A", ASN, enable_best_external=enable_best_external)
+    router_b = BgpRouter("B", ASN, enable_best_external=enable_best_external)
     reflector = GeoRouteReflector(
         "RR",
         ASN,

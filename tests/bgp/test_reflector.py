@@ -120,9 +120,3 @@ class TestReflection:
         assert "rC" in updated and "rA" in updated
         sent_to_c = rr.adj_rib_out.route("rC", PFX)
         assert sent_to_c.next_hop == "rB"
-
-    def test_clients_listing(self):
-        rr = make_rr()
-        rr.add_session(client_session("rA"))
-        rr.add_session(nonclient_session("rr2"))
-        assert rr.clients() == ["rA"]

@@ -6,11 +6,7 @@ import pytest
 
 from repro.bgp.attributes import NO_EXPORT, Route
 from repro.bgp.messages import IgpNotification, Update, Withdraw
-from repro.bgp.policy import (
-    RelationshipExportPolicy,
-    RelationshipImportPolicy,
-    strip_ibgp_only_attributes,
-)
+from repro.bgp.policy import exports_to, strip_ibgp_only_attributes
 from repro.bgp.router import BgpRouter
 from repro.bgp.session import Session, SessionType
 from repro.net.addressing import Prefix
@@ -194,7 +190,7 @@ class TestGaoRexfordExport:
 
     A hand-built speaker with a provider, an iBGP peer, a peer and a
     customer session (in that configuration order).  Every message must
-    be what ``export_policy.apply`` predicts per session, and a best route
+    be what :func:`~repro.bgp.policy.exports_to` predicts per session, and a best route
     no eBGP session may receive visits only the eBGP sessions that hold
     the prefix.
     """
@@ -202,10 +198,7 @@ class TestGaoRexfordExport:
     RELATIONSHIPS = {100: Relationship.PROVIDER, 200: Relationship.PEER, 300: Relationship.CUSTOMER}
 
     def make(self) -> BgpRouter:
-        router = make_router(
-            import_policy=RelationshipImportPolicy(self.RELATIONSHIPS),
-            export_policy=RelationshipExportPolicy(self.RELATIONSHIPS),
-        )
+        router = make_router(relationships=self.RELATIONSHIPS)
         wire(router, "prov", SessionType.EBGP, peer_asn=100)
         wire(router, "rr", SessionType.IBGP, peer_asn=LOCAL_ASN)
         wire(router, "peer", SessionType.EBGP, peer_asn=200)
@@ -213,7 +206,7 @@ class TestGaoRexfordExport:
         return router
 
     def predicted(self, router: BgpRouter, held: set[str]) -> list:
-        """The eBGP messages ``export_policy.apply`` implies for the current best."""
+        """The eBGP messages ``exports_to`` implies for the current best."""
         best = router.best(PFX)
         messages = []
         for peer_id, session in router.sessions.items():
@@ -221,7 +214,7 @@ class TestGaoRexfordExport:
                 continue
             exported = None
             if best is not None and best.learned_from != peer_id and NO_EXPORT not in best.communities:
-                exported = router.export_policy.apply(best, session)
+                exported = best if exports_to(best, session.peer_asn, self.RELATIONSHIPS) else None
             if exported is not None:
                 cleaned = strip_ibgp_only_attributes(exported)
                 route = cleaned.sent("r1", (LOCAL_ASN,) + cleaned.as_path)

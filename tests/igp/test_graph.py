@@ -12,13 +12,6 @@ class TestIgpLink:
         with pytest.raises(ValueError):
             IgpLink(a="x", b="y", metric=0.0)
 
-    def test_other(self):
-        link = IgpLink(a="x", b="y", metric=1.0)
-        assert link.other("x") == "y"
-        assert link.other("y") == "x"
-        with pytest.raises(ValueError):
-            link.other("z")
-
 
 class TestIgpGraph:
     def test_add_and_query(self):

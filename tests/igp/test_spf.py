@@ -37,7 +37,6 @@ class TestSpf:
         result = spf(square, "a")
         assert result.metric_to("island") == float("inf")
         assert result.path_to("island") is None
-        assert not result.reachable("island")
 
     def test_unknown_source_raises(self, square):
         with pytest.raises(KeyError):

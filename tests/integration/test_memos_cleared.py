@@ -45,7 +45,7 @@ from tests.test_public_names_have_callers import MEMOS
 #: shared community set), so clearing one would change ids, not answers.
 INTERNED = {
     "dataplane.link:SegmentLossTable._canonical",
-    "bgp.policy:RelationshipImportPolicy._tagged",
+    "bgp.policy:_tagged",
 }
 RESOLVER_MEMOS = ("_entry", "_onward", "_pairs", "_local_exit")
 CLEARED = {

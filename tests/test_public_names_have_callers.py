@@ -6,7 +6,9 @@ The scan parses the package with :mod:`ast` and lists each public
 definition is reached when program code references it: a ``Name``, an
 ``Attribute``, an import or a name inside a string annotation, anywhere
 in ``src/`` (outside its own definition and the package ``__init__``
-re-exports), ``examples/``, ``benchmarks/`` or ``bench_e2e/``.
+re-exports), ``examples/``, ``benchmarks/`` or ``bench_e2e/``.  A bare
+name or an import reaches only the module-level definition it resolves
+to; a method or property is reached by attribute (``.name``) alone.
 
 A module-level function or class is reached only through its own module:
 the scan resolves each file's imports, ``module.name`` chains and package
@@ -16,7 +18,7 @@ steering.run(...)`` reaches ``experiments.steering:run`` and no other
 it.  Everything else — a method, an attribute of an instance, ``cls``,
 ``super().__init__``, a module-level alias of a method — is matched by
 name, so a method counts as reached when any attribute of that name is
-read: the check catches what nothing could call, not what nothing happens
+read (a local or parameter of that spelling does not count): the check catches what nothing could call, not what nothing happens
 to call.
 
 A definition that only tests reach is dead code unless a test uses it to
@@ -72,6 +74,15 @@ KEPT_FOR_TESTS: dict[str, str] = {
     "ExperimentResult": "tests/experiments/test_result_contract.py: the protocol every run() result meets",
     "with_communities": "tests/bgp/test_attributes.py: the copy-per-step import chain the one-copy import must equal",
     "received": "tests/bgp/test_attributes.py: the copy-per-step import chain the one-copy import must equal",
+    "step": "tests/integration/test_bgp_incremental.py: one message at a time must reach run()'s state",
+    "relationship": (
+        "tests/property/test_props_routing.py checks propagated paths valley-free "
+        "against the AS graph"
+    ),
+    "at": (
+        "tests/measurement/test_stats.py: Ccdf.series() must agree with at(), the "
+        "complement of Cdf.at(), at every sample point"
+    ),
     # Readers of another layer's state.
     "queue": "tests/faults/test_injector.py reads the messages a fault queued",
     "routes_from": "tests/integration/test_bgp_incremental.py reads Adj-RIBs against a recomputation",
@@ -82,6 +93,7 @@ KEPT_FOR_TESTS: dict[str, str] = {
     "perf_rows": "tests/results/test_store.py reads back the perf snapshot record_run wrote",
     "counter": "tests/integration/test_bgp_incremental.py reads the decision counts a converge made",
     "ccdf": "tests/experiments/test_fig9_fig10.py reads Fig. 9's per-corridor loss CCDF",
+    "router": "tests/faults/test_igp_table.py reads each speaker's IGP metrics through the engine",
 }
 
 #: Defaulted options no program path sets, kept because a test needs a
@@ -174,9 +186,9 @@ MEMOS: dict[str, str] = {
         "not out of the map); freeze copies it whole; hits 194 of 203 lookups (95.6%) "
         "in the day, all 7,239 in the comparison"
     ),
-    "bgp.policy:RelationshipImportPolicy._tagged": (
-        "interns tagged community sets: each key is its own value; 7,991 of 7,993 "
-        "imports in the build share a set"
+    "bgp.policy:_tagged": (
+        "interns tagged community sets for every speaker in the process: each key is "
+        "its own value; 7,991 of 7,993 eBGP imports in the build share a set"
     ),
     "dataplane.link:SegmentLossTable._canonical": (
         "interns segment values (immutable), keyed by atoms the collector does not "
@@ -450,20 +462,18 @@ class _FileScan(ast.NodeVisitor):
                         self.refer(self.key(inner))
 
     def visit_Name(self, node: ast.Name) -> None:
-        self.refer(self.key(node))
+        # A bare name reaches only the module-level definition it resolves
+        # to: a method or property is reached by attribute (``.name``).
+        self.refer(self.package.definition(self.bindings.dotted(node, self.local)))
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self.refer(self.key(node))
         self.generic_visit(node)
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.refer(alias.name.rpartition(".")[2])
-
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         for alias in node.names:
             target = f"{node.module}.{alias.name}" if node.module and not node.level else None
-            self.refer(self.package.definition(target) or alias.name)
+            self.refer(self.package.definition(target))
 
     def visit_arg(self, node: ast.arg | ast.AnnAssign) -> None:
         self.annotate(node.annotation)
@@ -1040,6 +1050,25 @@ class TestPerModuleResolution:
             "m:run(x=) (line 1)",
             "n:run(x=) (line 1)",
         ]
+
+    def test_a_bare_name_does_not_reach_a_method(self):
+        package = {
+            "m": (
+                "class Link:\n"
+                "    def other(self, node):\n"
+                "        return node\n"
+                "    @property\n"
+                "    def far(self):\n"
+                "        return 1\n"
+            )
+        }
+        caller = "from m import Link\ndef walk(other, far):\n    return other(far), Link\n"
+        assert uncalled_public_names_in(package, [caller]) == [
+            "m:far (line 5)",
+            "m:other (line 2)",
+        ]
+        caller = "from m import Link\nlink = Link()\nlink.other(1)\nlink.far"
+        assert uncalled_public_names_in(package, [caller]) == []
 
     def test_a_name_reference_reaches_only_its_module(self):
         assert uncalled_public_names_in(self.PACKAGE, ["from repro import m\nm.run"]) == [
