@@ -221,10 +221,6 @@ class PingResult:
     rtts_ms: list[float] = field(default_factory=list)
 
     @property
-    def received(self) -> int:
-        return self.sent - self.lost
-
-    @property
     def min_rtt_ms(self) -> float | None:
         """Lowest observed RTT (the paper records this), None if all lost."""
         return min(self.rtts_ms) if self.rtts_ms else None

@@ -193,10 +193,6 @@ class WorldSpec:
         """Byte-stable: sorted keys, exact float round-trip."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "WorldSpec":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True, slots=True)
 class ScenarioSpec:

@@ -9,6 +9,9 @@ video call end to end.
 
 from __future__ import annotations
 
+import gc
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,36 @@ class CallPaths:
     via_internet: DataPath
     entry_pop: str
     exit_pop: str
+
+
+@contextmanager
+def _collector_paused_for_build() -> Iterator[None]:
+    """Keep the cyclic collector off a world while it is built, and after.
+
+    A built world is a few hundred thousand long-lived tracked objects and
+    no garbage, yet every full pass walks all of it.  So the collector is
+    off for the build, and on a normal exit everything alive is frozen
+    (``gc.freeze``): no later pass walks the world.  The lifetime rule is
+    "a world is frozen until the next build": on entry, what earlier
+    builds froze is unfrozen, and one full collection reclaims what was
+    dropped since and only the collector can free.  A build that raises
+    restores the collector and freezes nothing.  A caller that turned the
+    collector off keeps it off: no collection, no pause, no freeze.  This
+    is the program's one use of :mod:`gc` (DESIGN.md §12).
+    """
+    frozen = gc.get_freeze_count()
+    gc.unfreeze()
+    if not gc.isenabled():
+        yield
+        return
+    if frozen:
+        gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+    gc.freeze()
 
 
 class VideoNetworkService:
@@ -73,18 +106,19 @@ class VideoNetworkService:
         Pass ``topology``/``routing`` to rebuild VNS (e.g. with geo routing
         off) on the same Internet.
         """
-        rng = np.random.default_rng(seed)
-        if topology is None:
-            topology = generate_topology(topology_config, rng)
-        if routing is None:
-            routing = AsLevelRouting(topology.graph)
-        geoip = topology.build_geoip()
-        if geoip_errors:
-            apply_error_models(geoip, geoip_errors, rng)
-        deployment = build_vns(
-            topology, routing, geoip, vns_config, rng, management=management
-        )
-        return cls(topology, routing, deployment, geoip)
+        with _collector_paused_for_build():
+            rng = np.random.default_rng(seed)
+            if topology is None:
+                topology = generate_topology(topology_config, rng)
+            if routing is None:
+                routing = AsLevelRouting(topology.graph)
+            geoip = topology.build_geoip()
+            if geoip_errors:
+                apply_error_models(geoip, geoip_errors, rng)
+            deployment = build_vns(
+                topology, routing, geoip, vns_config, rng, management=management
+            )
+            return cls(topology, routing, deployment, geoip)
 
     def freeze(self) -> "VideoNetworkService":
         """A compact, read-only snapshot of this service.

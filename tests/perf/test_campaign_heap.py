@@ -22,6 +22,7 @@ import pytest
 from repro.dataplane.link import PathSegment
 from repro.dataplane.path import DataPath
 from repro.experiments.common import build_world
+from repro.geo.cities import nearest_city
 from repro.net.asn import AutonomousSystem
 from repro.workload.arrivals import CallArrivalProcess
 from repro.workload.engine import CampaignConfig, CampaignEngine, _ResolvedPair
@@ -60,13 +61,21 @@ def resolved_pairs(resolver) -> list[_ResolvedPair]:
 
 
 def lru_cache_keys() -> list:
-    """Every key held by any ``functools.lru_cache`` in the process."""
+    """Every key held by any ``functools.lru_cache`` in the process.
+
+    A build freezes what is alive (DESIGN.md §12), import-time wrappers
+    included, and ``gc.get_objects`` does not list frozen objects, so the
+    scan unfreezes first (the next build unfreezes anyway) and checks
+    that it sees a wrapper it knows.
+    """
+    gc.unfreeze()
+    wrappers = [obj for obj in gc.get_objects() if type(obj).__name__ == "_lru_cache_wrapper"]
+    assert any(wrapper is nearest_city for wrapper in wrappers)
     keys = []
-    for wrapper in gc.get_objects():
-        if type(wrapper).__name__ == "_lru_cache_wrapper":
-            for referent in gc.get_referents(wrapper):
-                if type(referent) is dict:
-                    keys += referent
+    for wrapper in wrappers:
+        for referent in gc.get_referents(wrapper):
+            if type(referent) is dict:
+                keys += referent
     return keys
 
 

@@ -23,7 +23,9 @@ to call.
 
 A definition that only tests reach is dead code unless a test uses it to
 check *other* code (an oracle, or a reader of another layer's state):
-those live in :data:`KEPT_FOR_TESTS`, each with the test that needs it.
+those live in :data:`KEPT_FOR_TESTS`, each keyed as the one definition it
+exempts (``module:Owner.name``) with the test that needs it; an entry
+whose definition program code has come to reach fails as stale.
 
 An *option* is a defaulted parameter of a public function, method or
 constructor, or a defaulted field of a public frozen dataclass (a
@@ -61,39 +63,80 @@ CALLER_DIRS = ("examples", "benchmarks", "bench_e2e")
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-#: Public names no program path reaches, kept because a test uses them to
-#: check other code: name -> the test that needs it.
+#: Public definitions no program path reaches, kept because a test uses
+#: them to check other code: ``module:name`` or ``module:Owner.name`` (one
+#: entry exempts one definition) -> the test that needs it.
 KEPT_FOR_TESTS: dict[str, str] = {
     # Oracles and drivers: one-at-a-time or scalar forms of a batch path.
-    "process": "tests/bgp/test_reflector.py delivers one message to a speaker (BgpEngine.run batches)",
-    "classify": "tests/experiments/test_fig9_fig10.py pins Fig. 10's class boundaries (scalar _class_codes)",
-    "events_to_json": "tests/property/test_props_hostile_json.py round-trips fault events through FIELD_RULES",
-    "events_from_json": "tests/property/test_props_hostile_json.py feeds damaged JSON to FIELD_RULES",
-    "from_json": "tests/property/test_props_hostile_json.py feeds damaged spec JSON to the field rules",
-    "heatmap_from_pairs": "tests/results/test_heatmap.py: the grid heatmap_from_store must equal",
-    "ExperimentResult": "tests/experiments/test_result_contract.py: the protocol every run() result meets",
-    "with_communities": "tests/bgp/test_attributes.py: the copy-per-step import chain the one-copy import must equal",
-    "received": "tests/bgp/test_attributes.py: the copy-per-step import chain the one-copy import must equal",
-    "step": "tests/integration/test_bgp_incremental.py: one message at a time must reach run()'s state",
-    "relationship": (
+    "bgp.router:BgpRouter.process": (
+        "tests/bgp/test_reflector.py delivers one message to a speaker (BgpEngine.run batches)"
+    ),
+    "experiments.fig10_loss_nature:classify": (
+        "tests/experiments/test_fig9_fig10.py pins Fig. 10's class boundaries (scalar _class_codes)"
+    ),
+    "faults.events:events_to_json": (
+        "tests/property/test_props_hostile_json.py round-trips fault events through FIELD_RULES"
+    ),
+    "faults.events:events_from_json": (
+        "tests/property/test_props_hostile_json.py feeds damaged JSON to FIELD_RULES"
+    ),
+    "scenarios.spec:ScenarioSpec.from_json": (
+        "tests/property/test_props_hostile_json.py feeds damaged spec JSON to the field rules"
+    ),
+    "results.heatmap:heatmap_from_pairs": (
+        "tests/results/test_heatmap.py: the grid heatmap_from_store must equal"
+    ),
+    "experiments.common:ExperimentResult": (
+        "tests/experiments/test_result_contract.py: the protocol every run() result meets"
+    ),
+    "bgp.attributes:Route.with_communities": (
+        "tests/bgp/test_attributes.py: the copy-per-step import chain the one-copy import must equal"
+    ),
+    "bgp.attributes:Route.received": (
+        "tests/bgp/test_attributes.py: the copy-per-step import chain the one-copy import must equal"
+    ),
+    "bgp.engine:BgpEngine.step": (
+        "tests/integration/test_bgp_incremental.py: one message at a time must reach run()'s state"
+    ),
+    "net.relationships:ASGraph.relationship": (
         "tests/property/test_props_routing.py checks propagated paths valley-free "
         "against the AS graph"
     ),
-    "at": (
-        "tests/measurement/test_stats.py: Ccdf.series() must agree with at(), the "
+    "measurement.stats:Cdf.at": (
+        "tests/measurement/test_stats.py: Ccdf.series() must agree with Ccdf.at(), the "
         "complement of Cdf.at(), at every sample point"
     ),
+    "measurement.stats:Ccdf.at": (
+        "tests/measurement/test_stats.py: Ccdf.series() must agree with Ccdf.at() at every "
+        "sample point"
+    ),
     # Readers of another layer's state.
-    "queue": "tests/faults/test_injector.py reads the messages a fault queued",
-    "routes_from": "tests/integration/test_bgp_incremental.py reads Adj-RIBs against a recomputation",
-    "mean_error_km": "tests/geo/test_errors.py measures what the GeoIP error models displaced",
-    "active_pops": "tests/faults/test_injector.py reads PoP state after a PopDown",
-    "link_is_up": "tests/faults/test_injector.py and tests/vns/test_frozen.py read link state",
-    "corridors": "tests/steering/test_telemetry.py reads what the probe rounds filled",
-    "perf_rows": "tests/results/test_store.py reads back the perf snapshot record_run wrote",
-    "counter": "tests/integration/test_bgp_incremental.py reads the decision counts a converge made",
-    "ccdf": "tests/experiments/test_fig9_fig10.py reads Fig. 9's per-corridor loss CCDF",
-    "router": "tests/faults/test_igp_table.py reads each speaker's IGP metrics through the engine",
+    "bgp.engine:BgpEngine.queue": "tests/faults/test_injector.py reads the messages a fault queued",
+    "bgp.rib:AdjRib.routes_from": (
+        "tests/integration/test_bgp_incremental.py reads Adj-RIBs against a recomputation"
+    ),
+    "geo.geoip:GeoIPDatabase.mean_error_km": (
+        "tests/geo/test_errors.py measures what the GeoIP error models displaced"
+    ),
+    "vns.network:VnsNetwork.active_pops": "tests/faults/test_injector.py reads PoP state after a PopDown",
+    "vns.network:VnsNetwork.link_is_up": (
+        "tests/faults/test_injector.py reads link state after a LinkDown"
+    ),
+    "vns.frozen:FrozenNetwork.link_is_up": (
+        "tests/vns/test_frozen.py reads that a frozen world still answers health reads"
+    ),
+    "steering.health:PathHealthTable.corridors": (
+        "tests/steering/test_telemetry.py reads what the probe rounds filled"
+    ),
+    "results.store:ResultsStore.perf_rows": (
+        "tests/results/test_store.py reads back the perf snapshot record_run wrote"
+    ),
+    "experiments.fig9_video_loss:Fig9Result.ccdf": (
+        "tests/experiments/test_fig9_fig10.py reads Fig. 9's per-corridor loss CCDF"
+    ),
+    "bgp.engine:BgpEngine.router": (
+        "tests/faults/test_igp_table.py reads each speaker's IGP metrics through the engine"
+    ),
 }
 
 #: Defaulted options no program path sets, kept because a test needs a
@@ -264,16 +307,17 @@ def _program() -> tuple[dict[str, str], list[str]]:
     return package, callers
 
 
-def _definitions(tree: ast.Module) -> list[ast.AST]:
-    """Public module-level functions and classes, and their methods."""
-    found: list[ast.AST] = []
-    stack: list[ast.stmt] = list(tree.body)
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Public module-level functions and classes, and their methods, each
+    with its qualified name (``Owner.name`` for a method)."""
+    found: list[tuple[str, ast.AST]] = []
+    stack: list[tuple[str, ast.stmt]] = [("", node) for node in tree.body]
     while stack:
-        node = stack.pop()
+        owner, node = stack.pop()
         if isinstance(node, _DEFS) and not node.name.startswith("_"):
-            found.append(node)
+            found.append((owner + node.name, node))
         if isinstance(node, ast.ClassDef):
-            stack.extend(node.body)
+            stack.extend((f"{owner}{node.name}.", child) for child in node.body)
     return found
 
 
@@ -568,10 +612,13 @@ def _scan(
     return scans
 
 
-def uncalled_public_names_in(package: dict[str, str], callers: list[str]) -> list[str]:
-    """``module:name (line n)`` for each public definition in ``package``
-    (module name -> source) that no code in ``package`` or ``callers``
-    (sources) references outside the definition's own body, sorted."""
+def uncalled_public_names_in(
+    package: dict[str, str], callers: list[str], kept: Collection[str] = KEPT_FOR_TESTS
+) -> list[str]:
+    """``module:Owner.name (line n)`` for each public definition in
+    ``package`` (module name -> source) that no code in ``package`` or
+    ``callers`` (sources) references outside the definition's own body and
+    ``kept`` does not name, sorted."""
     trees = {label: ast.parse(source) for label, source in package.items()}
     scans = _scan(trees, [ast.parse(source) for source in callers], _Passed())
     naming: dict[str, set[str]] = {}  # key -> the files referencing it
@@ -581,15 +628,15 @@ def uncalled_public_names_in(package: dict[str, str], callers: list[str]) -> lis
     missing: list[str] = []
     for label, tree in trees.items():
         module_level = {id(node) for node in tree.body}
-        for definition in _definitions(tree):
+        for qualname, definition in _definitions(tree):
             name = definition.name  # type: ignore[attr-defined]
             key = f"{label}:{name}" if id(definition) in module_level else name
-            if name in KEPT_FOR_TESTS or naming.get(key, set()) - {label}:
+            if f"{label}:{qualname}" in kept or naming.get(key, set()) - {label}:
                 continue
             # Only this file names it: a reference outside its own body.
             if any(k == key and id(definition) not in inside for k, inside in scans[label].references):
                 continue
-            missing.append(f"{label}:{name} (line {definition.lineno})")  # type: ignore[attr-defined]
+            missing.append(f"{label}:{qualname} (line {definition.lineno})")  # type: ignore[attr-defined]
     return sorted(missing)
 
 
@@ -835,11 +882,19 @@ def test_every_public_name_has_a_caller_outside_tests():
 
 def test_kept_names_are_still_defined():
     defined = {
-        definition.name  # type: ignore[attr-defined]
+        f"{_label(path)}:{qualname}"
         for path in _py_files(PACKAGE)
-        for definition in _definitions(_parse(path))
+        for qualname, _ in _definitions(_parse(path))
     }
     assert set(KEPT_FOR_TESTS) <= defined, set(KEPT_FOR_TESTS) - defined
+
+
+def test_kept_names_are_still_unreached():
+    """An entry whose definition program code now reaches exempts nothing."""
+    unreached = {
+        entry.partition(" (line ")[0] for entry in uncalled_public_names_in(*_program(), kept=())
+    }
+    assert set(KEPT_FOR_TESTS) <= unreached, set(KEPT_FOR_TESTS) - unreached
 
 
 def test_every_option_is_set_outside_tests():
@@ -1064,8 +1119,8 @@ class TestPerModuleResolution:
         }
         caller = "from m import Link\ndef walk(other, far):\n    return other(far), Link\n"
         assert uncalled_public_names_in(package, [caller]) == [
-            "m:far (line 5)",
-            "m:other (line 2)",
+            "m:Link.far (line 5)",
+            "m:Link.other (line 2)",
         ]
         caller = "from m import Link\nlink = Link()\nlink.other(1)\nlink.far"
         assert uncalled_public_names_in(package, [caller]) == []
@@ -1073,4 +1128,21 @@ class TestPerModuleResolution:
     def test_a_name_reference_reaches_only_its_module(self):
         assert uncalled_public_names_in(self.PACKAGE, ["from repro import m\nm.run"]) == [
             "n:run (line 1)"
+        ]
+
+
+class TestKeptForTests:
+    """A :data:`KEPT_FOR_TESTS` entry exempts the one definition it names."""
+
+    def test_a_same_spelled_dead_method_elsewhere_is_flagged(self):
+        assert "measurement.stats:Cdf.at" in KEPT_FOR_TESTS
+        method = "    def at(self, x):\n        return x\n"
+        package = {
+            "measurement.stats": f"class Cdf:\n{method}class Ccdf:\n{method}class Histogram:\n{method}",
+            "m": f"class Cdf:\n{method}",
+        }
+        caller = "from measurement.stats import Cdf, Ccdf, Histogram\nfrom m import Cdf as Other"
+        assert uncalled_public_names_in(package, [caller]) == [
+            "m:Cdf.at (line 2)",
+            "measurement.stats:Histogram.at (line 8)",
         ]
